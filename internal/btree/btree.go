@@ -80,6 +80,16 @@ type Store interface {
 	TreeLock(root page.ID) *sync.RWMutex
 }
 
+// SMOCounter is implemented by a Store that counts structure modifications
+// (the engine's transaction does, for its btree_* metric families).
+type SMOCounter interface {
+	// CountSplit notes one completed node split; point is true when it was
+	// placed at the insertion point instead of the middle.
+	CountSplit(point bool)
+	// CountLeafFree notes one emptied leaf unlinked and freed.
+	CountLeafFree()
+}
+
 // --- record encodings ---
 
 // EncodeLeafRec encodes a leaf record: u16 keyLen | key | value.

@@ -75,7 +75,7 @@ func insertSlow(st Store, root page.ID, key, rec []byte) error {
 		if !child.Page().HasSpace(splitReserve) {
 			// Split the child; its separator goes into cur, which has
 			// guaranteed reserve space. Then re-pick the descent child.
-			if err := splitChild(st, root, cur, idx, child); err != nil {
+			if err := splitChild(st, root, cur, idx, child, key, len(rec)); err != nil {
 				child.Release()
 				cur.Release()
 				return err
@@ -101,20 +101,28 @@ func insertSlow(st Store, root page.ID, key, rec []byte) error {
 }
 
 // splitChild splits the full child (latched exclusively, at parent slot
-// parentIdx) by moving its upper half into a freshly allocated sibling and
-// inserting the separator into parent. Moves are logged as inserts into the
-// new page followed by deletes from the old page, the deletes carrying row
-// images (§4.2 extension 3).
-func splitChild(st Store, root page.ID, parent Handle, parentIdx int, child Handle) error {
+// parentIdx) by moving the records from the split point up into a freshly
+// allocated sibling and inserting the separator into parent. Moves are logged
+// as inserts into the new page followed by deletes from the old page, the
+// deletes carrying row images (§4.2 extension 3) — so where the split lands
+// decides how much log it writes. key is the key about to be inserted and
+// need the size of its record; see splitPoint.
+func splitChild(st Store, root page.ID, parent Handle, parentIdx int, child Handle, key []byte, need int) error {
 	cp := child.Page()
 	n := cp.NumSlots()
 	if n < 2 {
 		return fmt.Errorf("btree: cannot split page %d with %d records", cp.ID(), n)
 	}
+	at, point := splitPoint(cp, key, need)
 	nta := st.BeginNTA()
 	defer st.EndNTA(nta)
-	mid := n / 2
-	sep := append([]byte(nil), recKey(cp, mid)...)
+	// The separator is the first key of the new sibling: the first record
+	// moved, or the new key itself when nothing moves.
+	sep := key
+	if at < n {
+		sep = recKey(cp, at)
+	}
+	sep = append([]byte(nil), sep...)
 
 	sib, err := st.Alloc(uint32(root), cp.Type(), cp.Level())
 	if err != nil {
@@ -123,20 +131,68 @@ func splitChild(st Store, root page.ID, parent Handle, parentIdx int, child Hand
 	defer sib.Release()
 
 	// Inserts into the new page...
-	for i := mid; i < n; i++ {
-		if err := st.InsertRec(sib, uint32(root), i-mid, cp.MustGet(i)); err != nil {
+	for i := at; i < n; i++ {
+		if err := st.InsertRec(sib, uint32(root), i-at, cp.MustGet(i)); err != nil {
 			return err
 		}
 	}
 	// ...followed by deletes from the old page, top down so earlier slot
 	// indexes stay valid.
-	for i := n - 1; i >= mid; i-- {
+	for i := n - 1; i >= at; i-- {
 		if err := st.DeleteRec(child, uint32(root), i); err != nil {
 			return err
 		}
 	}
 	// Separator into the parent (guaranteed reserve space).
-	return st.InsertRec(parent, uint32(root), parentIdx+1, encodeInternalRec(sep, sib.Page().ID()))
+	if err := st.InsertRec(parent, uint32(root), parentIdx+1, encodeInternalRec(sep, sib.Page().ID())); err != nil {
+		return err
+	}
+	if c, ok := st.(SMOCounter); ok {
+		c.CountSplit(point)
+	}
+	return nil
+}
+
+// splitPoint picks the slot at which a full node splits (records from that
+// slot up move to the new sibling) and reports whether it is the insertion
+// point rather than the middle. It reads only the latched page and the key,
+// so primary, replica and recovered copies of a page would all choose alike.
+//
+// A leaf splits where the insert lands, s, when the insert continues an
+// ascending run: s == n (the sibling starts empty, the new key is the
+// separator and nothing moves), or the record at s-1 is the one most recently
+// placed on the page — the stateless analogue of PostgreSQL's "split after
+// new item" test. The second case is what lets a run that ends mid-leaf (one
+// of TPC-C's twenty interleaved order_line runs) converge: the records of the
+// next run move out once, the new key goes last on the old page, and every
+// later split of that run is an s == n split. An internal node about to
+// descend into its last child splits at n-1. Everything else — random and
+// descending inserts — splits at n/2.
+func splitPoint(p *page.Page, key []byte, need int) (at int, point bool) {
+	n := p.NumSlots()
+	if p.Level() > 0 {
+		if childIndex(p, key) == n-1 {
+			return n - 1, true
+		}
+		return n / 2, false
+	}
+	s, found := leafSearch(p, key)
+	switch {
+	case found:
+	case s == n:
+		return n, true
+	case p.LastPlaced(s - 1):
+		// The new record goes last on the old page: split here only if the
+		// records that leave make room for it.
+		room := p.FreeSpace()
+		for i := s; i < n; i++ {
+			room += len(p.MustGet(i))
+		}
+		if room >= need {
+			return s, true
+		}
+	}
+	return n / 2, false
 }
 
 // splitRoot grows the tree by one level while keeping the root page id

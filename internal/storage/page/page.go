@@ -282,6 +282,18 @@ func (p *Page) MustGet(i int) []byte {
 	return r
 }
 
+// LastPlaced reports whether slot i holds the record most recently placed on
+// the page. InsertAt (and an UpdateAt that grows a record) put the record at
+// the free-space upper bound, so the slot whose offset equals that bound is
+// the newest; no header field is needed and every copy of the page agrees.
+func (p *Page) LastPlaced(i int) bool {
+	if i < 0 || i >= p.slotCount() {
+		return false
+	}
+	off, _ := p.slotAt(i)
+	return off == p.freeUpper()
+}
+
 // InsertAt inserts rec as slot i, shifting later slots up by one.
 // Inserting at i == NumSlots appends.
 func (p *Page) InsertAt(i int, rec []byte) error {
