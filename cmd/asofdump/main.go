@@ -10,7 +10,13 @@
 //	asofdump -db DIR -txn 12          only records of transaction 12
 //	asofdump -db DIR -types commit    only the named record types
 //	asofdump -db DIR -limit 50        stop after 50 records
-//	asofdump -db DIR -stats           per-type summary instead of records
+//	asofdump -db DIR -stats           summary by type, object and SMO flag
+//
+// The -stats table has one row per record type × object (the root page id
+// of the table or index the record belongs to; "-" for records of no object)
+// × whether the record was logged inside a structure modification (wal.FlagNTA),
+// largest first, with each row's share of the log. Inserts and deletes with
+// the flag are rows a B-tree split moved, not rows a statement wrote.
 package main
 
 import (
@@ -32,7 +38,7 @@ func main() {
 		txn   = flag.Int("txn", -1, "filter: transaction id")
 		types = flag.String("types", "", "filter: comma-separated record types")
 		limit = flag.Int("limit", 0, "stop after N records (0 = all)")
-		stats = flag.Bool("stats", false, "print per-type summary only")
+		stats = flag.Bool("stats", false, "print a summary by type, object and SMO flag only")
 	)
 	flag.Parse()
 	if *dbdir == "" {
@@ -54,11 +60,16 @@ func main() {
 		}
 	}
 
+	type group struct {
+		typ string
+		obj uint32
+		smo bool
+	}
 	type agg struct {
 		count int
 		bytes int
 	}
-	byType := map[string]*agg{}
+	groups := map[group]*agg{}
 	printed := 0
 	err = m.Scan(1, func(rec *wal.Record) (bool, error) {
 		if *pg >= 0 && rec.PageID != uint32(*pg) {
@@ -71,10 +82,11 @@ func main() {
 		if len(wantType) > 0 && !wantType[name] {
 			return true, nil
 		}
-		a := byType[name]
+		g := group{name, rec.ObjectID, rec.Flags&wal.FlagNTA != 0}
+		a := groups[g]
 		if a == nil {
 			a = &agg{}
-			byType[name] = a
+			groups[g] = a
 		}
 		a.count++
 		a.bytes += rec.ApproxSize()
@@ -91,20 +103,34 @@ func main() {
 		fatal(err)
 	}
 	if *stats {
-		names := make([]string, 0, len(byType))
-		for n := range byType {
-			names = append(names, n)
-		}
-		sort.Slice(names, func(i, j int) bool { return byType[names[i]].bytes > byType[names[j]].bytes })
-		fmt.Printf("%-12s %10s %14s\n", "type", "records", "bytes")
+		keys := make([]group, 0, len(groups))
 		total := agg{}
-		for _, n := range names {
-			a := byType[n]
-			fmt.Printf("%-12s %10d %14d\n", n, a.count, a.bytes)
+		for g, a := range groups {
+			keys = append(keys, g)
 			total.count += a.count
 			total.bytes += a.bytes
 		}
-		fmt.Printf("%-12s %10d %14d\n", "TOTAL", total.count, total.bytes)
+		sort.Slice(keys, func(i, j int) bool {
+			a, b := groups[keys[i]], groups[keys[j]]
+			if a.bytes != b.bytes {
+				return a.bytes > b.bytes
+			}
+			return fmt.Sprint(keys[i]) < fmt.Sprint(keys[j])
+		})
+		fmt.Printf("%-12s %8s %4s %10s %14s %7s\n", "type", "object", "smo", "records", "bytes", "share")
+		for _, g := range keys {
+			a := groups[g]
+			obj, smo := "-", ""
+			if g.obj != 0 {
+				obj = fmt.Sprint(g.obj)
+			}
+			if g.smo {
+				smo = "smo"
+			}
+			fmt.Printf("%-12s %8s %4s %10d %14d %6.1f%%\n", g.typ, obj, smo, a.count, a.bytes,
+				100*float64(a.bytes)/float64(total.bytes))
+		}
+		fmt.Printf("%-12s %8s %4s %10d %14d %6.1f%%\n", "TOTAL", "", "", total.count, total.bytes, 100.0)
 	}
 }
 

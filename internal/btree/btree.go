@@ -1,9 +1,14 @@
 // Package btree implements the index manager of §2.1: clustered B-Trees
 // over slotted pages, with structure modification operations (SMOs) logged
-// the way §4.2 requires for page-oriented undo — row moves are logged as
-// inserts into the new page followed by deletes (carrying the deleted row
-// images) from the old page, and in-place node reformats (root splits) are
-// preceded by preformat records storing the prior page image.
+// the way §4.2 requires for page-oriented undo — the rows a split moves are
+// logged as inserts into the new page followed by deletes (carrying the
+// deleted row images) from the old page, and in-place node reformats (root
+// splits) are preceded by preformat records storing the prior page image.
+// Because every moved row is logged twice, a split is placed where the
+// insert lands when that continues an ascending run (see splitPoint): the
+// run's leaves stay full and the split moves few rows or none. A forward
+// delete that empties a leaf unlinks and frees it (see Delete); the page's
+// next allocation logs a preformat record, so as-of reads cross the reuse.
 //
 // The tree is written against the Store interface, so the same code runs on
 // the primary database (where Store logs every page operation to the WAL)
@@ -12,9 +17,9 @@
 //
 // Concurrency: each tree has a tree-level RWMutex (from Store.TreeLock).
 // Reads and in-place writes hold it shared with page-latch coupling;
-// structure modifications hold it exclusively. Root page ids are stable:
-// a root split moves all records into two new children and reformats the
-// root in place, so catalog root pointers never change.
+// structure modifications (splits, leaf frees) hold it exclusively. Root page
+// ids are stable: a root split moves all records into two new children and
+// reformats the root in place, so catalog root pointers never change.
 package btree
 
 import (

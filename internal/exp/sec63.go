@@ -18,12 +18,16 @@ import (
 // 270k -> 180k tpmC, i.e. ~0.67x, with ~20s snapshot creation and ~30s
 // as-of stock-level executions).
 type ConcurrentResult struct {
-	BaselineTpm   float64
-	WithAsOfTpm   float64
-	Ratio         float64
-	Snapshots     int
-	AvgSnapCreate time.Duration // real time
-	AvgAsOfQuery  time.Duration // real time
+	BaselineTpm float64
+	WithAsOfTpm float64
+	Ratio       float64
+	// BaselineCommits and WithAsOfCommits are the transactions each run
+	// committed: the counted side of the comparison, the same on any box.
+	BaselineCommits int64
+	WithAsOfCommits int64
+	Snapshots       int
+	AvgSnapCreate   time.Duration // real time
+	AvgAsOfQuery    time.Duration // real time
 }
 
 // asofLoop is THE §6.3 as-of workload: the paced loop every arm that
@@ -165,12 +169,14 @@ func Concurrent(dir string, txns, clients int, w io.Writer) (ConcurrentResult, e
 		return ConcurrentResult{}, err
 	}
 	out := ConcurrentResult{
-		BaselineTpm:   base.Tpm(),
-		WithAsOfTpm:   with.Tpm(),
-		Ratio:         with.Tpm() / base.Tpm(),
-		Snapshots:     snaps,
-		AvgSnapCreate: avgC,
-		AvgAsOfQuery:  avgQ,
+		BaselineTpm:     base.Tpm(),
+		WithAsOfTpm:     with.Tpm(),
+		Ratio:           with.Tpm() / base.Tpm(),
+		BaselineCommits: base.Commits,
+		WithAsOfCommits: with.Commits,
+		Snapshots:       snaps,
+		AvgSnapCreate:   avgC,
+		AvgAsOfQuery:    avgQ,
 	}
 	if w != nil {
 		fmt.Fprintln(w, "\n§6.3 — concurrent as-of query impact (paper: 270k -> 180k tpmC = 0.67x)")
