@@ -28,8 +28,8 @@ import (
 // observability-overhead A/B: ring vs ring/obsoff at equal committer counts
 // bounds the always-on cost). The pool is sized to hold the working set so
 // the numbers measure the commit path, not eviction I/O.
-func commitBenchOptions(serial, mutexLog, obsOff bool, streams int) Options {
-	return Options{DisableGroupCommit: serial, DisableAppendRing: mutexLog, DisableObs: obsOff, BufferFrames: 8192, LogStreams: streams}
+func commitBenchOptions(serial, mutexLog, obsOff bool) Options {
+	return Options{DisableGroupCommit: serial, DisableAppendRing: mutexLog, DisableObs: obsOff, BufferFrames: 8192}
 }
 
 // benchScale is the Figure 7-11 workload: the database must dwarf a
@@ -208,30 +208,22 @@ func BenchmarkCommitThroughput(b *testing.B) {
 		serial     bool
 		mutexLog   bool
 		obsOff     bool
-		streams    int
 	}{
-		{"ring/c=1", 1, false, false, false, 0},
-		{"ring/c=2", 2, false, false, false, 0},
-		{"ring/c=4", 4, false, false, false, 0},
-		{"mutex/c=1", 1, false, true, false, 0},
-		{"mutex/c=2", 2, false, true, false, 0},
-		{"mutex/c=4", 4, false, true, false, 0},
-		{"serial", 8, true, false, false, 0},
+		{"ring/c=1", 1, false, false, false},
+		{"ring/c=2", 2, false, false, false},
+		{"ring/c=4", 4, false, false, false},
+		{"mutex/c=1", 1, false, true, false},
+		{"mutex/c=2", 2, false, true, false},
+		{"mutex/c=4", 4, false, true, false},
+		{"serial", 8, true, false, false},
 		// The observability A/B: identical to ring/c=1 and ring/c=4 with the
 		// metrics registry disabled. BENCH_PR8.json records the medians; the
 		// acceptance bar is ≤2% commits/s cost for always-on metrics.
-		{"obsoff/c=1", 1, false, false, true, 0},
-		{"obsoff/c=4", 4, false, false, true, 0},
-		// The committer×stream axis of the partitioned WAL: same ring arm
-		// with the log split into 2 and 4 physical streams. Under sync=none
-		// this smokes the cross-stream commit machinery; the headline
-		// fdatasync medians live in BENCH_PR9.json (asofbench -fig commit
-		// -streams 1,4 -sync fdatasync).
-		{"streams/c=4/s=2", 4, false, false, false, 2},
-		{"streams/c=4/s=4", 4, false, false, false, 4},
+		{"obsoff/c=1", 1, false, false, true},
+		{"obsoff/c=4", 4, false, false, true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			db, err := Open(b.TempDir(), commitBenchOptions(mode.serial, mode.mutexLog, mode.obsOff, mode.streams))
+			db, err := Open(b.TempDir(), commitBenchOptions(mode.serial, mode.mutexLog, mode.obsOff))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -280,16 +272,7 @@ func BenchmarkCommitThroughput(b *testing.B) {
 			// GOMAXPROCS — RunParallel's worker count is a multiple of
 			// GOMAXPROCS, which can't express c=1 on a 4-core runner, so
 			// b.N is split across explicit workers instead.
-			// Sum physical writes across every stream so commits/flush stays
-			// comparable between the single-stream and partitioned arms.
-			totalFlushes := func() int64 {
-				var n int64
-				for k := 0; k < db.Logs().Streams(); k++ {
-					n += db.Logs().Stream(k).Flushes.Load()
-				}
-				return n
-			}
-			flushes0 := totalFlushes()
+			flushes0 := db.Log().Flushes.Load()
 			b.ResetTimer()
 			var wg sync.WaitGroup
 			for c := 0; c < mode.committers; c++ {
@@ -332,7 +315,7 @@ func BenchmarkCommitThroughput(b *testing.B) {
 			if s := b.Elapsed().Seconds(); s > 0 {
 				b.ReportMetric(float64(b.N)/s, "commits/s")
 			}
-			if f := totalFlushes() - flushes0; f > 0 {
+			if f := db.Log().Flushes.Load() - flushes0; f > 0 {
 				b.ReportMetric(float64(b.N)/float64(f), "commits/flush")
 			}
 		})

@@ -53,7 +53,6 @@ func main() {
 		ringOff    = flag.Bool("ringoff", false, "disable the lock-free WAL append ring (mutex-serialized tail) for -fig commit")
 		obsOff     = flag.Bool("obsoff", false, "disable the metrics registry for -fig commit (the observability-overhead A/B arm)")
 		commitScl  = flag.String("commitscale", "", "comma-separated committer counts (e.g. 1,2,4) for a ring-vs-mutex scaling sweep of -fig commit")
-		streamsF   = flag.String("streams", "", "comma-separated LogStreams counts (e.g. 1,2,4) for a partitioned-WAL sweep of -fig commit (group commit on; pair with -sync fdatasync to measure overlapping log forces)")
 
 		// Log durability: every engine any figure opens uses this policy.
 		syncMode = flag.String("sync", "none", "log force durability: none | fdatasync (the arm where the gcdelay linger amortizes a real log force)")
@@ -169,33 +168,7 @@ func main() {
 		}
 	}
 
-	if wants("commit") && *streamsF != "" {
-		// Partitioned-WAL sweep: commits/s at each stream count, group commit
-		// on. Under -sync fdatasync the streams force independent files, so
-		// throughput should rise with the stream count until the device
-		// saturates; under -sync none the axis mostly measures ring/tail
-		// contention spread across streams.
-		counts, err := parseCounts(*streamsF)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\n== Commit pipeline: partitioned-WAL stream sweep (%d committers, %d txns/run, sync=%s) ==\n",
-			*committers, *commitTxns, *syncMode)
-		for _, ns := range counts {
-			opts := exp.CommitOptions{
-				Committers:          *committers,
-				Txns:                *commitTxns,
-				GroupCommitMaxDelay: *gcDelay,
-				GroupCommitMaxBytes: *gcBytes,
-				DisableObs:          *obsOff,
-				LogStreams:          ns,
-			}
-			fmt.Printf("streams=%d c=%d: ", ns, *committers)
-			if _, err := exp.CommitThroughput(fmt.Sprintf("%s/commit-streams-%d", dir, ns), opts, os.Stdout); err != nil {
-				fatal(err)
-			}
-		}
-	} else if wants("commit") && *commitScl != "" {
+	if wants("commit") && *commitScl != "" {
 		// Committer-count scaling sweep: the reservation ring against the
 		// mutex-serialized tail at each committer count, group commit on.
 		counts, err := parseCounts(*commitScl)

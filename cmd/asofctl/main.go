@@ -503,11 +503,6 @@ func printReplTree(sts []repl.SubscriberStatus, indent string) {
 		fmt.Printf("%-12s %-4d %-12d %-12d %-12d %-12d %-12d %-10d %-10s %s\n",
 			fmt.Sprintf("%s%d", indent, st.ID), st.Timeline, st.PrimaryDurable, st.Shipped, st.Applied,
 			st.ReplicaDurable, st.Retained, st.LagBytes, lag, fmtTime(st.LastCommitAt))
-		// Partitioned-log sources report vector cursors; render the
-		// per-stream positions under the scalar row.
-		if len(st.ShippedPos) > 1 || len(st.AppliedPos) > 1 {
-			fmt.Printf("%-12s      shipped=%v applied=%v\n", indent, st.ShippedPos, st.AppliedPos)
-		}
 		printReplTree(st.Downstream, indent+"└ ")
 	}
 }
@@ -536,63 +531,40 @@ func promoteStandby(dir string) {
 }
 
 // logLs lists the database's live WAL segments (and, when an archive
-// directory is given, the archived set) with the retention horizon. On a
-// partitioned log every stream's segment set is listed with its stream id
-// and its own retention floor.
+// directory is given, the archived set) with the retention horizon.
 func logLs(dbdir, archiveDir string) {
-	walDir := filepath.Join(dbdir, "wal")
-	streams := wal.StreamCount(walDir)
-	printSegs := func(title, state string, stream int, segs []wal.SegmentInfo, markActive bool) {
+	if err := wal.RefusePartitioned(filepath.Join(dbdir, "wal")); err != nil {
+		fatal(err)
+	}
+	printSegs := func(title, state string, segs []wal.SegmentInfo, markActive bool) {
 		fmt.Printf("%s (%d segments)\n", title, len(segs))
-		fmt.Printf("  %-6s %-6s %-14s %-14s %-12s %-8s %s\n", "stream", "seq", "base-lsn", "end-lsn", "bytes", "state", "file")
+		fmt.Printf("  %-6s %-14s %-14s %-12s %-8s %s\n", "seq", "base-lsn", "end-lsn", "bytes", "state", "file")
 		for i, s := range segs {
 			st := state
 			if markActive && i == len(segs)-1 {
 				st = "active"
 			}
-			fmt.Printf("  %-6d %-6d %-14d %-14d %-12d %-8s %s\n",
-				stream, s.Seq, s.Base, s.End, s.Bytes, st, filepath.Base(s.Path))
+			fmt.Printf("  %-6d %-14d %-14d %-12d %-8s %s\n",
+				s.Seq, s.Base, s.End, s.Bytes, st, filepath.Base(s.Path))
 		}
-	}
-	streamDir := func(root string, k int) string {
-		if k == 0 {
-			return root
-		}
-		return filepath.Join(root, fmt.Sprintf("s%d", k))
 	}
 	if archiveDir != "" {
-		for k := 0; k < streams; k++ {
-			arch, err := wal.ListSegments(streamDir(archiveDir, k))
-			if err != nil {
-				fatal(err)
-			}
-			if k > 0 && len(arch) == 0 {
-				continue
-			}
-			printSegs(fmt.Sprintf("archive stream %d", k), "archived", k, arch, false)
-		}
-	}
-	any := false
-	for k := 0; k < streams; k++ {
-		segs, err := wal.ListSegments(streamDir(walDir, k))
+		arch, err := wal.ListSegments(archiveDir)
 		if err != nil {
 			fatal(err)
 		}
-		if len(segs) == 0 {
-			continue
-		}
-		any = true
-		title := "live"
-		if streams > 1 {
-			title = fmt.Sprintf("live stream %d", k)
-		}
-		printSegs(title, "sealed", k, segs, true)
-		fmt.Printf("retention floor: stream %d lsn %d (records below the horizon may only exist in the archive)\n",
-			k, segs[0].Base)
+		printSegs("archive", "archived", arch, false)
 	}
-	if !any {
+	segs, err := wal.ListSegments(filepath.Join(dbdir, "wal"))
+	if err != nil {
+		fatal(err)
+	}
+	if len(segs) == 0 {
 		fmt.Println("no segments (empty or pre-segmentation database)")
+		return
 	}
+	printSegs("live", "sealed", segs, true)
+	fmt.Printf("retention floor: lsn %d (records below the horizon may only exist in the archive)\n", segs[0].Base)
 }
 
 func fmtTime(t time.Time) string {

@@ -17,7 +17,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/btree"
@@ -36,10 +35,6 @@ type CommitInfo struct {
 	// Ops counts the row operations (inserts/deletes/updates) logged by
 	// the transaction, excluding structure modifications.
 	Ops int
-	// CSN is the commit's global sequence number on partitioned logs — the
-	// total commit order results are sorted by. Zero on single-stream logs
-	// (where the CommitLSN itself is the order).
-	CSN uint64
 }
 
 // FindCommits scans the log for transactions committed in [from, to],
@@ -53,9 +48,6 @@ type CommitInfo struct {
 // through a ChainReader.
 func FindCommits(db *engine.DB, from, to time.Time) ([]CommitInfo, error) {
 	fromNS, toNS := from.UnixNano(), to.UnixNano()
-	if db.Logs().Streams() > 1 {
-		return findCommitsMulti(db, fromNS, toNS)
-	}
 	start := db.Log().TruncationPoint()
 	// One sample of slack: commit wall-clocks can invert slightly around
 	// the window boundary, and unlike ResolveTime this API must not miss a
@@ -125,86 +117,10 @@ func FindCommits(db *engine.DB, from, to time.Time) ([]CommitInfo, error) {
 	return out, err
 }
 
-// findCommitsMulti is FindCommits on a partitioned log: each stream is
-// scanned independently (a transaction's records all live on its own
-// stream), commit records that multi-stream recovery discarded are skipped
-// — they are log garbage, not commits — and the merged result is ordered by
-// the global commit sequence number the commit records carry.
-func findCommitsMulti(db *engine.DB, fromNS, toNS int64) ([]CommitInfo, error) {
-	log := db.Logs()
-	rdr := log.NewReader()
-	defer rdr.Release()
-	var out []CommitInfo
-	for k := 0; k < log.Streams(); k++ {
-		m := log.Stream(k)
-		start := m.TruncationPoint()
-		if s, ok := m.TimeFloorBack(fromNS, 1); ok && s.LSN > start {
-			start = s.LSN
-		}
-		type txState struct {
-			begin wal.LSN
-			ops   int
-		}
-		open := make(map[uint64]*txState)
-		kk := k
-		err := m.Scan(start, func(rec *wal.Record) (bool, error) {
-			switch rec.Type {
-			case wal.TypeBegin:
-				open[rec.TxnID] = &txState{begin: wal.TagLSN(kk, rec.LSN)}
-			case wal.TypeInsert, wal.TypeDelete, wal.TypeUpdate:
-				if st := open[rec.TxnID]; st != nil {
-					st.ops++
-				}
-			case wal.TypeAbort:
-				delete(open, rec.TxnID)
-			case wal.TypeCommit:
-				l := wal.TagLSN(kk, rec.LSN)
-				if db.IsDiscardedCommit(l) {
-					// Recovery's abort record, further up the stream,
-					// retires the open entry.
-					return true, nil
-				}
-				st := open[rec.TxnID]
-				delete(open, rec.TxnID)
-				if rec.WallClock < fromNS || rec.WallClock > toNS {
-					return rec.WallClock <= toNS, nil
-				}
-				info := CommitInfo{
-					TxnID:     rec.TxnID,
-					CommitLSN: l,
-					At:        rec.Time(),
-					CSN:       rec.CSN,
-				}
-				if st != nil {
-					info.BeginLSN = st.begin
-					info.Ops = st.ops
-				} else {
-					begin, ops, err := txnChainInfo(rdr, rec.PrevLSN)
-					if err != nil {
-						if !errors.Is(err, wal.ErrTruncated) {
-							return false, err
-						}
-					} else {
-						info.BeginLSN = begin
-						info.Ops = ops
-					}
-				}
-				out = append(out, info)
-			}
-			return true, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].CSN < out[j].CSN })
-	return out, nil
-}
-
 // txnChainInfo walks a transaction's PrevLSN chain backwards from its last
 // record, returning its begin LSN and row-operation count (CLR-compensated
 // regions skipped via UndoNextLSN, matching the forward scan's accounting).
-func txnChainInfo(rdr chainReads, last wal.LSN) (wal.LSN, int, error) {
+func txnChainInfo(rdr *wal.ChainReader, last wal.LSN) (wal.LSN, int, error) {
 	begin, ops := wal.NilLSN, 0
 	for cur := last; cur != wal.NilLSN; {
 		rec, err := rdr.Read(cur)
@@ -252,17 +168,12 @@ type UndoReport struct {
 // preserved; if any of it touched the same rows, the undo fails with
 // ErrUndoConflict unless force is set.
 func UndoTransaction(db *engine.DB, commitLSN wal.LSN, force bool) (UndoReport, error) {
-	// Logs().Read dispatches tagged LSNs to their stream; on a single-stream
-	// log it is exactly Log().Read.
-	commit, err := db.Logs().Read(commitLSN)
+	commit, err := db.Log().Read(commitLSN)
 	if err != nil {
 		return UndoReport{}, err
 	}
 	if commit.Type != wal.TypeCommit {
 		return UndoReport{}, fmt.Errorf("%w: %v is %v", ErrNotCommitted, commitLSN, commit.Type)
-	}
-	if db.IsDiscardedCommit(commitLSN) {
-		return UndoReport{}, fmt.Errorf("%w: commit at %v was discarded by recovery", ErrNotCommitted, commitLSN)
 	}
 	report := UndoReport{TxnID: commit.TxnID}
 
@@ -278,11 +189,11 @@ func UndoTransaction(db *engine.DB, commitLSN wal.LSN, force bool) (UndoReport, 
 	}
 
 	// The compensating walk is a per-transaction backward chain: stream it
-	// through a reader (per-stream ChainReaders underneath). Each record is
-	// fully consumed (rows decoded and applied) before the next hop, so the
-	// reusable scratch record is safe here.
-	rdr := db.Logs().NewReader()
-	defer rdr.Release()
+	// through a ChainReader. Each record is fully consumed (rows decoded
+	// and applied) before the next hop, so the reusable scratch record is
+	// safe here.
+	rdr := db.Log().ChainReader()
+	defer rdr.Close()
 	cur := commit.PrevLSN
 	for cur != wal.NilLSN {
 		rec, err := rdr.Read(cur)

@@ -155,48 +155,6 @@ func oldestImageAtOrAfter(p *page.Page, asOf wal.LSN, rdr *wal.ChainReader, stat
 	return wal.NilLSN, nil
 }
 
-// PreparePageAsOfCut is PreparePageAsOf for a partitioned log: visibility is
-// a vector cut rather than a scalar LSN, and the chain is read through a
-// SetReader that dispatches each tagged LSN to its stream. The rewind is the
-// same suffix undo — resolution already verified the cut does not intersect
-// any cross-stream chain interleaving, so the first covered record ends the
-// walk exactly as in the scalar case. The image-skip fast path is not taken
-// (the image chain's scalar ordering does not hold across streams); every
-// surviving record is undone individually.
-func PreparePageAsOfCut(p *page.Page, cut wal.StreamPos, rdr *wal.SetReader, stats *Stats) error {
-	cur := wal.LSN(p.PageLSN())
-	if cur == wal.NilLSN || cut.Covers(cur) {
-		return nil
-	}
-	if stats != nil {
-		stats.PagesPrepared.Add(1)
-	}
-	for cur != wal.NilLSN && !cut.Covers(cur) {
-		rec, err := rdr.Read(cur)
-		if err != nil {
-			return fmt.Errorf("asof: read %v: %w", cur, err)
-		}
-		if err := wal.Undo(p, rec); err != nil {
-			return fmt.Errorf("%w: %v", ErrChainBroken, err)
-		}
-		if stats != nil {
-			stats.RecordsUndone.Add(1)
-		}
-		next := rec.PrevPageLSN
-		if rec.Type == wal.TypePreformat {
-			next = wal.LSN(p.PageLSN())
-		}
-		// The descent check only orders within a stream; cross-stream hops
-		// have no scalar order.
-		if next != wal.NilLSN && wal.StreamOf(next) == wal.StreamOf(cur) && next >= cur {
-			return fmt.Errorf("%w: chain does not descend at %v (-> %v)", ErrChainBroken, cur, next)
-		}
-		cur = next
-	}
-	p.SetPageLSN(uint64(cur))
-	return nil
-}
-
 // PreparePageAsOfBaseline is the pre-ChainReader implementation: one
 // locked, allocating Manager.Read per chain record. It is retained as the
 // A/B baseline arm for the read-path experiment (exp.AsOfReadPath) and as

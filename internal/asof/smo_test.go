@@ -50,6 +50,18 @@ func liveDigest(t *testing.T, db *engine.DB) map[int64]string {
 	return got
 }
 
+func snapDigest(t *testing.T, s *Snapshot) map[int64]string {
+	t.Helper()
+	got := make(map[int64]string)
+	if err := s.Scan("t", nil, nil, func(r row.Row) bool {
+		got[r[0].Int] = fmt.Sprintf("%s|%d", r[1].Str, r[2].Int)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
 func sameDigest(t *testing.T, what string, got, want map[int64]string) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -110,17 +122,15 @@ func smosOf(t *testing.T, db *engine.DB, txnID uint64) []smoRecs {
 
 // TestRewindThroughPointSplitsAndFrees walks a table through zero-move
 // splits, a run-boundary split and leaf frees, recording the live content at
-// every step, then rewinds leaf and parent pages to each step — on one log
-// stream and on four.
+// every step, then rewinds leaf and parent pages to each step.
 func TestRewindThroughPointSplitsAndFrees(t *testing.T) {
-	for _, streams := range []int{1, 4} {
-		t.Run(fmt.Sprintf("streams=%d", streams), func(t *testing.T) { rewindThroughPointSplitsAndFrees(t, streams) })
-	}
+	// The subtest keeps the name the test floor lists this case by.
+	t.Run("streams=1", rewindThroughPointSplitsAndFrees)
 }
 
-func rewindThroughPointSplitsAndFrees(t *testing.T, streams int) {
+func rewindThroughPointSplitsAndFrees(t *testing.T) {
 	clock := newVClock()
-	db := openDB(t, clock, engine.Options{LogStreams: streams})
+	db := openDB(t, clock, engine.Options{})
 	exec(t, db, func(tx *engine.Txn) error { return tx.CreateTable(testSchema("t")) })
 
 	type mark struct {
@@ -273,14 +283,13 @@ func TestSplitLSNInsidePointSplitAndFree(t *testing.T) {
 // take the page, and only then reads: the preformat record logged at the
 // re-allocation carries the walk back into the first table's chain.
 func TestSnapshotAcrossFreedAndReusedLeaf(t *testing.T) {
-	for _, streams := range []int{1, 4} {
-		t.Run(fmt.Sprintf("streams=%d", streams), func(t *testing.T) { snapshotAcrossFreedAndReusedLeaf(t, streams) })
-	}
+	// The subtest keeps the name the test floor lists this case by.
+	t.Run("streams=1", snapshotAcrossFreedAndReusedLeaf)
 }
 
-func snapshotAcrossFreedAndReusedLeaf(t *testing.T, streams int) {
+func snapshotAcrossFreedAndReusedLeaf(t *testing.T) {
 	clock := newVClock()
-	db := openDB(t, clock, engine.Options{LogStreams: streams})
+	db := openDB(t, clock, engine.Options{})
 	exec(t, db, func(tx *engine.Txn) error { return tx.CreateTable(testSchema("t")) })
 	exec(t, db, func(tx *engine.Txn) error { return insertRange(tx, "t", 0, 200) })
 	before := liveDigest(t, db)
@@ -302,22 +311,17 @@ func snapshotAcrossFreedAndReusedLeaf(t *testing.T, streams int) {
 	afterFree := liveDigest(t, db)
 	clock.Advance(time.Minute)
 
-	reuseFrom := make([]wal.LSN, streams)
-	for k := range reuseFrom {
-		reuseFrom[k] = db.Logs().Stream(k).NextLSN()
-	}
+	reuseFrom := db.Log().NextLSN()
 	exec(t, db, func(tx *engine.Txn) error { return tx.CreateTable(testSchema("u")) })
 	exec(t, db, func(tx *engine.Txn) error { return insertRange(tx, "u", 0, 200) })
 	preformats := 0
-	for k, from := range reuseFrom {
-		if err := db.Logs().Stream(k).Scan(from, func(rec *wal.Record) (bool, error) {
-			if rec.Type == wal.TypePreformat {
-				preformats++
-			}
-			return true, nil
-		}); err != nil {
-			t.Fatal(err)
+	if err := db.Log().Scan(reuseFrom, func(rec *wal.Record) (bool, error) {
+		if rec.Type == wal.TypePreformat {
+			preformats++
 		}
+		return true, nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if preformats < int(freed) {
 		t.Fatalf("table u re-allocated %d pages, t had freed %v", preformats, freed)

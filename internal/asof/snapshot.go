@@ -107,14 +107,6 @@ func newSnapshot(db *engine.DB, point SplitPoint, asOf time.Time, sideDev *media
 		if applied := db.AppliedLSN(); point.SplitLSN > applied {
 			return nil, fmt.Errorf("%w: split %v > applied %v", ErrReplicaLagging, point.SplitLSN, applied)
 		}
-	} else if db.Logs().Streams() > 1 {
-		// A vector cut has no scalar order against LastCheckpointMark, so a
-		// partitioned primary always checkpoints: the checkpoint's
-		// StreamBegins are captured after resolution, so it forces every
-		// stream through the cut before queries start.
-		if err := db.Checkpoint(); err != nil {
-			return nil, err
-		}
 	} else if mark, ok := db.LastCheckpointMark(); !ok || mark.Begin < point.SplitLSN {
 		if err := db.Checkpoint(); err != nil {
 			return nil, err
@@ -255,14 +247,7 @@ func (src *snapSource) ReadPage(id page.ID, buf []byte) error {
 	copy(buf, h.Page().Bytes())
 	h.Release()
 	p := page.FromBytes(buf)
-	if len(s.point.Cut) > 1 {
-		rdr := s.db.Logs().NewReader()
-		err = PreparePageAsOfCut(p, s.point.Cut, rdr, &s.stats)
-		rdr.Release()
-	} else {
-		err = PreparePageAsOf(p, s.point.SplitLSN, s.db.Log(), &s.stats)
-	}
-	if err != nil {
+	if err := PreparePageAsOf(p, s.point.SplitLSN, s.db.Log(), &s.stats); err != nil {
 		return err
 	}
 	p.WriteChecksum()
@@ -363,47 +348,19 @@ func (s *Snapshot) TreeLock(root page.ID) *sync.RWMutex {
 
 // --- §5.2: lock reacquisition and background logical undo ---
 
-// chainReads is the record-by-LSN read surface shared by the single-stream
-// ChainReader and the multi-stream SetReader, so the lock-reacquisition and
-// logical-undo walks run unchanged on either log layout.
-type chainReads interface {
-	Read(wal.LSN) (*wal.Record, error)
-}
-
-// chainReader returns a backward-walk reader for the primary's log layout,
-// plus its release function.
-func (s *Snapshot) chainReader() (chainReads, func()) {
-	if s.db.Logs().Streams() > 1 {
-		r := s.db.Logs().NewReader()
-		return r, r.Release
-	}
-	r := s.db.Log().ChainReader()
-	return r, func() { r.Close() }
-}
-
 // reacquireLocks takes, on the snapshot's private lock table, an exclusive
 // lock for every row an in-flight transaction modified at or before the
 // SplitLSN. Queries take the shared side of these locks, so they block on
 // exactly the rows whose undo is still pending.
 func (s *Snapshot) reacquireLocks() error {
-	rdr, release := s.chainReader()
-	defer release()
+	rdr := s.db.Log().ChainReader()
+	defer rdr.Close()
 	for _, e := range s.point.ATT {
 		cur := e.LastLSN
 		for cur != wal.NilLSN {
 			rec, err := rdr.Read(cur)
 			if err != nil {
 				return fmt.Errorf("asof: lock reacquisition read %v: %w", cur, err)
-			}
-			if !s.point.visible(rec.LSN) {
-				// An invisible record's effects were physically rewound by
-				// the page prepares (resolution verified invisible records
-				// always form chain suffixes), so its row needs no lock. A
-				// skipped record — CLRs included — advances via PrevLSN: a
-				// rewound CLR's compensation never reached the as-of pages,
-				// so the records it compensated still get their own walk.
-				cur = rec.PrevLSN
-				continue
 			}
 			next := rec.PrevLSN
 			switch rec.Type {
@@ -498,19 +455,13 @@ func (s *Snapshot) backgroundUndo() {
 }
 
 func (s *Snapshot) undoTxn(e wal.ATTEntry) error {
-	rdr, release := s.chainReader()
-	defer release()
+	rdr := s.db.Log().ChainReader()
+	defer rdr.Close()
 	cur := e.LastLSN
 	for cur != wal.NilLSN {
 		rec, err := rdr.Read(cur)
 		if err != nil {
 			return fmt.Errorf("asof: undo read %v: %w", cur, err)
-		}
-		if !s.point.visible(rec.LSN) {
-			// Physically rewound (see reacquireLocks): undoing it logically
-			// too would double-undo. Skipped CLRs follow PrevLSN.
-			cur = rec.PrevLSN
-			continue
 		}
 		next := rec.PrevLSN
 		if rec.Flags&wal.FlagNTA != 0 && rec.Type != wal.TypeCLR {

@@ -28,12 +28,6 @@ type SplitPoint struct {
 	// CkptBegin is the begin record of the most recent checkpoint at or
 	// before SplitLSN; analysis scans from here.
 	CkptBegin wal.LSN
-	// Cut is the split as a per-stream vector on partitioned logs: element
-	// k is the start LSN (stream coordinates) of the newest visible commit
-	// on stream k, and a record is visible iff Cut covers its tagged LSN.
-	// Single-stream resolutions set Cut to the one-element vector [SplitLSN],
-	// so visibility is uniformly Cut.Covers.
-	Cut wal.StreamPos
 	// ATT lists transactions active at the SplitLSN, with their last log
 	// record at or before it.
 	ATT []wal.ATTEntry
@@ -58,11 +52,6 @@ func ResolveTime(db *engine.DB, target time.Time) (SplitPoint, error) {
 			target.Format(time.RFC3339), now.Add(-retention).Format(time.RFC3339))
 	}
 	targetNS := target.UnixNano()
-
-	// Partitioned logs resolve a vector cut instead of a scalar split.
-	if db.Logs().Streams() > 1 {
-		return resolveTimeMulti(db, targetNS)
-	}
 
 	// Phase 1 (§5.1): narrow by checkpoint wall-clock times.
 	ckptBegin, ckptEnd, err := newestCheckpointNotAfter(db, targetNS)
@@ -99,9 +88,6 @@ func ResolveTime(db *engine.DB, target time.Time) (SplitPoint, error) {
 // ResolveLSN builds a SplitPoint for an explicit LSN (used by tests and by
 // the point-in-time restore baseline).
 func ResolveLSN(db *engine.DB, split wal.LSN) (SplitPoint, error) {
-	if n := db.Logs().Streams(); n > 1 {
-		return SplitPoint{}, fmt.Errorf("asof: a scalar LSN does not order a %d-stream log; address snapshots by time", n)
-	}
 	ckptBegin, ckptEnd, err := newestCheckpointNotAfterLSN(db, split)
 	if err != nil {
 		return SplitPoint{}, err
@@ -178,7 +164,7 @@ func resolveAt(db *engine.DB, split, ckptBegin, ckptEnd wal.LSN) (SplitPoint, er
 	if err != nil {
 		return SplitPoint{}, err
 	}
-	sp := SplitPoint{SplitLSN: split, CkptBegin: ckptBegin, Cut: wal.StreamPos{split}, LogScanned: scanned}
+	sp := SplitPoint{SplitLSN: split, CkptBegin: ckptBegin, LogScanned: scanned}
 	for _, e := range att {
 		sp.ATT = append(sp.ATT, *e)
 	}

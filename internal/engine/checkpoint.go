@@ -36,27 +36,14 @@ func (db *DB) Checkpoint() error {
 	if err != nil {
 		return fmt.Errorf("engine: checkpoint begin: %w", err)
 	}
-	// On a partitioned log, capture every stream's position at checkpoint
-	// begin: recovery scans each stream from here, so all streams must be
-	// durable through these positions before the end record points at them.
-	var streamBegins wal.StreamPos
-	if db.log.Streams() > 1 {
-		streamBegins = db.log.EndPos()
-	}
 	if err := db.pool.FlushAll(); err != nil {
 		return fmt.Errorf("engine: checkpoint flush: %w", err)
 	}
 	if err := db.data.Sync(); err != nil {
 		return fmt.Errorf("engine: checkpoint sync: %w", err)
 	}
-	for k := 1; k < len(streamBegins); k++ {
-		if err := db.log.Stream(k).Flush(streamBegins[k]); err != nil {
-			return fmt.Errorf("engine: checkpoint force stream %d: %w", k, err)
-		}
-	}
 	db.mu.Lock()
 	prevEnd := db.boot.lastCkptEnd
-	discarded := append([]wal.LSN(nil), db.discarded...)
 	db.mu.Unlock()
 	tli, hist := db.Timeline()
 	end := &wal.Record{
@@ -72,10 +59,8 @@ func (db *DB) Checkpoint() error {
 			Times: db.log.TimeSamplesSince(prevEnd),
 			// Carry the lineage so replicas adopt promotions from the
 			// stream itself, not just the handshake.
-			TLI:          tli,
-			History:      hist,
-			StreamBegins: streamBegins,
-			Discarded:    discarded,
+			TLI:     tli,
+			History: hist,
 		}),
 	}
 	endLSN, err := db.log.AppendFlush(end)
@@ -167,29 +152,6 @@ func (db *DB) truncateForRetention() error {
 		}
 		if rec.WallClock <= horizon {
 			// Do not truncate past transactions active at that checkpoint.
-			if n := db.log.Streams(); n > 1 {
-				cut := make(wal.StreamPos, n)
-				cut[0] = data.BeginLSN
-				for k := 1; k < n; k++ {
-					cut[k] = data.StreamBegins.Get(k) + 1
-				}
-				for _, e := range data.ATT {
-					if e.BeginLSN == 0 {
-						continue
-					}
-					k := wal.StreamOf(e.BeginLSN)
-					if off := wal.OffsetOf(e.BeginLSN); k < n && off < cut[k] {
-						cut[k] = off
-					}
-				}
-				if err := db.log.TruncateAll(cut); err != nil {
-					return err
-				}
-				db.pruneCkptIndex(cut[0])
-				db.pruneATTMarks(cut[0])
-				db.pruneDiscarded(cut)
-				return nil
-			}
 			cut := data.BeginLSN
 			for _, e := range data.ATT {
 				if e.BeginLSN != 0 && e.BeginLSN < cut {

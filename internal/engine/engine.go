@@ -118,17 +118,6 @@ type Options struct {
 	// mutex-serialized tail — the A/B arm for reservation-ring scaling
 	// comparisons. The log byte stream is identical either way.
 	DisableAppendRing bool
-	// LogStreams partitions the WAL into N physical streams (ROADMAP 3b),
-	// each with its own reservation ring, tail, segment store and fsync
-	// queue; transactions are assigned to a stream by txn-id hash at Begin.
-	// Commit records carry a global commit sequence number and a per-stream
-	// dependency vector, so recovery merges the streams without appends ever
-	// serializing across them. 0 (the default) adopts the count an existing
-	// log was created with — single-stream for a new database — so generic
-	// open paths and offline tooling work on any layout; 1 keeps today's
-	// byte-identical single-stream layout. The stream count is fixed at
-	// database creation; re-opening with an explicit different value fails.
-	LogStreams int
 
 	// DisableObs disables the observability registry entirely: no metrics,
 	// no latency spans, no extra clock reads on the commit path. This is
@@ -183,27 +172,8 @@ type DB struct {
 	dir  string
 
 	data *disk.File
-	log  *wal.StreamSet
+	log  *wal.Manager
 	pool *buffer.Pool
-
-	// pageDeps tracks, per page, the highest undurable position each log
-	// stream contributed to the page's chain — the cross-stream dependency
-	// bookkeeping of a partitioned log (nil when LogStreams <= 1). Commits
-	// fold the vectors of every page they touched into their dependency
-	// vector; page write-back extends the WAL rule across streams with it.
-	pageDeps *pageDepTracker
-
-	// recoverySkip, non-nil only inside multi-stream crash recovery, lists
-	// records whose redo was skipped because their cross-stream chain
-	// ancestors were torn away; the undo pass must pass over them (their
-	// effects never reached any page).
-	recoverySkip map[wal.LSN]struct{}
-
-	// discarded (guarded by mu) lists commit records multi-stream recovery
-	// discarded but whose bytes remain in the log: as-of resolution must not
-	// treat them as commits. Persisted by carrying the list forward in every
-	// checkpoint payload until retention drops the records themselves.
-	discarded []wal.LSN
 
 	locks *txn.LockManager
 
@@ -318,6 +288,11 @@ const bootMagic = "ASOFDB\x02\x00"
 // recovery if needed.
 func Open(dir string, opts Options) (*DB, error) {
 	opts = opts.withDefaults()
+	// Before data.db or anything else is created: a refused directory is
+	// left byte-identical.
+	if err := wal.RefusePartitioned(filepath.Join(dir, "wal")); err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("engine: mkdir: %w", err)
 	}
@@ -346,13 +321,10 @@ func Open(dir string, opts Options) (*DB, error) {
 	for i := range db.txns {
 		db.txns[i].txns = make(map[uint64]*Txn)
 	}
-	if logm.Streams() > 1 {
-		db.pageDeps = newPageDepTracker(logm)
-	}
 	db.pool = buffer.New(buffer.Config{
 		Frames:    opts.BufferFrames,
 		Source:    data,
-		FlushLog:  db.flushForPageWrite,
+		FlushLog:  func(pageLSN uint64) error { return logm.Flush(wal.LSN(pageLSN)) },
 		Checksums: true,
 	})
 	db.nextTxnID.Store(1)
@@ -390,20 +362,11 @@ func Open(dir string, opts Options) (*DB, error) {
 	return db, nil
 }
 
-// openLog opens the database's segmented log store under dir/wal — a
-// StreamSet of opts.LogStreams physical streams (stream 0 in dir/wal
-// itself, stream k in dir/wal/s<k>), migrating a pre-segmentation flat
-// wal.log into the first segment when one is present.
-//
-// LogStreams=0 (unset) adopts the stream count the log was created with:
-// offline tooling (asofctl, asofdump) and generic reopen paths need not know
-// a database's layout to open it. An explicit count still has to match —
-// wal.OpenStreams refuses a mismatch rather than re-partitioning.
-func openLog(dir string, opts Options) (*wal.StreamSet, error) {
-	if opts.LogStreams == 0 {
-		opts.LogStreams = wal.StreamCount(filepath.Join(dir, "wal"))
-	}
-	return wal.OpenStreams(filepath.Join(dir, "wal"), wal.Config{
+// openLog opens the database's segmented log store under dir/wal,
+// migrating a pre-segmentation flat wal.log into the first segment when one
+// is present.
+func openLog(dir string, opts Options) (*wal.Manager, error) {
+	return wal.OpenStore(filepath.Join(dir, "wal"), wal.Config{
 		Dev:               opts.LogDevice,
 		SegmentBytes:      opts.LogSegmentBytes,
 		Sync:              opts.SyncPolicy,
@@ -411,7 +374,7 @@ func openLog(dir string, opts Options) (*wal.StreamSet, error) {
 		LegacyFile:        filepath.Join(dir, "wal.log"),
 		AppendRingBytes:   opts.AppendRingBytes,
 		DisableAppendRing: opts.DisableAppendRing,
-	}, opts.LogStreams)
+	})
 }
 
 // OpenStandby opens the database in dir as a log-shipping standby: files
@@ -423,16 +386,8 @@ func openLog(dir string, opts Options) (*wal.StreamSet, error) {
 // primary would at open.
 func OpenStandby(dir string, opts Options) (*DB, error) {
 	opts = opts.withDefaults()
-	if opts.LogStreams == 0 {
-		// Resolve the adopted count here, not just in openLog: the gate
-		// below must see what will actually be opened.
-		opts.LogStreams = wal.StreamCount(filepath.Join(dir, "wal"))
-	}
-	if opts.LogStreams > 1 {
-		// The shipper/replica protocol moves one byte stream behind one
-		// scalar cursor; partitioned logs need vector cursors end to end
-		// (ROADMAP 3b residual). Refuse rather than silently ship stream 0.
-		return nil, fmt.Errorf("engine: standby with LogStreams=%d: log shipping supports a single stream", opts.LogStreams)
+	if err := wal.RefusePartitioned(filepath.Join(dir, "wal")); err != nil {
+		return nil, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("engine: mkdir: %w", err)
@@ -464,7 +419,7 @@ func OpenStandby(dir string, opts Options) (*DB, error) {
 	db.pool = buffer.New(buffer.Config{
 		Frames:    opts.BufferFrames,
 		Source:    data,
-		FlushLog:  db.flushForPageWrite,
+		FlushLog:  func(pageLSN uint64) error { return logm.Flush(wal.LSN(pageLSN)) },
 		Checksums: true,
 	})
 	db.nextTxnID.Store(1)
@@ -919,15 +874,8 @@ func DecodeBootRoots(buf []byte) (catalog.Roots, error) {
 
 // --- accessors used by the asof and backup packages ---
 
-// Log exposes stream 0's WAL manager — the stream every checkpoint and
-// boot record lives on, and the whole log when LogStreams <= 1. Callers
-// that must see every stream (multi-stream as-of, recovery, tooling) use
-// Logs.
-func (db *DB) Log() *wal.Manager { return db.log.Manager }
-
-// Logs exposes the full partitioned log (stream-dispatching reads, vector
-// positions, per-stream layout).
-func (db *DB) Logs() *wal.StreamSet { return db.log }
+// Log exposes the WAL manager (read access for as-of machinery).
+func (db *DB) Log() *wal.Manager { return db.log }
 
 // Pool exposes the buffer pool (latched page copies for snapshots).
 func (db *DB) Pool() *buffer.Pool { return db.pool }
@@ -1029,7 +977,6 @@ func (db *DB) rebuildCkptIndex() error {
 		}
 		marks = append(marks, CkptMark{WallClock: rec.WallClock, Begin: data.BeginLSN, End: rec.LSN})
 		samples = append(samples, data.Times...)
-		db.noteDiscarded(data.Discarded)
 		cur = data.PrevEnd
 	}
 	// Reverse into LSN order (the walk collected newest-first; each

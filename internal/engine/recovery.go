@@ -28,9 +28,6 @@ import (
 // record's page effects, and UndoTransactions rolls back a set of in-flight
 // transactions. recover composes them over one log scan.
 func (db *DB) recover() error {
-	if db.log.Streams() > 1 {
-		return db.recoverMulti()
-	}
 	start := wal.LSN(1)
 	st := NewRecoveryState()
 	db.mu.Lock()
@@ -161,9 +158,7 @@ func (db *DB) RedoRecord(rec *wal.Record) error {
 // standby promotion.
 func (db *DB) UndoTransactions(att []wal.ATTEntry) error {
 	for _, e := range att {
-		// A transaction's records all live on one stream; its chain LSNs say
-		// which, so the CLRs and the abort land where the chain lives.
-		tx := &Txn{db: db, id: e.TxnID, stream: wal.StreamOf(e.LastLSN)}
+		tx := &Txn{db: db, id: e.TxnID}
 		tx.begun.Store(true)
 		tx.beginLSN.Store(uint64(e.BeginLSN))
 		tx.lastLSN.Store(uint64(e.LastLSN))
@@ -172,7 +167,7 @@ func (db *DB) UndoTransactions(att []wal.ATTEntry) error {
 			return fmt.Errorf("undo txn %d: %w", e.TxnID, err)
 		}
 		abort := &wal.Record{Type: wal.TypeAbort, TxnID: tx.id, PrevLSN: wal.LSN(tx.lastLSN.Load()), PageID: wal.NoPage}
-		if _, err := db.log.Stream(tx.stream).AppendFlush(abort); err != nil {
+		if _, err := db.log.AppendFlush(abort); err != nil {
 			return err
 		}
 		tx.state.Store(int32(txnAborted))

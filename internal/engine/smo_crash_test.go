@@ -44,16 +44,25 @@ func copyDir(t *testing.T, src, dst string) {
 	}
 }
 
-// cutStream truncates stream k's log under dir so that it ends just before
-// the record at offset end: everything from that record on was never written.
-// It reports whether anything was cut off.
-func cutStream(t *testing.T, dir string, k int, end wal.LSN) (cut bool) {
+// tableDigest scans table t into an id->body|qty map.
+func tableDigest(t *testing.T, db *DB) map[int64]string {
 	t.Helper()
-	sdir := filepath.Join(dir, "wal")
-	if k > 0 {
-		sdir = filepath.Join(sdir, fmt.Sprintf("s%d", k))
-	}
-	segs, err := wal.ListSegments(sdir)
+	got := make(map[int64]string)
+	mustExec(t, db, func(tx *Txn) error {
+		return tx.Scan("t", nil, nil, func(r row.Row) bool {
+			got[r[0].Int] = fmt.Sprintf("%s|%d", r[1].Str, r[2].Int)
+			return true
+		})
+	})
+	return got
+}
+
+// cutLog truncates the log under dir so that it ends just before the record
+// at LSN end: everything from that record on was never written. It reports
+// whether anything was cut off.
+func cutLog(t *testing.T, dir string, end wal.LSN) (cut bool) {
+	t.Helper()
+	segs, err := wal.ListSegments(filepath.Join(dir, "wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,23 +92,22 @@ type smo struct {
 	allocs, moves, frees int
 }
 
-// txnSMOs scans stream k for the structure modifications of transaction id.
-// It also returns the offset just past the transaction's last record.
-func txnSMOs(t *testing.T, db *DB, k int, id uint64) (smos []smo, end wal.LSN) {
+// txnSMOs scans the log for the structure modifications of transaction id.
+// It also returns the LSN just past the transaction's last record.
+func txnSMOs(t *testing.T, db *DB, id uint64) (smos []smo, end wal.LSN) {
 	t.Helper()
 	var cur *smo
-	err := db.log.Stream(k).Scan(1, func(rec *wal.Record) (bool, error) {
+	err := db.log.Scan(1, func(rec *wal.Record) (bool, error) {
 		if rec.TxnID != id {
 			return true, nil
 		}
-		off := wal.OffsetOf(rec.LSN)
-		end = off + wal.LSN(rec.ApproxSize())
+		end = rec.LSN + wal.LSN(rec.ApproxSize())
 		switch {
 		case rec.Flags&wal.FlagNTA != 0 && rec.Type != wal.TypeCLR:
 			if cur == nil {
 				cur = &smo{}
 			}
-			cur.recs = append(cur.recs, off)
+			cur.recs = append(cur.recs, rec.LSN)
 			switch rec.Type {
 			case wal.TypeFormat:
 				cur.allocs++
@@ -111,7 +119,7 @@ func txnSMOs(t *testing.T, db *DB, k int, id uint64) (smos []smo, end wal.LSN) {
 				}
 			}
 		case rec.Type == wal.TypeCLR && rec.PageID == wal.NoPage && cur != nil:
-			cur.recs = append(cur.recs, off)
+			cur.recs = append(cur.recs, rec.LSN)
 			smos = append(smos, *cur)
 			cur = nil
 		}
@@ -125,10 +133,9 @@ func txnSMOs(t *testing.T, db *DB, k int, id uint64) (smos []smo, end wal.LSN) {
 
 // TestCrashInsideSMOs crashes between every pair of records of a zero-move
 // split, of a split at a run boundary and of a leaf free (and just before
-// and just after each), at one and at four log streams. Recovery must redo
-// the prefix, take the unfinished modification back physically, undo the
-// in-flight transaction and leave a consistent, usable tree holding exactly
-// the committed rows.
+// and just after each). Recovery must redo the prefix, take the unfinished
+// modification back physically, undo the in-flight transaction and leave a
+// consistent, usable tree holding exactly the committed rows.
 func TestCrashInsideSMOs(t *testing.T) {
 	body := strings.Repeat("S", 400)
 	insert := func(tx *Txn, from, to int) error {
@@ -180,84 +187,81 @@ func TestCrashInsideSMOs(t *testing.T) {
 			want: func(s smo) bool { return s.frees == 1 },
 		},
 	}
-	for _, streams := range []int{1, 4} {
-		for _, shape := range shapes {
-			t.Run(fmt.Sprintf("streams=%d/%s", streams, shape.name), func(t *testing.T) {
-				chunk1(t)
-				opts := Options{LogStreams: streams}
-				dir := t.TempDir()
-				db, err := Open(dir, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mustExec(t, db, func(tx *Txn) error { return tx.CreateTable(testSchema("t")) })
-				mustExec(t, db, shape.base)
-				if err := db.Checkpoint(); err != nil {
-					t.Fatal(err)
-				}
-				committed := tableDigest(t, db)
-				midBefore := db.Obs().Snapshot()[`btree_splits_total{kind="mid"}`]
+	for _, shape := range shapes {
+		// "streams=1/" keeps the names the test floor lists these cases by.
+		t.Run("streams=1/"+shape.name, func(t *testing.T) {
+			dir := t.TempDir()
+			db, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustExec(t, db, func(tx *Txn) error { return tx.CreateTable(testSchema("t")) })
+			mustExec(t, db, shape.base)
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			committed := tableDigest(t, db)
+			midBefore := db.Obs().Snapshot()[`btree_splits_total{kind="mid"}`]
 
-				inflight, err := db.Begin()
-				if err != nil {
-					t.Fatal(err)
+			inflight, err := db.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := shape.work(inflight); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.log.Flush(wal.LSN(inflight.lastLSN.Load())); err != nil {
+				t.Fatal(err)
+			}
+			if mid := db.Obs().Snapshot()[`btree_splits_total{kind="mid"}`]; mid != midBefore {
+				t.Fatalf("the in-flight work split %v nodes in the middle", mid-midBefore)
+			}
+			smos, end := txnSMOs(t, db, inflight.id)
+			var target *smo
+			for i := range smos {
+				if shape.want(smos[i]) {
+					target = &smos[i]
+					break
 				}
-				if err := shape.work(inflight); err != nil {
-					t.Fatal(err)
-				}
-				if err := db.log.Flush(wal.LSN(inflight.lastLSN.Load())); err != nil {
-					t.Fatal(err)
-				}
-				if mid := db.Obs().Snapshot()[`btree_splits_total{kind="mid"}`]; mid != midBefore {
-					t.Fatalf("the in-flight work split %v nodes in the middle", mid-midBefore)
-				}
-				smos, end := txnSMOs(t, db, inflight.stream, inflight.id)
-				var target *smo
-				for i := range smos {
-					if shape.want(smos[i]) {
-						target = &smos[i]
-						break
-					}
-				}
-				if target == nil {
-					t.Fatalf("no such structure modification among %+v", smos)
-				}
-				db.Crash()
+			}
+			if target == nil {
+				t.Fatalf("no such structure modification among %+v", smos)
+			}
+			db.Crash()
 
-				// A cut at recs[i] keeps the records before it; the last
-				// cut keeps the whole transaction, still uncommitted.
-				cuts := append(append([]wal.LSN(nil), target.recs...), end)
-				for i, cut := range cuts {
-					img := filepath.Join(t.TempDir(), "img")
-					copyDir(t, dir, img)
-					if cutStream(t, img, inflight.stream, cut) != (i < len(cuts)-1) {
-						t.Fatalf("cut %d/%d at %v did not land inside the flushed log", i, len(cuts), cut)
-					}
-					rdb, err := Open(img, opts)
-					if err != nil {
-						t.Fatalf("cut %d/%d: recovery: %v", i, len(cuts), err)
-					}
-					if _, err := rdb.CheckConsistency(); err != nil {
-						t.Fatalf("cut %d/%d: %v", i, len(cuts), err)
-					}
-					got := tableDigest(t, rdb)
-					if len(got) != len(committed) {
-						t.Fatalf("cut %d/%d: %d rows after recovery, want %d", i, len(cuts), len(got), len(committed))
-					}
-					for id, v := range committed {
-						if got[id] != v {
-							t.Fatalf("cut %d/%d: row %d = %q, want %q", i, len(cuts), id, got[id], v)
-						}
-					}
-					// The recovered tree takes the same work again, for real.
-					mustExec(t, rdb, shape.work)
-					if _, err := rdb.CheckConsistency(); err != nil {
-						t.Fatalf("cut %d/%d: after redoing the work: %v", i, len(cuts), err)
-					}
-					rdb.Close()
+			// A cut at recs[i] keeps the records before it; the last
+			// cut keeps the whole transaction, still uncommitted.
+			cuts := append(append([]wal.LSN(nil), target.recs...), end)
+			for i, cut := range cuts {
+				img := filepath.Join(t.TempDir(), "img")
+				copyDir(t, dir, img)
+				if cutLog(t, img, cut) != (i < len(cuts)-1) {
+					t.Fatalf("cut %d/%d at %v did not land inside the flushed log", i, len(cuts), cut)
 				}
-			})
-		}
+				rdb, err := Open(img, Options{})
+				if err != nil {
+					t.Fatalf("cut %d/%d: recovery: %v", i, len(cuts), err)
+				}
+				if _, err := rdb.CheckConsistency(); err != nil {
+					t.Fatalf("cut %d/%d: %v", i, len(cuts), err)
+				}
+				got := tableDigest(t, rdb)
+				if len(got) != len(committed) {
+					t.Fatalf("cut %d/%d: %d rows after recovery, want %d", i, len(cuts), len(got), len(committed))
+				}
+				for id, v := range committed {
+					if got[id] != v {
+						t.Fatalf("cut %d/%d: row %d = %q, want %q", i, len(cuts), id, got[id], v)
+					}
+				}
+				// The recovered tree takes the same work again, for real.
+				mustExec(t, rdb, shape.work)
+				if _, err := rdb.CheckConsistency(); err != nil {
+					t.Fatalf("cut %d/%d: after redoing the work: %v", i, len(cuts), err)
+				}
+				rdb.Close()
+			}
+		})
 	}
 }
 

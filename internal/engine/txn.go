@@ -51,15 +51,6 @@ type Txn struct {
 	// then invalidate the engine's index cache.
 	didDDL bool
 
-	// stream is the log stream every record of this transaction is appended
-	// to, fixed at Begin by txn-id hash. Always 0 on a single-stream log.
-	stream int
-
-	// depAcc accumulates, per other stream, the highest position this
-	// transaction's page chains reach — the page-chain half of its commit
-	// dependency vector. Nil on a single-stream log.
-	depAcc wal.StreamPos
-
 	// ntaDepth counts open nested top actions; records logged inside one
 	// carry wal.FlagNTA (see that flag's doc).
 	ntaDepth int
@@ -90,9 +81,6 @@ func (db *DB) Begin() (*Txn, error) {
 		return nil, ErrStandby
 	}
 	t := &Txn{db: db, id: db.nextTxnID.Add(1)}
-	if n := db.log.Streams(); n > 1 {
-		t.stream = int(t.id / streamChunk % uint64(n))
-	}
 	db.registerTxn(t)
 	db.metrics.activeTxns.Add(1)
 	return t, nil
@@ -118,7 +106,7 @@ func (tx *Txn) ensureBegun() error {
 		PageID:    wal.NoPage,
 		WallClock: tx.db.opts.Now().UnixNano(),
 	}
-	lsn, err := tx.db.log.AppendStream(tx.stream, &tx.ctlRec)
+	lsn, err := tx.db.log.Append(&tx.ctlRec)
 	if err != nil {
 		return err
 	}
@@ -153,21 +141,16 @@ func (tx *Txn) logApply(bh *buffer.Handle, rec *wal.Record) error {
 			rec.OldData = nil // ablation: CLRs become redo-only as in ARIES
 		}
 	}
-	lsn, err := tx.db.log.AppendStream(tx.stream, rec)
+	lsn, err := tx.db.log.Append(rec)
 	if err != nil {
 		return err
 	}
-	// Apply, not Redo: the page is exclusively latched and the record was
-	// just appended, so it is by construction not yet applied — and tagged
-	// LSNs are not totally ordered, so the monotone pageLSN test would be
-	// meaningless across streams anyway.
-	if err := wal.Apply(p, rec); err != nil {
+	if err := wal.Redo(p, rec); err != nil {
 		return err
 	}
 	p.BumpModCount()
 	bh.MarkDirty()
 	tx.lastLSN.Store(uint64(lsn))
-	tx.noteAppend(page.ID(rec.PageID), lsn)
 	tx.maybeLogImage(bh, rec.ObjectID)
 	return nil
 }
@@ -194,13 +177,12 @@ func (tx *Txn) maybeLogImage(bh *buffer.Handle, objectID uint32) {
 		PrevImageLSN: wal.LSN(p.LastImageLSN()),
 		NewData:      p.Bytes(),
 	}
-	lsn, err := tx.db.log.AppendStream(tx.stream, img)
+	lsn, err := tx.db.log.Append(img)
 	if err != nil {
 		return // image records are an optimization; losing one is harmless
 	}
 	p.SetLastImageLSN(uint64(lsn))
 	p.SetPageLSN(uint64(lsn))
-	tx.noteAppend(p.ID(), lsn)
 }
 
 // --- btree.Store implementation ---
@@ -447,7 +429,7 @@ func (tx *Txn) EndNTA(token uint64) {
 		PageID:      wal.NoPage,
 		UndoNextLSN: wal.LSN(token),
 	}
-	if lsn, err := tx.db.log.AppendStream(tx.stream, rec); err == nil {
+	if lsn, err := tx.db.log.Append(rec); err == nil {
 		tx.lastLSN.Store(uint64(lsn))
 	}
 }
@@ -487,7 +469,6 @@ func (tx *Txn) Commit() error {
 			PageID:    wal.NoPage,
 			WallClock: tx.db.opts.Now().UnixNano(),
 		}
-		tx.stampCommitDeps(&tx.ctlRec)
 		if err := tx.endDurable(&tx.ctlRec); err != nil {
 			return err
 		}
@@ -509,7 +490,7 @@ func (tx *Txn) Commit() error {
 func (tx *Txn) endDurable(rec *wal.Record) error {
 	db := tx.db
 	db.commitGate.RLock()
-	lsn, err := db.log.AppendStream(tx.stream, rec)
+	lsn, err := db.log.Append(rec)
 	if err == nil {
 		tx.endAppended.Store(true)
 	}
@@ -517,21 +498,10 @@ func (tx *Txn) endDurable(rec *wal.Record) error {
 	if err != nil {
 		return err
 	}
-	if rec.CSN != 0 {
-		// Publish the commit's end so committers on other streams sample it
-		// as a dependency (a commit observed in the log must be durable
-		// before the observer's own commit is acknowledged).
-		db.log.NoteCommitEnd(tx.stream, lsn+wal.LSN(rec.ApproxSize())-1)
-	}
 	if db.opts.DisableGroupCommit {
-		err = db.log.Flush(lsn)
-	} else {
-		err = db.log.WaitDurable(lsn)
+		return db.log.Flush(lsn)
 	}
-	if err != nil {
-		return err
-	}
-	return tx.waitCommitDeps(rec)
+	return db.log.WaitDurable(lsn)
 }
 
 // Rollback undoes the transaction: its log chain is walked backwards and
@@ -584,17 +554,6 @@ func (tx *Txn) undoChain(from wal.LSN) error {
 			return fmt.Errorf("engine: undo read %v: %w", cur, err)
 		}
 		next := rec.PrevLSN
-		if tx.db.recoverySkip != nil {
-			if _, skipped := tx.db.recoverySkip[cur]; skipped {
-				// Multi-stream recovery proved this record's effects never
-				// reached any page (its cross-stream chain ancestors were
-				// torn away and redo skipped it): nothing to compensate.
-				// Skipped CLRs fall through to PrevLSN too — the records
-				// they would have compensated still need their own undo.
-				cur = next
-				continue
-			}
-		}
 		if rec.Flags&wal.FlagNTA != 0 && rec.Type != wal.TypeCLR {
 			// The chain was cut inside a structure modification: compensate
 			// this record physically (the page's tail is exactly this

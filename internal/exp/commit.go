@@ -36,10 +36,6 @@ type CommitOptions struct {
 	// DisableObs runs with the metrics registry disabled — the A/B arm that
 	// bounds the always-on observability cost on the commit path.
 	DisableObs bool
-	// LogStreams partitions the WAL into that many physical streams (the
-	// -streams sweep axis: under a real fsync policy, commits on different
-	// streams force different files and overlap their waits).
-	LogStreams int
 }
 
 // CommitResult is one arm's measurement.
@@ -74,7 +70,6 @@ func CommitThroughput(dir string, o CommitOptions, w io.Writer) (CommitResult, e
 		GroupCommitMaxBytes: o.GroupCommitMaxBytes,
 		DisableAppendRing:   o.DisableAppendRing,
 		DisableObs:          o.DisableObs,
-		LogStreams:          o.LogStreams,
 	})
 	if err != nil {
 		return CommitResult{}, err
@@ -118,19 +113,10 @@ func CommitThroughput(dir string, o CommitOptions, w io.Writer) (CommitResult, e
 		}
 	}
 
-	// Physical log writes across every stream, so the batching factor stays
-	// comparable between the single-stream and partitioned arms.
-	totalFlushes := func() int64 {
-		var n int64
-		for k := 0; k < db.Logs().Streams(); k++ {
-			n += db.Logs().Stream(k).Flushes.Load()
-		}
-		return n
-	}
 	var seq atomic.Uint64
 	seq.Store(uint64(o.Preload))
 	var firstErr atomic.Value
-	flushes0 := totalFlushes()
+	flushes0 := db.Log().Flushes.Load()
 	start := time.Now()
 	var wg sync.WaitGroup
 	per := o.Txns / o.Committers
@@ -166,7 +152,7 @@ func CommitThroughput(dir string, o CommitOptions, w io.Writer) (CommitResult, e
 		Txns:       per * o.Committers,
 		Elapsed:    elapsed,
 		PerSec:     float64(per*o.Committers) / elapsed.Seconds(),
-		Flushes:    totalFlushes() - flushes0,
+		Flushes:    db.Log().Flushes.Load() - flushes0,
 	}
 	if res.Flushes > 0 {
 		res.PerFlush = float64(res.Txns) / float64(res.Flushes)

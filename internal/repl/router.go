@@ -14,7 +14,7 @@ import (
 )
 
 // Session is a client's read-your-writes session: a monotonically
-// advancing position token threaded through its commits and routed reads.
+// advancing LSN token threaded through its commits and routed reads.
 //
 // The token is the durable commit LSN of the session's last write
 // (Txn.CommitLSN) joined with the split LSN of its last routed read — so a
@@ -22,49 +22,20 @@ import (
 // session has already written *or seen* (read-your-writes + monotonic
 // reads), no matter which standby serves it. The zero value is a fresh
 // session with no history. Safe for concurrent use.
-//
-// Internally the token is a per-stream position vector: tagged LSNs from a
-// partitioned log (wal.StreamOf) fold into their own stream's slot, since a
-// max across streams would be meaningless. Replication itself ships a
-// single stream today, so routing compares the stream-0 element; the vector
-// form keeps session tokens well-defined for multi-stream primaries.
 type Session struct {
-	// pos[k] is the highest stream-k offset observed. Slot 0 doubles as the
-	// legacy scalar token. Lock-free: slots only grow.
-	pos [wal.MaxStreams + 1]atomic.Uint64
+	token atomic.Uint64
 }
 
-// Token returns the session's current stream-0 routing token — the whole
-// token on single-stream logs.
-func (s *Session) Token() wal.LSN { return wal.LSN(s.pos[0].Load()) }
+// Token returns the session's current routing token.
+func (s *Session) Token() wal.LSN { return wal.LSN(s.token.Load()) }
 
-// TokenPos returns the session's full per-stream token vector, trimmed to
-// the highest observed stream.
-func (s *Session) TokenPos() wal.StreamPos {
-	top := 0
-	for k := len(s.pos) - 1; k > 0; k-- {
-		if s.pos[k].Load() != 0 {
-			top = k
-			break
-		}
-	}
-	out := make(wal.StreamPos, top+1)
-	for k := 0; k <= top; k++ {
-		out[k] = wal.LSN(s.pos[k].Load())
-	}
-	return out
-}
-
-// Observe folds an observed (possibly stream-tagged) LSN into the token
-// (per-stream monotonic max). Call it with Txn.CommitLSN after every
-// commit; Router.SnapshotAsOf calls it with the served snapshot's split LSN
-// automatically.
+// Observe folds an observed LSN into the token (monotonic max). Call it
+// with Txn.CommitLSN after every commit; Router.SnapshotAsOf calls it with
+// the served snapshot's split LSN automatically.
 func (s *Session) Observe(lsn wal.LSN) {
-	slot := &s.pos[wal.StreamOf(lsn)]
-	off := uint64(wal.OffsetOf(lsn))
 	for {
-		cur := slot.Load()
-		if off <= cur || slot.CompareAndSwap(cur, off) {
+		cur := s.token.Load()
+		if uint64(lsn) <= cur || s.token.CompareAndSwap(cur, uint64(lsn)) {
 			return
 		}
 	}

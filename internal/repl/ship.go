@@ -164,14 +164,6 @@ type SubscriberStatus struct {
 	// last applied commit would read as ever-growing "lag" on a primary
 	// that simply stopped committing.
 	Idle bool `json:"idle"`
-	// ShippedPos/AppliedPos are the per-stream generalizations of Shipped
-	// and Applied for partitioned logs (wal.StreamPos cursors). Shipping is
-	// gated to single-stream sources today, so both are one-element vectors
-	// mirroring the scalars; the wire fields keep old and new binaries
-	// interoperable when that gate lifts, and `asofctl repl-status` renders
-	// them per stream when longer.
-	ShippedPos wal.StreamPos `json:"shipped_pos,omitempty"`
-	AppliedPos wal.StreamPos `json:"applied_pos,omitempty"`
 	// Downstream is this replica's own cascade fan-out (the subscribers of
 	// the shipper it hosts over its local log), reported hop by hop through
 	// ack piggybacks — `asofctl repl-status` renders the tree.
@@ -304,8 +296,6 @@ func (s *Shipper) Status() []SubscriberStatus {
 			BytesShipped:   sub.bytesShipped.Load(),
 			Batches:        sub.batchesSent.Load(),
 		}
-		st.ShippedPos = wal.StreamPos{st.Shipped}
-		st.AppliedPos = wal.StreamPos{st.Applied}
 		st.LagBytes = int64(st.PrimaryDurable) - int64(st.Applied)
 		if st.LagBytes < 0 {
 			st.LagBytes = 0
@@ -379,12 +369,6 @@ func TapStream(conn Conn, from wal.LSN, n *atomic.Int64) error {
 // answered with the shipper's full status instead of a stream.
 func (s *Shipper) Serve(conn Conn) error {
 	defer conn.Close()
-	if n := s.db.Logs().Streams(); n > 1 {
-		// The wire protocol moves one byte stream behind one scalar cursor;
-		// a partitioned log needs vector cursors end to end (ROADMAP 3b
-		// residual). Refuse the subscription rather than ship stream 0 only.
-		return fmt.Errorf("repl: source log has %d streams; log shipping supports a single stream", n)
-	}
 	// Register with the session group under mu so closeWith either sees
 	// this session (and waits for it) or this session sees closed.
 	s.mu.Lock()

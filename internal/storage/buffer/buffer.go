@@ -47,12 +47,10 @@ type Config struct {
 	Frames int
 	// Source is the backing store. Required.
 	Source Source
-	// FlushLog is called with a page's id and pageLSN before a dirty page is
-	// written back (the WAL rule). The id lets a partitioned-log engine force
-	// every log stream the page's record chain crosses, not just the one the
-	// pageLSN names. May be nil when the pool's pages are not logged
+	// FlushLog is called with a pageLSN before a dirty page is written back
+	// (the WAL rule). May be nil when the pool's pages are not logged
 	// (snapshot side files).
-	FlushLog func(id page.ID, pageLSN uint64) error
+	FlushLog func(pageLSN uint64) error
 	// Checksums enables verify-on-read and stamp-on-write.
 	Checksums bool
 }
@@ -422,7 +420,7 @@ func (s *shard) evictLocked() (*frame, error) {
 // eviction's, which only claims pin-free frames).
 func (s *shard) writeBack(f *frame) error {
 	if s.cfg.FlushLog != nil {
-		if err := s.cfg.FlushLog(f.id, f.pg.PageLSN()); err != nil {
+		if err := s.cfg.FlushLog(f.pg.PageLSN()); err != nil {
 			return fmt.Errorf("buffer: WAL flush before writeback of page %d: %w", f.id, err)
 		}
 	}

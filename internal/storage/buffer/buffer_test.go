@@ -89,7 +89,7 @@ func TestDirtyEvictionWritesBackWithWALRule(t *testing.T) {
 	pool := New(Config{
 		Frames: 2,
 		Source: src,
-		FlushLog: func(_ page.ID, lsn uint64) error {
+		FlushLog: func(lsn uint64) error {
 			if lsn > flushedTo {
 				flushedTo = lsn
 			}
@@ -377,7 +377,7 @@ func TestShardedPoolConcurrentMixed(t *testing.T) {
 	pool := New(Config{
 		Frames: 64, // smaller than the working set: constant eviction
 		Source: src,
-		FlushLog: func(_ page.ID, lsn uint64) error {
+		FlushLog: func(lsn uint64) error {
 			flushMu.Lock()
 			if lsn > flushed {
 				flushed = lsn
@@ -533,7 +533,7 @@ func TestConcurrentDirtyEvictionIntegrity(t *testing.T) {
 	pool := New(Config{
 		Frames: 48, // half the working set: every fetch is near an eviction
 		Source: src,
-		FlushLog: func(_ page.ID, lsn uint64) error {
+		FlushLog: func(lsn uint64) error {
 			flushMu.Lock()
 			if lsn > flushedLSN {
 				flushedLSN = lsn

@@ -29,23 +29,6 @@ func Redo(p *page.Page, r *Record) error {
 	return nil
 }
 
-// Apply applies r to p unconditionally and stamps the page with r.LSN — the
-// do-time form (the record was just appended under the page's exclusive
-// latch, so it is by construction not yet applied) and the multi-stream
-// replay form, where stream-tagged LSNs are not totally ordered and the
-// caller has already decided applicability with the chain-exact test
-// (pageLSN == r.PrevPageLSN) instead of the monotone one.
-func Apply(p *page.Page, r *Record) error {
-	if page.ID(r.PageID) == page.InvalidID {
-		return fmt.Errorf("wal: apply of non-page record %v", r.Type)
-	}
-	if err := applyRedo(p, r); err != nil {
-		return fmt.Errorf("wal: apply %v at %v on page %d: %w", r.Type, r.LSN, r.PageID, err)
-	}
-	p.SetPageLSN(uint64(r.LSN))
-	return nil
-}
-
 func applyRedo(p *page.Page, r *Record) error {
 	op := r.Type
 	if op == TypeCLR {

@@ -22,6 +22,28 @@ import (
 // boundary (the log has been truncated past it, §4.3).
 var ErrTruncated = errors.New("wal: record truncated by retention policy")
 
+// ErrPartitionedLog is returned for a log directory created with more than
+// one log stream. The partitioned log (N physical streams, stream-tagged
+// LSNs) was removed — DESIGN.md has the decision — and nothing in this build
+// can read one: its LSNs, commit records and checkpoint payloads all differ.
+var ErrPartitionedLog = errors.New("wal: partitioned log")
+
+// RefusePartitioned returns ErrPartitionedLog when dir's streams.meta sidecar
+// (8 bytes, little-endian stream count, written once at creation) records
+// more than one stream. It reads that one file and touches nothing, so
+// callers run it before they create or modify anything under the database.
+func RefusePartitioned(dir string) error {
+	b, err := os.ReadFile(filepath.Join(dir, "streams.meta"))
+	if err != nil || len(b) != 8 {
+		return nil // a plain log never had the sidecar
+	}
+	if n := binary.LittleEndian.Uint64(b); n > 1 {
+		return fmt.Errorf("%w: %s was created with %d log streams; this build reads one-stream logs only, commit bb54bc2 is the last that opens it",
+			ErrPartitionedLog, dir, n)
+	}
+	return nil
+}
+
 // readBlockSize is the granularity of random log reads. One block read is
 // one log I/O for the undo-I/O accounting of Figure 11.
 const readBlockSize = 32 << 10
@@ -187,6 +209,9 @@ func Open(path string, dev *media.Device) (*Manager, error) {
 // OpenStore opens (creating if necessary) the segmented log store rooted at
 // the directory dir.
 func OpenStore(dir string, cfg Config) (*Manager, error) {
+	if err := RefusePartitioned(dir); err != nil {
+		return nil, err
+	}
 	if cfg.LegacyFile != "" {
 		if err := migrateFlatLog(dir, cfg.LegacyFile); err != nil {
 			return nil, err
@@ -410,35 +435,6 @@ func (m *Manager) Flush(lsn LSN) error { return m.force(lsn, false) }
 // linger up to the configured delay to batch companions) or ride on another
 // leader's write. This is the commit path.
 func (m *Manager) WaitDurable(lsn LSN) error { return m.force(lsn, true) }
-
-// WaitFlushed blocks until the durable watermark covers lsn without ever
-// leading a flush: the caller rides writes driven by the stream's own
-// committers. Safe only when another goroutine is guaranteed to force
-// through lsn — the cross-stream commit-dependency wait, where the sampled
-// dependency is a commit record whose own committer is mid-force on this
-// stream. Leading from here would cut this stream's group-commit batch at
-// whatever happened to be in its tail, collapsing the batching factor
-// (observed 8.2 → 1.8 commits/flush at 4 streams × 32 committers when
-// dependency waits went through force).
-func (m *Manager) WaitFlushed(lsn LSN) error {
-	for {
-		if LSN(m.flushed.Load()) >= lsn {
-			return nil
-		}
-		m.mu.Lock()
-		if m.ioErr != nil {
-			err := m.ioErr
-			m.mu.Unlock()
-			return err
-		}
-		if LSN(m.flushed.Load()) >= lsn {
-			m.mu.Unlock()
-			return nil
-		}
-		m.flushDone.Wait()
-		m.mu.Unlock()
-	}
-}
 
 // force drives the flush pipeline until lsn is durable. With linger set, an
 // elected leader waits up to gcDelay for more appends before writing,

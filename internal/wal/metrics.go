@@ -37,31 +37,25 @@ type Metrics struct {
 // (Flushes, flushed LSN, log size, segment count). Call before the manager
 // is shared between goroutines; a nil registry is a no-op, leaving the
 // inert zero Metrics in place.
-func (m *Manager) RegisterObs(r *obs.Registry) { m.RegisterObsLabeled(r) }
-
-// RegisterObsLabeled is RegisterObs with a fixed label set stamped on every
-// family — how a multi-stream log distinguishes its per-stream managers
-// (label stream=<k>), so `asofctl top` can show whether stream load is
-// balanced.
-func (m *Manager) RegisterObsLabeled(r *obs.Registry, labels ...obs.Label) {
+func (m *Manager) RegisterObs(r *obs.Registry) {
 	if r == nil {
 		return
 	}
 	m.metrics = Metrics{
-		Appends:         r.Counter("wal_appends_total", "records appended to the log", labels...),
-		AppendBytes:     r.Counter("wal_append_bytes_total", "framed bytes appended to the log", labels...),
-		RingDrains:      r.Counter("wal_ring_drains_total", "reservation-ring drain passes that advanced the tail", labels...),
-		FlushBytes:      r.SizeHistogram("wal_flush_batch_bytes", "bytes covered by one physical log write (group-commit batch size)", labels...),
-		FsyncSeconds:    r.DurationHistogram("wal_fsync_seconds", "write+sync latency of one log force", labels...),
-		Rotations:       r.Counter("wal_segment_rotations_total", "log segment rotations", labels...),
-		Truncations:     r.Counter("wal_retention_truncations_total", "retention truncations persisting a new cut", labels...),
-		SegmentsDropped: r.Counter("wal_retention_segments_dropped_total", "whole segments unlinked or archived by retention", labels...),
+		Appends:         r.Counter("wal_appends_total", "records appended to the log"),
+		AppendBytes:     r.Counter("wal_append_bytes_total", "framed bytes appended to the log"),
+		RingDrains:      r.Counter("wal_ring_drains_total", "reservation-ring drain passes that advanced the tail"),
+		FlushBytes:      r.SizeHistogram("wal_flush_batch_bytes", "bytes covered by one physical log write (group-commit batch size)"),
+		FsyncSeconds:    r.DurationHistogram("wal_fsync_seconds", "write+sync latency of one log force"),
+		Rotations:       r.Counter("wal_segment_rotations_total", "log segment rotations"),
+		Truncations:     r.Counter("wal_retention_truncations_total", "retention truncations persisting a new cut"),
+		SegmentsDropped: r.Counter("wal_retention_segments_dropped_total", "whole segments unlinked or archived by retention"),
 	}
 	m.store.rotations = m.metrics.Rotations
-	r.CounterFunc("wal_flushes_total", "physical log writes (group-commit flushes)", m.Flushes.Load, labels...)
-	r.CounterFunc("wal_undo_reads_total", "random log block reads served from disk", m.UndoReads.Load, labels...)
-	r.GaugeFunc("wal_flushed_lsn", "highest LSN known durable", func() int64 { return int64(m.FlushedLSN()) }, labels...)
-	r.GaugeFunc("wal_size_bytes", "total log size including the unflushed tail", m.Size, labels...)
-	r.GaugeFunc("wal_truncation_lsn", "lowest available LSN (retention boundary)", func() int64 { return int64(m.TruncationPoint()) }, labels...)
-	r.GaugeFunc("wal_segments", "live segment files", func() int64 { return int64(len(m.Segments())) }, labels...)
+	r.CounterFunc("wal_flushes_total", "physical log writes (group-commit flushes)", m.Flushes.Load)
+	r.CounterFunc("wal_undo_reads_total", "random log block reads served from disk", m.UndoReads.Load)
+	r.GaugeFunc("wal_flushed_lsn", "highest LSN known durable", func() int64 { return int64(m.FlushedLSN()) })
+	r.GaugeFunc("wal_size_bytes", "total log size including the unflushed tail", m.Size)
+	r.GaugeFunc("wal_truncation_lsn", "lowest available LSN (retention boundary)", func() int64 { return int64(m.TruncationPoint()) })
+	r.GaugeFunc("wal_segments", "live segment files", func() int64 { return int64(len(m.Segments())) })
 }

@@ -88,12 +88,6 @@ const (
 	// checkpoints backwards by wall-clock time.
 	TypeCheckpointBegin Type = 50
 	TypeCheckpointEnd   Type = 51
-
-	// TypeNoop fills log space without meaning: multi-stream recovery pads a
-	// rewound stream past positions still referenced by surviving records on
-	// other streams, so those dead references can never alias a future
-	// record. Ignored by analysis, redo, and undo.
-	TypeNoop Type = 60
 )
 
 func (t Type) String() string {
@@ -124,8 +118,6 @@ func (t Type) String() string {
 		return "ckpt-begin"
 	case TypeCheckpointEnd:
 		return "ckpt-end"
-	case TypeNoop:
-		return "noop"
 	default:
 		return fmt.Sprintf("type(%d)", uint8(t))
 	}
@@ -195,15 +187,6 @@ type Record struct {
 	OldData []byte
 	NewData []byte
 	Extra   []byte
-
-	// CSN and Deps are the multi-stream commit extension (ROADMAP 3b): on
-	// TypeCommit records of a partitioned log, CSN is the global commit
-	// sequence number and Deps[k] the highest byte position on stream k this
-	// commit may depend on (own stream NilLSN). Encoded as a trailing body
-	// extension only when CSN != 0, so single-stream logs stay byte-identical
-	// and pre-partitioning decoders simply never see the fields.
-	CSN  uint64
-	Deps []LSN
 }
 
 // Time returns WallClock as a time.Time.
@@ -256,20 +239,7 @@ func (r *Record) marshaledSize() int {
 		vlen(r.WallClock) +
 		uvlen(uint64(len(r.OldData))) + len(r.OldData) +
 		uvlen(uint64(len(r.NewData))) + len(r.NewData) +
-		uvlen(uint64(len(r.Extra))) + len(r.Extra) +
-		r.extSize()
-}
-
-// extSize is the byte size of the trailing commit extension (0 when absent).
-func (r *Record) extSize() int {
-	if r.CSN == 0 {
-		return 0
-	}
-	n := uvlen(r.CSN) + uvlen(uint64(len(r.Deps)))
-	for _, d := range r.Deps {
-		n += uvlen(uint64(d))
-	}
-	return n
+		uvlen(uint64(len(r.Extra))) + len(r.Extra)
 }
 
 // ApproxSize returns the record's on-disk footprint including framing.
@@ -297,13 +267,6 @@ func (r *Record) marshal(dst []byte) []byte {
 		putU(uint64(len(b)))
 		dst = append(dst, b...)
 	}
-	if r.CSN != 0 {
-		putU(r.CSN)
-		putU(uint64(len(r.Deps)))
-		for _, d := range r.Deps {
-			putU(uint64(d))
-		}
-	}
 	return dst
 }
 
@@ -324,9 +287,7 @@ func unmarshalInto(r *Record, src []byte) error {
 	if len(src) < 3 {
 		return fmt.Errorf("wal: record body too short: %d bytes", len(src))
 	}
-	deps := r.Deps[:0] // keep scratch capacity across the wipe
 	*r = Record{}
-	r.Deps = deps
 	r.Type = Type(src[0])
 	r.CLRType = Type(src[1])
 	r.Flags = src[2]
@@ -368,20 +329,11 @@ func unmarshalInto(r *Record, src []byte) error {
 		}
 		off += n
 	}
-	r.Deps = r.Deps[:0]
-	if off < len(src) {
-		// Trailing commit extension: csn, dep count, per-stream dep positions.
-		r.CSN = getU()
-		nd := int(getU())
-		if bad || nd < 0 || nd > MaxStreams {
-			return fmt.Errorf("wal: commit extension with %d deps at %d", nd, off)
-		}
-		for i := 0; i < nd; i++ {
-			r.Deps = append(r.Deps, LSN(getU()))
-		}
-		if bad {
-			return fmt.Errorf("wal: truncated commit extension at %d", off)
-		}
+	if off != len(src) {
+		// Nothing this build writes follows Extra. A partitioned log's commit
+		// records did carry more (see ErrPartitionedLog); decoding past them
+		// silently would drop what those bytes meant.
+		return fmt.Errorf("wal: %d bytes trail the last field of a %v record body", len(src)-off, r.Type)
 	}
 	return nil
 }
@@ -499,18 +451,6 @@ type CheckpointData struct {
 	// TLI 0 means the payload predates timelines (lineage unknown).
 	TLI     TimelineID
 	History TimelineHistory
-	// StreamBegins, on multi-stream logs, is the per-stream scan-start
-	// vector: element k is stream k's end position when the checkpoint began
-	// (all streams were forced through it before the end record was
-	// written). Empty on single-stream logs, keeping their payloads
-	// byte-identical to pre-partitioning ones.
-	StreamBegins StreamPos
-	// Discarded carries forward the tagged LSNs of commit records that
-	// multi-stream recovery discarded (their cross-stream dependencies were
-	// torn away): the records remain in the log bytes, so as-of resolution
-	// must know not to treat them as commits. Entries age out when retention
-	// truncates the records themselves. Only present with StreamBegins.
-	Discarded []LSN
 }
 
 // EncodeCheckpoint serializes d for Record.Extra.
@@ -534,22 +474,12 @@ func EncodeCheckpoint(d CheckpointData) []byte {
 		put(uint64(s.WallClock))
 		put(uint64(s.LSN))
 	}
-	if d.TLI != 0 || len(d.StreamBegins) > 0 {
+	if d.TLI != 0 {
 		put(uint64(d.TLI))
 		put(uint64(len(d.History)))
 		for _, f := range d.History {
 			put(uint64(f.TLI))
 			put(uint64(f.End))
-		}
-	}
-	if len(d.StreamBegins) > 0 {
-		put(uint64(len(d.StreamBegins)))
-		for _, p := range d.StreamBegins {
-			put(uint64(p))
-		}
-		put(uint64(len(d.Discarded)))
-		for _, l := range d.Discarded {
-			put(uint64(l))
 		}
 	}
 	return buf
@@ -605,46 +535,19 @@ func DecodeCheckpoint(b []byte) (CheckpointData, error) {
 		return d, fmt.Errorf("wal: checkpoint timeline trailer of %d bytes", len(rest))
 	}
 	d.TLI = TimelineID(binary.LittleEndian.Uint64(rest))
-	hn := int(binary.LittleEndian.Uint64(rest[8:]))
-	if len(rest) < 16+16*hn || hn < 0 {
+	// The timeline section is the payload's last: bytes past it are not
+	// something this build wrote (a partitioned log's stream trailer went
+	// there), so they are an error, not padding.
+	hn := binary.LittleEndian.Uint64(rest[8:])
+	if hn > uint64(len(rest)-16)/16 || len(rest) != 16+16*int(hn) {
 		return d, fmt.Errorf("wal: checkpoint timeline trailer %d bytes for %d forks", len(rest), hn)
 	}
-	for i := 0; i < hn; i++ {
+	for i := 0; i < int(hn); i++ {
 		off := 16 + 16*i
 		d.History = append(d.History, TimelineFork{
 			TLI: TimelineID(binary.LittleEndian.Uint64(rest[off:])),
 			End: LSN(binary.LittleEndian.Uint64(rest[off+8:])),
 		})
-	}
-	rest = rest[16+16*hn:]
-	if len(rest) == 0 {
-		return d, nil // single-stream payload
-	}
-	// Stream section: nStreams u64 | nStreams × begin u64, then
-	// nDiscarded u64 | nDiscarded × lsn u64.
-	if len(rest) < 8 {
-		return d, fmt.Errorf("wal: checkpoint stream trailer of %d bytes", len(rest))
-	}
-	sn := int(binary.LittleEndian.Uint64(rest))
-	if sn < 0 || sn > MaxStreams || len(rest) < 8+8*sn {
-		return d, fmt.Errorf("wal: checkpoint stream trailer %d bytes for %d streams", len(rest), sn)
-	}
-	for i := 0; i < sn; i++ {
-		d.StreamBegins = append(d.StreamBegins, LSN(binary.LittleEndian.Uint64(rest[8+8*i:])))
-	}
-	rest = rest[8+8*sn:]
-	if len(rest) == 0 {
-		return d, nil
-	}
-	if len(rest) < 8 {
-		return d, fmt.Errorf("wal: checkpoint discard trailer of %d bytes", len(rest))
-	}
-	dn := int(binary.LittleEndian.Uint64(rest))
-	if dn < 0 || len(rest) != 8+8*dn {
-		return d, fmt.Errorf("wal: checkpoint discard trailer %d bytes for %d entries", len(rest), dn)
-	}
-	for i := 0; i < dn; i++ {
-		d.Discarded = append(d.Discarded, LSN(binary.LittleEndian.Uint64(rest[8+8*i:])))
 	}
 	return d, nil
 }

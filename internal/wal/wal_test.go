@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -143,6 +144,20 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	body = body[:len(body)-2]
 	if _, err := unmarshal(body); err == nil {
 		t.Error("truncated field should fail")
+	}
+	// Bytes after Extra, as a partitioned log's commit record carried them
+	// (csn, dependency count, one position per stream): nothing this build
+	// writes, and not to be dropped silently.
+	commit := (&Record{Type: TypeCommit, TxnID: 7, PrevLSN: 90, PageID: NoPage, WallClock: 1}).marshal(nil)
+	if _, err := unmarshal(commit); err != nil {
+		t.Fatal(err)
+	}
+	ext := binary.AppendUvarint(binary.AppendUvarint(commit, 12), 4) // csn 12, 4 deps
+	for _, dep := range []uint64{0, 4096, 0, 77} {
+		ext = binary.AppendUvarint(ext, dep)
+	}
+	if _, err := unmarshal(ext); err == nil {
+		t.Error("bytes trailing the last field should fail")
 	}
 }
 
@@ -337,6 +352,25 @@ func TestCheckpointPayloadRoundTrip(t *testing.T) {
 	}
 	if got2.BeginLSN != 1 || len(got2.ATT) != 0 {
 		t.Fatalf("empty ATT round trip: %+v", got2)
+	}
+	// Bytes past the timeline trailer, as a partitioned log's checkpoint
+	// carried them (stream count, one begin per stream, discarded count).
+	d.TLI, d.History = 2, TimelineHistory{{TLI: 1, End: 100}}
+	payload := EncodeCheckpoint(d)
+	if got, err := DecodeCheckpoint(payload); err != nil || !reflect.DeepEqual(got, d) {
+		t.Fatalf("timeline round trip: got %+v, %v", got, err)
+	}
+	for _, v := range []uint64{4, 120, 4096, 8192, 64, 0} {
+		payload = binary.LittleEndian.AppendUint64(payload, v)
+	}
+	if _, err := DecodeCheckpoint(payload); err == nil {
+		t.Error("bytes trailing the timeline section should fail")
+	}
+	// A fork count whose byte size wraps around must not pass the size check.
+	wrap := EncodeCheckpoint(CheckpointData{BeginLSN: 1, TLI: 2})
+	binary.LittleEndian.PutUint64(wrap[len(wrap)-8:], 1<<60)
+	if _, err := DecodeCheckpoint(wrap); err == nil {
+		t.Error("an impossible fork count should fail")
 	}
 }
 
