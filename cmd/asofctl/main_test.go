@@ -88,6 +88,10 @@ func TestRenderTop(t *testing.T) {
 		"buffer_pool_misses_total":          100,
 		"asof_snapshots_open":               1,
 		"asof_snapshot_mounts_total":        4,
+		"asof_batch_prepares_total":         8,
+		"asof_batch_pages_total":            100,
+		"wal_blockcache_hits_total":         300,
+		"wal_blockcache_misses_total":       100,
 		`repl_subscriber_lag_bytes{id="1"}`: 2048,
 		"repl_ship_bytes_total":             4 << 20,
 	}
@@ -102,6 +106,8 @@ func TestRenderTop(t *testing.T) {
 		"hit  90.0%",
 		"open 1",
 		"mounts 4",
+		"batch 12.5 pages",
+		"log-cache hit  75.0%",
 		"replica  \"1\"  lag 2.0KiB",
 	} {
 		if !strings.Contains(out, want) {

@@ -93,16 +93,24 @@ func renderTop(prev, cur map[string]float64, dt float64) string {
 		fmtBytes(cur["wal_size_bytes"]))
 	fmt.Fprintf(&b, "appends  %9.1f/s  %s/s\n",
 		rate("wal_appends_total"), fmtBytes(rate("wal_append_bytes_total")))
-	hits, misses := cur["buffer_pool_hits_total"], cur["buffer_pool_misses_total"]
-	hitRate := 0.0
-	if hits+misses > 0 {
-		hitRate = 100 * hits / (hits + misses)
+	// share is part as a percentage of part+rest, 0 when both are 0.
+	share := func(part, rest float64) float64 {
+		if part+rest <= 0 {
+			return 0
+		}
+		return 100 * part / (part + rest)
 	}
 	fmt.Fprintf(&b, "pool     hit %5.1f%%  evict %8.1f/s  writeback %8.1f/s\n",
-		hitRate, rate("buffer_pool_evictions_total"), rate("buffer_pool_writebacks_total"))
+		share(cur["buffer_pool_hits_total"], cur["buffer_pool_misses_total"]),
+		rate("buffer_pool_evictions_total"), rate("buffer_pool_writebacks_total"))
 	if v, ok := cur["asof_snapshot_mounts_total"]; ok {
-		fmt.Fprintf(&b, "as-of    open %.0f  mounts %.0f  chain-walk %8.1f rec/s\n",
-			cur["asof_snapshots_open"], v, rate("asof_chainwalk_records_total"))
+		perBatch := 0.0
+		if n := cur["asof_batch_prepares_total"]; n > 0 {
+			perBatch = cur["asof_batch_pages_total"] / n
+		}
+		fmt.Fprintf(&b, "as-of    open %.0f  mounts %.0f  chain-walk %8.1f rec/s  batch %.1f pages  log-cache hit %5.1f%%\n",
+			cur["asof_snapshots_open"], v, rate("asof_chainwalk_records_total"), perBatch,
+			share(cur["wal_blockcache_hits_total"], cur["wal_blockcache_misses_total"]))
 	}
 	// Replication, both roles: a primary shows per-subscriber lag, a standby
 	// its own apply progress against the upstream.

@@ -33,6 +33,8 @@ type Stats struct {
 	RecordsUndone  atomic.Int64 // individual log records undone
 	ImageRestores  atomic.Int64 // full page images restored (skip fast path)
 	ImageChainHops atomic.Int64 // image-chain records examined
+	BatchPrepares  atomic.Int64 // merged walks over more than one page
+	BatchPages     atomic.Int64 // pages handed to those walks
 }
 
 // ErrChainBroken is returned when the per-page chain cannot reach the
@@ -50,109 +52,164 @@ var ErrChainBroken = errors.New("asof: page log chain cannot reach target LSN")
 // the (possibly long) log region after it, leaving at most N-1 individual
 // records to undo.
 //
-// The chain is walked through a pooled wal.ChainReader: records decode in
+// It is the one-page call of PreparePagesAsOf.
+func PreparePageAsOf(p *page.Page, asOf wal.LSN, log *wal.Manager, stats *Stats) error {
+	return PreparePagesAsOf([]*page.Page{p}, asOf, log, stats)
+}
+
+// chainCursor is one page's position in a merged walk: the LSN of the next
+// record to read for it, on its image chain (image set) or on its page chain.
+type chainCursor struct {
+	lsn   wal.LSN
+	p     *page.Page
+	image bool
+}
+
+// PreparePagesAsOf rewinds a set of distinct pages to asOf in one walk. Each
+// page is unwound exactly as PreparePageAsOf unwinds it — every page's chain
+// is its own — but the chains are merged by log position: a max-heap holds
+// one cursor per page, the newest record among them is read and undone on
+// its page, and that page's cursor moves to its predecessor. Reads therefore
+// descend through the log once for the whole set, so a block that holds
+// records of many of the pages is loaded once, not once per page, and the
+// reader's readahead (the previous block, in the same I/O) is always the
+// block the walk needs next.
+//
+// The chains are walked through a pooled wal.ChainReader: records decode in
 // place into a reusable scratch record and block spans stay pinned in the
 // reader, so the steady-state walk performs zero allocations per undone
 // record and takes no shared lock per hop (see PreparePageAsOfBaseline for
 // the per-record Manager.Read form this replaced).
-func PreparePageAsOf(p *page.Page, asOf wal.LSN, log *wal.Manager, stats *Stats) error {
-	if wal.LSN(p.PageLSN()) <= asOf {
+//
+// On error the pages are left partly rewound and must be discarded.
+func PreparePagesAsOf(pages []*page.Page, asOf wal.LSN, log *wal.Manager, stats *Stats) error {
+	var one [1]chainCursor // keeps the one-page call off the Go heap
+	heap := one[:0]
+	if len(pages) > 1 {
+		heap = make([]chainCursor, 0, len(pages))
+	}
+	for _, p := range pages {
+		cur := wal.LSN(p.PageLSN())
+		if cur <= asOf {
+			continue
+		}
+		if stats != nil {
+			stats.PagesPrepared.Add(1)
+		}
+		// Fast path: the oldest full image with LSN >= asOf, found by
+		// walking the image chain (newest first). An image logged after
+		// this copy of the page was taken (snapshot copies) is ignored.
+		if img := wal.LSN(p.LastImageLSN()); img > asOf && img <= cur {
+			heap = append(heap, chainCursor{lsn: img, p: p, image: true})
+		} else {
+			heap = append(heap, chainCursor{lsn: cur, p: p})
+		}
+	}
+	if len(heap) == 0 {
 		return nil
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		siftDown(heap, i)
 	}
 	rdr := log.ChainReader()
 	defer rdr.Close()
-	return preparePageAsOf(p, asOf, rdr, stats)
-}
-
-// preparePageAsOf is the chain-walk body, factored so snapshot machinery
-// holding a long-lived reader (e.g. background undo) can reuse it.
-func preparePageAsOf(p *page.Page, asOf wal.LSN, rdr *wal.ChainReader, stats *Stats) error {
-	cur := wal.LSN(p.PageLSN())
-	if cur <= asOf {
-		return nil
-	}
-	if stats != nil {
-		stats.PagesPrepared.Add(1)
-	}
-
-	// Fast path: find the oldest full image with LSN >= asOf by walking
-	// the image chain (newest first). Restoring its stored content (whose
-	// embedded pageLSN equals the image record's PrevPageLSN) jumps the
-	// cursor past the entire log region after the image in one step.
-	if imgLSN, err := oldestImageAtOrAfter(p, asOf, rdr, stats); err != nil {
-		return err
-	} else if imgLSN != wal.NilLSN {
-		// Re-read the winning image: the scratch record the chain walk
-		// returned has been overwritten by later hops.
-		img, err := rdr.Read(imgLSN)
+	for len(heap) > 0 {
+		c := &heap[0]
+		rec, err := rdr.Read(c.lsn)
 		if err != nil {
-			return fmt.Errorf("asof: read image %v: %w", imgLSN, err)
+			return fmt.Errorf("asof: read %v: %w", c.lsn, err)
 		}
-		p.CopyFrom(img.NewData)
-		if stats != nil {
-			stats.ImageRestores.Add(1)
+		var next wal.LSN
+		if c.image {
+			next, err = stepImage(c, rec, asOf, stats)
+		} else {
+			next, err = stepUndo(c, rec, stats)
 		}
-		cur = img.PrevPageLSN
-	}
-
-	for cur > asOf {
-		rec, err := rdr.Read(cur)
 		if err != nil {
-			return fmt.Errorf("asof: read %v: %w", cur, err)
+			return err
 		}
-		if err := wal.Undo(p, rec); err != nil {
-			return fmt.Errorf("%w: %v", ErrChainBroken, err)
+		if next > asOf {
+			c.lsn = next
+		} else {
+			c.p.SetPageLSN(uint64(next))
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
 		}
-		if stats != nil {
-			stats.RecordsUndone.Add(1)
-		}
-		next := rec.PrevPageLSN
-		if rec.Type == wal.TypePreformat {
-			// The restored prior image carries its own pageLSN; trust it
-			// (it equals rec.PrevPageLSN by construction).
-			next = wal.LSN(p.PageLSN())
-		}
-		if next >= cur && next != wal.NilLSN {
-			return fmt.Errorf("%w: chain does not descend at %v (-> %v)", ErrChainBroken, cur, next)
-		}
-		cur = next
+		siftDown(heap, 0)
 	}
-	p.SetPageLSN(uint64(cur))
 	return nil
 }
 
-// oldestImageAtOrAfter walks the page's image chain backwards and returns
-// the LSN of the oldest full-page-image record still >= asOf, or NilLSN if
-// no image helps (all images predate asOf, or none exist).
-func oldestImageAtOrAfter(p *page.Page, asOf wal.LSN, rdr *wal.ChainReader, stats *Stats) (wal.LSN, error) {
-	candidate := wal.NilLSN
-	cur := wal.LSN(p.LastImageLSN())
-	pageLSN := wal.LSN(p.PageLSN())
-	for cur != wal.NilLSN && cur > asOf {
-		if cur > pageLSN {
-			// Image logged after this copy of the page was taken (can
-			// happen on snapshot copies); ignore and stop.
-			break
-		}
-		rec, err := rdr.Read(cur)
-		if err != nil {
-			return wal.NilLSN, fmt.Errorf("asof: read image %v: %w", cur, err)
-		}
-		if rec.Type != wal.TypeImage {
-			return wal.NilLSN, fmt.Errorf("asof: image chain hit %v at %v", rec.Type, cur)
-		}
-		if stats != nil {
-			stats.ImageChainHops.Add(1)
-		}
-		candidate = cur
-		cur = rec.PrevImageLSN
+// stepImage consumes one record of c's image chain and returns the next LSN
+// to read for the page. While an older image still at or after asOf exists
+// the walk stays on the image chain; the oldest such image is restored —
+// its stored content, whose embedded pageLSN equals the image record's
+// PrevPageLSN, jumps the cursor past the entire log region after the image
+// in one step — and the walk moves to the page chain below it. An image
+// that is the page's newest record skips nothing: the page chain is walked
+// from the top.
+func stepImage(c *chainCursor, rec *wal.Record, asOf wal.LSN, stats *Stats) (wal.LSN, error) {
+	if rec.Type != wal.TypeImage {
+		return 0, fmt.Errorf("asof: image chain hit %v at %v", rec.Type, c.lsn)
 	}
-	// Only worthwhile if the image actually skips records: the candidate
-	// must be older than the current page state.
-	if candidate != wal.NilLSN && candidate < pageLSN {
-		return candidate, nil
+	if stats != nil {
+		stats.ImageChainHops.Add(1)
 	}
-	return wal.NilLSN, nil
+	if older := rec.PrevImageLSN; older != wal.NilLSN && older > asOf {
+		if older >= c.lsn {
+			return 0, fmt.Errorf("%w: image chain does not descend at %v (-> %v)", ErrChainBroken, c.lsn, older)
+		}
+		return older, nil
+	}
+	c.image = false
+	pageLSN := wal.LSN(c.p.PageLSN())
+	if c.lsn >= pageLSN {
+		return pageLSN, nil
+	}
+	c.p.CopyFrom(rec.NewData)
+	if stats != nil {
+		stats.ImageRestores.Add(1)
+	}
+	return rec.PrevPageLSN, nil
+}
+
+// stepUndo undoes one record of c's page chain on its page and returns the
+// LSN of the record before it.
+func stepUndo(c *chainCursor, rec *wal.Record, stats *Stats) (wal.LSN, error) {
+	if err := wal.Undo(c.p, rec); err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrChainBroken, err)
+	}
+	if stats != nil {
+		stats.RecordsUndone.Add(1)
+	}
+	next := rec.PrevPageLSN
+	if rec.Type == wal.TypePreformat {
+		// The restored prior image carries its own pageLSN; trust it
+		// (it equals rec.PrevPageLSN by construction).
+		next = wal.LSN(c.p.PageLSN())
+	}
+	if next >= c.lsn && next != wal.NilLSN {
+		return 0, fmt.Errorf("%w: chain does not descend at %v (-> %v)", ErrChainBroken, c.lsn, next)
+	}
+	return next, nil
+}
+
+// siftDown restores the max-heap order (by lsn) below position i.
+func siftDown(h []chainCursor, i int) {
+	for {
+		big := i
+		if l := 2*i + 1; l < len(h) && h[l].lsn > h[big].lsn {
+			big = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r].lsn > h[big].lsn {
+			big = r
+		}
+		if big == i {
+			return
+		}
+		h[i], h[big] = h[big], h[i]
+		i = big
+	}
 }
 
 // PreparePageAsOfBaseline is the pre-ChainReader implementation: one

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,6 +26,15 @@ import (
 // the snapshot's own logical undo (e.g. a split while re-inserting a row)
 // live only in the side file and must never collide with primary pages.
 const snapAllocBase = uint32(1) << 28
+
+// maxBatchLeaves bounds one batch rewind (prepareBatch): the leaves a scan
+// prepares ahead of its cursor and the leaves one GetMany step covers. It
+// is a constant because nothing a caller knows could set it better: it has
+// to stay well inside the snapshot pool (256 frames by default), so a batch
+// is still resident when its query reads it, and past a few dozen pages per
+// walk there is nothing left to share — each log block is already read
+// once.
+const maxBatchLeaves = 64
 
 // Snapshot is an as-of database snapshot (§5): a read-only, transactionally
 // consistent view of the database as of the SplitLSN, queryable through the
@@ -50,6 +60,11 @@ type Snapshot struct {
 	// after the first few queries, hence sync.Map rather than a mutexed map
 	// (concurrent snapshot scans hit TreeLock on every descent).
 	treeLocks sync.Map // page.ID -> *sync.RWMutex
+
+	// ready parks the pages a batch rewind has prepared until the pool
+	// asks for them (snapSource.ReadPage); it is empty between batches.
+	readyMu sync.Mutex
+	ready   map[page.ID][]byte
 
 	mu        sync.Mutex
 	undoErr   error
@@ -132,6 +147,7 @@ func newSnapshot(db *engine.DB, point SplitPoint, asOf time.Time, sideDev *media
 		lockOwner: 1,
 		undoDone:  make(chan struct{}),
 		nextLocal: snapAllocBase,
+		ready:     make(map[page.ID][]byte),
 	}
 	s.pool = buffer.New(buffer.Config{
 		Frames:    db.SnapshotFrames(),
@@ -211,6 +227,8 @@ func (s *Snapshot) Close() error {
 	r.Counter("asof_chainwalk_pages_total", "pages rewound by as-of chain walks").Add(s.stats.PagesPrepared.Load())
 	r.Counter("asof_chainwalk_records_total", "log records walked backwards by as-of prepares").Add(s.stats.RecordsUndone.Load())
 	r.Counter("asof_image_restores_total", "full page images restored by as-of prepares").Add(s.stats.ImageRestores.Load())
+	r.Counter("asof_batch_prepares_total", "merged chain walks that rewound several pages at once").Add(s.stats.BatchPrepares.Load())
+	r.Counter("asof_batch_pages_total", "pages handed to merged chain walks").Add(s.stats.BatchPages.Load())
 	r.Gauge("asof_snapshots_open", "as-of snapshots currently mounted").Add(-1)
 	return err
 }
@@ -220,10 +238,12 @@ func (s *Snapshot) Close() error {
 // snapSource implements buffer.Source for the snapshot pool:
 //
 //	a. if the page is materialized for the snapshot (side file or its
-//	   write-behind queue), return it;
-//	b. else read the page from the primary database (a latched copy through
-//	   the primary buffer pool);
-//	c. call PreparePageAsOf(page, SplitLSN) to undo it to the split;
+//	   write-behind queue), return it — a page the background undo already
+//	   fixed always wins;
+//	b. else, if a batch rewind has the page ready (prepareBatch), take it;
+//	c. else read the page from the primary database (a latched copy through
+//	   the primary buffer pool) and call PreparePageAsOf(page, SplitLSN) to
+//	   undo it to the split;
 //	d. enqueue the prepared page for the side file — the write happens on a
 //	   background goroutine, so the rewound page is served immediately.
 type snapSource Snapshot
@@ -240,18 +260,90 @@ func (src *snapSource) ReadPage(id page.ID, buf []byte) error {
 	if uint32(id) >= snapAllocBase {
 		return fmt.Errorf("asof: snapshot-local page %d lost from side file", id)
 	}
+	s.readyMu.Lock()
+	parked, ok := s.ready[id]
+	delete(s.ready, id)
+	s.readyMu.Unlock()
+	p := page.FromBytes(buf)
+	if ok {
+		copy(buf, parked)
+	} else {
+		if err := s.copyPrimary(id, buf); err != nil {
+			return err
+		}
+		if err := PreparePageAsOf(p, s.point.SplitLSN, s.db.Log(), &s.stats); err != nil {
+			return err
+		}
+	}
+	p.WriteChecksum()
+	return s.writer.Enqueue(id, buf)
+}
+
+// copyPrimary copies the current content of page id out of the primary
+// buffer pool under its shared latch.
+func (s *Snapshot) copyPrimary(id page.ID, buf []byte) error {
 	h, err := s.db.Pool().Fetch(id, false)
 	if err != nil {
 		return err
 	}
 	copy(buf, h.Page().Bytes())
 	h.Release()
-	p := page.FromBytes(buf)
-	if err := PreparePageAsOf(p, s.point.SplitLSN, s.db.Log(), &s.stats); err != nil {
+	return nil
+}
+
+// prepareBatch rewinds the given distinct pages — those the snapshot has
+// not materialized yet — in one merged chain walk (PreparePagesAsOf) and
+// installs them in the snapshot pool. It is a prefetch: it changes what a
+// later fetch of these pages costs, never what it returns.
+//
+// Installation goes through the pool, not around it. The rewound copies are
+// parked in s.ready and each id is then fetched: the pool's loader — the
+// only one per page, whoever it is: this batch, another batch, a query or
+// the background undo — finds the copy in ReadPage and pays no log walk.
+// A page that was materialized in the meantime is served from the side file
+// as always and its parked copy is dropped unused.
+func (s *Snapshot) prepareBatch(ids []page.ID) error {
+	var want []page.ID
+	for _, id := range ids {
+		if uint32(id) < snapAllocBase && !s.writer.Has(id) {
+			want = append(want, id)
+		}
+	}
+	if len(want) < 2 {
+		return nil // one page shares a walk with nobody: its fetch rewinds it
+	}
+	pages := make([]*page.Page, len(want))
+	for i, id := range want {
+		pages[i] = page.New()
+		if err := s.copyPrimary(id, pages[i].Bytes()); err != nil {
+			return err
+		}
+	}
+	s.stats.BatchPrepares.Add(1)
+	s.stats.BatchPages.Add(int64(len(want)))
+	if err := PreparePagesAsOf(pages, s.point.SplitLSN, s.db.Log(), &s.stats); err != nil {
 		return err
 	}
-	p.WriteChecksum()
-	return s.writer.Enqueue(id, buf)
+	s.readyMu.Lock()
+	for i, id := range want {
+		s.ready[id] = pages[i].Bytes()
+	}
+	s.readyMu.Unlock()
+	defer func() {
+		s.readyMu.Lock()
+		for _, id := range want {
+			delete(s.ready, id)
+		}
+		s.readyMu.Unlock()
+	}()
+	for _, id := range want {
+		h, err := s.pool.Fetch(id, false)
+		if err != nil {
+			return err
+		}
+		h.Release()
+	}
+	return nil
 }
 
 func (src *snapSource) WritePage(id page.ID, buf []byte) error {
@@ -586,12 +678,64 @@ func (s *Snapshot) Get(table string, keyVals row.Row) (row.Row, bool, error) {
 	if err := s.barrier(uint32(t.Root), key); err != nil {
 		return nil, false, err
 	}
-	val, ok, err := btree.Get(s, t.Root, key)
+	return s.getRow(t.Root, key)
+}
+
+func (s *Snapshot) getRow(root page.ID, key []byte) (row.Row, bool, error) {
+	val, ok, err := btree.Get(s, root, key)
 	if err != nil || !ok {
 		return nil, false, err
 	}
 	r, err := row.Decode(val)
 	return r, true, err
+}
+
+// GetMany fetches the rows with the given primary keys as of the snapshot
+// time; the result has one entry per key, nil where no row exists. It
+// answers what a Get per key answers, but learns first which leaves the
+// keys live on and rewinds those together (prepareBatch), so the log region
+// between the split and now is read once for all of them instead of once
+// per leaf. Keys sorted by the caller keep each step's leaves adjacent.
+func (s *Snapshot) GetMany(table string, keys []row.Row) ([]row.Row, error) {
+	t, err := s.Table(table)
+	if err != nil {
+		return nil, err
+	}
+	enc := make([][]byte, len(keys))
+	for i, k := range keys {
+		enc[i] = row.EncodeKey(k)
+		if err := s.barrier(uint32(t.Root), enc[i]); err != nil {
+			return nil, err
+		}
+	}
+	out := make([]row.Row, len(keys))
+	for start := 0; start < len(keys); {
+		// One step: the next keys, as many as maxBatchLeaves leaves hold.
+		var leaves []page.ID
+		end := start
+		for ; end < len(keys); end++ {
+			id, err := btree.LeafOf(s, t.Root, enc[end])
+			if err != nil {
+				return nil, err
+			}
+			if id == page.InvalidID || slices.Contains(leaves, id) {
+				continue
+			}
+			if len(leaves) == maxBatchLeaves {
+				break
+			}
+			leaves = append(leaves, id)
+		}
+		if err := s.prepareBatch(leaves); err != nil {
+			return nil, err
+		}
+		for ; start < end; start++ {
+			if out[start], _, err = s.getRow(t.Root, enc[start]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return out, nil
 }
 
 // Scan iterates rows as of the snapshot time, primary keys in [from, to).
@@ -619,7 +763,7 @@ func (s *Snapshot) Scan(table string, from, to row.Row, fn func(row.Row) bool) e
 		toKey = row.EncodeKey(to)
 	}
 	var inner error
-	err = btree.Scan(s, t.Root, fromKey, toKey, func(_, val []byte) bool {
+	err = s.scanTree(t.Root, fromKey, toKey, func(_, val []byte) bool {
 		r, err := row.Decode(val)
 		if err != nil {
 			inner = err
@@ -631,6 +775,57 @@ func (s *Snapshot) Scan(table string, from, to row.Row, fn func(row.Row) bool) e
 		err = inner
 	}
 	return err
+}
+
+// scanTree is btree.Scan over the snapshot with the leaves rewound ahead of
+// the cursor: under a level-1 node the leaves the range covers are known
+// before any is fetched (btree.LeafRun), so they are prepared together, in
+// chunks that double from 2 up to maxBatchLeaves. A scan whose callback
+// stops early has thus prepared at most twice the leaves it read, and a
+// bounded range prepares only its own. The caller has drained the
+// background undo, so the tree is static.
+func (s *Snapshot) scanTree(root page.ID, from, to []byte, fn func(key, val []byte) bool) error {
+	stopped := false
+	visit := func(k, v []byte) bool {
+		stopped = !fn(k, v)
+		return !stopped
+	}
+	chunk := 2
+	for {
+		run, next, err := btree.LeafRun(s, root, from, to)
+		if err != nil {
+			return err
+		}
+		if len(run) == 0 { // the root is the only leaf
+			return btree.Scan(s, root, from, to, fn)
+		}
+		for len(run) > 0 {
+			n := min(chunk, len(run))
+			ids := make([]page.ID, n)
+			for i := range ids {
+				ids[i] = run[i].ID
+			}
+			if err := s.prepareBatch(ids); err != nil {
+				return err
+			}
+			// The chunk ends where the next leaf begins; the last chunk
+			// under this node ends where the descent moves on, or at to.
+			end := next
+			if n < len(run) {
+				end = run[n].Low
+			} else if next == nil {
+				end = to
+			}
+			if err := btree.Scan(s, root, from, end, visit); err != nil || stopped {
+				return err
+			}
+			from, run = end, run[n:]
+			chunk = min(2*chunk, maxBatchLeaves)
+		}
+		if next == nil {
+			return nil
+		}
+	}
 }
 
 // CountRows counts rows as of the snapshot time.
@@ -666,7 +861,7 @@ func (s *Snapshot) ScanIndex(idxName string, vals row.Row, fn func(row.Row) bool
 	prefix := row.EncodeKey(vals)
 	upper := row.PrefixSuccessor(prefix)
 	var inner error
-	err = btree.Scan(s, ix.Root, prefix, upper, func(_, pkEnc []byte) bool {
+	err = s.scanTree(ix.Root, prefix, upper, func(_, pkEnc []byte) bool {
 		pk, err := row.Decode(pkEnc)
 		if err != nil {
 			inner = err

@@ -459,6 +459,19 @@ func (r *Restored) Get(table string, keyVals row.Row) (row.Row, bool, error) {
 	return rr, true, err
 }
 
+// GetMany fetches the rows with the given primary keys, one Get each; the
+// result has one entry per key, nil where no row exists.
+func (r *Restored) GetMany(table string, keys []row.Row) ([]row.Row, error) {
+	out := make([]row.Row, len(keys))
+	for i, k := range keys {
+		var err error
+		if out[i], _, err = r.Get(table, k); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // Scan iterates rows of the restored database, keys in [from, to).
 func (r *Restored) Scan(table string, from, to row.Row, fn func(row.Row) bool) error {
 	t, err := r.Table(table)

@@ -48,28 +48,9 @@ type kvPair struct{ k, v []byte }
 // leaf's position (nil for the rightmost leaf), which the caller uses as
 // the next descent target.
 func scanLeaf(st Store, root page.ID, from, to []byte) ([]kvPair, []byte, error) {
-	cur, err := st.Fetch(root, false)
+	cur, upper, err := descendBounded(st, root, from, 0)
 	if err != nil {
 		return nil, nil, err
-	}
-	var upper []byte
-	for cur.Page().Level() > 0 {
-		p := cur.Page()
-		idx := 0
-		if from != nil {
-			idx = childIndex(p, from)
-		}
-		if idx+1 < p.NumSlots() {
-			upper = append(upper[:0], recKey(p, idx+1)...)
-		}
-		child := childAt(p, idx)
-		next, err := st.Fetch(child, false)
-		if err != nil {
-			cur.Release()
-			return nil, nil, err
-		}
-		cur.Release()
-		cur = next
 	}
 	defer cur.Release()
 	p := cur.Page()
@@ -95,6 +76,102 @@ func scanLeaf(st Store, root page.ID, from, to []byte) ([]kvPair, []byte, error)
 		return batch, nil, nil
 	}
 	return batch, append([]byte(nil), upper...), nil
+}
+
+// descendBounded walks from root toward key (nil = the leftmost path) with
+// latch coupling and stops at the first node at or below level stop. It
+// returns that node and the separator that bounds its subtree above (nil on
+// the rightmost path). The caller holds the tree lock.
+func descendBounded(st Store, root page.ID, key []byte, stop uint8) (Handle, []byte, error) {
+	cur, err := st.Fetch(root, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	var upper []byte
+	for cur.Page().Level() > stop {
+		p := cur.Page()
+		idx := 0
+		if key != nil {
+			idx = childIndex(p, key)
+		}
+		if idx+1 < p.NumSlots() {
+			upper = append(upper[:0], recKey(p, idx+1)...)
+		}
+		next, err := st.Fetch(childAt(p, idx), false)
+		cur.Release()
+		if err != nil {
+			return nil, nil, err
+		}
+		cur = next
+	}
+	return cur, upper, nil
+}
+
+// descendToLevel1 returns the level-1 node owning key and its upper bound,
+// or a nil handle when the root is itself a leaf.
+func descendToLevel1(st Store, root page.ID, key []byte) (Handle, []byte, error) {
+	h, upper, err := descendBounded(st, root, key, 1)
+	if err == nil && h.Page().Level() == 0 {
+		h.Release()
+		return nil, nil, nil
+	}
+	return h, upper, err
+}
+
+// LeafOf returns the id of the leaf that owns key without fetching it: the
+// descent stops at the level-1 node and reads the child pointer. A caller
+// that is about to read many keys learns which leaves it will touch before
+// it pays for any of them. It returns page.InvalidID when the root is a leaf.
+func LeafOf(st Store, root page.ID, key []byte) (page.ID, error) {
+	lock := st.TreeLock(root)
+	lock.RLock()
+	defer lock.RUnlock()
+	h, _, err := descendToLevel1(st, root, key)
+	if err != nil || h == nil {
+		return page.InvalidID, err
+	}
+	defer h.Release()
+	return childAt(h.Page(), childIndex(h.Page(), key)), nil
+}
+
+// LeafRef names one leaf by its id and the separator its keys start at.
+type LeafRef struct {
+	ID  page.ID
+	Low []byte
+}
+
+// LeafRun returns, without fetching them, the leaves under the level-1 node
+// owning from (nil = the leftmost) that a Scan of [from, to) visits, in key
+// order, and the key that scan continues from once it has drained them (nil
+// when the range ends under this node). No leaves and no key mean the root
+// is a leaf. Low bounds every leaf but the first, which begins wherever the
+// leaf before it ended (a node's first separator stands for minus infinity).
+func LeafRun(st Store, root page.ID, from, to []byte) ([]LeafRef, []byte, error) {
+	lock := st.TreeLock(root)
+	lock.RLock()
+	defer lock.RUnlock()
+	h, upper, err := descendToLevel1(st, root, from)
+	if err != nil || h == nil {
+		return nil, nil, err
+	}
+	defer h.Release()
+	p := h.Page()
+	first := 0
+	if from != nil {
+		first = childIndex(p, from)
+	}
+	var run []LeafRef
+	for i := first; i < p.NumSlots(); i++ {
+		key, child := decodeInternalRec(p.MustGet(i))
+		if i > first && to != nil && bytes.Compare(key, to) >= 0 {
+			return run, nil, nil // the leaf holds nothing below to
+		}
+		run = append(run, LeafRef{ID: child, Low: append([]byte(nil), key...)})
+	}
+	if upper == nil || (to != nil && bytes.Compare(upper, to) >= 0) {
+		return run, nil, nil
+	}
+	return run, upper, nil
 }
 
 // Count returns the number of records in [fromKey, toKey).

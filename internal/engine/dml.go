@@ -213,6 +213,20 @@ func (tx *Txn) Get(table string, keyVals row.Row) (row.Row, bool, error) {
 	return r, true, err
 }
 
+// GetMany fetches the rows with the given primary keys, one Get each; the
+// result has one entry per key, nil where no row exists. (An as-of snapshot
+// answers the same call by rewinding the keys' pages together.)
+func (tx *Txn) GetMany(table string, keys []row.Row) ([]row.Row, error) {
+	out := make([]row.Row, len(keys))
+	for i, k := range keys {
+		var err error
+		if out[i], _, err = tx.Get(table, k); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // Scan iterates rows with primary keys in [from, to) in key order. from/to
 // are partial key prefixes (nil = unbounded). The scan takes a table-level
 // shared lock instead of row locks, so it never observes uncommitted rows.

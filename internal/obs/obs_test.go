@@ -83,7 +83,7 @@ func TestHistogramBucketsExact(t *testing.T) {
 
 func TestSpanOnVirtualClock(t *testing.T) {
 	mock := clock.NewMock(time.Unix(1000, 0))
-	h := NewDurationHistogram(int64(1 * time.Millisecond), int64(5 * time.Millisecond))
+	h := NewDurationHistogram(int64(1*time.Millisecond), int64(5*time.Millisecond))
 	sp := StartSpan(mock, h)
 	mock.Advance(3 * time.Millisecond)
 	if d := sp.End(); d != 3*time.Millisecond {

@@ -64,7 +64,7 @@ const (
 
 // KindError frames carry an error class in the otherwise-unused From field.
 const (
-	errClassGeneric  wal.LSN = 0
+	errClassGeneric wal.LSN = 0
 	// errClassTimeline marks a mechanical timeline-history refusal: the
 	// subscriber's position is not an ancestor of the server's lineage.
 	// Retrying the same subscription can never succeed — the node must be

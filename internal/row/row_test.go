@@ -77,6 +77,74 @@ func TestDecodeGarbage(t *testing.T) {
 	}
 }
 
+// TestDecodeAllocatesTheRowOnce pins Decode to one allocation for the row
+// itself on a TPC-C order_line row (ten columns, one string): the slice is
+// sized by a first pass over the tags, not grown by append. The string is
+// the second allocation.
+func TestDecodeAllocatesTheRowOnce(t *testing.T) {
+	orderLine := Row{
+		Int64(1), Int64(7), Int64(3001), Int64(4), Int64(1234), Int64(1), Int64(5),
+		Float64(49.5), Time(time.Unix(0, 0)), String("dist-info-24-characters-"),
+	}
+	enc := Encode(orderLine)
+	var got Row
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if got, err = Decode(enc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 2 {
+		t.Fatalf("Decode of a 10-column row allocates %.0f times, want 2 (row, string)", allocs)
+	}
+	if len(got) != len(orderLine) || cap(got) != len(orderLine) {
+		t.Fatalf("decoded row has len %d cap %d, want %d and %d", len(got), cap(got), len(orderLine), len(orderLine))
+	}
+	if !reflect.DeepEqual(got, orderLine) {
+		t.Fatalf("decoded %v, want %v", got, orderLine)
+	}
+	if r, err := Decode(nil); r != nil || err != nil {
+		t.Fatalf("Decode(nil) = %v, %v", r, err)
+	}
+}
+
+// TestDecodeMalformedNeverPanics cuts a valid row short at every length and
+// plants an unknown tag and a hostile length at every value: Decode sizes
+// the row from the same bytes it then rejects, and must return its error.
+func TestDecodeMalformedNeverPanics(t *testing.T) {
+	r := Row{Int64(9), String("abcdef"), Null(KindInt64), BytesVal([]byte{1, 2, 3}), Bool(true), Time(time.Unix(5, 0)), Float64(2.5)}
+	enc := Encode(r)
+	if _, err := Decode(enc); err != nil {
+		t.Fatal(err)
+	}
+	// A value's tag sits where the encoding of the values before it ends.
+	var tags []int
+	isTag := make(map[int]bool)
+	for i := range r {
+		tags = append(tags, len(Encode(r[:i])))
+		isTag[tags[i]] = true
+	}
+	for cut := 1; cut < len(enc); cut++ {
+		if _, err := Decode(enc[:cut]); (err == nil) != isTag[cut] {
+			t.Errorf("row cut at %d of %d: err = %v", cut, len(enc), err)
+		}
+	}
+	for _, off := range tags {
+		bad := append([]byte(nil), enc...)
+		bad[off] = 0x7F
+		if _, err := Decode(bad); err == nil {
+			t.Errorf("unknown tag at %d accepted", off)
+		}
+		if k := Kind(enc[off]); k == KindString || k == KindBytes {
+			bad = append([]byte(nil), enc...)
+			copy(bad[off+1:], []byte{0xFF, 0xFF, 0xFF, 0xFF})
+			if _, err := Decode(bad); err == nil {
+				t.Errorf("length 2^32-1 at %d accepted", off)
+			}
+		}
+	}
+}
+
 func TestQuickRowRoundTrip(t *testing.T) {
 	f := func(i int64, s string, fl float64, b []byte, ok bool, ns int64) bool {
 		if math.IsNaN(fl) {

@@ -5,8 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/asof"
 	"repro/internal/engine"
 	"repro/internal/row"
+	"repro/internal/storage/media"
 	"repro/internal/vclock"
 )
 
@@ -238,3 +240,67 @@ func TestDriverMixedRun(t *testing.T) {
 }
 
 func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// TestAsOfStockLevelReadsAreDeterministic builds the same history twice and
+// runs the same as-of StockLevel queries on each: the answers, the log block
+// reads and the bytes read from the log device must be identical. StockLevel
+// sorts its item ids before it reads their stock; ranging over the Go map
+// it collects them in would issue the reads in a different order on every
+// run, and with them the block-cache evictions and the device reads.
+func TestAsOfStockLevelReadsAreDeterministic(t *testing.T) {
+	type outcome struct {
+		answers              [10]int
+		batches              int64
+		undoReads, readBytes int64
+	}
+	run := func() outcome {
+		cfg := DefaultConfig()
+		cfg.Warehouses, cfg.CustomersPerD, cfg.Items = 1, 30, 1000
+		clock := vclock.New(time.Time{})
+		logDev := media.New(media.SSD(), nil)
+		// A block cache far smaller than the log, so read order shows.
+		db, err := engine.Open(t.TempDir(), engine.Options{Now: clock.Now, BufferFrames: 1024, LogDevice: logDev, LogCacheBlocks: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		if err := Load(db, cfg); err != nil {
+			t.Fatal(err)
+		}
+		d := NewDriver(db, cfg, clock)
+		if _, err := d.Run(200, 1); err != nil {
+			t.Fatal(err)
+		}
+		past := clock.Now()
+		if _, err := d.Run(800, 1); err != nil {
+			t.Fatal(err)
+		}
+
+		var out outcome
+		db.Log().InvalidateCache()
+		reads, dev := db.Log().UndoReads.Load(), logDev.Stats.Snapshot()
+		snap, err := asof.CreateSnapshot(db, past, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for dist := range out.answers {
+			if out.answers[dist], err = StockLevel(snap, 1, dist+1, 15); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out.batches = snap.Stats().BatchPrepares.Load()
+		if err := snap.Close(); err != nil {
+			t.Fatal(err)
+		}
+		out.undoReads = db.Log().UndoReads.Load() - reads
+		out.readBytes = logDev.Stats.Snapshot().Sub(dev).ReadBytes
+		return out
+	}
+	first, second := run(), run()
+	if first != second {
+		t.Fatalf("two identical histories, two outcomes:\n%+v\n%+v", first, second)
+	}
+	if first.batches == 0 || first.undoReads == 0 {
+		t.Fatalf("the queries rewound nothing together: %+v", first)
+	}
+}

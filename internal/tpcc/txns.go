@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/engine"
@@ -15,6 +16,10 @@ import (
 // unchanged against any of them.
 type Queryable interface {
 	Get(table string, keyVals row.Row) (row.Row, bool, error)
+	// GetMany answers a Get per key: one entry per key, nil where no row
+	// exists. A source that pays per page touched (an as-of snapshot) uses
+	// the whole key set to pay once for what the keys share.
+	GetMany(table string, keys []row.Row) ([]row.Row, error)
 	Scan(table string, from, to row.Row, fn func(row.Row) bool) error
 }
 
@@ -240,13 +245,24 @@ func StockLevel(q Queryable, w, d int, threshold int64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	low := 0
+	// Sorted, so the reads are issued in the same order on every run (a map
+	// ranges in a different one each time) and neighbours share a leaf.
+	ids := make([]int64, 0, len(items))
 	for item := range items {
-		sr, ok, err := q.Get(TableStock, keyStock(w, int(item)))
-		if err != nil {
-			return 0, err
-		}
-		if ok && sr[2].Int < threshold {
+		ids = append(ids, item)
+	}
+	slices.Sort(ids)
+	keys := make([]row.Row, len(ids))
+	for i, item := range ids {
+		keys[i] = keyStock(w, int(item))
+	}
+	stock, err := q.GetMany(TableStock, keys)
+	if err != nil {
+		return 0, err
+	}
+	low := 0
+	for _, sr := range stock {
+		if sr != nil && sr[2].Int < threshold {
 			low++
 		}
 	}

@@ -1,6 +1,9 @@
 package wal
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // blockCache caches fixed-size log blocks for random reads by LSN (undo,
 // lock re-acquisition, SplitLSN searches). It is sharded by block index so
@@ -11,6 +14,9 @@ import "sync"
 type blockCache struct {
 	shards []*cacheShard
 	mask   int64
+	// hits and misses count demand lookups (get); the readahead probe
+	// (peek) is not a demand and counts as neither.
+	hits, misses atomic.Int64
 }
 
 type cacheShard struct {
@@ -53,7 +59,20 @@ func newBlockCache(max int) *blockCache {
 
 func (c *blockCache) shard(idx int64) *cacheShard { return c.shards[idx&c.mask] }
 
+// get is a demand lookup: the caller needs block idx now and reads it from
+// disk on a nil return.
 func (c *blockCache) get(idx int64) []byte {
+	blk := c.peek(idx)
+	if blk != nil {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+	return blk
+}
+
+// peek returns block idx if it is cached, uncounted.
+func (c *blockCache) peek(idx int64) []byte {
 	s := c.shard(idx)
 	s.mu.Lock()
 	defer s.mu.Unlock()

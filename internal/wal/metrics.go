@@ -54,6 +54,8 @@ func (m *Manager) RegisterObs(r *obs.Registry) {
 	m.store.rotations = m.metrics.Rotations
 	r.CounterFunc("wal_flushes_total", "physical log writes (group-commit flushes)", m.Flushes.Load)
 	r.CounterFunc("wal_undo_reads_total", "random log block reads served from disk", m.UndoReads.Load)
+	r.CounterFunc("wal_blockcache_hits_total", "log block lookups served by the shared block cache", func() int64 { return m.cache.hits.Load() })
+	r.CounterFunc("wal_blockcache_misses_total", "log block lookups that went to disk", func() int64 { return m.cache.misses.Load() })
 	r.GaugeFunc("wal_flushed_lsn", "highest LSN known durable", func() int64 { return int64(m.FlushedLSN()) })
 	r.GaugeFunc("wal_size_bytes", "total log size including the unflushed tail", m.Size)
 	r.GaugeFunc("wal_truncation_lsn", "lowest available LSN (retention boundary)", func() int64 { return int64(m.TruncationPoint()) })

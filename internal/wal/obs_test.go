@@ -137,3 +137,67 @@ func TestWalMetricsCoverAppendPaths(t *testing.T) {
 		})
 	}
 }
+
+// TestBlockCacheCounters reads a chain cold and then warm and checks the
+// scrape-time hit and miss counters: a demand lookup that goes to disk is a
+// miss, one the shared cache serves is a hit, and the readahead probe for
+// the block below counts as neither.
+func TestBlockCacheCounters(t *testing.T) {
+	m, err := OpenStore(t.TempDir(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	reg := obs.NewRegistry()
+	m.RegisterObs(reg)
+
+	payload := make([]byte, 1024)
+	var lsns []LSN
+	for i := 0; i < 6*readBlockSize/1024; i++ { // about six blocks
+		lsn, err := m.Append(&Record{Type: TypeInsert, PageID: 1, Slot: uint16(i), NewData: payload})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lsns = append(lsns, lsn)
+	}
+	if err := m.Flush(lsns[len(lsns)-1]); err != nil {
+		t.Fatal(err)
+	}
+	walk := func() {
+		rdr := m.ChainReader()
+		defer rdr.Close()
+		for i := len(lsns) - 1; i >= 0; i-- {
+			if _, err := rdr.Read(lsns[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	walk()
+	cold := reg.Snapshot()
+	if cold["wal_blockcache_hits_total"] != 0 {
+		t.Fatalf("cold walk counted %v hits", cold["wal_blockcache_hits_total"])
+	}
+	// Every physical read was a demand miss; each brought the block below
+	// along, so about half the blocks were never looked up at all.
+	if got, reads := cold["wal_blockcache_misses_total"], cold["wal_undo_reads_total"]; got != reads || reads < 3 {
+		t.Fatalf("cold walk: %v misses, %v physical reads", got, reads)
+	}
+	walk()
+	warm := reg.Snapshot()
+	// Only the partial block at the growing end is never cached.
+	if again := warm["wal_undo_reads_total"] - cold["wal_undo_reads_total"]; again > 1 {
+		t.Fatalf("warm walk read from disk %v times", again)
+	}
+	if warm["wal_blockcache_hits_total"] < 5 {
+		t.Fatalf("warm walk counted %v hits", warm["wal_blockcache_hits_total"])
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"wal_blockcache_hits_total ", "wal_blockcache_misses_total "} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("prometheus output missing %q", want)
+		}
+	}
+}

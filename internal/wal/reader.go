@@ -75,9 +75,13 @@ func (r *ChainReader) Close() {
 		return
 	}
 	r.m = nil
+	// Drop every reference into block memory so a reader parked in the pool
+	// keeps no log block alive: the pinned spans, and the scratch record
+	// whose byte fields alias one (unmarshalInto slices, it does not copy).
 	for i := range r.blocks {
-		r.blocks[i] = pinnedBlock{idx: -1} // drop block refs for GC
+		r.blocks[i] = pinnedBlock{idx: -1}
 	}
+	r.rec = Record{}
 	chainReaderPool.Put(r)
 }
 
@@ -161,7 +165,7 @@ func (r *ChainReader) block(idx int64) ([]byte, error) {
 func (r *ChainReader) load(idx int64) ([]byte, error) {
 	start := idx
 	if idx > 0 && r.pinned(idx-1) == nil {
-		if blk := r.m.cache.get(idx - 1); blk != nil {
+		if blk := r.m.cache.peek(idx - 1); blk != nil {
 			r.pin(idx-1, blk)
 		} else {
 			start = idx - 1

@@ -194,6 +194,38 @@ func TestChainReaderZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestChainReaderCloseDropsBlockRefs checks that a reader parked in the pool
+// holds no log block alive: not through its pinned spans, and not through
+// the scratch record, whose byte fields alias one.
+func TestChainReaderCloseDropsBlockRefs(t *testing.T) {
+	m, err := Open(filepath.Join(t.TempDir(), "wal.log"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	lsn, err := m.Append(&Record{Type: TypeUpdate, PageID: 3, OldData: []byte("old"), NewData: []byte("new"), Extra: []byte("x")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rdr := m.ChainReader()
+	rec, err := rdr.Read(lsn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(rec.OldData) != "old" || string(rec.NewData) != "new" || string(rec.Extra) != "x" {
+		t.Fatalf("read %+v", rec)
+	}
+	rdr.Close()
+	if rec.OldData != nil || rec.NewData != nil || rec.Extra != nil {
+		t.Fatalf("closed reader still references block memory: %+v", rec)
+	}
+	for _, b := range rdr.blocks {
+		if b.data != nil {
+			t.Fatal("closed reader still pins a block")
+		}
+	}
+}
+
 // TestTimeIndexSampling verifies the sparse index samples commits, resolves
 // floors, and round-trips through checkpoint encode/decode.
 func TestTimeIndexSampling(t *testing.T) {

@@ -216,7 +216,7 @@ func (rg *appendRing) fill(start uint64, r *Record, size int) {
 	ring := uint64(len(rg.buf))
 	pos := start % ring
 	if pos+uint64(size) <= ring {
-		dst := rg.buf[pos:pos:pos+uint64(size)]
+		dst := rg.buf[pos : pos : pos+uint64(size)]
 		dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
 		dst = r.marshal(dst)
 		body := dst[frameHeader:]
