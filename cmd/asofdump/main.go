@@ -15,8 +15,10 @@
 // The -stats table has one row per record type × object (the root page id
 // of the table or index the record belongs to; "-" for records of no object)
 // × whether the record was logged inside a structure modification (wal.FlagNTA),
-// largest first, with each row's share of the log. Inserts and deletes with
-// the flag are rows a B-tree split moved, not rows a statement wrote.
+// largest first, with each row's share of the log and its payload bytes (old,
+// new, extra: before-image, after-image and metadata; an update's are the old
+// and new middle and its offset + key). Inserts and deletes with the flag are
+// rows a B-tree split moved, not rows a statement wrote.
 package main
 
 import (
@@ -66,8 +68,8 @@ func main() {
 		smo bool
 	}
 	type agg struct {
-		count int
-		bytes int
+		count, bytes    int
+		old, new, extra int // payload bytes: Record.OldData, NewData, Extra
 	}
 	groups := map[group]*agg{}
 	printed := 0
@@ -90,6 +92,9 @@ func main() {
 		}
 		a.count++
 		a.bytes += rec.ApproxSize()
+		a.old += len(rec.OldData)
+		a.new += len(rec.NewData)
+		a.extra += len(rec.Extra)
 		if !*stats {
 			printRecord(rec)
 			printed++
@@ -109,6 +114,9 @@ func main() {
 			keys = append(keys, g)
 			total.count += a.count
 			total.bytes += a.bytes
+			total.old += a.old
+			total.new += a.new
+			total.extra += a.extra
 		}
 		sort.Slice(keys, func(i, j int) bool {
 			a, b := groups[keys[i]], groups[keys[j]]
@@ -117,7 +125,9 @@ func main() {
 			}
 			return fmt.Sprint(keys[i]) < fmt.Sprint(keys[j])
 		})
-		fmt.Printf("%-12s %8s %4s %10s %14s %7s\n", "type", "object", "smo", "records", "bytes", "share")
+		const row = "%-12s %8s %4s %10d %14d %6.1f%% %12d %12d %12d\n"
+		fmt.Printf("%-12s %8s %4s %10s %14s %7s %12s %12s %12s\n",
+			"type", "object", "smo", "records", "bytes", "share", "old", "new", "extra")
 		for _, g := range keys {
 			a := groups[g]
 			obj, smo := "-", ""
@@ -127,10 +137,10 @@ func main() {
 			if g.smo {
 				smo = "smo"
 			}
-			fmt.Printf("%-12s %8s %4s %10d %14d %6.1f%%\n", g.typ, obj, smo, a.count, a.bytes,
-				100*float64(a.bytes)/float64(total.bytes))
+			fmt.Printf(row, g.typ, obj, smo, a.count, a.bytes,
+				100*float64(a.bytes)/float64(total.bytes), a.old, a.new, a.extra)
 		}
-		fmt.Printf("%-12s %8s %4s %10d %14d %6.1f%%\n", "TOTAL", "", "", total.count, total.bytes, 100.0)
+		fmt.Printf(row, "TOTAL", "", "", total.count, total.bytes, 100.0, total.old, total.new, total.extra)
 	}
 }
 
@@ -147,8 +157,13 @@ func printRecord(rec *wal.Record) {
 		fmt.Fprintf(&b, " obj=%-4d", rec.ObjectID)
 	}
 	switch rec.Type {
-	case wal.TypeInsert, wal.TypeDelete, wal.TypeUpdate:
+	case wal.TypeInsert, wal.TypeDelete:
 		fmt.Fprintf(&b, " slot=%-3d old=%dB new=%dB", rec.Slot, len(rec.OldData), len(rec.NewData))
+	case wal.TypeUpdate:
+		// An update carries the bytes that changed and where they lie in the row.
+		off, _ := rec.UpdateOffset()
+		key, _ := rec.RowKey()
+		fmt.Fprintf(&b, " slot=%-3d off=%d old=%dB new=%dB key=%dB", rec.Slot, off, len(rec.OldData), len(rec.NewData), len(key))
 	case wal.TypeCLR:
 		fmt.Fprintf(&b, " compensates=%s undoNext=%d old=%dB", rec.CLRType, rec.UndoNextLSN, len(rec.OldData))
 	case wal.TypePreformat:

@@ -23,6 +23,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/engine"
 	"repro/internal/row"
+	"repro/internal/storage/page"
 	"repro/internal/wal"
 )
 
@@ -221,7 +222,7 @@ func UndoTransaction(db *engine.DB, commitLSN wal.LSN, force bool) (UndoReport, 
 			}
 			report.DeletesRestored++
 		case wal.TypeUpdate:
-			if err := undoOneUpdate(tx, tables, rec, force); err != nil {
+			if err := undoOneUpdate(tx, db, tables, rec, force); err != nil {
 				tx.Rollback()
 				return report, err
 			}
@@ -302,17 +303,21 @@ func undoOneDelete(tx *engine.Txn, tables map[uint32]catalog.Table, rec *wal.Rec
 	return err
 }
 
-func undoOneUpdate(tx *engine.Txn, tables map[uint32]catalog.Table, rec *wal.Record, force bool) error {
+func undoOneUpdate(tx *engine.Txn, db *engine.DB, tables map[uint32]catalog.Table, rec *wal.Record, force bool) error {
 	t, err := tableFor(tables, rec)
 	if err != nil {
 		return err
 	}
-	_, oldVal := btree.DecodeLeafRec(rec.OldData)
+	before, after, err := updateImages(db, rec)
+	if err != nil {
+		return err
+	}
+	_, oldVal := btree.DecodeLeafRec(before)
 	oldRow, err := row.Decode(oldVal)
 	if err != nil {
 		return err
 	}
-	_, newVal := btree.DecodeLeafRec(rec.NewData)
+	_, newVal := btree.DecodeLeafRec(after)
 	newRow, err := row.Decode(newVal)
 	if err != nil {
 		return err
@@ -332,4 +337,33 @@ func undoOneUpdate(tx *engine.Txn, tables map[uint32]catalog.Table, rec *wal.Rec
 		return fmt.Errorf("%w: %s key %v", ErrUndoConflict, t.Name, keyVals)
 	}
 	return tx.Update(t.Name, oldRow)
+}
+
+// updateImages returns the whole leaf record before and after update record
+// rec, which itself holds only the bytes that changed. Undoing a transaction
+// must compare and restore entire rows — a later change to any other byte of
+// the row is a conflict — so the images come from the paper's own mechanism:
+// the current page rewound to rec.LSN holds the row as rec left it, and one
+// more undo step holds the row as rec found it.
+func updateImages(db *engine.DB, rec *wal.Record) (before, after []byte, err error) {
+	p := page.New()
+	h, err := db.Pool().Fetch(page.ID(rec.PageID), false)
+	if err != nil {
+		return nil, nil, err
+	}
+	p.CopyFrom(h.Page().Bytes())
+	h.Release()
+	if err := PreparePageAsOf(p, rec.LSN, db.Log(), nil); err != nil {
+		return nil, nil, err
+	}
+	cur, err := p.Get(int(rec.Slot))
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrChainBroken, err)
+	}
+	after = append([]byte(nil), cur...)
+	if err := wal.Undo(p, rec); err != nil {
+		return nil, nil, fmt.Errorf("%w: %w", ErrChainBroken, err)
+	}
+	before, err = p.Get(int(rec.Slot))
+	return before, after, err
 }

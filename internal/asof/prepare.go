@@ -177,7 +177,7 @@ func stepImage(c *chainCursor, rec *wal.Record, asOf wal.LSN, stats *Stats) (wal
 // LSN of the record before it.
 func stepUndo(c *chainCursor, rec *wal.Record, stats *Stats) (wal.LSN, error) {
 	if err := wal.Undo(c.p, rec); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrChainBroken, err)
+		return 0, fmt.Errorf("%w: %w", ErrChainBroken, err)
 	}
 	if stats != nil {
 		stats.RecordsUndone.Add(1)
@@ -240,7 +240,7 @@ func PreparePageAsOfBaseline(p *page.Page, asOf wal.LSN, log *wal.Manager, stats
 			return fmt.Errorf("asof: read %v: %w", cur, err)
 		}
 		if err := wal.Undo(p, rec); err != nil {
-			return fmt.Errorf("%w: %v", ErrChainBroken, err)
+			return fmt.Errorf("%w: %w", ErrChainBroken, err)
 		}
 		if stats != nil {
 			stats.RecordsUndone.Add(1)

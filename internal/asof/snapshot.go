@@ -461,11 +461,11 @@ func (s *Snapshot) reacquireLocks() error {
 				continue
 			case wal.TypeCLR:
 				next = rec.UndoNextLSN
-			case wal.TypeInsert:
-				key, _ := btree.DecodeLeafRec(rec.NewData)
-				s.lockRowX(rec.ObjectID, key)
-			case wal.TypeDelete, wal.TypeUpdate:
-				key, _ := btree.DecodeLeafRec(rec.OldData)
+			case wal.TypeInsert, wal.TypeDelete, wal.TypeUpdate:
+				key, err := rec.RowKey()
+				if err != nil {
+					return fmt.Errorf("asof: lock reacquisition at %v: %w", cur, err)
+				}
 				s.lockRowX(rec.ObjectID, key)
 			}
 			cur = next
@@ -572,20 +572,9 @@ func (s *Snapshot) undoTxn(e wal.ATTEntry) error {
 			return nil
 		case wal.TypeCLR:
 			next = rec.UndoNextLSN
-		case wal.TypeInsert:
-			key, _ := btree.DecodeLeafRec(rec.NewData)
-			if err := btree.UndoInsert(s, page.ID(rec.ObjectID), key); err != nil {
-				return fmt.Errorf("asof: snapshot undo insert at %v: %w", rec.LSN, err)
-			}
-		case wal.TypeDelete:
-			key, val := btree.DecodeLeafRec(rec.OldData)
-			if err := btree.UndoDelete(s, page.ID(rec.ObjectID), key, val); err != nil {
-				return fmt.Errorf("asof: snapshot undo delete at %v: %w", rec.LSN, err)
-			}
-		case wal.TypeUpdate:
-			key, val := btree.DecodeLeafRec(rec.OldData)
-			if err := btree.UndoUpdate(s, page.ID(rec.ObjectID), key, val); err != nil {
-				return fmt.Errorf("asof: snapshot undo update at %v: %w", rec.LSN, err)
+		case wal.TypeInsert, wal.TypeDelete, wal.TypeUpdate:
+			if err := engine.UndoRowOp(s, rec); err != nil {
+				return fmt.Errorf("asof: snapshot undo %v at %v: %w", rec.Type, rec.LSN, err)
 			}
 		case wal.TypeAllocBits:
 			if err := s.undoAllocBitsOnSnapshot(rec); err != nil {

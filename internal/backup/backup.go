@@ -291,19 +291,8 @@ func (r *Restored) undoTxn(srcLog LogSource, e wal.ATTEntry) error {
 			return nil
 		case wal.TypeCLR:
 			next = rec.UndoNextLSN
-		case wal.TypeInsert:
-			key, _ := btree.DecodeLeafRec(rec.NewData)
-			if err := btree.UndoInsert(r, page.ID(rec.ObjectID), key); err != nil {
-				return err
-			}
-		case wal.TypeDelete:
-			key, val := btree.DecodeLeafRec(rec.OldData)
-			if err := btree.UndoDelete(r, page.ID(rec.ObjectID), key, val); err != nil {
-				return err
-			}
-		case wal.TypeUpdate:
-			key, val := btree.DecodeLeafRec(rec.OldData)
-			if err := btree.UndoUpdate(r, page.ID(rec.ObjectID), key, val); err != nil {
+		case wal.TypeInsert, wal.TypeDelete, wal.TypeUpdate:
+			if err := engine.UndoRowOp(r, rec); err != nil {
 				return err
 			}
 		case wal.TypeAllocBits:

@@ -70,6 +70,8 @@ type Txn struct {
 	// scratch because ensureBegun runs while rec is in flight.
 	rec    wal.Record
 	ctlRec wal.Record
+	// extra backs rec.Extra of update records between calls.
+	extra []byte
 }
 
 // Begin starts a transaction.
@@ -138,7 +140,12 @@ func (tx *Txn) logApply(bh *buffer.Handle, rec *wal.Record) error {
 		rec.Type = wal.TypeCLR
 		rec.UndoNextLSN = tx.undoNext
 		if tx.db.opts.DisableCLRUndoInfo {
-			rec.OldData = nil // ablation: CLRs become redo-only as in ARIES
+			// Ablation: CLRs become redo-only as in ARIES. An update's redo
+			// still needs its old middle, for the length it replaces.
+			rec.Flags |= wal.FlagRedoOnly
+			if rec.CLRType != wal.TypeUpdate {
+				rec.OldData = nil
+			}
 		}
 	}
 	lsn, err := tx.db.log.Append(rec)
@@ -374,7 +381,8 @@ func (tx *Txn) DeleteRec(h btree.Handle, objectID uint32, slot int) error {
 	return tx.logApply(bh, &tx.rec)
 }
 
-// UpdateRec logs and applies a slot update with before and after images.
+// UpdateRec logs and applies a slot update as the bytes that differ between
+// the slot's record and rec.
 func (tx *Txn) UpdateRec(h btree.Handle, objectID uint32, slot int, rec []byte) error {
 	bh := h.(*buffer.Handle)
 	old, err := bh.Page().Get(slot)
@@ -383,9 +391,9 @@ func (tx *Txn) UpdateRec(h btree.Handle, objectID uint32, slot int, rec []byte) 
 	}
 	tx.rec = wal.Record{
 		Type: wal.TypeUpdate, PageID: uint32(bh.Page().ID()), ObjectID: objectID,
-		Slot: uint16(slot), OldData: old,
-		NewData: rec,
+		Slot: uint16(slot),
 	}
+	tx.extra = tx.rec.SetUpdate(old, rec, tx.extra)
 	return tx.logApply(bh, &tx.rec)
 }
 
@@ -571,23 +579,10 @@ func (tx *Txn) undoChain(from wal.LSN) error {
 			return nil
 		case wal.TypeCLR:
 			next = rec.UndoNextLSN
-		case wal.TypeInsert:
+		case wal.TypeInsert, wal.TypeDelete, wal.TypeUpdate:
 			tx.undoNext = rec.PrevLSN
-			key, _ := btree.DecodeLeafRec(rec.NewData)
-			if err := btree.UndoInsert(tx, page.ID(rec.ObjectID), key); err != nil {
-				return fmt.Errorf("engine: undo insert at %v: %w", rec.LSN, err)
-			}
-		case wal.TypeDelete:
-			tx.undoNext = rec.PrevLSN
-			key, val := btree.DecodeLeafRec(rec.OldData)
-			if err := btree.UndoDelete(tx, page.ID(rec.ObjectID), key, val); err != nil {
-				return fmt.Errorf("engine: undo delete at %v: %w", rec.LSN, err)
-			}
-		case wal.TypeUpdate:
-			tx.undoNext = rec.PrevLSN
-			key, val := btree.DecodeLeafRec(rec.OldData)
-			if err := btree.UndoUpdate(tx, page.ID(rec.ObjectID), key, val); err != nil {
-				return fmt.Errorf("engine: undo update at %v: %w", rec.LSN, err)
+			if err := UndoRowOp(tx, rec); err != nil {
+				return fmt.Errorf("engine: undo %v at %v: %w", rec.Type, rec.LSN, err)
 			}
 		case wal.TypeAllocBits:
 			tx.undoNext = rec.PrevLSN
@@ -604,41 +599,57 @@ func (tx *Txn) undoChain(from wal.LSN) error {
 	return nil
 }
 
+// UndoRowOp logically undoes one insert, delete or update record against st —
+// the primary under rollback (where it logs CLRs), a snapshot or a restored
+// copy. The row is found again by its key, since splits may have moved it; the
+// caller holds (or has reacquired) the row's exclusive lock, so the row an
+// update is found at is the one that update left, and the bytes the record
+// carries turn it back into the one before.
+func UndoRowOp(st btree.Store, rec *wal.Record) error {
+	root := page.ID(rec.ObjectID)
+	key, err := rec.RowKey()
+	if err != nil {
+		return err
+	}
+	switch rec.Type {
+	case wal.TypeInsert:
+		return btree.UndoInsert(st, root, key)
+	case wal.TypeDelete:
+		_, val := btree.DecodeLeafRec(rec.OldData)
+		return btree.UndoDelete(st, root, key, val)
+	case wal.TypeUpdate:
+		val, ok, err := btree.Get(st, root, key)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return fmt.Errorf("%w: %x", btree.ErrKeyNotFound, key)
+		}
+		before, err := rec.RowBefore(btree.EncodeLeafRec(key, val))
+		if err != nil {
+			return err
+		}
+		_, val = btree.DecodeLeafRec(before)
+		return btree.UndoUpdate(st, root, key, val)
+	}
+	return fmt.Errorf("engine: no logical undo for a %v record", rec.Type)
+}
+
 // undoPhysical compensates one mid-NTA record with a physical CLR: the
 // inverse operation at the recorded slot, logged so redo repeats it.
 func (tx *Txn) undoPhysical(rec *wal.Record) error {
 	if rec.Type == wal.TypeAllocBits {
 		return tx.undoAllocBits(rec)
 	}
+	clr, err := rec.Compensation()
+	if err != nil || clr == nil {
+		return err
+	}
 	h, err := tx.db.pool.Fetch(page.ID(rec.PageID), true)
 	if err != nil {
 		return err
 	}
 	defer h.Release()
-	clr := &wal.Record{Type: wal.TypeCLR, PageID: rec.PageID, ObjectID: rec.ObjectID, Slot: rec.Slot}
-	switch rec.Type {
-	case wal.TypeInsert:
-		clr.CLRType = wal.TypeDelete
-		clr.OldData = append([]byte(nil), rec.NewData...)
-	case wal.TypeDelete:
-		clr.CLRType = wal.TypeInsert
-		clr.NewData = append([]byte(nil), rec.OldData...)
-	case wal.TypeUpdate:
-		clr.CLRType = wal.TypeUpdate
-		clr.OldData = append([]byte(nil), rec.NewData...)
-		clr.NewData = append([]byte(nil), rec.OldData...)
-	case wal.TypePreformat:
-		// Restore the saved prior image (re-applying the preformat's
-		// content is exactly the compensation for the reformat sequence).
-		clr.CLRType = wal.TypePreformat
-		clr.OldData = append([]byte(nil), rec.OldData...)
-	case wal.TypeFormat, wal.TypeImage:
-		// No content compensation: formats are undone by the preformat
-		// restore that precedes them on the chain, images changed nothing.
-		return nil
-	default:
-		return fmt.Errorf("unexpected NTA record type %v", rec.Type)
-	}
 	clr.UndoNextLSN = tx.undoNext
 	return tx.logApply(h, clr)
 }

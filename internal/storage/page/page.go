@@ -92,6 +92,7 @@ var (
 	ErrBadSlot     = errors.New("page: slot out of range")
 	ErrTooLarge    = errors.New("page: record exceeds maximum size")
 	ErrBadChecksum = errors.New("page: checksum mismatch")
+	ErrBadSplice   = errors.New("page: splice range outside the record")
 )
 
 // Page is an 8 KiB buffer with slotted-page accessors. The zero value is
@@ -351,34 +352,57 @@ func (p *Page) DeleteAt(i int) ([]byte, error) {
 
 // UpdateAt replaces the record in slot i with rec.
 func (p *Page) UpdateAt(i int, rec []byte) error {
-	n := p.slotCount()
-	if i < 0 || i >= n {
-		return fmt.Errorf("%w: update at %d of %d", ErrBadSlot, i, n)
+	if i < 0 || i >= p.slotCount() {
+		return fmt.Errorf("%w: update at %d of %d", ErrBadSlot, i, p.slotCount())
 	}
-	if len(rec) > MaxRecordSize {
-		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(rec))
+	_, l := p.slotAt(i)
+	return p.SpliceAt(i, 0, l, rec)
+}
+
+// SpliceAt replaces the oldLen bytes at offset at of the record in slot i
+// with mid, keeping the bytes before and after them. A record that does not
+// grow stays where it lies — the tail closes up inside the slot and the excess
+// becomes fragmentation, so a same-length splice writes len(mid) bytes and
+// nothing else; one that grows is re-placed at the free-space upper bound,
+// after a compaction if the contiguous gap is too small.
+func (p *Page) SpliceAt(i, at, oldLen int, mid []byte) error {
+	if i < 0 || i >= p.slotCount() {
+		return fmt.Errorf("%w: splice at %d of %d", ErrBadSlot, i, p.slotCount())
 	}
 	off, l := p.slotAt(i)
-	if len(rec) <= l {
-		// Fits in place; excess becomes fragmentation.
-		copy(p.buf[off:], rec)
-		p.setSlotAt(i, off, len(rec))
+	if at < 0 || oldLen < 0 || at+oldLen > l {
+		return fmt.Errorf("%w: bytes [%d,%d) of a %d-byte record", ErrBadSplice, at, at+oldLen, l)
+	}
+	newLen := l - oldLen + len(mid)
+	if newLen > MaxRecordSize {
+		return fmt.Errorf("%w: %d bytes", ErrTooLarge, newLen)
+	}
+	head, tail := p.buf[off:off+at], p.buf[off+at+oldLen:off+l]
+	if newLen <= l {
+		copy(p.buf[off+at+len(mid):], tail)
+		copy(p.buf[off+at:], mid)
+		p.setSlotAt(i, off, newLen)
 		return nil
 	}
 	contiguous := p.freeUpper() - p.freeLower()
-	if contiguous < len(rec) {
+	if contiguous < newLen {
 		// The old record's own bytes are reclaimable too; check before any
 		// mutation so failure leaves the page untouched.
-		if contiguous+p.fragmented()+l < len(rec) {
-			return fmt.Errorf("%w: update needs %d", ErrPageFull, len(rec))
+		if contiguous+p.fragmented()+l < newLen {
+			return fmt.Errorf("%w: update needs %d", ErrPageFull, newLen)
 		}
-		p.setSlotAt(i, off, 0) // drop old bytes, then squeeze
+		// Compaction drops the old bytes: keep the two ends the new record reuses.
+		kept := append(append(make([]byte, 0, len(head)+len(tail)), head...), tail...)
+		head, tail = kept[:at], kept[at:]
+		p.setSlotAt(i, off, 0)
 		p.compact()
 	}
-	newUpper := p.freeUpper() - len(rec)
-	copy(p.buf[newUpper:], rec)
+	newUpper := p.freeUpper() - newLen
+	copy(p.buf[newUpper:], head)
+	copy(p.buf[newUpper+at:], mid)
+	copy(p.buf[newUpper+at+len(mid):], tail)
 	p.setFreeUpper(newUpper)
-	p.setSlotAt(i, newUpper, len(rec))
+	p.setSlotAt(i, newUpper, newLen)
 	return nil
 }
 

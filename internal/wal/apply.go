@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/storage/page"
@@ -23,7 +24,7 @@ func Redo(p *page.Page, r *Record) error {
 		return nil // already applied
 	}
 	if err := applyRedo(p, r); err != nil {
-		return fmt.Errorf("wal: redo %v at %v on page %d: %w", r.Type, r.LSN, r.PageID, err)
+		return wrapApply("redo", r, err)
 	}
 	p.SetPageLSN(uint64(r.LSN))
 	return nil
@@ -41,7 +42,7 @@ func applyRedo(p *page.Page, r *Record) error {
 		_, err := p.DeleteAt(int(r.Slot))
 		return err
 	case TypeUpdate:
-		return p.UpdateAt(int(r.Slot), r.NewData)
+		return spliceUpdate(p, r, r.OldData, r.NewData)
 	case TypeFormat:
 		if len(r.Extra) < 2 {
 			return fmt.Errorf("format record missing parameters")
@@ -83,56 +84,58 @@ func applyRedo(p *page.Page, r *Record) error {
 // time and nothing as-of-consistent can reference it.
 func Undo(p *page.Page, r *Record) error {
 	op := r.Type
-	var old, new_ []byte = r.OldData, r.NewData
+	old := r.OldData
 	if op == TypeCLR {
 		// CLRs carry undo information precisely so that as-of queries can
 		// rewind across rolled-back transactions (§4.2 extension 2).
 		op = r.CLRType
 	}
+	if r.Flags&FlagRedoOnly != 0 {
+		return wrapApply("undo", r, errors.New("logged without undo information"))
+	}
 	switch op {
 	case TypeInsert:
 		_, err := p.DeleteAt(int(r.Slot))
-		return wrapUndo(r, err)
+		return wrapApply("undo", r, err)
 	case TypeDelete:
 		if len(old) == 0 {
-			// Slot records are never empty; an empty undo image means the
-			// record was logged without undo information (e.g. the
-			// DisableCLRUndoInfo ablation) and the chain cannot be rewound.
-			return wrapUndo(r, fmt.Errorf("missing undo image"))
+			return wrapApply("undo", r, fmt.Errorf("%w: no deleted row image", ErrChainCorrupt))
 		}
-		return wrapUndo(r, p.InsertAt(int(r.Slot), old))
+		return wrapApply("undo", r, p.InsertAt(int(r.Slot), old))
 	case TypeUpdate:
-		if len(old) == 0 {
-			return wrapUndo(r, fmt.Errorf("missing undo image"))
-		}
-		return wrapUndo(r, p.UpdateAt(int(r.Slot), old))
+		return wrapApply("undo", r, spliceUpdate(p, r, r.NewData, old))
 	case TypeFormat:
 		return nil
 	case TypePreformat:
 		if len(old) != page.Size {
-			return wrapUndo(r, fmt.Errorf("preformat image is %d bytes", len(old)))
+			return wrapApply("undo", r, fmt.Errorf("preformat image is %d bytes", len(old)))
 		}
 		p.CopyFrom(old)
 		return nil
 	case TypeImage:
 		// The image did not change the page content.
-		_ = new_
 		return nil
 	case TypeAllocBits:
 		if len(old) != 1 {
-			return wrapUndo(r, fmt.Errorf("allocbits undo image is %d bytes", len(old)))
+			return wrapApply("undo", r, fmt.Errorf("allocbits undo image is %d bytes", len(old)))
 		}
-		return wrapUndo(r, setRawByte(p, int(r.Slot), old[0]))
+		return wrapApply("undo", r, setRawByte(p, int(r.Slot), old[0]))
 	default:
 		return fmt.Errorf("wal: undo of non-undoable type %v at %v", r.Type, r.LSN)
 	}
 }
 
-func wrapUndo(r *Record, err error) error {
-	if err != nil {
-		return fmt.Errorf("wal: undo %v at %v on page %d: %w", r.Type, r.LSN, r.PageID, err)
+// wrapApply names the record a failed redo or undo belongs to. A slot or byte
+// range the page does not have means record and page do not belong together:
+// that is ErrChainCorrupt, whatever the page called it.
+func wrapApply(verb string, r *Record, err error) error {
+	if err == nil {
+		return nil
 	}
-	return nil
+	if errors.Is(err, page.ErrBadSlot) || errors.Is(err, page.ErrBadSplice) {
+		err = fmt.Errorf("%w: %w", ErrChainCorrupt, err)
+	}
+	return fmt.Errorf("wal: %s %v at %v on page %d: %w", verb, r.Type, r.LSN, r.PageID, err)
 }
 
 // setRawByte writes one byte of an allocation bitmap page's payload area.

@@ -68,7 +68,7 @@ const (
 	// Page modification records (physiological: slot-granular within a page).
 	TypeInsert Type = 10 // NewData inserted at Slot
 	TypeDelete Type = 11 // record at Slot removed; OldData = deleted row image (§4.2 extension 3)
-	TypeUpdate Type = 12 // record at Slot: OldData -> NewData
+	TypeUpdate Type = 12 // bytes of the record at Slot: OldData -> NewData at the offset in Extra (see update.go)
 
 	// Page lifecycle records.
 	TypeFormat    Type = 20 // page formatted empty; Extra = [pageType, level]
@@ -135,6 +135,10 @@ const (
 	// physically (page-oriented), never logically: they include row moves
 	// and internal-node separators that logical undo cannot re-locate.
 	FlagNTA uint8 = 1 << 0
+	// FlagRedoOnly marks a record logged without undo information (the
+	// DisableCLRUndoInfo ablation: CLRs as plain ARIES writes them). Undo
+	// refuses it, so a page chain cannot be rewound across it.
+	FlagRedoOnly uint8 = 1 << 1
 )
 
 // Record is a single log record. Fields irrelevant to a record's Type are
@@ -170,7 +174,7 @@ type Record struct {
 	// (insert/delete/update), with Slot/OldData/NewData as for that type.
 	CLRType Type
 
-	// Flags carries FlagNTA and future modifiers.
+	// Flags carries FlagNTA and FlagRedoOnly.
 	Flags uint8
 
 	// Slot is the slot index for page operations, or the byte index for
