@@ -160,8 +160,7 @@ func printRecord(rec *wal.Record) {
 	case wal.TypeInsert, wal.TypeDelete:
 		fmt.Fprintf(&b, " slot=%-3d old=%dB new=%dB", rec.Slot, len(rec.OldData), len(rec.NewData))
 	case wal.TypeUpdate:
-		// An update carries the bytes that changed and where they lie in the row.
-		off, _ := rec.UpdateOffset()
+		off, _, _ := rec.UpdateHead()
 		key, _ := rec.RowKey()
 		fmt.Fprintf(&b, " slot=%-3d off=%d old=%dB new=%dB key=%dB", rec.Slot, off, len(rec.OldData), len(rec.NewData), len(key))
 	case wal.TypeCLR:

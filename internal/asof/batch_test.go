@@ -243,7 +243,7 @@ func TestMergedWalkReadsEachBlockOnce(t *testing.T) {
 	clock := newVClock()
 	logDev := media.New(media.SSD(), nil)
 	db := openDB(t, clock, engine.Options{LogDevice: logDev, LogCacheBlocks: 8})
-	split, leaves, end := deepHistory(t, db, 60)
+	split, leaves, end := deepHistory(t, db, 260) // 60 rounds filled this region when an update logged the row twice
 	const blockSize = 32 << 10
 	region := int64(end-1)/blockSize - int64(split-1)/blockSize + 1
 	if region < 40 {

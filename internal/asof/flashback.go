@@ -341,26 +341,21 @@ func undoOneUpdate(tx *engine.Txn, db *engine.DB, tables map[uint32]catalog.Tabl
 
 // updateImages returns the whole leaf record before and after update record
 // rec, which itself holds only the bytes that changed. Undoing a transaction
-// must compare and restore entire rows — a later change to any other byte of
-// the row is a conflict — so the images come from the paper's own mechanism:
-// the current page rewound to rec.LSN holds the row as rec left it, and one
-// more undo step holds the row as rec found it.
+// compares and restores entire rows — a later change to any other byte of the
+// row is a conflict — so the images come from the paper's own mechanism: the
+// current page rewound to rec.LSN holds the row as rec left it, and one more
+// undo step the row as rec found it.
 func updateImages(db *engine.DB, rec *wal.Record) (before, after []byte, err error) {
 	p := page.New()
-	h, err := db.Pool().Fetch(page.ID(rec.PageID), false)
-	if err != nil {
+	if err := copyPrimary(db, page.ID(rec.PageID), p.Bytes()); err != nil {
 		return nil, nil, err
 	}
-	p.CopyFrom(h.Page().Bytes())
-	h.Release()
 	if err := PreparePageAsOf(p, rec.LSN, db.Log(), nil); err != nil {
 		return nil, nil, err
 	}
-	cur, err := p.Get(int(rec.Slot))
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrChainBroken, err)
+	if cur, err := p.Get(int(rec.Slot)); err == nil {
+		after = append(after, cur...)
 	}
-	after = append([]byte(nil), cur...)
 	if err := wal.Undo(p, rec); err != nil {
 		return nil, nil, fmt.Errorf("%w: %w", ErrChainBroken, err)
 	}

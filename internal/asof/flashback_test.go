@@ -200,3 +200,49 @@ func TestFindCommitsWindow(t *testing.T) {
 		t.Fatal("commits not in order")
 	}
 }
+
+// TestUndoTransactionComparesWholeRows pins the conflict rule now that an
+// update record holds only the bytes it changed: the undone transaction
+// updated row 1 twice, touching only qty, and a later transaction changed
+// only body. No byte either record carries has moved since — and it is still
+// a conflict, because the row is not the row the transaction left; forcing
+// the undo puts back the whole row as the transaction found it.
+func TestUndoTransactionComparesWholeRows(t *testing.T) {
+	db, clock := seedFlashback(t)
+	clock.Advance(time.Second)
+	from := clock.Now()
+	clock.Advance(time.Second)
+	exec(t, db, func(tx *engine.Txn) error {
+		if err := tx.Update("t", testRow(1, "base", 100)); err != nil {
+			return err
+		}
+		return tx.Update("t", testRow(1, "base", 200))
+	})
+	clock.Advance(time.Second)
+	commits, err := FindCommits(db, from, clock.Now())
+	if err != nil || len(commits) != 1 || commits[0].Ops != 2 {
+		t.Fatalf("FindCommits: %+v, %v", commits, err)
+	}
+	clock.Advance(time.Second)
+	exec(t, db, func(tx *engine.Txn) error { return tx.Update("t", testRow(1, "later", 200)) })
+
+	if _, err := UndoTransaction(db, commits[0].CommitLSN, false); !errors.Is(err, ErrUndoConflict) {
+		t.Fatalf("undo across a change to another column: %v, want ErrUndoConflict", err)
+	}
+	exec(t, db, func(tx *engine.Txn) error {
+		if r, _, err := tx.Get("t", row.Row{row.Int64(1)}); err != nil || r[1].Str != "later" || r[2].Int != 200 {
+			t.Fatalf("refused undo left row 1 = %v, %v", r, err)
+		}
+		return nil
+	})
+	report, err := UndoTransaction(db, commits[0].CommitLSN, true)
+	if err != nil || report.UpdatesReverted != 2 {
+		t.Fatalf("forced undo: %+v, %v", report, err)
+	}
+	exec(t, db, func(tx *engine.Txn) error {
+		if r, _, err := tx.Get("t", row.Row{row.Int64(1)}); err != nil || r[1].Str != "base" || r[2].Int != 1 {
+			t.Fatalf("forced undo left row 1 = %v, %v; want the whole row as the transaction found it", r, err)
+		}
+		return nil
+	})
+}

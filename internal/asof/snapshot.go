@@ -268,7 +268,7 @@ func (src *snapSource) ReadPage(id page.ID, buf []byte) error {
 	if ok {
 		copy(buf, parked)
 	} else {
-		if err := s.copyPrimary(id, buf); err != nil {
+		if err := copyPrimary(s.db, id, buf); err != nil {
 			return err
 		}
 		if err := PreparePageAsOf(p, s.point.SplitLSN, s.db.Log(), &s.stats); err != nil {
@@ -281,8 +281,8 @@ func (src *snapSource) ReadPage(id page.ID, buf []byte) error {
 
 // copyPrimary copies the current content of page id out of the primary
 // buffer pool under its shared latch.
-func (s *Snapshot) copyPrimary(id page.ID, buf []byte) error {
-	h, err := s.db.Pool().Fetch(id, false)
+func copyPrimary(db *engine.DB, id page.ID, buf []byte) error {
+	h, err := db.Pool().Fetch(id, false)
 	if err != nil {
 		return err
 	}
@@ -315,7 +315,7 @@ func (s *Snapshot) prepareBatch(ids []page.ID) error {
 	pages := make([]*page.Page, len(want))
 	for i, id := range want {
 		pages[i] = page.New()
-		if err := s.copyPrimary(id, pages[i].Bytes()); err != nil {
+		if err := copyPrimary(s.db, id, pages[i].Bytes()); err != nil {
 			return err
 		}
 	}

@@ -88,6 +88,12 @@ func insertSlow(st Store, root page.ID, key, rec []byte) error {
 				cur.Release()
 				return err
 			}
+			if child.Page().Level() == 0 && !child.Page().HasSpace(len(rec)+8) {
+				// Very uneven record sizes: that half is still too full.
+				child.Release()
+				cur.Release()
+				return insertSlow(st, root, key, rec)
+			}
 		}
 		cur.Release()
 		cur = child
@@ -300,6 +306,9 @@ func updateInPlace(st Store, root page.ID, key, rec []byte) error {
 	slot, found := leafSearch(h.Page(), key)
 	if !found {
 		return fmt.Errorf("%w: %x", ErrKeyNotFound, key)
+	}
+	if !h.Page().FitsAt(slot, len(rec)) {
+		return page.ErrPageFull // before the store logs what it cannot apply
 	}
 	return st.UpdateRec(h, uint32(root), slot, rec)
 }

@@ -70,8 +70,7 @@ type Txn struct {
 	// scratch because ensureBegun runs while rec is in flight.
 	rec    wal.Record
 	ctlRec wal.Record
-	// extra backs rec.Extra of update records between calls.
-	extra []byte
+	extra  []byte // backs rec.Extra of update records
 }
 
 // Begin starts a transaction.
@@ -555,9 +554,13 @@ func (tx *Txn) finish() {
 func (tx *Txn) undoChain(from wal.LSN) error {
 	tx.rollingBack = true
 	defer func() { tx.rollingBack = false }()
+	// A chain reader pins the log's partial last block, where most of these
+	// records lie; Manager.Read would fetch it again for every one of them.
+	rdr := tx.db.log.ChainReader()
+	defer rdr.Close()
 	cur := from
 	for cur != wal.NilLSN {
-		rec, err := tx.db.log.Read(cur)
+		rec, err := rdr.Read(cur)
 		if err != nil {
 			return fmt.Errorf("engine: undo read %v: %w", cur, err)
 		}
@@ -599,12 +602,11 @@ func (tx *Txn) undoChain(from wal.LSN) error {
 	return nil
 }
 
-// UndoRowOp logically undoes one insert, delete or update record against st —
+// UndoRowOp logically undoes one insert, delete or update record against st:
 // the primary under rollback (where it logs CLRs), a snapshot or a restored
-// copy. The row is found again by its key, since splits may have moved it; the
-// caller holds (or has reacquired) the row's exclusive lock, so the row an
-// update is found at is the one that update left, and the bytes the record
-// carries turn it back into the one before.
+// copy. The row is found by key, since splits may have moved it; the caller
+// holds its exclusive lock, so the row an update is found at is the one that
+// update left, and the bytes the record carries turn it back.
 func UndoRowOp(st btree.Store, rec *wal.Record) error {
 	root := page.ID(rec.ObjectID)
 	key, err := rec.RowKey()

@@ -352,19 +352,25 @@ func (p *Page) DeleteAt(i int) ([]byte, error) {
 
 // UpdateAt replaces the record in slot i with rec.
 func (p *Page) UpdateAt(i int, rec []byte) error {
-	if i < 0 || i >= p.slotCount() {
-		return fmt.Errorf("%w: update at %d of %d", ErrBadSlot, i, p.slotCount())
+	l := 0
+	if i >= 0 && i < p.slotCount() {
+		_, l = p.slotAt(i)
 	}
-	_, l := p.slotAt(i)
 	return p.SpliceAt(i, 0, l, rec)
 }
 
+// FitsAt reports whether the record in slot i can become n bytes long, in
+// place or re-placed into free space, fragmentation and its own bytes.
+func (p *Page) FitsAt(i, n int) bool {
+	_, l := p.slotAt(i)
+	return n <= l || p.freeUpper()-p.freeLower()+p.fragmented()+l >= n
+}
+
 // SpliceAt replaces the oldLen bytes at offset at of the record in slot i
-// with mid, keeping the bytes before and after them. A record that does not
-// grow stays where it lies — the tail closes up inside the slot and the excess
-// becomes fragmentation, so a same-length splice writes len(mid) bytes and
-// nothing else; one that grows is re-placed at the free-space upper bound,
-// after a compaction if the contiguous gap is too small.
+// with mid. A record that does not grow stays where it lies (the tail closes
+// up, the excess becomes fragmentation; a same-length splice writes len(mid)
+// bytes and nothing else); one that grows is re-placed at the free-space
+// upper bound, after a compaction if the contiguous gap is too small.
 func (p *Page) SpliceAt(i, at, oldLen int, mid []byte) error {
 	if i < 0 || i >= p.slotCount() {
 		return fmt.Errorf("%w: splice at %d of %d", ErrBadSlot, i, p.slotCount())
@@ -384,13 +390,10 @@ func (p *Page) SpliceAt(i, at, oldLen int, mid []byte) error {
 		p.setSlotAt(i, off, newLen)
 		return nil
 	}
-	contiguous := p.freeUpper() - p.freeLower()
-	if contiguous < newLen {
-		// The old record's own bytes are reclaimable too; check before any
-		// mutation so failure leaves the page untouched.
-		if contiguous+p.fragmented()+l < newLen {
-			return fmt.Errorf("%w: update needs %d", ErrPageFull, newLen)
-		}
+	if !p.FitsAt(i, newLen) {
+		return fmt.Errorf("%w: update needs %d", ErrPageFull, newLen)
+	}
+	if p.freeUpper()-p.freeLower() < newLen {
 		// Compaction drops the old bytes: keep the two ends the new record reuses.
 		kept := append(append(make([]byte, 0, len(head)+len(tail)), head...), tail...)
 		head, tail = kept[:at], kept[at:]

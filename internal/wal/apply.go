@@ -83,6 +83,10 @@ func applyRedo(p *page.Page, r *Record) error {
 // for a first allocation — the page simply did not exist as of the target
 // time and nothing as-of-consistent can reference it.
 func Undo(p *page.Page, r *Record) error {
+	return wrapApply("undo", r, applyUndo(p, r))
+}
+
+func applyUndo(p *page.Page, r *Record) error {
 	op := r.Type
 	old := r.OldData
 	if op == TypeCLR {
@@ -91,43 +95,41 @@ func Undo(p *page.Page, r *Record) error {
 		op = r.CLRType
 	}
 	if r.Flags&FlagRedoOnly != 0 {
-		return wrapApply("undo", r, errors.New("logged without undo information"))
+		return errors.New("logged without undo information")
 	}
 	switch op {
 	case TypeInsert:
 		_, err := p.DeleteAt(int(r.Slot))
-		return wrapApply("undo", r, err)
+		return err
 	case TypeDelete:
 		if len(old) == 0 {
-			return wrapApply("undo", r, fmt.Errorf("%w: no deleted row image", ErrChainCorrupt))
+			return fmt.Errorf("%w: no deleted row image", ErrChainCorrupt)
 		}
-		return wrapApply("undo", r, p.InsertAt(int(r.Slot), old))
+		return p.InsertAt(int(r.Slot), old)
 	case TypeUpdate:
-		return wrapApply("undo", r, spliceUpdate(p, r, r.NewData, old))
-	case TypeFormat:
+		return spliceUpdate(p, r, r.NewData, old)
+	case TypeFormat, TypeImage:
+		// The preformat record before a format restores what it erased; an
+		// image changed nothing.
 		return nil
 	case TypePreformat:
 		if len(old) != page.Size {
-			return wrapApply("undo", r, fmt.Errorf("preformat image is %d bytes", len(old)))
+			return fmt.Errorf("preformat image is %d bytes", len(old))
 		}
 		p.CopyFrom(old)
 		return nil
-	case TypeImage:
-		// The image did not change the page content.
-		return nil
 	case TypeAllocBits:
 		if len(old) != 1 {
-			return wrapApply("undo", r, fmt.Errorf("allocbits undo image is %d bytes", len(old)))
+			return fmt.Errorf("allocbits undo image is %d bytes", len(old))
 		}
-		return wrapApply("undo", r, setRawByte(p, int(r.Slot), old[0]))
+		return setRawByte(p, int(r.Slot), old[0])
 	default:
-		return fmt.Errorf("wal: undo of non-undoable type %v at %v", r.Type, r.LSN)
+		return errors.New("not an undoable type")
 	}
 }
 
 // wrapApply names the record a failed redo or undo belongs to. A slot or byte
-// range the page does not have means record and page do not belong together:
-// that is ErrChainCorrupt, whatever the page called it.
+// range the page does not have is ErrChainCorrupt, whatever the page called it.
 func wrapApply(verb string, r *Record, err error) error {
 	if err == nil {
 		return nil

@@ -45,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"time"
 )
 
@@ -136,8 +137,7 @@ const (
 	// and internal-node separators that logical undo cannot re-locate.
 	FlagNTA uint8 = 1 << 0
 	// FlagRedoOnly marks a record logged without undo information (the
-	// DisableCLRUndoInfo ablation: CLRs as plain ARIES writes them). Undo
-	// refuses it, so a page chain cannot be rewound across it.
+	// DisableCLRUndoInfo ablation); Undo refuses it.
 	FlagRedoOnly uint8 = 1 << 1
 )
 
@@ -297,41 +297,43 @@ func unmarshalInto(r *Record, src []byte) error {
 	r.Flags = src[2]
 	off := 3
 	var bad bool
-	getU := func() uint64 {
+	// getU reads one uvarint no larger than max, in its shortest encoding:
+	// whatever decodes must be exactly what marshal would have written.
+	getU := func(max uint64) uint64 {
 		v, n := binary.Uvarint(src[off:])
-		if n <= 0 {
+		if n <= 0 || v > max || (n > 1 && src[off+n-1] == 0) {
 			bad = true
 			return 0
 		}
 		off += n
 		return v
 	}
-	r.TxnID = getU()
-	r.PrevLSN = LSN(getU())
-	r.PageID = uint32(getU())
-	r.ObjectID = uint32(getU())
-	r.PrevPageLSN = LSN(getU())
-	r.UndoNextLSN = LSN(getU())
-	r.PrevImageLSN = LSN(getU())
-	r.Slot = uint16(getU())
-	if wc, n := binary.Varint(src[off:]); n > 0 {
+	r.TxnID = getU(math.MaxUint64)
+	r.PrevLSN = LSN(getU(math.MaxUint64))
+	r.PageID = uint32(getU(math.MaxUint32))
+	r.ObjectID = uint32(getU(math.MaxUint32))
+	r.PrevPageLSN = LSN(getU(math.MaxUint64))
+	r.UndoNextLSN = LSN(getU(math.MaxUint64))
+	r.PrevImageLSN = LSN(getU(math.MaxUint64))
+	r.Slot = uint16(getU(math.MaxUint16))
+	if wc, n := binary.Varint(src[off:]); n > 0 && (n == 1 || src[off+n-1] != 0) {
 		r.WallClock = wc
 		off += n
 	} else {
 		bad = true
 	}
 	if bad {
-		return fmt.Errorf("wal: truncated record header at %d", off)
+		return fmt.Errorf("wal: unreadable record header at %d", off)
 	}
 	for _, dst := range [...]*[]byte{&r.OldData, &r.NewData, &r.Extra} {
-		n := int(getU())
-		if bad || n < 0 || off+n > len(src) {
-			return fmt.Errorf("wal: field of %d bytes overruns body at %d", n, off)
+		n := getU(math.MaxUint64)
+		if bad || n > uint64(len(src)-off) {
+			return fmt.Errorf("wal: field length unreadable or past the body's end at %d", off)
 		}
 		if n > 0 {
-			*dst = src[off : off+n]
+			*dst = src[off : off+int(n)]
 		}
-		off += n
+		off += int(n)
 	}
 	if off != len(src) {
 		// Nothing this build writes follows Extra. A partitioned log's commit

@@ -32,7 +32,13 @@ var ErrChainCorrupt = errors.New("wal: record does not match the page")
 // new. OldData and NewData alias the two rows; Extra is built in scratch,
 // which is returned (possibly grown) for the next call.
 func (r *Record) SetUpdate(old, new, scratch []byte) []byte {
-	head, tail := 0, 0 // SEAM: whole images, the degenerate delta
+	n, head, tail := min(len(old), len(new)), 0, 0
+	for head < n && old[head] == new[head] {
+		head++
+	}
+	for tail < n-head && old[len(old)-1-tail] == new[len(new)-1-tail] {
+		tail++
+	}
 	r.OldData, r.NewData = old[head:len(old)-tail], new[head:len(new)-tail]
 	if head == 0 {
 		r.Extra = nil
@@ -46,26 +52,6 @@ func (r *Record) SetUpdate(old, new, scratch []byte) []byte {
 	return scratch
 }
 
-func commonPrefix(a, b []byte) int {
-	if len(a) > len(b) {
-		a = a[:len(b)]
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	return len(a)
-}
-
-func commonSuffix(a, b []byte) int {
-	n := 0
-	for n < len(a) && n < len(b) && a[len(a)-1-n] == b[len(b)-1-n] {
-		n++
-	}
-	return n
-}
-
 // leafKey returns the key of a leaf record, or of a prefix of one that holds
 // its whole key header.
 func leafKey(rec []byte) ([]byte, error) {
@@ -75,8 +61,9 @@ func leafKey(rec []byte) ([]byte, error) {
 	return rec[2 : 2+binary.LittleEndian.Uint16(rec)], nil
 }
 
-// updateHead splits an update's Extra into the head length and what follows it.
-func (r *Record) updateHead() (int, []byte, error) {
+// UpdateHead returns the offset within the row at which an update record's
+// middles begin, and the key header Extra carries after it (nil if none).
+func (r *Record) UpdateHead() (int, []byte, error) {
 	if len(r.Extra) == 0 {
 		return 0, nil, nil
 	}
@@ -87,27 +74,16 @@ func (r *Record) updateHead() (int, []byte, error) {
 	return int(head), r.Extra[n:], nil
 }
 
-// UpdateOffset returns the offset within the row at which an update record's
-// middles begin.
-func (r *Record) UpdateOffset() (int, error) {
-	head, _, err := r.updateHead()
-	return head, err
-}
-
-// RowKey returns the key of the row an insert, delete or update record (or a
-// CLR performing one) touched. The returned slice aliases the record.
+// RowKey returns the key of the row an insert, delete or update record
+// touched. The returned slice aliases the record.
 func (r *Record) RowKey() ([]byte, error) {
-	op := r.Type
-	if op == TypeCLR {
-		op = r.CLRType
-	}
-	switch op {
+	switch r.Type {
 	case TypeInsert:
 		return leafKey(r.NewData)
 	case TypeDelete:
 		return leafKey(r.OldData)
 	case TypeUpdate:
-		head, hdr, err := r.updateHead()
+		head, hdr, err := r.UpdateHead()
 		if err != nil {
 			return nil, err
 		}
@@ -135,7 +111,7 @@ func (r *Record) RowBefore(after []byte) ([]byte, error) {
 // middleAt checks that row holds mid where update record r says its middles
 // lie and returns that offset.
 func (r *Record) middleAt(row, mid []byte) (int, error) {
-	head, _, err := r.updateHead()
+	head, _, err := r.UpdateHead()
 	if err != nil {
 		return 0, err
 	}
@@ -162,11 +138,9 @@ func spliceUpdate(p *page.Page, r *Record, from, to []byte) error {
 	return p.SpliceAt(int(r.Slot), head, len(from), to)
 }
 
-// Compensation returns the body of the CLR that physically reverses page
-// record r at its recorded slot — the inverse operation, aliasing r's
-// payloads — or nil when r changed no content that needs compensating
-// (formats are undone by the preformat restore before them, images changed
-// nothing).
+// Compensation returns the CLR that physically reverses page record r at its
+// slot (aliasing r's payloads), or nil when r changed no content: a format is
+// undone by the preformat restore before it, an image changed nothing.
 func (r *Record) Compensation() (*Record, error) {
 	clr := &Record{Type: TypeCLR, PageID: r.PageID, ObjectID: r.ObjectID, Slot: r.Slot}
 	switch r.Type {
