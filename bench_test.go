@@ -22,14 +22,11 @@ import (
 )
 
 // commitBenchOptions builds the engine options for one BenchmarkCommitThroughput
-// arm. The serial arm disables the group-commit pipeline; the mutex arm
-// routes appends through the legacy mutex-serialized log tail instead of
-// the reservation ring; the obsoff arm disables the metrics registry (the
-// observability-overhead A/B: ring vs ring/obsoff at equal committer counts
-// bounds the always-on cost). The pool is sized to hold the working set so
-// the numbers measure the commit path, not eviction I/O.
-func commitBenchOptions(serial, mutexLog, obsOff bool) Options {
-	return Options{DisableGroupCommit: serial, DisableAppendRing: mutexLog, DisableObs: obsOff, BufferFrames: 8192}
+// arm. The obsoff arm disables the metrics registry (the observability-overhead
+// A/B: c=N vs obsoff/c=N bounds the always-on cost). The pool is sized to hold
+// the working set so the numbers measure the commit path, not eviction I/O.
+func commitBenchOptions(obsOff bool) Options {
+	return Options{DisableObs: obsOff, BufferFrames: 8192}
 }
 
 // benchScale is the Figure 7-11 workload: the database must dwarf a
@@ -193,37 +190,27 @@ func BenchmarkFig11UndoIO(b *testing.B) {
 
 // BenchmarkCommitThroughput measures raw commit throughput under parallel
 // committers — the workload the group-commit pipeline exists for. Each
-// iteration is one single-row transaction ended by a durable Commit.
-//
-// The ring/mutex arms form the committer-scaling axis: group commit on,
-// appends through the lock-free reservation ring ("ring") versus the legacy
-// mutex-serialized log tail ("mutex"), at 1/2/4 committers each. On
-// multi-core the ring arm's commits/s should rise with the committer count
-// while the mutex arm flattens against tail-lock contention. The "serial"
-// arm keeps the pre-pipeline force-per-commit baseline for A/B continuity.
+// iteration is one single-row transaction ended by a durable Commit, at
+// 1/2/4 committers. DESIGN.md ("One append path") has the medians of the
+// ring, mutex and serial arms it ran until the mutex tail became the only
+// append path.
 func BenchmarkCommitThroughput(b *testing.B) {
 	for _, mode := range []struct {
 		name       string
 		committers int
-		serial     bool
-		mutexLog   bool
 		obsOff     bool
 	}{
-		{"ring/c=1", 1, false, false, false},
-		{"ring/c=2", 2, false, false, false},
-		{"ring/c=4", 4, false, false, false},
-		{"mutex/c=1", 1, false, true, false},
-		{"mutex/c=2", 2, false, true, false},
-		{"mutex/c=4", 4, false, true, false},
-		{"serial", 8, true, false, false},
-		// The observability A/B: identical to ring/c=1 and ring/c=4 with the
-		// metrics registry disabled. BENCH_PR8.json records the medians; the
+		{"c=1", 1, false},
+		{"c=2", 2, false},
+		{"c=4", 4, false},
+		// The observability A/B: identical to c=1 and c=4 with the metrics
+		// registry disabled. BENCH_PR8.json records the medians; the
 		// acceptance bar is ≤2% commits/s cost for always-on metrics.
-		{"obsoff/c=1", 1, false, false, true},
-		{"obsoff/c=4", 4, false, false, true},
+		{"obsoff/c=1", 1, true},
+		{"obsoff/c=4", 4, true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			db, err := Open(b.TempDir(), commitBenchOptions(mode.serial, mode.mutexLog, mode.obsOff))
+			db, err := Open(b.TempDir(), commitBenchOptions(mode.obsOff))
 			if err != nil {
 				b.Fatal(err)
 			}

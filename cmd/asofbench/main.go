@@ -44,18 +44,14 @@ func main() {
 		replicas = flag.Int("replicas", 1, "warm standbys for -fig repl")
 		cascadeF = flag.Bool("cascade", false, "add the cascading arm to -fig repl: primary → R1 → R2 with session-routed reads")
 
-		// -fig commit: group-commit pipeline A/B.
+		// -fig commit: durable commit throughput of the group-commit pipeline.
 		committers = flag.Int("committers", 8, "concurrent committers for -fig commit")
 		commitTxns = flag.Int("committxns", 50000, "transactions for -fig commit")
-		gcOff      = flag.Bool("gcoff", false, "run ONLY the serial (group-commit-disabled) arm of -fig commit")
-		gcDelay    = flag.Duration("gcdelay", 0, "group-commit linger delay (0 = yield-based batching)")
-		gcBytes    = flag.Int("gcbytes", 0, "group-commit max pending bytes before an early force (0 = default)")
-		ringOff    = flag.Bool("ringoff", false, "disable the lock-free WAL append ring (mutex-serialized tail) for -fig commit")
 		obsOff     = flag.Bool("obsoff", false, "disable the metrics registry for -fig commit (the observability-overhead A/B arm)")
-		commitScl  = flag.String("commitscale", "", "comma-separated committer counts (e.g. 1,2,4) for a ring-vs-mutex scaling sweep of -fig commit")
+		commitScl  = flag.String("commitscale", "", "comma-separated committer counts (e.g. 1,2,4) for a scaling sweep of -fig commit, in place of -committers")
 
 		// Log durability: every engine any figure opens uses this policy.
-		syncMode = flag.String("sync", "none", "log force durability: none | fdatasync (the arm where the gcdelay linger amortizes a real log force)")
+		syncMode = flag.String("sync", "none", "log force durability: none | fdatasync")
 
 		// Contention profiles, written at exit next to wherever the JSON
 		// output is collected — append-path claims ship with profiles.
@@ -168,58 +164,21 @@ func main() {
 		}
 	}
 
-	if wants("commit") && *commitScl != "" {
-		// Committer-count scaling sweep: the reservation ring against the
-		// mutex-serialized tail at each committer count, group commit on.
-		counts, err := parseCounts(*commitScl)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\n== Commit pipeline: committer scaling, ring vs mutex log tail (%d txns/run, sync=%s) ==\n",
-			*commitTxns, *syncMode)
-		for _, n := range counts {
-			for _, mutexArm := range []bool{false, true} {
-				arm := "ring"
-				if mutexArm {
-					arm = "mutex"
-				}
-				opts := exp.CommitOptions{
-					Committers:          n,
-					Txns:                *commitTxns,
-					GroupCommitMaxDelay: *gcDelay,
-					GroupCommitMaxBytes: *gcBytes,
-					DisableAppendRing:   mutexArm,
-					DisableObs:          *obsOff,
-				}
-				fmt.Printf("%-6s c=%d: ", arm, n)
-				if _, err := exp.CommitThroughput(fmt.Sprintf("%s/commit-scale-%s-%d", dir, arm, n), opts, os.Stdout); err != nil {
-					fatal(err)
-				}
-			}
-		}
-	} else if wants("commit") {
-		fmt.Printf("\n== Commit pipeline: durable commit throughput at %d committers (A/B) ==\n", *committers)
-		opts := exp.CommitOptions{
-			Committers:          *committers,
-			Txns:                *commitTxns,
-			GroupCommitMaxDelay: *gcDelay,
-			GroupCommitMaxBytes: *gcBytes,
-			DisableAppendRing:   *ringOff,
-			DisableObs:          *obsOff,
-		}
-		var serial, group exp.CommitResult
-		var err error
-		opts.DisableGroupCommit = true
-		if serial, err = exp.CommitThroughput(dir+"/commit-serial", opts, os.Stdout); err != nil {
-			fatal(err)
-		}
-		if !*gcOff {
-			opts.DisableGroupCommit = false
-			if group, err = exp.CommitThroughput(dir+"/commit-group", opts, os.Stdout); err != nil {
+	if wants("commit") {
+		counts := []int{*committers}
+		if *commitScl != "" {
+			if counts, err = parseCounts(*commitScl); err != nil {
 				fatal(err)
 			}
-			fmt.Printf("group/serial throughput ratio: %.2fx; batching factor %.2f commits/flush\n",
-				group.PerSec/serial.PerSec, group.PerFlush)
+		}
+		fmt.Printf("\n== Commit pipeline: durable commit throughput (%d txns/run, sync=%s) ==\n",
+			*commitTxns, *syncMode)
+		for _, n := range counts {
+			opts := exp.CommitOptions{Committers: n, Txns: *commitTxns, DisableObs: *obsOff}
+			fmt.Printf("c=%d: ", n)
+			if _, err := exp.CommitThroughput(fmt.Sprintf("%s/commit-%d", dir, n), opts, os.Stdout); err != nil {
+				fatal(err)
+			}
 		}
 	}
 

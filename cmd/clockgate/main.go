@@ -49,9 +49,6 @@ var allowed = map[string]string{
 	// Batch coalescing linger: pure real-time pacing of the shipper
 	// goroutine between reads; stream correctness never depends on it.
 	"internal/repl/ship.go:Sleep": "batch-linger pacing of the shipper goroutine",
-	// Segment GC delay: real-time backoff before retrying unlink on
-	// platforms with lazy file handle release.
-	"internal/wal/manager.go:Sleep": "segment GC retry backoff",
 }
 
 func main() {

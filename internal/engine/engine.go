@@ -76,8 +76,7 @@ type Options struct {
 	// SyncPolicy selects log-force durability: wal.SyncNone (buffered
 	// writes, the seed crash model — a process crash loses nothing, a power
 	// failure may lose the tail) or wal.SyncData (an fdatasync-class sync
-	// per group-commit flush, real durability on real devices — the regime
-	// where GroupCommitMaxDelay batching amortizes an expensive log force).
+	// per group-commit flush, real durability on real devices).
 	// Checkpoints inherit the policy end to end: data.db is synced and the
 	// boot metadata is replaced via atomic rename+fsync.
 	SyncPolicy wal.SyncPolicy
@@ -90,34 +89,6 @@ type Options struct {
 	// whose subscription predates the retention horizon and serve restores
 	// past it.
 	LogArchiveDir string
-
-	// GroupCommitMaxDelay bounds how long a commit may linger waiting for
-	// companion commits to share its log force. 0 (the default) adds no
-	// artificial delay — batching still arises from flush pipelining:
-	// commits arriving while a force is in flight are written together by
-	// the next one.
-	GroupCommitMaxDelay time.Duration
-	// GroupCommitMaxBytes forces the log early once this many bytes are
-	// pending, capping commit latency under heavy load even when a linger
-	// delay is configured. Default wal.DefaultGroupCommitMaxBytes.
-	GroupCommitMaxBytes int
-	// DisableGroupCommit makes Commit force the log immediately instead of
-	// entering the group-commit wait (the seed engine's behavior). A/B
-	// baseline for the commit pipeline. Note that with the default
-	// GroupCommitMaxDelay of 0 the two paths coincide — a commit's force
-	// can still be satisfied by a racing flush, as it could in the seed —
-	// so the arms only diverge once a linger delay is configured.
-	DisableGroupCommit bool
-	// AppendRingBytes sizes the WAL's lock-free append reservation ring
-	// (default wal.DefaultAppendRingBytes; floor 64 KiB). Appenders claim
-	// LSN ranges with one atomic add and marshal into the ring fully in
-	// parallel; larger rings absorb deeper append bursts before
-	// backpressure.
-	AppendRingBytes int
-	// DisableAppendRing routes WAL appends through the legacy
-	// mutex-serialized tail — the A/B arm for reservation-ring scaling
-	// comparisons. The log byte stream is identical either way.
-	DisableAppendRing bool
 
 	// DisableObs disables the observability registry entirely: no metrics,
 	// no latency spans, no extra clock reads on the commit path. This is
@@ -305,7 +276,6 @@ func Open(dir string, opts Options) (*DB, error) {
 		data.Close()
 		return nil, err
 	}
-	logm.SetGroupCommit(opts.GroupCommitMaxDelay, opts.GroupCommitMaxBytes)
 	logm.SetCacheBlocks(opts.LogCacheBlocks)
 	logm.SetClock(opts.Clock)
 	db := &DB{
@@ -367,13 +337,11 @@ func Open(dir string, opts Options) (*DB, error) {
 // is present.
 func openLog(dir string, opts Options) (*wal.Manager, error) {
 	return wal.OpenStore(filepath.Join(dir, "wal"), wal.Config{
-		Dev:               opts.LogDevice,
-		SegmentBytes:      opts.LogSegmentBytes,
-		Sync:              opts.SyncPolicy,
-		ArchiveDir:        opts.LogArchiveDir,
-		LegacyFile:        filepath.Join(dir, "wal.log"),
-		AppendRingBytes:   opts.AppendRingBytes,
-		DisableAppendRing: opts.DisableAppendRing,
+		Dev:          opts.LogDevice,
+		SegmentBytes: opts.LogSegmentBytes,
+		Sync:         opts.SyncPolicy,
+		ArchiveDir:   opts.LogArchiveDir,
+		LegacyFile:   filepath.Join(dir, "wal.log"),
 	})
 }
 

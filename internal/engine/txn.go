@@ -461,8 +461,7 @@ func (tx *Txn) TreeLock(root page.ID) *sync.RWMutex { return tx.db.treeLock(root
 // Commit makes the transaction durable: its commit record (carrying the
 // wall-clock time the SplitLSN search needs, §5.1) is durable on disk
 // before Commit returns and locks are released — via the group-commit
-// pipeline (append, then WaitDurable rides or leads a batched log force),
-// or via a private log force when DisableGroupCommit is set.
+// pipeline (append, then Flush rides or leads a batched log force).
 func (tx *Txn) Commit() error {
 	if txnState(tx.state.Load()) != txnActive {
 		return errors.New("engine: commit of inactive transaction")
@@ -490,10 +489,9 @@ func (tx *Txn) Commit() error {
 }
 
 // endDurable appends a transaction-terminating record and blocks until it
-// is durable, honoring the engine's commit-pipeline configuration. The
-// append (but not the durability wait) happens under the commitGate so
-// concurrent checkpoints never capture this transaction as active once its
-// end record has an LSN.
+// is durable. The append (but not the durability wait) happens under the
+// commitGate so concurrent checkpoints never capture this transaction as
+// active once its end record has an LSN.
 func (tx *Txn) endDurable(rec *wal.Record) error {
 	db := tx.db
 	db.commitGate.RLock()
@@ -505,10 +503,7 @@ func (tx *Txn) endDurable(rec *wal.Record) error {
 	if err != nil {
 		return err
 	}
-	if db.opts.DisableGroupCommit {
-		return db.log.Flush(lsn)
-	}
-	return db.log.WaitDurable(lsn)
+	return db.log.Flush(lsn)
 }
 
 // Rollback undoes the transaction: its log chain is walked backwards and

@@ -22,17 +22,6 @@ type CommitOptions struct {
 	// Preload rows inserted before timing starts, so the measurement runs
 	// against a steady-state tree (default 20000).
 	Preload int
-	// DisableGroupCommit switches commits to the serial append+force path
-	// — the A arm of the A/B comparison.
-	DisableGroupCommit bool
-	// GroupCommitMaxDelay / GroupCommitMaxBytes tune the pipeline's linger
-	// window (passed through to engine.Options).
-	GroupCommitMaxDelay time.Duration
-	GroupCommitMaxBytes int
-	// DisableAppendRing routes WAL appends through the legacy
-	// mutex-serialized tail — the A/B arm for the reservation-ring
-	// committer-scaling comparison.
-	DisableAppendRing bool
 	// DisableObs runs with the metrics registry disabled — the A/B arm that
 	// bounds the always-on observability cost on the commit path.
 	DisableObs bool
@@ -63,13 +52,9 @@ func CommitThroughput(dir string, o CommitOptions, w io.Writer) (CommitResult, e
 		o.Preload = 20_000
 	}
 	db, err := engine.Open(dir, engine.Options{
-		SyncPolicy:          LogSync,
-		BufferFrames:        8192,
-		DisableGroupCommit:  o.DisableGroupCommit,
-		GroupCommitMaxDelay: o.GroupCommitMaxDelay,
-		GroupCommitMaxBytes: o.GroupCommitMaxBytes,
-		DisableAppendRing:   o.DisableAppendRing,
-		DisableObs:          o.DisableObs,
+		SyncPolicy:   LogSync,
+		BufferFrames: 8192,
+		DisableObs:   o.DisableObs,
 	})
 	if err != nil {
 		return CommitResult{}, err
@@ -158,12 +143,6 @@ func CommitThroughput(dir string, o CommitOptions, w io.Writer) (CommitResult, e
 		res.PerFlush = float64(res.Txns) / float64(res.Flushes)
 	}
 	mode := "group-commit"
-	if o.DisableGroupCommit {
-		mode = "serial-force"
-	}
-	if o.DisableAppendRing {
-		mode += "/mutex-log"
-	}
 	if o.DisableObs {
 		mode += "/obsoff"
 	}

@@ -22,8 +22,7 @@ import (
 
 // LogSync is the log-force durability policy applied to every engine the
 // experiment harness opens (asofbench -sync fdatasync): under wal.SyncData
-// each group-commit flush really hits the device, which is the regime the
-// GroupCommitMaxDelay linger knob exists to amortize.
+// each group-commit flush really hits the device.
 var LogSync wal.SyncPolicy
 
 // HistoryConfig controls the benchmark history built for Figures 7-11.

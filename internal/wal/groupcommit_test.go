@@ -10,9 +10,9 @@ import (
 	"time"
 )
 
-// TestWaitDurableMakesRecordsDurable: a record WaitDurable returns for must
-// be at or below the flushed LSN, and must survive reopening the log.
-func TestWaitDurableMakesRecordsDurable(t *testing.T) {
+// TestFlushMakesRecordsDurable: a record Flush returns for must be at or
+// below the flushed LSN, and must survive reopening the log.
+func TestFlushMakesRecordsDurable(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.log")
 	m, err := Open(path, nil)
@@ -37,12 +37,12 @@ func TestWaitDurableMakesRecordsDurable(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := m.WaitDurable(lsn); err != nil {
+				if err := m.Flush(lsn); err != nil {
 					t.Error(err)
 					return
 				}
 				if got := m.FlushedLSN(); got < lsn {
-					t.Errorf("WaitDurable(%v) returned with FlushedLSN %v", lsn, got)
+					t.Errorf("Flush(%v) returned with FlushedLSN %v", lsn, got)
 					return
 				}
 				mu.Lock()
@@ -52,7 +52,7 @@ func TestWaitDurableMakesRecordsDurable(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	// Drop the manager without Close: only what WaitDurable acknowledged is
+	// Drop the manager without Close: only what Flush acknowledged is
 	// on disk, and all of it must be readable by a fresh manager.
 	if err := m.store.close(); err != nil {
 		t.Fatal(err)
@@ -73,42 +73,61 @@ func TestWaitDurableMakesRecordsDurable(t *testing.T) {
 	}
 }
 
-// TestGroupCommitBatching: concurrent committers share physical log writes;
-// with a linger window configured, the batching factor must be well above 1.
+// TestGroupCommitBatching pins pipelined batching without a linger: while
+// the first leader's write is held in flight, seven more committers append
+// and call Flush. Once the write is released, exactly one further write
+// must carry all seven — whichever of them leads it, and whether or not the
+// others were already parked.
 func TestGroupCommitBatching(t *testing.T) {
 	m := testManager(t)
-	m.SetGroupCommit(200*time.Microsecond, 0)
-	const writers = 8
-	const perWriter = 50
+	held, release := make(chan struct{}), make(chan struct{})
+	var hold sync.Once
+	m.syncHook = func() { hold.Do(func() { close(held); <-release }) }
+	commit := func(id uint64) (LSN, error) {
+		return m.Append(&Record{Type: TypeCommit, TxnID: id, PageID: NoPage})
+	}
+
+	first, err := commit(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaderErr := make(chan error, 1)
+	go func() { leaderErr <- m.Flush(first) }()
+	<-held
+
+	const followers = 7
+	lsns := make([]LSN, followers)
+	errs := make(chan error, followers)
 	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
+	for i := range lsns {
+		if lsns[i], err = commit(uint64(i + 1)); err != nil {
+			t.Fatal(err)
+		}
 		wg.Add(1)
-		go func(w int) {
+		go func(lsn LSN) {
 			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				rec := &Record{Type: TypeCommit, TxnID: uint64(w*1000 + i), PageID: NoPage}
-				lsn, err := m.Append(rec)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if err := m.WaitDurable(lsn); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
+			errs <- m.Flush(lsn)
+		}(lsns[i])
+	}
+	close(release)
+	if err := <-leaderErr; err != nil {
+		t.Fatal(err)
 	}
 	wg.Wait()
-	total := int64(writers * perWriter)
-	flushes := m.Flushes.Load()
-	if flushes == 0 {
-		t.Fatal("no flushes recorded")
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	if flushes > total/2 {
-		t.Errorf("%d commits took %d flushes; expected group commit to batch them", total, flushes)
+	if got := m.Flushes.Load(); got != 2 {
+		t.Fatalf("%d commits took %d log writes, want 2", followers+1, got)
 	}
-	t.Logf("batching factor: %.1f commits/flush", float64(total)/float64(flushes))
+	for _, lsn := range lsns {
+		if m.FlushedLSN() < lsn {
+			t.Fatalf("commit at %v not durable: flushed %v", lsn, m.FlushedLSN())
+		}
+	}
 }
 
 // TestConcurrentAppendFlushReadScan hammers every manager entry point at
@@ -142,13 +161,7 @@ func TestConcurrentAppendFlushReadScan(t *testing.T) {
 				written[lsn] = payload
 				lsns = append(lsns, lsn)
 				mu.Unlock()
-				switch i % 3 {
-				case 0:
-					if err := m.WaitDurable(lsn); err != nil {
-						t.Error(err)
-						return
-					}
-				case 1:
+				if i%3 != 2 {
 					if err := m.Flush(lsn); err != nil {
 						t.Error(err)
 						return

@@ -52,23 +52,19 @@ const readBlockSize = 32 << 10
 // log on commit (write-ahead rule), serves random reads by LSN for undo, and
 // sequential scans for recovery and SplitLSN searches.
 //
-// The write path is a group-commit pipeline with a double-buffered tail.
-// By default, Append runs lock-free: appenders reserve their byte range
-// with one atomic add on resv and marshal + CRC directly into a fixed
-// reservation ring (see ring.go); drainers move complete frames from the
-// ring into the active tail buffer under mu. With the ring disabled,
-// Append frames records into the tail buffer under mu directly. Either
-// way, at most one flusher at a time writes the previously swapped-out
-// buffer to disk outside the lock — so appends (and therefore other
-// transactions' progress) never stall behind a log write, and the log byte
-// stream is identical in both modes. Committers call WaitDurable(lsn): the
-// first waiter becomes the flush leader, optionally lingers up to
-// GroupCommitMaxDelay for companions (skipped once GroupCommitMaxBytes are
-// pending), swaps the tail out and writes it; every commit whose record
-// landed in that buffer is acknowledged by the same write. Waiters that
-// arrive while a flush is in flight wait for it to complete and then elect
-// the next leader, which flushes the whole batch that accumulated meanwhile
-// — classic pipelined group commit.
+// The write path is a pipelined group commit over a double-buffered tail.
+// Append frames the record outside the lock and copies it into the tail
+// under mu. Flush(lsn) makes the first caller that finds no write in flight
+// the leader: it swaps the tail out and writes it outside the lock, so
+// appends (and therefore other transactions' progress) never stall behind
+// a log write, and every commit whose record landed in that buffer is
+// acknowledged by the same write. Callers arriving while a write is in
+// flight wait for it and then elect the next leader, which writes the whole
+// batch that accumulated meanwhile. No leader waits for companions: any
+// yield lets an unrelated CPU-bound goroutine take the core for a whole
+// scheduler timeslice (a concurrent as-of snapshot loop once collapsed
+// TPC-C throughput 13x on one core that way), and a lingering leader lost
+// on every device measured (DESIGN.md).
 type Manager struct {
 	mu sync.Mutex // guards append state and flush bookkeeping below
 
@@ -79,23 +75,10 @@ type Manager struct {
 	tailAt LSN    // LSN of tail[0]
 	spare  []byte // recycled buffer, swapped in when a flush takes the tail
 
-	// resv is the 0-based end offset of reserved log space: the next
-	// record's LSN is resv+1. Ring-path appenders claim space with a single
-	// atomic add; the legacy mutex path advances it under mu. Reserved
-	// bytes above the ring's drain cursor are in flight — possibly still
-	// marshaling in their appender goroutines.
+	// resv is the 0-based end offset of the appended log: the next record's
+	// LSN is resv+1. Advanced under mu; atomic so NextLSN and Size read it
+	// without the lock.
 	resv atomic.Uint64
-
-	// ring is the lock-free append reservation ring (see ring.go); nil
-	// when Config.DisableAppendRing routes appends through the mutex path.
-	ring *appendRing
-
-	// ringCond (on mu) parks ring-space waiters, flush leaders waiting for
-	// the drain watermark, and readers waiting on in-flight bytes.
-	ringCond *sync.Cond
-
-	// poisoned mirrors ioErr != nil for lock-free fast-path checks.
-	poisoned atomic.Bool
 
 	// failWrites is a test hook: when set, physical log writes fail with
 	// errInjectedWrite, poisoning the manager like a real I/O error.
@@ -114,10 +97,6 @@ type Manager struct {
 	trunc   atomic.Uint64 // records below this are unavailable (retention)
 
 	ioErr error // sticky: a failed log write poisons the manager
-
-	// Group-commit tuning; set via SetGroupCommit before concurrent use.
-	gcDelay time.Duration
-	gcBytes int
 
 	cache     *blockCache
 	UndoReads atomic.Int64 // random block reads served from disk (Fig 11)
@@ -165,9 +144,9 @@ type Manager struct {
 	syncHook func()
 }
 
-// DefaultGroupCommitMaxBytes is the pending-bytes threshold past which a
-// lingering flush leader stops waiting for companions.
-const DefaultGroupCommitMaxBytes = 256 << 10
+// errInjectedWrite is what the test-only failWrites hook makes log writes
+// return, so I/O-error propagation is testable without a faulty disk.
+var errInjectedWrite = errors.New("wal: injected write failure (test hook)")
 
 // Config tunes the segmented log store behind a Manager.
 type Config struct {
@@ -191,13 +170,6 @@ type Config struct {
 	// names a flat pre-segmentation log file whose bytes are migrated into
 	// the first segment (the file is kept, renamed *.migrated).
 	LegacyFile string
-	// AppendRingBytes sizes the lock-free append reservation ring (default
-	// DefaultAppendRingBytes; floor 64 KiB; rounded up to whole cells).
-	// Larger rings absorb deeper append bursts before backpressure.
-	AppendRingBytes int
-	// DisableAppendRing routes Append through the legacy mutex-serialized
-	// tail — the A/B arm for reservation-ring comparisons.
-	DisableAppendRing bool
 }
 
 // Open opens (creating if necessary) the segmented log store rooted at the
@@ -227,18 +199,13 @@ func OpenStore(dir string, cfg Config) (*Manager, error) {
 	}
 	end := LSN(store.endOff())
 	m := &Manager{
-		store:   store,
-		dev:     cfg.Dev,
-		tailAt:  end + 1,
-		gcBytes: DefaultGroupCommitMaxBytes,
-		cache:   newBlockCache(256), // 8 MiB of log cache
-		clock:   clock.Real(),
+		store:  store,
+		dev:    cfg.Dev,
+		tailAt: end + 1,
+		cache:  newBlockCache(256), // 8 MiB of log cache
+		clock:  clock.Real(),
 	}
 	m.resv.Store(uint64(end))
-	if !cfg.DisableAppendRing {
-		m.ring = newAppendRing(cfg.AppendRingBytes)
-		m.ring.consumed.Store(uint64(end))
-	}
 	// A store whose first segment begins past offset 0 carries a durable
 	// retention floor. The logical truncation point — the record-boundary
 	// LSN retention cut at, which is what scans must resume from (the
@@ -251,7 +218,6 @@ func OpenStore(dir string, cfg Config) (*Manager, error) {
 		m.trunc.Store(uint64(base) + 1)
 	}
 	m.flushDone = sync.NewCond(&m.mu)
-	m.ringCond = sync.NewCond(&m.mu)
 	m.flushed.Store(uint64(end))
 	return m, nil
 }
@@ -316,17 +282,6 @@ func migrateFlatLog(dir, legacy string) error {
 	return os.Rename(legacy, legacy+".migrated")
 }
 
-// SetGroupCommit configures the group-commit linger window: a flush leader
-// waits up to delay for more commits to join its write, unless maxBytes are
-// already pending (maxBytes <= 0 keeps the default). Call before the manager
-// is shared between goroutines.
-func (m *Manager) SetGroupCommit(delay time.Duration, maxBytes int) {
-	m.gcDelay = delay
-	if maxBytes > 0 {
-		m.gcBytes = maxBytes
-	}
-}
-
 // SetClock injects the manager's wall-clock source (replication heartbeat
 // stamps). Call before the manager is shared between goroutines; nil keeps
 // the system clock.
@@ -384,21 +339,20 @@ type frameBuf struct{ b []byte }
 // Append assigns the record an LSN and buffers it. The record is not
 // durable until the flushed LSN reaches its LSN. The record is fully
 // serialized into the log buffer before Append returns (callers alias page
-// bytes into records and may reuse them afterwards).
-//
-// On the default ring path, appenders reserve their byte range with one
-// atomic add and marshal + CRC directly into the reserved ring bytes, so
-// concurrent appenders share no lock at all (see ring.go); Append can then
-// fail only once a log write has poisoned the manager. On the legacy path
-// (Config.DisableAppendRing) appenders serialize on the tail memcpy under
-// mu, with the marshaling still done outside the lock.
+// bytes into records and may reuse them afterwards). Marshaling and the
+// CRC run outside mu, so appenders serialize only on the tail copy. Once a
+// failed log write has poisoned the manager, Append returns that error: a
+// record appended behind the hole could never become durable.
 func (m *Manager) Append(r *Record) (LSN, error) {
-	if m.ring != nil {
-		return m.ringAppend(r)
-	}
 	fb := framePool.Get().(*frameBuf)
 	fb.b = frame(fb.b[:0], r)
 	m.mu.Lock()
+	if m.ioErr != nil {
+		err := m.ioErr
+		m.mu.Unlock()
+		framePool.Put(fb)
+		return NilLSN, err
+	}
 	start := m.resv.Load()
 	lsn := LSN(start) + 1
 	m.tail = append(m.tail, fb.b...)
@@ -414,9 +368,8 @@ func (m *Manager) Append(r *Record) (LSN, error) {
 	return lsn, nil
 }
 
-// AppendFlush appends and immediately forces the record to disk, without
-// the group-commit linger. For infrequent must-be-durable-now records
-// (checkpoint ends, recovery aborts) and the A/B serial-commit path.
+// AppendFlush appends and immediately forces the record to disk. For
+// infrequent must-be-durable-now records (checkpoint ends, recovery aborts).
 func (m *Manager) AppendFlush(r *Record) (LSN, error) {
 	lsn, err := m.Append(r)
 	if err != nil {
@@ -425,21 +378,12 @@ func (m *Manager) AppendFlush(r *Record) (LSN, error) {
 	return lsn, m.Flush(lsn)
 }
 
-// Flush forces the log to disk through at least lsn, immediately. Log
+// Flush blocks until the log is durable through at least lsn. The caller
+// rides a write already in flight or leads the next one, which writes
+// everything appended so far — this is the commit path's group commit. Log
 // writes are sequential I/O (the paper notes ~100 MB/s of sequential log
 // bandwidth at peak, easily sustainable).
-func (m *Manager) Flush(lsn LSN) error { return m.force(lsn, false) }
-
-// WaitDurable blocks until the record at lsn is durable, participating in
-// group commit: the calling goroutine may become the flush leader (and
-// linger up to the configured delay to batch companions) or ride on another
-// leader's write. This is the commit path.
-func (m *Manager) WaitDurable(lsn LSN) error { return m.force(lsn, true) }
-
-// force drives the flush pipeline until lsn is durable. With linger set, an
-// elected leader waits up to gcDelay for more appends before writing,
-// unless gcBytes are already pending.
-func (m *Manager) force(lsn LSN, linger bool) error {
+func (m *Manager) Flush(lsn LSN) error {
 	for {
 		if LSN(m.flushed.Load()) >= lsn {
 			return nil
@@ -468,51 +412,9 @@ func (m *Manager) force(lsn LSN, linger bool) error {
 			m.mu.Unlock()
 			continue
 		}
-		// Leader: claim the flush slot.
+		// Leader: claim the flush slot and swap the tail out; appends
+		// continue into the spare buffer while we write outside the lock.
 		m.flushActive = true
-		// Pending bytes include both the drained tail and any in-flight
-		// ring reservations (resv runs ahead of the tail on the ring path;
-		// on the legacy path the two are equal).
-		pending := int(int64(m.resv.Load()) - int64(m.tailAt-1))
-		if linger && m.gcDelay > 0 && pending < m.gcBytes {
-			// Linger for companions: trade commit latency for batch size.
-			// Only with an explicitly configured delay — by default the
-			// pipeline batches purely from arrivals during in-flight writes,
-			// because any kind of leader yield lets an unrelated CPU-bound
-			// goroutine steal the core for a whole scheduler timeslice,
-			// starving committers (observed: a concurrent as-of snapshot
-			// loop collapsing TPC-C throughput 13x on one core).
-			m.mu.Unlock()
-			time.Sleep(m.gcDelay)
-			m.mu.Lock()
-		}
-		if m.ring != nil {
-			// Drain the ring into the tail and wait until the target
-			// record's bytes are below the watermark — its frame may still
-			// be marshaling in its appender goroutine. Drain is
-			// frame-aligned, so covering lsn's first byte covers the whole
-			// record. waiters must be raised before the drain that feeds
-			// the first condition check: a publisher that loads waiters==0
-			// skips the broadcast, so it must be guaranteed that the
-			// waiter's own drain already sees those published cells.
-			m.ring.waiters.Add(1)
-			m.drainLocked()
-			for m.ioErr == nil && m.tailAt+LSN(len(m.tail)) <= lsn {
-				m.ringCond.Wait()
-				m.drainLocked()
-			}
-			m.ring.waiters.Add(-1)
-			if m.ioErr != nil {
-				err := m.ioErr
-				m.flushActive = false
-				m.flushGen++
-				m.flushDone.Broadcast()
-				m.mu.Unlock()
-				return err
-			}
-		}
-		// Swap the tail out; appends continue into the spare buffer while
-		// we write outside the lock.
 		buf := m.tail
 		at := m.tailAt
 		m.flushing = buf
@@ -529,7 +431,7 @@ func (m *Manager) force(lsn LSN, linger bool) error {
 		if len(buf) > 0 {
 			// The write-then-sync pair is one log force: durability is not
 			// acknowledged (flushed is not advanced) until both complete, so
-			// under SyncData a commit's WaitDurable really means fdatasync'd.
+			// under SyncData a commit's Flush really means fdatasync'd.
 			m.metrics.FlushBytes.Observe(int64(len(buf)))
 			sp := obs.StartSpan(m.clock, m.metrics.FsyncSeconds)
 			if m.failWrites.Load() {
@@ -553,14 +455,9 @@ func (m *Manager) force(lsn LSN, linger bool) error {
 			// meanwhile and poison the manager: after a failed log write no
 			// later flush may succeed, or the log would have a hole.
 			m.ioErr = fmt.Errorf("wal: flush: %w", err)
-			m.poisoned.Store(true)
 			m.tail = append(buf, m.tail...)
 			m.tailAt = at
 			err = m.ioErr
-			// Wake every parked ring waiter (space waiters, watermark
-			// waiters, readers): their wait loops check ioErr and surface
-			// it instead of hanging on a log that will never drain again.
-			m.ringCond.Broadcast()
 		} else {
 			m.flushed.Store(uint64(at) + uint64(len(buf)) - 1)
 			m.spare = buf[:0]
@@ -657,7 +554,7 @@ func (m *Manager) AppendRaw(frames []byte) (LSN, error) {
 		m.mu.Unlock()
 		return NilLSN, err
 	}
-	if len(m.tail) > 0 || m.flushActive || !m.ringQuiescentLocked() {
+	if len(m.tail) > 0 || m.flushActive {
 		m.mu.Unlock()
 		return NilLSN, errors.New("wal: AppendRaw on a log with buffered appends")
 	}
@@ -676,8 +573,6 @@ func (m *Manager) AppendRaw(frames []byte) (LSN, error) {
 	if err != nil {
 		m.mu.Lock()
 		m.ioErr = fmt.Errorf("wal: raw append: %w", err)
-		m.poisoned.Store(true)
-		m.ringCond.Broadcast()
 		m.mu.Unlock()
 		return NilLSN, m.ioErr
 	}
@@ -685,22 +580,16 @@ func (m *Manager) AppendRaw(frames []byte) (LSN, error) {
 
 	m.mu.Lock()
 	if got := LSN(m.resv.Load()) + 1; got != at {
-		// A concurrent appender reserved log space while the raw write was
-		// in flight, violating the single-writer contract. The raw bytes
-		// already landed over that reservation on disk, and storing our end
-		// below would clobber the ring counters on top — poison loudly
-		// instead of corrupting the log silently.
+		// A concurrent appender took log space while the raw write was in
+		// flight, violating the single-writer contract. Its record and the
+		// raw bytes now claim the same offsets, and storing our end below
+		// would silently drop it — poison loudly instead.
 		m.ioErr = fmt.Errorf("wal: AppendRaw raced concurrent appends (next LSN moved %v -> %v)", at, got)
-		m.poisoned.Store(true)
-		m.ringCond.Broadcast()
 		m.mu.Unlock()
 		return NilLSN, m.ioErr
 	}
 	end := uint64(at-1) + uint64(len(frames))
 	m.resv.Store(end)
-	if m.ring != nil {
-		m.ring.consumed.Store(end)
-	}
 	m.tailAt = LSN(end) + 1
 	m.flushed.Store(end)
 	m.notifyDurableLocked()
@@ -717,7 +606,7 @@ func (m *Manager) AppendRaw(frames []byte) (LSN, error) {
 func (m *Manager) Rewind(end LSN) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.flushActive || len(m.tail) > 0 || !m.ringQuiescentLocked() {
+	if len(m.tail) > 0 || m.flushActive {
 		return errors.New("wal: rewind with buffered appends")
 	}
 	if end > LSN(m.resv.Load()) {
@@ -727,11 +616,6 @@ func (m *Manager) Rewind(end LSN) error {
 		return fmt.Errorf("wal: rewind: %w", err)
 	}
 	m.resv.Store(uint64(end))
-	if m.ring != nil {
-		// Quiescent ring: every cell counter is zero and the big map is
-		// empty, so moving the cursor back with resv keeps all invariants.
-		m.ring.consumed.Store(uint64(end))
-	}
 	m.tailAt = end + 1
 	m.flushed.Store(uint64(end))
 	m.cache.clear() // cached blocks past the cut are stale
@@ -836,8 +720,7 @@ func (m *Manager) ArchiveDir() string { return m.store.archiveDir }
 // SegmentBytes returns the configured segment capacity.
 func (m *Manager) SegmentBytes() int64 { return m.store.segBytes }
 
-// Size returns the total log size in bytes, including the unflushed tail
-// and any in-flight ring reservations.
+// Size returns the total log size in bytes, including the unflushed tail.
 func (m *Manager) Size() int64 {
 	return int64(m.resv.Load())
 }
@@ -857,38 +740,6 @@ func (m *Manager) readAt(buf []byte, off int64, countIO bool) (int, error) {
 	want := buf
 	if off+int64(len(want)) > end {
 		want = want[:end-off]
-	}
-	if m.ring != nil {
-		// The requested range is reserved, but its upper end may still be
-		// marshaling in appender goroutines (a reader typically chases a
-		// record whose Append just returned while earlier reservations are
-		// in flight). Wait until everything we will serve has been drained
-		// into the contiguous tail; on a poisoned manager, serve what was
-		// drained and error only if none of the range was. The drain runs
-		// at the top of the loop, after waiters is raised: a publisher that
-		// loads waiters==0 skips the broadcast, which is only safe if that
-		// publish is already visible to the drain feeding our check.
-		rg := m.ring
-		rg.waiters.Add(1)
-		for {
-			m.drainLocked()
-			drained := int64(m.tailAt-1) + int64(len(m.tail))
-			if off+int64(len(want)) <= drained {
-				break
-			}
-			if m.ioErr != nil {
-				if off >= drained {
-					err := m.ioErr
-					rg.waiters.Add(-1)
-					m.mu.Unlock()
-					return 0, err
-				}
-				want = want[:drained-off]
-				break
-			}
-			m.ringCond.Wait()
-		}
-		rg.waiters.Add(-1)
 	}
 	tailStart := int64(m.tailAt - 1)
 	memStart := tailStart

@@ -10,13 +10,9 @@ import (
 // value on the Manager to keep the nil-handle no-op semantics without a
 // nil-struct check at every site.
 type Metrics struct {
-	// Appends/AppendBytes count records and framed bytes entering the log
-	// (ring, mutex, and oversized paths alike).
+	// Appends/AppendBytes count records and framed bytes entering the log.
 	Appends     *obs.Counter
 	AppendBytes *obs.Counter
-	// RingDrains counts drainLocked passes that moved bytes out of the
-	// reservation ring into the flushable tail.
-	RingDrains *obs.Counter
 	// FlushBytes is the group-commit batch size distribution: the bytes one
 	// physical log write covers.
 	FlushBytes *obs.Histogram
@@ -44,7 +40,6 @@ func (m *Manager) RegisterObs(r *obs.Registry) {
 	m.metrics = Metrics{
 		Appends:         r.Counter("wal_appends_total", "records appended to the log"),
 		AppendBytes:     r.Counter("wal_append_bytes_total", "framed bytes appended to the log"),
-		RingDrains:      r.Counter("wal_ring_drains_total", "reservation-ring drain passes that advanced the tail"),
 		FlushBytes:      r.SizeHistogram("wal_flush_batch_bytes", "bytes covered by one physical log write (group-commit batch size)"),
 		FsyncSeconds:    r.DurationHistogram("wal_fsync_seconds", "write+sync latency of one log force"),
 		Rotations:       r.Counter("wal_segment_rotations_total", "log segment rotations"),

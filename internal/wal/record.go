@@ -16,9 +16,9 @@
 // monotonic and a record can be fetched by LSN with a single random read.
 //
 // The write path is a pipelined group commit (see Manager): appends frame
-// records — varint-encoded, checksummed — into a double-buffered in-memory
-// tail outside the manager lock, and committers wait on WaitDurable, which
-// batches many commits into one physical log write. Random reads are served
+// records — varint-encoded, checksummed — outside the manager lock and copy
+// them into a double-buffered in-memory tail, and committers wait in Flush,
+// which batches many commits into one physical log write. Random reads are served
 // through a sharded second-chance block cache so concurrent snapshot-undo
 // and recovery readers do not contend.
 //
@@ -342,29 +342,6 @@ func unmarshalInto(r *Record, src []byte) error {
 		return fmt.Errorf("wal: %d bytes trail the last field of a %v record body", len(src)-off, r.Type)
 	}
 	return nil
-}
-
-// bodyWallClock extracts the WallClock field from a record body prefix
-// without decoding the payloads — the drain-time commit sampler's fast
-// path. src must hold the three fixed bytes and the nine numeric varints
-// (at most maxBodyPrefix bytes); payloads may be cut off.
-func bodyWallClock(src []byte) (int64, bool) {
-	off := 3
-	if len(src) < off {
-		return 0, false
-	}
-	for i := 0; i < 8; i++ {
-		_, n := binary.Uvarint(src[off:])
-		if n <= 0 {
-			return 0, false
-		}
-		off += n
-	}
-	wc, n := binary.Varint(src[off:])
-	if n <= 0 {
-		return 0, false
-	}
-	return wc, true
 }
 
 // frame layout: u32 bodyLen | u32 crc32(body) | body

@@ -51,8 +51,8 @@ const (
 	// arises only from pipelining.
 	SyncNone SyncPolicy = iota
 	// SyncData makes every log force durable with an fdatasync-class sync
-	// of the segment files it wrote. This is the policy under which
-	// GroupCommitMaxDelay batching amortizes a real, expensive log force.
+	// of the segment files it wrote: group commit then amortizes a real,
+	// expensive log force over every commit that joined the batch.
 	SyncData
 )
 

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -208,4 +210,52 @@ func TestNextFrameTornAndCorrupt(t *testing.T) {
 	if _, _, _, err := NextFrame(bad); err == nil {
 		t.Fatal("corrupt body accepted")
 	}
+}
+
+// FuzzNextFrame: the frame parser never panics and a complete frame it
+// returns is consistent with FrameSize. When the input past the frame
+// header is a decodable body, the frame built from it parses back to exactly
+// that body and size, each of its strict prefixes is incomplete (ok=false,
+// err=nil), and with one byte changed it is incomplete or ErrFrameCorrupt,
+// never a different body. Seeds are frames cut from
+// internal/asof/testdata/wholerow-log, one or two of each record kind.
+func FuzzNextFrame(f *testing.F) {
+	f.Fuzz(func(t *testing.T, buf []byte, cut, flip uint16) {
+		body, size, ok, err := NextFrame(buf)
+		switch {
+		case err != nil:
+			if ok || !errors.Is(err, ErrFrameCorrupt) {
+				t.Fatalf("ok=%v with error %v", ok, err)
+			}
+		case ok:
+			if n, sized := FrameSize(buf); !sized || n != size || size != FrameHeaderSize+len(body) ||
+				!bytes.Equal(body, buf[FrameHeaderSize:size]) {
+				t.Fatalf("frame of %d bytes: FrameSize %d/%v, body %d bytes", size, n, sized, len(body))
+			}
+		}
+		if len(buf) < FrameHeaderSize {
+			return
+		}
+		want := buf[FrameHeaderSize:]
+		r, err := DecodeBody(want)
+		if err != nil {
+			return
+		}
+		framed := frame(nil, r)
+		body, size, ok, err = NextFrame(framed)
+		if !ok || err != nil || size != len(framed) || !bytes.Equal(body, want) {
+			t.Fatalf("frame of a %d-byte body: ok=%v err=%v size=%d of %d", len(want), ok, err, size, len(framed))
+		}
+		p := int(cut) % len(framed)
+		if _, _, ok, err := NextFrame(framed[:p]); ok || err != nil {
+			t.Fatalf("%d-byte prefix of a %d-byte frame: ok=%v err=%v", p, len(framed), ok, err)
+		}
+		i := int(flip) % len(framed)
+		framed[i] ^= byte(flip>>8) | 1
+		if body, _, ok, err := NextFrame(framed); ok {
+			t.Fatalf("byte %d changed, frame still parses to a %d-byte body", i, len(body))
+		} else if err != nil && !errors.Is(err, ErrFrameCorrupt) {
+			t.Fatalf("byte %d changed: %v", i, err)
+		}
+	})
 }

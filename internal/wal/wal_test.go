@@ -28,9 +28,7 @@ func testManager(t *testing.T) *Manager {
 // commit record.
 func TestRewindDropsTimeSamples(t *testing.T) {
 	m := testManager(t)
-	// Three sample intervals of commit records. Samples materialize when
-	// commit frames drain into the tail (ring path) or at Append (legacy
-	// path); the flush below covers both.
+	// Three sample intervals of commit records; Append takes the samples.
 	for m.NextLSN() < LSN(3*timeSampleEvery) {
 		_, err := m.Append(&Record{
 			Type: TypeCommit, TxnID: 1, PageID: NoPage,
