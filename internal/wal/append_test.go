@@ -22,34 +22,90 @@ type appended struct {
 // append path once had: frames this size took its side-map path.
 const bigPayload = 300 << 10
 
-// TestAppendHammer races appenders, flushers and the scanner: LSNs must tile
+// TestRingHammer races appenders, flushers and the scanner: LSNs must tile
 // the log gaplessly on frame boundaries, and Scan must return exactly the
 // appended records, byte for byte, in LSN order. Every writer mixes in two
-// frames of bigPayload bytes.
-func TestAppendHammer(t *testing.T) {
+// frames of bigPayload bytes. The names date from the reservation ring; its
+// "legacy" arm, the mutex tail, is now the one append path.
+func TestRingHammer(t *testing.T) {
+	t.Run("legacy", func(t *testing.T) {
+		m := testManager(t)
+		const writers, perWriter = 8, 150
+		var mu sync.Mutex
+		var all []appended
+		payloads := make(map[uint64][]byte)
+
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(w)))
+				for i := 0; i < perWriter; i++ {
+					id := uint64(w)<<32 | uint64(i)
+					n := 1 + rng.Intn(2048)
+					if i%75 == 40 {
+						n = bigPayload
+					}
+					payload := make([]byte, n)
+					for j := range payload {
+						payload[j] = byte(id + uint64(j))
+					}
+					rec := &Record{Type: TypeInsert, TxnID: id, PageID: uint32(w + 1), NewData: payload}
+					size := rec.ApproxSize()
+					lsn, err := m.Append(rec)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					mu.Lock()
+					all = append(all, appended{lsn: lsn, size: size, id: id})
+					payloads[id] = payload
+					mu.Unlock()
+					if i%7 == 0 || i%7 == 3 {
+						if err := m.Flush(lsn); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		checkTiling(t, m, all, payloads)
+	})
+}
+
+// TestRingBigFrames appends frames past bigPayload and past the whole 1 MiB
+// ring the append path once had, between small ones, under racing writers:
+// the tail grows to hold them and the log still tiles gaplessly.
+func TestRingBigFrames(t *testing.T) {
 	m := testManager(t)
-	const writers, perWriter = 8, 150
 	var mu sync.Mutex
 	var all []appended
 	payloads := make(map[uint64][]byte)
-
 	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
+	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < perWriter; i++ {
+			for i := 0; i < 40; i++ {
 				id := uint64(w)<<32 | uint64(i)
-				n := 1 + rng.Intn(2048)
-				if i%75 == 40 {
+				n := 64
+				switch i % 8 {
+				case 2:
 					n = bigPayload
+				case 5:
+					n = 1<<20 + 4096
 				}
 				payload := make([]byte, n)
 				for j := range payload {
 					payload[j] = byte(id + uint64(j))
 				}
-				rec := &Record{Type: TypeInsert, TxnID: id, PageID: uint32(w + 1), NewData: payload}
+				rec := &Record{Type: TypeImage, TxnID: id, PageID: uint32(w + 1), NewData: payload}
 				size := rec.ApproxSize()
 				lsn, err := m.Append(rec)
 				if err != nil {
@@ -60,7 +116,7 @@ func TestAppendHammer(t *testing.T) {
 				all = append(all, appended{lsn: lsn, size: size, id: id})
 				payloads[id] = payload
 				mu.Unlock()
-				if i%7 == 0 || i%7 == 3 {
+				if i%5 == 0 {
 					if err := m.Flush(lsn); err != nil {
 						t.Error(err)
 						return
@@ -73,6 +129,14 @@ func TestAppendHammer(t *testing.T) {
 	if t.Failed() {
 		return
 	}
+	checkTiling(t, m, all, payloads)
+}
+
+// checkTiling flushes m and checks that the appends in all tile the log
+// exactly from LSN 1, and that Scan returns each once, in LSN order, with
+// the payload recorded for its id.
+func checkTiling(t *testing.T, m *Manager, all []appended, payloads map[uint64][]byte) {
+	t.Helper()
 	if err := m.Flush(m.NextLSN() - 1); err != nil {
 		t.Fatal(err)
 	}

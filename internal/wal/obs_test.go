@@ -79,52 +79,55 @@ func TestFsyncHistogramExactOnVirtualClock(t *testing.T) {
 }
 
 // TestWalMetricsCoverAppendPaths exercises the append, flush, rotation and
-// truncation counters end to end against a tiny segmented store.
+// truncation counters end to end against a tiny segmented store, on the
+// "mutex" arm: the mutex-guarded tail, now the one append path.
 func TestWalMetricsCoverAppendPaths(t *testing.T) {
-	m, err := OpenStore(t.TempDir(), Config{SegmentBytes: 4 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	reg := obs.NewRegistry()
-	m.RegisterObs(reg)
-
-	var last LSN
-	payload := make([]byte, 256)
-	for i := 0; i < 64; i++ {
-		r := &Record{Type: TypeInsert, PageID: 1, Slot: uint16(i), NewData: payload}
-		if last, err = m.Append(r); err != nil {
+	t.Run("mutex", func(t *testing.T) {
+		m, err := OpenStore(t.TempDir(), Config{SegmentBytes: 4 << 10})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := m.Flush(last); err != nil {
-		t.Fatal(err)
-	}
+		defer m.Close()
+		reg := obs.NewRegistry()
+		m.RegisterObs(reg)
 
-	mt := m.metrics
-	if got := mt.Appends.Load(); got != 64 {
-		t.Fatalf("appends = %d, want 64", got)
-	}
-	if mt.AppendBytes.Load() < 64*256 {
-		t.Fatalf("append bytes = %d, want >= %d", mt.AppendBytes.Load(), 64*256)
-	}
-	if mt.FlushBytes.Count() == 0 {
-		t.Fatal("flush batch histogram recorded nothing")
-	}
-	// 64 × ~270B frames overflow several 4KiB segments.
-	if mt.Rotations.Load() == 0 {
-		t.Fatal("no segment rotations recorded")
-	}
+		var last LSN
+		payload := make([]byte, 256)
+		for i := 0; i < 64; i++ {
+			r := &Record{Type: TypeInsert, PageID: 1, Slot: uint16(i), NewData: payload}
+			if last, err = m.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Flush(last); err != nil {
+			t.Fatal(err)
+		}
 
-	if err := m.Truncate(last); err != nil {
-		t.Fatal(err)
-	}
-	if mt.Truncations.Load() != 1 {
-		t.Fatalf("truncations = %d, want 1", mt.Truncations.Load())
-	}
-	if mt.SegmentsDropped.Load() == 0 {
-		t.Fatal("truncation dropped no segments")
-	}
+		mt := m.metrics
+		if got := mt.Appends.Load(); got != 64 {
+			t.Fatalf("appends = %d, want 64", got)
+		}
+		if mt.AppendBytes.Load() < 64*256 {
+			t.Fatalf("append bytes = %d, want >= %d", mt.AppendBytes.Load(), 64*256)
+		}
+		if mt.FlushBytes.Count() == 0 {
+			t.Fatal("flush batch histogram recorded nothing")
+		}
+		// 64 × ~270B frames overflow several 4KiB segments.
+		if mt.Rotations.Load() == 0 {
+			t.Fatal("no segment rotations recorded")
+		}
+
+		if err := m.Truncate(last); err != nil {
+			t.Fatal(err)
+		}
+		if mt.Truncations.Load() != 1 {
+			t.Fatalf("truncations = %d, want 1", mt.Truncations.Load())
+		}
+		if mt.SegmentsDropped.Load() == 0 {
+			t.Fatal("truncation dropped no segments")
+		}
+	})
 }
 
 // TestBlockCacheCounters reads a chain cold and then warm and checks the
