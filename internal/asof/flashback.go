@@ -122,22 +122,16 @@ func FindCommits(db *engine.DB, from, to time.Time) ([]CommitInfo, error) {
 // record, returning its begin LSN and row-operation count (CLR-compensated
 // regions skipped via UndoNextLSN, matching the forward scan's accounting).
 func txnChainInfo(rdr *wal.ChainReader, last wal.LSN) (wal.LSN, int, error) {
-	begin, ops := wal.NilLSN, 0
-	for cur := last; cur != wal.NilLSN; {
-		rec, err := rdr.Read(cur)
-		if err != nil {
-			return wal.NilLSN, 0, fmt.Errorf("asof: commit-chain read %v: %w", cur, err)
-		}
-		next := rec.PrevLSN
+	ops := 0
+	begin, err := wal.WalkTxnChain(rdr.Read, last, func(rec *wal.Record) error {
 		switch rec.Type {
-		case wal.TypeBegin:
-			return rec.LSN, ops, nil
-		case wal.TypeCLR:
-			next = rec.UndoNextLSN
 		case wal.TypeInsert, wal.TypeDelete, wal.TypeUpdate:
 			ops++
 		}
-		cur = next
+		return nil
+	})
+	if err != nil {
+		return wal.NilLSN, 0, fmt.Errorf("asof: commit chain: %w", err)
 	}
 	return begin, ops, nil
 }
@@ -195,45 +189,29 @@ func UndoTransaction(db *engine.DB, commitLSN wal.LSN, force bool) (UndoReport, 
 	// safe here.
 	rdr := db.Log().ChainReader()
 	defer rdr.Close()
-	cur := commit.PrevLSN
-	for cur != wal.NilLSN {
-		rec, err := rdr.Read(cur)
-		if err != nil {
-			tx.Rollback()
-			return report, err
-		}
-		next := rec.PrevLSN
+	_, err = wal.WalkTxnChain(rdr.Read, commit.PrevLSN, func(rec *wal.Record) error {
+		var err error
 		switch rec.Type {
-		case wal.TypeBegin:
-			cur = wal.NilLSN
-			continue
-		case wal.TypeCLR:
-			next = rec.UndoNextLSN
 		case wal.TypeInsert:
-			if err := undoOneInsert(tx, tables, rec, force); err != nil {
-				tx.Rollback()
-				return report, err
+			if err = undoOneInsert(tx, tables, rec, force); err == nil {
+				report.InsertsRemoved++
 			}
-			report.InsertsRemoved++
 		case wal.TypeDelete:
-			if err := undoOneDelete(tx, tables, rec); err != nil {
-				tx.Rollback()
-				return report, err
+			if err = undoOneDelete(tx, tables, rec); err == nil {
+				report.DeletesRestored++
 			}
-			report.DeletesRestored++
 		case wal.TypeUpdate:
-			if err := undoOneUpdate(tx, db, tables, rec, force); err != nil {
-				tx.Rollback()
-				return report, err
+			if err = undoOneUpdate(tx, db, tables, rec, force); err == nil {
+				report.UpdatesReverted++
 			}
-			report.UpdatesReverted++
 		}
-		cur = next
-	}
-	if err := tx.Commit(); err != nil {
+		return err
+	})
+	if err != nil {
+		tx.Rollback()
 		return report, err
 	}
-	return report, nil
+	return report, tx.Commit()
 }
 
 // rootTableIndex maps B-Tree root page ids (the ObjectID in log records) to

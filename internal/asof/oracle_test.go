@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/backup"
 	"repro/internal/engine"
 	"repro/internal/row"
 	"repro/internal/storage/page"
@@ -227,6 +229,12 @@ func TestAsOfOracle(t *testing.T) {
 		}
 	}
 	o.commit(setup)
+	// The restore baseline starts from a full backup taken here and replays
+	// the whole schedule, crash and recovery CLRs included, up to the instant.
+	bak, err := backup.Full(o.db, filepath.Join(t.TempDir(), "oracle.bak"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for id := 0; id < 120; id++ {
 		o.ids = append(o.ids, id)
 	}
@@ -346,7 +354,7 @@ func TestAsOfOracle(t *testing.T) {
 	// that kept and that changed the row's length in place, and updates that
 	// did not fit their page (a plain delete record no Delete call explains).
 	var inPlaceSame, inPlaceResized, plainDeletes int
-	err := o.db.Log().Scan(o.db.Log().TruncationPoint(), func(rec *wal.Record) (bool, error) {
+	err = o.db.Log().Scan(o.db.Log().TruncationPoint(), func(rec *wal.Record) (bool, error) {
 		switch {
 		case rec.Type == wal.TypeUpdate && len(rec.OldData) == len(rec.NewData):
 			inPlaceSame++
@@ -371,21 +379,46 @@ func TestAsOfOracle(t *testing.T) {
 	if len(instants) > oracleInstants {
 		instants = instants[:oracleInstants]
 	}
-	for _, at := range instants {
-		if err := o.checkInstant(at); err != nil {
+	restoreDir := t.TempDir()
+	restoredInflight := 0
+	for i, at := range instants {
+		s, err := CreateSnapshot(o.db, at, nil)
+		if err == nil {
+			err = o.checkInstant(s, at)
+			if i%5 == 0 && len(s.Point().ATT) > 0 {
+				restoredInflight++
+			}
+			s.Close()
+		}
+		if err != nil {
 			t.Fatalf("seed %d, as of %s: %v", seed, at.Format(time.RFC3339Nano), err)
 		}
+		if i%5 != 0 {
+			continue
+		}
+		rst, err := backup.RestoreToTime(bak, o.db.Log(), at, filepath.Join(restoreDir, fmt.Sprintf("r%d.db", i)), nil)
+		if err == nil {
+			err = o.checkInstant(rst, at)
+			rst.Close()
+		}
+		if err != nil {
+			t.Fatalf("seed %d, restored to %s: %v", seed, at.Format(time.RFC3339Nano), err)
+		}
 	}
+	t.Logf("oracle: %d instants checked on snapshots, every 5th also restored from the backup (%d of those with transactions in flight)",
+		len(instants), restoredInflight)
 }
 
-// checkInstant mounts a snapshot as of at and compares Scan, GetMany and Get
-// on both tables with the model.
-func (o *oracleRun) checkInstant(at time.Time) error {
-	s, err := CreateSnapshot(o.db, at, nil)
-	if err != nil {
-		return err
-	}
-	defer s.Close()
+// asOfReader is the read surface an as-of snapshot and a restored backup share.
+type asOfReader interface {
+	Scan(table string, from, to row.Row, fn func(row.Row) bool) error
+	GetMany(table string, keys []row.Row) ([]row.Row, error)
+	Get(table string, keyVals row.Row) (row.Row, bool, error)
+}
+
+// checkInstant compares Scan, GetMany and Get on both tables of s, a view of
+// the database as of at, with the model.
+func (o *oracleRun) checkInstant(s asOfReader, at time.Time) error {
 	for _, table := range oracleTables {
 		want := o.model.asOf(table, at)
 		ids := make([]int, 0, len(want))
@@ -479,5 +512,33 @@ func TestRewindOverAForeignRowIsChainBroken(t *testing.T) {
 	err = PreparePageAsOf(page.FromBytes(buf), split, db.Log(), nil)
 	if !errors.Is(err, ErrChainBroken) || !errors.Is(err, wal.ErrChainCorrupt) {
 		t.Fatalf("rewind over a changed row: %v, want ErrChainBroken wrapping wal.ErrChainCorrupt", err)
+	}
+}
+
+// TestSnapshotUndoOfAnAllocByteOffThePageIsChainCorrupt: an in-flight
+// transaction's allocation bitmap record whose byte index lies past the page
+// fails the snapshot's background undo with wal.ErrChainCorrupt. The
+// snapshot's own copy of that undo indexed the page unchecked and panicked
+// in the undo goroutine, killing the process.
+func TestSnapshotUndoOfAnAllocByteOffThePageIsChainCorrupt(t *testing.T) {
+	db := openDB(t, newVClock(), engine.Options{})
+	exec(t, db, func(tx *engine.Txn) error { return tx.CreateTable(testSchema("t")) })
+	const txn = 1 << 40
+	begin, err := db.Log().Append(&wal.Record{Type: wal.TypeBegin, TxnID: txn, PageID: wal.NoPage})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Log().Append(&wal.Record{Type: wal.TypeAllocBits, TxnID: txn, PrevLSN: begin,
+		PageID: 1, Slot: 9000, OldData: []byte{0}, NewData: []byte{1}}); err != nil {
+		t.Fatal(err)
+	}
+	exec(t, db, func(tx *engine.Txn) error { return tx.Insert("t", testRow(1, "x", 1)) })
+	s, err := CreateSnapshotAtLSN(db, db.Log().NextLSN()-1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.WaitUndo(); !errors.Is(err, wal.ErrChainCorrupt) {
+		t.Fatalf("undo of an alloc byte past the page: %v, want wal.ErrChainCorrupt", err)
 	}
 }

@@ -1,7 +1,6 @@
 package asof
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 	"slices"
@@ -14,18 +13,12 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/row"
-	"repro/internal/storage/buffer"
 	"repro/internal/storage/media"
 	"repro/internal/storage/page"
 	"repro/internal/storage/sidefile"
 	"repro/internal/txn"
 	"repro/internal/wal"
 )
-
-// snapAllocBase is where snapshot-local page ids begin. Pages allocated by
-// the snapshot's own logical undo (e.g. a split while re-inserting a row)
-// live only in the side file and must never collide with primary pages.
-const snapAllocBase = uint32(1) << 28
 
 // maxBatchLeaves bounds one batch rewind (prepareBatch): the leaves a scan
 // prepares ahead of its cursor and the leaves one GetMany step covers. It
@@ -41,14 +34,19 @@ const maxBatchLeaves = 64
 // same catalog and B-Tree machinery as the primary. Prior page versions are
 // produced lazily — only for pages queries actually touch (§5.3) — and
 // cached in a sparse side file.
+//
+// Its btree.Store — the read path of queries and the write path of the
+// logical undo of in-flight transactions, never logged — is the embedded
+// engine.UnloggedStore, whose pool reads through snapSource.
 type Snapshot struct {
+	*engine.UnloggedStore
+
 	db    *engine.DB
 	point SplitPoint
 	asOf  time.Time
 
 	side   *sidefile.File
 	writer *sidefile.Writer // async write-behind front for side
-	pool   *buffer.Pool
 	stats  Stats
 
 	locks     *txn.LockManager // §5.2: locks of in-flight txns, reacquired
@@ -56,21 +54,15 @@ type Snapshot struct {
 	pending   atomic.Int32     // in-flight transactions not yet undone
 	queryIDs  atomic.Uint64    // ephemeral reader ids for the lock barrier
 
-	// treeLocks maps B-Tree roots to snapshot-local tree locks; read-mostly
-	// after the first few queries, hence sync.Map rather than a mutexed map
-	// (concurrent snapshot scans hit TreeLock on every descent).
-	treeLocks sync.Map // page.ID -> *sync.RWMutex
-
 	// ready parks the pages a batch rewind has prepared until the pool
 	// asks for them (snapSource.ReadPage); it is empty between batches.
 	readyMu sync.Mutex
 	ready   map[page.ID][]byte
 
-	mu        sync.Mutex
-	undoErr   error
-	undoDone  chan struct{}
-	nextLocal uint32
-	closed    bool
+	mu       sync.Mutex
+	undoErr  error
+	undoDone chan struct{}
+	closed   bool
 }
 
 // CreateSnapshot mounts an as-of snapshot of db at the given wall-clock
@@ -146,14 +138,9 @@ func newSnapshot(db *engine.DB, point SplitPoint, asOf time.Time, sideDev *media
 		locks:     txn.NewLockManager(30 * time.Second),
 		lockOwner: 1,
 		undoDone:  make(chan struct{}),
-		nextLocal: snapAllocBase,
 		ready:     make(map[page.ID][]byte),
 	}
-	s.pool = buffer.New(buffer.Config{
-		Frames:    db.SnapshotFrames(),
-		Source:    (*snapSource)(s),
-		Checksums: true,
-	})
+	s.UnloggedStore = engine.NewUnloggedStore(db.SnapshotFrames(), (*snapSource)(s), point.SplitLSN)
 	s.pending.Store(int32(len(point.ATT)))
 
 	// Redo pass (§5.2): no page I/O — pages ≤ SplitLSN are durable and
@@ -164,7 +151,7 @@ func newSnapshot(db *engine.DB, point SplitPoint, asOf time.Time, sideDev *media
 	if err := s.reacquireLocks(); err != nil {
 		s.writer.Close()
 		side.Close()
-		s.pool.Destroy()
+		s.Pool().Destroy()
 		return nil, err
 	}
 
@@ -218,7 +205,7 @@ func (s *Snapshot) Close() error {
 	if cerr := s.side.Close(); err == nil {
 		err = cerr
 	}
-	s.pool.Destroy() // recycle the snapshot's frames
+	s.Pool().Destroy() // recycle the snapshot's frames
 
 	// Fold the snapshot's chain-walk work into the database-wide counters
 	// (the per-snapshot Stats stay readable via Stats() while mounted; log
@@ -257,7 +244,7 @@ func (src *snapSource) ReadPage(id page.ID, buf []byte) error {
 	if ok {
 		return nil
 	}
-	if uint32(id) >= snapAllocBase {
+	if s.IsLocalPage(id) {
 		return fmt.Errorf("asof: snapshot-local page %d lost from side file", id)
 	}
 	s.readyMu.Lock()
@@ -305,7 +292,7 @@ func copyPrimary(db *engine.DB, id page.ID, buf []byte) error {
 func (s *Snapshot) prepareBatch(ids []page.ID) error {
 	var want []page.ID
 	for _, id := range ids {
-		if uint32(id) < snapAllocBase && !s.writer.Has(id) {
+		if !s.IsLocalPage(id) && !s.writer.Has(id) {
 			want = append(want, id)
 		}
 	}
@@ -337,7 +324,7 @@ func (s *Snapshot) prepareBatch(ids []page.ID) error {
 		s.readyMu.Unlock()
 	}()
 	for _, id := range want {
-		h, err := s.pool.Fetch(id, false)
+		h, err := s.Pool().Fetch(id, false)
 		if err != nil {
 			return err
 		}
@@ -353,91 +340,6 @@ func (src *snapSource) WritePage(id page.ID, buf []byte) error {
 	return (*Snapshot)(src).writer.Enqueue(id, buf)
 }
 
-// --- btree.Store implementation (read path for queries, write path for
-// the logical undo of in-flight transactions; never logged) ---
-
-// Fetch returns a latched handle through the snapshot pool.
-func (s *Snapshot) Fetch(id page.ID, excl bool) (btree.Handle, error) {
-	h, err := s.pool.Fetch(id, excl)
-	if err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-// Alloc creates a snapshot-local page (undo-time splits only).
-func (s *Snapshot) Alloc(objectID uint32, t page.Type, level uint8) (btree.Handle, error) {
-	s.mu.Lock()
-	id := page.ID(s.nextLocal)
-	s.nextLocal++
-	s.mu.Unlock()
-	h, err := s.pool.NewPage(id)
-	if err != nil {
-		return nil, err
-	}
-	h.Page().Format(id, t, level)
-	h.Page().SetPageLSN(uint64(s.point.SplitLSN))
-	h.MarkDirty()
-	return h, nil
-}
-
-// Free is a no-op: the snapshot is read-only and short-lived; side-file
-// space is reclaimed when the snapshot is dropped.
-func (s *Snapshot) Free(objectID uint32, id page.ID) error { return nil }
-
-func (s *Snapshot) applyDirect(h btree.Handle, fn func(p *page.Page) error) error {
-	bh := h.(*buffer.Handle)
-	if err := fn(bh.Page()); err != nil {
-		return err
-	}
-	bh.MarkDirty()
-	return nil
-}
-
-// InsertRec applies a slot insert to the snapshot copy (not logged —
-// "this modified page is then written back to the side file", §5.2).
-func (s *Snapshot) InsertRec(h btree.Handle, objectID uint32, slot int, rec []byte) error {
-	return s.applyDirect(h, func(p *page.Page) error { return p.InsertAt(slot, rec) })
-}
-
-// DeleteRec applies a slot delete to the snapshot copy.
-func (s *Snapshot) DeleteRec(h btree.Handle, objectID uint32, slot int) error {
-	return s.applyDirect(h, func(p *page.Page) error {
-		_, err := p.DeleteAt(slot)
-		return err
-	})
-}
-
-// UpdateRec applies a slot update to the snapshot copy.
-func (s *Snapshot) UpdateRec(h btree.Handle, objectID uint32, slot int, rec []byte) error {
-	return s.applyDirect(h, func(p *page.Page) error { return p.UpdateAt(slot, rec) })
-}
-
-// Reformat formats a snapshot copy in place.
-func (s *Snapshot) Reformat(h btree.Handle, objectID uint32, t page.Type, level uint8) error {
-	return s.applyDirect(h, func(p *page.Page) error {
-		id := p.ID()
-		p.Format(id, t, level)
-		p.SetPageLSN(uint64(s.point.SplitLSN))
-		return nil
-	})
-}
-
-// BeginNTA/EndNTA are no-ops: nothing is logged on a snapshot.
-func (s *Snapshot) BeginNTA() uint64 { return 0 }
-func (s *Snapshot) EndNTA(uint64)    {}
-
-// TreeLock returns a snapshot-local tree lock. Lock-free on the hot path:
-// every query descent fetches the tree lock, so the read-mostly map must
-// not serialize concurrent readers on the snapshot mutex.
-func (s *Snapshot) TreeLock(root page.ID) *sync.RWMutex {
-	if l, ok := s.treeLocks.Load(root); ok {
-		return l.(*sync.RWMutex)
-	}
-	l, _ := s.treeLocks.LoadOrStore(root, &sync.RWMutex{})
-	return l.(*sync.RWMutex)
-}
-
 // --- §5.2: lock reacquisition and background logical undo ---
 
 // reacquireLocks takes, on the snapshot's private lock table, an exclusive
@@ -448,27 +350,19 @@ func (s *Snapshot) reacquireLocks() error {
 	rdr := s.db.Log().ChainReader()
 	defer rdr.Close()
 	for _, e := range s.point.ATT {
-		cur := e.LastLSN
-		for cur != wal.NilLSN {
-			rec, err := rdr.Read(cur)
-			if err != nil {
-				return fmt.Errorf("asof: lock reacquisition read %v: %w", cur, err)
-			}
-			next := rec.PrevLSN
+		_, err := wal.WalkTxnChain(rdr.Read, e.LastLSN, func(rec *wal.Record) error {
 			switch rec.Type {
-			case wal.TypeBegin:
-				cur = wal.NilLSN
-				continue
-			case wal.TypeCLR:
-				next = rec.UndoNextLSN
 			case wal.TypeInsert, wal.TypeDelete, wal.TypeUpdate:
 				key, err := rec.RowKey()
 				if err != nil {
-					return fmt.Errorf("asof: lock reacquisition at %v: %w", cur, err)
+					return fmt.Errorf("at %v: %w", rec.LSN, err)
 				}
 				s.lockRowX(rec.ObjectID, key)
 			}
-			cur = next
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("asof: lock reacquisition: %w", err)
 		}
 	}
 	return nil
@@ -481,10 +375,11 @@ func (s *Snapshot) lockRowX(objectID uint32, key []byte) {
 }
 
 // backgroundUndo logically undoes the in-flight transactions against the
-// snapshot (§5.2): rows are re-located by key through the snapshot's as-of
-// B-Trees and inverse operations applied, the fixed pages landing in the
-// side file. Queries proceed concurrently, blocked only by the reacquired
-// locks of rows not yet undone.
+// snapshot (§5.2) with the shared unlogged undo (engine.UnloggedStore.UndoTxn):
+// rows are re-located by key through the snapshot's as-of B-Trees and inverse
+// operations applied, the fixed pages landing in the side file. Queries
+// proceed concurrently, blocked only by the reacquired locks of rows not yet
+// undone.
 //
 // Transactions are undone in parallel: they held exclusive row locks at
 // the SplitLSN, so their row sets are disjoint, and page-level ordering is
@@ -501,42 +396,36 @@ func (s *Snapshot) backgroundUndo() {
 	if workers > 4 {
 		workers = 4
 	}
-	var firstErr error
-	if workers <= 1 {
-		for _, e := range att {
-			if err := s.undoTxn(e); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			s.pending.Add(-1)
-		}
-	} else {
-		var (
-			wg    sync.WaitGroup
-			errMu sync.Mutex
-			work  = make(chan wal.ATTEntry)
-		)
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for e := range work {
-					if err := s.undoTxn(e); err != nil {
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						errMu.Unlock()
+	var (
+		wg       sync.WaitGroup
+		errMu    sync.Mutex
+		firstErr error
+		work     = make(chan wal.ATTEntry)
+	)
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for e := range work {
+				rdr := s.db.Log().ChainReader()
+				err := s.UndoTxn(rdr.Read, e)
+				rdr.Close()
+				if err != nil {
+					errMu.Lock()
+					if firstErr == nil {
+						firstErr = fmt.Errorf("asof: snapshot %w", err)
 					}
-					s.pending.Add(-1)
+					errMu.Unlock()
 				}
-			}()
-		}
-		for _, e := range att {
-			work <- e
-		}
-		close(work)
-		wg.Wait()
+				s.pending.Add(-1)
+			}
+		}()
 	}
+	for _, e := range att {
+		work <- e
+	}
+	close(work)
+	wg.Wait()
 	// All transactions undone: release every reacquired lock.
 	s.locks.ReleaseAll(s.lockOwner)
 	if firstErr != nil {
@@ -544,82 +433,6 @@ func (s *Snapshot) backgroundUndo() {
 		s.undoErr = firstErr
 		s.mu.Unlock()
 	}
-}
-
-func (s *Snapshot) undoTxn(e wal.ATTEntry) error {
-	rdr := s.db.Log().ChainReader()
-	defer rdr.Close()
-	cur := e.LastLSN
-	for cur != wal.NilLSN {
-		rec, err := rdr.Read(cur)
-		if err != nil {
-			return fmt.Errorf("asof: undo read %v: %w", cur, err)
-		}
-		next := rec.PrevLSN
-		if rec.Flags&wal.FlagNTA != 0 && rec.Type != wal.TypeCLR {
-			// The SplitLSN fell inside a structure modification: undo this
-			// record physically on the as-of page. The SMO held its latches
-			// across all its records, so the as-of page tail is exactly
-			// this record and slot-level undo is valid.
-			if err := s.undoPhysicalOnSnapshot(rec); err != nil {
-				return fmt.Errorf("asof: snapshot physical undo at %v: %w", rec.LSN, err)
-			}
-			cur = next
-			continue
-		}
-		switch rec.Type {
-		case wal.TypeBegin:
-			return nil
-		case wal.TypeCLR:
-			next = rec.UndoNextLSN
-		case wal.TypeInsert, wal.TypeDelete, wal.TypeUpdate:
-			if err := engine.UndoRowOp(s, rec); err != nil {
-				return fmt.Errorf("asof: snapshot undo %v at %v: %w", rec.Type, rec.LSN, err)
-			}
-		case wal.TypeAllocBits:
-			if err := s.undoAllocBitsOnSnapshot(rec); err != nil {
-				return err
-			}
-		}
-		cur = next
-	}
-	return nil
-}
-
-// undoPhysicalOnSnapshot reverses one mid-NTA record on the snapshot copy
-// of its page (unlogged — snapshot fixes live only in the side file).
-func (s *Snapshot) undoPhysicalOnSnapshot(rec *wal.Record) error {
-	if rec.Type == wal.TypeAllocBits {
-		return s.undoAllocBitsOnSnapshot(rec)
-	}
-	if rec.Type == wal.TypeImage {
-		return nil
-	}
-	h, err := s.pool.Fetch(page.ID(rec.PageID), true)
-	if err != nil {
-		return err
-	}
-	defer h.Release()
-	if err := wal.Undo(h.Page(), rec); err != nil {
-		return err
-	}
-	h.MarkDirty()
-	return nil
-}
-
-func (s *Snapshot) undoAllocBitsOnSnapshot(rec *wal.Record) error {
-	h, err := s.pool.Fetch(page.ID(rec.PageID), true)
-	if err != nil {
-		return err
-	}
-	defer h.Release()
-	if len(rec.OldData) != 1 {
-		return errors.New("asof: allocbits record without undo byte")
-	}
-	buf := h.Page().Bytes()
-	buf[64+int(rec.Slot)] = rec.OldData[0]
-	h.MarkDirty()
-	return nil
 }
 
 // --- read-only query API (mirrors the engine's DML read surface) ---

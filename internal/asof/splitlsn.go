@@ -95,9 +95,9 @@ func ResolveLSN(db *engine.DB, split wal.LSN) (SplitPoint, error) {
 	return resolveAt(db, split, ckptBegin, ckptEnd)
 }
 
-// resolveAt runs the analysis pass (§5.2): rebuild the table of
-// transactions in flight at the SplitLSN by replaying log records over a
-// seed ATT.
+// resolveAt runs the analysis pass (§5.2) — crash recovery's
+// engine.RecoveryState — to rebuild the table of transactions in flight at
+// the SplitLSN by replaying log records over a seed ATT.
 //
 // The seed is the newest available capture at or before the split: an
 // engine AnalysisMark (a commitGate ATT capture taken every ~256 KiB of
@@ -114,19 +114,12 @@ func ResolveLSN(db *engine.DB, split wal.LSN) (SplitPoint, error) {
 // re-added such transactions after their commit had been processed, making
 // snapshots undo committed work.)
 func resolveAt(db *engine.DB, split, ckptBegin, ckptEnd wal.LSN) (SplitPoint, error) {
-	att := make(map[uint64]*wal.ATTEntry)
+	st := engine.NewRecoveryState()
 	scanFrom := ckptBegin
-	var scanned int64
-	seeded := false
 	if mark, ok := db.AnalysisMarkAtOrBefore(split); ok && mark.Begin > scanFrom {
-		for i := range mark.ATT {
-			e := mark.ATT[i]
-			att[e.TxnID] = &e
-		}
+		st.Seed(mark.ATT)
 		scanFrom = mark.Begin
-		seeded = true
-	}
-	if !seeded && ckptEnd != wal.NilLSN && ckptEnd <= split {
+	} else if ckptEnd != wal.NilLSN && ckptEnd <= split {
 		rec, err := db.Log().Read(ckptEnd)
 		if err != nil {
 			return SplitPoint{}, fmt.Errorf("asof: checkpoint end %v: %w", ckptEnd, err)
@@ -135,40 +128,21 @@ func resolveAt(db *engine.DB, split, ckptBegin, ckptEnd wal.LSN) (SplitPoint, er
 		if err != nil {
 			return SplitPoint{}, err
 		}
-		for i := range data.ATT {
-			e := data.ATT[i]
-			att[e.TxnID] = &e
-		}
+		st.Seed(data.ATT)
 	}
+	var scanned int64
 	err := db.Log().Scan(scanFrom, func(rec *wal.Record) (bool, error) {
 		if rec.LSN > split {
 			return false, nil
 		}
 		scanned += int64(rec.ApproxSize())
-		switch rec.Type {
-		case wal.TypeBegin:
-			att[rec.TxnID] = &wal.ATTEntry{TxnID: rec.TxnID, LastLSN: rec.LSN, BeginLSN: rec.LSN}
-		case wal.TypeCommit, wal.TypeAbort:
-			delete(att, rec.TxnID)
-		default:
-			if rec.TxnID != 0 {
-				if e, ok := att[rec.TxnID]; ok {
-					e.LastLSN = rec.LSN
-				} else {
-					att[rec.TxnID] = &wal.ATTEntry{TxnID: rec.TxnID, LastLSN: rec.LSN}
-				}
-			}
-		}
+		st.Observe(rec)
 		return true, nil
 	})
 	if err != nil {
 		return SplitPoint{}, err
 	}
-	sp := SplitPoint{SplitLSN: split, CkptBegin: ckptBegin, LogScanned: scanned}
-	for _, e := range att {
-		sp.ATT = append(sp.ATT, *e)
-	}
-	return sp, nil
+	return SplitPoint{SplitLSN: split, CkptBegin: ckptBegin, ATT: st.Inflight(), LogScanned: scanned}, nil
 }
 
 // newestCheckpointNotAfter finds the newest checkpoint whose wall-clock

@@ -12,16 +12,13 @@
 package backup
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/btree"
 	"repro/internal/catalog"
 	"repro/internal/engine"
 	"repro/internal/row"
-	"repro/internal/storage/buffer"
 	"repro/internal/storage/disk"
 	"repro/internal/storage/media"
 	"repro/internal/storage/page"
@@ -110,20 +107,14 @@ func Full(db *engine.DB, path string, dev *media.Device) (Manifest, error) {
 // Restored is a point-in-time restored database: a full copy rolled forward
 // to the target, with in-flight transactions undone. It serves the same
 // read-only query surface as an as-of snapshot, so the paper's recovery
-// walkthrough works identically against either mechanism.
+// walkthrough works identically against either mechanism; its btree.Store is
+// the embedded engine.UnloggedStore, whose pool reads the restored file.
 type Restored struct {
+	*engine.UnloggedStore
+
 	data  *disk.File
-	pool  *buffer.Pool
 	roots catalog.Roots
-
-	mu        sync.Mutex
-	treeLocks map[page.ID]*sync.RWMutex
-	nextLocal uint32
 }
-
-// restoreLocalBase mirrors the snapshot-local page range for pages created
-// by the restore-time undo pass.
-const restoreLocalBase = uint32(1) << 28
 
 // RestoreToTime restores the backup to destPath and rolls it forward to the
 // last transaction committed at or before target, reading the log from
@@ -179,44 +170,26 @@ func RestoreToLSN(m Manifest, srcLog LogSource, split wal.LSN, destPath string, 
 		return nil, err
 	}
 
-	r := &Restored{
-		data:      dst,
-		treeLocks: make(map[page.ID]*sync.RWMutex),
-		nextLocal: restoreLocalBase,
-	}
-	r.pool = buffer.New(buffer.Config{Frames: 512, Source: (*restoreSource)(r), Checksums: true})
+	r := &Restored{data: dst}
+	r.UnloggedStore = engine.NewUnloggedStore(512, (*restoreSource)(r), split)
 	if err := r.readBoot(); err != nil {
 		dst.Close()
 		return nil, err
 	}
 
-	// 2. Redo: replay the log forward from the backup point to the split.
-	att := make(map[uint64]*wal.ATTEntry)
+	// 2. Analysis and redo in one forward pass from the backup point to the
+	// split — crash recovery's passes, on the restored pool. The backup's
+	// checkpoint ATT seeds the analysis when the split is past its end record.
+	st := engine.NewRecoveryState()
+	if m.CkptEnd != wal.NilLSN && m.CkptEnd <= split {
+		st.Seed(m.ATT)
+	}
 	err = srcLog.Scan(m.BackupLSN, func(rec *wal.Record) (bool, error) {
 		if rec.LSN > split {
 			return false, nil
 		}
-		switch rec.Type {
-		case wal.TypeBegin:
-			att[rec.TxnID] = &wal.ATTEntry{TxnID: rec.TxnID, LastLSN: rec.LSN, BeginLSN: rec.LSN}
-		case wal.TypeCommit, wal.TypeAbort:
-			delete(att, rec.TxnID)
-		case wal.TypeCheckpointBegin, wal.TypeCheckpointEnd:
-		default:
-			if rec.TxnID != 0 {
-				if e, ok := att[rec.TxnID]; ok {
-					e.LastLSN = rec.LSN
-				} else {
-					att[rec.TxnID] = &wal.ATTEntry{TxnID: rec.TxnID, LastLSN: rec.LSN}
-				}
-			}
-			if rec.IsPageOp() && rec.PageID != wal.NoPage {
-				if err := r.redoOne(rec); err != nil {
-					return false, err
-				}
-			}
-		}
-		return true, nil
+		st.Observe(rec)
+		return true, engine.RedoInto(r.Pool(), rec)
 	})
 	if err != nil {
 		dst.Close()
@@ -224,10 +197,10 @@ func RestoreToLSN(m Manifest, srcLog LogSource, split wal.LSN, destPath string, 
 	}
 
 	// 3. Undo in-flight transactions at the split (logical, unlogged).
-	for _, e := range att {
-		if err := r.undoTxn(srcLog, *e); err != nil {
+	for _, e := range st.Inflight() {
+		if err := r.UndoTxn(srcLog.Read, e); err != nil {
 			dst.Close()
-			return nil, fmt.Errorf("backup: restore undo: %w", err)
+			return nil, fmt.Errorf("backup: restore %w", err)
 		}
 	}
 	return r, nil
@@ -251,83 +224,6 @@ func (r *Restored) readBoot() error {
 	return nil
 }
 
-func (r *Restored) redoOne(rec *wal.Record) error {
-	h, err := r.pool.Fetch(page.ID(rec.PageID), true)
-	if err != nil {
-		if errors.Is(err, disk.ErrPastEOF) {
-			h, err = r.pool.NewPage(page.ID(rec.PageID))
-		}
-		if err != nil {
-			return err
-		}
-	}
-	defer h.Release()
-	if err := wal.Redo(h.Page(), rec); err != nil {
-		return err
-	}
-	h.MarkDirty()
-	return nil
-}
-
-func (r *Restored) undoTxn(srcLog LogSource, e wal.ATTEntry) error {
-	cur := e.LastLSN
-	for cur != wal.NilLSN {
-		rec, err := srcLog.Read(cur)
-		if err != nil {
-			return err
-		}
-		next := rec.PrevLSN
-		if rec.Flags&wal.FlagNTA != 0 && rec.Type != wal.TypeCLR {
-			// Restore target fell inside a structure modification: undo the
-			// record physically (see wal.FlagNTA).
-			if err := r.undoPhysical(rec); err != nil {
-				return err
-			}
-			cur = next
-			continue
-		}
-		switch rec.Type {
-		case wal.TypeBegin:
-			return nil
-		case wal.TypeCLR:
-			next = rec.UndoNextLSN
-		case wal.TypeInsert, wal.TypeDelete, wal.TypeUpdate:
-			if err := engine.UndoRowOp(r, rec); err != nil {
-				return err
-			}
-		case wal.TypeAllocBits:
-			h, err := r.pool.Fetch(page.ID(rec.PageID), true)
-			if err != nil {
-				return err
-			}
-			h.Page().Bytes()[64+int(rec.Slot)] = rec.OldData[0]
-			h.MarkDirty()
-			h.Release()
-		}
-		cur = next
-	}
-	return nil
-}
-
-// undoPhysical reverses one mid-NTA record on the restored page (unlogged).
-func (r *Restored) undoPhysical(rec *wal.Record) error {
-	if rec.Type == wal.TypeImage {
-		return nil
-	}
-	h, err := r.pool.Fetch(page.ID(rec.PageID), true)
-	if err != nil {
-		return err
-	}
-	defer h.Release()
-	if rec.Type == wal.TypeAllocBits {
-		h.Page().Bytes()[64+int(rec.Slot)] = rec.OldData[0]
-	} else if err := wal.Undo(h.Page(), rec); err != nil {
-		return err
-	}
-	h.MarkDirty()
-	return nil
-}
-
 // restoreSource reads/writes the restored data file.
 type restoreSource Restored
 
@@ -336,90 +232,10 @@ func (src *restoreSource) ReadPage(id page.ID, buf []byte) error {
 }
 
 func (src *restoreSource) WritePage(id page.ID, buf []byte) error {
-	if uint32(id) >= restoreLocalBase {
+	if (*Restored)(src).IsLocalPage(id) {
 		return nil // undo-scratch pages never persist
 	}
 	return (*Restored)(src).data.WritePage(id, buf)
-}
-
-// --- btree.Store (unlogged, for restore-time undo and queries) ---
-
-// Fetch returns a latched handle through the restored pool.
-func (r *Restored) Fetch(id page.ID, excl bool) (btree.Handle, error) {
-	h, err := r.pool.Fetch(id, excl)
-	if err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-// Alloc creates a restore-local scratch page (undo-time splits only).
-func (r *Restored) Alloc(objectID uint32, t page.Type, level uint8) (btree.Handle, error) {
-	r.mu.Lock()
-	id := page.ID(r.nextLocal)
-	r.nextLocal++
-	r.mu.Unlock()
-	h, err := r.pool.NewPage(id)
-	if err != nil {
-		return nil, err
-	}
-	h.Page().Format(id, t, level)
-	h.MarkDirty()
-	return h, nil
-}
-
-// Free is a no-op on a restored database.
-func (r *Restored) Free(objectID uint32, id page.ID) error { return nil }
-
-func (r *Restored) applyDirect(h btree.Handle, fn func(p *page.Page) error) error {
-	bh := h.(*buffer.Handle)
-	if err := fn(bh.Page()); err != nil {
-		return err
-	}
-	bh.MarkDirty()
-	return nil
-}
-
-// InsertRec applies a slot insert (unlogged).
-func (r *Restored) InsertRec(h btree.Handle, objectID uint32, slot int, rec []byte) error {
-	return r.applyDirect(h, func(p *page.Page) error { return p.InsertAt(slot, rec) })
-}
-
-// DeleteRec applies a slot delete (unlogged).
-func (r *Restored) DeleteRec(h btree.Handle, objectID uint32, slot int) error {
-	return r.applyDirect(h, func(p *page.Page) error {
-		_, err := p.DeleteAt(slot)
-		return err
-	})
-}
-
-// UpdateRec applies a slot update (unlogged).
-func (r *Restored) UpdateRec(h btree.Handle, objectID uint32, slot int, rec []byte) error {
-	return r.applyDirect(h, func(p *page.Page) error { return p.UpdateAt(slot, rec) })
-}
-
-// Reformat formats a page in place (unlogged).
-func (r *Restored) Reformat(h btree.Handle, objectID uint32, t page.Type, level uint8) error {
-	return r.applyDirect(h, func(p *page.Page) error {
-		p.Format(p.ID(), t, level)
-		return nil
-	})
-}
-
-// BeginNTA/EndNTA are no-ops (nothing is logged).
-func (r *Restored) BeginNTA() uint64 { return 0 }
-func (r *Restored) EndNTA(uint64)    {}
-
-// TreeLock returns a restore-local tree lock.
-func (r *Restored) TreeLock(root page.ID) *sync.RWMutex {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	l, ok := r.treeLocks[root]
-	if !ok {
-		l = &sync.RWMutex{}
-		r.treeLocks[root] = l
-	}
-	return l
 }
 
 // --- read-only query surface (same shape as asof.Snapshot) ---

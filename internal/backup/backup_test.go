@@ -1,6 +1,7 @@
 package backup
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/row"
 	"repro/internal/storage/media"
+	"repro/internal/wal"
 )
 
 type vclock struct {
@@ -195,6 +197,77 @@ func TestRestoreUndoesInFlight(t *testing.T) {
 		t.Fatalf("restore exposed uncommitted data: %v", rr)
 	}
 	inflight.Rollback()
+}
+
+// TestRestoreUndoesATransactionInFlightAtTheBackup: a transaction in flight
+// when the backup was taken, and silent from then to the restore target, is
+// in the backup image with its uncommitted change but in no record the
+// restore replays; the analysis seed from the backup checkpoint's ATT is what
+// gets it undone, as in crash recovery.
+func TestRestoreUndoesATransactionInFlightAtTheBackup(t *testing.T) {
+	clock := newVClock()
+	dir := t.TempDir()
+	db, err := engine.Open(filepath.Join(dir, "db"), engine.Options{Now: clock.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	exec(t, db, func(tx *engine.Txn) error { return tx.CreateTable(schema()) })
+	exec(t, db, func(tx *engine.Txn) error { return tx.Insert("t", r(1, "committed")) })
+	inflight, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inflight.Rollback()
+	if err := inflight.Update("t", r(1, "uncommitted")); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Full(db, filepath.Join(dir, "full.bak"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec(t, db, func(tx *engine.Txn) error { return tx.Insert("t", r(2, "later")) })
+	rst, err := RestoreToLSN(m, db.Log(), db.Log().NextLSN()-1, filepath.Join(dir, "restored.db"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rst.Close()
+	if rr, ok, err := rst.Get("t", row.Row{row.Int64(1)}); err != nil || !ok || rr[1].Str != "committed" {
+		t.Fatalf("row 1 restored as %v ok=%v err=%v, want the committed version", rr, ok, err)
+	}
+}
+
+// TestRestoreUndoOfAnAllocRecordWithoutUndoByteIsChainCorrupt: an in-flight
+// transaction's allocation bitmap record that carries no undo byte fails the
+// restore with wal.ErrChainCorrupt. The restore's own copy of that undo read
+// the byte unchecked and panicked.
+func TestRestoreUndoOfAnAllocRecordWithoutUndoByteIsChainCorrupt(t *testing.T) {
+	clock := newVClock()
+	dir := t.TempDir()
+	db, err := engine.Open(filepath.Join(dir, "db"), engine.Options{Now: clock.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	exec(t, db, func(tx *engine.Txn) error { return tx.CreateTable(schema()) })
+	m, err := Full(db, filepath.Join(dir, "full.bak"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const txn = 1 << 40
+	begin, err := db.Log().Append(&wal.Record{Type: wal.TypeBegin, TxnID: txn, PageID: wal.NoPage})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Log().Append(&wal.Record{Type: wal.TypeAllocBits, TxnID: txn, PrevLSN: begin,
+		PageID: 1, Slot: 0, NewData: []byte{1}}); err != nil {
+		t.Fatal(err)
+	}
+	exec(t, db, func(tx *engine.Txn) error { return tx.Insert("t", r(1, "x")) })
+	_, err = RestoreToLSN(m, db.Log(), db.Log().NextLSN()-1, filepath.Join(dir, "restored.db"), nil)
+	if !errors.Is(err, wal.ErrChainCorrupt) {
+		t.Fatalf("restore undo of an alloc record without its undo byte: %v, want wal.ErrChainCorrupt", err)
+	}
 }
 
 func TestRestoreRejectsPreBackupTarget(t *testing.T) {

@@ -12,8 +12,9 @@
 //
 // The tree is written against the Store interface, so the same code runs on
 // the primary database (where Store logs every page operation to the WAL)
-// and on as-of snapshots (where Store applies operations to side-file-backed
-// pages without logging, during the logical undo of in-flight transactions).
+// and on private copies — as-of snapshots and restored backups — where Store
+// applies operations to the copy's pages without logging, during the logical
+// undo of in-flight transactions.
 //
 // Concurrency: each tree has a tree-level RWMutex (from Store.TreeLock).
 // Reads and in-place writes hold it shared with page-latch coupling;
@@ -55,8 +56,9 @@ type Handle interface {
 }
 
 // Store provides latched page access and (on the primary) logged page
-// operations. Implementations: the engine's transaction (logged) and the
-// as-of snapshot (unlogged, side-file backed).
+// operations. Implementations: the engine's transaction (logged) and
+// engine.UnloggedStore (unlogged), which an as-of snapshot (side-file backed)
+// and a restored backup (its restored file) both embed.
 type Store interface {
 	// Fetch returns a latched handle on id (exclusive or shared).
 	Fetch(id page.ID, excl bool) (Handle, error)

@@ -20,13 +20,21 @@ import (
 //     generating CLRs, exactly as a runtime rollback would.
 //
 // The same passes, re-targeted at a SplitLSN instead of the end of log,
-// implement as-of snapshot recovery in the asof package — and, run as a
-// standing loop fed by shipped log instead of a bounded scan, continuous
-// replica redo in internal/repl. The per-record work is therefore factored
-// into resumable pieces: RecoveryState carries the incremental analysis
-// table, ObserveRecord folds one record into it, RedoRecord applies one
-// record's page effects, and UndoTransactions rolls back a set of in-flight
-// transactions. recover composes them over one log scan.
+// implement as-of snapshot recovery in the asof package and point-in-time
+// restore in the backup package — and, run as a standing loop fed by shipped
+// log instead of a bounded scan, continuous replica redo in internal/repl.
+// Each pass is written once, here, and every one of them calls it:
+//
+//   - analysis: RecoveryState (Seed with a checkpoint's or mark's ATT, then
+//     Observe each record in LSN order);
+//   - redo: RedoInto, one record into a buffer pool — the engine's, or a
+//     restored copy's;
+//   - undo: a backward walk of each in-flight transaction's chain
+//     (wal.WalkTxnChain), logged with CLRs on the engine (UndoTransactions)
+//     or unlogged on a private copy (UnloggedStore.UndoTxn); both undo a row
+//     operation with UndoRowOp.
+//
+// recover composes them over one log scan.
 func (db *DB) recover() error {
 	start := wal.LSN(1)
 	st := NewRecoveryState()
@@ -140,16 +148,45 @@ func (st *RecoveryState) Inflight() []wal.ATTEntry {
 	return out
 }
 
-// RedoRecord applies one record's page effects if the page has not seen
-// them (the pageLSN test makes it idempotent); non-page records are
-// ignored. Safe to call concurrently for records of DIFFERENT pages —
-// physiological redo touches exactly one page per record — which is what
-// lets a replica partition redo across workers by page id.
-func (db *DB) RedoRecord(rec *wal.Record) error {
+// RedoRecord is RedoInto on the engine's pool: crash recovery's redo and a
+// replica's standing apply.
+func (db *DB) RedoRecord(rec *wal.Record) error { return RedoInto(db.pool, rec) }
+
+// RedoInto applies one record's page effects to its page in pool if the page
+// has not seen them (the pageLSN test makes it idempotent); non-page records
+// are ignored. It is the one redo: crash recovery, standby apply and backup
+// restore replay through it. Safe to call concurrently for records of
+// DIFFERENT pages — physiological redo touches exactly one page per record —
+// which is what lets a replica partition redo across workers by page id.
+func RedoInto(pool *buffer.Pool, rec *wal.Record) error {
 	if !rec.IsPageOp() || rec.PageID == wal.NoPage {
 		return nil
 	}
-	return db.redoOne(rec)
+	id := page.ID(rec.PageID)
+	h, err := pool.Fetch(id, true)
+	if errors.Is(err, disk.ErrPastEOF) {
+		// The page was allocated but never reached the file before the
+		// crash (or the backup); its format record will rebuild it from zero.
+		h, err = pool.NewPage(id)
+	}
+	if err != nil {
+		return fmt.Errorf("redo %v at %v on page %d: %w", rec.Type, rec.LSN, rec.PageID, err)
+	}
+	defer h.Release()
+	p := h.Page()
+	if rec.Type == wal.TypeAllocBits && p.Type() != page.TypeAllocMap && p.PageLSN() == 0 {
+		// Allocation map pages are formatted directly (unlogged) when the
+		// engine creates them; a page rebuilt from scratch by redo — a
+		// replica starting from an empty directory, or a map page that
+		// never reached disk before a crash — sees its first AllocBits
+		// record on a fresh zero frame and must take the format here.
+		p.Format(id, page.TypeAllocMap, 0)
+	}
+	if err := wal.Redo(p, rec); err != nil {
+		return err
+	}
+	h.MarkDirty()
+	return nil
 }
 
 // UndoTransactions rolls back the given in-flight transactions with the
@@ -174,41 +211,4 @@ func (db *DB) UndoTransactions(att []wal.ATTEntry) error {
 		db.unregisterTxn(tx.id)
 	}
 	return nil
-}
-
-// redoOne applies a single record if the page has not seen it, fetching the
-// page (or materializing a fresh frame for pages that never reached disk).
-func (db *DB) redoOne(rec *wal.Record) error {
-	h, err := db.fetchForRedo(page.ID(rec.PageID))
-	if err != nil {
-		return fmt.Errorf("redo %v at %v on page %d: %w", rec.Type, rec.LSN, rec.PageID, err)
-	}
-	defer h.Release()
-	p := h.Page()
-	if rec.Type == wal.TypeAllocBits && p.Type() != page.TypeAllocMap && p.PageLSN() == 0 {
-		// Allocation map pages are formatted directly (unlogged) when the
-		// engine creates them; a page rebuilt from scratch by redo — a
-		// replica starting from an empty directory, or a map page that
-		// never reached disk before a crash — sees its first AllocBits
-		// record on a fresh zero frame and must take the format here.
-		p.Format(page.ID(rec.PageID), page.TypeAllocMap, 0)
-	}
-	if err := wal.Redo(p, rec); err != nil {
-		return err
-	}
-	h.MarkDirty()
-	return nil
-}
-
-func (db *DB) fetchForRedo(id page.ID) (*buffer.Handle, error) {
-	h, err := db.pool.Fetch(id, true)
-	if err == nil {
-		return h, nil
-	}
-	if errors.Is(err, disk.ErrPastEOF) {
-		// The page was allocated but never flushed before the crash; its
-		// format record will rebuild it from zero.
-		return db.pool.NewPage(id)
-	}
-	return nil, err
 }

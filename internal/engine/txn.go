@@ -544,8 +544,9 @@ func (tx *Txn) finish() {
 }
 
 // undoChain performs logical undo from the given LSN back to the Begin
-// record. It is shared by runtime rollback and crash-recovery undo (§5.2's
-// snapshot recovery uses the snapshot-side equivalent).
+// record, logging a CLR per compensation. It is shared by runtime rollback
+// and crash-recovery undo (§5.2's snapshot recovery and a restore use the
+// unlogged UnloggedStore.UndoTxn over the same walk).
 func (tx *Txn) undoChain(from wal.LSN) error {
 	tx.rollingBack = true
 	defer func() { tx.rollingBack = false }()
@@ -553,83 +554,37 @@ func (tx *Txn) undoChain(from wal.LSN) error {
 	// records lie; Manager.Read would fetch it again for every one of them.
 	rdr := tx.db.log.ChainReader()
 	defer rdr.Close()
-	cur := from
-	for cur != wal.NilLSN {
-		rec, err := rdr.Read(cur)
-		if err != nil {
-			return fmt.Errorf("engine: undo read %v: %w", cur, err)
+	_, err := wal.WalkTxnChain(rdr.Read, from, func(rec *wal.Record) error {
+		if rec.Type == wal.TypeCLR {
+			return nil
 		}
-		next := rec.PrevLSN
-		if rec.Flags&wal.FlagNTA != 0 && rec.Type != wal.TypeCLR {
+		tx.undoNext = rec.PrevLSN
+		if rec.Flags&wal.FlagNTA != 0 {
 			// The chain was cut inside a structure modification: compensate
 			// this record physically (the page's tail is exactly this
 			// record — the SMO held its latches, so no later records
 			// intervene on the page).
-			tx.undoNext = rec.PrevLSN
 			if err := tx.undoPhysical(rec); err != nil {
 				return fmt.Errorf("engine: physical undo at %v: %w", rec.LSN, err)
 			}
-			cur = next
-			continue
+			return nil
 		}
 		switch rec.Type {
-		case wal.TypeBegin:
-			return nil
-		case wal.TypeCLR:
-			next = rec.UndoNextLSN
 		case wal.TypeInsert, wal.TypeDelete, wal.TypeUpdate:
-			tx.undoNext = rec.PrevLSN
 			if err := UndoRowOp(tx, rec); err != nil {
 				return fmt.Errorf("engine: undo %v at %v: %w", rec.Type, rec.LSN, err)
 			}
 		case wal.TypeAllocBits:
-			tx.undoNext = rec.PrevLSN
 			if err := tx.undoAllocBits(rec); err != nil {
 				return fmt.Errorf("engine: undo allocbits at %v: %w", rec.LSN, err)
 			}
-		case wal.TypeFormat, wal.TypePreformat, wal.TypeImage:
-			// Page lifecycle records: undone implicitly by the AllocBits
-			// undo that deallocates the page; content is irrelevant once
-			// the page is free again.
 		}
-		cur = next
-	}
-	return nil
-}
-
-// UndoRowOp logically undoes one insert, delete or update record against st:
-// the primary under rollback (where it logs CLRs), a snapshot or a restored
-// copy. The row is found by key, since splits may have moved it; the caller
-// holds its exclusive lock, so the row an update is found at is the one that
-// update left, and the bytes the record carries turn it back.
-func UndoRowOp(st btree.Store, rec *wal.Record) error {
-	root := page.ID(rec.ObjectID)
-	key, err := rec.RowKey()
-	if err != nil {
-		return err
-	}
-	switch rec.Type {
-	case wal.TypeInsert:
-		return btree.UndoInsert(st, root, key)
-	case wal.TypeDelete:
-		_, val := btree.DecodeLeafRec(rec.OldData)
-		return btree.UndoDelete(st, root, key, val)
-	case wal.TypeUpdate:
-		val, ok, err := btree.Get(st, root, key)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("%w: %x", btree.ErrKeyNotFound, key)
-		}
-		before, err := rec.RowBefore(btree.EncodeLeafRec(key, val))
-		if err != nil {
-			return err
-		}
-		_, val = btree.DecodeLeafRec(before)
-		return btree.UndoUpdate(st, root, key, val)
-	}
-	return fmt.Errorf("engine: no logical undo for a %v record", rec.Type)
+		// Page lifecycle records (format, preformat, image) are undone
+		// implicitly by the AllocBits undo that deallocates the page; content
+		// is irrelevant once the page is free again.
+		return nil
+	})
+	return err
 }
 
 // undoPhysical compensates one mid-NTA record with a physical CLR: the

@@ -181,7 +181,7 @@ func digest(t *testing.T, s *asof.Snapshot) map[string]uint64 {
 func TestReplicaCatchesUpAndServesIdenticalAsOf(t *testing.T) {
 	c := newCluster(t,
 		engine.Options{CheckpointEvery: 1 << 20, PageImageEvery: 100},
-		ReplicaOptions{ApplyWorkers: 4, CheckpointEvery: 1 << 20},
+		ReplicaOptions{CheckpointEvery: 1 << 20},
 	)
 
 	cfg := tpcc.Config{Warehouses: 1, Items: 60}

@@ -24,15 +24,6 @@ import (
 type ReplicaOptions struct {
 	// Engine configures the standby engine (buffer pool, clock, retention).
 	Engine engine.Options
-	// ApplyWorkers is the parallelism of the continuous redo loop: page
-	// operations are partitioned across workers by page id (per-page order
-	// is total within a worker; physiological redo needs nothing more).
-	// Default 4; 1 applies inline.
-	ApplyWorkers int
-	// ParallelApplyThreshold is the page-op count below which a batch is
-	// applied inline — fan-out costs more than it saves for tiny batches
-	// (a single group-commit flush is often one transaction). Default 16.
-	ParallelApplyThreshold int
 	// CheckpointEvery is the replica's own checkpoint cadence in applied
 	// log bytes (default 4 MiB): flush dirty pages, sync, persist apply
 	// state — so a restart replays at most this much local log instead of
@@ -48,13 +39,18 @@ type ReplicaOptions struct {
 	SnapshotWait time.Duration
 }
 
+// applyWorkers is the parallelism of the continuous redo loop: page
+// operations are partitioned across workers by page id (per-page order is
+// total within a worker; physiological redo needs nothing more).
+// parallelApplyThreshold is the page-op count below which a batch is applied
+// inline — fan-out costs more than it saves for tiny batches (a single
+// group-commit flush is often one transaction).
+const (
+	applyWorkers           = 4
+	parallelApplyThreshold = 16
+)
+
 func (o ReplicaOptions) withDefaults() ReplicaOptions {
-	if o.ApplyWorkers <= 0 {
-		o.ApplyWorkers = 4
-	}
-	if o.ParallelApplyThreshold <= 0 {
-		o.ParallelApplyThreshold = 16
-	}
 	if o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = 4 << 20
 	}
@@ -739,7 +735,6 @@ func (r *Replica) ResumeApply() { r.applyPaused.Store(false) }
 // matters, and partitioning preserves it). The batch is a barrier: the
 // applied LSN only advances once every worker drains.
 func (r *Replica) apply(recs []*wal.Record) error {
-	workers := r.opts.ApplyWorkers
 	var pageOps []*wal.Record
 	for _, rec := range recs {
 		r.observe(rec)
@@ -747,7 +742,7 @@ func (r *Replica) apply(recs []*wal.Record) error {
 			pageOps = append(pageOps, rec)
 		}
 	}
-	if workers <= 1 || len(pageOps) < r.opts.ParallelApplyThreshold {
+	if len(pageOps) < parallelApplyThreshold {
 		for _, rec := range pageOps {
 			if err := r.db.RedoRecord(rec); err != nil {
 				return err
@@ -756,13 +751,13 @@ func (r *Replica) apply(recs []*wal.Record) error {
 		return nil
 	}
 
-	parts := make([][]*wal.Record, workers)
+	parts := make([][]*wal.Record, applyWorkers)
 	for _, rec := range pageOps {
-		w := int((uint64(rec.PageID) * 0x9E3779B97F4A7C15) >> 32 % uint64(workers))
+		w := int((uint64(rec.PageID) * 0x9E3779B97F4A7C15) >> 32 % applyWorkers)
 		parts[w] = append(parts[w], rec)
 	}
 	var wg sync.WaitGroup
-	errs := make([]error, workers)
+	errs := make([]error, applyWorkers)
 	for w := range parts {
 		if len(parts[w]) == 0 {
 			continue

@@ -16,7 +16,7 @@ import (
 // of the freed pages by another table as ordinary page records, and serves
 // as-of reads at every step of it that are byte-identical to the primary's.
 func TestReplicaAsOfAcrossPointSplitsAndFrees(t *testing.T) {
-	c := newCluster(t, engine.Options{}, ReplicaOptions{ApplyWorkers: 4})
+	c := newCluster(t, engine.Options{}, ReplicaOptions{})
 	body := strings.Repeat("B", 400)
 	insert := func(table string, from, to int) func(tx *engine.Txn) error {
 		return func(tx *engine.Txn) error {

@@ -66,7 +66,7 @@ func applyRedo(p *page.Page, r *Record) error {
 		return nil
 	case TypeAllocBits:
 		if len(r.NewData) != 1 {
-			return fmt.Errorf("allocbits redo image is %d bytes", len(r.NewData))
+			return fmt.Errorf("%w: allocbits redo image is %d bytes", ErrChainCorrupt, len(r.NewData))
 		}
 		return setRawByte(p, int(r.Slot), r.NewData[0])
 	default:
@@ -120,7 +120,7 @@ func applyUndo(p *page.Page, r *Record) error {
 		return nil
 	case TypeAllocBits:
 		if len(old) != 1 {
-			return fmt.Errorf("allocbits undo image is %d bytes", len(old))
+			return fmt.Errorf("%w: allocbits undo image is %d bytes", ErrChainCorrupt, len(old))
 		}
 		return setRawByte(p, int(r.Slot), old[0])
 	default:
@@ -147,7 +147,7 @@ func setRawByte(p *page.Page, idx int, v byte) error {
 	buf := p.Bytes()
 	off := allocPayloadOffset + idx
 	if off < allocPayloadOffset || off >= page.Size {
-		return fmt.Errorf("alloc byte index %d out of range", idx)
+		return fmt.Errorf("%w: alloc byte index %d out of range", ErrChainCorrupt, idx)
 	}
 	buf[off] = v
 	return nil

@@ -121,6 +121,38 @@ func (r *ChainReader) Read(lsn LSN) (*Record, error) {
 	return &r.rec, nil
 }
 
+// WalkTxnChain walks a transaction's log chain newest first, from last back to
+// its Begin record, and returns the Begin's LSN (NilLSN when the chain ends
+// without one). fn sees every record on the way but the Begin. After a CLR the
+// walk continues at its UndoNextLSN, past what the CLR compensated — or, for
+// the dummy CLR that ends a nested top action, past the structure
+// modification. The next LSN is taken before fn runs, so read may hand out a
+// reused scratch record (ChainReader.Read).
+//
+// It is the one backward walk of a transaction: rollback and crash undo, the
+// unlogged undo of a snapshot or a restore, a snapshot's lock reacquisition,
+// and the as-of transaction tools all call it.
+func WalkTxnChain(read func(LSN) (*Record, error), last LSN, fn func(*Record) error) (LSN, error) {
+	for cur := last; cur != NilLSN; {
+		rec, err := read(cur)
+		if err != nil {
+			return NilLSN, fmt.Errorf("wal: transaction chain read %v: %w", cur, err)
+		}
+		if rec.Type == TypeBegin {
+			return rec.LSN, nil
+		}
+		next := rec.PrevLSN
+		if rec.Type == TypeCLR {
+			next = rec.UndoNextLSN
+		}
+		if err := fn(rec); err != nil {
+			return NilLSN, err
+		}
+		cur = next
+	}
+	return NilLSN, nil
+}
+
 // pinned returns the locally pinned copy of block idx, or nil.
 func (r *ChainReader) pinned(idx int64) []byte {
 	for i := range r.blocks {

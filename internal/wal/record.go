@@ -518,6 +518,10 @@ func DecodeCheckpoint(b []byte) (CheckpointData, error) {
 		return d, fmt.Errorf("wal: checkpoint timeline trailer of %d bytes", len(rest))
 	}
 	d.TLI = TimelineID(binary.LittleEndian.Uint64(rest))
+	if d.TLI == 0 {
+		// TLI 0 means "no lineage" and is written as no section at all.
+		return d, fmt.Errorf("wal: checkpoint timeline section for timeline 0")
+	}
 	// The timeline section is the payload's last: bytes past it are not
 	// something this build wrote (a partitioned log's stream trailer went
 	// there), so they are an error, not padding.

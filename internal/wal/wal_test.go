@@ -372,6 +372,26 @@ func TestCheckpointPayloadRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzDecodeCheckpoint: the checkpoint-end payload decoder — the analysis
+// seed recovery, split resolution, replica apply and backup.Full all read —
+// never panics, and what it accepts encodes to a payload that decodes to the
+// same CheckpointData. (Not always to the same bytes: a payload written before
+// the time index or timelines existed is encoded with those sections.) Seeds
+// are the checkpoint-end bodies of internal/asof/testdata/wholerow-log and one
+// payload with a timeline section.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		d, err := DecodeCheckpoint(payload)
+		if err != nil {
+			return
+		}
+		again, err := DecodeCheckpoint(EncodeCheckpoint(d))
+		if err != nil || !reflect.DeepEqual(again, d) {
+			t.Fatalf("decoded %+v\nre-encoded, decodes to %+v (%v)", d, again, err)
+		}
+	})
+}
+
 func TestUndoReadsCountedOnCacheMiss(t *testing.T) {
 	dev := media.New(media.SSD(), nil)
 	m, err := Open(filepath.Join(t.TempDir(), "c.wal"), dev)
