@@ -234,6 +234,50 @@ func TestSplitLSNPicksRightCommit(t *testing.T) {
 	}
 }
 
+// TestSplitAtCheckpointStampedWithTheTarget: a checkpoint taken in the same
+// clock reading as the last commit before the target (as the commit path's
+// auto-checkpoint is) is the newest one at or before the target by time, yet
+// it begins after the SplitLSN — its ATT, captured past the split, cannot
+// seed analysis. A transaction in flight at the split must still be found
+// and undone.
+func TestSplitAtCheckpointStampedWithTheTarget(t *testing.T) {
+	clock := newVClock()
+	db := openDB(t, clock, engine.Options{})
+	exec(t, db, func(tx *engine.Txn) error { return tx.CreateTable(testSchema("t")) })
+	exec(t, db, func(tx *engine.Txn) error { return tx.Insert("t", testRow(1, "committed", 1)) })
+	clock.Advance(time.Minute)
+	inflight, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inflight.Update("t", testRow(1, "uncommitted", 2)); err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(time.Minute)
+	exec(t, db, func(tx *engine.Txn) error { return tx.Insert("t", testRow(2, "other", 3)) })
+	if err := db.Checkpoint(); err != nil { // same clock reading as that commit
+		t.Fatal(err)
+	}
+	s, err := CreateSnapshot(db, clock.Now().Add(time.Second), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if len(s.Point().ATT) != 1 || s.Point().ATT[0].TxnID != inflight.ID() {
+		t.Fatalf("in flight at the split: %+v, want transaction %d", s.Point().ATT, inflight.ID())
+	}
+	if err := s.WaitUndo(); err != nil {
+		t.Fatal(err)
+	}
+	r, ok, err := s.Get("t", row.Row{row.Int64(1)})
+	if err != nil || !ok || r[1].Str != "committed" {
+		t.Fatalf("row 1 as of the split: %v ok=%v err=%v, want the committed version", r, ok, err)
+	}
+	if err := inflight.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDropTableRecoveryWalkthrough(t *testing.T) {
 	// The §1 scenario: a table is dropped by mistake; mount a snapshot as
 	// of a time when it existed, read its schema from the as-of catalog,

@@ -2,9 +2,11 @@ package asof
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/backup"
 	"repro/internal/engine"
@@ -134,6 +136,103 @@ func TestSplitLSNInsideSMO(t *testing.T) {
 		return nil
 	})
 	if _, err := db.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMountWithoutCheckpoint: a mount on a primary takes no checkpoint — it
+// reads the primary's pages through its buffer pool, dirty or not — and
+// answers exactly what a mount after a flush-all checkpoint answers. The
+// instants are committed states between batches of inserts, updates and
+// deletes, and split points inside an open SMO of an in-flight transaction.
+func TestMountWithoutCheckpoint(t *testing.T) {
+	sync, err := wal.ParseSyncPolicy(os.Getenv("ASOFDB_SYNC"))
+	if err != nil {
+		t.Fatalf("ASOFDB_SYNC: %v", err)
+	}
+	clock := newVClock()
+	db := openDB(t, clock, engine.Options{SyncPolicy: sync})
+	exec(t, db, func(tx *engine.Txn) error { return tx.CreateTable(testSchema("t")) })
+	var instants []time.Time
+	for b := 0; b < 6; b++ {
+		exec(t, db, func(tx *engine.Txn) error {
+			if err := insertRange(tx, "t", b*40, b*40+40); err != nil {
+				return err
+			}
+			if b > 0 {
+				if err := tx.Update("t", testRow(b*40-7, "updated", b)); err != nil {
+					return err
+				}
+				return deleteRange(tx, "t", b*40-20, b*40-10)
+			}
+			return nil
+		})
+		clock.Advance(time.Second)
+		instants = append(instants, clock.Now())
+		clock.Advance(time.Second)
+	}
+	inflight, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := insertRange(inflight, "t", 1000, 1120); err != nil {
+		t.Fatal(err)
+	}
+	var inside []wal.LSN // flagged SMO records before the SMO's dummy CLR
+	if err := db.Log().Scan(1, func(rec *wal.Record) (bool, error) {
+		if rec.TxnID == inflight.ID() {
+			if rec.Type == wal.TypeCLR && rec.PageID == wal.NoPage {
+				return false, nil
+			}
+			if rec.Flags&wal.FlagNTA != 0 {
+				inside = append(inside, rec.LSN)
+			}
+		}
+		return true, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(inside) == 0 {
+		t.Fatal("the in-flight transaction opened no SMO")
+	}
+	splits := []wal.LSN{inside[0], inside[len(inside)/2], inside[len(inside)-1]}
+
+	mountAll := func() []map[int64]string {
+		var out []map[int64]string
+		mount := func(s *Snapshot, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.WaitUndo(); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, snapDigest(t, s))
+		}
+		for _, at := range instants {
+			mount(CreateSnapshot(db, at, nil))
+		}
+		for _, split := range splits {
+			mount(CreateSnapshotAtLSN(db, split, nil))
+		}
+		return out
+	}
+	ckpts := db.CheckpointCount.Load()
+	without := mountAll()
+	if n := db.CheckpointCount.Load() - ckpts; n != 0 {
+		t.Fatalf("mounting took %d checkpoints, want none", n)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	with := mountAll()
+	for i := range with {
+		sameDigest(t, fmt.Sprintf("mount %d", i), without[i], with[i])
+	}
+	if got := len(with[len(instants)-1]); got != 6*40-5*10 {
+		t.Fatalf("last committed instant has %d rows, want %d", got, 6*40-5*10)
+	}
+	if err := inflight.Commit(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -92,13 +92,14 @@ type oracleTxn struct {
 }
 
 type oracleRun struct {
-	t      *testing.T
-	rng    *rand.Rand
-	clock  *vclock
-	db     *engine.DB
-	model  oracle
-	ids    []int // ids the main schedule draws from
-	counts struct{ sameLen, resized, deletes, rollbacks, twiceRolledBack int }
+	t       *testing.T
+	rng     *rand.Rand
+	clock   *vclock
+	db      *engine.DB
+	model   oracle
+	ids     []int // ids the main schedule draws from
+	counts  struct{ sameLen, resized, deletes, rollbacks, twiceRolledBack int }
+	evicted int64 // dirty pages evicted by the engines closed so far
 }
 
 var oracleTables = [2]string{"a", "b"}
@@ -199,13 +200,15 @@ func (o *oracleRun) randomKey() oracleKey {
 }
 
 // open opens (or recovers) the database; ASOFDB_SYNC=fdatasync makes every
-// log force a real one, as in the other crash suites.
+// log force a real one, as in the other crash suites. A checkpoint every
+// 16 KiB of log on a pool smaller than the database interleaves fuzzy
+// checkpoints, dirty evictions and the crash.
 func (o *oracleRun) open(dir string) {
 	sync, err := wal.ParseSyncPolicy(os.Getenv("ASOFDB_SYNC"))
 	if err != nil {
 		o.t.Fatalf("ASOFDB_SYNC: %v", err)
 	}
-	db, err := engine.Open(dir, engine.Options{Now: o.clock.Now, BufferFrames: 64, SyncPolicy: sync})
+	db, err := engine.Open(dir, engine.Options{Now: o.clock.Now, BufferFrames: 24, CheckpointEvery: 16 << 10, SyncPolicy: sync})
 	if err != nil {
 		o.t.Fatal(err)
 	}
@@ -287,6 +290,7 @@ func TestAsOfOracle(t *testing.T) {
 			x := o.begin()
 			o.mutate(x, oracleKey{"a", 9000 + step})
 			o.commit(x)
+			o.evicted += o.db.Pool().Stats().EvictWritebacks
 			o.db.Crash()
 			straggler = nil
 			o.open(dir)
@@ -353,9 +357,17 @@ func TestAsOfOracle(t *testing.T) {
 	// What the schedule exercised, read back from the log it wrote: updates
 	// that kept and that changed the row's length in place, and updates that
 	// did not fit their page (a plain delete record no Delete call explains).
-	var inPlaceSame, inPlaceResized, plainDeletes int
+	var inPlaceSame, inPlaceResized, plainDeletes, fuzzyCkpts int
 	err = o.db.Log().Scan(o.db.Log().TruncationPoint(), func(rec *wal.Record) (bool, error) {
 		switch {
+		case rec.Type == wal.TypeCheckpointEnd:
+			data, err := wal.DecodeCheckpoint(rec.Extra)
+			if err != nil {
+				return false, err
+			}
+			if len(data.DPT) > 0 {
+				fuzzyCkpts++
+			}
 		case rec.Type == wal.TypeUpdate && len(rec.OldData) == len(rec.NewData):
 			inPlaceSame++
 		case rec.Type == wal.TypeUpdate:
@@ -368,10 +380,12 @@ func TestAsOfOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("oracle: %d same-length and %d resizing updates issued, %d deletes, %d rollbacks (%d after updating a row twice); log holds %d same-length and %d resizing update records and %d updates that moved by delete + insert",
+	evicted := o.evicted + o.db.Pool().Stats().EvictWritebacks
+	t.Logf("oracle: %d same-length and %d resizing updates issued, %d deletes, %d rollbacks (%d after updating a row twice); log holds %d same-length and %d resizing update records and %d updates that moved by delete + insert; %d checkpoints with a dirty-page table, %d dirty pages evicted",
 		o.counts.sameLen, o.counts.resized, o.counts.deletes, o.counts.rollbacks, o.counts.twiceRolledBack,
-		inPlaceSame, inPlaceResized, plainDeletes-o.counts.deletes)
-	if inPlaceSame == 0 || inPlaceResized == 0 || plainDeletes <= o.counts.deletes || o.counts.twiceRolledBack == 0 {
+		inPlaceSame, inPlaceResized, plainDeletes-o.counts.deletes, fuzzyCkpts, evicted)
+	if inPlaceSame == 0 || inPlaceResized == 0 || plainDeletes <= o.counts.deletes || o.counts.twiceRolledBack == 0 ||
+		fuzzyCkpts == 0 || evicted == 0 {
 		t.Fatalf("seed %d: the schedule missed a case it exists to cover", seed)
 	}
 

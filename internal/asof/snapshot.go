@@ -70,10 +70,11 @@ type Snapshot struct {
 // the media device charged for side-file I/O (nil = uncharged).
 //
 // Creation follows §5.1/§5.2: resolve the SplitLSN (checkpoint narrowing +
-// commit scan), checkpoint the primary so every page at or below the
-// SplitLSN is durable, create the sparse side file, run the analysis pass
-// and reacquire the locks of in-flight transactions, then open for queries
+// commit scan), create the sparse side file, run the analysis pass and
+// reacquire the locks of in-flight transactions, then open for queries
 // while the logical undo of those transactions proceeds in the background.
+// It takes no checkpoint: the snapshot reads pages through the primary's
+// buffer pool, not its files (see newSnapshot).
 func CreateSnapshot(db *engine.DB, asOf time.Time, sideDev *media.Device) (*Snapshot, error) {
 	point, err := ResolveTime(db, asOf)
 	if err != nil {
@@ -94,29 +95,21 @@ func CreateSnapshotAtLSN(db *engine.DB, split wal.LSN, sideDev *media.Device) (*
 func newSnapshot(db *engine.DB, point SplitPoint, asOf time.Time, sideDev *media.Device) (*Snapshot, error) {
 	// "...performs a checkpoint to make sure that all pages of the primary
 	// database with LSNs less than or equal to SplitLSN are made durable"
-	// (§5.1). A flush-all checkpoint that *began* at or after the SplitLSN
-	// already guarantees exactly that (every page whose last modification
-	// is ≤ SplitLSN was either clean or flushed by it), so repeated
-	// snapshot mounts against an already-checkpointed region skip the
-	// checkpoint — it is by far the dominant cost of mounting a snapshot on
-	// a busy system. With that done, the snapshot's redo pass needs no page
-	// reads.
+	// (§5.1). The paper's snapshot reads the primary's data files, so they
+	// must hold every change up to the split. Ours reads the primary's
+	// buffer pool (snapSource → copyPrimary), which is coherent with every
+	// logged change whether or not it has reached the files, so the mount
+	// takes no checkpoint, on a primary or a standby, and its redo pass
+	// needs no page reads.
 	//
-	// On a standby the checkpoint is skipped entirely: a standby cannot
-	// append checkpoint records to its shipped log, and does not need to —
-	// snapshot page reads go through the standby's buffer pool, which is
-	// coherent with redo up to AppliedLSN, so the only requirement is that
-	// the split not outrun the apply loop. The shipped log may extend past
-	// AppliedLSN (bytes ingested but not yet applied), hence the explicit
-	// guard: a page fetched now reflects redo only through AppliedLSN, and
-	// PreparePageAsOf can only rewind pages backwards.
+	// On a standby the pool is coherent with redo only up to AppliedLSN,
+	// and the shipped log may extend past it (bytes ingested but not yet
+	// applied), hence the guard: a page fetched now reflects redo only
+	// through AppliedLSN, and PreparePageAsOf can only rewind pages
+	// backwards.
 	if db.Standby() {
 		if applied := db.AppliedLSN(); point.SplitLSN > applied {
 			return nil, fmt.Errorf("%w: split %v > applied %v", ErrReplicaLagging, point.SplitLSN, applied)
-		}
-	} else if mark, ok := db.LastCheckpointMark(); !ok || mark.Begin < point.SplitLSN {
-		if err := db.Checkpoint(); err != nil {
-			return nil, err
 		}
 	}
 	mountSpan := obs.StartSpan(db.Clock(),
@@ -143,11 +136,11 @@ func newSnapshot(db *engine.DB, point SplitPoint, asOf time.Time, sideDev *media
 	s.UnloggedStore = engine.NewUnloggedStore(db.SnapshotFrames(), (*snapSource)(s), point.SplitLSN)
 	s.pending.Store(int32(len(point.ATT)))
 
-	// Redo pass (§5.2): no page I/O — pages ≤ SplitLSN are durable and
-	// PreparePageAsOf rewinds anything newer on access. What remains of
-	// redo is reacquiring the locks held by in-flight transactions so
-	// queries cannot observe their uncommitted effects before undo fixes
-	// the pages.
+	// Redo pass (§5.2): no page I/O — the primary's pool holds every change
+	// ≤ SplitLSN and PreparePageAsOf rewinds anything newer on access. What
+	// remains of redo is reacquiring the locks held by in-flight
+	// transactions so queries cannot observe their uncommitted effects
+	// before undo fixes the pages.
 	if err := s.reacquireLocks(); err != nil {
 		s.writer.Close()
 		side.Close()

@@ -54,10 +54,7 @@ func ResolveTime(db *engine.DB, target time.Time) (SplitPoint, error) {
 	targetNS := target.UnixNano()
 
 	// Phase 1 (§5.1): narrow by checkpoint wall-clock times.
-	ckptBegin, ckptEnd, err := newestCheckpointNotAfter(db, targetNS)
-	if err != nil {
-		return SplitPoint{}, err
-	}
+	ckptBegin := newestCheckpointNotAfter(db, targetNS)
 
 	// Phase 1b: tighten the scan window with the sparse time index. A
 	// sample is a commit at or before the target, so it is itself a valid
@@ -69,7 +66,7 @@ func ResolveTime(db *engine.DB, target time.Time) (SplitPoint, error) {
 
 	// Phase 2: scan commit records forward from the window start to find
 	// the SplitLSN.
-	err = db.Log().Scan(scanFrom, func(rec *wal.Record) (bool, error) {
+	err := db.Log().Scan(scanFrom, func(rec *wal.Record) (bool, error) {
 		if rec.Type == wal.TypeCommit {
 			if rec.WallClock <= targetNS {
 				split = rec.LSN
@@ -82,16 +79,17 @@ func ResolveTime(db *engine.DB, target time.Time) (SplitPoint, error) {
 	if err != nil {
 		return SplitPoint{}, err
 	}
-	return resolveAt(db, split, ckptBegin, ckptEnd)
+	return ResolveLSN(db, split)
 }
 
-// ResolveLSN builds a SplitPoint for an explicit LSN (used by tests and by
-// the point-in-time restore baseline).
+// ResolveLSN builds a SplitPoint for an explicit LSN: the analysis pass
+// (resolveAt) from the newest checkpoint that ended at or before it. That is
+// not always the checkpoint ResolveTime narrowed by: a checkpoint stamped at
+// or before the target can begin after the newest commit at or before it
+// (one taken by the commit that ends the target's second), and its ATT,
+// captured past the split, cannot seed analysis there.
 func ResolveLSN(db *engine.DB, split wal.LSN) (SplitPoint, error) {
-	ckptBegin, ckptEnd, err := newestCheckpointNotAfterLSN(db, split)
-	if err != nil {
-		return SplitPoint{}, err
-	}
+	ckptBegin, ckptEnd := newestCheckpointNotAfterLSN(db, split)
 	return resolveAt(db, split, ckptBegin, ckptEnd)
 }
 
@@ -146,11 +144,11 @@ func resolveAt(db *engine.DB, split, ckptBegin, ckptEnd wal.LSN) (SplitPoint, er
 }
 
 // newestCheckpointNotAfter finds the newest checkpoint whose wall-clock
-// time is at or before targetNS, returning its begin and end LSNs. The
+// time is at or before targetNS, returning its begin LSN. The
 // engine's in-memory checkpoint index (rebuilt from the on-disk chain at
 // open) answers this with a binary search; if the index is empty the search
 // degrades to the log's truncation point.
-func newestCheckpointNotAfter(db *engine.DB, targetNS int64) (begin, end wal.LSN, err error) {
+func newestCheckpointNotAfter(db *engine.DB, targetNS int64) wal.LSN {
 	marks := db.CheckpointIndex()
 	lo, hi := 0, len(marks) // first mark with WallClock > target
 	for lo < hi {
@@ -162,13 +160,14 @@ func newestCheckpointNotAfter(db *engine.DB, targetNS int64) (begin, end wal.LSN
 		}
 	}
 	if lo == 0 {
-		return db.Log().TruncationPoint(), wal.NilLSN, nil
+		return db.Log().TruncationPoint()
 	}
-	m := marks[lo-1]
-	return m.Begin, m.End, nil
+	return marks[lo-1].Begin
 }
 
-func newestCheckpointNotAfterLSN(db *engine.DB, split wal.LSN) (begin, end wal.LSN, err error) {
+// newestCheckpointNotAfterLSN finds the newest checkpoint whose end record
+// is at or before split, returning its begin and end LSNs.
+func newestCheckpointNotAfterLSN(db *engine.DB, split wal.LSN) (begin, end wal.LSN) {
 	marks := db.CheckpointIndex()
 	lo, hi := 0, len(marks) // first mark with End > split
 	for lo < hi {
@@ -180,7 +179,7 @@ func newestCheckpointNotAfterLSN(db *engine.DB, split wal.LSN) (begin, end wal.L
 		}
 	}
 	if lo == 0 {
-		return db.Log().TruncationPoint(), wal.NilLSN, nil
+		return db.Log().TruncationPoint(), wal.NilLSN
 	}
-	return marks[lo-1].Begin, marks[lo-1].End, nil
+	return marks[lo-1].Begin, marks[lo-1].End
 }

@@ -62,17 +62,26 @@ type LogSource interface {
 // copy of every page to path. dev is the media device charged for writing
 // the backup image (nil = uncharged).
 func Full(db *engine.DB, path string, dev *media.Device) (Manifest, error) {
-	if err := db.Checkpoint(); err != nil {
-		return Manifest{}, err
-	}
-	end := db.LastCheckpointEnd()
-	rec, err := db.Log().Read(end)
-	if err != nil {
-		return Manifest{}, fmt.Errorf("backup: read checkpoint: %w", err)
-	}
-	data, err := wal.DecodeCheckpoint(rec.Extra)
-	if err != nil {
-		return Manifest{}, err
+	var end wal.LSN
+	var data wal.CheckpointData
+	for {
+		if err := db.Checkpoint(); err != nil {
+			return Manifest{}, err
+		}
+		end = db.LastCheckpointEnd()
+		rec, err := db.Log().Read(end)
+		if err != nil {
+			return Manifest{}, fmt.Errorf("backup: read checkpoint: %w", err)
+		}
+		if data, err = wal.DecodeCheckpoint(rec.Extra); err != nil {
+			return Manifest{}, err
+		}
+		// A periodic checkpoint that ended in between is the last one now;
+		// if it left pages dirty, the files are not current at its begin
+		// record, so take another.
+		if len(data.DPT) == 0 {
+			break
+		}
 	}
 	dst, err := disk.Open(path, dev)
 	if err != nil {

@@ -2,19 +2,44 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/obs"
 	"repro/internal/wal"
 )
 
-// Checkpoint takes a flush-all checkpoint:
+// flushAll is the flush bound of a checkpoint that writes back every dirty
+// page.
+const flushAll = wal.LSN(math.MaxUint64)
+
+// Checkpoint takes a flush-all checkpoint: when it returns, the data file
+// holds every change logged before its begin record, and its dirty-page
+// table is empty. Close, backup.Full (whose backup LSN is the begin record),
+// Promote and every caller that wants the files current use it; the
+// engine's own periodic checkpoints are fuzzy (see checkpoint).
+func (db *DB) Checkpoint() error { return db.checkpoint(flushAll) }
+
+// checkpoint takes a checkpoint that writes back only the dirty pages whose
+// recLSN is below flushBelow:
 //
 //  1. log a checkpoint-begin record (carrying wall-clock time);
-//  2. flush every dirty page (honoring the WAL rule), so all pages with
-//     LSNs at or below the begin record are durable;
-//  3. log a checkpoint-end record carrying the active-transaction table
-//     and a pointer to the previous checkpoint, then force the log;
-//  4. record the end LSN in the boot page as the recovery starting hint.
+//  2. write back every dirty page whose recLSN is below flushBelow
+//     (honoring the WAL rule);
+//  3. capture the dirty-page table: each page still dirty with a change
+//     logged before the begin record, with its recLSN. Captured after the
+//     begin record, so a page dirtied later has a recLSN above it;
+//  4. sync the data file, so every page written back before the capture —
+//     here or by eviction — is durable;
+//  5. log a checkpoint-end record carrying the active-transaction table,
+//     the dirty-page table and a pointer to the previous checkpoint, then
+//     force the log;
+//  6. record the end LSN in the boot page as the recovery starting hint.
+//
+// Redo after a crash starts at the smaller of the begin record and the
+// oldest recLSN in the table (wal.CheckpointData.RedoStart). The periodic
+// checkpoints pass the previous checkpoint's begin LSN: a page is written
+// back once it has stayed dirty through a whole interval, and redo never
+// starts more than two intervals back.
 //
 // The wall-clock times in checkpoint records are what the SplitLSN search
 // (§5.1) uses to narrow the log region before scanning commit records, and
@@ -22,7 +47,7 @@ import (
 // backwards in time. Periodic checkpoints also bound both crash recovery
 // and as-of snapshot recovery time, since snapshot recovery starts at the
 // checkpoint nearest the SplitLSN (§6.2).
-func (db *DB) Checkpoint() error {
+func (db *DB) checkpoint(flushBelow wal.LSN) error {
 	if db.standby.Load() {
 		// A standby must not append to its shipped log; its durability
 		// cadence is the replica checkpoint (repl.Replica), which flushes
@@ -36,9 +61,17 @@ func (db *DB) Checkpoint() error {
 	if err != nil {
 		return fmt.Errorf("engine: checkpoint begin: %w", err)
 	}
-	if err := db.pool.FlushAll(); err != nil {
+	written, err := db.pool.WriteBackBelow(uint64(flushBelow))
+	db.metrics.ckptPagesWritten.Add(int64(written))
+	if err != nil {
 		return fmt.Errorf("engine: checkpoint flush: %w", err)
 	}
+	dirty := db.pool.DirtyPages(uint64(beginLSN))
+	dpt := make([]wal.DirtyPage, len(dirty))
+	for i, d := range dirty {
+		dpt[i] = wal.DirtyPage{PageID: uint32(d.ID), RecLSN: wal.LSN(d.RecLSN)}
+	}
+	db.metrics.ckptDirtyPages.Set(int64(len(dpt)))
 	if err := db.data.Sync(); err != nil {
 		return fmt.Errorf("engine: checkpoint sync: %w", err)
 	}
@@ -61,6 +94,7 @@ func (db *DB) Checkpoint() error {
 			// stream itself, not just the handshake.
 			TLI:     tli,
 			History: hist,
+			DPT:     dpt,
 		}),
 	}
 	endLSN, err := db.log.AppendFlush(end)
@@ -105,8 +139,17 @@ func (db *DB) maybeAutoCheckpoint() {
 		// BackgroundCheckpointErr rather than silently dropped — a
 		// persistent retention failure otherwise grows the log without
 		// bound with zero diagnostics.
-		db.bgCkptErr.Store(ckptErrBox{db.Checkpoint()})
+		db.bgCkptErr.Store(ckptErrBox{db.checkpoint(db.prevCkptBegin())})
 	}
+}
+
+// prevCkptBegin is the flush bound of a periodic checkpoint: the begin LSN
+// of the last completed checkpoint, or no bound if there is none.
+func (db *DB) prevCkptBegin() wal.LSN {
+	if m, ok := db.LastCheckpointMark(); ok {
+		return m.Begin
+	}
+	return flushAll
 }
 
 // ckptErrBox wraps bgCkptErr values in one concrete type: atomic.Value
@@ -127,7 +170,8 @@ func (db *DB) BackgroundCheckpointErr() error {
 
 // truncateForRetention discards log before the newest checkpoint that is
 // older than the retention period (§4.3): everything needed to rewind any
-// page to any time within the retention window is kept.
+// page to any time within the retention window is kept. The cut never
+// passes the newest checkpoint's redo start, which crash recovery needs.
 func (db *DB) truncateForRetention() error {
 	db.mu.Lock()
 	retention := db.opts.Retention
@@ -141,6 +185,7 @@ func (db *DB) truncateForRetention() error {
 	// before the horizon. Walk errors are expected ends of the chain (the
 	// records below an earlier truncation are gone) and mean "nothing to
 	// cut"; only the truncation itself may fail loudly.
+	redoStart := flushAll // the newest checkpoint's, read on the first step
 	for cur != wal.NilLSN {
 		rec, err := db.log.Read(cur)
 		if err != nil {
@@ -150,14 +195,19 @@ func (db *DB) truncateForRetention() error {
 		if err != nil {
 			return nil
 		}
+		if redoStart == flushAll {
+			redoStart = data.RedoStart()
+		}
 		if rec.WallClock <= horizon {
-			// Do not truncate past transactions active at that checkpoint.
+			// Do not truncate past transactions active at that checkpoint,
+			// nor past where redo from the newest checkpoint starts.
 			cut := data.BeginLSN
 			for _, e := range data.ATT {
 				if e.BeginLSN != 0 && e.BeginLSN < cut {
 					cut = e.BeginLSN
 				}
 			}
+			cut = min(cut, redoStart)
 			if err := db.log.Truncate(cut); err != nil {
 				return err
 			}

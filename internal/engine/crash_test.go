@@ -2,30 +2,144 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 
 	"repro/internal/row"
+	"repro/internal/wal"
 )
 
 // TestCrashRecoveryMatrix repeatedly crashes the same database at varied
 // points in a randomized workload, recovering and checking full physical
 // consistency each time. The committed-row model is tracked across crashes
-// and compared after every recovery.
+// and compared after every recovery. Each case ends a round differently
+// before the crash:
+//
+//   - explicit: sometimes a flush-all checkpoint, sometimes nothing;
+//   - between-DPT-capture-and-end: a checkpoint that got as far as writing
+//     back pages and capturing its dirty-page table — its begin record is
+//     durable, its end record never written — over periodic fuzzy
+//     checkpoints, so recovery starts from the previous, fuzzy one;
+//   - fuzzy-then-evicted: a fuzzy checkpoint, then a scan of part of a
+//     filler table, which evicts (and writes back) some pages of its
+//     dirty-page table before the crash and leaves others dirty, so
+//     recovery must redo from the table's recLSNs over both kinds.
 func TestCrashRecoveryMatrix(t *testing.T) {
+	small := Options{PageImageEvery: 40, BufferFrames: 32, CheckpointEvery: 16 << 10, SyncPolicy: testSyncPolicy(t)}
+	evictedSome, keptSome := false, false
+	for _, c := range []struct {
+		name  string
+		opts  Options
+		fuzzy bool // the case must see fuzzy checkpoints with a non-empty DPT
+		end   crashEnd
+		after func(t *testing.T)
+	}{
+		{"explicit", Options{PageImageEvery: 40, SyncPolicy: testSyncPolicy(t)}, false,
+			func(t *testing.T, db *DB, rng *rand.Rand, _ map[int64]string) {
+				if rng.Intn(2) == 0 {
+					if err := db.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}, nil},
+		{"between-DPT-capture-and-end", small, true,
+			func(t *testing.T, db *DB, _ *rand.Rand, _ map[int64]string) {
+				// Steps 1–4 of checkpoint, then the crash.
+				begin, err := db.log.AppendFlush(&wal.Record{Type: wal.TypeCheckpointBegin, PageID: wal.NoPage, WallClock: db.Now().UnixNano()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := db.pool.WriteBackBelow(uint64(db.prevCkptBegin())); err != nil {
+					t.Fatal(err)
+				}
+				db.pool.DirtyPages(uint64(begin))
+				if err := db.data.Sync(); err != nil {
+					t.Fatal(err)
+				}
+			}, nil},
+		{"fuzzy-then-evicted", small, true,
+			func(t *testing.T, db *DB, rng *rand.Rand, model map[int64]string) {
+				// Wide rows above the schedule's ids: 800 of them fill about 40
+				// pages, more than the pool holds. Each round after the first
+				// rewrites one row on most of those pages, so the fuzzy
+				// checkpoint's table lists many pages; the scan of the first
+				// 300 then evicts some of them.
+				_, filled := model[wideBase]
+				staged := map[int64]string{}
+				mustExec(t, db, func(tx *Txn) error {
+					for i := range 800 {
+						if filled && i%25 != 0 {
+							continue
+						}
+						v := fmt.Sprintf("%0400d", rng.Intn(1e6))
+						write := tx.Insert
+						if filled {
+							write = tx.Update
+						}
+						if err := write("t", testRow(wideBase+i, v, i)); err != nil {
+							return err
+						}
+						staged[int64(wideBase+i)] = v
+					}
+					return nil
+				})
+				maps.Copy(model, staged)
+				if err := db.checkpoint(db.prevCkptBegin()); err != nil {
+					t.Fatal(err)
+				}
+				mark, _ := db.LastCheckpointMark()
+				dpt := db.pool.DirtyPages(uint64(mark.Begin))
+				mustExec(t, db, func(tx *Txn) error {
+					_, err := tx.CountRows("t", row.Row{row.Int64(wideBase)}, row.Row{row.Int64(wideBase + 300)})
+					return err
+				})
+				left := db.pool.DirtyPages(uint64(mark.Begin))
+				evictedSome = evictedSome || len(left) < len(dpt)
+				keptSome = keptSome || len(left) > 0
+			}, func(t *testing.T) {
+				if !evictedSome || !keptSome {
+					t.Fatalf("pages of a dirty-page table evicted before a crash %v, left dirty %v; want both", evictedSome, keptSome)
+				}
+			}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dpts := runCrashMatrix(t, c.opts, c.end)
+			if c.fuzzy && dpts == 0 {
+				t.Fatal("no checkpoint carried a dirty-page table")
+			}
+			if c.after != nil {
+				c.after(t)
+			}
+		})
+	}
+}
+
+// wideBase is the first id of the crash matrix's wide rows.
+const wideBase = 10_000
+
+// crashEnd ends one round of the crash matrix, just before the in-flight
+// transaction and the crash. model is the committed-row model; a hook that
+// commits rows records them in it.
+type crashEnd func(t *testing.T, db *DB, rng *rand.Rand, model map[int64]string)
+
+// runCrashMatrix runs the crash matrix's rounds, ending each with end, and
+// returns how many checkpoint-end records in the final log carry a
+// non-empty dirty-page table.
+func runCrashMatrix(t *testing.T, opts Options, end crashEnd) int {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(2012))
 	model := make(map[int64]string) // committed rows only
 
-	db, err := Open(dir, Options{PageImageEvery: 40})
+	db, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustExec(t, db, func(tx *Txn) error { return tx.CreateTable(testSchema("t")) })
 
 	for round := 0; round < 12; round++ {
-		// A few committed transactions.
-		for b := 0; b < 3; b++ {
+		// A few committed (or rolled-back) transactions.
+		for b := range 3 {
 			tx, err := db.Begin()
 			if err != nil {
 				t.Fatalf("round %d: %v", round, err)
@@ -77,12 +191,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 				}
 			}
 		}
-		// Sometimes checkpoint, sometimes leave everything dirty.
-		if rng.Intn(2) == 0 {
-			if err := db.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-		}
+		end(t, db, rng, model)
 		// Leave an in-flight transaction hanging at the crash.
 		if rng.Intn(2) == 0 {
 			hang, _ := db.Begin()
@@ -90,7 +199,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 		}
 
 		db.Crash()
-		db, err = Open(dir, Options{PageImageEvery: 40})
+		db, err = Open(dir, opts)
 		if err != nil {
 			t.Fatalf("round %d: recovery: %v", round, err)
 		}
@@ -114,7 +223,23 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 			}
 		}
 	}
+	dpts := 0
+	if err := db.log.Scan(1, func(rec *wal.Record) (bool, error) {
+		if rec.Type == wal.TypeCheckpointEnd {
+			data, err := wal.DecodeCheckpoint(rec.Extra)
+			if err != nil {
+				return false, err
+			}
+			if len(data.DPT) > 0 {
+				dpts++
+			}
+		}
+		return true, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	db.Close()
+	return dpts
 }
 
 // TestCrashDuringHeavySplits crashes while a large transaction that forced

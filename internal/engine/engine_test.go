@@ -492,6 +492,59 @@ func TestAutoCheckpoint(t *testing.T) {
 	}
 }
 
+// TestAutoCheckpointIsFuzzy: a periodic checkpoint writes back only pages
+// that stayed dirty through a whole interval and lists the rest, each with a
+// recLSN no older than the previous checkpoint's begin; an explicit
+// Checkpoint leaves nothing dirty. The metrics agree with the log.
+func TestAutoCheckpointIsFuzzy(t *testing.T) {
+	db := openTestDB(t, Options{CheckpointEvery: 16 << 10})
+	mustExec(t, db, func(tx *Txn) error { return tx.CreateTable(testSchema("t")) })
+	for i := 0; i < 200; i++ {
+		mustExec(t, db, func(tx *Txn) error { return tx.Insert("t", testRow(i, fmt.Sprintf("%0100d", i), i)) })
+	}
+	lastCkpt := func() wal.CheckpointData {
+		t.Helper()
+		rec, err := db.Log().Read(db.LastCheckpointEnd())
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := wal.DecodeCheckpoint(rec.Extra)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	marks := db.CheckpointIndex()
+	if len(marks) < 3 {
+		t.Fatalf("%d checkpoints, want periodic ones", len(marks))
+	}
+	data := lastCkpt()
+	if len(data.DPT) == 0 {
+		t.Fatal("the periodic checkpoint listed no dirty page")
+	}
+	if prev := marks[len(marks)-2].Begin; data.RedoStart() < prev {
+		t.Fatalf("redo start %v is older than the previous checkpoint's begin %v", data.RedoStart(), prev)
+	}
+	snap := db.Obs().Snapshot()
+	if got := snap["engine_checkpoint_dirty_pages"]; got != float64(len(data.DPT)) {
+		t.Fatalf("engine_checkpoint_dirty_pages = %v, the log says %d", got, len(data.DPT))
+	}
+	byCheckpoint := snap[`buffer_writebacks_total{cause="checkpoint"}`]
+	if byCheckpoint == 0 || byCheckpoint != snap["engine_checkpoint_pages_written_total"] {
+		t.Fatalf("checkpoint write-backs: by cause %v, by the engine %v", byCheckpoint, snap["engine_checkpoint_pages_written_total"])
+	}
+	if sum := byCheckpoint + snap[`buffer_writebacks_total{cause="eviction"}`]; sum != snap["buffer_pool_writebacks_total"] {
+		t.Fatalf("write-backs by cause add up to %v, total %v", sum, snap["buffer_pool_writebacks_total"])
+	}
+
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if data := lastCkpt(); len(data.DPT) != 0 || db.Obs().Snapshot()["engine_checkpoint_dirty_pages"] != 0 {
+		t.Fatalf("an explicit checkpoint left %d pages dirty", len(data.DPT))
+	}
+}
+
 func TestPageImageEveryNLogsImages(t *testing.T) {
 	db := openTestDB(t, Options{PageImageEvery: 10})
 	mustExec(t, db, func(tx *Txn) error { return tx.CreateTable(testSchema("t")) })

@@ -16,6 +16,8 @@ type dbMetrics struct {
 	abortSeconds      *obs.Histogram // Rollback call to undone
 	activeTxns        *obs.Gauge
 	checkpointSeconds *obs.Histogram
+	ckptDirtyPages    *obs.Gauge   // DPT length at the last checkpoint
+	ckptPagesWritten  *obs.Counter // pages checkpoints wrote back
 	attMarks          *obs.Counter // analysis marks appended (mark cadence)
 	splitsMid         *obs.Counter // node splits placed at n/2
 	splitsPoint       *obs.Counter // node splits placed at the insertion point
@@ -35,6 +37,8 @@ func (db *DB) initObs() {
 		abortSeconds:      r.DurationHistogram("engine_abort_seconds", "transaction rollback latency"),
 		activeTxns:        r.Gauge("engine_active_txns", "open transactions"),
 		checkpointSeconds: r.DurationHistogram("engine_checkpoint_seconds", "checkpoint duration"),
+		ckptDirtyPages:    r.Gauge("engine_checkpoint_dirty_pages", "pages in the last checkpoint's dirty-page table"),
+		ckptPagesWritten:  r.Counter("engine_checkpoint_pages_written_total", "dirty pages checkpoints wrote back"),
 		attMarks:          r.Counter("engine_att_marks_total", "analysis marks appended (mark cadence)"),
 		splitsMid:         r.Counter("btree_splits_total", "B-tree node splits by where the split was placed", obs.L("kind", "mid")),
 		splitsPoint:       r.Counter("btree_splits_total", "B-tree node splits by where the split was placed", obs.L("kind", "point")),
@@ -54,6 +58,10 @@ func (db *DB) initObs() {
 		func() int64 { return db.pool.Stats().Evictions })
 	r.CounterFunc("buffer_pool_writebacks_total", "dirty pages written back",
 		func() int64 { return db.pool.Stats().Writebacks })
+	r.CounterFunc("buffer_writebacks_total", "dirty pages written back, by cause",
+		func() int64 { return db.pool.Stats().EvictWritebacks }, obs.L("cause", "eviction"))
+	r.CounterFunc("buffer_writebacks_total", "dirty pages written back, by cause",
+		func() int64 { return db.pool.Stats().FlushWritebacks }, obs.L("cause", "checkpoint"))
 	r.GaugeFunc("buffer_pool_resident_pages", "pages currently cached",
 		func() int64 { return int64(db.pool.Resident()) })
 	for _, fam := range []struct {

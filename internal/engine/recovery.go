@@ -14,8 +14,9 @@ import (
 //
 //   - analysis: from the last checkpoint's begin record, rebuild the active
 //     transaction table (seeded from the checkpoint-end record's ATT);
-//   - redo: replay every page operation whose effects are not yet on the
-//     page (pageLSN test), repeating history;
+//   - redo: from the checkpoint's redo start, replay every page operation
+//     whose effects are not yet on the page (dirty-page table below the
+//     begin record, pageLSN test everywhere), repeating history;
 //   - undo: logically roll back every transaction that was in flight,
 //     generating CLRs, exactly as a runtime rollback would.
 //
@@ -36,7 +37,9 @@ import (
 //
 // recover composes them over one log scan.
 func (db *DB) recover() error {
-	start := wal.LSN(1)
+	begin, start := wal.LSN(1), wal.LSN(1)
+	var dpt map[uint32]wal.LSN
+	prevBegin := flushAll
 	st := NewRecoveryState()
 	db.mu.Lock()
 	ckptEnd := db.boot.lastCkptEnd
@@ -50,20 +53,34 @@ func (db *DB) recover() error {
 		if err != nil {
 			return err
 		}
-		start = data.BeginLSN
+		begin, start, prevBegin = data.BeginLSN, data.RedoStart(), data.BeginLSN
+		dpt = make(map[uint32]wal.LSN, len(data.DPT))
+		for _, e := range data.DPT {
+			dpt[e.PageID] = e.RecLSN
+		}
 		st.Seed(data.ATT)
 	}
 
-	// Analysis + redo in one forward pass (sharp checkpoints flush all
-	// dirty pages, so redo from the checkpoint-begin record is complete).
+	// Analysis + redo in one forward pass. The checkpoint wrote back only
+	// pages that stayed dirty through a whole interval; the rest it listed
+	// in its dirty-page table, so below the begin record a change can be
+	// missing only from a listed page, at or after its recLSN. Any other
+	// record there is skipped without reading its page. Analysis starts at
+	// the begin record, where the ATT was seeded.
 	// validEnd tracks the end of the last intact record: a crash can tear
 	// the final record mid-write, and the log must be rewound to the valid
 	// CRC boundary before recovery appends anything — otherwise the torn
 	// bytes would sit as an unreadable hole in front of every later record.
 	validEnd := start - 1
 	err := db.log.Scan(start, func(rec *wal.Record) (bool, error) {
-		st.Observe(rec)
 		validEnd = rec.LSN + wal.LSN(rec.ApproxSize()) - 1
+		if rec.LSN < begin {
+			if recLSN, ok := dpt[rec.PageID]; !ok || rec.LSN < recLSN {
+				return true, nil
+			}
+		} else {
+			st.Observe(rec)
+		}
 		if err := db.RedoRecord(rec); err != nil {
 			return false, err
 		}
@@ -85,8 +102,10 @@ func (db *DB) recover() error {
 		return err
 	}
 
-	// Leave a clean starting point for the next crash.
-	return db.Checkpoint()
+	// Leave a starting point for the next crash, bounded like a periodic
+	// checkpoint: pages redone from below the recovered-from checkpoint's
+	// begin are written back, the rest go into the dirty-page table.
+	return db.checkpoint(prevBegin)
 }
 
 // RecoveryState is the incremental §5.2 analysis state: the table of

@@ -24,6 +24,8 @@ package buffer
 import (
 	"errors"
 	"fmt"
+	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -61,8 +63,13 @@ type frame struct {
 	id    page.ID
 	pg    *page.Page
 	dirty atomic.Bool
-	pins  atomic.Int32
-	used  atomic.Bool // clock bit
+	// recLSN is the pageLSN of the first logged change since the page was
+	// last clean: set when MarkDirty first sees a nonzero pageLSN, cleared
+	// by writeBack. 0 on a dirty page means no logged change yet (unlogged
+	// formatting only).
+	recLSN atomic.Uint64
+	pins   atomic.Int32
+	used   atomic.Bool // clock bit
 }
 
 // shard is one partition of the pool: a private page table, frame set and
@@ -76,10 +83,11 @@ type shard struct {
 	frames []*frame
 	hand   int // clock sweep position, guarded by mu.Lock
 
-	hits       atomic.Int64
-	misses     atomic.Int64
-	evictions  atomic.Int64 // cached pages evicted (clean, or dirty after writeback)
-	writebacks atomic.Int64 // dirty pages written back (eviction and FlushAll)
+	hits            atomic.Int64
+	misses          atomic.Int64
+	evictions       atomic.Int64 // cached pages evicted (clean, or dirty after writeback)
+	evictWritebacks atomic.Int64 // dirty victims written back by eviction
+	flushWritebacks atomic.Int64 // dirty pages written back by WriteBackBelow
 }
 
 // Pool is a buffer pool. It is safe for concurrent use.
@@ -178,12 +186,18 @@ type Handle struct {
 func (h *Handle) Page() *page.Page { return h.frame.pg }
 
 // MarkDirty records that the page has been modified. Requires an exclusive
-// handle.
+// handle. Call it after stamping the change's LSN on the page: the first
+// nonzero pageLSN MarkDirty sees since the page was last clean becomes its
+// recLSN.
 func (h *Handle) MarkDirty() {
 	if !h.excl {
 		panic("buffer: MarkDirty on shared handle")
 	}
-	h.frame.dirty.Store(true)
+	f := h.frame
+	if f.recLSN.Load() == 0 {
+		f.recLSN.Store(f.pg.PageLSN())
+	}
+	f.dirty.Store(true)
 }
 
 // Release unlatches and unpins the page. Safe to call once.
@@ -283,6 +297,7 @@ func (p *Pool) fetch(id page.ID, excl, read bool) (*Handle, error) {
 		}
 		f.id = id
 		f.dirty.Store(false)
+		f.recLSN.Store(0)
 		f.pins.Store(1)
 		f.used.Store(true)
 		f.latch.Lock() // uncontended: victims have pins==0, hence no waiters
@@ -357,7 +372,7 @@ func zero(b []byte) {
 // force plus a page write, the slowest thing a fetch can do — happens
 // OUTSIDE the shard lock: the victim is claimed with a pin (pins 0→1 under
 // s.mu excludes rival evictors) and exclusively latched (excludes writers
-// and FlushAll, whose writeback holds the latch shared), the lock is
+// and WriteBackBelow, whose writeback also holds the latch), the lock is
 // dropped for the I/O, and on reacquisition the claim is revalidated — if
 // a fetch found the page meanwhile (pins > 1) or a writer re-dirtied it,
 // the eviction aborts and the sweep continues; eviction must never evict a
@@ -387,7 +402,7 @@ func (s *shard) evictLocked() (*frame, error) {
 		f.pins.Add(1)
 		s.mu.Unlock()
 		f.latch.Lock()
-		err := s.writeBack(f)
+		err := s.writeBack(f, &s.evictWritebacks)
 		f.latch.Unlock()
 		s.mu.Lock()
 		if err != nil {
@@ -412,13 +427,13 @@ func (s *shard) evictLocked() (*frame, error) {
 	return nil, ErrNoFrames
 }
 
-// writeBack flushes one dirty frame, honoring the WAL rule. Callers must
-// hold the frame latch exclusively: WriteChecksum mutates the page header,
-// so even a reader-facing flush is a write to the frame. The eviction path
-// latches exclusively with no shard lock; FlushAll latches exclusively plus
-// s.mu (writebacks of a frame pinned by FlushAll cannot race with
-// eviction's, which only claims pin-free frames).
-func (s *shard) writeBack(f *frame) error {
+// writeBack flushes one dirty frame, honoring the WAL rule, and counts it in
+// cause. Callers must hold the frame latch exclusively: WriteChecksum
+// mutates the page header, so even a reader-facing flush is a write to the
+// frame. The eviction path latches exclusively with no shard lock;
+// WriteBackBelow latches exclusively plus s.mu (writebacks of a frame pinned
+// by it cannot race with eviction's, which only claims pin-free frames).
+func (s *shard) writeBack(f *frame, cause *atomic.Int64) error {
 	if s.cfg.FlushLog != nil {
 		if err := s.cfg.FlushLog(f.pg.PageLSN()); err != nil {
 			return fmt.Errorf("buffer: WAL flush before writeback of page %d: %w", f.id, err)
@@ -431,7 +446,8 @@ func (s *shard) writeBack(f *frame) error {
 		return fmt.Errorf("buffer: writeback of page %d: %w", f.id, err)
 	}
 	f.dirty.Store(false)
-	s.writebacks.Add(1)
+	f.recLSN.Store(0)
+	cause.Add(1)
 	return nil
 }
 
@@ -441,17 +457,29 @@ func unpin(f *frame) {
 	}
 }
 
-// FlushAll writes back every dirty page. Each page is briefly latched
+// FlushAll writes back every dirty page: WriteBackBelow with no bound.
+func (p *Pool) FlushAll() error {
+	_, err := p.WriteBackBelow(math.MaxUint64)
+	return err
+}
+
+// WriteBackBelow writes back every dirty page whose recLSN is below lsn — a
+// page with no logged change since it was last clean counts as below any
+// bound — and returns how many it wrote. Each page is briefly latched
 // exclusively: writeBack stamps the page checksum into the frame, which
 // must not race with a concurrent shared-latch reader copying the page (a
 // snapshot source taking an image of it).
-func (p *Pool) FlushAll() error {
+func (p *Pool) WriteBackBelow(lsn uint64) (int, error) {
+	due := func(f *frame) bool {
+		return f.id != page.InvalidID && f.dirty.Load() && f.recLSN.Load() < lsn
+	}
+	written := 0
 	var firstErr error
 	for _, s := range p.shards {
 		s.mu.Lock()
 		dirty := make([]*frame, 0, len(s.frames))
 		for _, f := range s.frames {
-			if f.id != page.InvalidID && f.dirty.Load() {
+			if due(f) {
 				f.pins.Add(1) // keep resident while we work on it
 				dirty = append(dirty, f)
 			}
@@ -462,8 +490,10 @@ func (p *Pool) FlushAll() error {
 			f.latch.Lock()
 			s.mu.Lock()
 			var err error
-			if f.dirty.Load() && f.id != page.InvalidID {
-				err = s.writeBack(f)
+			if due(f) {
+				if err = s.writeBack(f, &s.flushWritebacks); err == nil {
+					written++
+				}
 			}
 			s.mu.Unlock()
 			f.latch.Unlock()
@@ -473,7 +503,42 @@ func (p *Pool) FlushAll() error {
 			unpin(f)
 		}
 	}
-	return firstErr
+	return written, firstErr
+}
+
+// DirtyPage is one entry of a dirty-page table.
+type DirtyPage struct {
+	ID     page.ID
+	RecLSN uint64
+}
+
+// DirtyPages returns every dirty page whose recLSN is set and below lsn, in
+// page-id order. Each resident frame is latched shared in turn, so a change
+// in progress under an exclusive latch — its log record appended, MarkDirty
+// not yet called — is waited for and seen with its recLSN. One frame is
+// pinned at a time, so concurrent misses can still evict.
+func (p *Pool) DirtyPages(lsn uint64) []DirtyPage {
+	var out []DirtyPage
+	for _, s := range p.shards {
+		for i := range s.frames {
+			s.mu.RLock()
+			f := s.frames[i]
+			if f.id == page.InvalidID {
+				s.mu.RUnlock()
+				continue
+			}
+			f.pins.Add(1)
+			s.mu.RUnlock()
+			f.latch.RLock()
+			if rec := f.recLSN.Load(); f.id != page.InvalidID && f.dirty.Load() && rec != 0 && rec < lsn {
+				out = append(out, DirtyPage{ID: f.id, RecLSN: rec})
+			}
+			f.latch.RUnlock()
+			unpin(f)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }
 
 // DropAll discards every non-pinned clean frame and fails if dirty or pinned
@@ -503,20 +568,37 @@ func (p *Pool) DropAll() error {
 
 // Stats is the pool's cumulative counter snapshot, summed across shards.
 type Stats struct {
-	Hits       int64 // fetches served from a resident frame
-	Misses     int64 // fetches that had to read the page in
-	Evictions  int64 // cached pages evicted (clean, or dirty after writeback)
-	Writebacks int64 // dirty pages written back (eviction and FlushAll)
+	Hits            int64 // fetches served from a resident frame
+	Misses          int64 // fetches that had to read the page in
+	Evictions       int64 // cached pages evicted (clean, or dirty after writeback)
+	EvictWritebacks int64 // dirty victims written back by eviction
+	FlushWritebacks int64 // dirty pages written back by WriteBackBelow (checkpoints, FlushAll)
+	Writebacks      int64 // EvictWritebacks + FlushWritebacks
+}
+
+func (s *shard) stats() Stats {
+	st := Stats{
+		Hits:            s.hits.Load(),
+		Misses:          s.misses.Load(),
+		Evictions:       s.evictions.Load(),
+		EvictWritebacks: s.evictWritebacks.Load(),
+		FlushWritebacks: s.flushWritebacks.Load(),
+	}
+	st.Writebacks = st.EvictWritebacks + st.FlushWritebacks
+	return st
 }
 
 // Stats returns the counters summed across shards.
 func (p *Pool) Stats() Stats {
 	var st Stats
 	for _, s := range p.shards {
-		st.Hits += s.hits.Load()
-		st.Misses += s.misses.Load()
-		st.Evictions += s.evictions.Load()
-		st.Writebacks += s.writebacks.Load()
+		x := s.stats()
+		st.Hits += x.Hits
+		st.Misses += x.Misses
+		st.Evictions += x.Evictions
+		st.EvictWritebacks += x.EvictWritebacks
+		st.FlushWritebacks += x.FlushWritebacks
+		st.Writebacks += x.Writebacks
 	}
 	return st
 }
@@ -526,12 +608,7 @@ func (p *Pool) Stats() Stats {
 func (p *Pool) ShardStats() []Stats {
 	out := make([]Stats, len(p.shards))
 	for i, s := range p.shards {
-		out[i] = Stats{
-			Hits:       s.hits.Load(),
-			Misses:     s.misses.Load(),
-			Evictions:  s.evictions.Load(),
-			Writebacks: s.writebacks.Load(),
-		}
+		out[i] = s.stats()
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package buffer
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -517,9 +518,10 @@ func TestDirtyEvictionDoesNotBlockSameShardHits(t *testing.T) {
 }
 
 // TestConcurrentDirtyEvictionIntegrity hammers a too-small pool with
-// concurrent writers incrementing per-page counters, readers, and FlushAll
-// sweeps. Dirty victims are constantly written back outside the shard lock;
-// if an eviction ever raced a fetch into two frames for one page (or
+// concurrent writers incrementing per-page counters, readers, and
+// write-back sweeps (bounded, with a dirty-page capture, and FlushAll).
+// Dirty victims are constantly written back outside the shard lock; if an
+// eviction ever raced a fetch into two frames for one page (or
 // evicted a re-dirtied page), increments would be lost and the final
 // counters would disagree.
 func TestConcurrentDirtyEvictionIntegrity(t *testing.T) {
@@ -556,17 +558,30 @@ func TestConcurrentDirtyEvictionIntegrity(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	sweeperDone := make(chan struct{})
-	// FlushAll sweeper: concurrent writebacks through the other path.
+	// Checkpoint-like sweeper: concurrent writebacks through the other
+	// path, alternating a bounded write-back and its dirty-page capture with
+	// FlushAll.
 	go func() {
 		defer close(sweeperDone)
-		for {
+		for n := 0; ; n++ {
 			select {
 			case <-stop:
 				return
 			default:
-				if err := pool.FlushAll(); err != nil {
+				bound := uint64(math.MaxUint64)
+				if n%2 == 0 {
+					countMu.Lock()
+					bound = lsn / 2
+					countMu.Unlock()
+				}
+				if _, err := pool.WriteBackBelow(bound); err != nil {
 					t.Error(err)
 					return
+				}
+				for _, d := range pool.DirtyPages(bound) {
+					if d.RecLSN == 0 || d.RecLSN >= bound {
+						t.Errorf("DirtyPages(%d) listed page %d with recLSN %d", bound, d.ID, d.RecLSN)
+					}
 				}
 			}
 		}
@@ -669,8 +684,9 @@ func TestStatsCountEvictionsAndWritebacks(t *testing.T) {
 	if st.Evictions < 4 {
 		t.Fatalf("evictions = %d, want >= 4", st.Evictions)
 	}
-	if st.Writebacks != 1 {
-		t.Fatalf("writebacks = %d, want 1 (only page 0 was dirty)", st.Writebacks)
+	if st.Writebacks != 1 || st.EvictWritebacks != 1 || st.FlushWritebacks != 0 {
+		t.Fatalf("writebacks = %d (evict %d, flush %d), want 1 by eviction (only page 0 was dirty)",
+			st.Writebacks, st.EvictWritebacks, st.FlushWritebacks)
 	}
 	if st.Misses != 6 || st.Hits != 0 {
 		t.Fatalf("hits=%d misses=%d, want 0/6", st.Hits, st.Misses)
@@ -687,7 +703,101 @@ func TestStatsCountEvictionsAndWritebacks(t *testing.T) {
 	if err := pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	if got := pool.Stats().Writebacks; got != 2 {
-		t.Fatalf("writebacks after FlushAll = %d, want 2", got)
+	if st := pool.Stats(); st.Writebacks != 2 || st.EvictWritebacks != 1 || st.FlushWritebacks != 1 {
+		t.Fatalf("after FlushAll: writebacks = %d (evict %d, flush %d), want 2 (1, 1)",
+			st.Writebacks, st.EvictWritebacks, st.FlushWritebacks)
+	}
+}
+
+// dirtyAt modifies page id under an exclusive latch, stamping lsn as its
+// pageLSN (0 leaves it unlogged) before MarkDirty, as a logged change does.
+func dirtyAt(t *testing.T, pool *Pool, id page.ID, lsn uint64) {
+	t.Helper()
+	h, err := pool.Fetch(id, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lsn != 0 {
+		h.Page().SetPageLSN(lsn)
+	}
+	h.MarkDirty()
+	h.Release()
+}
+
+// TestRecLSNBoundsWriteBack: a page's recLSN is its first logged change
+// since it was last clean; WriteBackBelow writes back exactly the pages
+// whose recLSN is below the bound (and those with no logged change yet),
+// and DirtyPages lists what stays dirty with its recLSN.
+func TestRecLSNBoundsWriteBack(t *testing.T) {
+	src := newMemSource()
+	for i := 1; i <= 4; i++ {
+		src.seed(page.ID(i))
+	}
+	pool := New(Config{Frames: 8, Source: src})
+	dirtyAt(t, pool, 1, 100)
+	dirtyAt(t, pool, 1, 300) // already dirty: recLSN stays 100
+	dirtyAt(t, pool, 2, 200)
+	dirtyAt(t, pool, 3, 0)   // unlogged change only: no recLSN yet
+	dirtyAt(t, pool, 4, 0)   // unlogged first...
+	dirtyAt(t, pool, 4, 250) // ...then its first logged change
+	want := []DirtyPage{{1, 100}, {2, 200}, {4, 250}}
+	if got := pool.DirtyPages(1000); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("DirtyPages = %v, want %v", got, want)
+	}
+	if got := pool.DirtyPages(200); fmt.Sprint(got) != fmt.Sprint(want[:1]) {
+		t.Fatalf("DirtyPages below 200 = %v, want %v", got, want[:1])
+	}
+
+	// Below 201: page 1 (100), page 2 (200) and page 3 (no recLSN).
+	n, err := pool.WriteBackBelow(201)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 3 || src.writes != 3 {
+		t.Fatalf("WriteBackBelow(201) wrote %d pages (%d source writes), want 3", n, src.writes)
+	}
+	if got := pool.DirtyPages(1000); fmt.Sprint(got) != fmt.Sprint([]DirtyPage{{4, 250}}) {
+		t.Fatalf("after write-back DirtyPages = %v, want [{4 250}]", got)
+	}
+	// A written-back page that is dirtied again takes its new change's LSN.
+	dirtyAt(t, pool, 1, 400)
+	if got := pool.DirtyPages(1000); fmt.Sprint(got) != fmt.Sprint([]DirtyPage{{1, 400}, {4, 250}}) {
+		t.Fatalf("re-dirtied DirtyPages = %v", got)
+	}
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := pool.DirtyPages(1000); len(got) != 0 {
+		t.Fatalf("after FlushAll DirtyPages = %v, want none", got)
+	}
+	if st := pool.Stats(); st.FlushWritebacks != 5 || st.EvictWritebacks != 0 {
+		t.Fatalf("flush writebacks = %d, evict = %d, want 5, 0", st.FlushWritebacks, st.EvictWritebacks)
+	}
+}
+
+// TestDirtyPagesWaitsForLatchedChange: a change whose log record is already
+// appended (its LSN below the capture bound) but whose page is still
+// exclusively latched, not yet marked dirty, is in the table once the
+// capture returns — the capture waits for the latch.
+func TestDirtyPagesWaitsForLatchedChange(t *testing.T) {
+	src := newMemSource()
+	src.seed(1)
+	pool := New(Config{Frames: 4, Source: src})
+	h, err := pool.Fetch(1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Page().SetPageLSN(50)
+	got := make(chan []DirtyPage)
+	go func() { got <- pool.DirtyPages(100) }()
+	select {
+	case d := <-got:
+		t.Fatalf("capture returned %v while the page was latched", d)
+	case <-time.After(20 * time.Millisecond):
+	}
+	h.MarkDirty()
+	h.Release()
+	if d := <-got; fmt.Sprint(d) != fmt.Sprint([]DirtyPage{{1, 50}}) {
+		t.Fatalf("DirtyPages = %v, want [{1 50}]", d)
 	}
 }

@@ -434,11 +434,37 @@ type CheckpointData struct {
 	// TLI 0 means the payload predates timelines (lineage unknown).
 	TLI     TimelineID
 	History TimelineHistory
+	// DPT is the dirty-page table: each page that was still dirty in the
+	// buffer pool when the checkpoint ended and held a change logged before
+	// BeginLSN, with its recLSN — the first such change. Redo starts at
+	// RedoStart. A flush-all checkpoint (DB.Checkpoint) has none. The
+	// section follows the timeline section, so it is written only when TLI
+	// is set.
+	DPT []DirtyPage
+}
+
+// DirtyPage is one entry of a checkpoint's dirty-page table.
+type DirtyPage struct {
+	PageID uint32
+	RecLSN LSN
+}
+
+// RedoStart is where crash recovery from this checkpoint starts its log
+// scan: the begin record, or the oldest recLSN in the dirty-page table if
+// that is older.
+func (d CheckpointData) RedoStart() LSN {
+	start := d.BeginLSN
+	for _, e := range d.DPT {
+		if e.RecLSN < start {
+			start = e.RecLSN
+		}
+	}
+	return start
 }
 
 // EncodeCheckpoint serializes d for Record.Extra.
 func EncodeCheckpoint(d CheckpointData) []byte {
-	buf := make([]byte, 0, 32+24*len(d.ATT)+16*len(d.Times))
+	buf := make([]byte, 0, 32+24*len(d.ATT)+16*len(d.Times)+16*len(d.DPT))
 	var tmp [8]byte
 	put := func(v uint64) {
 		binary.LittleEndian.PutUint64(tmp[:], v)
@@ -464,13 +490,23 @@ func EncodeCheckpoint(d CheckpointData) []byte {
 			put(uint64(f.TLI))
 			put(uint64(f.End))
 		}
+		if len(d.DPT) > 0 {
+			put(uint64(len(d.DPT)))
+			for _, e := range d.DPT {
+				put(uint64(e.PageID))
+				put(uint64(e.RecLSN))
+			}
+		}
 	}
 	return buf
 }
 
 // DecodeCheckpoint parses a TypeCheckpointEnd payload. Payloads written
 // before the time index existed end after the ATT entries and decode with
-// no samples.
+// no samples; payloads with no dirty-page table (a flush-all checkpoint, or
+// one written before the table existed) decode with an empty DPT, which is
+// what both mean. A malformed table — a count the bytes cannot hold, a
+// recLSN of 0 or not below BeginLSN — is an error.
 func DecodeCheckpoint(b []byte) (CheckpointData, error) {
 	var d CheckpointData
 	if len(b) < 24 {
@@ -522,11 +558,8 @@ func DecodeCheckpoint(b []byte) (CheckpointData, error) {
 		// TLI 0 means "no lineage" and is written as no section at all.
 		return d, fmt.Errorf("wal: checkpoint timeline section for timeline 0")
 	}
-	// The timeline section is the payload's last: bytes past it are not
-	// something this build wrote (a partitioned log's stream trailer went
-	// there), so they are an error, not padding.
 	hn := binary.LittleEndian.Uint64(rest[8:])
-	if hn > uint64(len(rest)-16)/16 || len(rest) != 16+16*int(hn) {
+	if hn > uint64(len(rest)-16)/16 {
 		return d, fmt.Errorf("wal: checkpoint timeline trailer %d bytes for %d forks", len(rest), hn)
 	}
 	for i := 0; i < int(hn); i++ {
@@ -535,6 +568,31 @@ func DecodeCheckpoint(b []byte) (CheckpointData, error) {
 			TLI: TimelineID(binary.LittleEndian.Uint64(rest[off:])),
 			End: LSN(binary.LittleEndian.Uint64(rest[off+8:])),
 		})
+	}
+	rest = rest[16+16*int(hn):]
+	if len(rest) == 0 {
+		return d, nil // flush-all checkpoint, or written before the DPT
+	}
+	// DPT section: n u64 | n × (page u64, recLSN u64). It is the payload's
+	// last: bytes past it are not something this build wrote (a partitioned
+	// log's stream trailer went after the timeline section), so they are an
+	// error, not padding. An empty table is written as no section at all.
+	if len(rest) < 8 {
+		return d, fmt.Errorf("wal: checkpoint dirty-page table trailer of %d bytes", len(rest))
+	}
+	dn := binary.LittleEndian.Uint64(rest)
+	if dn == 0 || dn > uint64(len(rest)-8)/16 || len(rest) != 8+16*int(dn) {
+		return d, fmt.Errorf("wal: checkpoint dirty-page table %d bytes for %d pages", len(rest), dn)
+	}
+	d.DPT = make([]DirtyPage, 0, dn)
+	for i := 0; i < int(dn); i++ {
+		off := 8 + 16*i
+		id := binary.LittleEndian.Uint64(rest[off:])
+		rec := LSN(binary.LittleEndian.Uint64(rest[off+8:]))
+		if id > math.MaxUint32 || rec == 0 || rec >= d.BeginLSN {
+			return d, fmt.Errorf("wal: checkpoint dirty page %d with recLSN %v (begin %v)", id, rec, d.BeginLSN)
+		}
+		d.DPT = append(d.DPT, DirtyPage{PageID: uint32(id), RecLSN: rec})
 	}
 	return d, nil
 }

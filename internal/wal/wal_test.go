@@ -372,13 +372,68 @@ func TestCheckpointPayloadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointDPTSection: a fuzzy checkpoint's dirty-page table trails the
+// timeline section and round-trips; a payload without one decodes with an
+// empty table; a malformed table is an error, never a panic or a silent
+// slice.
+func TestCheckpointDPTSection(t *testing.T) {
+	d := CheckpointData{
+		BeginLSN: 5000,
+		PrevEnd:  4000,
+		ATT:      []ATTEntry{{TxnID: 3, LastLSN: 4900, BeginLSN: 4100}},
+		TLI:      1,
+		DPT:      []DirtyPage{{PageID: 7, RecLSN: 3100}, {PageID: 9, RecLSN: 4999}},
+	}
+	payload := EncodeCheckpoint(d)
+	got, err := DecodeCheckpoint(payload)
+	if err != nil || !reflect.DeepEqual(got, d) {
+		t.Fatalf("DPT round trip: got %+v, %v", got, err)
+	}
+	if got.RedoStart() != 3100 {
+		t.Fatalf("RedoStart = %v, want 3100", got.RedoStart())
+	}
+	flushAll := d
+	flushAll.DPT = nil
+	if got, err := DecodeCheckpoint(EncodeCheckpoint(flushAll)); err != nil || got.DPT != nil || got.RedoStart() != 5000 {
+		t.Fatalf("no DPT: got %+v (redo start %v), %v", got.DPT, got.RedoStart(), err)
+	}
+
+	base := len(EncodeCheckpoint(flushAll)) // offset of the DPT section
+	bad := map[string][]byte{
+		"truncated mid-entry": payload[:len(payload)-5],
+		"truncated count":     payload[:base+3],
+		"trailing bytes":      binary.LittleEndian.AppendUint64(append([]byte(nil), payload...), 0),
+	}
+	withEntry := func(i int, field int, v uint64) []byte {
+		b := append([]byte(nil), payload...)
+		binary.LittleEndian.PutUint64(b[base+8+16*i+8*field:], v)
+		return b
+	}
+	bad["recLSN 0"] = withEntry(0, 1, 0)
+	bad["recLSN at begin"] = withEntry(1, 1, 5000)
+	bad["recLSN above begin"] = withEntry(1, 1, 9000)
+	bad["page id past 32 bits"] = withEntry(0, 0, 1<<32)
+	for name, n := range map[string]uint64{"count 0": 0, "count past the bytes": 3, "count that wraps": 1 << 60} {
+		b := append([]byte(nil), payload...)
+		binary.LittleEndian.PutUint64(b[base:], n)
+		bad[name] = b
+	}
+	for name, b := range bad {
+		if got, err := DecodeCheckpoint(b); err == nil {
+			t.Errorf("%s: decoded %+v, want an error", name, got)
+		}
+	}
+}
+
 // FuzzDecodeCheckpoint: the checkpoint-end payload decoder — the analysis
-// seed recovery, split resolution, replica apply and backup.Full all read —
-// never panics, and what it accepts encodes to a payload that decodes to the
-// same CheckpointData. (Not always to the same bytes: a payload written before
-// the time index or timelines existed is encoded with those sections.) Seeds
-// are the checkpoint-end bodies of internal/asof/testdata/wholerow-log and one
-// payload with a timeline section.
+// seed and redo start recovery, split resolution, replica apply and
+// backup.Full all read — never panics, and what it accepts encodes to a
+// payload that decodes to the same CheckpointData, dirty-page table
+// included. (Not always to the same bytes: a payload written before the time
+// index or timelines existed is encoded with those sections.) Seeds are the
+// checkpoint-end bodies of internal/asof/testdata/wholerow-log, one payload
+// with a timeline section, one with a dirty-page table and one cut off in
+// the middle of it.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		d, err := DecodeCheckpoint(payload)
