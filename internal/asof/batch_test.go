@@ -303,12 +303,6 @@ func TestMergedWalkReadsEachBlockOnce(t *testing.T) {
 	}
 }
 
-func readyLen(s *Snapshot) int {
-	s.readyMu.Lock()
-	defer s.readyMu.Unlock()
-	return len(s.ready)
-}
-
 // TestBatchQueriesBesideBackgroundUndo runs GetMany and Scan from several
 // goroutines on a snapshot whose in-flight transactions are being undone in
 // the background — on pages the batches also want — and compares every
@@ -461,9 +455,6 @@ func TestBatchQueriesBesideBackgroundUndo(t *testing.T) {
 	if s.Stats().BatchPrepares.Load() == 0 {
 		t.Fatal("no query went through a batch")
 	}
-	if n := readyLen(s); n != 0 {
-		t.Fatalf("%d pages left parked after the batches", n)
-	}
 	if n := snapCount(t, s, "t"); n != rows {
 		t.Fatalf("snapshot has %d rows, want %d", n, rows)
 	}
@@ -503,7 +494,7 @@ func TestScanPreparesAheadBoundedly(t *testing.T) {
 		return err
 	})
 
-	var batches, batchPages int64
+	var batches, batchPages, sideIOs, sidePages int64
 	for _, stopAfter := range []int{1, 25, 60, 400, 3000} {
 		s, err := CreateSnapshotAtLSN(db, split, nil)
 		if err != nil {
@@ -531,12 +522,12 @@ func TestScanPreparesAheadBoundedly(t *testing.T) {
 		if prepared > 2*int64(len(read)) {
 			t.Fatalf("stop after %d rows: rows came from %d leaves, %d were prepared", stopAfter, len(read), prepared)
 		}
-		if n := readyLen(s); n != 0 {
-			t.Fatalf("%d pages left parked after the scan", n)
-		}
 		batches += s.Stats().BatchPrepares.Load()
 		batchPages += prepared
 		s.Close()
+		ios, pages := s.side.WriteStats()
+		sideIOs += ios
+		sidePages += pages
 	}
 	// A closed snapshot's batch counts reach the database-wide counters.
 	if got := metric(db, "asof_batch_prepares_total"); batches == 0 || got != float64(batches) {
@@ -544,6 +535,13 @@ func TestScanPreparesAheadBoundedly(t *testing.T) {
 	}
 	if got := metric(db, "asof_batch_pages_total"); got != float64(batchPages) {
 		t.Fatalf("asof_batch_pages_total = %v, snapshots counted %d", got, batchPages)
+	}
+	// And so do their side-file writes, batches written a run at a time.
+	if got := metric(db, "sidefile_pages_written_total"); got != float64(sidePages) || sidePages < batchPages {
+		t.Fatalf("sidefile_pages_written_total = %v, side files wrote %d (batches %d)", got, sidePages, batchPages)
+	}
+	if got := metric(db, "sidefile_write_ios_total"); got != float64(sideIOs) || sideIOs >= sidePages {
+		t.Fatalf("sidefile_write_ios_total = %v, side files issued %d writes for %d pages", got, sideIOs, sidePages)
 	}
 
 	// A bounded range: its leaves and nothing beyond them.
@@ -565,9 +563,9 @@ func TestScanPreparesAheadBoundedly(t *testing.T) {
 	}
 }
 
-// TestBatchLeavesNothingParkedOnFailure makes the pool's fetch of a batch
-// page fail (the side-file writer is closed, so the loader cannot enqueue)
-// and requires the error to surface and the parked copies to be gone.
+// TestBatchLeavesNothingParkedOnFailure closes the side-file writer, so a
+// batch cannot park its rewound pages, and requires the error to surface
+// and no page the batch did not materialize to be reported as materialized.
 func TestBatchLeavesNothingParkedOnFailure(t *testing.T) {
 	clock := newVClock()
 	db := openDB(t, clock, engine.Options{})
@@ -580,16 +578,23 @@ func TestBatchLeavesNothingParkedOnFailure(t *testing.T) {
 	if err := s.WaitUndo(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.prepareBatch(leaves[:4]); err != nil || readyLen(s) != 0 {
-		t.Fatalf("healthy batch: err %v, %d parked", err, readyLen(s))
+	if err := s.prepareBatch(leaves[:4]); err != nil {
+		t.Fatalf("healthy batch: %v", err)
+	}
+	for _, id := range leaves[:4] {
+		if !s.writer.Has(id) {
+			t.Fatalf("page %d of a healthy batch not materialized", id)
+		}
 	}
 	if err := s.writer.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.prepareBatch(leaves[4:12]); err == nil {
-		t.Fatal("batch succeeded although its pages could not be installed")
+		t.Fatal("batch succeeded although its pages could not be parked")
 	}
-	if n := readyLen(s); n != 0 {
-		t.Fatalf("%d pages left parked after a failed batch", n)
+	for _, id := range leaves[4:12] {
+		if s.writer.Has(id) {
+			t.Fatalf("page %d reported materialized after a failed batch", id)
+		}
 	}
 }

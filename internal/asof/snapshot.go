@@ -54,11 +54,6 @@ type Snapshot struct {
 	pending   atomic.Int32     // in-flight transactions not yet undone
 	queryIDs  atomic.Uint64    // ephemeral reader ids for the lock barrier
 
-	// ready parks the pages a batch rewind has prepared until the pool
-	// asks for them (snapSource.ReadPage); it is empty between batches.
-	readyMu sync.Mutex
-	ready   map[page.ID][]byte
-
 	mu       sync.Mutex
 	undoErr  error
 	undoDone chan struct{}
@@ -131,7 +126,6 @@ func newSnapshot(db *engine.DB, point SplitPoint, asOf time.Time, sideDev *media
 		locks:     txn.NewLockManager(30 * time.Second),
 		lockOwner: 1,
 		undoDone:  make(chan struct{}),
-		ready:     make(map[page.ID][]byte),
 	}
 	s.UnloggedStore = engine.NewUnloggedStore(db.SnapshotFrames(), (*snapSource)(s), point.SplitLSN)
 	s.pending.Store(int32(len(point.ATT)))
@@ -209,6 +203,9 @@ func (s *Snapshot) Close() error {
 	r.Counter("asof_image_restores_total", "full page images restored by as-of prepares").Add(s.stats.ImageRestores.Load())
 	r.Counter("asof_batch_prepares_total", "merged chain walks that rewound several pages at once").Add(s.stats.BatchPrepares.Load())
 	r.Counter("asof_batch_pages_total", "pages handed to merged chain walks").Add(s.stats.BatchPages.Load())
+	ios, pages := s.side.WriteStats()
+	r.Counter("sidefile_write_ios_total", "side-file device writes by as-of snapshots").Add(ios)
+	r.Counter("sidefile_pages_written_total", "pages those side-file writes carried").Add(pages)
 	r.Gauge("asof_snapshots_open", "as-of snapshots currently mounted").Add(-1)
 	return err
 }
@@ -218,13 +215,13 @@ func (s *Snapshot) Close() error {
 // snapSource implements buffer.Source for the snapshot pool:
 //
 //	a. if the page is materialized for the snapshot (side file or its
-//	   write-behind queue), return it — a page the background undo already
-//	   fixed always wins;
-//	b. else, if a batch rewind has the page ready (prepareBatch), take it;
-//	c. else read the page from the primary database (a latched copy through
+//	   write-behind queue, where a batch rewind parks the pages it
+//	   prepared), return it — a page the background undo already fixed
+//	   always wins;
+//	b. else read the page from the primary database (a latched copy through
 //	   the primary buffer pool) and call PreparePageAsOf(page, SplitLSN) to
 //	   undo it to the split;
-//	d. enqueue the prepared page for the side file — the write happens on a
+//	c. enqueue the prepared page for the side file — the write happens on a
 //	   background goroutine, so the rewound page is served immediately.
 type snapSource Snapshot
 
@@ -240,20 +237,12 @@ func (src *snapSource) ReadPage(id page.ID, buf []byte) error {
 	if s.IsLocalPage(id) {
 		return fmt.Errorf("asof: snapshot-local page %d lost from side file", id)
 	}
-	s.readyMu.Lock()
-	parked, ok := s.ready[id]
-	delete(s.ready, id)
-	s.readyMu.Unlock()
+	if err := copyPrimary(s.db, id, buf); err != nil {
+		return err
+	}
 	p := page.FromBytes(buf)
-	if ok {
-		copy(buf, parked)
-	} else {
-		if err := copyPrimary(s.db, id, buf); err != nil {
-			return err
-		}
-		if err := PreparePageAsOf(p, s.point.SplitLSN, s.db.Log(), &s.stats); err != nil {
-			return err
-		}
+	if err := PreparePageAsOf(p, s.point.SplitLSN, s.db.Log(), &s.stats); err != nil {
+		return err
 	}
 	p.WriteChecksum()
 	return s.writer.Enqueue(id, buf)
@@ -276,12 +265,20 @@ func copyPrimary(db *engine.DB, id page.ID, buf []byte) error {
 // installs them in the snapshot pool. It is a prefetch: it changes what a
 // later fetch of these pages costs, never what it returns.
 //
-// Installation goes through the pool, not around it. The rewound copies are
-// parked in s.ready and each id is then fetched: the pool's loader — the
-// only one per page, whoever it is: this batch, another batch, a query or
-// the background undo — finds the copy in ReadPage and pays no log walk.
-// A page that was materialized in the meantime is served from the side file
-// as always and its parked copy is dropped unused.
+// Installation goes through the side-file writer and the pool. The rewound
+// pages are handed to the writer as one group (EnqueueNew), which reaches
+// the side file as one device write once released, and each id is first
+// fetched: the pool's loader — the only one per page, whoever it is — finds
+// the page in the writer's pending set (snapSource.ReadPage) and pays no log
+// walk and no side-file read.
+//
+// EnqueueNew fills only pages the writer holds no copy of, which is what
+// keeps this safe. A page resident in the snapshot pool was loaded through
+// ReadPage, which enqueued it, and from then on the pool's frame is at
+// least as new as the writer's copy: that copy is replaced only by the
+// frame's eviction (WritePage → Enqueue). So a page fixed by the background
+// undo, or rewound by a concurrent loader, keeps its copy, and this batch's
+// copy of it is dropped unused.
 func (s *Snapshot) prepareBatch(ids []page.ID) error {
 	var want []page.ID
 	for _, id := range ids {
@@ -304,18 +301,16 @@ func (s *Snapshot) prepareBatch(ids []page.ID) error {
 	if err := PreparePagesAsOf(pages, s.point.SplitLSN, s.db.Log(), &s.stats); err != nil {
 		return err
 	}
-	s.readyMu.Lock()
-	for i, id := range want {
-		s.ready[id] = pages[i].Bytes()
+	bufs := make([][]byte, len(pages))
+	for i, p := range pages {
+		p.WriteChecksum()
+		bufs[i] = p.Bytes()
 	}
-	s.readyMu.Unlock()
-	defer func() {
-		s.readyMu.Lock()
-		for _, id := range want {
-			delete(s.ready, id)
-		}
-		s.readyMu.Unlock()
-	}()
+	release, err := s.writer.EnqueueNew(want, bufs)
+	if err != nil {
+		return err
+	}
+	defer release() // written once fetched: no fetch reads its page back
 	for _, id := range want {
 		h, err := s.Pool().Fetch(id, false)
 		if err != nil {

@@ -22,9 +22,11 @@
 package buffer
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -38,6 +40,17 @@ type Source interface {
 	ReadPage(id page.ID, buf []byte) error
 	WritePage(id page.ID, buf []byte) error
 }
+
+// RunWriter is implemented by a Source that can write the consecutive pages
+// first, first+1, ... with one device write. WriteBackBelow uses it to write
+// each contiguous stretch of due pages at once.
+type RunWriter interface {
+	WriteRun(first page.ID, bufs [][]byte) error
+}
+
+// maxRun bounds the pages one run write carries, and so the latches it
+// holds and the buffer a RunWriter stages it in (512 KiB).
+const maxRun = 64
 
 // ErrNoFrames is returned when every frame of the target shard is pinned
 // and none can be evicted.
@@ -65,8 +78,8 @@ type frame struct {
 	dirty atomic.Bool
 	// recLSN is the pageLSN of the first logged change since the page was
 	// last clean: set when MarkDirty first sees a nonzero pageLSN, cleared
-	// by writeBack. 0 on a dirty page means no logged change yet (unlogged
-	// formatting only).
+	// by a successful write-back. 0 on a dirty page means no logged change
+	// yet (unlogged formatting only).
 	recLSN atomic.Uint64
 	pins   atomic.Int32
 	used   atomic.Bool // clock bit
@@ -76,7 +89,7 @@ type frame struct {
 // clock hand. The table is read under mu.RLock (hits) and mutated under
 // mu.Lock (misses, eviction, teardown).
 type shard struct {
-	cfg *Config
+	pool *Pool
 
 	mu     sync.RWMutex
 	table  map[page.ID]*frame
@@ -88,11 +101,13 @@ type shard struct {
 	evictions       atomic.Int64 // cached pages evicted (clean, or dirty after writeback)
 	evictWritebacks atomic.Int64 // dirty victims written back by eviction
 	flushWritebacks atomic.Int64 // dirty pages written back by WriteBackBelow
+	flushWriteIOs   atomic.Int64 // run writes WriteBackBelow issued for them
 }
 
 // Pool is a buffer pool. It is safe for concurrent use.
 type Pool struct {
 	cfg    Config
+	runs   RunWriter // cfg.Source as a RunWriter, or nil
 	shards []*shard
 	shift  uint // 64 - log2(len(shards)), for the multiplicative hash
 }
@@ -126,6 +141,7 @@ func New(cfg Config) *Pool {
 	}
 	ns := shardCount(cfg.Frames)
 	p := &Pool{cfg: cfg, shards: make([]*shard, ns)}
+	p.runs, _ = cfg.Source.(RunWriter)
 	p.shift = 64
 	for 1<<(64-p.shift) < ns {
 		p.shift--
@@ -137,7 +153,7 @@ func New(cfg Config) *Pool {
 		if i < extra {
 			n++
 		}
-		s := &shard{cfg: &p.cfg, table: make(map[page.ID]*frame, n)}
+		s := &shard{pool: p, table: make(map[page.ID]*frame, n)}
 		s.frames = make([]*frame, n)
 		for j := range s.frames {
 			s.frames[j] = &frame{shard: s, id: page.InvalidID, pg: framePages.Get().(*page.Page)}
@@ -402,13 +418,14 @@ func (s *shard) evictLocked() (*frame, error) {
 		f.pins.Add(1)
 		s.mu.Unlock()
 		f.latch.Lock()
-		err := s.writeBack(f, &s.evictWritebacks)
+		err := s.pool.writeRun([]*frame{f}, nil)
 		f.latch.Unlock()
 		s.mu.Lock()
 		if err != nil {
 			unpin(f)
 			return nil, err
 		}
+		s.evictWritebacks.Add(1)
 		if f.pins.Load() == 1 && !f.dirty.Load() && !f.used.Load() && f.id != page.InvalidID {
 			// Still cold and clean: ours. Unpin (the caller re-pins when it
 			// claims the frame; nothing can reach it once unmapped — the
@@ -427,27 +444,42 @@ func (s *shard) evictLocked() (*frame, error) {
 	return nil, ErrNoFrames
 }
 
-// writeBack flushes one dirty frame, honoring the WAL rule, and counts it in
-// cause. Callers must hold the frame latch exclusively: WriteChecksum
-// mutates the page header, so even a reader-facing flush is a write to the
-// frame. The eviction path latches exclusively with no shard lock;
-// WriteBackBelow latches exclusively plus s.mu (writebacks of a frame pinned
-// by it cannot race with eviction's, which only claims pin-free frames).
-func (s *shard) writeBack(f *frame, cause *atomic.Int64) error {
-	if s.cfg.FlushLog != nil {
-		if err := s.cfg.FlushLog(f.pg.PageLSN()); err != nil {
-			return fmt.Errorf("buffer: WAL flush before writeback of page %d: %w", f.id, err)
+// writeRun writes back run — frames of consecutive page ids, each latched
+// exclusively by the caller — with one device write: through the RunWriter
+// when bufs holds their pages in order, else (one frame) WritePage. The log
+// is first flushed to the run's highest pageLSN (the WAL rule). The frames
+// become clean only if the write succeeded; on failure each stays dirty with
+// its recLSN. The exclusive latches are needed even for a reader-facing
+// flush: WriteChecksum mutates the page header.
+func (p *Pool) writeRun(run []*frame, bufs [][]byte) error {
+	first := run[0].id
+	if p.cfg.FlushLog != nil {
+		var lsn uint64
+		for _, f := range run {
+			lsn = max(lsn, f.pg.PageLSN())
+		}
+		if err := p.cfg.FlushLog(lsn); err != nil {
+			return fmt.Errorf("buffer: WAL flush before writeback of page %d: %w", first, err)
 		}
 	}
-	if s.cfg.Checksums {
-		f.pg.WriteChecksum()
+	if p.cfg.Checksums {
+		for _, f := range run {
+			f.pg.WriteChecksum()
+		}
 	}
-	if err := s.cfg.Source.WritePage(f.id, f.pg.Bytes()); err != nil {
-		return fmt.Errorf("buffer: writeback of page %d: %w", f.id, err)
+	var err error
+	if bufs == nil {
+		err = p.cfg.Source.WritePage(first, run[0].pg.Bytes())
+	} else {
+		err = p.runs.WriteRun(first, bufs)
 	}
-	f.dirty.Store(false)
-	f.recLSN.Store(0)
-	cause.Add(1)
+	if err != nil {
+		return fmt.Errorf("buffer: writeback of %d pages from page %d: %w", len(run), first, err)
+	}
+	for _, f := range run {
+		f.dirty.Store(false)
+		f.recLSN.Store(0)
+	}
 	return nil
 }
 
@@ -465,43 +497,86 @@ func (p *Pool) FlushAll() error {
 
 // WriteBackBelow writes back every dirty page whose recLSN is below lsn — a
 // page with no logged change since it was last clean counts as below any
-// bound — and returns how many it wrote. Each page is briefly latched
-// exclusively: writeBack stamps the page checksum into the frame, which
-// must not race with a concurrent shared-latch reader copying the page (a
-// snapshot source taking an image of it).
+// bound — and returns how many it wrote.
+//
+// The due frames of every shard are pinned and sorted by page id, and each
+// run of consecutive ids goes out as one write (writeRun). A run's frames
+// are latched exclusively: writeRun stamps the page checksums into the
+// frames, which must not race with a concurrent shared-latch reader copying
+// a page (a snapshot source taking an image of it). No latch is waited for
+// while another is held: the run's first frame is latched with Lock, and the
+// run grows only by frames whose latch TryLock gets, so a checkpoint cannot
+// deadlock with B-tree latch coupling. A frame that is busy or no longer due
+// ends the run and starts the next one.
 func (p *Pool) WriteBackBelow(lsn uint64) (int, error) {
 	due := func(f *frame) bool {
 		return f.id != page.InvalidID && f.dirty.Load() && f.recLSN.Load() < lsn
 	}
-	written := 0
-	var firstErr error
+	// A pinned frame keeps its page: eviction and teardown skip it.
+	var todo []*frame
 	for _, s := range p.shards {
 		s.mu.Lock()
-		dirty := make([]*frame, 0, len(s.frames))
 		for _, f := range s.frames {
 			if due(f) {
-				f.pins.Add(1) // keep resident while we work on it
-				dirty = append(dirty, f)
+				f.pins.Add(1)
+				todo = append(todo, f)
 			}
 		}
 		s.mu.Unlock()
+	}
+	slices.SortFunc(todo, func(a, b *frame) int { return cmp.Compare(a.id, b.id) })
 
-		for _, f := range dirty {
-			f.latch.Lock()
-			s.mu.Lock()
-			var err error
-			if due(f) {
-				if err = s.writeBack(f, &s.flushWritebacks); err == nil {
-					written++
-				}
-			}
-			s.mu.Unlock()
+	limit := 1
+	var bufs [][]byte // stays nil without a RunWriter: writeRun uses WritePage
+	if p.runs != nil {
+		limit = maxRun
+		bufs = make([][]byte, 0, maxRun)
+	}
+	run := make([]*frame, 0, limit)
+	written := 0
+	var firstErr error
+	for i := 0; i < len(todo); {
+		f := todo[i]
+		f.latch.Lock()
+		if !due(f) {
 			f.latch.Unlock()
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
 			unpin(f)
+			i++
+			continue
 		}
+		run = append(run[:0], f)
+		for j := i + 1; j < len(todo) && len(run) < limit && todo[j].id == f.id+page.ID(len(run)); j++ {
+			g := todo[j]
+			if !g.latch.TryLock() {
+				break
+			}
+			if !due(g) {
+				g.latch.Unlock()
+				break
+			}
+			run = append(run, g)
+		}
+		if bufs != nil {
+			bufs = bufs[:0]
+			for _, g := range run {
+				bufs = append(bufs, g.pg.Bytes())
+			}
+		}
+		err := p.writeRun(run, bufs)
+		if err == nil {
+			written += len(run)
+			f.shard.flushWriteIOs.Add(1)
+		} else if firstErr == nil {
+			firstErr = err
+		}
+		for _, g := range run {
+			if err == nil {
+				g.shard.flushWritebacks.Add(1)
+			}
+			g.latch.Unlock()
+			unpin(g)
+		}
+		i += len(run)
 	}
 	return written, firstErr
 }
@@ -573,6 +648,7 @@ type Stats struct {
 	Evictions       int64 // cached pages evicted (clean, or dirty after writeback)
 	EvictWritebacks int64 // dirty victims written back by eviction
 	FlushWritebacks int64 // dirty pages written back by WriteBackBelow (checkpoints, FlushAll)
+	FlushWriteIOs   int64 // run writes that carried FlushWritebacks
 	Writebacks      int64 // EvictWritebacks + FlushWritebacks
 }
 
@@ -583,6 +659,7 @@ func (s *shard) stats() Stats {
 		Evictions:       s.evictions.Load(),
 		EvictWritebacks: s.evictWritebacks.Load(),
 		FlushWritebacks: s.flushWritebacks.Load(),
+		FlushWriteIOs:   s.flushWriteIOs.Load(),
 	}
 	st.Writebacks = st.EvictWritebacks + st.FlushWritebacks
 	return st
@@ -598,6 +675,7 @@ func (p *Pool) Stats() Stats {
 		st.Evictions += x.Evictions
 		st.EvictWritebacks += x.EvictWritebacks
 		st.FlushWritebacks += x.FlushWritebacks
+		st.FlushWriteIOs += x.FlushWriteIOs
 		st.Writebacks += x.Writebacks
 	}
 	return st

@@ -801,3 +801,135 @@ func TestDirtyPagesWaitsForLatchedChange(t *testing.T) {
 		t.Fatalf("DirtyPages = %v, want [{1 50}]", d)
 	}
 }
+
+// runSource is a memSource that also writes runs (a RunWriter), recording
+// each call's first page and length; failRun makes WriteRun fail.
+type runSource struct {
+	*memSource
+	runs    [][2]int // {first, pages} per WriteRun call
+	failRun bool
+}
+
+func (r *runSource) WriteRun(first page.ID, bufs [][]byte) error {
+	r.mu.Lock()
+	r.runs = append(r.runs, [2]int{int(first), len(bufs)})
+	fail := r.failRun
+	r.mu.Unlock()
+	if fail {
+		return errors.New("injected run write failure")
+	}
+	for i, b := range bufs {
+		if err := r.memSource.WritePage(first+page.ID(i), b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (r *runSource) calls() [][2]int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([][2]int(nil), r.runs...)
+}
+
+func newRunPool(t *testing.T, ids ...page.ID) (*Pool, *runSource) {
+	t.Helper()
+	src := &runSource{memSource: newMemSource()}
+	for _, id := range ids {
+		src.seed(id)
+	}
+	pool := New(Config{Frames: 64, Source: src})
+	if pool.runs == nil {
+		t.Fatal("pool did not resolve its source as a RunWriter")
+	}
+	return pool, src
+}
+
+// TestWriteBackRunsContiguous: dirty pages 10, 11, 12 and 20 go out as two
+// writes, one per run of consecutive ids, and the checkpoint counts two
+// write I/Os for four pages.
+func TestWriteBackRunsContiguous(t *testing.T) {
+	pool, src := newRunPool(t, 10, 11, 12, 20)
+	for _, id := range []page.ID{20, 12, 10, 11} {
+		dirtyAt(t, pool, id, 100+uint64(id))
+	}
+	n, err := pool.WriteBackBelow(math.MaxUint64)
+	if err != nil || n != 4 {
+		t.Fatalf("WriteBackBelow wrote %d pages, err %v; want 4", n, err)
+	}
+	if got := fmt.Sprint(src.calls()); got != "[[10 3] [20 1]]" {
+		t.Fatalf("WriteRun calls = %s, want [[10 3] [20 1]]", got)
+	}
+	if st := pool.Stats(); st.FlushWritebacks != 4 || st.FlushWriteIOs != 2 {
+		t.Fatalf("flush writebacks %d in %d I/Os, want 4 in 2", st.FlushWritebacks, st.FlushWriteIOs)
+	}
+	if d := pool.DirtyPages(math.MaxUint64); len(d) != 0 {
+		t.Fatalf("pages still dirty after write-back: %v", d)
+	}
+}
+
+// TestWriteBackRunsSkipBusyLatch: with page 11 held exclusively by another
+// goroutine, WriteBackBelow writes 10 without waiting for 11 (it never
+// waits on a latch while holding one), writes 11 once it is released, and
+// nothing deadlocks.
+func TestWriteBackRunsSkipBusyLatch(t *testing.T) {
+	pool, src := newRunPool(t, 10, 11, 12)
+	for _, id := range []page.ID{10, 11, 12} {
+		dirtyAt(t, pool, id, 50)
+	}
+	held, err := pool.Fetch(11, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := pool.WriteBackBelow(math.MaxUint64)
+		done <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(src.calls()) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("page 10 not written while page 11 was latched")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := fmt.Sprint(src.calls()); got != "[[10 1]]" {
+		t.Fatalf("WriteRun calls while 11 is latched = %s, want [[10 1]]", got)
+	}
+	held.Release()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("WriteBackBelow did not finish after the latch was released")
+	}
+	if got := fmt.Sprint(src.calls()); got != "[[10 1] [11 2]]" {
+		t.Fatalf("WriteRun calls = %s, want [[10 1] [11 2]]", got)
+	}
+}
+
+// TestWriteBackRunFailureKeepsDirty: a failing run write leaves every frame
+// of the run dirty with its recLSN, and a later write-back retries them.
+func TestWriteBackRunFailureKeepsDirty(t *testing.T) {
+	pool, src := newRunPool(t, 3, 4, 5)
+	for _, id := range []page.ID{3, 4, 5} {
+		dirtyAt(t, pool, id, 10*uint64(id))
+	}
+	src.failRun = true
+	if n, err := pool.WriteBackBelow(math.MaxUint64); err == nil || n != 0 {
+		t.Fatalf("WriteBackBelow = %d, %v; want 0 and an error", n, err)
+	}
+	want := []DirtyPage{{3, 30}, {4, 40}, {5, 50}}
+	if got := pool.DirtyPages(math.MaxUint64); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("after a failed run DirtyPages = %v, want %v", got, want)
+	}
+	if st := pool.Stats(); st.FlushWritebacks != 0 || st.FlushWriteIOs != 0 {
+		t.Fatalf("failed run counted: %d writebacks, %d I/Os", st.FlushWritebacks, st.FlushWriteIOs)
+	}
+	src.failRun = false
+	if n, err := pool.WriteBackBelow(math.MaxUint64); err != nil || n != 3 {
+		t.Fatalf("retry wrote %d pages, err %v; want 3", n, err)
+	}
+}

@@ -24,6 +24,9 @@ type File struct {
 	f     *os.File
 	dev   *media.Device
 	pages uint32
+
+	runMu sync.Mutex // guards run
+	run   []byte     // WriteRun's staging buffer, reused across runs
 }
 
 // Open opens or creates a page file. dev may be nil (uncharged I/O).
@@ -82,37 +85,78 @@ func (d *File) ReadPage(id page.ID, buf []byte) error {
 // WritePage writes buf to page id, growing the file if needed, charging one
 // random write.
 func (d *File) WritePage(id page.ID, buf []byte) error {
-	if len(buf) != page.Size {
-		return fmt.Errorf("disk: write buffer is %d bytes", len(buf))
-	}
-	d.mu.Lock()
-	if uint32(id) >= d.pages {
-		d.pages = uint32(id) + 1
-	}
-	d.mu.Unlock()
-	if _, err := d.f.WriteAt(buf, int64(id)*page.Size); err != nil {
-		return fmt.Errorf("disk: write page %d: %w", id, err)
-	}
-	d.dev.ChargeWrite(page.Size, false)
-	return nil
+	return d.writePage(id, buf, false)
 }
 
 // WritePageSeq writes buf to page id charged as sequential I/O — for
 // backup/restore streams that write pages in order.
 func (d *File) WritePageSeq(id page.ID, buf []byte) error {
+	return d.writePage(id, buf, true)
+}
+
+func (d *File) writePage(id page.ID, buf []byte, sequential bool) error {
 	if len(buf) != page.Size {
 		return fmt.Errorf("disk: write buffer is %d bytes", len(buf))
 	}
-	d.mu.Lock()
-	if uint32(id) >= d.pages {
-		d.pages = uint32(id) + 1
-	}
-	d.mu.Unlock()
 	if _, err := d.f.WriteAt(buf, int64(id)*page.Size); err != nil {
 		return fmt.Errorf("disk: write page %d: %w", id, err)
 	}
-	d.dev.ChargeWrite(page.Size, true)
+	d.grow(uint32(id) + 1)
+	d.dev.ChargeWrite(page.Size, sequential)
 	return nil
+}
+
+// WriteRun writes bufs to the consecutive pages first, first+1, ... with
+// one device write, growing the file if needed, charging one random write
+// of the whole run. The pages of a longer run are staged in a buffer reused
+// across runs.
+func (d *File) WriteRun(first page.ID, bufs [][]byte) error {
+	switch len(bufs) {
+	case 0:
+		return nil
+	case 1:
+		return d.WritePage(first, bufs[0])
+	}
+	for _, b := range bufs {
+		if len(b) != page.Size {
+			return fmt.Errorf("disk: write buffer is %d bytes", len(b))
+		}
+	}
+	d.runMu.Lock()
+	defer d.runMu.Unlock()
+	run := stage(&d.run, bufs)
+	if _, err := d.f.WriteAt(run, int64(first)*page.Size); err != nil {
+		return fmt.Errorf("disk: write pages %d..%d: %w", first, int(first)+len(bufs)-1, err)
+	}
+	d.grow(uint32(first) + uint32(len(bufs)))
+	d.dev.ChargeWrite(int64(len(run)), false)
+	return nil
+}
+
+// stage copies bufs end to end into *run, reallocating it only when it is
+// too short (to exactly the size needed: growing by append would leave a
+// trail of discarded copies), and returns the staged bytes.
+func stage(run *[]byte, bufs [][]byte) []byte {
+	n := len(bufs) * page.Size
+	if cap(*run) < n {
+		*run = make([]byte, n)
+	}
+	b := (*run)[:n]
+	for i, buf := range bufs {
+		copy(b[i*page.Size:], buf)
+	}
+	return b
+}
+
+// grow records that the file now holds at least n pages. Writers call it
+// only after the write succeeded, so PageCount never claims a page the
+// file does not hold and a read past it fails with ErrPastEOF.
+func (d *File) grow(n uint32) {
+	d.mu.Lock()
+	if n > d.pages {
+		d.pages = n
+	}
+	d.mu.Unlock()
 }
 
 // Ensure grows the file (with zero pages) so that it contains at least
@@ -169,11 +213,7 @@ func (d *File) SequentialWrite(fn func(buf []byte) error) error {
 			return fmt.Errorf("disk: sequential write page %d: %w", id, err)
 		}
 		d.dev.ChargeWrite(page.Size, true)
-		d.mu.Lock()
-		if uint32(id)+1 > d.pages {
-			d.pages = uint32(id) + 1
-		}
-		d.mu.Unlock()
+		d.grow(uint32(id) + 1)
 		id++
 	}
 }

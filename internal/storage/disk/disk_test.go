@@ -153,3 +153,58 @@ func TestSequentialReadPropagatesCallbackError(t *testing.T) {
 		t.Fatalf("err = %v, want sentinel", err)
 	}
 }
+
+// TestWriteRunIsOneWrite writes three consecutive pages as one run: one
+// charged random write of all their bytes, and each reads back.
+func TestWriteRunIsOneWrite(t *testing.T) {
+	dev := media.New(media.SSD(), nil)
+	f := testFile(t, dev)
+	bufs := [][]byte{somePage(4, 'a'), somePage(5, 'b'), somePage(6, 'c')}
+	if err := f.WriteRun(4, bufs); err != nil {
+		t.Fatal(err)
+	}
+	if got := dev.Stats.RandWrites.Load(); got != 1 {
+		t.Fatalf("RandWrites = %d, want 1", got)
+	}
+	if got := dev.Stats.WriteBytes.Load(); got != 3*page.Size {
+		t.Fatalf("WriteBytes = %d, want %d", got, 3*page.Size)
+	}
+	if f.PageCount() != 7 {
+		t.Fatalf("PageCount = %d, want 7", f.PageCount())
+	}
+	got := make([]byte, page.Size)
+	for i, want := range bufs {
+		if err := f.ReadPage(page.ID(4+i), got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("page %d mismatch", 4+i)
+		}
+	}
+}
+
+// TestFailedWriteDoesNotGrow writes to a closed file, page by page and as a
+// run: the writes fail, PageCount stays put and a read of those pages is
+// still ErrPastEOF (what redo's fresh-page branch relies on).
+func TestFailedWriteDoesNotGrow(t *testing.T) {
+	f := testFile(t, nil)
+	if err := f.WritePage(0, somePage(0, 'a')); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if err := f.WritePage(3, somePage(3, 'b')); err == nil {
+		t.Fatal("WritePage on a closed file succeeded")
+	}
+	if err := f.WriteRun(5, [][]byte{somePage(5, 'c'), somePage(6, 'd')}); err == nil {
+		t.Fatal("WriteRun on a closed file succeeded")
+	}
+	if f.PageCount() != 1 {
+		t.Fatalf("PageCount = %d after failed writes, want 1", f.PageCount())
+	}
+	buf := make([]byte, page.Size)
+	for _, id := range []page.ID{3, 6} {
+		if err := f.ReadPage(id, buf); !errors.Is(err, ErrPastEOF) {
+			t.Fatalf("read of page %d: %v, want ErrPastEOF", id, err)
+		}
+	}
+}

@@ -15,33 +15,46 @@ import (
 // served to the query at once — while a single background goroutine drains
 // the pending set to the file.
 //
+// The queue holds groups of pages, and the drainer writes each group with
+// one File.WriteRun, so a group of pages new to the file reaches it as one
+// device write. Enqueue makes a group of one; EnqueueNew queues a batch
+// rewind's pages as one group, held back from the file until its caller
+// has read them back from memory.
+//
 // Ordering: all writes for a page funnel through the pending map with
 // latest-wins semantics, and Read consults the pending set before the file,
 // so a reader can never observe an older version than the newest enqueued
 // one — even when snapshot undo rewrites a page whose initial rewound copy
-// has not reached the file yet.
+// has not reached the file yet. EnqueueNew never replaces anything.
 type Writer struct {
 	file *File
 
 	mu       sync.Mutex
 	cond     *sync.Cond // signaled on enqueue, completion, and close
 	pending  map[page.ID][]byte
-	queue    []page.ID        // FIFO of ids awaiting a file write
-	queued   map[page.ID]bool // id present in queue
-	inflight []byte           // buffer the drainer is currently writing
-	free     [][]byte         // recycled page buffers
-	err      error            // sticky: first file-write failure
+	queue    []*group           // FIFO of groups awaiting a file write
+	queued   map[page.ID]bool   // id present in some queued group
+	inflight map[page.ID][]byte // the group the drainer is writing
+	free     [][]byte           // recycled page buffers
+	err      error              // sticky: first file-write failure
 	closed   bool
 	done     chan struct{}
+}
+
+// group is a set of pages the drainer writes with one File.WriteRun.
+type group struct {
+	ids  []page.ID
+	held bool // not to be written yet (EnqueueNew's, until released)
 }
 
 // NewWriter wraps file with an asynchronous writer and starts its drainer.
 func NewWriter(file *File) *Writer {
 	w := &Writer{
-		file:    file,
-		pending: make(map[page.ID][]byte),
-		queued:  make(map[page.ID]bool),
-		done:    make(chan struct{}),
+		file:     file,
+		pending:  make(map[page.ID][]byte),
+		queued:   make(map[page.ID]bool),
+		inflight: make(map[page.ID][]byte),
+		done:     make(chan struct{}),
 	}
 	w.cond = sync.NewCond(&w.mu)
 	go w.drain()
@@ -56,35 +69,83 @@ func (w *Writer) Enqueue(id page.ID, buf []byte) error {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if err := w.usableLocked(); err != nil {
+		return err
+	}
+	b := w.getBufLocked()
+	copy(b, buf)
+	if old, ok := w.pending[id]; ok && !w.writingLocked(id, old) {
+		w.free = append(w.free, old)
+	}
+	w.pending[id] = b
+	if !w.queued[id] {
+		w.queued[id] = true
+		w.queue = append(w.queue, &group{ids: []page.ID{id}})
+	}
+	w.cond.Broadcast()
+	return nil
+}
+
+// EnqueueNew queues, as one group, the pages ids[i] with content bufs[i]
+// that are neither pending nor in the file, and leaves every other page as
+// it is: a page already materialized — say one the §5.2 background undo
+// fixed — always wins over a copy rewound from the primary. The writer
+// takes ownership of the buffers of the pages it queues; the caller must
+// not touch any of bufs afterwards.
+//
+// The group is not written before release is called (or the writer is
+// closed), so the caller's Reads of its pages are served from memory, not
+// read back from the file. release must be called, also after an error
+// between the two calls; other groups are written meanwhile.
+func (w *Writer) EnqueueNew(ids []page.ID, bufs [][]byte) (release func(), err error) {
+	if len(ids) != len(bufs) {
+		return nil, errors.New("sidefile: enqueue of mismatched ids and buffers")
+	}
+	for _, b := range bufs {
+		if len(b) != page.Size {
+			return nil, errors.New("sidefile: enqueue buffer is not a page")
+		}
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.usableLocked(); err != nil {
+		return nil, err
+	}
+	g := &group{held: true}
+	for i, id := range ids {
+		if _, ok := w.pending[id]; ok || w.file.Has(id) {
+			continue
+		}
+		w.pending[id] = bufs[i]
+		w.queued[id] = true
+		g.ids = append(g.ids, id)
+	}
+	if len(g.ids) > 0 {
+		w.queue = append(w.queue, g)
+	}
+	return func() {
+		w.mu.Lock()
+		g.held = false
+		w.cond.Broadcast()
+		w.mu.Unlock()
+	}, nil
+}
+
+func (w *Writer) usableLocked() error {
 	if w.err != nil {
 		return w.err
 	}
 	if w.closed {
 		return errors.New("sidefile: enqueue on closed writer")
 	}
-	b := w.getBufLocked()
-	copy(b, buf)
-	if old, ok := w.pending[id]; ok && &old[0] != &w.inflightBufLocked()[0] {
-		w.free = append(w.free, old)
-	}
-	w.pending[id] = b
-	if !w.queued[id] {
-		w.queued[id] = true
-		w.queue = append(w.queue, id)
-	}
-	w.cond.Broadcast()
 	return nil
 }
 
-// inflightBufLocked returns the in-flight buffer, or a non-nil sentinel so
-// pointer comparison against it is always safe.
-var sentinelPage = make([]byte, 1)
-
-func (w *Writer) inflightBufLocked() []byte {
-	if w.inflight == nil {
-		return sentinelPage
-	}
-	return w.inflight
+// writingLocked reports whether buf is the content of id the drainer is
+// writing right now (it must not be recycled under the write).
+func (w *Writer) writingLocked(id page.ID, buf []byte) bool {
+	b, ok := w.inflight[id]
+	return ok && &b[0] == &buf[0]
 }
 
 func (w *Writer) getBufLocked() []byte {
@@ -135,7 +196,8 @@ func (w *Writer) Len() int {
 }
 
 // Flush blocks until every page enqueued before the call is persisted (or
-// the drainer hit an error, which it returns).
+// the drainer hit an error, which it returns). A held group is waited for
+// until it is released.
 func (w *Writer) Flush() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -163,46 +225,66 @@ func (w *Writer) Close() error {
 	return w.err
 }
 
-// drain is the writer goroutine: it pops ids and persists their newest
-// pending content, one file write at a time.
+// nextLocked removes and returns the oldest group that may be written now:
+// any group once the writer is closed, else the oldest one not held.
+func (w *Writer) nextLocked() *group {
+	for i, g := range w.queue {
+		if !g.held || w.closed {
+			w.queue = append(w.queue[:i], w.queue[i+1:]...)
+			return g
+		}
+	}
+	return nil
+}
+
+// drain is the writer goroutine: it pops groups and persists the newest
+// pending content of their pages, one File.WriteRun per group.
 func (w *Writer) drain() {
 	defer close(w.done)
+	var ids []page.ID
+	var bufs [][]byte
 	w.mu.Lock()
 	for {
-		for len(w.queue) == 0 && !w.closed && w.err == nil {
+		var g *group
+		for w.err == nil {
+			if g = w.nextLocked(); g != nil || w.closed {
+				break
+			}
 			w.cond.Wait()
 		}
-		if len(w.queue) == 0 || w.err != nil {
-			if w.closed || w.err != nil {
-				w.mu.Unlock()
-				return
+		if g == nil {
+			w.mu.Unlock()
+			return
+		}
+		ids, bufs = ids[:0], bufs[:0]
+		for _, id := range g.ids {
+			w.queued[id] = false
+			if buf, ok := w.pending[id]; ok {
+				w.inflight[id] = buf
+				ids = append(ids, id)
+				bufs = append(bufs, buf)
 			}
-			continue
 		}
-		id := w.queue[0]
-		w.queue = w.queue[1:]
-		w.queued[id] = false
-		buf, ok := w.pending[id]
-		if !ok {
-			continue
-		}
-		w.inflight = buf
 		w.mu.Unlock()
 
-		err := w.file.WritePage(id, buf)
+		err := w.file.WriteRun(ids, bufs)
 
 		w.mu.Lock()
-		w.inflight = nil
+		clear(w.inflight)
 		if err != nil {
 			if w.err == nil {
 				w.err = err
 			}
-		} else if cur, ok := w.pending[id]; ok && &cur[0] == &buf[0] {
-			// Still the newest content: persisted, retire it. If a newer
-			// buffer replaced it meanwhile, the id is queued again and the
-			// newer content will be written on a later pass.
-			delete(w.pending, id)
-			w.free = append(w.free, buf)
+		} else {
+			for i, id := range ids {
+				// Still the newest content: persisted, retire it. If a newer
+				// buffer replaced it meanwhile, the id is queued again and
+				// the newer content is written by a later group.
+				if cur, ok := w.pending[id]; ok && &cur[0] == &bufs[i][0] {
+					delete(w.pending, id)
+				}
+				w.free = append(w.free, bufs[i])
+			}
 		}
 		w.cond.Broadcast()
 	}
