@@ -30,7 +30,7 @@
 // The package also ships the comparison baseline the paper evaluates
 // against (full backup + point-in-time restore via log replay), the
 // scaled-down TPC-C workload of §6, and an experiment harness regenerating
-// every figure of the evaluation (see EXPERIMENTS.md).
+// every figure of the evaluation (cmd/asofbench).
 package asofdb
 
 import (

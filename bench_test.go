@@ -4,14 +4,13 @@ package asofdb
 // benches print the same series the paper's figures plot and report the
 // headline numbers as benchmark metrics. Figures 7-11 share prebuilt
 // benchmark histories (one per media profile) to keep -bench=. runs
-// reasonable. See EXPERIMENTS.md for the paper-vs-measured record.
+// reasonable. Most wrap the internal/exp runner `asofbench` prints from;
+// the gated numbers come from bench/asofrig (bench/README.md).
 
 import (
 	"io"
-	"math/bits"
 	"os"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,14 +19,6 @@ import (
 	"repro/internal/tpcc"
 	"repro/internal/vclock"
 )
-
-// commitBenchOptions builds the engine options for one BenchmarkCommitThroughput
-// arm. The obsoff arm disables the metrics registry (the observability-overhead
-// A/B: c=N vs obsoff/c=N bounds the always-on cost). The pool is sized to hold
-// the working set so the numbers measure the commit path, not eviction I/O.
-func commitBenchOptions(obsOff bool) Options {
-	return Options{DisableObs: obsOff, BufferFrames: 8192}
-}
 
 // benchScale is the Figure 7-11 workload: the database must dwarf a
 // stock-level query's footprint (the paper used 40 GB / 800 warehouses;
@@ -188,12 +179,11 @@ func BenchmarkFig11UndoIO(b *testing.B) {
 	}
 }
 
-// BenchmarkCommitThroughput measures raw commit throughput under parallel
-// committers — the workload the group-commit pipeline exists for. Each
-// iteration is one single-row transaction ended by a durable Commit, at
-// 1/2/4 committers. DESIGN.md ("One append path") has the medians of the
-// ring, mutex and serial arms it ran until the mutex tail became the only
-// append path.
+// BenchmarkCommitThroughput runs exp.CommitThroughput (`asofbench -fig
+// commit`): 20 000 single-row durable commits per iteration at 1/2/4
+// committers. DESIGN.md ("One append path") has the medians of the ring,
+// mutex and serial arms it ran until the mutex tail became the only append
+// path.
 func BenchmarkCommitThroughput(b *testing.B) {
 	for _, mode := range []struct {
 		name       string
@@ -210,100 +200,18 @@ func BenchmarkCommitThroughput(b *testing.B) {
 		{"obsoff/c=4", 4, true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			db, err := Open(b.TempDir(), commitBenchOptions(mode.obsOff))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			tx, err := db.Begin()
-			if err != nil {
-				b.Fatal(err)
-			}
-			schema := &Schema{
-				Name: "bench",
-				Columns: []Column{
-					{Name: "id", Kind: KindInt64},
-					{Name: "body", Kind: KindString},
-				},
-				KeyCols: 1,
-			}
-			if err := tx.CreateTable(schema); err != nil {
-				b.Fatal(err)
-			}
-			if err := tx.Commit(); err != nil {
-				b.Fatal(err)
-			}
-			// Pre-populate so the timed region runs against a wide,
-			// steady-state tree instead of measuring the first few leaves'
-			// latch convoy while the tree grows from empty.
-			const preload = 50_000
-			for lo := 1; lo <= preload; lo += 1000 {
-				tx, err := db.Begin()
+			for i := 0; i < b.N; i++ {
+				res, err := exp.CommitThroughput(b.TempDir(), exp.CommitOptions{
+					Committers: mode.committers,
+					Txns:       20_000,
+					Preload:    50_000,
+					DisableObs: mode.obsOff,
+				}, io.Discard)
 				if err != nil {
 					b.Fatal(err)
 				}
-				for i := lo; i < lo+1000 && i <= preload; i++ {
-					id := int64(bits.Reverse64(uint64(i)) >> 16)
-					if err := tx.Insert("bench", Row{Int64(id), String("payload")}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := tx.Commit(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			var ids atomic.Int64
-			ids.Store(preload)
-			var failed atomic.Int64
-			// Exactly mode.committers concurrent goroutines regardless of
-			// GOMAXPROCS — RunParallel's worker count is a multiple of
-			// GOMAXPROCS, which can't express c=1 on a 4-core runner, so
-			// b.N is split across explicit workers instead.
-			flushes0 := db.Log().Flushes.Load()
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for c := 0; c < mode.committers; c++ {
-				iters := b.N / mode.committers
-				if c < b.N%mode.committers {
-					iters++
-				}
-				wg.Add(1)
-				go func(iters int) {
-					defer wg.Done()
-					for i := 0; i < iters; i++ {
-						// Bit-reverse the sequence number so concurrent
-						// committers land on different leaves instead of all
-						// appending to the rightmost one — commit throughput,
-						// not leaf-latch contention, is what's measured.
-						seq := uint64(ids.Add(1))
-						id := int64(bits.Reverse64(seq) >> 16)
-						tx, err := db.Begin()
-						if err != nil {
-							failed.Add(1)
-							return
-						}
-						if err := tx.Insert("bench", Row{Int64(id), String("payload")}); err != nil {
-							tx.Rollback()
-							failed.Add(1)
-							return
-						}
-						if err := tx.Commit(); err != nil {
-							failed.Add(1)
-							return
-						}
-					}
-				}(iters)
-			}
-			wg.Wait()
-			b.StopTimer()
-			if n := failed.Load(); n > 0 {
-				b.Fatalf("%d commits failed", n)
-			}
-			if s := b.Elapsed().Seconds(); s > 0 {
-				b.ReportMetric(float64(b.N)/s, "commits/s")
-			}
-			if f := db.Log().Flushes.Load() - flushes0; f > 0 {
-				b.ReportMetric(float64(b.N)/float64(f), "commits/flush")
+				b.ReportMetric(res.PerSec, "commits/s")
+				b.ReportMetric(res.PerFlush, "commits/flush")
 			}
 		})
 	}
@@ -323,27 +231,6 @@ func BenchmarkSec63Concurrent(b *testing.B) {
 		b.ReportMetric(float64(res.Snapshots), "snapshots")
 		b.ReportMetric(res.AvgSnapCreate.Seconds()*1e3, "snap-create-ms")
 		b.ReportMetric(res.AvgAsOfQuery.Seconds()*1e3, "asof-query-ms")
-	}
-}
-
-// BenchmarkReplication measures the log-shipping subsystem: the §6.3
-// primary-throughput ratio with the as-of load absorbed by a warm standby
-// (vs. sharing the primary), bulk catch-up apply bandwidth, and
-// steady-state replication lag.
-func BenchmarkReplication(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Replication(b.TempDir(), 1500, 4, 1, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.BaselineTpm, "tpm-baseline")
-		b.ReportMetric(res.SingleNodeTpm, "tpm-asof-primary")
-		b.ReportMetric(res.SingleNodeRatio, "ratio-single")
-		b.ReportMetric(res.OffloadTpm, "tpm-asof-standby")
-		b.ReportMetric(res.OffloadRatio, "ratio-offload")
-		b.ReportMetric(res.ApplyMBps, "apply-MBps")
-		b.ReportMetric(float64(res.LagAvgBytes), "lag-avg-bytes")
-		b.ReportMetric(float64(res.LagMaxBytes), "lag-max-bytes")
 	}
 }
 
@@ -465,23 +352,6 @@ func BenchmarkAsOfQuery(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAsOfReadPath runs the chain-reader vs per-record-Read A/B
-// (exp.AsOfReadPath, also `asofbench -fig asofread`) and reports both
-// arms' per-record costs.
-func BenchmarkAsOfReadPath(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.AsOfReadPath(b.TempDir(), 1200, 4, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Chain.NsPerRecord, "chain-ns/rec")
-		b.ReportMetric(res.PerRecord.NsPerRecord, "perrecord-ns/rec")
-		b.ReportMetric(res.Speedup, "chain-speedup")
-		b.ReportMetric(float64(res.Chain.LogReads), "chain-log-reads")
-		b.ReportMetric(float64(res.PerRecord.LogReads), "perrecord-log-reads")
-	}
 }
 
 // BenchmarkSec64Crossover regenerates §6.4: as-of vs restore as a function

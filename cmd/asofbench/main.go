@@ -9,14 +9,14 @@
 //	asofbench -fig 8                  # Figure 8 (+10) on scaled SAS
 //	asofbench -fig 63                 # §6.3 concurrent as-of impact
 //	asofbench -fig 64                 # §6.4 crossover analysis
+//	asofbench -fig commit -committers 1,2,4  # durable commit throughput
+//	asofbench -fig repl               # primary → R1 → R2 cascade, routed reads
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -27,47 +27,29 @@ import (
 	"repro/internal/wal"
 )
 
-// Profile destinations (set from flags); written at exit, including the
-// fatal path, so contention claims ship with profiles even on aborted runs.
-var profMutex, profBlock string
-
 func main() {
 	var (
-		fig     = flag.String("fig", "all", "figure to regenerate: 5, 6, 7, 8, 9, 10, 11, 63, 64, commit, asofread, repl or all")
+		fig     = flag.String("fig", "all", "figure to regenerate: 5, 6, 7, 8, 9, 10, 11, 63, 64, commit, repl or all")
 		txns    = flag.Int("txns", 3000, "transactions of benchmark history")
 		clients = flag.Int("clients", 4, "concurrent benchmark clients")
 		items   = flag.Int("items", 6000, "TPC-C items (database size driver)")
 		scale   = flag.Int64("mediascale", 1000, "sequential-bandwidth scale-down for Figs 7-11 (see DESIGN.md)")
 		workdir = flag.String("dir", "", "working directory (default: temp)")
 
-		// -fig repl: log-shipping replication (as-of load offloaded to standbys).
-		replicas = flag.Int("replicas", 1, "warm standbys for -fig repl")
-		cascadeF = flag.Bool("cascade", false, "add the cascading arm to -fig repl: primary → R1 → R2 with session-routed reads")
-
 		// -fig commit: durable commit throughput of the group-commit pipeline.
-		committers = flag.Int("committers", 8, "concurrent committers for -fig commit")
+		committers = flag.String("committers", "8", "comma-separated committer counts for -fig commit (e.g. 1,2,4 sweeps them in one process)")
 		commitTxns = flag.Int("committxns", 50000, "transactions for -fig commit")
 		obsOff     = flag.Bool("obsoff", false, "disable the metrics registry for -fig commit (the observability-overhead A/B arm)")
-		commitScl  = flag.String("commitscale", "", "comma-separated committer counts (e.g. 1,2,4) for a scaling sweep of -fig commit, in place of -committers")
 
 		// Log durability: every engine any figure opens uses this policy.
 		syncMode = flag.String("sync", "none", "log force durability: none | fdatasync")
-
-		// Contention profiles, written at exit next to wherever the JSON
-		// output is collected — append-path claims ship with profiles.
-		mutexProf = flag.String("mutexprofile", "", "write a mutex contention profile to this file at exit")
-		blockProf = flag.String("blockprofile", "", "write a goroutine blocking profile to this file at exit")
 	)
 	flag.Parse()
-	profMutex, profBlock = *mutexProf, *blockProf
-	if profMutex != "" {
-		runtime.SetMutexProfileFraction(5)
-	}
-	if profBlock != "" {
-		runtime.SetBlockProfileRate(100_000) // 100µs granularity
-	}
-	defer writeProfiles()
 	syncPolicy, err := wal.ParseSyncPolicy(*syncMode)
+	if err != nil {
+		fatal(err)
+	}
+	commitCounts, err := parseCounts(*committers)
 	if err != nil {
 		fatal(err)
 	}
@@ -142,38 +124,17 @@ func main() {
 	}
 
 	if wants("repl") {
-		if *cascadeF {
-			fmt.Printf("\n== Replication cascade: primary → R1 → R2, session-routed reads (%d txns, %d clients) ==\n",
-				*txns, *clients)
-			if _, err := exp.ReplicationCascade(dir+"/cascade", *txns, *clients, os.Stdout); err != nil {
-				fatal(err)
-			}
-		} else {
-			fmt.Printf("\n== Replication: §6.3 as-of load on %d warm standby(s) vs the primary (%d txns, %d clients) ==\n",
-				*replicas, *txns, *clients)
-			if _, err := exp.Replication(dir+"/repl", *txns, *clients, *replicas, os.Stdout); err != nil {
-				fatal(err)
-			}
-		}
-	}
-
-	if wants("asofread") {
-		fmt.Printf("\n== As-of read path: chain reader vs per-record Read (%d txns, %d clients) ==\n", *txns, *clients)
-		if _, err := exp.AsOfReadPath(dir+"/asofread", *txns, *clients, os.Stdout); err != nil {
+		fmt.Printf("\n== Replication cascade: primary → R1 → R2, session-routed reads (%d txns, %d clients) ==\n",
+			*txns, *clients)
+		if _, err := exp.ReplicationCascade(dir+"/cascade", *txns, *clients, os.Stdout); err != nil {
 			fatal(err)
 		}
 	}
 
 	if wants("commit") {
-		counts := []int{*committers}
-		if *commitScl != "" {
-			if counts, err = parseCounts(*commitScl); err != nil {
-				fatal(err)
-			}
-		}
 		fmt.Printf("\n== Commit pipeline: durable commit throughput (%d txns/run, sync=%s) ==\n",
 			*commitTxns, *syncMode)
-		for _, n := range counts {
+		for _, n := range commitCounts {
 			opts := exp.CommitOptions{Committers: n, Txns: *commitTxns, DisableObs: *obsOff}
 			fmt.Printf("c=%d: ", n)
 			if _, err := exp.CommitThroughput(fmt.Sprintf("%s/commit-%d", dir, n), opts, os.Stdout); err != nil {
@@ -214,27 +175,7 @@ func parseCounts(s string) ([]int, error) {
 	return out, nil
 }
 
-func writeProfiles() {
-	dump := func(name, path string) {
-		if path == "" {
-			return
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "asofbench: %s profile: %v\n", name, err)
-			return
-		}
-		defer f.Close()
-		if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
-			fmt.Fprintf(os.Stderr, "asofbench: %s profile: %v\n", name, err)
-		}
-	}
-	dump("mutex", profMutex)
-	dump("block", profBlock)
-}
-
 func fatal(err error) {
-	writeProfiles()
 	fmt.Fprintln(os.Stderr, "asofbench:", err)
 	os.Exit(1)
 }

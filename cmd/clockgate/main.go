@@ -5,10 +5,9 @@
 // retention horizon, lag observation and histogram content reproducible at
 // exact virtual instants in tests.
 //
-// It parses every non-test Go file under the gated trees and fails on calls
-// to time.Now, time.Sleep or time.After, minus a small explicit allowlist
-// of real-time pacing knobs that deliberately ride the wall clock (each
-// entry names the file, the callee and the reason). Run from the repo root:
+// It parses every non-test Go file under the gated trees and fails on any
+// call to time.Now, time.Sleep or time.After; there are no exceptions. Run
+// from the repo root:
 //
 //	go run ./cmd/clockgate            # exits 1 and lists violations
 //	go run ./cmd/clockgate -root DIR
@@ -42,60 +41,16 @@ var gated = []string{
 // every gated use feeds a select that also honors the injected clock.)
 var banned = map[string]bool{"Now": true, "Sleep": true, "After": true}
 
-// allowed maps "path:callee" to the reason that use may ride the wall
-// clock. Keep this list short and the reasons honest: every entry is a spot
-// virtual-clock tests cannot schedule.
-var allowed = map[string]string{
-	// Batch coalescing linger: pure real-time pacing of the shipper
-	// goroutine between reads; stream correctness never depends on it.
-	"internal/repl/ship.go:Sleep": "batch-linger pacing of the shipper goroutine",
-}
-
 func main() {
 	root := flag.String("root", ".", "repository root to scan")
 	flag.Parse()
 
-	var violations []string
-	used := make(map[string]bool)
-	fset := token.NewFileSet()
-	for _, dir := range gated {
-		err := filepath.WalkDir(filepath.Join(*root, dir), func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			rel, err := filepath.Rel(*root, path)
-			if err != nil {
-				return err
-			}
-			vs, err := scanFile(fset, path, filepath.ToSlash(rel), used)
-			if err != nil {
-				return err
-			}
-			violations = append(violations, vs...)
-			return nil
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "clockgate:", err)
-			os.Exit(2)
-		}
-	}
-	// A stale allowlist entry is itself a failure: it would silently cover
-	// a future reintroduction at the same site.
-	var stale []string
-	for key := range allowed {
-		if !used[key] {
-			stale = append(stale, key)
-		}
-	}
-	sort.Strings(stale)
-	for _, key := range stale {
-		violations = append(violations, fmt.Sprintf("allowlist entry %q matches nothing; remove it", key))
+	violations, err := scan(*root)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "clockgate:", err)
+		os.Exit(2)
 	}
 	if len(violations) > 0 {
-		sort.Strings(violations)
 		for _, v := range violations {
 			fmt.Fprintln(os.Stderr, "clockgate:", v)
 		}
@@ -105,9 +60,40 @@ func main() {
 	fmt.Println("clockgate: ok")
 }
 
-// scanFile reports banned time-package calls in one file. used records
-// which allowlist entries fired so stale ones can be flagged.
-func scanFile(fset *token.FileSet, path, rel string, used map[string]bool) ([]string, error) {
+// scan reports, sorted, every banned time-package call in the non-test Go
+// files of the gated trees under root.
+func scan(root string) ([]string, error) {
+	var violations []string
+	fset := token.NewFileSet()
+	for _, dir := range gated {
+		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			rel, err := filepath.Rel(root, path)
+			if err != nil {
+				return err
+			}
+			vs, err := scanFile(fset, path, filepath.ToSlash(rel))
+			if err != nil {
+				return err
+			}
+			violations = append(violations, vs...)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	sort.Strings(violations)
+	return violations, nil
+}
+
+// scanFile reports banned time-package calls in one file.
+func scanFile(fset *token.FileSet, path, rel string) ([]string, error) {
 	f, err := parser.ParseFile(fset, path, nil, 0)
 	if err != nil {
 		return nil, err
@@ -140,11 +126,6 @@ func scanFile(fset *token.FileSet, path, rel string, used map[string]bool) ([]st
 		}
 		pkg, ok := sel.X.(*ast.Ident)
 		if !ok || pkg.Name != timeName || !banned[sel.Sel.Name] {
-			return true
-		}
-		key := rel + ":" + sel.Sel.Name
-		if _, ok := allowed[key]; ok {
-			used[key] = true
 			return true
 		}
 		pos := fset.Position(sel.Pos())

@@ -78,8 +78,8 @@ type chainCursor struct {
 // The chains are walked through a pooled wal.ChainReader: records decode in
 // place into a reusable scratch record and block spans stay pinned in the
 // reader, so the steady-state walk performs zero allocations per undone
-// record and takes no shared lock per hop (see PreparePageAsOfBaseline for
-// the per-record Manager.Read form this replaced).
+// record and takes no shared lock per hop (the equivalence tests hold it to
+// the per-record Manager.Read form it replaced).
 //
 // On error the pages are left partly rewound and must be discarded.
 func PreparePagesAsOf(pages []*page.Page, asOf wal.LSN, log *wal.Manager, stats *Stats) error {
@@ -210,77 +210,4 @@ func siftDown(h []chainCursor, i int) {
 		h[i], h[big] = h[big], h[i]
 		i = big
 	}
-}
-
-// PreparePageAsOfBaseline is the pre-ChainReader implementation: one
-// locked, allocating Manager.Read per chain record. It is retained as the
-// A/B baseline arm for the read-path experiment (exp.AsOfReadPath) and as
-// the reference implementation the chain-reader equivalence tests compare
-// against. Semantics are identical to PreparePageAsOf.
-func PreparePageAsOfBaseline(p *page.Page, asOf wal.LSN, log *wal.Manager, stats *Stats) error {
-	cur := wal.LSN(p.PageLSN())
-	if cur <= asOf {
-		return nil
-	}
-	if stats != nil {
-		stats.PagesPrepared.Add(1)
-	}
-	if img, err := oldestImageAtOrAfterBaseline(p, asOf, log, stats); err != nil {
-		return err
-	} else if img != nil {
-		p.CopyFrom(img.NewData)
-		if stats != nil {
-			stats.ImageRestores.Add(1)
-		}
-		cur = img.PrevPageLSN
-	}
-	for cur > asOf {
-		rec, err := log.Read(cur)
-		if err != nil {
-			return fmt.Errorf("asof: read %v: %w", cur, err)
-		}
-		if err := wal.Undo(p, rec); err != nil {
-			return fmt.Errorf("%w: %w", ErrChainBroken, err)
-		}
-		if stats != nil {
-			stats.RecordsUndone.Add(1)
-		}
-		next := rec.PrevPageLSN
-		if rec.Type == wal.TypePreformat {
-			next = wal.LSN(p.PageLSN())
-		}
-		if next >= cur && next != wal.NilLSN {
-			return fmt.Errorf("%w: chain does not descend at %v (-> %v)", ErrChainBroken, cur, next)
-		}
-		cur = next
-	}
-	p.SetPageLSN(uint64(cur))
-	return nil
-}
-
-func oldestImageAtOrAfterBaseline(p *page.Page, asOf wal.LSN, log *wal.Manager, stats *Stats) (*wal.Record, error) {
-	var candidate *wal.Record
-	cur := wal.LSN(p.LastImageLSN())
-	pageLSN := wal.LSN(p.PageLSN())
-	for cur != wal.NilLSN && cur > asOf {
-		if cur > pageLSN {
-			break
-		}
-		rec, err := log.Read(cur)
-		if err != nil {
-			return nil, fmt.Errorf("asof: read image %v: %w", cur, err)
-		}
-		if rec.Type != wal.TypeImage {
-			return nil, fmt.Errorf("asof: image chain hit %v at %v", rec.Type, cur)
-		}
-		if stats != nil {
-			stats.ImageChainHops.Add(1)
-		}
-		candidate = rec
-		cur = rec.PrevImageLSN
-	}
-	if candidate != nil && candidate.LSN < wal.LSN(p.PageLSN()) {
-		return candidate, nil
-	}
-	return nil, nil
 }

@@ -3,14 +3,11 @@
 // tests of time-dependent machinery (the sparse time→LSN index, retention
 // pruning, replication lag) control time explicitly instead of sleeping.
 //
-// Production entry points install Real(); tests install Fixed or a
+// Production entry points install Real(); tests install a Mock, or a
 // *vclock.Clock (which satisfies Clock via its Now method).
 package clock
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Clock supplies wall-clock time.
 type Clock interface {
@@ -32,35 +29,3 @@ type Func func() time.Time
 
 // Now implements Clock.
 func (f Func) Now() time.Time { return f() }
-
-// Fixed is a Clock pinned to one instant, settable by tests. Safe for
-// concurrent use.
-type Fixed struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-// NewFixed returns a clock frozen at t.
-func NewFixed(t time.Time) *Fixed { return &Fixed{t: t} }
-
-// Now implements Clock.
-func (f *Fixed) Now() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.t
-}
-
-// Set moves the frozen instant.
-func (f *Fixed) Set(t time.Time) {
-	f.mu.Lock()
-	f.t = t
-	f.mu.Unlock()
-}
-
-// Advance moves the frozen instant forward by d and returns the new time.
-func (f *Fixed) Advance(d time.Duration) time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.t = f.t.Add(d)
-	return f.t
-}

@@ -14,65 +14,6 @@ import (
 	"repro/internal/vclock"
 )
 
-// ReplicationResult measures what log-shipping replication buys: the §6.3
-// primary-throughput ratio when the as-of query load is absorbed by warm
-// standbys instead of running on the primary, plus the replication
-// plumbing's own numbers (bulk apply throughput, steady-state lag, drain
-// bandwidth).
-//
-// Two offload arms are reported, because this testbed has one core and a
-// standby is, architecturally, separate hardware:
-//
-//   - CoLocated*: the standby's continuous redo loop and the as-of queries
-//     share the primary's core. This charges the primary for work that
-//     belongs to the standby's machine — the same class of measurement
-//     artifact as the unpaced §6.3 loop PR 2 documented — and is reported
-//     for honesty, not as the headline.
-//   - Offload*: the remote-standby model. During the measurement window
-//     the primary pays its full shipping cost into a stream tap (the
-//     bytes leave for hardware this box does not have), while the paced
-//     §6.3 as-of load runs against the warm standby serving at its
-//     applied horizon — so the primary is charged for shipping and the
-//     measured standby work is exactly the query serving the §6.3 pacing
-//     models. The window's backlog then streams to the reconnected
-//     standby, which is where apply bandwidth is measured a second time
-//     (DrainMBps); ingest/apply costs are thereby reported as
-//     standby-side bandwidth numbers rather than charged to primary tpm.
-type ReplicationResult struct {
-	// BaselineTpm / SingleNodeTpm / SingleNodeRatio reproduce PR 2's §6.3
-	// arms: TPC-C alone, then TPC-C with the paced as-of loop sharing the
-	// primary.
-	BaselineTpm     float64 `json:"baseline_tpm"`
-	SingleNodeTpm   float64 `json:"single_node_tpm"`
-	SingleNodeRatio float64 `json:"single_node_ratio"`
-
-	Replicas int `json:"replicas"`
-	// Co-located arm: continuous apply + queries on the shared core.
-	CoLocatedTpm   float64 `json:"colocated_tpm"`
-	CoLocatedRatio float64 `json:"colocated_ratio"`
-	// Remote-standby model: the acceptance measurement.
-	OffloadTpm   float64 `json:"offload_tpm"`
-	OffloadRatio float64 `json:"offload_ratio"`
-
-	// ApplyMBps is bulk catch-up speed: a fresh replica ingesting and
-	// applying the warmup history through the streaming path, wall-clock
-	// measured. DrainMBps is the deferred backlog replay after the
-	// remote-model window.
-	ApplyMBps    float64 `json:"apply_mbps"`
-	CatchupBytes int64   `json:"catchup_bytes"`
-	DrainMBps    float64 `json:"drain_mbps"`
-	DrainBytes   int64   `json:"drain_bytes"`
-
-	// Lag statistics sampled on the first standby during the co-located
-	// (continuous apply) run — true steady-state replication lag.
-	LagAvgBytes int64         `json:"lag_avg_bytes"`
-	LagMaxBytes int64         `json:"lag_max_bytes"`
-	LagEndBytes int64         `json:"lag_end_bytes"`
-	Snapshots   int           `json:"snapshots"`
-	AvgCreate   time.Duration `json:"avg_create_ns"`
-	AvgQuery    time.Duration `json:"avg_query_ns"`
-}
-
 // atomicMax folds v into m as a concurrent running maximum (the lag
 // samplers' reduce step).
 func atomicMax(m *atomic.Int64, v int64) {
@@ -143,10 +84,7 @@ func ReplicationCascade(dir string, txns, clients int, w io.Writer) (CascadeResu
 		return out, err
 	}
 
-	ship := repl.NewShipper(prim, repl.ShipperOptions{
-		HeartbeatEvery: 20 * time.Millisecond,
-		BatchLinger:    2 * time.Millisecond,
-	})
+	ship := repl.NewShipper(prim, repl.ShipperOptions{HeartbeatEvery: 20 * time.Millisecond})
 	defer ship.Close()
 	stdOpts := func() repl.ReplicaOptions {
 		return repl.ReplicaOptions{
@@ -158,10 +96,7 @@ func ReplicationCascade(dir string, txns, clients int, w io.Writer) (CascadeResu
 		return out, err
 	}
 	defer r1.Close()
-	cascade := r1.ShipLocal(repl.ShipperOptions{
-		HeartbeatEvery: 20 * time.Millisecond,
-		BatchLinger:    2 * time.Millisecond,
-	})
+	cascade := r1.ShipLocal(repl.ShipperOptions{HeartbeatEvery: 20 * time.Millisecond})
 	r2, err := repl.OpenReplica(filepath.Join(dir, "r2"), stdOpts())
 	if err != nil {
 		return out, err
@@ -305,279 +240,6 @@ func ReplicationCascade(dir string, txns, clients int, w io.Writer) (CascadeResu
 		fmt.Fprintf(w, "routed reads: %d standby / %d primary-fallback; %d snapshots, create %v, query %v\n",
 			out.RoutedStandby, out.RoutedPrimary, out.Snapshots,
 			out.AvgCreate.Round(time.Millisecond), out.AvgQuery.Round(time.Millisecond))
-	}
-	return out, nil
-}
-
-// Replication runs the arms described on ReplicationResult on identical
-// fresh databases. The acceptance bar is OffloadRatio ≥ SingleNodeRatio:
-// shipping log must cost the primary less than running the as-of read
-// path itself.
-func Replication(dir string, txns, clients, replicas int, w io.Writer) (ReplicationResult, error) {
-	if replicas <= 0 {
-		replicas = 1
-	}
-	scale := tpcc.DefaultConfig()
-	var out ReplicationResult
-	out.Replicas = replicas
-
-	// Arms 1+2: PR 2's single-node §6.3 measurement, unchanged.
-	single, err := Concurrent(filepath.Join(dir, "single"), txns, clients, nil)
-	if err != nil {
-		return out, err
-	}
-	out.BaselineTpm = single.BaselineTpm
-	out.SingleNodeTpm = single.WithAsOfTpm
-	out.SingleNodeRatio = single.Ratio
-
-	// Shared primary for the offload arms, configured like Concurrent's.
-	clock := vclock.New(time.Time{})
-	prim, err := engine.Open(filepath.Join(dir, "offload-primary"), engine.Options{
-		SyncPolicy:      LogSync,
-		Now:             clock.Now,
-		BufferFrames:    2048,
-		CheckpointEvery: 4 << 20,
-		LogCacheBlocks:  1024,
-	})
-	if err != nil {
-		return out, err
-	}
-	defer prim.Close()
-	if err := tpcc.Load(prim, scale); err != nil {
-		return out, err
-	}
-	d := tpcc.NewDriver(prim, scale, clock)
-	if _, err := d.Run(txns/4, clients); err != nil {
-		return out, err
-	}
-	clock.Advance(6 * time.Minute)
-	if err := prim.Checkpoint(); err != nil {
-		return out, err
-	}
-
-	// Bulk catch-up: fresh replicas ingest and apply the warmup history
-	// through the streaming path; wall time over applied bytes is the
-	// apply bandwidth.
-	ship := repl.NewShipper(prim, repl.ShipperOptions{
-		HeartbeatEvery: 20 * time.Millisecond,
-		// Coalesce shipping into ≥64 KiB batches: at this box's flush rate,
-		// per-flush batches would spend more core on wakeups than on bytes.
-		BatchLinger: 2 * time.Millisecond,
-	})
-	defer ship.Close()
-	reps := make([]*repl.Replica, replicas)
-	conns := make([]repl.Conn, replicas)
-	runDone := make([]chan error, replicas)
-	catchupStart := time.Now()
-	for i := range reps {
-		r, err := repl.OpenReplica(filepath.Join(dir, fmt.Sprintf("replica%d", i)), repl.ReplicaOptions{
-			Engine: engine.Options{Now: clock.Now, BufferFrames: 2048, LogCacheBlocks: 1024, SyncPolicy: LogSync},
-		})
-		if err != nil {
-			return out, err
-		}
-		defer r.Close()
-		reps[i] = r
-		pc, rc := repl.Pipe()
-		conns[i] = rc
-		runDone[i] = make(chan error, 1)
-		go func() { _ = ship.Serve(pc) }()
-		go func(i int) { runDone[i] <- r.Run(rc) }(i)
-	}
-	waitCaughtUp := func() error {
-		target := prim.Log().FlushedLSN()
-		deadline := time.Now().Add(2 * time.Minute)
-		for _, r := range reps {
-			for r.AppliedLSN() < target {
-				if time.Now().After(deadline) {
-					return fmt.Errorf("exp: replica stuck at %v, want %v", r.AppliedLSN(), target)
-				}
-				time.Sleep(time.Millisecond)
-			}
-		}
-		return nil
-	}
-	if err := waitCaughtUp(); err != nil {
-		return out, err
-	}
-	catchupWall := time.Since(catchupStart)
-	out.CatchupBytes = reps[0].Status().Bytes
-	if catchupWall > 0 {
-		out.ApplyMBps = float64(out.CatchupBytes) * float64(replicas) / catchupWall.Seconds() / (1 << 20)
-	}
-
-	// Arm 3: co-located — continuous apply + paced as-of loop on the
-	// shared core, with a lag sampler.
-	var lagSamples, lagSum, lagMax atomic.Int64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(10 * time.Millisecond):
-			}
-			lag := int64(prim.Log().FlushedLSN()) - int64(reps[0].AppliedLSN())
-			if lag < 0 {
-				lag = 0
-			}
-			lagSamples.Add(1)
-			lagSum.Add(lag)
-			atomicMax(&lagMax, lag)
-		}
-	}()
-	var coErr error
-	var coSnaps int
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		i := 0
-		coSnaps, _, _, coErr = asofLoop(stop, scale, func() (*sec63Snapshot, error) {
-			rep := reps[i%len(reps)]
-			i++
-			s, err := rep.SnapshotAsOf(prim.Now().Add(-5 * time.Minute))
-			if err != nil {
-				return nil, err
-			}
-			return &sec63Snapshot{q: s, close: func() { s.Close() }}, nil
-		})
-	}()
-	coRes, err := d.Run(txns, clients)
-	close(stop)
-	wg.Wait()
-	if err == nil {
-		err = coErr
-	}
-	if err != nil {
-		return out, err
-	}
-	out.CoLocatedTpm = coRes.Tpm()
-	if out.BaselineTpm > 0 {
-		out.CoLocatedRatio = out.CoLocatedTpm / out.BaselineTpm
-	}
-	if n := lagSamples.Load(); n > 0 {
-		out.LagAvgBytes = lagSum.Load() / n
-	}
-	out.LagMaxBytes = lagMax.Load()
-	if lag := int64(prim.Log().FlushedLSN()) - int64(reps[0].AppliedLSN()); lag > 0 {
-		out.LagEndBytes = lag
-	}
-	if err := waitCaughtUp(); err != nil {
-		return out, err
-	}
-
-	// Arm 4: remote-standby model. The standby's machinery — ingest, redo,
-	// query serving — belongs to other hardware, which a one-core testbed
-	// cannot host without polluting the primary measurement. So for this
-	// window: the primary pays its FULL shipping cost into a stream tap
-	// (the bytes leave for elsewhere), and the paced §6.3 as-of loop runs
-	// against the warm standbys serving at their applied horizon (the §1
-	// scenario — querying the past — is exactly what a standby holds). The
-	// standby-side costs are measured separately: bulk apply above, drain
-	// below, lag in the co-located arm.
-	//
-	// The horizon must be strictly older than any window commit: the
-	// driver's virtual clock advances per transaction, so the first window
-	// commits would otherwise share the horizon's exact reading and
-	// resolve snapshot splits past the standbys' applied point.
-	horizon := clock.Now()
-	clock.Advance(time.Second)
-	for i := range conns {
-		conns[i].Close()
-		<-runDone[i]
-	}
-	tapP, tapR := repl.Pipe()
-	tapDone := make(chan error, 1)
-	var tapBytes atomic.Int64
-	go func() { _ = ship.Serve(tapP) }()
-	go func() { tapDone <- repl.TapStream(tapR, prim.Log().NextLSN(), &tapBytes) }()
-	stop2 := make(chan struct{})
-	var wg2 sync.WaitGroup
-	var offErr error
-	var offSnaps int
-	var offCreate, offQuery time.Duration
-	wg2.Add(1)
-	go func() {
-		defer wg2.Done()
-		i := 0
-		offSnaps, offCreate, offQuery, offErr = asofLoop(stop2, scale, func() (*sec63Snapshot, error) {
-			rep := reps[i%len(reps)]
-			i++
-			s, err := rep.SnapshotAsOf(horizon)
-			if err != nil {
-				return nil, err
-			}
-			return &sec63Snapshot{q: s, close: func() { s.Close() }}, nil
-		})
-	}()
-	offRes, err := d.Run(txns, clients)
-	close(stop2)
-	wg2.Wait()
-	if err == nil {
-		err = offErr
-	}
-	if err != nil {
-		return out, err
-	}
-	out.OffloadTpm = offRes.Tpm()
-	if out.BaselineTpm > 0 {
-		out.OffloadRatio = out.OffloadTpm / out.BaselineTpm
-	}
-	out.Snapshots = offSnaps
-	if offSnaps > 0 {
-		out.AvgCreate = offCreate / time.Duration(offSnaps)
-		out.AvgQuery = offQuery / time.Duration(offSnaps)
-	}
-
-	// Close the tap, reconnect the standbys, and drain the window's
-	// backlog through the streaming path: the second apply-bandwidth
-	// reading.
-	tapR.Close()
-	<-tapDone
-	drainStart := time.Now()
-	bytesBefore := reps[0].Status().Bytes
-	for i := range reps {
-		pc, rc := repl.Pipe()
-		conns[i] = rc
-		go func() { _ = ship.Serve(pc) }()
-		go func(i int) { runDone[i] <- reps[i].Run(rc) }(i)
-	}
-	if err := waitCaughtUp(); err != nil {
-		return out, err
-	}
-	drainWall := time.Since(drainStart)
-	out.DrainBytes = reps[0].Status().Bytes - bytesBefore
-	if drainWall > 0 {
-		out.DrainMBps = float64(out.DrainBytes) * float64(replicas) / drainWall.Seconds() / (1 << 20)
-	}
-
-	for i := range conns {
-		conns[i].Close()
-		<-runDone[i]
-	}
-
-	if w != nil {
-		fmt.Fprintln(w, "\n§6.3 + replication — as-of load absorbed by warm standbys")
-		table(w, []string{"run", "tpm", "ratio", "snapshots", "avg create", "avg query"}, [][]string{
-			{"baseline", fmt.Sprintf("%.0f", out.BaselineTpm), "1.00x", "-", "-", "-"},
-			{"as-of on primary", fmt.Sprintf("%.0f", out.SingleNodeTpm),
-				fmt.Sprintf("%.2fx", out.SingleNodeRatio), fmt.Sprintf("%d", single.Snapshots),
-				single.AvgSnapCreate.Round(time.Millisecond).String(),
-				single.AvgAsOfQuery.Round(time.Millisecond).String()},
-			{fmt.Sprintf("standby x%d (co-located)", replicas), fmt.Sprintf("%.0f", out.CoLocatedTpm),
-				fmt.Sprintf("%.2fx", out.CoLocatedRatio), fmt.Sprintf("%d", coSnaps), "-", "-"},
-			{fmt.Sprintf("standby x%d (remote model)", replicas), fmt.Sprintf("%.0f", out.OffloadTpm),
-				fmt.Sprintf("%.2fx", out.OffloadRatio), fmt.Sprintf("%d", out.Snapshots),
-				out.AvgCreate.Round(time.Millisecond).String(),
-				out.AvgQuery.Round(time.Millisecond).String()},
-		})
-		fmt.Fprintf(w, "replication: bulk apply %.1f MB/s (%.1f MiB), drain %.1f MB/s (%.1f MiB); continuous-apply lag avg %d B, max %d B, end %d B\n",
-			out.ApplyMBps, float64(out.CatchupBytes)/(1<<20),
-			out.DrainMBps, float64(out.DrainBytes)/(1<<20),
-			out.LagAvgBytes, out.LagMaxBytes, out.LagEndBytes)
 	}
 	return out, nil
 }

@@ -451,7 +451,7 @@ func TestShipperFenceGraceVirtual(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	ship := NewShipper(db, ShipperOptions{FenceGrace: time.Second})
+	ship := NewShipper(db, ShipperOptions{}) // fenceGrace: one virtual second
 	conn := newStallConn()
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- ship.Serve(conn) }()

@@ -30,10 +30,6 @@ type ReplicaOptions struct {
 	// the whole shipped history. Replica checkpoints append nothing to the
 	// log (the shipped log must stay byte-identical to the primary's).
 	CheckpointEvery int64
-	// AnalysisMarkEvery is the cadence (applied bytes) of ATT-mark captures
-	// fed to the engine, giving standby snapshot resolution the same
-	// O(mark interval) analysis scans as the primary. Default 256 KiB.
-	AnalysisMarkEvery int64
 	// SnapshotWait bounds how long SnapshotAsOf waits for the apply loop to
 	// reach the resolved SplitLSN before giving up. Default 10s.
 	SnapshotWait time.Duration
@@ -44,18 +40,19 @@ type ReplicaOptions struct {
 // total within a worker; physiological redo needs nothing more).
 // parallelApplyThreshold is the page-op count below which a batch is applied
 // inline — fan-out costs more than it saves for tiny batches (a single
-// group-commit flush is often one transaction).
+// group-commit flush is often one transaction). analysisMarkEvery is the
+// cadence (applied bytes) of ATT-mark captures fed to the engine, giving
+// standby snapshot resolution the same O(mark interval) analysis scans as
+// the primary.
 const (
 	applyWorkers           = 4
 	parallelApplyThreshold = 16
+	analysisMarkEvery      = 256 << 10
 )
 
 func (o ReplicaOptions) withDefaults() ReplicaOptions {
 	if o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = 4 << 20
-	}
-	if o.AnalysisMarkEvery <= 0 {
-		o.AnalysisMarkEvery = 256 << 10
 	}
 	if o.SnapshotWait <= 0 {
 		o.SnapshotWait = 10 * time.Second
@@ -601,7 +598,7 @@ func (r *Replica) ingest(from wal.LSN, payload []byte) error {
 // replica checkpoints.
 func (r *Replica) maybeMaintain() error {
 	applied := r.db.AppliedLSN()
-	if applied >= r.lastMarkAt+wal.LSN(r.opts.AnalysisMarkEvery) {
+	if applied >= r.lastMarkAt+analysisMarkEvery {
 		r.lastMarkAt = applied
 		r.db.NoteAnalysisMark(engine.AnalysisMark{
 			Begin: applied + 1,

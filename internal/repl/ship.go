@@ -17,45 +17,29 @@ import (
 
 // ShipperOptions tunes the primary-side log shipper.
 type ShipperOptions struct {
-	// BatchBytes caps one shipped batch (default 256 KiB). Batches are
-	// usually much smaller: the shipper drains whatever a group-commit
-	// flush made durable, so batch boundaries ride flush boundaries.
-	BatchBytes int
 	// HeartbeatEvery bounds how long an idle stream stays silent (default
 	// 500ms): heartbeats carry the primary's durable LSN and clock so a
 	// replica's lag observation never goes stale.
 	HeartbeatEvery time.Duration
-	// BatchLinger, when positive, lets a batch smaller than MinBatchBytes
-	// wait that long for more flushes to coalesce before it ships — the
-	// wakeups-per-byte knob (cf. Kafka linger.ms): a busy primary flushing
-	// every ~100µs would otherwise wake the shipper, the transport and the
-	// replica for every tiny flush. Costs up to BatchLinger of extra lag.
-	// Default 0: every batch ships on its flush boundary.
-	BatchLinger time.Duration
-	// MinBatchBytes is the coalescing target (default 64 KiB); batches at
-	// or above it never linger.
-	MinBatchBytes int
-	// FenceGrace bounds how long closeWith waits for promotion-fence fin
-	// frames to reach stalled peers (default 1s), measured on the source
-	// engine's injected clock so fence tests run at exact virtual times.
-	FenceGrace time.Duration
 }
 
 func (o ShipperOptions) withDefaults() ShipperOptions {
-	if o.BatchBytes <= 0 {
-		o.BatchBytes = 256 << 10
-	}
 	if o.HeartbeatEvery <= 0 {
 		o.HeartbeatEvery = 500 * time.Millisecond
 	}
-	if o.MinBatchBytes <= 0 {
-		o.MinBatchBytes = 64 << 10
-	}
-	if o.FenceGrace <= 0 {
-		o.FenceGrace = time.Second
-	}
 	return o
 }
+
+const (
+	// batchBytes caps one shipped batch. Batches are usually much smaller:
+	// the shipper drains whatever a group-commit flush made durable, so
+	// batch boundaries ride flush boundaries.
+	batchBytes = 256 << 10
+	// fenceGrace bounds how long closeWith waits for promotion-fence fin
+	// frames to reach stalled peers, measured on the source engine's
+	// injected clock so fence tests run at exact virtual times.
+	fenceGrace = time.Second
+)
 
 // Shipper streams a node's WAL to subscribed replicas. It hooks the
 // group-commit flush path (wal.Manager.FlushNotify): every completed flush
@@ -263,7 +247,7 @@ func (s *Shipper) closeWith(fin *Frame) {
 	}()
 	select {
 	case <-finSent:
-	case <-clock.After(s.db.Clock(), s.opts.FenceGrace):
+	case <-clock.After(s.db.Clock(), fenceGrace):
 	}
 	close(s.stop)
 	// Close every serving connection — a session parked in a handshake Recv
@@ -332,34 +316,6 @@ func (s *Shipper) StatusJSON() ([]byte, error) {
 		return nil, fmt.Errorf("repl: marshal status: %w", err)
 	}
 	return b, nil
-}
-
-// TapStream subscribes at from and discards the stream as it arrives,
-// counting payload bytes into n when non-nil. A tap is a subscriber whose
-// processing happens elsewhere — an egress pipe to another machine, an
-// archiver, or a benchmark sink measuring the primary-side cost of
-// shipping in isolation. Returns when the session ends.
-func TapStream(conn Conn, from wal.LSN, n *atomic.Int64) error {
-	if err := conn.Send(&Frame{Kind: KindSubscribe, From: from}); err != nil {
-		return err
-	}
-	for {
-		f, err := conn.Recv()
-		if err != nil {
-			if errors.Is(err, ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		switch f.Kind {
-		case KindBatch:
-			if n != nil {
-				n.Add(int64(len(f.Payload)))
-			}
-		case KindError:
-			return fmt.Errorf("repl: primary error: %s", f.Payload)
-		}
-	}
 }
 
 // Serve runs one subscriber session over conn, blocking until the session
@@ -593,7 +549,7 @@ func (s *Shipper) Serve(conn Conn) error {
 			// immutable bytes from the renamed files.
 		}
 	}
-	buf := make([]byte, s.opts.BatchBytes)
+	buf := make([]byte, batchBytes)
 	off := int64(from - 1)
 	heartbeat := time.NewTimer(s.opts.HeartbeatEvery)
 	defer heartbeat.Stop()
@@ -601,14 +557,6 @@ func (s *Shipper) Serve(conn Conn) error {
 		n, err := read(buf, off)
 		if err != nil {
 			return err
-		}
-		if n > 0 && n < s.opts.MinBatchBytes && s.opts.BatchLinger > 0 {
-			// Coalesce: trade up to BatchLinger of lag for fewer, larger
-			// batches (and proportionally fewer cross-goroutine wakeups).
-			time.Sleep(s.opts.BatchLinger)
-			if n2, err := read(buf[n:], off+int64(n)); err == nil && n2 > 0 {
-				n += n2
-			}
 		}
 		if n > 0 {
 			// Mid-session lineage fence: a standby source adopts a new

@@ -307,7 +307,9 @@ func scanFrames(readAt func([]byte, int64) (int, error), from LSN, fn func(*Reco
 	return nil
 }
 
-// readFrame fetches and decodes the single record at lsn from a byte source.
+// readFrame fetches and decodes the single record at lsn from a byte source:
+// the live log's block cache (Manager.Read) or the archive+live composite
+// (ArchivedLog.Read).
 func readFrame(readAt func([]byte, int64) (int, error), lsn LSN) (*Record, error) {
 	var hdr [frameHeader]byte
 	if n, err := readAt(hdr[:], int64(lsn-1)); err != nil || n < frameHeader {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -803,32 +802,12 @@ func (m *Manager) Read(lsn LSN) (*Record, error) {
 	if t := m.truncPoint(); lsn < t {
 		return nil, fmt.Errorf("%w: %v < %v", ErrTruncated, lsn, t)
 	}
-	var hdr [frameHeader]byte
-	if err := m.readCached(hdr[:], int64(lsn-1)); err != nil {
-		return nil, err
-	}
-	bodyLen := binary.LittleEndian.Uint32(hdr[:4])
-	wantCRC := binary.LittleEndian.Uint32(hdr[4:])
-	if bodyLen == 0 || bodyLen > MaxRecordBytes {
-		return nil, fmt.Errorf("wal: implausible record length %d at %v", bodyLen, lsn)
-	}
-	body := make([]byte, bodyLen)
-	if err := m.readCached(body, int64(lsn-1)+frameHeader); err != nil {
-		return nil, err
-	}
-	if crc32.ChecksumIEEE(body) != wantCRC {
-		return nil, fmt.Errorf("wal: checksum mismatch at %v", lsn)
-	}
-	r, err := unmarshal(body)
-	if err != nil {
-		return nil, err
-	}
-	r.LSN = lsn
-	return r, nil
+	return readFrame(m.readCached, lsn)
 }
 
 // readCached fills buf from the block cache, loading blocks on miss.
-func (m *Manager) readCached(buf []byte, off int64) error {
+func (m *Manager) readCached(buf []byte, off int64) (int, error) {
+	want := len(buf)
 	for len(buf) > 0 {
 		blockIdx := off / readBlockSize
 		blockOff := int(off % readBlockSize)
@@ -837,7 +816,7 @@ func (m *Manager) readCached(buf []byte, off int64) error {
 			blk = make([]byte, readBlockSize)
 			n, err := m.readAt(blk, blockIdx*readBlockSize, true)
 			if err != nil && n == 0 {
-				return fmt.Errorf("wal: block %d: %w", blockIdx, err)
+				return want - len(buf), fmt.Errorf("wal: block %d: %w", blockIdx, err)
 			}
 			blk = blk[:n]
 			// Only cache full blocks: partial blocks at the growing end
@@ -847,13 +826,13 @@ func (m *Manager) readCached(buf []byte, off int64) error {
 			}
 		}
 		if blockOff >= len(blk) {
-			return io.ErrUnexpectedEOF
+			return want - len(buf), io.ErrUnexpectedEOF
 		}
 		n := copy(buf, blk[blockOff:])
 		buf = buf[n:]
 		off += int64(n)
 	}
-	return nil
+	return want, nil
 }
 
 // InvalidateCache drops all cached blocks (used by tests and by restores
