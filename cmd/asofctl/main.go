@@ -533,7 +533,7 @@ func promoteStandby(dir string) {
 // logLs lists the database's live WAL segments (and, when an archive
 // directory is given, the archived set) with the retention horizon.
 func logLs(dbdir, archiveDir string) {
-	if err := wal.RefusePartitioned(filepath.Join(dbdir, "wal")); err != nil {
+	if err := wal.RefuseUnreadable(filepath.Join(dbdir, "wal")); err != nil {
 		fatal(err)
 	}
 	printSegs := func(title, state string, segs []wal.SegmentInfo, markActive bool) {

@@ -47,9 +47,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	m, err := wal.OpenStore(filepath.Join(*dbdir, "wal"), wal.Config{
-		LegacyFile: filepath.Join(*dbdir, "wal.log"),
-	})
+	m, err := wal.OpenStore(filepath.Join(*dbdir, "wal"), wal.Config{})
 	if err != nil {
 		fatal(err)
 	}

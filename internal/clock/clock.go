@@ -3,8 +3,8 @@
 // tests of time-dependent machinery (the sparse time→LSN index, retention
 // pruning, replication lag) control time explicitly instead of sleeping.
 //
-// Production entry points install Real(); tests install a Mock, or a
-// *vclock.Clock (which satisfies Clock via its Now method).
+// Production entry points install Real(); tests and experiments install a
+// Mock (vclock.New is one started at the paper's example timestamp).
 package clock
 
 import "time"
@@ -24,7 +24,7 @@ func (realClock) Now() time.Time { return time.Now() }
 func Real() Clock { return realClock{} }
 
 // Func adapts a plain func() time.Time (e.g. a legacy Options.Now field or
-// a *vclock.Clock method value) into a Clock.
+// a Mock's Now method value) into a Clock.
 type Func func() time.Time
 
 // Now implements Clock.

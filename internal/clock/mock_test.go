@@ -1,13 +1,16 @@
-package vclock
+package clock_test
 
 import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
+	"repro/internal/vclock"
 )
 
 func TestDefaultStart(t *testing.T) {
-	c := New(time.Time{})
+	c := vclock.New(time.Time{})
 	want := time.Date(2012, 3, 22, 17, 0, 0, 0, time.UTC)
 	if !c.Now().Equal(want) {
 		t.Fatalf("default start = %v, want %v", c.Now(), want)
@@ -16,7 +19,7 @@ func TestDefaultStart(t *testing.T) {
 
 func TestExplicitStartAndAdvance(t *testing.T) {
 	start := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
-	c := New(start)
+	c := clock.NewMock(start)
 	if !c.Now().Equal(start) {
 		t.Fatalf("start = %v", c.Now())
 	}
@@ -30,7 +33,7 @@ func TestExplicitStartAndAdvance(t *testing.T) {
 }
 
 func TestConcurrentAdvance(t *testing.T) {
-	c := New(time.Time{})
+	c := clock.NewMock(time.Date(2012, 3, 22, 17, 0, 0, 0, time.UTC))
 	start := c.Now()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {

@@ -257,93 +257,7 @@ const bootMagic = "ASOFDB\x02\x00"
 
 // Open opens the database in dir, creating it if absent, and runs crash
 // recovery if needed.
-func Open(dir string, opts Options) (*DB, error) {
-	opts = opts.withDefaults()
-	// Before data.db or anything else is created: a refused directory is
-	// left byte-identical.
-	if err := wal.RefusePartitioned(filepath.Join(dir, "wal")); err != nil {
-		return nil, err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("engine: mkdir: %w", err)
-	}
-	data, err := disk.Open(filepath.Join(dir, "data.db"), opts.DataDevice)
-	if err != nil {
-		return nil, err
-	}
-	logm, err := openLog(dir, opts)
-	if err != nil {
-		data.Close()
-		return nil, err
-	}
-	logm.SetCacheBlocks(opts.LogCacheBlocks)
-	logm.SetClock(opts.Clock)
-	db := &DB{
-		opts:      opts,
-		dir:       dir,
-		data:      data,
-		log:       logm,
-		locks:     txn.NewLockManager(opts.LockTimeout),
-		allocHint: make(map[uint32]uint32),
-		idxCache:  make(map[uint32][]catalog.Index),
-		tblCache:  make(map[string]catalog.Table),
-	}
-	for i := range db.txns {
-		db.txns[i].txns = make(map[uint64]*Txn)
-	}
-	db.pool = buffer.New(buffer.Config{
-		Frames:    opts.BufferFrames,
-		Source:    data,
-		FlushLog:  func(pageLSN uint64) error { return logm.Flush(wal.LSN(pageLSN)) },
-		Checksums: true,
-	})
-	db.nextTxnID.Store(1)
-	if !opts.DisableObs {
-		db.initObs()
-	}
-
-	if data.PageCount() == 0 {
-		if err := db.create(); err != nil {
-			db.closeFiles()
-			return nil, err
-		}
-		if err := db.startObsListener(); err != nil {
-			db.closeFiles()
-			return nil, err
-		}
-		return db, nil
-	}
-	if err := db.readBoot(); err != nil {
-		db.closeFiles()
-		return nil, err
-	}
-	if err := db.rebuildCkptIndex(); err != nil {
-		db.closeFiles()
-		return nil, fmt.Errorf("engine: checkpoint index: %w", err)
-	}
-	if err := db.recover(); err != nil {
-		db.closeFiles()
-		return nil, fmt.Errorf("engine: recovery: %w", err)
-	}
-	if err := db.startObsListener(); err != nil {
-		db.closeFiles()
-		return nil, err
-	}
-	return db, nil
-}
-
-// openLog opens the database's segmented log store under dir/wal,
-// migrating a pre-segmentation flat wal.log into the first segment when one
-// is present.
-func openLog(dir string, opts Options) (*wal.Manager, error) {
-	return wal.OpenStore(filepath.Join(dir, "wal"), wal.Config{
-		Dev:          opts.LogDevice,
-		SegmentBytes: opts.LogSegmentBytes,
-		Sync:         opts.SyncPolicy,
-		ArchiveDir:   opts.LogArchiveDir,
-		LegacyFile:   filepath.Join(dir, "wal.log"),
-	})
-}
+func Open(dir string, opts Options) (*DB, error) { return open(dir, opts, false) }
 
 // OpenStandby opens the database in dir as a log-shipping standby: files
 // are opened (and created empty if absent) but no bootstrap transaction
@@ -352,9 +266,14 @@ func openLog(dir string, opts Options) (*wal.Manager, error) {
 // standby whose directory already holds shipped state reseeds its
 // checkpoint and time→LSN indexes from the local log copy exactly like a
 // primary would at open.
-func OpenStandby(dir string, opts Options) (*DB, error) {
+func OpenStandby(dir string, opts Options) (*DB, error) { return open(dir, opts, true) }
+
+// open is the one body of Open and OpenStandby.
+func open(dir string, opts Options, standby bool) (*DB, error) {
 	opts = opts.withDefaults()
-	if err := wal.RefusePartitioned(filepath.Join(dir, "wal")); err != nil {
+	// Before data.db or anything else is created: a refused directory is
+	// left byte-identical.
+	if err := wal.RefuseUnreadable(filepath.Join(dir, "wal")); err != nil {
 		return nil, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -364,13 +283,18 @@ func OpenStandby(dir string, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	logm, err := openLog(dir, opts)
+	logm, err := wal.OpenStore(filepath.Join(dir, "wal"), wal.Config{
+		Dev:          opts.LogDevice,
+		SegmentBytes: opts.LogSegmentBytes,
+		Sync:         opts.SyncPolicy,
+		ArchiveDir:   opts.LogArchiveDir,
+	})
 	if err != nil {
 		data.Close()
 		return nil, err
 	}
-	logm.SetClock(opts.Clock)
 	logm.SetCacheBlocks(opts.LogCacheBlocks)
+	logm.SetClock(opts.Clock)
 	db := &DB{
 		opts:      opts,
 		dir:       dir,
@@ -391,26 +315,42 @@ func OpenStandby(dir string, opts Options) (*DB, error) {
 		Checksums: true,
 	})
 	db.nextTxnID.Store(1)
-	db.standby.Store(true)
+	db.standby.Store(standby)
 	if !opts.DisableObs {
 		db.initObs()
 	}
-
-	if data.PageCount() > 0 {
-		if err := db.readBoot(); err != nil {
-			db.closeFiles()
-			return nil, err
-		}
-		if err := db.rebuildCkptIndex(); err != nil {
-			db.closeFiles()
-			return nil, fmt.Errorf("engine: checkpoint index: %w", err)
-		}
-	}
-	if err := db.startObsListener(); err != nil {
+	if err := db.start(standby); err != nil {
 		db.closeFiles()
 		return nil, err
 	}
 	return db, nil
+}
+
+// start brings an opened database up. A fresh primary is created; a fresh
+// standby stays empty until the stream's hello frame (InitStandbyBoot). An
+// existing database reads its boot page and checkpoint chain and, unless it
+// is a standby, recovers.
+func (db *DB) start(standby bool) error {
+	if db.data.PageCount() == 0 {
+		if !standby {
+			if err := db.create(); err != nil {
+				return err
+			}
+		}
+		return db.startObsListener()
+	}
+	if err := db.readBoot(); err != nil {
+		return err
+	}
+	if err := db.rebuildCkptIndex(); err != nil {
+		return fmt.Errorf("engine: checkpoint index: %w", err)
+	}
+	if !standby {
+		if err := db.recover(); err != nil {
+			return fmt.Errorf("engine: recovery: %w", err)
+		}
+	}
+	return db.startObsListener()
 }
 
 // ErrStandby is returned by write entry points on a log-shipping replica;
@@ -500,9 +440,26 @@ func (db *DB) NoteAnalysisMark(m AnalysisMark) {
 	db.mu.Unlock()
 }
 
-// PersistBoot flushes the boot page (standby checkpoint cadence; a primary
-// persists it inside Checkpoint).
+// PersistBoot flushes the boot page (a standby adopting a new lineage; a
+// primary persists it inside Checkpoint).
 func (db *DB) PersistBoot() error { return db.writeBoot() }
+
+// FlushStandby is a standby's checkpoint, which appends nothing to its
+// shipped log: every dirty page written back, the data file synced, and the
+// boot page persisted once the stream has bootstrapped it. Close runs it, and
+// so does the replica's own checkpoint.
+func (db *DB) FlushStandby() error {
+	if err := db.pool.FlushAll(); err != nil {
+		return err
+	}
+	if err := db.data.Sync(); err != nil {
+		return err
+	}
+	if db.Bootstrapped() {
+		return db.writeBoot()
+	}
+	return nil
+}
 
 // Promote flips a standby read-write after its apply loop has stopped: the
 // given transactions (in flight at the promotion point, from the replica's
@@ -620,8 +577,8 @@ func (db *DB) closeFiles() {
 }
 
 // Close checkpoints and closes the database. A standby — which must not
-// append checkpoint records to its shipped log — flushes its pages and boot
-// page instead; its durable apply position is managed by the replica layer.
+// append checkpoint records to its shipped log — runs FlushStandby instead;
+// its durable apply position is managed by the replica layer.
 func (db *DB) Close() error {
 	if db.closed.Swap(true) {
 		return nil
@@ -629,24 +586,11 @@ func (db *DB) Close() error {
 	if db.obsSrv != nil {
 		db.obsSrv.Close()
 	}
+	flush := db.Checkpoint
 	if db.standby.Load() {
-		if err := db.pool.FlushAll(); err != nil {
-			return err
-		}
-		if err := db.data.Sync(); err != nil {
-			return err
-		}
-		if db.Bootstrapped() {
-			if err := db.writeBoot(); err != nil {
-				return err
-			}
-		}
-		if err := db.log.Close(); err != nil {
-			return err
-		}
-		return db.data.Close()
+		flush = db.FlushStandby
 	}
-	if err := db.Checkpoint(); err != nil {
+	if err := flush(); err != nil {
 		return err
 	}
 	if err := db.log.Close(); err != nil {

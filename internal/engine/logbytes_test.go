@@ -121,7 +121,7 @@ func TestPartitionedLogRefused(t *testing.T) {
 		"Open":        func() error { _, err := Open(dir, Options{}); return err },
 		"OpenStandby": func() error { _, err := OpenStandby(dir, Options{}); return err },
 		"wal.OpenStore": func() error {
-			_, err := wal.OpenStore(filepath.Join(dir, "wal"), wal.Config{LegacyFile: filepath.Join(dir, "wal.log")})
+			_, err := wal.OpenStore(filepath.Join(dir, "wal"), wal.Config{})
 			return err
 		},
 	}

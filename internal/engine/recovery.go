@@ -67,31 +67,31 @@ func (db *DB) recover() error {
 	// missing only from a listed page, at or after its recLSN. Any other
 	// record there is skipped without reading its page. Analysis starts at
 	// the begin record, where the ATT was seeded.
-	// validEnd tracks the end of the last intact record: a crash can tear
-	// the final record mid-write, and the log must be rewound to the valid
-	// CRC boundary before recovery appends anything — otherwise the torn
-	// bytes would sit as an unreadable hole in front of every later record.
-	validEnd := start - 1
-	err := db.log.Scan(start, func(rec *wal.Record) (bool, error) {
-		validEnd = rec.LSN + wal.LSN(rec.ApproxSize()) - 1
-		if rec.LSN < begin {
-			if recLSN, ok := dpt[rec.PageID]; !ok || rec.LSN < recLSN {
-				return true, nil
+	// The scan stops at the end of the last intact record: a crash can tear
+	// the final record mid-write, and the log must be rewound to that CRC
+	// boundary before recovery appends anything — otherwise the torn bytes
+	// would sit as an unreadable hole in front of every later record.
+	end, err := db.log.ScanBatches(start, func(recs []*wal.Record) (bool, error) {
+		for _, rec := range recs {
+			if rec.LSN < begin {
+				if recLSN, ok := dpt[rec.PageID]; !ok || rec.LSN < recLSN {
+					continue
+				}
+			} else {
+				st.Observe(rec)
 			}
-		} else {
-			st.Observe(rec)
-		}
-		if err := db.RedoRecord(rec); err != nil {
-			return false, err
+			if err := db.RedoRecord(rec); err != nil {
+				return false, err
+			}
 		}
 		return true, nil
 	})
 	if err != nil {
 		return fmt.Errorf("redo pass: %w", err)
 	}
-	if end := wal.LSN(db.log.Size()); validEnd < end {
-		if err := db.log.Rewind(validEnd); err != nil {
-			return fmt.Errorf("torn-tail rewind to %v: %w", validEnd, err)
+	if end < wal.LSN(db.log.Size()) {
+		if err := db.log.Rewind(end); err != nil {
+			return fmt.Errorf("torn-tail rewind to %v: %w", end, err)
 		}
 	}
 	db.nextTxnID.Store(st.MaxTxn + 1)

@@ -479,8 +479,8 @@ func TestCascadeRetentionOutrunsMidTier(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.prim.Log().SegmentFloor() <= resume {
-		t.Skip("retention did not outrun the mid-tier on this run; nothing to exercise")
+	if floor := c.prim.Log().SegmentFloor(); floor <= resume {
+		t.Fatalf("retention floor %v did not outrun the mid-tier's resume point %v: the fixed layout no longer exercises the archive", floor, resume)
 	}
 
 	c.connectHop2()

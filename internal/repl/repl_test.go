@@ -601,8 +601,8 @@ func TestSubscribePastTruncationRejected(t *testing.T) {
 	if err := prim.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if prim.Log().SegmentFloor() <= 1 {
-		t.Skip("retention did not drop segments; nothing to reject")
+	if floor := prim.Log().SegmentFloor(); floor <= 1 {
+		t.Fatalf("retention did not drop segments (floor %v): the fixed layout no longer exercises the rejection", floor)
 	}
 
 	ship := NewShipper(prim, ShipperOptions{})

@@ -166,10 +166,12 @@ func OpenReplica(dir string, opts ReplicaOptions) (*Replica, error) {
 	r.registerObs(eng.Obs())
 
 	applied := wal.LSN(0)
-	if state, ok, err := readReplicaState(r.statePath()); err != nil {
+	buf, err := os.ReadFile(r.statePath())
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		eng.Close()
 		return nil, err
-	} else if ok {
+	}
+	if state, ok := decodeReplicaState(buf); ok {
 		applied = state.Applied
 		r.st.MaxTxn = state.MaxTxn
 		r.st.Seed(state.ATT)
@@ -616,98 +618,43 @@ func (r *Replica) maybeMaintain() error {
 }
 
 // catchUpLocal replays local log records past the applied LSN (the
-// deferred-apply backlog, or a restart's tail). It streams the raw durable
-// bytes in ~1 MiB slabs, parses them into record batches, and drives each
-// batch through apply — the same page-id-partitioned worker fan-out the
-// live stream uses — so a multi-hundred-MiB deferred backlog drains at
-// parallel-redo bandwidth instead of one record at a time. Analysis and
-// non-page bookkeeping still happen in strict log order on this goroutine
-// (apply's coordinator pass), so the incremental ATT stays exact at every
-// batch barrier.
+// deferred-apply backlog, or a restart's tail). It reads the log with the
+// engine's forward scan and drives each stretch's records through apply —
+// the same page-id-partitioned worker fan-out the live stream uses — so a
+// multi-hundred-MiB deferred backlog drains at parallel-redo bandwidth
+// instead of one record at a time. Analysis and non-page bookkeeping still
+// happen in strict log order on this goroutine (apply's coordinator pass),
+// so the incremental ATT stays exact at every batch barrier. A log that
+// begins past the applied position (a reseeded store, or apply state lost)
+// replays what it holds.
 //
-// rewindTorn additionally truncates a torn tail (a crash mid-AppendRaw) to
-// the last valid CRC boundary — the restart path, where the replica is
-// quiescent; a live session's local log always ends on a record boundary,
-// so the stream paths pass false and treat a tear as corruption.
+// rewindTorn truncates a torn tail (a crash mid-AppendRaw) to the end of the
+// intact prefix — the restart path, where the replica is quiescent; a live
+// session's local log always ends on a record boundary, so the stream paths
+// pass false and treat a tear as corruption.
 func (r *Replica) catchUpLocal(rewindTorn bool) error {
 	log := r.db.Log()
-	chunk := make([]byte, 1<<20)
-	var carry []byte // partial frame spilling past a slab boundary
-	recs := make([]*wal.Record, 0, 1024)
-	off := int64(r.db.AppliedLSN()) // 0-based offset of the next byte to read
-	if floor := int64(log.TruncationPoint() - 1); off < floor {
-		// The local log begins past the requested position (reseeded store,
-		// or apply state lost): replay what the log actually holds.
-		off = floor
+	end, err := log.ScanBatches(r.db.AppliedLSN()+1, func(recs []*wal.Record) (bool, error) {
+		if err := r.apply(recs); err != nil {
+			return false, err
+		}
+		last := recs[len(recs)-1]
+		applied := last.LSN + wal.LSN(last.ApproxSize()) - 1
+		r.db.SetAppliedLSN(applied)
+		r.appliedBytes.Add(int64(applied + 1 - recs[0].LSN))
+		r.appliedRecords.Add(int64(len(recs)))
+		return true, nil
+	})
+	if err != nil {
+		return err
 	}
-	for {
-		n, err := log.ReadDurable(chunk, off)
-		if err != nil {
-			return err
+	if logEnd := log.NextLSN() - 1; end < logEnd {
+		if !rewindTorn {
+			return fmt.Errorf("repl: local log is torn at %v (it ends at %v)", end+1, logEnd)
 		}
-		if n == 0 {
-			if len(carry) == 0 {
-				return nil // fully drained
-			}
-			// The durable log ends inside a record.
-			if !rewindTorn {
-				return fmt.Errorf("repl: local log ends mid-record at %v", r.db.AppliedLSN()+1)
-			}
-			return log.Rewind(r.db.AppliedLSN())
-		}
-		data := chunk[:n]
-		if len(carry) > 0 {
-			data = append(carry, data...)
-		}
-		base := off + int64(n) - int64(len(data)) // offset of data[0]
-		pos, torn := 0, false
-		recs = recs[:0]
-		for {
-			body, size, ok, ferr := wal.NextFrame(data[pos:])
-			if ferr != nil {
-				if !rewindTorn {
-					return fmt.Errorf("repl: corrupt local record at %v: %w", wal.LSN(base+int64(pos))+1, ferr)
-				}
-				torn = true
-				break
-			}
-			if !ok {
-				break
-			}
-			rec, derr := wal.DecodeBody(body)
-			if derr != nil {
-				if !rewindTorn {
-					return fmt.Errorf("repl: undecodable local record at %v: %w", wal.LSN(base+int64(pos))+1, derr)
-				}
-				torn = true
-				break
-			}
-			rec.LSN = wal.LSN(base+int64(pos)) + 1
-			recs = append(recs, rec)
-			pos += size
-		}
-		if len(recs) > 0 {
-			if err := r.apply(recs); err != nil {
-				return err
-			}
-			r.db.SetAppliedLSN(wal.LSN(base + int64(pos)))
-			r.appliedBytes.Add(int64(pos))
-			r.appliedRecords.Add(int64(len(recs)))
-		}
-		if torn {
-			return log.Rewind(r.db.AppliedLSN())
-		}
-		if pos == 0 {
-			// The pending record is bigger than the slab (a checkpoint-end
-			// with a huge payload): size the next read to finish it in one
-			// pass instead of re-copying the growing carry every slab.
-			if need, ok := wal.FrameSize(data); ok && need > len(chunk) {
-				chunk = make([]byte, need)
-			}
-		}
-		carry = append(carry[:0], data[pos:]...)
-		off += int64(n)
+		return log.Rewind(end)
 	}
+	return nil
 }
 
 // PauseApply defers redo (cf. PostgreSQL's recovery_min_apply_delay, taken
@@ -813,16 +760,8 @@ func (r *Replica) observe(rec *wal.Record) {
 // shipped log stays byte-identical to the primary's. Restart replays only
 // the local log past the persisted apply position.
 func (r *Replica) checkpoint() error {
-	if err := r.db.Pool().FlushAll(); err != nil {
+	if err := r.db.FlushStandby(); err != nil {
 		return err
-	}
-	if err := r.db.Data().Sync(); err != nil {
-		return err
-	}
-	if r.db.Bootstrapped() {
-		if err := r.db.PersistBoot(); err != nil {
-			return err
-		}
 	}
 	return writeReplicaState(r.statePath(), replicaState{
 		Applied:       r.db.AppliedLSN(),
@@ -966,6 +905,10 @@ type replicaState struct {
 const replicaStateMagic = "ASOFREPL\x01"
 
 func writeReplicaState(path string, st replicaState) error {
+	return fsutil.AtomicWriteFile(path, encodeReplicaState(st), false)
+}
+
+func encodeReplicaState(st replicaState) []byte {
 	buf := make([]byte, 0, 64+24*len(st.ATT))
 	buf = append(buf, replicaStateMagic...)
 	var tmp [8]byte
@@ -984,37 +927,33 @@ func writeReplicaState(path string, st replicaState) error {
 		put(uint64(e.BeginLSN))
 	}
 	binary.LittleEndian.PutUint64(tmp[:], uint64(crc32.ChecksumIEEE(buf)))
-	buf = append(buf, tmp[:4]...)
-	return fsutil.AtomicWriteFile(path, buf, false)
+	return append(buf, tmp[:4]...)
 }
 
-func readReplicaState(path string) (replicaState, bool, error) {
-	var st replicaState
-	buf, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return st, false, nil
-	}
-	if err != nil {
-		return st, false, err
-	}
+// decodeReplicaState parses a replica.state file; ok is false when it is
+// missing or unreadable (torn, corrupt, or inconsistent), which means a full
+// rescan.
+func decodeReplicaState(buf []byte) (st replicaState, ok bool) {
 	n := len(replicaStateMagic)
 	if len(buf) < n+44 || string(buf[:n]) != replicaStateMagic {
-		return st, false, nil // unreadable state: full rescan
+		return st, false
 	}
 	body, crc := buf[:len(buf)-4], binary.LittleEndian.Uint32(buf[len(buf)-4:])
 	if crc32.ChecksumIEEE(body) != crc {
-		return st, false, nil
+		return st, false
 	}
 	get := func(off int) uint64 { return binary.LittleEndian.Uint64(buf[off:]) }
 	st.Applied = wal.LSN(get(n))
 	st.MaxTxn = get(n + 8)
 	st.LastCommitWC = int64(get(n + 16))
 	st.LastCommitLSN = wal.LSN(get(n + 24))
-	cnt := int(get(n + 32))
-	if len(body) != n+40+24*cnt {
-		return replicaState{}, false, nil
+	// Bound the count before multiplying: a CRC-valid file with a huge count
+	// would wrap 24*cnt past the length check.
+	cnt := get(n + 32)
+	if cnt > uint64(len(body)-n-40)/24 || len(body) != n+40+24*int(cnt) {
+		return replicaState{}, false
 	}
-	for i := 0; i < cnt; i++ {
+	for i := 0; i < int(cnt); i++ {
 		off := n + 40 + 24*i
 		st.ATT = append(st.ATT, wal.ATTEntry{
 			TxnID:    get(off),
@@ -1022,5 +961,5 @@ func readReplicaState(path string) (replicaState, bool, error) {
 			BeginLSN: wal.LSN(get(off + 16)),
 		})
 	}
-	return st, true, nil
+	return st, true
 }

@@ -5,15 +5,14 @@
 package vclock
 
 import (
-	"sync"
 	"time"
+
+	"repro/internal/clock"
 )
 
-// Clock is a settable wall clock. The zero value is unusable; use New.
-type Clock struct {
-	mu sync.Mutex
-	t  time.Time
-}
+// Clock is clock.Mock, the one virtual clock implementation: Now is frozen
+// until Advance moves it.
+type Clock = clock.Mock
 
 // New returns a clock starting at the given time. A zero start defaults to
 // the paper's own example timestamp (2012-03-22 17:00 UTC).
@@ -21,21 +20,5 @@ func New(start time.Time) *Clock {
 	if start.IsZero() {
 		start = time.Date(2012, 3, 22, 17, 0, 0, 0, time.UTC)
 	}
-	return &Clock{t: start}
-}
-
-// Now returns the current virtual time. Pass the method value as
-// engine.Options.Now.
-func (c *Clock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-// Advance moves the clock forward by d and returns the new time.
-func (c *Clock) Advance(d time.Duration) time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.t.Add(d)
-	return c.t
+	return clock.NewMock(start)
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 )
 
 // ArchivedLog presents one contiguous, LSN-addressed read surface over a
@@ -239,13 +240,11 @@ func (a *ArchivedLog) readAt(buf []byte, off int64) (int, error) {
 // Scan iterates records in LSN order starting at from (clamped to the
 // composite's floor), stopping at a torn tail exactly like Manager.Scan.
 func (a *ArchivedLog) Scan(from LSN, fn func(*Record) (bool, error)) error {
-	if from == NilLSN {
-		from = 1
-	}
 	if f := a.Floor(); from < f {
 		from = f
 	}
-	return scanFrames(a.readAt, from, fn)
+	_, err := scanFrames(a.readAt, from, eachRecord(fn))
+	return err
 }
 
 // Read fetches the record at lsn through the composite surface.
@@ -259,52 +258,92 @@ func (a *ArchivedLog) Read(lsn LSN) (*Record, error) {
 	return readFrame(a.readAt, lsn)
 }
 
-// scanFrames drives the shared sequential frame-decode loop over an
-// arbitrary byte source: parse a frame header, verify the body CRC, decode,
-// hand to fn; stop cleanly at a torn or truncated tail.
-func scanFrames(readAt func([]byte, int64) (int, error), from LSN, fn func(*Record) (bool, error)) error {
-	off := int64(from - 1)
-	var hdr [frameHeader]byte
-	body := make([]byte, 0, 4096)
+// scanStretch is how many log bytes one scan read asks for. The records a
+// stretch completes are handed over together; a record longer than a
+// stretch grows the read to its frame.
+const scanStretch = readBlockSize
+
+// scanBuf is a scan's read stretch and record batch, pooled so that scans
+// decode into reused memory instead of allocating per record.
+type scanBuf struct {
+	buf  []byte
+	recs []*Record // point into slab
+	slab []Record
+}
+
+var scanBufPool = sync.Pool{New: func() any { return &scanBuf{buf: make([]byte, scanStretch)} }}
+
+// scanFrames is the one forward log scan: crash recovery, standby catch-up,
+// as-of resolution and restores all read through it. It reads the log from
+// `from` in stretches over an arbitrary byte source and hands fn the records
+// each stretch completes, in LSN order; they, and the bytes they alias, are
+// reused once fn returns. It stops when fn returns false or an error, at the
+// end of the log, or at a torn or garbage frame (implausible length, body cut
+// short, CRC mismatch), and returns where the intact prefix it read ends: the
+// LSN of its last byte (from-1 if it read none). A CRC-valid body that does
+// not decode is an error, not a tear.
+func scanFrames(readAt func([]byte, int64) (int, error), from LSN, fn func([]*Record) (bool, error)) (LSN, error) {
+	sb := scanBufPool.Get().(*scanBuf)
+	defer func() {
+		sb.buf = sb.buf[:scanStretch] // a grown stretch does not outlive its scan
+		scanBufPool.Put(sb)
+	}()
+	base, have := int64(from-1), 0 // log offset of sb.buf[0]; bytes held
 	for {
-		n, err := readAt(hdr[:], off)
-		if errors.Is(err, io.EOF) || n < frameHeader {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		bodyLen := int(binary.LittleEndian.Uint32(hdr[:4]))
-		wantCRC := binary.LittleEndian.Uint32(hdr[4:])
-		if bodyLen == 0 || bodyLen > MaxRecordBytes {
-			break // implausible header: torn/garbage tail
-		}
-		if cap(body) < bodyLen {
-			body = make([]byte, bodyLen)
-		}
-		body = body[:bodyLen]
-		bn, err := readAt(body, off+frameHeader)
+		want := len(sb.buf) - have
+		n, err := readAt(sb.buf[have:], base+int64(have))
 		if err != nil && !errors.Is(err, io.EOF) {
-			return fmt.Errorf("wal: scan body at %d: %w", off, err)
+			return LSN(base), fmt.Errorf("wal: scan at %d: %w", base+int64(have), err)
 		}
-		if bn < bodyLen || crc32.ChecksumIEEE(body) != wantCRC {
-			break // torn tail: the valid log ends here
+		have += n
+		pos, torn := 0, false
+		var bad error // an undecodable record: fn still sees those before it
+		sb.recs, sb.slab = sb.recs[:0], sb.slab[:0]
+		for {
+			body, size, ok, ferr := NextFrame(sb.buf[pos:have])
+			torn = ferr != nil
+			if !ok {
+				break
+			}
+			sb.slab = append(sb.slab, Record{})
+			rec := &sb.slab[len(sb.slab)-1]
+			if err := unmarshalInto(rec, body); err != nil {
+				bad = fmt.Errorf("wal: record at %v: %w", LSN(base+int64(pos))+1, err)
+				break
+			}
+			rec.LSN = LSN(base+int64(pos)) + 1
+			sb.recs = append(sb.recs, rec)
+			pos += size
 		}
-		rec, err := unmarshal(body)
-		if err != nil {
-			return err
+		end := LSN(base + int64(pos))
+		if len(sb.recs) > 0 {
+			if cont, err := fn(sb.recs); err != nil || !cont {
+				return end, err
+			}
 		}
-		rec.LSN = LSN(off + 1)
-		cont, err := fn(rec)
-		if err != nil {
-			return err
+		if bad != nil || torn || n < want {
+			return end, bad // an undecodable record, a torn tail, or the end of the log
 		}
-		if !cont {
-			break
+		// Carry the unfinished frame to the front, growing the stretch when
+		// the frame is longer than it.
+		have = copy(sb.buf, sb.buf[pos:have])
+		base += int64(pos)
+		if size, ok := FrameSize(sb.buf[:have]); ok && size > len(sb.buf) {
+			sb.buf = append(sb.buf[:have], make([]byte, size-have)...)
 		}
-		off += int64(frameHeader + bodyLen)
 	}
-	return nil
+}
+
+// eachRecord adapts a per-record scan callback to scanFrames' batches.
+func eachRecord(fn func(*Record) (bool, error)) func([]*Record) (bool, error) {
+	return func(recs []*Record) (bool, error) {
+		for _, rec := range recs {
+			if cont, err := fn(rec); err != nil || !cont {
+				return false, err
+			}
+		}
+		return true, nil
+	}
 }
 
 // readFrame fetches and decodes the single record at lsn from a byte source:

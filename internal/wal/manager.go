@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/fsutil"
 	"repro/internal/obs"
 	"repro/internal/storage/media"
 )
@@ -27,18 +26,30 @@ var ErrTruncated = errors.New("wal: record truncated by retention policy")
 // can read one: its LSNs, commit records and checkpoint payloads all differ.
 var ErrPartitionedLog = errors.New("wal: partitioned log")
 
-// RefusePartitioned returns ErrPartitionedLog when dir's streams.meta sidecar
+// ErrFlatLog is returned for a database whose log is a flat,
+// pre-segmentation wal.log beside a log directory holding no segments. The
+// migration that absorbed such a file into the first segment was removed;
+// nothing in this build reads one.
+var ErrFlatLog = errors.New("wal: flat pre-segmentation log")
+
+// RefuseUnreadable returns ErrPartitionedLog when dir's streams.meta sidecar
 // (8 bytes, little-endian stream count, written once at creation) records
-// more than one stream. It reads that one file and touches nothing, so
-// callers run it before they create or modify anything under the database.
-func RefusePartitioned(dir string) error {
-	b, err := os.ReadFile(filepath.Join(dir, "streams.meta"))
-	if err != nil || len(b) != 8 {
-		return nil // a plain log never had the sidecar
+// more than one stream, and ErrFlatLog when dir holds no segments but a flat
+// wal.log sits beside it. It only reads, so callers run it before they
+// create or modify anything under the database.
+func RefuseUnreadable(dir string) error {
+	if b, err := os.ReadFile(filepath.Join(dir, "streams.meta")); err == nil && len(b) == 8 {
+		if n := binary.LittleEndian.Uint64(b); n > 1 {
+			return fmt.Errorf("%w: %s was created with %d log streams; this build reads one-stream logs only, commit bb54bc2 is the last that opens it",
+				ErrPartitionedLog, dir, n)
+		}
 	}
-	if n := binary.LittleEndian.Uint64(b); n > 1 {
-		return fmt.Errorf("%w: %s was created with %d log streams; this build reads one-stream logs only, commit bb54bc2 is the last that opens it",
-			ErrPartitionedLog, dir, n)
+	flat := filepath.Join(filepath.Dir(dir), "wal.log")
+	if fi, err := os.Stat(flat); err == nil && !fi.IsDir() {
+		if segs, _ := ListSegments(dir); len(segs) == 0 {
+			return fmt.Errorf("%w: %s holds no segments beside %s; commit ea45986 is the last that migrates it",
+				ErrFlatLog, dir, flat)
+		}
 	}
 	return nil
 }
@@ -165,10 +176,6 @@ type Config struct {
 	// backup checkpoint, not at database creation. Ignored when the store
 	// already holds segments.
 	BaseLSN LSN
-	// LegacyFile, when set and the store directory holds no segments yet,
-	// names a flat pre-segmentation log file whose bytes are migrated into
-	// the first segment (the file is kept, renamed *.migrated).
-	LegacyFile string
 }
 
 // Open opens (creating if necessary) the segmented log store rooted at the
@@ -180,13 +187,8 @@ func Open(path string, dev *media.Device) (*Manager, error) {
 // OpenStore opens (creating if necessary) the segmented log store rooted at
 // the directory dir.
 func OpenStore(dir string, cfg Config) (*Manager, error) {
-	if err := RefusePartitioned(dir); err != nil {
+	if err := RefuseUnreadable(dir); err != nil {
 		return nil, err
-	}
-	if cfg.LegacyFile != "" {
-		if err := migrateFlatLog(dir, cfg.LegacyFile); err != nil {
-			return nil, err
-		}
 	}
 	baseOff := int64(0)
 	if cfg.BaseLSN > 1 {
@@ -219,66 +221,6 @@ func OpenStore(dir string, cfg Config) (*Manager, error) {
 	m.flushDone = sync.NewCond(&m.mu)
 	m.flushed.Store(uint64(end))
 	return m, nil
-}
-
-// migrateFlatLog converts a pre-segmentation flat log file into the first
-// segment of a store. The (possibly oversized) segment seals on the first
-// rotation; LSNs are unchanged because segmentation is pure byte striping.
-func migrateFlatLog(dir, legacy string) error {
-	if fi, err := os.Stat(legacy); err != nil || fi.IsDir() {
-		return nil // nothing to migrate
-	}
-	// "Already populated" requires a segment with a VALID header: a crash
-	// during a previous migration attempt can leave a headerless or torn
-	// 00000001.seg, and treating that as populated would let open discard
-	// it and silently lose the entire flat log.
-	if segs, err := ListSegments(dir); err == nil && len(segs) > 0 {
-		return nil // store already populated; the flat file is stale
-	}
-	src, err := os.Open(legacy)
-	if err != nil {
-		return fmt.Errorf("wal: migrate open: %w", err)
-	}
-	defer src.Close()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("wal: migrate mkdir: %w", err)
-	}
-	// Build the segment under a temporary name and rename it into place
-	// only once header + content are complete and synced: a crash mid-copy
-	// must leave no *.seg file, or the next open would treat the store as
-	// populated and the rest of the flat log would be silently lost.
-	dstPath := filepath.Join(dir, segName(1))
-	tmpPath := dstPath + ".tmp"
-	dst, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: migrate create: %w", err)
-	}
-	if err := writeSegHeader(dst, 1, 0); err != nil {
-		dst.Close()
-		return err
-	}
-	if _, err := dst.Seek(segHeaderSize, io.SeekStart); err != nil {
-		dst.Close()
-		return err
-	}
-	if _, err := io.Copy(dst, src); err != nil {
-		dst.Close()
-		return fmt.Errorf("wal: migrate copy: %w", err)
-	}
-	if err := dst.Sync(); err != nil {
-		dst.Close()
-		return err
-	}
-	if err := dst.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmpPath, dstPath); err != nil {
-		return fmt.Errorf("wal: migrate rename: %w", err)
-	}
-	if err := fsutil.SyncDir(dir); err != nil {
-		return err
-	}
-	return os.Rename(legacy, legacy+".migrated")
 }
 
 // SetClock injects the manager's wall-clock source (replication heartbeat
@@ -848,22 +790,36 @@ func (m *Manager) InjectWriteFailures(on bool) { m.failWrites.Store(on) }
 
 // Scan iterates records in LSN order starting at from (or the truncation
 // point, if later), invoking fn for each until fn returns false or an
-// error, or the log ends. The scan is sequential I/O.
+// error, or the log ends. A record, and the bytes it aliases, is valid until
+// fn returns. The scan is sequential I/O, charged for the records fn saw.
 func (m *Manager) Scan(from LSN, fn func(*Record) (bool, error)) error {
-	if from == NilLSN {
-		from = 1
-	}
-	if t := m.truncPoint(); from < t {
-		from = t
-	}
 	charged := int64(0)
-	err := scanFrames(
-		func(b []byte, off int64) (int, error) { return m.readAt(b, off, false) },
-		from,
-		func(rec *Record) (bool, error) {
-			charged += int64(rec.ApproxSize())
-			return fn(rec)
-		})
+	_, err := scanFrames(m.readScan, m.scanFrom(from), eachRecord(func(rec *Record) (bool, error) {
+		charged += int64(rec.ApproxSize())
+		return fn(rec)
+	}))
 	m.dev.ChargeRead(charged, true)
 	return err
 }
+
+// ScanBatches is Scan handing fn the records of one read stretch at a time
+// (valid until fn returns). It returns where the log's intact prefix ends,
+// the LSN of its last byte: short of the log's end, the log is torn there.
+// Every record handed over is charged as sequential I/O.
+func (m *Manager) ScanBatches(from LSN, fn func([]*Record) (bool, error)) (LSN, error) {
+	from = m.scanFrom(from)
+	end, err := scanFrames(m.readScan, from, fn)
+	m.dev.ChargeRead(int64(end+1-from), true)
+	return end, err
+}
+
+// scanFrom clamps a scan's start to the truncation point.
+func (m *Manager) scanFrom(from LSN) LSN {
+	if t := m.truncPoint(); from < t {
+		return t
+	}
+	return from
+}
+
+// readScan is readAt for scans: their I/O is charged per record, not per read.
+func (m *Manager) readScan(b []byte, off int64) (int, error) { return m.readAt(b, off, false) }

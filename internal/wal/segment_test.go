@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -457,43 +458,40 @@ func TestArchivedLogServesDroppedHistory(t *testing.T) {
 	_ = ends
 }
 
-// TestLegacyFlatLogMigration: a pre-segmentation flat wal.log is absorbed
-// into the first segment on open — same LSNs, same records — and appends
-// continue (rotating once the oversized first segment fills).
-func TestLegacyFlatLogMigration(t *testing.T) {
+// TestLegacyFlatLogRefused: a pre-segmentation flat wal.log beside a log
+// directory with no segments is refused with the typed error, and nothing is
+// created; once the directory holds segments, a stray flat file beside it is
+// ignored.
+func TestLegacyFlatLogRefused(t *testing.T) {
 	dir := t.TempDir()
 	flat := filepath.Join(dir, "wal.log")
-	var raw []byte
-	for i := 0; i < 10; i++ {
-		raw = frame(raw, &Record{Type: TypeCommit, TxnID: uint64(i + 1), PageID: NoPage, WallClock: int64(i)})
-	}
+	raw := frame(nil, &Record{Type: TypeCommit, TxnID: 1, PageID: NoPage, WallClock: 1})
 	if err := os.WriteFile(flat, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, err := OpenStore(filepath.Join(dir, "wal"), Config{LegacyFile: flat, SegmentBytes: 4 << 10})
+	store := filepath.Join(dir, "wal")
+	if _, err := OpenStore(store, Config{SegmentBytes: 4 << 10}); !errors.Is(err, ErrFlatLog) {
+		t.Fatalf("open beside a flat log: err = %v, want ErrFlatLog", err)
+	}
+	if _, err := os.Stat(store); !os.IsNotExist(err) {
+		t.Fatalf("refused open created the log directory: %v", err)
+	}
+	if err := os.Rename(flat, flat+".aside"); err != nil {
+		t.Fatal(err)
+	}
+	m, err := OpenStore(store, Config{SegmentBytes: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
-	if m.NextLSN() != LSN(len(raw))+1 {
-		t.Fatalf("NextLSN %v after migration, want %v", m.NextLSN(), len(raw)+1)
-	}
-	count := 0
-	if err := m.Scan(1, func(r *Record) (bool, error) { count++; return true, nil }); err != nil {
+	m.Close()
+	if err := os.Rename(flat+".aside", flat); err != nil {
 		t.Fatal(err)
 	}
-	if count != 10 {
-		t.Fatalf("migrated scan saw %d records, want 10", count)
+	m, err = OpenStore(store, Config{SegmentBytes: 4 << 10})
+	if err != nil {
+		t.Fatalf("open of a populated store beside a stray flat file: %v", err)
 	}
-	if _, err := os.Stat(flat); !os.IsNotExist(err) {
-		t.Fatalf("flat log still present after migration: %v", err)
-	}
-	if _, err := os.Stat(flat + ".migrated"); err != nil {
-		t.Fatalf("migrated flat log not preserved: %v", err)
-	}
-	if _, err := m.AppendFlush(&Record{Type: TypeCommit, TxnID: 99, PageID: NoPage, WallClock: 99}); err != nil {
-		t.Fatal(err)
-	}
+	m.Close()
 }
 
 // TestReseedBaseStore: a store created with BaseLSN starts its LSN space

@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -52,37 +54,154 @@ func appendCommits(t *testing.T, m *Manager, n int) []LSN {
 	return ends
 }
 
-// TestScanStopsAtTornTailAfterReopen: a log file cut mid-record (a crash tore the
-// final write) scans cleanly up to the last intact CRC boundary.
+// logImage builds raw log bytes frame by frame, remembering where each
+// record ends (the LSN of its last byte).
+type logImage struct {
+	raw  []byte
+	ends []LSN
+}
+
+func (l *logImage) add(r *Record) {
+	l.raw = frame(l.raw, r)
+	l.ends = append(l.ends, LSN(len(l.raw)))
+}
+
+// commits appends commit records until the image holds at least off bytes.
+func (l *logImage) commits(off int) {
+	for len(l.raw) < off {
+		l.add(&Record{Type: TypeCommit, TxnID: uint64(len(l.ends) + 1), PageID: NoPage, WallClock: int64(1000 + len(l.ends))})
+	}
+}
+
+// TestScanStopsAtTornTailAfterReopen: a log file cut mid-record (a crash tore
+// the final write) scans cleanly up to the last intact CRC boundary, which
+// ScanBatches reports as the end of the intact prefix — wherever the records
+// and the tear sit against the scan's read stretches. A CRC-valid body that
+// does not decode is an error, not a tear.
 func TestScanStopsAtTornTailAfterReopen(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "wal.log")
+	var plain logImage
+	for len(plain.ends) < 10 {
+		plain.commits(len(plain.raw) + 1)
+	}
+
+	// straddle has a record spanning the first stretch boundary.
+	var straddle logImage
+	straddle.add(&Record{Type: TypeCommit, TxnID: 1, PageID: NoPage, Extra: make([]byte, 5)})
+	straddle.commits(scanStretch + 100)
+	cross := 0
+	for straddle.ends[cross] < scanStretch {
+		cross++
+	}
+	if straddle.ends[cross] == scanStretch {
+		t.Fatal("no record straddles the stretch boundary")
+	}
+
+	// aligned has a record ending exactly at the first stretch boundary.
+	var aligned logImage
+	aligned.commits(scanStretch - 200)
+	for pad := 0; ; pad++ {
+		if pad > scanStretch {
+			t.Fatal("no padding ends a record exactly at the stretch boundary")
+		}
+		r := &Record{Type: TypeCommit, TxnID: 9, PageID: NoPage, Extra: make([]byte, pad)}
+		if len(aligned.raw)+r.ApproxSize() == scanStretch {
+			aligned.add(r)
+			break
+		}
+	}
+	aligned.commits(scanStretch + 100)
+
+	// big holds a checkpoint-end record longer than one stretch.
+	var big logImage
+	big.commits(100)
+	bigAt := len(big.ends)
+	big.add(&Record{Type: TypeCheckpointEnd, PageID: NoPage, Extra: bytes.Repeat([]byte{7}, 3*scanStretch/2)})
+	big.commits(len(big.raw) + 100)
+
+	cases := []struct {
+		name string
+		img  *logImage
+		keep int64 // log bytes the tear leaves
+		want int   // intact records
+	}{
+		{"mid-record", &plain, int64(plain.ends[8]) + 5, 9},
+		{"straddling a stretch, intact", &straddle, int64(len(straddle.raw)), len(straddle.ends)},
+		{"straddling a stretch, torn past it", &straddle, int64(len(straddle.raw)) - 3, len(straddle.ends) - 1},
+		{"torn at the stretch boundary", &straddle, scanStretch, cross},
+		{"intact up to the stretch boundary", &aligned, scanStretch, countEnds(aligned.ends, scanStretch)},
+		{"torn just past the stretch boundary", &aligned, scanStretch + 5, countEnds(aligned.ends, scanStretch)},
+		{"checkpoint-end longer than a stretch", &big, int64(len(big.raw)), len(big.ends)},
+		{"torn inside the long record", &big, int64(big.ends[bigAt]) - 10, bigAt},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := reopenTorn(t, tc.img.raw, tc.keep)
+			defer m.Close()
+			var got []LSN
+			err := m.Scan(1, func(rec *Record) (bool, error) {
+				got = append(got, rec.LSN+LSN(rec.ApproxSize())-1)
+				return true, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := tc.img.ends[:tc.want]
+			if len(got) != len(want) || (len(got) > 0 && got[len(got)-1] != want[len(want)-1]) {
+				t.Fatalf("scan after tear saw %d records, want %d ending %v", len(got), len(want), want[len(want)-1])
+			}
+			end, err := m.ScanBatches(1, func(recs []*Record) (bool, error) { return true, nil })
+			if err != nil || end != want[len(want)-1] {
+				t.Fatalf("ScanBatches: intact prefix ends at %v (%v), want %v", end, err, want[len(want)-1])
+			}
+		})
+	}
+
+	// A frame whose body passes its CRC but does not decode is corruption.
+	var bad logImage
+	bad.commits(100)
+	body := []byte{byte(TypeCommit)}
+	var hdr [frameHeader]byte
+	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(body)))
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(body))
+	bad.raw = append(append(bad.raw, hdr[:]...), body...)
+	bad.commits(len(bad.raw) + 100)
+	m := reopenTorn(t, bad.raw, int64(len(bad.raw)))
+	defer m.Close()
+	if err := m.Scan(1, func(*Record) (bool, error) { return true, nil }); err == nil {
+		t.Fatal("Scan passed over a CRC-valid undecodable record")
+	}
+	if _, err := m.ScanBatches(1, func([]*Record) (bool, error) { return true, nil }); err == nil {
+		t.Fatal("ScanBatches passed over a CRC-valid undecodable record")
+	}
+}
+
+// countEnds is how many of ends are at or below lsn.
+func countEnds(ends []LSN, lsn LSN) int {
+	n := 0
+	for n < len(ends) && ends[n] <= lsn {
+		n++
+	}
+	return n
+}
+
+// reopenTorn writes raw as a log, tears it after keep bytes and reopens it.
+func reopenTorn(t *testing.T, raw []byte, keep int64) *Manager {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "wal")
 	m, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ends := appendCommits(t, m, 10)
+	if _, err := m.AppendRaw(raw); err != nil {
+		t.Fatal(err)
+	}
 	m.Close()
-
-	// Tear the log 5 bytes into the last record.
-	tearLogAt(t, path, int64(ends[8])+5)
-
-	m2, err := Open(path, nil)
+	tearLogAt(t, path, keep)
+	m, err = Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m2.Close()
-	var got []LSN
-	err = m2.Scan(1, func(rec *Record) (bool, error) {
-		got = append(got, rec.LSN+LSN(rec.ApproxSize())-1)
-		return true, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 9 || got[len(got)-1] != ends[8] {
-		t.Fatalf("scan after tear saw %d records ending %v, want 9 ending %v", len(got), got[len(got)-1], ends[8])
-	}
+	return m
 }
 
 // TestRewindTruncatesTornTailAndResumes: Rewind restores append integrity
