@@ -1,12 +1,18 @@
 package engine
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"maps"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/row"
+	"repro/internal/storage/page"
 	"repro/internal/wal"
 )
 
@@ -25,6 +31,8 @@ import (
 //     filler table, which evicts (and writes back) some pages of its
 //     dirty-page table before the crash and leaves others dirty, so
 //     recovery must redo from the table's recLSNs over both kinds.
+//
+// Two more cases tear one page on disk after the crash (see tornPage).
 func TestCrashRecoveryMatrix(t *testing.T) {
 	small := Options{PageImageEvery: 40, BufferFrames: 32, CheckpointEvery: 16 << 10, SyncPolicy: testSyncPolicy(t)}
 	evictedSome, keptSome := false, false
@@ -113,6 +121,166 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 			}
 		})
 	}
+	t.Run("torn-page-redo-rebuilds", func(t *testing.T) { tornPage(t, true) })
+	t.Run("torn-page-redo-reads", func(t *testing.T) { tornPage(t, false) })
+}
+
+// tornPage overwrites, in a crash image from redoImage, one leaf the crashed
+// engine wrote back with bytes that fail the checksum, and recovers. When
+// the first record redo applies to that leaf rebuilds it — the leaf was
+// allocated after the checkpoint — redo never reads the torn bytes: Open
+// succeeds with every acknowledged row, and the recovery counters say how
+// many pages redo read and how many it rebuilt. Otherwise redo needs the
+// page's bytes, and Open fails on the checksum.
+func tornPage(t *testing.T, rebuilt bool) {
+	dir := t.TempDir()
+	model, rebuilds := redoImage(t, dir)
+	victim, ok := writtenLeaf(t, dir, rebuilds, rebuilt)
+	if !ok {
+		t.Fatalf("no leaf on disk whose first redo record rebuilds it = %v", rebuilt)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, "data.db"), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteAt(bytes.Repeat([]byte{0xA5}, page.Size), int64(victim)*page.Size)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	db, err := Open(dir, Options{SyncPolicy: testSyncPolicy(t)})
+	if !rebuilt {
+		if !errors.Is(err, page.ErrBadChecksum) {
+			t.Fatalf("recovery over torn page %d, first redone by a record that reads it: %v, want a checksum error", victim, err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("recovery over torn page %d, first redone by its format: %v", victim, err)
+	}
+	defer db.Close()
+	if _, err := db.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tableDigest(t, db); !maps.Equal(got, model) {
+		t.Fatalf("%d rows after recovery, want the %d acknowledged", len(got), len(model))
+	}
+	// The reopened pool holds every page redo touches, so each is missed
+	// once: read if its first record needs its bytes, rebuilt if not.
+	var read, rebuild float64
+	for _, r := range rebuilds {
+		if r {
+			rebuild++
+		} else {
+			read++
+		}
+	}
+	snap := db.Obs().Snapshot()
+	if got := snap["engine_recovery_pages_read_total"]; got != read {
+		t.Errorf("engine_recovery_pages_read_total = %v, want %v", got, read)
+	}
+	if got := snap["engine_recovery_pages_rebuilt_total"]; got != rebuild {
+		t.Errorf("engine_recovery_pages_rebuilt_total = %v, want %v", got, rebuild)
+	}
+}
+
+// TestCrashRedoPageMissing: a data file cut short of a page whose first redo
+// record is an insert or update fails recovery with ErrPageMissing, instead
+// of redoing that record onto a zeroed page and failing later on the page.
+func TestCrashRedoPageMissing(t *testing.T) {
+	dir := t.TempDir()
+	_, rebuilds := redoImage(t, dir)
+	id, ok := writtenLeaf(t, dir, rebuilds, false)
+	if !ok {
+		t.Fatal("no leaf on disk whose first redo record reads it")
+	}
+	if err := os.Truncate(filepath.Join(dir, "data.db"), int64(id)*page.Size); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, Options{SyncPolicy: testSyncPolicy(t)}); !errors.Is(err, ErrPageMissing) {
+		t.Fatalf("recovery with page %d cut off the data file: %v, want ErrPageMissing", id, err)
+	}
+}
+
+// redoImage leaves a crash image in dir: 400 wide rows behind a flush-all
+// checkpoint, then, past it, an update of every twentieth of them (leaves
+// whose first redo record needs their bytes) and 600 more wide rows (leaves
+// allocated after the checkpoint, whose first redo record is their format).
+// The 32-frame pool writes back pages of both kinds before the crash, the
+// more so as a scan of the first 400 rows ends the history.
+// It returns the committed rows and, for every page redo will touch, whether
+// the first record redo applies to it rebuilds it.
+func redoImage(t *testing.T, dir string) (model map[int64]string, rebuilds map[uint32]bool) {
+	t.Helper()
+	db, err := Open(dir, Options{BufferFrames: 32, SyncPolicy: testSyncPolicy(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model = make(map[int64]string)
+	write := func(from, to, step int, prefix string, update bool) {
+		mustExec(t, db, func(tx *Txn) error {
+			op := tx.Insert
+			if update {
+				op = tx.Update
+			}
+			for i := from; i < to; i += step {
+				v := fmt.Sprintf("%s%0399d", prefix, i)
+				if err := op("t", testRow(i, v, i)); err != nil {
+					return err
+				}
+				model[int64(i)] = fmt.Sprintf("%s|%d", v, i) // as tableDigest reads it
+			}
+			return nil
+		})
+	}
+
+	mustExec(t, db, func(tx *Txn) error { return tx.CreateTable(testSchema("t")) })
+	write(0, 400, 1, "i", false)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	mark, _ := db.LastCheckpointMark()
+	write(0, 400, 20, "u", true)
+	write(1000, 1600, 1, "i", false)
+	mustExec(t, db, func(tx *Txn) error { // evicts new leaves
+		_, err := tx.CountRows("t", nil, row.Row{row.Int64(400)})
+		return err
+	})
+	rebuilds = make(map[uint32]bool)
+	if err := db.log.Scan(mark.Begin, func(rec *wal.Record) (bool, error) {
+		if _, seen := rebuilds[rec.PageID]; !seen && rec.IsPageOp() && rec.PageID != wal.NoPage {
+			rebuilds[rec.PageID] = rec.RebuildsPage()
+		}
+		return true, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	db.Crash()
+	return model, rebuilds
+}
+
+// writtenLeaf returns the lowest page of pages whose value is want and whose
+// copy in dir's data file is an intact leaf.
+func writtenLeaf(t *testing.T, dir string, pages map[uint32]bool, want bool) (uint32, bool) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, "data.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range slices.Sorted(maps.Keys(pages)) {
+		off := int(id) * page.Size
+		if pages[id] != want || off+page.Size > len(data) {
+			continue
+		}
+		p := page.FromBytes(data[off : off+page.Size])
+		if p.VerifyChecksum() == nil && p.Type() == page.TypeLeaf {
+			return id, true
+		}
+	}
+	return 0, false
 }
 
 // wideBase is the first id of the crash matrix's wide rows.

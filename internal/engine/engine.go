@@ -620,53 +620,50 @@ const bootPayload = 64 // offset of the boot block within page 0
 // stale (or half-written) boot record.
 const bootMetaName = "boot.meta"
 
-// encodeBootBlock renders the boot block into b (at least 40 bytes) under mu.
-func (db *DB) encodeBootBlock(b []byte) {
-	copy(b, bootMagic)
-	db.mu.Lock()
-	binary.LittleEndian.PutUint32(b[8:], uint32(db.boot.roots.Tables))
-	binary.LittleEndian.PutUint32(b[12:], uint32(db.boot.roots.Names))
-	binary.LittleEndian.PutUint32(b[16:], uint32(db.boot.roots.Columns))
-	binary.LittleEndian.PutUint64(b[24:], uint64(db.boot.lastCkptEnd))
-	binary.LittleEndian.PutUint64(b[32:], uint64(db.boot.createdAt))
-	db.mu.Unlock()
-}
-
-// decodeBootBlock installs a boot block into db.boot.
-func (db *DB) decodeBootBlock(b []byte) error {
-	if string(b[:8]) != bootMagic {
-		return errors.New("engine: bad boot magic")
-	}
-	db.mu.Lock()
-	db.boot.roots = catalog.Roots{
-		Tables:  page.ID(binary.LittleEndian.Uint32(b[8:])),
-		Names:   page.ID(binary.LittleEndian.Uint32(b[12:])),
-		Columns: page.ID(binary.LittleEndian.Uint32(b[16:])),
-	}
-	db.boot.lastCkptEnd = wal.LSN(binary.LittleEndian.Uint64(b[24:]))
-	db.boot.createdAt = int64(binary.LittleEndian.Uint64(b[32:]))
-	db.mu.Unlock()
-	if !db.boot.roots.Valid() {
-		return errors.New("engine: boot record has invalid catalog roots")
-	}
-	return nil
-}
-
 const bootBlockSize = 40
 
-// encodeBootTimeline renders the timeline extension that follows the fixed
+// encodeBlock renders the fixed boot block into dst (at least bootBlockSize
+// bytes).
+func (b bootBlock) encodeBlock(dst []byte) {
+	copy(dst, bootMagic)
+	binary.LittleEndian.PutUint32(dst[8:], uint32(b.roots.Tables))
+	binary.LittleEndian.PutUint32(dst[12:], uint32(b.roots.Names))
+	binary.LittleEndian.PutUint32(dst[16:], uint32(b.roots.Columns))
+	binary.LittleEndian.PutUint64(dst[24:], uint64(b.lastCkptEnd))
+	binary.LittleEndian.PutUint64(dst[32:], uint64(b.createdAt))
+}
+
+// decodeBootBlock parses the fixed boot block (at least bootBlockSize bytes);
+// the timeline fields are left zero.
+func decodeBootBlock(src []byte) (bootBlock, error) {
+	if string(src[:8]) != bootMagic {
+		return bootBlock{}, errors.New("engine: bad boot magic")
+	}
+	b := bootBlock{
+		roots: catalog.Roots{
+			Tables:  page.ID(binary.LittleEndian.Uint32(src[8:])),
+			Names:   page.ID(binary.LittleEndian.Uint32(src[12:])),
+			Columns: page.ID(binary.LittleEndian.Uint32(src[16:])),
+		},
+		lastCkptEnd: wal.LSN(binary.LittleEndian.Uint64(src[24:])),
+		createdAt:   int64(binary.LittleEndian.Uint64(src[32:])),
+	}
+	if !b.roots.Valid() {
+		return bootBlock{}, errors.New("engine: boot record has invalid catalog roots")
+	}
+	return b, nil
+}
+
+// encodeTimeline renders the timeline extension that follows the fixed
 // boot block: tli u32 | nForks u32 | nForks × (tli u32, end u64). A tli of
 // 0 (lineage not yet known) encodes as an all-zero header, which is also
 // what pre-timeline boot pages contain past the block — both read back as
 // "legacy".
-func (db *DB) encodeBootTimeline() []byte {
-	db.mu.Lock()
-	tli, hist := db.boot.tli, db.boot.history
-	db.mu.Unlock()
-	buf := make([]byte, 8+12*len(hist))
-	binary.LittleEndian.PutUint32(buf, uint32(tli))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(len(hist)))
-	for i, f := range hist {
+func (b bootBlock) encodeTimeline() []byte {
+	buf := make([]byte, 8+12*len(b.history))
+	binary.LittleEndian.PutUint32(buf, uint32(b.tli))
+	binary.LittleEndian.PutUint32(buf[4:], uint32(len(b.history)))
+	for i, f := range b.history {
 		binary.LittleEndian.PutUint32(buf[8+12*i:], uint32(f.TLI))
 		binary.LittleEndian.PutUint64(buf[12+12*i:], uint64(f.End))
 	}
@@ -684,12 +681,12 @@ func decodeBootTimeline(b []byte) (wal.TimelineID, wal.TimelineHistory, error) {
 	if tli == 0 {
 		return 1, nil, nil // pre-timeline layout (zero fill)
 	}
-	n := int(binary.LittleEndian.Uint32(b[4:]))
-	if len(b) < 8+12*n {
+	n := uint64(binary.LittleEndian.Uint32(b[4:]))
+	if uint64(len(b)) < 8+12*n {
 		return 0, nil, fmt.Errorf("engine: boot timeline extension %d bytes for %d forks", len(b), n)
 	}
 	var hist wal.TimelineHistory
-	for i := 0; i < n; i++ {
+	for i := range int(n) {
 		hist = append(hist, wal.TimelineFork{
 			TLI: wal.TimelineID(binary.LittleEndian.Uint32(b[8+12*i:])),
 			End: wal.LSN(binary.LittleEndian.Uint64(b[12+12*i:])),
@@ -701,25 +698,51 @@ func decodeBootTimeline(b []byte) (wal.TimelineID, wal.TimelineHistory, error) {
 	return tli, hist, nil
 }
 
-func (db *DB) installBootTimeline(b []byte) error {
-	tli, hist, err := decodeBootTimeline(b)
+// decodeBoot parses a boot block followed by its timeline extension — the
+// payload of page 0 and of boot.meta.
+func decodeBoot(src []byte) (bootBlock, error) {
+	b, err := decodeBootBlock(src)
 	if err != nil {
-		return err
+		return bootBlock{}, err
 	}
-	db.mu.Lock()
-	db.boot.tli, db.boot.history = tli, hist
-	db.mu.Unlock()
-	return nil
+	b.tli, b.history, err = decodeBootTimeline(src[bootBlockSize:])
+	return b, err
+}
+
+// encodeBootMeta renders b as a boot.meta sidecar: block, timeline
+// extension, and a CRC of both.
+func encodeBootMeta(b bootBlock) []byte {
+	ext := b.encodeTimeline()
+	buf := make([]byte, bootBlockSize+len(ext)+4)
+	b.encodeBlock(buf)
+	copy(buf[bootBlockSize:], ext)
+	binary.LittleEndian.PutUint32(buf[bootBlockSize+len(ext):], crc32.ChecksumIEEE(buf[:bootBlockSize+len(ext)]))
+	return buf
+}
+
+// parseBootMeta reads a boot.meta sidecar. Pre-timeline sidecars are exactly
+// block + CRC (44 bytes) and read back as timeline 1.
+func parseBootMeta(buf []byte) (bootBlock, error) {
+	if len(buf) < bootBlockSize+4 {
+		return bootBlock{}, fmt.Errorf("engine: boot meta is %d bytes", len(buf))
+	}
+	body := buf[:len(buf)-4]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(buf[len(body):]) {
+		return bootBlock{}, errors.New("engine: boot meta checksum mismatch")
+	}
+	return decodeBoot(body)
 }
 
 func (db *DB) bootMetaPath() string { return filepath.Join(db.dir, bootMetaName) }
 
 func (db *DB) writeBoot() error {
-	ext := db.encodeBootTimeline()
+	db.mu.Lock()
+	b := db.boot
+	db.mu.Unlock()
 	p := page.New()
 	p.Format(alloc.BootPage, page.TypeBoot, 0)
-	db.encodeBootBlock(p.Bytes()[bootPayload:])
-	copy(p.Bytes()[bootPayload+bootBlockSize:], ext)
+	b.encodeBlock(p.Bytes()[bootPayload:])
+	copy(p.Bytes()[bootPayload+bootBlockSize:], b.encodeTimeline())
 	p.WriteChecksum()
 	if err := db.data.WritePage(alloc.BootPage, p.Bytes()); err != nil {
 		return err
@@ -727,11 +750,7 @@ func (db *DB) writeBoot() error {
 	// Sidecar second: on success readBoot prefers it; a crash in between
 	// leaves the previous sidecar, whose older checkpoint pointer is a
 	// valid (merely earlier) recovery starting hint.
-	buf := make([]byte, bootBlockSize+len(ext)+4)
-	db.encodeBootBlock(buf)
-	copy(buf[bootBlockSize:], ext)
-	binary.LittleEndian.PutUint32(buf[bootBlockSize+len(ext):], crc32.ChecksumIEEE(buf[:bootBlockSize+len(ext)]))
-	if err := fsutil.AtomicWriteFile(db.bootMetaPath(), buf, db.opts.SyncPolicy == wal.SyncData); err != nil {
+	if err := fsutil.AtomicWriteFile(db.bootMetaPath(), encodeBootMeta(b), db.opts.SyncPolicy == wal.SyncData); err != nil {
 		return fmt.Errorf("engine: boot meta: %w", err)
 	}
 	return nil
@@ -739,27 +758,28 @@ func (db *DB) writeBoot() error {
 
 func (db *DB) readBoot() error {
 	// Prefer the crash-atomic sidecar; fall back to page 0 (pre-sidecar
-	// databases, or a sidecar lost with its directory entry). Pre-timeline
-	// sidecars are exactly block+CRC; the generalized check accepts both.
-	if buf, err := os.ReadFile(db.bootMetaPath()); err == nil &&
-		len(buf) >= bootBlockSize+4 &&
-		crc32.ChecksumIEEE(buf[:len(buf)-4]) == binary.LittleEndian.Uint32(buf[len(buf)-4:]) {
-		if err := db.decodeBootBlock(buf[:bootBlockSize]); err == nil {
-			return db.installBootTimeline(buf[bootBlockSize : len(buf)-4])
+	// databases, or a sidecar lost with its directory entry or unreadable).
+	var b bootBlock
+	buf, err := os.ReadFile(db.bootMetaPath())
+	if err == nil {
+		b, err = parseBootMeta(buf)
+	}
+	if err != nil {
+		p := page.New()
+		if err := db.data.ReadPage(alloc.BootPage, p.Bytes()); err != nil {
+			return err
+		}
+		if err := p.VerifyChecksum(); err != nil {
+			return fmt.Errorf("engine: boot page: %w", err)
+		}
+		if b, err = decodeBoot(p.Bytes()[bootPayload:]); err != nil {
+			return err
 		}
 	}
-	buf := make([]byte, page.Size)
-	if err := db.data.ReadPage(alloc.BootPage, buf); err != nil {
-		return err
-	}
-	p := page.FromBytes(buf)
-	if err := p.VerifyChecksum(); err != nil {
-		return fmt.Errorf("engine: boot page: %w", err)
-	}
-	if err := db.decodeBootBlock(buf[bootPayload:]); err != nil {
-		return err
-	}
-	return db.installBootTimeline(buf[bootPayload+bootBlockSize:])
+	db.mu.Lock()
+	db.boot = b
+	db.mu.Unlock()
+	return nil
 }
 
 // DecodeBootRoots extracts the catalog roots from a raw boot page image.
@@ -769,19 +789,8 @@ func DecodeBootRoots(buf []byte) (catalog.Roots, error) {
 	if len(buf) != page.Size {
 		return catalog.Roots{}, fmt.Errorf("engine: boot image is %d bytes", len(buf))
 	}
-	b := buf[bootPayload:]
-	if string(b[:8]) != bootMagic {
-		return catalog.Roots{}, errors.New("engine: bad boot magic")
-	}
-	roots := catalog.Roots{
-		Tables:  page.ID(binary.LittleEndian.Uint32(b[8:])),
-		Names:   page.ID(binary.LittleEndian.Uint32(b[12:])),
-		Columns: page.ID(binary.LittleEndian.Uint32(b[16:])),
-	}
-	if !roots.Valid() {
-		return catalog.Roots{}, errors.New("engine: boot page has invalid catalog roots")
-	}
-	return roots, nil
+	b, err := decodeBootBlock(buf[bootPayload:])
+	return b.roots, err
 }
 
 // --- accessors used by the asof and backup packages ---

@@ -22,6 +22,10 @@ type dbMetrics struct {
 	splitsMid         *obs.Counter // node splits placed at n/2
 	splitsPoint       *obs.Counter // node splits placed at the insertion point
 	leafFrees         *obs.Counter // emptied leaves unlinked and freed
+	// Crash recovery's redo: pages it read from the data file, and pages it
+	// rebuilt in a zeroed frame from a record that rewrites them whole.
+	recoveryPagesRead    *obs.Counter
+	recoveryPagesRebuilt *obs.Counter
 }
 
 // initObs builds the database's metric registry and wires every layer into
@@ -43,6 +47,9 @@ func (db *DB) initObs() {
 		splitsMid:         r.Counter("btree_splits_total", "B-tree node splits by where the split was placed", obs.L("kind", "mid")),
 		splitsPoint:       r.Counter("btree_splits_total", "B-tree node splits by where the split was placed", obs.L("kind", "point")),
 		leafFrees:         r.Counter("btree_leaf_frees_total", "emptied B-tree leaves unlinked and freed"),
+		recoveryPagesRead: r.Counter("engine_recovery_pages_read_total", "pages crash recovery's redo read from the data file"),
+		recoveryPagesRebuilt: r.Counter("engine_recovery_pages_rebuilt_total",
+			"pages crash recovery's redo rebuilt from a format, preformat or image record without reading them"),
 	}
 	r.CounterFunc("engine_checkpoints_total", "checkpoints taken", db.CheckpointCount.Load)
 	r.GaugeFunc("engine_applied_lsn", "standby redo high-water mark (0 on a primary)",

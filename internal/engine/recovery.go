@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/alloc"
 	"repro/internal/storage/buffer"
 	"repro/internal/storage/disk"
 	"repro/internal/storage/page"
@@ -71,6 +72,9 @@ func (db *DB) recover() error {
 	// the final record mid-write, and the log must be rewound to that CRC
 	// boundary before recovery appends anything — otherwise the torn bytes
 	// would sit as an unreadable hole in front of every later record.
+	// Nothing else uses the pool yet, so its counters split redo's page
+	// misses exactly into pages read and pages rebuilt without a read.
+	pool0 := db.pool.Stats()
 	end, err := db.log.ScanBatches(start, func(recs []*wal.Record) (bool, error) {
 		for _, rec := range recs {
 			if rec.LSN < begin {
@@ -89,6 +93,9 @@ func (db *DB) recover() error {
 	if err != nil {
 		return fmt.Errorf("redo pass: %w", err)
 	}
+	pool1 := db.pool.Stats()
+	db.metrics.recoveryPagesRead.Add(pool1.Reads - pool0.Reads)
+	db.metrics.recoveryPagesRebuilt.Add(pool1.Zeroed - pool0.Zeroed)
 	if end < wal.LSN(db.log.Size()) {
 		if err := db.log.Rewind(end); err != nil {
 			return fmt.Errorf("torn-tail rewind to %v: %w", end, err)
@@ -171,21 +178,35 @@ func (st *RecoveryState) Inflight() []wal.ATTEntry {
 // replica's standing apply.
 func (db *DB) RedoRecord(rec *wal.Record) error { return RedoInto(db.pool, rec) }
 
+// ErrPageMissing is returned by redo when a record that needs its page's
+// bytes finds the page past the end of the data file: the file has lost a
+// page the log says was written.
+var ErrPageMissing = errors.New("engine: redo needs a page the data file does not hold")
+
 // RedoInto applies one record's page effects to its page in pool if the page
 // has not seen them (the pageLSN test makes it idempotent); non-page records
 // are ignored. It is the one redo: crash recovery, standby apply and backup
 // restore replay through it. Safe to call concurrently for records of
 // DIFFERENT pages — physiological redo touches exactly one page per record —
 // which is what lets a replica partition redo across workers by page id.
+//
+// A record that rebuilds the whole page (wal.Record.RebuildsPage) never reads
+// it: a resident frame is used as it is, a missing one is zeroed.
 func RedoInto(pool *buffer.Pool, rec *wal.Record) error {
 	if !rec.IsPageOp() || rec.PageID == wal.NoPage {
 		return nil
 	}
 	id := page.ID(rec.PageID)
-	h, err := pool.Fetch(id, true)
-	if errors.Is(err, disk.ErrPastEOF) {
-		// The page was allocated but never reached the file before the
-		// crash (or the backup); its format record will rebuild it from zero.
+	var h *buffer.Handle
+	var err error
+	if rec.RebuildsPage() {
+		h, err = pool.NewPage(id)
+	} else if h, err = pool.Fetch(id, true); errors.Is(err, disk.ErrPastEOF) {
+		if rec.Type != wal.TypeAllocBits || !alloc.IsMapPage(id) {
+			return fmt.Errorf("%w: page %d, needed by %v at %v", ErrPageMissing, rec.PageID, rec.Type, rec.LSN)
+		}
+		// An allocation map page that never reached the file; it is
+		// formatted below.
 		h, err = pool.NewPage(id)
 	}
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/asof"
 	"repro/internal/btree"
+	"repro/internal/catalog"
 	"repro/internal/engine"
 	"repro/internal/row"
 	"repro/internal/tpcc"
@@ -150,6 +151,16 @@ func digest(t *testing.T, s *asof.Snapshot) map[string]uint64 {
 	if err := s.WaitUndo(); err != nil {
 		t.Fatal(err)
 	}
+	return treeDigest(t, s)
+}
+
+// treeDigest is digest over any store that lists its tables: an as-of
+// snapshot, or a restored backup.
+func treeDigest(t *testing.T, s interface {
+	btree.Store
+	Tables() ([]catalog.Table, error)
+}) map[string]uint64 {
+	t.Helper()
 	tables, err := s.Tables()
 	if err != nil {
 		t.Fatal(err)

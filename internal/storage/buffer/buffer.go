@@ -98,6 +98,8 @@ type shard struct {
 
 	hits            atomic.Int64
 	misses          atomic.Int64
+	reads           atomic.Int64 // misses that read the page from the source
+	zeroed          atomic.Int64 // misses NewPage served with a zeroed frame
 	evictions       atomic.Int64 // cached pages evicted (clean, or dirty after writeback)
 	evictWritebacks atomic.Int64 // dirty victims written back by eviction
 	flushWritebacks atomic.Int64 // dirty pages written back by WriteBackBelow
@@ -240,8 +242,9 @@ func (p *Pool) Fetch(id page.ID, excl bool) (*Handle, error) {
 }
 
 // NewPage returns an exclusively latched handle on a frame for page id
-// without reading the source — for pages being created (fresh allocations).
-// The frame content is zeroed; callers format it.
+// without reading the source — for pages being created (fresh allocations),
+// or rebuilt whole by redo. A frame claimed for it is zeroed, and callers
+// format it; a page already resident is returned as it is.
 func (p *Pool) NewPage(id page.ID) (*Handle, error) {
 	h, err := p.fetch(id, true, false)
 	if err != nil {
@@ -322,11 +325,15 @@ func (p *Pool) fetch(id page.ID, excl, read bool) (*Handle, error) {
 
 		if read {
 			err = p.cfg.Source.ReadPage(id, f.pg.Bytes())
-			if err == nil && p.cfg.Checksums {
-				err = f.pg.VerifyChecksum()
+			if err == nil {
+				s.reads.Add(1)
+				if p.cfg.Checksums {
+					err = f.pg.VerifyChecksum()
+				}
 			}
 		} else {
 			zero(f.pg.Bytes())
+			s.zeroed.Add(1)
 		}
 		if err != nil {
 			// Unpublish the frame; latch waiters see the id mismatch and
@@ -644,7 +651,9 @@ func (p *Pool) DropAll() error {
 // Stats is the pool's cumulative counter snapshot, summed across shards.
 type Stats struct {
 	Hits            int64 // fetches served from a resident frame
-	Misses          int64 // fetches that had to read the page in
+	Misses          int64 // fetches that found the page not resident
+	Reads           int64 // misses that read the page from the source
+	Zeroed          int64 // misses NewPage served with a zeroed frame instead
 	Evictions       int64 // cached pages evicted (clean, or dirty after writeback)
 	EvictWritebacks int64 // dirty victims written back by eviction
 	FlushWritebacks int64 // dirty pages written back by WriteBackBelow (checkpoints, FlushAll)
@@ -656,6 +665,8 @@ func (s *shard) stats() Stats {
 	st := Stats{
 		Hits:            s.hits.Load(),
 		Misses:          s.misses.Load(),
+		Reads:           s.reads.Load(),
+		Zeroed:          s.zeroed.Load(),
 		Evictions:       s.evictions.Load(),
 		EvictWritebacks: s.evictWritebacks.Load(),
 		FlushWritebacks: s.flushWritebacks.Load(),
@@ -672,6 +683,8 @@ func (p *Pool) Stats() Stats {
 		x := s.stats()
 		st.Hits += x.Hits
 		st.Misses += x.Misses
+		st.Reads += x.Reads
+		st.Zeroed += x.Zeroed
 		st.Evictions += x.Evictions
 		st.EvictWritebacks += x.EvictWritebacks
 		st.FlushWritebacks += x.FlushWritebacks

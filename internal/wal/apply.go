@@ -30,6 +30,32 @@ func Redo(p *page.Page, r *Record) error {
 	return nil
 }
 
+// RebuildsPage reports whether redoing r writes every byte of its page, so
+// that what the page held before r cannot show through: a format (which
+// zeroes the page first), a preformat or a CLR that compensates one (which
+// copy in the saved prior image), and a page image. applyRedo below is where
+// each of them is seen to overwrite all page.Size bytes.
+//
+// Redo may then take a zeroed frame instead of reading the page. That is
+// safe because every redo applies, for each page, a suffix in LSN order of
+// that page's records in the range it scans: crash recovery applies, below
+// the checkpoint's begin record, the records at or after the page's recLSN
+// in the dirty-page table and, from the begin record on, all of them; a
+// standby and a backup restore apply all of them from where they start. So
+// once redo applies a rebuilding record it applies every later record of
+// the page too, and the bytes the page held before — on disk, possibly
+// torn, possibly ahead of r — are dead. A zeroed frame has pageLSN 0, below
+// r's LSN, so Redo applies r to it.
+func (r *Record) RebuildsPage() bool {
+	switch r.Type {
+	case TypeFormat, TypePreformat, TypeImage:
+		return true
+	case TypeCLR:
+		return r.CLRType == TypePreformat
+	}
+	return false
+}
+
 func applyRedo(p *page.Page, r *Record) error {
 	op := r.Type
 	if op == TypeCLR {
