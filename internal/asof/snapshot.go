@@ -20,14 +20,17 @@ import (
 	"repro/internal/wal"
 )
 
-// maxBatchLeaves bounds one batch rewind (prepareBatch): the leaves a scan
-// prepares ahead of its cursor and the leaves one GetMany step covers. It
-// is a constant because nothing a caller knows could set it better: it has
-// to stay well inside the snapshot pool (256 frames by default), so a batch
-// is still resident when its query reads it, and past a few dozen pages per
-// walk there is nothing left to share — each log block is already read
-// once.
-const maxBatchLeaves = 64
+// snapshotFrames sizes each snapshot's private buffer pool (256 pages =
+// 2 MiB). maxBatchLeaves bounds one batch rewind (prepareBatch): the leaves
+// a scan prepares ahead of its cursor and the leaves one GetMany step
+// covers. It is a constant because nothing a caller knows could set it
+// better: it has to stay well inside the snapshot pool, so a batch is still
+// resident when its query reads it, and past a few dozen pages per walk
+// there is nothing left to share — each log block is already read once.
+const (
+	snapshotFrames = 256
+	maxBatchLeaves = 64
+)
 
 // Snapshot is an as-of database snapshot (§5): a read-only, transactionally
 // consistent view of the database as of the SplitLSN, queryable through the
@@ -127,7 +130,7 @@ func newSnapshot(db *engine.DB, point SplitPoint, asOf time.Time, sideDev *media
 		lockOwner: 1,
 		undoDone:  make(chan struct{}),
 	}
-	s.UnloggedStore = engine.NewUnloggedStore(db.SnapshotFrames(), (*snapSource)(s), point.SplitLSN)
+	s.UnloggedStore = engine.NewUnloggedStore(snapshotFrames, (*snapSource)(s), point.SplitLSN)
 	s.pending.Store(int32(len(point.ATT)))
 
 	// Redo pass (§5.2): no page I/O — the primary's pool holds every change

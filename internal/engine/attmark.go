@@ -59,20 +59,40 @@ func (db *DB) maybeATTMark() {
 	att := db.activeATT()
 	end := db.log.NextLSN()
 	db.mu.Lock()
-	// Two committers can race past the due-check and capture overlapping
-	// marks; only append in strict (Begin, End) order so the slice stays
-	// sorted for the binary searches in AnalysisMarkAtOrBefore and
-	// pruneATTMarks. A mark losing the race is simply dropped — the one
-	// that won covers a later window.
-	if n := len(db.attMarks); n == 0 ||
-		(begin >= db.attMarks[n-1].Begin && end > db.attMarks[n-1].End) {
-		db.metrics.attMarks.Inc()
-		db.attMarks = append(db.attMarks, AnalysisMark{Begin: begin, End: end, ATT: att})
-		if len(db.attMarks) > maxATTMarks {
-			db.attMarks = append(db.attMarks[:0:0], db.attMarks[len(db.attMarks)-maxATTMarks/2:]...)
-		}
-	}
+	db.addATTMarkLocked(AnalysisMark{Begin: begin, End: end, ATT: att})
 	db.mu.Unlock()
+}
+
+// NoteAnalysisMark gives a standby the primary's mark cadence, counted in
+// applied log bytes: once applied is attMarkEvery past the last mark it
+// installs st's in-flight table — the standby's incremental analysis state,
+// exact at applied — so snapshot resolution on the standby runs the same
+// O(mark interval) analysis scans as on the primary.
+func (db *DB) NoteAnalysisMark(applied wal.LSN, st *RecoveryState) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if applied < db.lastATTMarkAt+attMarkEvery {
+		return
+	}
+	db.lastATTMarkAt = applied
+	db.addATTMarkLocked(AnalysisMark{Begin: applied + 1, End: applied + 1, ATT: st.Inflight()})
+}
+
+// addATTMarkLocked appends m in strict (Begin, End) order so the slice stays
+// sorted for the binary searches in AnalysisMarkAtOrBefore and
+// pruneATTMarks: two committers can race past maybeATTMark's due-check and
+// capture overlapping marks, and the one losing the race is dropped — the
+// one that won covers a later window. Caller holds db.mu.
+func (db *DB) addATTMarkLocked(m AnalysisMark) {
+	if n := len(db.attMarks); n > 0 &&
+		(m.Begin < db.attMarks[n-1].Begin || m.End <= db.attMarks[n-1].End) {
+		return
+	}
+	db.metrics.attMarks.Inc()
+	db.attMarks = append(db.attMarks, m)
+	if len(db.attMarks) > maxATTMarks {
+		db.attMarks = append(db.attMarks[:0:0], db.attMarks[len(db.attMarks)-maxATTMarks/2:]...)
+	}
 }
 
 // AnalysisMarkAtOrBefore returns the newest mark whose capture completed

@@ -40,12 +40,6 @@ type Options struct {
 	LogDevice  *media.Device
 	// BufferFrames sizes the buffer pool (default 512 pages = 4 MiB).
 	BufferFrames int
-	// SnapshotBufferFrames sizes the private buffer pool of each as-of
-	// snapshot (default 256 pages = 2 MiB). Larger values keep more rewound
-	// pages latch-accessible across snapshot queries at the cost of
-	// per-snapshot memory; size it up when snapshots are long-lived and
-	// query-heavy.
-	SnapshotBufferFrames int
 	// LogCacheBlocks sizes the WAL's random-read block cache in 32 KiB
 	// blocks (default 256 = 8 MiB). Chain walks for as-of queries stream
 	// through this cache; size it toward the hot log window when concurrent
@@ -58,8 +52,6 @@ type Options struct {
 	// Retention is how far back as-of snapshots may reach (§4.3,
 	// ALTER DATABASE ... SET UNDO_INTERVAL). Default 24h.
 	Retention time.Duration
-	// LockTimeout bounds lock waits. Default 10s.
-	LockTimeout time.Duration
 	// Now supplies wall-clock time; experiments install a virtual clock so
 	// "N minutes back" is deterministic. Default time.Now. Clock, when set,
 	// takes precedence — the injected-interface form of the same knob
@@ -116,14 +108,8 @@ func (o *Options) withDefaults() Options {
 	if out.BufferFrames <= 0 {
 		out.BufferFrames = 512
 	}
-	if out.SnapshotBufferFrames <= 0 {
-		out.SnapshotBufferFrames = 256
-	}
 	if out.Retention <= 0 {
 		out.Retention = 24 * time.Hour
-	}
-	if out.LockTimeout <= 0 {
-		out.LockTimeout = 10 * time.Second
 	}
 	if out.Clock == nil {
 		if out.Now != nil {
@@ -209,8 +195,12 @@ type DB struct {
 
 // txnShards partitions the live-transaction registry so Begin/finish on
 // concurrent connections do not serialize on one engine-wide mutex; the
-// only full iteration is the checkpoint ATT snapshot.
-const txnShards = 16
+// only full iteration is the checkpoint ATT snapshot. lockTimeout bounds a
+// lock wait.
+const (
+	txnShards   = 16
+	lockTimeout = 10 * time.Second
+)
 
 type txnShard struct {
 	mu   sync.Mutex
@@ -300,7 +290,7 @@ func open(dir string, opts Options, standby bool) (*DB, error) {
 		dir:       dir,
 		data:      data,
 		log:       logm,
-		locks:     txn.NewLockManager(opts.LockTimeout),
+		locks:     txn.NewLockManager(lockTimeout),
 		allocHint: make(map[uint32]uint32),
 		idxCache:  make(map[uint32][]catalog.Index),
 		tblCache:  make(map[string]catalog.Table),
@@ -356,6 +346,11 @@ func (db *DB) start(standby bool) error {
 // ErrStandby is returned by write entry points on a log-shipping replica;
 // promote the replica (repl.Replica.Promote) to open it read-write.
 var ErrStandby = errors.New("engine: database is a read-only standby")
+
+// ErrRedoIncomplete is returned by Promote when the standby's applied
+// position is short of its local log's end: undo and a new timeline may only
+// follow redo of every logged change (§5.2's repeat history).
+var ErrRedoIncomplete = errors.New("engine: promote before redo reached the end of the local log")
 
 // Standby reports whether the database is a read-only log-shipping replica.
 func (db *DB) Standby() bool { return db.standby.Load() }
@@ -424,22 +419,6 @@ func (db *DB) NoteCheckpoint(mark CkptMark) {
 	db.mu.Unlock()
 }
 
-// NoteAnalysisMark installs an ATT capture derived from the standby's
-// incremental analysis state, giving snapshot resolution on the standby the
-// same O(mark interval) analysis scans as on the primary. Marks must arrive
-// in (Begin, End) order; out-of-order marks are dropped.
-func (db *DB) NoteAnalysisMark(m AnalysisMark) {
-	db.mu.Lock()
-	if n := len(db.attMarks); n == 0 ||
-		(m.Begin >= db.attMarks[n-1].Begin && m.End > db.attMarks[n-1].End) {
-		db.attMarks = append(db.attMarks, m)
-		if len(db.attMarks) > maxATTMarks {
-			db.attMarks = append(db.attMarks[:0:0], db.attMarks[len(db.attMarks)-maxATTMarks/2:]...)
-		}
-	}
-	db.mu.Unlock()
-}
-
 // PersistBoot flushes the boot page (a standby adopting a new lineage; a
 // primary persists it inside Checkpoint).
 func (db *DB) PersistBoot() error { return db.writeBoot() }
@@ -465,8 +444,9 @@ func (db *DB) FlushStandby() error {
 // given transactions (in flight at the promotion point, from the replica's
 // incremental analysis state) are rolled back exactly as crash recovery
 // would, and a fresh checkpoint gives the promoted database a clean
-// recovery starting point. The caller (repl.Replica.Promote) guarantees
-// redo is complete through the end of the local log.
+// recovery starting point. Redo must be complete through the end of the
+// local log (repl.Replica.Promote drains it first); otherwise Promote
+// returns ErrRedoIncomplete and the database stays a standby.
 //
 // A failed promotion is fail-stop: the undo pass may already have appended
 // local CLRs, so the log is no longer a byte-identical copy of the
@@ -475,6 +455,9 @@ func (db *DB) FlushStandby() error {
 // CRC-valid garbage. The standby flag stays cleared; repl.Replica.Run
 // refuses to stream for a non-standby engine.
 func (db *DB) Promote(att []wal.ATTEntry) error {
+	if applied, end := db.AppliedLSN(), db.log.NextLSN()-1; db.Standby() && applied != end {
+		return fmt.Errorf("%w: applied %v, local log ends at %v", ErrRedoIncomplete, applied, end)
+	}
 	if !db.standby.CompareAndSwap(true, false) {
 		return errors.New("engine: promote of a non-standby database")
 	}
@@ -816,9 +799,6 @@ func (db *DB) Dir() string { return db.dir }
 
 // Retention returns the configured undo interval (§4.3).
 func (db *DB) Retention() time.Duration { return db.opts.Retention }
-
-// SnapshotFrames returns the configured per-snapshot buffer pool size.
-func (db *DB) SnapshotFrames() int { return db.opts.SnapshotBufferFrames }
 
 // SetRetention adjusts the undo interval at runtime
 // (ALTER DATABASE ... SET UNDO_INTERVAL in the paper).

@@ -365,7 +365,8 @@ func TestRecoveryIdempotent(t *testing.T) {
 }
 
 func TestLockConflictBlocksSecondWriter(t *testing.T) {
-	db := openTestDB(t, Options{LockTimeout: 100 * time.Millisecond})
+	db := openTestDB(t, Options{})
+	db.locks = txn.NewLockManager(100 * time.Millisecond) // the 10 s lockTimeout, shortened
 	mustExec(t, db, func(tx *Txn) error { return tx.CreateTable(testSchema("t")) })
 	mustExec(t, db, func(tx *Txn) error { return tx.Insert("t", testRow(1, "v", 1)) })
 

@@ -35,21 +35,10 @@ type OrchestratorOptions struct {
 	// orchestrator holds — logging the quorum shortfall every tick — rather
 	// than promote a lone survivor a partition may have isolated.
 	PromoteQuorum int
-	// DisableAutoReseed leaves timeline orphans (standbys holding bytes past
-	// the fork of a promotion, on no surviving branch) parked for the
-	// operator instead of wiping and reseeding them from a backup.
-	DisableAutoReseed bool
 	// Shipper configures shippers the orchestrator creates after a failover.
 	Shipper ShipperOptions
 	// Replica configures standbys the orchestrator reopens after a reseed.
 	Replica ReplicaOptions
-	// ReseedSource supplies the backup a reseed restores from: a manifest
-	// plus the archive directory bridging it to the live log. The default
-	// takes a fresh full backup of the current primary.
-	ReseedSource func(primary *engine.DB) (backup.Manifest, string, error)
-	// Probe decides primary health (default: its engine reports closed ⇒
-	// dead). Replace it to model partitions or flapping probes.
-	Probe func(primary *engine.DB) error
 	// Logf, when set, receives a line per orchestration decision.
 	Logf func(format string, args ...any)
 }
@@ -67,37 +56,10 @@ func (o OrchestratorOptions) withDefaults(primary *engine.DB) OrchestratorOption
 	if o.PromoteQuorum <= 0 {
 		o.PromoteQuorum = 1
 	}
-	if o.ReseedSource == nil {
-		o.ReseedSource = defaultReseedSource
-	}
-	if o.Probe == nil {
-		o.Probe = func(db *engine.DB) error {
-			if db.Closed() {
-				return errors.New("engine is closed")
-			}
-			return nil
-		}
-	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}
 	return o
-}
-
-// defaultReseedSource takes a full backup of the current primary into a
-// fresh temp directory and pairs it with the primary's retention archive —
-// together they cover every byte from the backup checkpoint to the live
-// log, which is exactly what ReseedCheck demands.
-func defaultReseedSource(primary *engine.DB) (backup.Manifest, string, error) {
-	dir, err := os.MkdirTemp("", "asofdb-reseed-")
-	if err != nil {
-		return backup.Manifest{}, "", err
-	}
-	man, err := backup.Full(primary, filepath.Join(dir, "reseed.img"), nil)
-	if err != nil {
-		return backup.Manifest{}, "", err
-	}
-	return man, primary.Log().ArchiveDir(), nil
 }
 
 // Event is one orchestration decision, timestamped on the injected clock so
@@ -377,20 +339,19 @@ func (o *Orchestrator) reapLocked() {
 	}
 }
 
-// checkPrimaryLocked probes the primary and fails over once it has been
-// unhealthy for FailAfter. Returns false when a failover is due but held
-// for quorum — the caller then skips reconnects, because there is no live
-// shipper worth connecting to.
+// checkPrimaryLocked probes the primary — dead once its engine reports
+// closed — and fails over once it has been unhealthy for FailAfter. Returns
+// false when a failover is due but held for quorum — the caller then skips
+// reconnects, because there is no live shipper worth connecting to.
 func (o *Orchestrator) checkPrimaryLocked() bool {
-	err := o.opts.Probe(o.primary)
-	if err == nil {
+	if !o.primary.Closed() {
 		o.unhealthySince = time.Time{}
 		return true
 	}
 	now := o.opts.Clock.Now()
 	if o.unhealthySince.IsZero() {
 		o.unhealthySince = now
-		o.eventLocked("primary-lost", "", "probe failed: %v", err)
+		o.eventLocked("primary-lost", "", "probe failed: engine is closed")
 	}
 	if now.Sub(o.unhealthySince) < o.opts.FailAfter {
 		return true // inside the grace; transient probes recover here
@@ -480,17 +441,14 @@ func (o *Orchestrator) failoverLocked() bool {
 	return true
 }
 
-// ensureLocked reconnects every down node: orphans are reseeded (unless
-// disabled), everything else resubscribes against the current shipper.
+// ensureLocked reconnects every down node: orphans are reseeded, everything
+// else resubscribes against the current shipper.
 func (o *Orchestrator) ensureLocked() {
 	for _, n := range o.nodes {
 		if n.sess != nil {
 			continue
 		}
 		if n.orphaned {
-			if o.opts.DisableAutoReseed {
-				continue // parked for the operator
-			}
 			if err := o.reseedLocked(n); err != nil {
 				o.eventLocked("reseed-failed", n.name, "%v", err)
 				continue
@@ -510,15 +468,24 @@ func (o *Orchestrator) connectLocked(n *orchNode) {
 	n.sess = sess
 }
 
-// reseedLocked wipes n's directory and rebuilds it from ReseedSource: the
-// only way back for a node whose log holds bytes on no surviving timeline.
-// The node's acknowledged-but-orphaned tail is genuinely discarded — that
-// is the semantics of promotion, and exactly what the event log records.
+// reseedLocked wipes n's directory and rebuilds it from a full backup of
+// the current primary, taken into a fresh temp directory, and the primary's
+// retention archive — together they cover every byte from the backup
+// checkpoint to the live log, which is exactly what ReseedCheck demands.
+// It is the only way back for a node whose log holds bytes on no surviving
+// timeline. The node's acknowledged-but-orphaned tail is genuinely
+// discarded — that is the semantics of promotion, and exactly what the
+// event log records.
 func (o *Orchestrator) reseedLocked(n *orchNode) error {
-	man, archiveDir, err := o.opts.ReseedSource(o.primary)
+	tmp, err := os.MkdirTemp("", "asofdb-reseed-")
 	if err != nil {
 		return fmt.Errorf("reseed source: %w", err)
 	}
+	man, err := backup.Full(o.primary, filepath.Join(tmp, "reseed.img"), nil)
+	if err != nil {
+		return fmt.Errorf("reseed source: %w", err)
+	}
+	archiveDir := o.primary.Log().ArchiveDir()
 	if err := ReseedCheck(man, archiveDir, o.primary.Log().SegmentFloor()); err != nil {
 		return err
 	}

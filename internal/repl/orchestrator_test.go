@@ -497,7 +497,7 @@ func TestShipperFenceGraceVirtual(t *testing.T) {
 // virtual deadline passes — not a real-time one.
 func TestRouterPickVirtualDeadline(t *testing.T) {
 	mock := clock.NewMock(time.Unix(1000, 0))
-	rt := NewRouter(nil, RouterOptions{SnapshotWait: 30 * time.Second, Poll: time.Millisecond, Clock: mock})
+	rt := NewRouter(nil, RouterOptions{SnapshotWait: 30 * time.Second, Clock: mock})
 	res := make(chan error, 1)
 	go func() {
 		_, err := rt.Pick(42)
@@ -519,13 +519,12 @@ func TestRouterPickVirtualDeadline(t *testing.T) {
 	}
 }
 
-// TestReplicaSnapshotVirtualDeadline pins SnapshotAsOf's lag-wait budget on
-// the injected clock: a paused standby returns ErrReplicaLagging when the
-// virtual deadline passes.
+// TestReplicaSnapshotVirtualDeadline pins SnapshotAsOf's 10 s lag-wait
+// budget on the injected clock: a paused standby returns ErrReplicaLagging
+// when the virtual deadline passes.
 func TestReplicaSnapshotVirtualDeadline(t *testing.T) {
 	f := newOrchFixture(t, "a")
 	rep := f.reps["a"]
-	rep.opts.SnapshotWait = 5 * time.Second
 	mustExec(t, f.prim, func(tx *engine.Txn) error { return tx.CreateTable(testSchema("lagwait")) })
 	f.catchUp("a")
 	rep.PauseApply()
@@ -559,7 +558,7 @@ func TestReplicaSnapshotVirtualDeadline(t *testing.T) {
 		t.Fatalf("SnapshotAsOf returned %v before the virtual deadline", err)
 	case <-time.After(100 * time.Millisecond):
 	}
-	f.mock.Advance(6 * time.Second)
+	f.mock.Advance(snapshotWait + time.Second)
 	select {
 	case err := <-res:
 		if !errors.Is(err, asof.ErrReplicaLagging) {

@@ -706,3 +706,75 @@ func TestDeferredApply(t *testing.T) {
 	})
 	db.Close()
 }
+
+// TestPromoteDrainsDeferredBacklog: a standby whose apply is paused holds
+// acknowledged commits in its local log only. Promoting it must repeat
+// history through the end of that log before undo — the session ends with
+// apply still paused, so neither a batch nor a heartbeat drained it first.
+// The engine refuses a promotion that skips the drain.
+func TestPromoteDrainsDeferredBacklog(t *testing.T) {
+	c := newCluster(t, engine.Options{}, ReplicaOptions{})
+	mustExec(t, c.prim, func(tx *engine.Txn) error { return tx.CreateTable(testSchema("p")) })
+	c.waitCaughtUp()
+	c.rep.PauseApply()
+
+	// An in-flight transaction whose records a later commit makes durable:
+	// promotion rolls it back only if analysis saw it.
+	open, err := c.prim.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer open.Rollback()
+	for i := 1000; i < 1010; i++ {
+		if err := open.Insert("p", testRow(i, "inflight", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for b := 0; b < 5; b++ {
+		mustExec(t, c.prim, func(tx *engine.Txn) error {
+			for i := b * 40; i < (b+1)*40; i++ {
+				if err := tx.Insert("p", testRow(i, "acked", i)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	target := c.prim.Log().FlushedLSN()
+	deadline := time.Now().Add(10 * time.Second)
+	for c.rep.DB().Log().FlushedLSN() < target {
+		if time.Now().After(deadline) {
+			t.Fatalf("ingest stalled at %v, want %v", c.rep.DB().Log().FlushedLSN(), target)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	c.stopStream()
+	if applied := c.rep.AppliedLSN(); applied >= target {
+		t.Fatalf("applied %v reached %v with apply paused", applied, target)
+	}
+	if err := c.rep.DB().Promote(nil); !errors.Is(err, engine.ErrRedoIncomplete) {
+		t.Fatalf("engine promote short of the log end: %v, want ErrRedoIncomplete", err)
+	}
+	if !c.rep.DB().Standby() {
+		t.Fatal("a refused promotion left the standby flag cleared")
+	}
+
+	db, err := c.rep.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mustExec(t, db, func(tx *engine.Txn) error {
+		n, err := tx.CountRows("p", nil, nil)
+		if err != nil {
+			return err
+		}
+		if n != 200 {
+			return fmt.Errorf("promoted standby holds %d rows, want the 200 acknowledged", n)
+		}
+		return nil
+	})
+	if _, err := db.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -30,9 +30,6 @@ type ReplicaOptions struct {
 	// the whole shipped history. Replica checkpoints append nothing to the
 	// log (the shipped log must stay byte-identical to the primary's).
 	CheckpointEvery int64
-	// SnapshotWait bounds how long SnapshotAsOf waits for the apply loop to
-	// reach the resolved SplitLSN before giving up. Default 10s.
-	SnapshotWait time.Duration
 }
 
 // applyWorkers is the parallelism of the continuous redo loop: page
@@ -40,22 +37,20 @@ type ReplicaOptions struct {
 // total within a worker; physiological redo needs nothing more).
 // parallelApplyThreshold is the page-op count below which a batch is applied
 // inline — fan-out costs more than it saves for tiny batches (a single
-// group-commit flush is often one transaction). analysisMarkEvery is the
-// cadence (applied bytes) of ATT-mark captures fed to the engine, giving
-// standby snapshot resolution the same O(mark interval) analysis scans as
-// the primary.
+// group-commit flush is often one transaction). snapshotWait bounds how long
+// a read waits for a standby to reach the position it needs (SnapshotAsOf's
+// SplitLSN, the Router's default for a session token), re-checking every
+// lagPoll.
 const (
 	applyWorkers           = 4
 	parallelApplyThreshold = 16
-	analysisMarkEvery      = 256 << 10
+	snapshotWait           = 10 * time.Second
+	lagPoll                = time.Millisecond
 )
 
 func (o ReplicaOptions) withDefaults() ReplicaOptions {
 	if o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = 4 << 20
-	}
-	if o.SnapshotWait <= 0 {
-		o.SnapshotWait = 10 * time.Second
 	}
 	return o
 }
@@ -91,7 +86,7 @@ type Replica struct {
 	// ATT-mark captures from it so snapshot mounting doesn't either.
 	st *engine.RecoveryState
 
-	// pending buffers stream bytes not yet parsed into complete records —
+	// pending buffers stream bytes not yet framed into complete records —
 	// a batch cut mid-record (the shipper never does this, but the
 	// transport may) stays pending until its remainder arrives.
 	pending   []byte
@@ -105,7 +100,6 @@ type Replica struct {
 	appliedRecords atomic.Int64
 
 	lastCkptAt   wal.LSN   // applied position of the last replica checkpoint
-	lastMarkAt   wal.LSN   // applied position of the last ATT mark
 	ackedBatches int64     // batches applied as of the last ack sent
 	statusAckAt  time.Time // wall clock of the last status-carrying ack
 
@@ -113,7 +107,7 @@ type Replica struct {
 	promoted atomic.Bool
 	closed   atomic.Bool
 
-	// applyPaused defers redo: batches are still parsed and made durable
+	// applyPaused defers redo: batches are still framed and made durable
 	// in the local log (ingest never stops), but application to pages —
 	// and everything keyed to it: analysis, marks, applied LSN — waits.
 	// Deferred lag shows up in Status as usual and drains on resume.
@@ -194,7 +188,6 @@ func OpenReplica(dir string, opts ReplicaOptions) (*Replica, error) {
 	validEnd := eng.AppliedLSN()
 	r.pendingAt = validEnd + 1
 	r.lastCkptAt = validEnd
-	r.lastMarkAt = validEnd
 	return r, nil
 }
 
@@ -390,13 +383,8 @@ func (r *Replica) Run(conn Conn) error {
 			}
 			// A deferred-apply backlog drains on the first idle beat after
 			// ResumeApply even if no new batch ever arrives.
-			if !r.applyPaused.Load() && r.db.AppliedLSN()+1 < r.db.Log().NextLSN() {
-				if err := r.catchUpLocal(false); err != nil {
-					return err
-				}
-				if err := r.maybeMaintain(); err != nil {
-					return err
-				}
+			if err := r.applyLocal(); err != nil {
+				return err
 			}
 		case KindError:
 			if f.From == errClassTimeline {
@@ -513,120 +501,71 @@ func (r *Replica) sendAck(conn Conn, heartbeat bool) error {
 	})
 }
 
-// ingest folds one shipped batch into the replica: parse the complete
-// records (an incomplete tail stays pending), make their raw bytes durable
-// in the local log (the WAL rule: log before pages), apply them — in
-// parallel across page-partitioned workers — and advance the applied LSN.
+// ingest folds one shipped batch into the replica: frame the complete
+// records (CRCs checked; an incomplete tail stays pending), make their raw
+// bytes durable in the local log (the WAL rule: log before pages), then
+// apply them from there — the one apply path, catchUpLocal.
 func (r *Replica) ingest(from wal.LSN, payload []byte) error {
 	expect := r.pendingAt + wal.LSN(len(r.pending))
 	if from != expect {
 		return fmt.Errorf("repl: stream gap: batch at %v, want %v", from, expect)
 	}
 	r.pending = append(r.pending, payload...)
-
-	// Parse the complete-record prefix. Under deferred apply only the
-	// frame boundaries (and their CRCs) are checked — the records are
-	// decoded when the backlog replays from the local log.
-	paused := r.applyPaused.Load()
-	var recs []*wal.Record
-	if !paused {
-		recs = make([]*wal.Record, 0, 64)
-	}
 	off := 0
 	for {
-		body, size, ok, err := wal.NextFrame(r.pending[off:])
+		_, size, ok, err := wal.NextFrame(r.pending[off:])
 		if err != nil {
 			return fmt.Errorf("repl: corrupt record at %v: %w", r.pendingAt+wal.LSN(off), err)
 		}
 		if !ok {
 			break
 		}
-		if !paused {
-			rec, err := wal.DecodeBody(body)
-			if err != nil {
-				return fmt.Errorf("repl: undecodable record at %v: %w", r.pendingAt+wal.LSN(off), err)
-			}
-			rec.LSN = r.pendingAt + wal.LSN(off)
-			recs = append(recs, rec)
-		}
 		off += size
 	}
 	if off == 0 {
 		return nil // batch ended mid-record; wait for the remainder
 	}
-
-	// Durability first: the raw bytes join the local log (one sequential
-	// write, mirroring the primary's flush that produced them) before any
-	// page is touched.
+	// One sequential write, mirroring the primary's flush that produced
+	// these bytes.
 	if _, err := r.db.Log().AppendRaw(r.pending[:off]); err != nil {
 		return err
 	}
 	r.appliedBatches.Add(1)
-	ingestEnd := r.pendingAt + wal.LSN(off) - 1
-	firstNew := r.pendingAt
-
-	// Apply BEFORE shifting the parse buffer: recs alias r.pending, and
-	// compacting the leftover tail to the front would corrupt the very
-	// bytes being applied. `paused` is the value read at parse time — a
-	// flip mid-ingest takes effect on the next batch.
-	switch {
-	case paused:
-		// Deferred: the local log holds it; resume replays it.
-	case r.db.AppliedLSN()+1 == firstNew:
-		// Steady state: apply the just-parsed records directly.
-		if err := r.apply(recs); err != nil {
-			return err
-		}
-		r.db.SetAppliedLSN(ingestEnd)
-		r.appliedBytes.Add(int64(off))
-		r.appliedRecords.Add(int64(len(recs)))
-	default:
-		// A deferred-apply window just ended: replay the backlog (which
-		// includes this batch) from the local log in order, fanned across
-		// the apply workers.
-		if err := r.catchUpLocal(false); err != nil {
-			return err
-		}
-	}
-	r.pendingAt = ingestEnd + 1
+	r.pendingAt += wal.LSN(off)
 	r.pending = append(r.pending[:0], r.pending[off:]...)
-	if paused {
-		return nil
-	}
-	return r.maybeMaintain()
+	return r.applyLocal()
 }
 
-// maybeMaintain runs the applied-volume cadences: ATT-mark captures and
-// replica checkpoints.
-func (r *Replica) maybeMaintain() error {
-	applied := r.db.AppliedLSN()
-	if applied >= r.lastMarkAt+analysisMarkEvery {
-		r.lastMarkAt = applied
-		r.db.NoteAnalysisMark(engine.AnalysisMark{
-			Begin: applied + 1,
-			End:   applied + 1,
-			ATT:   r.st.Inflight(),
-		})
+// applyLocal applies the local log past the applied LSN and runs the
+// applied-volume cadences — ATT-mark captures and replica checkpoints —
+// unless apply is paused, in which case the backlog waits in the local log.
+func (r *Replica) applyLocal() error {
+	if r.applyPaused.Load() {
+		return nil
 	}
+	if err := r.catchUpLocal(false); err != nil {
+		return err
+	}
+	applied := r.db.AppliedLSN()
+	r.db.NoteAnalysisMark(applied, r.st)
 	if applied >= r.lastCkptAt+wal.LSN(r.opts.CheckpointEvery) {
 		r.lastCkptAt = applied
-		if err := r.checkpoint(); err != nil {
-			return err
-		}
+		return r.checkpoint()
 	}
 	return nil
 }
 
-// catchUpLocal replays local log records past the applied LSN (the
-// deferred-apply backlog, or a restart's tail). It reads the log with the
-// engine's forward scan and drives each stretch's records through apply —
-// the same page-id-partitioned worker fan-out the live stream uses — so a
-// multi-hundred-MiB deferred backlog drains at parallel-redo bandwidth
-// instead of one record at a time. Analysis and non-page bookkeeping still
-// happen in strict log order on this goroutine (apply's coordinator pass),
-// so the incremental ATT stays exact at every batch barrier. A log that
-// begins past the applied position (a reseeded store, or apply state lost)
-// replays what it holds.
+// catchUpLocal replays local log records past the applied LSN — a live
+// batch just ingested, the deferred-apply backlog, a restart's tail, or
+// what Promote must finish first — and is the only standby code that
+// decodes and applies records. It reads the log with the engine's forward
+// scan and drives each stretch's records through apply's page-id-partitioned
+// worker fan-out, so a multi-hundred-MiB deferred backlog drains at
+// parallel-redo bandwidth instead of one record at a time. Analysis and
+// non-page bookkeeping still happen in strict log order on this goroutine
+// (apply's coordinator pass), so the incremental ATT stays exact at every
+// batch barrier. A log that begins past the applied position (a reseeded
+// store, or apply state lost) replays what it holds.
 //
 // rewindTorn truncates a torn tail (a crash mid-AppendRaw) to the end of the
 // intact prefix — the restart path, where the replica is quiescent; a live
@@ -775,7 +714,7 @@ func (r *Replica) checkpoint() error {
 // --- queries on the standby ---
 
 // SnapshotAsOf mounts an as-of snapshot on the standby, waiting (bounded
-// by SnapshotWait) for the apply loop to pass the resolved SplitLSN when
+// by snapshotWait) for the apply loop to pass the resolved SplitLSN when
 // the request races ahead of replication.
 func (r *Replica) SnapshotAsOf(at time.Time) (*asof.Snapshot, error) {
 	// Deadline on the injected clock, poll pacing via SleepFor: under a
@@ -783,7 +722,7 @@ func (r *Replica) SnapshotAsOf(at time.Time) (*asof.Snapshot, error) {
 	// advance the clock) while the poll itself keeps making real-time
 	// progress instead of deadlocking on frozen time.
 	ck := r.db.Clock()
-	deadline := ck.Now().Add(r.opts.SnapshotWait)
+	deadline := ck.Now().Add(snapshotWait)
 	for {
 		s, err := asof.CreateSnapshot(r.db, at, nil)
 		if err == nil || !errors.Is(err, asof.ErrReplicaLagging) {
@@ -792,7 +731,7 @@ func (r *Replica) SnapshotAsOf(at time.Time) (*asof.Snapshot, error) {
 		if ck.Now().After(deadline) {
 			return nil, err
 		}
-		clock.SleepFor(ck, time.Millisecond)
+		clock.SleepFor(ck, lagPoll)
 	}
 }
 
@@ -839,18 +778,23 @@ func (r *Replica) Status() ReplicaStatus {
 	return st
 }
 
-// Promote completes recovery and opens the replica read-write: the
-// transactions in flight at the promotion point (known exactly from the
-// incremental analysis state — no analysis scan) are rolled back with
-// CLR-generating logical undo, a checkpoint seals the log, and the engine
-// drops its standby restrictions. The stream session must have ended
-// (close the Conn; Run returns) before calling Promote. After promotion
-// the replica's log forks from the primary's: it accepts local commits.
+// Promote completes recovery and opens the replica read-write: redo first
+// repeats history through the end of the local log (a deferred backlog or a
+// batch not yet applied, paused or not), then the transactions in flight at
+// the promotion point (known exactly from the incremental analysis state —
+// no analysis scan) are rolled back with CLR-generating logical undo, a
+// checkpoint seals the log, and the engine drops its standby restrictions.
+// The stream session must have ended (close the Conn; Run returns) before
+// calling Promote. After promotion the replica's log forks from the
+// primary's: it accepts local commits.
 func (r *Replica) Promote() (*engine.DB, error) {
 	r.runMu.Lock()
 	defer r.runMu.Unlock()
 	if r.promoted.Load() {
 		return r.db, nil
+	}
+	if err := r.catchUpLocal(false); err != nil {
+		return nil, fmt.Errorf("repl: promote redo: %w", err)
 	}
 	// Fence the cascade before the log forks: downstream sessions are told
 	// the promotion point (KindPromoted) and closeWith waits for every

@@ -44,22 +44,18 @@ func (s *Session) Observe(lsn wal.LSN) {
 // RouterOptions tunes read routing.
 type RouterOptions struct {
 	// SnapshotWait bounds how long Pick waits for some standby to reach the
-	// session token before falling back to the primary (default 10s,
-	// matching ReplicaOptions.SnapshotWait). Deadlines are measured on
-	// Clock, so session-guarantee tests assert the fallback deterministically.
+	// session token before falling back to the primary (default 10s, the
+	// wait of Replica.SnapshotAsOf), re-checking every millisecond.
+	// Deadlines are measured on Clock, so session-guarantee tests assert the
+	// fallback deterministically.
 	SnapshotWait time.Duration
-	// Poll is the re-check cadence while waiting (default 1ms).
-	Poll time.Duration
 	// Clock supplies the deadline time source (default: the system clock).
 	Clock clock.Clock
 }
 
 func (o RouterOptions) withDefaults() RouterOptions {
 	if o.SnapshotWait <= 0 {
-		o.SnapshotWait = 10 * time.Second
-	}
-	if o.Poll <= 0 {
-		o.Poll = time.Millisecond
+		o.SnapshotWait = snapshotWait
 	}
 	if o.Clock == nil {
 		o.Clock = clock.Real()
@@ -188,7 +184,7 @@ func (rt *Router) Pick(token wal.LSN) (Route, error) {
 		if rt.opts.Clock.Now().After(deadline) {
 			return Route{}, fmt.Errorf("%w (token %v)", ErrNoRoute, token)
 		}
-		clock.SleepFor(rt.opts.Clock, rt.opts.Poll)
+		clock.SleepFor(rt.opts.Clock, lagPoll)
 	}
 }
 

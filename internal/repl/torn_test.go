@@ -203,9 +203,9 @@ func undecodableFrame() []byte {
 // nothing torn in its local log — and a new session resuming from that
 // boundary completes the history. The cut falls mid-log, at a scan stretch
 // boundary, or inside a checkpoint-end longer than a stretch; with apply
-// paused, the backlog is replayed from the local log by the forward scan,
-// where a CRC-valid record that does not decode ends the session with an
-// error and is not rewound away.
+// paused, the backlog is replayed from the local log by the forward scan.
+// A CRC-valid record that does not decode, in a backlog or a live batch,
+// ends the session with an error and is not rewound away.
 func TestReplicaTornBatchResumes(t *testing.T) {
 	clock := vclock.New(time.Time{})
 	prim := buildSourceDB(t, clock)
@@ -316,49 +316,62 @@ func TestReplicaTornBatchResumes(t *testing.T) {
 		})
 	}
 
-	t.Run("undecodable record in the backlog", func(t *testing.T) {
-		rep, err := OpenReplica(t.TempDir(), ReplicaOptions{Engine: engine.Options{Now: clock.Now, SyncPolicy: testSyncPolicy(t)}})
-		if err != nil {
-			t.Fatal(err)
+	// A CRC-valid record that does not decode reaches the local log either
+	// way — framing checks only CRCs — and ends the session when the one
+	// apply path reaches it: replaying the backlog, or applying a live batch.
+	for _, paused := range []bool{true, false} {
+		name := "undecodable record in the backlog"
+		if !paused {
+			name = "undecodable record in a live batch"
 		}
-		defer rep.Close()
-		pc, rc := Pipe()
-		defer pc.Close()
-		done := make(chan error, 1)
-		go func() { done <- rep.Run(rc) }()
-		fp.accept(pc)
-		fp.drainAcks()
-		rep.PauseApply()
-		payload := append(append([]byte(nil), fp.raw[:l.straddle]...), undecodableFrame()...)
-		if err := fp.conn.Send(&Frame{Kind: KindBatch, From: 1, Durable: wal.LSN(len(payload)), Payload: payload}); err != nil {
-			t.Fatal(err)
-		}
-		deadline := time.Now().Add(5 * time.Second)
-		for rep.DB().Log().FlushedLSN() < wal.LSN(len(payload)) {
-			if time.Now().After(deadline) {
-				t.Fatalf("replica ingested %v, want %v", rep.DB().Log().FlushedLSN(), len(payload))
+		t.Run(name, func(t *testing.T) {
+			rep, err := OpenReplica(t.TempDir(), ReplicaOptions{Engine: engine.Options{Now: clock.Now, SyncPolicy: testSyncPolicy(t)}})
+			if err != nil {
+				t.Fatal(err)
 			}
-			time.Sleep(time.Millisecond)
-		}
-		rep.ResumeApply()
-		if err := fp.conn.Send(&Frame{Kind: KindHeartbeat, Durable: wal.LSN(len(payload))}); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case err := <-done:
-			if err == nil {
-				t.Fatal("replaying an undecodable record ended the session cleanly")
+			defer rep.Close()
+			pc, rc := Pipe()
+			defer pc.Close()
+			done := make(chan error, 1)
+			go func() { done <- rep.Run(rc) }()
+			fp.accept(pc)
+			fp.drainAcks()
+			if paused {
+				rep.PauseApply()
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("replica never rejected the undecodable record")
-		}
-		if got := rep.AppliedLSN(); got != wal.LSN(l.straddle) {
-			t.Fatalf("applied %v, want %v: the records before the undecodable one", got, l.straddle)
-		}
-		if got := rep.DB().Log().Size(); got != int64(len(payload)) {
-			t.Fatalf("local log holds %d bytes, want all %d: an undecodable record is not a tear", got, len(payload))
-		}
-	})
+			payload := append(append([]byte(nil), fp.raw[:l.straddle]...), undecodableFrame()...)
+			if err := fp.conn.Send(&Frame{Kind: KindBatch, From: 1, Durable: wal.LSN(len(payload)), Payload: payload}); err != nil {
+				t.Fatal(err)
+			}
+			if paused {
+				deadline := time.Now().Add(5 * time.Second)
+				for rep.DB().Log().FlushedLSN() < wal.LSN(len(payload)) {
+					if time.Now().After(deadline) {
+						t.Fatalf("replica ingested %v, want %v", rep.DB().Log().FlushedLSN(), len(payload))
+					}
+					time.Sleep(time.Millisecond)
+				}
+				rep.ResumeApply()
+				if err := fp.conn.Send(&Frame{Kind: KindHeartbeat, Durable: wal.LSN(len(payload))}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("applying an undecodable record ended the session cleanly")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("replica never rejected the undecodable record")
+			}
+			if got := rep.AppliedLSN(); got != wal.LSN(l.straddle) {
+				t.Fatalf("applied %v, want %v: the records before the undecodable one", got, l.straddle)
+			}
+			if got := rep.DB().Log().Size(); got != int64(len(payload)) {
+				t.Fatalf("local log holds %d bytes, want all %d: an undecodable record is not a tear", got, len(payload))
+			}
+		})
+	}
 }
 
 // TestReplicaRejectsCorruptBatch: a bit flip inside a shipped record fails
