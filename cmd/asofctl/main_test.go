@@ -90,6 +90,8 @@ func TestRenderTop(t *testing.T) {
 		"asof_snapshot_mounts_total":        4,
 		"asof_batch_prepares_total":         8,
 		"asof_batch_pages_total":            100,
+		"asof_chainwalk_pages_total":        120,
+		"asof_pages_shared_total":           40,
 		"sidefile_write_ios_total":          10,
 		"sidefile_pages_written_total":      35,
 		"wal_blockcache_hits_total":         300,
@@ -109,6 +111,7 @@ func TestRenderTop(t *testing.T) {
 		"open 1",
 		"mounts 4",
 		"batch 12.5 pages",
+		"shared  25.0%",
 		"side 3.5 pages/write",
 		"log-cache hit  75.0%",
 		"replica  \"1\"  lag 2.0KiB",

@@ -112,8 +112,9 @@ func renderTop(prev, cur map[string]float64, dt float64) string {
 		if n := cur["sidefile_write_ios_total"]; n > 0 {
 			perWrite = cur["sidefile_pages_written_total"] / n
 		}
-		fmt.Fprintf(&b, "as-of    open %.0f  mounts %.0f  chain-walk %8.1f rec/s  batch %.1f pages  side %.1f pages/write  log-cache hit %5.1f%%\n",
-			cur["asof_snapshots_open"], v, rate("asof_chainwalk_records_total"), perBatch, perWrite,
+		fmt.Fprintf(&b, "as-of    open %.0f  mounts %.0f  chain-walk %8.1f rec/s  batch %.1f pages  shared %5.1f%%  side %.1f pages/write  log-cache hit %5.1f%%\n",
+			cur["asof_snapshots_open"], v, rate("asof_chainwalk_records_total"), perBatch,
+			share(cur["asof_pages_shared_total"], cur["asof_chainwalk_pages_total"]), perWrite,
 			share(cur["wal_blockcache_hits_total"], cur["wal_blockcache_misses_total"]))
 	}
 	// Replication, both roles: a primary shows per-subscriber lag, a standby

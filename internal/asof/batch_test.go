@@ -316,16 +316,6 @@ func TestBatchQueriesBesideBackgroundUndo(t *testing.T) {
 	for lo := 0; lo < rows; lo += 600 {
 		exec(t, db, func(tx *engine.Txn) error { return insertRange(tx, "t", lo, lo+600) })
 	}
-	// Committed work after the split: every leaf needs a rewind.
-	exec(t, db, func(tx *engine.Txn) error {
-		for i := 0; i < rows; i += 7 {
-			if err := tx.Update("t", testRow(i, "later", -i)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-
 	// Six transactions in flight at the split, over ranges the queries read.
 	var open []*engine.Txn
 	for w := 0; w < 6; w++ {
@@ -357,6 +347,19 @@ func TestBatchQueriesBesideBackgroundUndo(t *testing.T) {
 		}
 	}()
 	split := db.Log().NextLSN() - 1
+	// Committed work after the split, beside the in-flight rows: every leaf
+	// needs a rewind, and the batches rewind the pages the undo fixes.
+	exec(t, db, func(tx *engine.Txn) error {
+		for i := 0; i < rows; i += 7 {
+			if i%300 < 50 {
+				continue // locked by an in-flight transaction
+			}
+			if err := tx.Update("t", testRow(i, "later", -i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 
 	// The reference: the same LSN, one Get at a time.
 	ref, err := CreateSnapshotAtLSN(db, split, nil)

@@ -325,7 +325,7 @@ func undoOneUpdate(tx *engine.Txn, db *engine.DB, tables map[uint32]catalog.Tabl
 // undo step the row as rec found it.
 func updateImages(db *engine.DB, rec *wal.Record) (before, after []byte, err error) {
 	p := page.New()
-	if err := copyPrimary(db, page.ID(rec.PageID), p.Bytes()); err != nil {
+	if err := copyPrimary(db, page.ID(rec.PageID), func(src *page.Page) { p.CopyFrom(src.Bytes()) }); err != nil {
 		return nil, nil, err
 	}
 	if err := PreparePageAsOf(p, rec.LSN, db.Log(), nil); err != nil {

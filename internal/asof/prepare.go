@@ -13,8 +13,8 @@
 //     consistent view of the database as of an arbitrary wall-clock time in
 //     the past (within the retention period), mounted as a database whose
 //     page reads go through the §5.3 protocol: side-file hit, else read the
-//     primary copy, unwind it with PreparePageAsOf, and cache it in the
-//     side file.
+//     primary copy and, if it changed after the split, unwind it with
+//     PreparePageAsOf and cache it in the side file.
 package asof
 
 import (
@@ -33,8 +33,9 @@ type Stats struct {
 	RecordsUndone  atomic.Int64 // individual log records undone
 	ImageRestores  atomic.Int64 // full page images restored (skip fast path)
 	ImageChainHops atomic.Int64 // image-chain records examined
-	BatchPrepares  atomic.Int64 // merged walks over more than one page
+	BatchPrepares  atomic.Int64 // batch rewinds (snapshot merged walks)
 	BatchPages     atomic.Int64 // pages handed to those walks
+	PagesShared    atomic.Int64 // snapshot pages served with nothing to undo
 }
 
 // ErrChainBroken is returned when the per-page chain cannot reach the

@@ -204,11 +204,13 @@ func (s *Snapshot) Close() error {
 	r.Counter("asof_chainwalk_pages_total", "pages rewound by as-of chain walks").Add(s.stats.PagesPrepared.Load())
 	r.Counter("asof_chainwalk_records_total", "log records walked backwards by as-of prepares").Add(s.stats.RecordsUndone.Load())
 	r.Counter("asof_image_restores_total", "full page images restored by as-of prepares").Add(s.stats.ImageRestores.Load())
-	r.Counter("asof_batch_prepares_total", "merged chain walks that rewound several pages at once").Add(s.stats.BatchPrepares.Load())
+	r.Counter("asof_batch_prepares_total", "batch rewinds (merged chain walks) of pages changed since the split").Add(s.stats.BatchPrepares.Load())
 	r.Counter("asof_batch_pages_total", "pages handed to merged chain walks").Add(s.stats.BatchPages.Load())
+	r.Counter("asof_pages_shared_total", "pages snapshots served from the primary with no side-file copy").Add(s.stats.PagesShared.Load())
 	ios, pages := s.side.WriteStats()
 	r.Counter("sidefile_write_ios_total", "side-file device writes by as-of snapshots").Add(ios)
 	r.Counter("sidefile_pages_written_total", "pages those side-file writes carried").Add(pages)
+	r.Counter("sidefile_read_ios_total", "snapshot pool misses served from the side file").Add(s.side.ReadIOs())
 	r.Gauge("asof_snapshots_open", "as-of snapshots currently mounted").Add(-1)
 	return err
 }
@@ -222,10 +224,16 @@ func (s *Snapshot) Close() error {
 //	   prepared), return it — a page the background undo already fixed
 //	   always wins;
 //	b. else read the page from the primary database (a latched copy through
-//	   the primary buffer pool) and call PreparePageAsOf(page, SplitLSN) to
-//	   undo it to the split;
-//	c. enqueue the prepared page for the side file — the write happens on a
-//	   background goroutine, so the rewound page is served immediately.
+//	   the primary buffer pool); a copy whose pageLSN is at or below the
+//	   SplitLSN is the page as of the split, and is served as it is;
+//	c. else call PreparePageAsOf(page, SplitLSN) to undo it to the split and
+//	   enqueue it for the side file — the write happens on a background
+//	   goroutine, so the rewound page is served immediately.
+//
+// The side file thus holds exactly the pages that differ from the primary
+// as of the split (copy-on-write), and a page is rewound at most once: one
+// the primary modifies after it was served, and the snapshot pool then
+// drops, is rewound on its next read and persisted then.
 type snapSource Snapshot
 
 func (src *snapSource) ReadPage(id page.ID, buf []byte) error {
@@ -240,33 +248,41 @@ func (src *snapSource) ReadPage(id page.ID, buf []byte) error {
 	if s.IsLocalPage(id) {
 		return fmt.Errorf("asof: snapshot-local page %d lost from side file", id)
 	}
-	if err := copyPrimary(s.db, id, buf); err != nil {
+	if err := copyPrimary(s.db, id, func(p *page.Page) { copy(buf, p.Bytes()) }); err != nil {
 		return err
 	}
 	p := page.FromBytes(buf)
+	shared := wal.LSN(p.PageLSN()) <= s.point.SplitLSN
 	if err := PreparePageAsOf(p, s.point.SplitLSN, s.db.Log(), &s.stats); err != nil {
 		return err
 	}
 	p.WriteChecksum()
+	if shared {
+		s.stats.PagesShared.Add(1)
+		return nil
+	}
 	return s.writer.Enqueue(id, buf)
 }
 
-// copyPrimary copies the current content of page id out of the primary
-// buffer pool under its shared latch.
-func copyPrimary(db *engine.DB, id page.ID, buf []byte) error {
+// copyPrimary hands the current content of page id in the primary buffer
+// pool to fn, under the page's shared latch.
+func copyPrimary(db *engine.DB, id page.ID, fn func(*page.Page)) error {
 	h, err := db.Pool().Fetch(id, false)
 	if err != nil {
 		return err
 	}
-	copy(buf, h.Page().Bytes())
+	fn(h.Page())
 	h.Release()
 	return nil
 }
 
 // prepareBatch rewinds the given distinct pages — those the snapshot has
-// not materialized yet — in one merged chain walk (PreparePagesAsOf) and
-// installs them in the snapshot pool. It is a prefetch: it changes what a
-// later fetch of these pages costs, never what it returns.
+// not materialized yet and the primary has modified since the split — in
+// one merged chain walk (PreparePagesAsOf) and installs them in the
+// snapshot pool. A page with nothing to undo is left out before it is
+// copied: its fetch serves the primary's copy (snapSource.ReadPage). It is
+// a prefetch: it changes what a later fetch of these pages costs, never
+// what it returns.
 //
 // Installation goes through the side-file writer and the pool. The rewound
 // pages are handed to the writer as one group (EnqueueNew), which reaches
@@ -275,13 +291,16 @@ func copyPrimary(db *engine.DB, id page.ID, buf []byte) error {
 // the page in the writer's pending set (snapSource.ReadPage) and pays no log
 // walk and no side-file read.
 //
-// EnqueueNew fills only pages the writer holds no copy of, which is what
-// keeps this safe. A page resident in the snapshot pool was loaded through
-// ReadPage, which enqueued it, and from then on the pool's frame is at
-// least as new as the writer's copy: that copy is replaced only by the
-// frame's eviction (WritePage → Enqueue). So a page fixed by the background
-// undo, or rewound by a concurrent loader, keeps its copy, and this batch's
-// copy of it is dropped unused.
+// EnqueueNew fills only pages the writer holds no copy of, and this batch
+// may still copy a page resident in the snapshot pool — one served with
+// nothing to undo never reached the writer. That is safe for each kind of
+// frame. A clean frame is the page's as-of version, so this batch's copy of
+// it is identical. A frame the §5.2 background undo dirtied reaches the
+// writer through its eviction (WritePage → Enqueue, latest wins) before any
+// ReadPage can miss on it, so the batch's copy never outlives it. A
+// snapshot-local page only ever enters the writer through WritePage, and is
+// never batched. And a page the writer already holds — fixed by the undo or
+// rewound by a concurrent loader — keeps its copy; this batch's is dropped.
 func (s *Snapshot) prepareBatch(ids []page.ID) error {
 	var want []page.ID
 	for _, id := range ids {
@@ -292,12 +311,22 @@ func (s *Snapshot) prepareBatch(ids []page.ID) error {
 	if len(want) < 2 {
 		return nil // one page shares a walk with nobody: its fetch rewinds it
 	}
-	pages := make([]*page.Page, len(want))
-	for i, id := range want {
-		pages[i] = page.New()
-		if err := copyPrimary(s.db, id, pages[i].Bytes()); err != nil {
+	var pages []*page.Page
+	changed := want[:0]
+	for _, id := range want {
+		err := copyPrimary(s.db, id, func(p *page.Page) {
+			if wal.LSN(p.PageLSN()) > s.point.SplitLSN {
+				pages = append(pages, p.Clone())
+				changed = append(changed, id)
+			}
+		})
+		if err != nil {
 			return err
 		}
+	}
+	want = changed
+	if len(want) == 0 {
+		return nil
 	}
 	s.stats.BatchPrepares.Add(1)
 	s.stats.BatchPages.Add(int64(len(want)))

@@ -78,6 +78,13 @@ func (db *DB) checkpoint(flushBelow wal.LSN) error {
 	db.mu.Lock()
 	prevEnd := db.boot.lastCkptEnd
 	db.mu.Unlock()
+	if prevEnd >= beginLSN {
+		// Not a predecessor: the boot record of a standby reseeded from a
+		// backup and promoted before it ingested the backup's checkpoint
+		// names bytes this log never held. Every walk of the chain needs
+		// it to descend.
+		prevEnd = wal.NilLSN
+	}
 	tli, hist := db.Timeline()
 	end := &wal.Record{
 		Type:      wal.TypeCheckpointEnd,

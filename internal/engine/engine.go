@@ -352,6 +352,10 @@ var ErrStandby = errors.New("engine: database is a read-only standby")
 // follow redo of every logged change (§5.2's repeat history).
 var ErrRedoIncomplete = errors.New("engine: promote before redo reached the end of the local log")
 
+// ErrBadLineage is returned by Promote, before anything changes, when the
+// lineage it would persist fails wal.TimelineHistory.Validate.
+var ErrBadLineage = errors.New("engine: promotion would record an invalid timeline history")
+
 // Standby reports whether the database is a read-only log-shipping replica.
 func (db *DB) Standby() bool { return db.standby.Load() }
 
@@ -446,7 +450,10 @@ func (db *DB) FlushStandby() error {
 // would, and a fresh checkpoint gives the promoted database a clean
 // recovery starting point. Redo must be complete through the end of the
 // local log (repl.Replica.Promote drains it first); otherwise Promote
-// returns ErrRedoIncomplete and the database stays a standby.
+// returns ErrRedoIncomplete and the database stays a standby. The new
+// lineage forks from the node's effective identity at its log end
+// (wal.TimelineHistory.Fork); one that fails Validate is ErrBadLineage, and
+// the database again stays a standby.
 //
 // A failed promotion is fail-stop: the undo pass may already have appended
 // local CLRs, so the log is no longer a byte-identical copy of the
@@ -455,26 +462,26 @@ func (db *DB) FlushStandby() error {
 // CRC-valid garbage. The standby flag stays cleared; repl.Replica.Run
 // refuses to stream for a non-standby engine.
 func (db *DB) Promote(att []wal.ATTEntry) error {
-	if applied, end := db.AppliedLSN(), db.log.NextLSN()-1; db.Standby() && applied != end {
-		return fmt.Errorf("%w: applied %v, local log ends at %v", ErrRedoIncomplete, applied, end)
-	}
-	if !db.standby.CompareAndSwap(true, false) {
-		return errors.New("engine: promote of a non-standby database")
-	}
 	// The fork point is the last shipped byte: everything at or below it is
 	// the ancestor timeline's history, everything after (the undo pass's
 	// CLRs onward) belongs to the new timeline this promotion forks.
 	fork := db.log.NextLSN() - 1
+	if applied := db.AppliedLSN(); db.Standby() && applied != fork {
+		return fmt.Errorf("%w: applied %v, local log ends at %v", ErrRedoIncomplete, applied, fork)
+	}
+	tli, hist := db.Timeline()
+	tli, hist = hist.Fork(tli, fork)
+	if err := hist.Validate(tli); err != nil {
+		return fmt.Errorf("%w: %s: %w", ErrBadLineage, wal.DescribeLineage(tli, hist), err)
+	}
+	if !db.standby.CompareAndSwap(true, false) {
+		return errors.New("engine: promote of a non-standby database")
+	}
 	if err := db.UndoTransactions(att); err != nil {
 		return fmt.Errorf("engine: promote undo (database needs recovery, not standby resumption): %w", err)
 	}
 	db.mu.Lock()
-	cur := db.boot.tli
-	if cur == 0 {
-		cur = 1
-	}
-	db.boot.history = append(db.boot.history.Clone(), wal.TimelineFork{TLI: cur, End: fork})
-	db.boot.tli = cur + 1
+	db.boot.tli, db.boot.history = tli, hist
 	db.mu.Unlock()
 	// The post-promotion checkpoint persists the new lineage in both the
 	// boot metadata and the checkpoint record, so downstream replicas adopt

@@ -71,9 +71,11 @@ func (db *DB) initObs() {
 		func() int64 { return db.pool.Stats().FlushWritebacks }, obs.L("cause", "checkpoint"))
 	r.CounterFunc("buffer_writeback_ios_total", "device writes that carried the written-back pages, by cause",
 		func() int64 { return db.pool.Stats().FlushWriteIOs }, obs.L("cause", "checkpoint"))
-	// As-of snapshots add their side files' writes as they close.
+	// As-of snapshots add their side files' I/O and shared pages as they close.
 	r.Counter("sidefile_write_ios_total", "side-file device writes by as-of snapshots")
 	r.Counter("sidefile_pages_written_total", "pages those side-file writes carried")
+	r.Counter("sidefile_read_ios_total", "snapshot pool misses served from the side file")
+	r.Counter("asof_pages_shared_total", "pages snapshots served from the primary with no side-file copy")
 	r.GaugeFunc("buffer_pool_resident_pages", "pages currently cached",
 		func() int64 { return int64(db.pool.Resident()) })
 	for _, fam := range []struct {

@@ -90,6 +90,13 @@ type chaosHarness struct {
 	nextID  int
 	joinSeq int
 	acked   []chaosCommit
+
+	// The CREATE TABLE commit is acknowledged like the row commits: a
+	// failover whose fork is below it discounts the table, and every insert
+	// after that is refused.
+	tableLSN  wal.LSN
+	tableLost bool
+	refused   int // inserts refused for want of the table
 }
 
 func runChaosSchedule(t *testing.T, seed int64) {
@@ -128,7 +135,17 @@ func runChaosSchedule(t *testing.T, seed int64) {
 	}
 	defer h.teardown()
 
-	mustExec(t, prim, func(tx *engine.Txn) error { return tx.CreateTable(testSchema("chaos")) })
+	create, err := prim.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := create.CreateTable(testSchema("chaos")); err != nil {
+		t.Fatal(err)
+	}
+	if err := create.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	h.tableLSN = create.CommitLSN()
 	h.commitBatch()
 	for _, name := range []string{"s1", "s2", "s3"} {
 		dir := t.TempDir()
@@ -216,6 +233,9 @@ func (h *chaosHarness) commitBatch() {
 		h.nextID++
 		if err := tx.Insert("chaos", testRow(id, "chaos", id)); err != nil {
 			tx.Rollback()
+			if h.tableLost {
+				h.refused++
+			}
 			return
 		}
 		ids = append(ids, id)
@@ -415,6 +435,10 @@ func (h *chaosHarness) opKillPrimary() {
 	}
 	h.acked = kept
 	h.t.Logf("chaos: failover to timeline %d, fork %v, %d acked commits above the fork discounted", tli, fork, lost)
+	if !h.tableLost && h.tableLSN > fork {
+		h.tableLost = true
+		h.t.Logf("chaos: the table's creation at %v is above the fork: discounted too", h.tableLSN)
+	}
 
 	h.joinSeq++
 	name := fmt.Sprintf("j%d", h.joinSeq)
@@ -476,7 +500,8 @@ func (h *chaosHarness) converge() {
 // assertFinal checks the two end-of-schedule invariants: byte-identical
 // as-of digests across the tree, and exactly the surviving acknowledged
 // rows present — no acknowledged commit at or below every fork is lost, and
-// no discounted commit resurfaces.
+// no discounted commit resurfaces. A discounted table creation means no
+// table at all.
 func (h *chaosHarness) assertFinal() {
 	at := h.mock.Now()
 	h.mock.Advance(time.Second) // strict horizon
@@ -492,7 +517,17 @@ func (h *chaosHarness) assertFinal() {
 	for _, c := range h.acked {
 		want += len(c.ids)
 	}
-	if _, ok := pd[fmt.Sprintf("chaos/%d", want)]; !ok {
+	if h.tableLost {
+		h.t.Logf("chaos: table discounted by a failover, %d later inserts refused", h.refused)
+		table := false
+		for k := range pd {
+			table = table || strings.HasPrefix(k, "chaos/")
+		}
+		if table || want != 0 {
+			h.t.Fatalf("acked-commit invariant broken: the table's creation was discounted, yet %d rows are acked and the primary digest is %v\nevents:\n%s",
+				want, pd, h.eventDump())
+		}
+	} else if _, ok := pd[fmt.Sprintf("chaos/%d", want)]; !ok {
 		h.t.Fatalf("acked-commit invariant broken: want exactly %d surviving rows, primary digest %v\nevents:\n%s",
 			want, pd, h.eventDump())
 	}

@@ -810,10 +810,8 @@ func (r *Replica) Promote() (*engine.DB, error) {
 		// block — from the same fork LSN the fence announces.
 		fork := r.db.Log().NextLSN() - 1
 		curTLI, curHist := r.db.Timeline()
-		next := timelineInfo{
-			TLI:     curTLI + 1,
-			History: append(curHist.Clone(), wal.TimelineFork{TLI: curTLI, End: fork}),
-		}
+		var next timelineInfo
+		next.TLI, next.History = curHist.Fork(curTLI, fork)
 		s.closeWith(&Frame{Kind: KindPromoted, From: fork, Payload: appendTimelineInfo(nil, next)})
 	}
 	r.db.EnsureTxnIDAfter(r.st.MaxTxn)

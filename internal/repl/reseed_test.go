@@ -110,6 +110,72 @@ func TestReplicaBatchSpanningRotation(t *testing.T) {
 	db.Close()
 }
 
+// TestReseedPromoteBeforeBackupCheckpoint: a standby reseeded from a backup
+// and promoted before it ingested the backup's checkpoint writes its own
+// checkpoint where the primary's was. Its boot record still names that
+// checkpoint, so the new record must not take it for its predecessor: a
+// checkpoint chain that does not descend hangs every walk of it (retention,
+// the checkpoint index on reopen).
+func TestReseedPromoteBeforeBackupCheckpoint(t *testing.T) {
+	clock := vclock.New(time.Time{})
+	dir := t.TempDir()
+	prim, err := engine.Open(filepath.Join(dir, "primary"), engine.Options{Now: clock.Now, SyncPolicy: testSyncPolicy(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer prim.Close()
+	mustExec(t, prim, func(tx *engine.Txn) error { return tx.CreateTable(testSchema("rs")) })
+	mustExec(t, prim, func(tx *engine.Txn) error { return tx.Insert("rs", testRow(1, "one", 1)) })
+	man, err := backup.Full(prim, filepath.Join(dir, "full.bak"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rsDir := filepath.Join(dir, "reseeded")
+	if err := ReseedFromBackup(rsDir, man, ""); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := OpenReplica(rsDir, ReplicaOptions{Engine: engine.Options{
+		Now: clock.Now, SyncPolicy: testSyncPolicy(t), Retention: time.Minute,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var db *engine.DB
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		if db, err = rep.Promote(); err == nil {
+			clock.Advance(time.Hour) // every checkpoint below the retention horizon
+			err = db.Checkpoint()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("promotion never returned: a retention walk is stuck in the checkpoint chain")
+	}
+	for cur := db.LastCheckpointEnd(); cur != wal.NilLSN; {
+		rec, err := db.Log().Read(cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := wal.DecodeCheckpoint(rec.Extra)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data.PrevEnd >= cur {
+			t.Fatalf("checkpoint end %v names %v as its predecessor", cur, data.PrevEnd)
+		}
+		cur = data.PrevEnd
+	}
+	rep.Close() // not deferred: a stuck promotion holds the replica
+}
+
 // TestReseedFromBackupBelowRetentionHorizon is the acceptance test for
 // archive-backed reseed: a fresh replica's subscription is rejected because
 // the primary's retention already truncated (and archived) the history it

@@ -268,6 +268,82 @@ func TestTimelineResubscribeAcrossPromotions(t *testing.T) {
 	}
 }
 
+// TestTimelinePromoteBehindAdoptedFork: a standby that adopted a promoted
+// upstream's lineage at its handshake, but holds no byte past that fork when
+// it is promoted in turn, forks from the ancestor that owns its log end — its
+// fork history never goes backwards — and a survivor holding bytes of the
+// abandoned timeline is refused by the ancestry check instead of failing to
+// adopt a malformed lineage.
+func TestTimelinePromoteBehindAdoptedFork(t *testing.T) {
+	c := newChain(t, engine.Options{})
+	mustExec(t, c.prim, func(tx *engine.Txn) error { return tx.CreateTable(testSchema("fork")) })
+	mustExec(t, c.prim, func(tx *engine.Txn) error { return tx.Insert("fork", testRow(1, "shared", 1)) })
+	c.waitChain()
+
+	// R2 stops at the shared prefix; R1 follows the primary further and is
+	// promoted to timeline 2 there.
+	c.hop2.stop()
+	c.hop2 = nil
+	behind := c.r2.DB().Log().NextLSN() - 1
+	mustExec(t, c.prim, func(tx *engine.Txn) error { return tx.Insert("fork", testRow(2, "tl1", 2)) })
+	waitApplied(t, c.r1, c.prim.Log().FlushedLSN())
+	c.hop1.stop()
+	c.hop1 = nil
+	db1, err := c.r1.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db1.Close()
+	tli1, hist1 := db1.Timeline()
+	if tli1 != 2 || len(hist1) != 1 || hist1[0].End <= behind {
+		t.Fatalf("first promotion gave %s, want timeline 2 forked past %v", wal.DescribeLineage(tli1, hist1), behind)
+	}
+	mustExec(t, db1, func(tx *engine.Txn) error { return tx.Insert("fork", testRow(3, "tl2", 3)) })
+
+	// The survivor: a standby of the timeline-2 primary holding its
+	// post-fork bytes.
+	surv, err := OpenReplica(t.TempDir(), c.replicaOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer surv.Close()
+	ship1 := NewShipper(db1, ShipperOptions{HeartbeatEvery: 20 * time.Millisecond})
+	h := connectPair(t, ship1, surv)
+	waitApplied(t, surv, db1.Log().FlushedLSN())
+	h.stop()
+	ship1.Close()
+
+	// R2 joins the timeline-2 primary, which dies after the handshake and
+	// before a byte ships: R2 carries timeline 2's lineage over a log that
+	// ends below its fork. Promoted, it forks from timeline 1 at its own end.
+	if err := c.r2.adoptLineage(timelineInfo{TLI: tli1, History: hist1}); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := c.r2.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := wal.TimelineHistory{{TLI: 1, End: behind}}
+	if tli, hist := db2.Timeline(); tli != 3 || fmt.Sprint(hist) != fmt.Sprint(want) {
+		t.Fatalf("promotion behind the adopted fork gave %s, want %s",
+			wal.DescribeLineage(tli, hist), wal.DescribeLineage(3, want))
+	}
+
+	ship2 := NewShipper(db2, ShipperOptions{HeartbeatEvery: 20 * time.Millisecond})
+	defer ship2.Close()
+	up, down := Pipe()
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- ship2.Serve(up) }()
+	runErr := surv.Run(down)
+	<-serveDone
+	up.Close()
+	down.Close()
+	if !errors.Is(runErr, ErrTimelineDiverged) || strings.Contains(runErr.Error(), "not increasing") {
+		t.Fatalf("survivor on %s subscribing to the timeline-3 node ended with %v, want ErrTimelineDiverged",
+			wal.DescribeLineage(tli1, hist1), runErr)
+	}
+}
+
 // TestTimelineLegacyBootUpgrade pins the upgrade path for databases created
 // before timelines existed: a flat 44-byte boot.meta (block + CRC, no
 // timeline extension) reads back as timeline 1 with an empty history, the

@@ -27,6 +27,7 @@ type File struct {
 	index map[page.ID]int64 // page id -> byte offset in extent file
 	next  int64
 
+	readIOs      atomic.Int64 // device reads issued
 	writeIOs     atomic.Int64 // device writes issued
 	pagesWritten atomic.Int64 // pages those writes carried
 }
@@ -82,6 +83,7 @@ func (s *File) ReadPage(id page.ID, buf []byte) (bool, error) {
 		return false, fmt.Errorf("sidefile: read page %d: %w", id, err)
 	}
 	s.dev.ChargeRead(page.Size, false)
+	s.readIOs.Add(1)
 	return true, nil
 }
 
@@ -180,6 +182,9 @@ func (s *File) write(off int64, b []byte, n int) error {
 func (s *File) WriteStats() (ios, pages int64) {
 	return s.writeIOs.Load(), s.pagesWritten.Load()
 }
+
+// ReadIOs returns how many page reads the file has served.
+func (s *File) ReadIOs() int64 { return s.readIOs.Load() }
 
 // Pages returns the ids of all materialized pages (unordered).
 func (s *File) Pages() []page.ID {

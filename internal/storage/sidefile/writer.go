@@ -183,12 +183,16 @@ func (w *Writer) Has(id page.ID) bool {
 }
 
 // Len returns the number of distinct materialized pages (pending ∪ file).
+// The file's index is read under one lock: the drainer indexes a page
+// before it retires it from pending, so two separate reads could miss it.
 func (w *Writer) Len() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	n := w.file.Len()
+	w.file.mu.RLock()
+	defer w.file.mu.RUnlock()
+	n := len(w.file.index)
 	for id := range w.pending {
-		if !w.file.Has(id) {
+		if _, ok := w.file.index[id]; !ok {
 			n++
 		}
 	}

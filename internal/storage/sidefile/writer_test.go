@@ -234,3 +234,24 @@ func TestEnqueueNewBesideEnqueue(t *testing.T) {
 		}
 	}
 }
+
+// TestWriterLenWhileWriteRunDrains: Len counts each materialized page once
+// while the drainer moves pages from the pending set into the file — a page
+// the file has just indexed but the writer has not yet retired from pending
+// is still one page.
+func TestWriterLenWhileWriteRunDrains(t *testing.T) {
+	s, _ := chargedSide(t)
+	w := NewWriter(s)
+	defer w.Close()
+	buf := pageWith('l')
+	for i := 0; i < 3000; i++ {
+		if err := w.Enqueue(page.ID(i+1), buf); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 4; k++ {
+			if n := w.Len(); n != i+1 {
+				t.Fatalf("after %d distinct pages Len() = %d", i+1, n)
+			}
+		}
+	}
+}

@@ -74,6 +74,17 @@ func (h TimelineHistory) TruncateAt(current TimelineID, end LSN) (TimelineID, Ti
 	return current, h.Clone()
 }
 
+// Fork returns the lineage a node on timeline current with this history
+// takes when it is promoted with its log ending at end: its effective
+// identity there (TruncateAt) forks at end, under the id after current. A
+// node that adopted a newer lineage but holds no byte past its last fork
+// thus forks from the ancestor owning its log end, and the fork points never
+// go backwards.
+func (h TimelineHistory) Fork(current TimelineID, end LSN) (TimelineID, TimelineHistory) {
+	owner, below := h.TruncateAt(current, end)
+	return current + 1, append(below, TimelineFork{TLI: owner, End: end})
+}
+
 // Validate checks structural sanity for a node on timeline current:
 // strictly increasing timeline ids and fork points, ending below current.
 func (h TimelineHistory) Validate(current TimelineID) error {
