@@ -32,7 +32,7 @@ func apiRow(id int, note string, score float64) Row {
 func apiDB(t *testing.T) (*DB, *vclock.Clock) {
 	t.Helper()
 	clock := vclock.New(time.Time{})
-	db, err := Open(t.TempDir(), Options{Now: clock.Now})
+	db, err := Open(t.TempDir(), Options{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestPublicAPIDroppedTableRecovery(t *testing.T) {
 func TestPublicAPICrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	clock := vclock.New(time.Time{})
-	db, err := Open(dir, Options{Now: clock.Now})
+	db, err := Open(dir, Options{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestPublicAPICrashRecovery(t *testing.T) {
 	apiExec(t, db, func(tx *Txn) error { return tx.Insert("t", apiRow(1, "survives", 0)) })
 	db.Crash()
 
-	db2, err := Open(dir, Options{Now: clock.Now})
+	db2, err := Open(dir, Options{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -263,7 +263,7 @@ func BenchmarkReplicationCascade(b *testing.B) {
 func BenchmarkAsOfQuery(b *testing.B) {
 	clock := vclock.New(time.Time{})
 	db, err := Open(b.TempDir(), Options{
-		Now:             clock.Now,
+		Clock:           clock,
 		BufferFrames:    4096,
 		CheckpointEvery: 4 << 20,
 	})

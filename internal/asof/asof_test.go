@@ -55,7 +55,7 @@ func testRow(id int, body string, qty int) row.Row {
 func openDB(t *testing.T, clock *vclock, opts engine.Options) *engine.DB {
 	t.Helper()
 	if clock != nil {
-		opts.Now = clock.Now
+		opts.Clock = clock
 	}
 	db, err := engine.Open(t.TempDir(), opts)
 	if err != nil {
@@ -515,7 +515,7 @@ func TestImageFastPathReducesUndoWork(t *testing.T) {
 	run := func(imageEvery int) (int64, int64) {
 		clock := newVClock()
 		opts := engine.Options{PageImageEvery: imageEvery}
-		opts.Now = clock.Now
+		opts.Clock = clock
 		db, err := engine.Open(t.TempDir(), opts)
 		if err != nil {
 			t.Fatal(err)

@@ -566,9 +566,51 @@ func TestScanPreparesAheadBoundedly(t *testing.T) {
 	}
 }
 
-// TestBatchLeavesNothingParkedOnFailure closes the side-file writer, so a
-// batch cannot park its rewound pages, and requires the error to surface
-// and no page the batch did not materialize to be reported as materialized.
+// TestGetManyWritesOnceReadsNone: one GetMany over n changed leaves writes
+// them to the side file as one device write of n pages and loads them into
+// the snapshot pool without reading one back; nothing stays staged.
+func TestGetManyWritesOnceReadsNone(t *testing.T) {
+	db := openDB(t, newVClock(), engine.Options{})
+	split, _, _ := deepHistory(t, db, 1)
+	sideDev := media.New(media.SSD(), nil)
+	s, err := CreateSnapshotAtLSN(db, split, sideDev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.WaitUndo(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Get("t", row.Row{row.Int64(0)}); err != nil { // root and first leaf
+		t.Fatal(err)
+	}
+	sideDev.Stats.Reset()
+	before := s.SidePages()
+	var keys []row.Row
+	for i := 200; i < 700; i += 10 {
+		keys = append(keys, row.Row{row.Int64(int64(i))})
+	}
+	if _, err := s.GetMany("t", keys); err != nil {
+		t.Fatal(err)
+	}
+	n := s.SidePages() - before
+	if n < 2 || s.Stats().BatchPages.Load() != int64(n) {
+		t.Fatalf("GetMany materialized %d pages, batches rewound %d", n, s.Stats().BatchPages.Load())
+	}
+	if w, b := sideDev.Stats.RandWrites.Load(), sideDev.Stats.WriteBytes.Load(); w != 1 || b != int64(n)*page.Size {
+		t.Fatalf("GetMany over %d changed leaves: %d side writes of %d B, want 1 of %d B", n, w, b, n*page.Size)
+	}
+	if r, b := sideDev.Stats.RandReads.Load()+sideDev.Stats.SeqReads.Load(), sideDev.Stats.ReadBytes.Load(); r != 0 || b != 0 {
+		t.Fatalf("GetMany read %d pages (%d B) back from the side file", r, b)
+	}
+	if len(s.staged) != 0 {
+		t.Fatalf("%d pages left staged after GetMany", len(s.staged))
+	}
+}
+
+// TestBatchLeavesNothingParkedOnFailure fails the side-file write of a
+// batch and requires the error to surface, no page of the batch to be
+// reported as materialized, and nothing to stay staged.
 func TestBatchLeavesNothingParkedOnFailure(t *testing.T) {
 	clock := newVClock()
 	db := openDB(t, clock, engine.Options{})
@@ -585,19 +627,22 @@ func TestBatchLeavesNothingParkedOnFailure(t *testing.T) {
 		t.Fatalf("healthy batch: %v", err)
 	}
 	for _, id := range leaves[:4] {
-		if !s.writer.Has(id) {
+		if !s.side.Has(id) {
 			t.Fatalf("page %d of a healthy batch not materialized", id)
 		}
 	}
-	if err := s.writer.Close(); err != nil {
+	if err := s.side.Close(); err != nil { // every later write fails
 		t.Fatal(err)
 	}
 	if err := s.prepareBatch(leaves[4:12]); err == nil {
-		t.Fatal("batch succeeded although its pages could not be parked")
+		t.Fatal("batch succeeded although its pages could not be written")
 	}
 	for _, id := range leaves[4:12] {
-		if s.writer.Has(id) {
+		if s.side.Has(id) {
 			t.Fatalf("page %d reported materialized after a failed batch", id)
 		}
+	}
+	if len(s.staged) != 0 {
+		t.Fatalf("%d pages left staged after a failed batch", len(s.staged))
 	}
 }

@@ -132,9 +132,6 @@ func TestCopyOnWriteRereadAfterPrimaryUpdate(t *testing.T) {
 		t.Fatalf("side file holds %d pages, want the one rewound leaf", side)
 	}
 	// Dropped again, the leaf is read back from the side file, not rewound.
-	if err := s.writer.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	evictByScan(t, s, 1000)
 	checkRows(t, s, o, past, ids)
 	if got := s.Stats().PagesPrepared.Load() - prepared; got != 1 {
@@ -262,16 +259,91 @@ func TestCopyOnWriteUndoFixedPageReachesSideFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	leaf := leafOfID(t, s, tbl.Root, ids[0])
-	if s.writer.Has(leaf) {
+	if s.side.Has(leaf) {
 		t.Fatal("the undone leaf reached the side file before it was evicted")
 	}
 
 	evictByScan(t, s, 1000)
-	if !s.writer.Has(leaf) {
+	if !s.side.Has(leaf) {
 		t.Fatal("the evicted leaf the undo fixed is not in the side file")
 	}
 	checkRows(t, s, o, at, ids)
 	if n := s.Stats().PagesPrepared.Load(); n != 0 {
 		t.Fatalf("%d pages rewound, but nothing changed after the split", n)
 	}
+}
+
+// TestUndoFixedPageWinsOverBatch: a leaf the §5.2 background undo fixed
+// keeps that fix in the side file whatever a batch rewind copies of it. The
+// primary changes the leaf after the split, so a batch covering it rewinds
+// the primary's copy, which still holds the in-flight transaction's
+// uncommitted rows. Batched while the fixed frame is resident, the batch's
+// copy is written and then replaced by the frame's eviction; batched after
+// that eviction, the leaf is left out.
+func TestUndoFixedPageWinsOverBatch(t *testing.T) {
+	clock := newVClock()
+	db := openDB(t, clock, engine.Options{BufferFrames: 4096})
+	exec(t, db, func(tx *engine.Txn) error { return tx.CreateTable(testSchema("t")) })
+	o := &oracle{history: map[oracleKey][]version{}}
+	for lo := 0; lo < evictionRows; lo += 2000 {
+		commitRows(t, db, clock, o, bodyRows(lo, min(lo+2000, evictionRows), smoBody), insertRow)
+	}
+	at := clock.Advance(time.Minute)
+
+	inflight, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inflight.Rollback()
+	for _, id := range []int{7, 8} {
+		if err := inflight.Update("t", testRow(id, "uncommitted", -1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := CreateSnapshotAtLSN(db, db.Log().NextLSN()-1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.WaitUndo(); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := s.Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := leafOfID(t, s, tbl.Root, 7)
+	if leafOfID(t, s, tbl.Root, 6) != leaf || s.side.Has(leaf) {
+		t.Fatal("want rows 6 and 7 on one leaf, fixed in the pool and not yet in the side file")
+	}
+
+	// getMany batches the leaves of ids and checks its rows, then every
+	// row read again after the snapshot pool dropped the fixed leaf.
+	getMany := func(ids []int, wantBatched int64) {
+		t.Helper()
+		keys := make([]row.Row, len(ids))
+		for i, id := range ids {
+			keys[i] = row.Row{row.Int64(int64(id))}
+		}
+		batched := s.Stats().BatchPages.Load()
+		got, err := s.GetMany("t", keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := o.asOf("t", at)
+		for i, id := range ids {
+			if !sameRow(got[i], want[id]) {
+				t.Fatalf("row %d = %v, the model has %v", id, got[i], want[id])
+			}
+		}
+		if n := s.Stats().BatchPages.Load() - batched; n != wantBatched {
+			t.Fatalf("the batch rewound %d pages, want %d", n, wantBatched)
+		}
+		evictByScan(t, s, 1000)
+		checkRows(t, s, o, at, []int{6, 7, 8})
+	}
+	commitRows(t, db, clock, o, []row.Row{testRow(6, "later", 6), testRow(500, "later", 500)}, updateRow)
+	getMany([]int{6, 7, 8, 500}, 2)
+	commitRows(t, db, clock, o, []row.Row{testRow(5, "again", 5), testRow(1000, "again", 1000), testRow(2000, "again", 2000)}, updateRow)
+	getMany([]int{5, 7, 1000, 2000}, 2)
 }

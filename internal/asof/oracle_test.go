@@ -208,7 +208,7 @@ func (o *oracleRun) open(dir string) {
 	if err != nil {
 		o.t.Fatalf("ASOFDB_SYNC: %v", err)
 	}
-	db, err := engine.Open(dir, engine.Options{Now: o.clock.Now, BufferFrames: 24, CheckpointEvery: 16 << 10, SyncPolicy: sync})
+	db, err := engine.Open(dir, engine.Options{Clock: o.clock, BufferFrames: 24, CheckpointEvery: 16 << 10, SyncPolicy: sync})
 	if err != nil {
 		o.t.Fatal(err)
 	}

@@ -340,7 +340,7 @@ func TestResolveTimeSparseIndexWindow(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := engine.Open(dir, engine.Options{Now: clock.Now})
+	db2, err := engine.Open(dir, engine.Options{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}

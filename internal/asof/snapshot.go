@@ -49,7 +49,8 @@ type Snapshot struct {
 	asOf  time.Time
 
 	side   *sidefile.File
-	writer *sidefile.Writer // async write-behind front for side
+	sideMu sync.Mutex         // makes "not in the side file yet → write it" one step
+	staged map[page.ID][]byte // a batch's pages, written, until it has fetched them
 	stats  Stats
 
 	locks     *txn.LockManager // §5.2: locks of in-flight txns, reacquired
@@ -125,7 +126,7 @@ func newSnapshot(db *engine.DB, point SplitPoint, asOf time.Time, sideDev *media
 		point:     point,
 		asOf:      asOf,
 		side:      side,
-		writer:    sidefile.NewWriter(side),
+		staged:    make(map[page.ID][]byte),
 		locks:     txn.NewLockManager(30 * time.Second),
 		lockOwner: 1,
 		undoDone:  make(chan struct{}),
@@ -139,7 +140,6 @@ func newSnapshot(db *engine.DB, point SplitPoint, asOf time.Time, sideDev *media
 	// transactions so queries cannot observe their uncommitted effects
 	// before undo fixes the pages.
 	if err := s.reacquireLocks(); err != nil {
-		s.writer.Close()
 		side.Close()
 		s.Pool().Destroy()
 		return nil, err
@@ -169,9 +169,8 @@ func (s *Snapshot) AsOfTime() time.Time { return s.asOf }
 // Stats exposes undo-work counters for the experiments.
 func (s *Snapshot) Stats() *Stats { return &s.stats }
 
-// SidePages returns the number of pages materialized for the snapshot
-// (persisted in the side file or pending in its write-behind queue).
-func (s *Snapshot) SidePages() int { return s.writer.Len() }
+// SidePages returns the number of pages in the snapshot's side file.
+func (s *Snapshot) SidePages() int { return s.side.Len() }
 
 // WaitUndo blocks until background undo completes (tests and benchmarks).
 func (s *Snapshot) WaitUndo() error {
@@ -191,10 +190,7 @@ func (s *Snapshot) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	err := s.writer.Close() // drain the write-behind queue
-	if cerr := s.side.Close(); err == nil {
-		err = cerr
-	}
+	err := s.side.Close()
 	s.Pool().Destroy() // recycle the snapshot's frames
 
 	// Fold the snapshot's chain-walk work into the database-wide counters
@@ -219,31 +215,35 @@ func (s *Snapshot) Close() error {
 
 // snapSource implements buffer.Source for the snapshot pool:
 //
-//	a. if the page is materialized for the snapshot (side file or its
-//	   write-behind queue, where a batch rewind parks the pages it
-//	   prepared), return it — a page the background undo already fixed
-//	   always wins;
+//	a. if the page is materialized for the snapshot (in the side file, or
+//	   staged by the batch rewind now fetching it), return it — a page the
+//	   background undo already fixed always wins;
 //	b. else read the page from the primary database (a latched copy through
 //	   the primary buffer pool); a copy whose pageLSN is at or below the
 //	   SplitLSN is the page as of the split, and is served as it is;
 //	c. else call PreparePageAsOf(page, SplitLSN) to undo it to the split and
-//	   enqueue it for the side file — the write happens on a background
-//	   goroutine, so the rewound page is served immediately.
+//	   write it to the side file before serving it.
 //
 // The side file thus holds exactly the pages that differ from the primary
 // as of the split (copy-on-write), and a page is rewound at most once: one
 // the primary modifies after it was served, and the snapshot pool then
-// drops, is rewound on its next read and persisted then.
+// drops, is rewound on its next read and written then.
 type snapSource Snapshot
 
 func (src *snapSource) ReadPage(id page.ID, buf []byte) error {
 	s := (*Snapshot)(src)
-	ok, err := s.writer.Read(id, buf)
-	if err != nil {
-		return err
+	s.sideMu.Lock()
+	b, ok := s.staged[id]
+	if ok {
+		copy(buf, b)
 	}
+	s.sideMu.Unlock()
 	if ok {
 		return nil
+	}
+	ok, err := s.side.ReadPage(id, buf)
+	if err != nil || ok {
+		return err
 	}
 	if s.IsLocalPage(id) {
 		return fmt.Errorf("asof: snapshot-local page %d lost from side file", id)
@@ -261,7 +261,12 @@ func (src *snapSource) ReadPage(id page.ID, buf []byte) error {
 		s.stats.PagesShared.Add(1)
 		return nil
 	}
-	return s.writer.Enqueue(id, buf)
+	s.sideMu.Lock()
+	defer s.sideMu.Unlock()
+	if s.side.Has(id) { // a concurrent batch wrote this same as-of version
+		return nil
+	}
+	return s.side.WritePage(id, buf)
 }
 
 // copyPrimary hands the current content of page id in the primary buffer
@@ -284,27 +289,27 @@ func copyPrimary(db *engine.DB, id page.ID, fn func(*page.Page)) error {
 // a prefetch: it changes what a later fetch of these pages costs, never
 // what it returns.
 //
-// Installation goes through the side-file writer and the pool. The rewound
-// pages are handed to the writer as one group (EnqueueNew), which reaches
-// the side file as one device write once released, and each id is first
-// fetched: the pool's loader — the only one per page, whoever it is — finds
-// the page in the writer's pending set (snapSource.ReadPage) and pays no log
-// walk and no side-file read.
+// The rewound pages new to the side file are written with one WriteRun —
+// one device write — and staged in memory, each id is fetched, and the
+// staging is dropped: the pool's loader — the only one per page, whoever it
+// is — finds the page staged (snapSource.ReadPage) and pays no log walk and
+// no side-file read.
 //
-// EnqueueNew fills only pages the writer holds no copy of, and this batch
-// may still copy a page resident in the snapshot pool — one served with
-// nothing to undo never reached the writer. That is safe for each kind of
-// frame. A clean frame is the page's as-of version, so this batch's copy of
-// it is identical. A frame the §5.2 background undo dirtied reaches the
-// writer through its eviction (WritePage → Enqueue, latest wins) before any
-// ReadPage can miss on it, so the batch's copy never outlives it. A
-// snapshot-local page only ever enters the writer through WritePage, and is
-// never batched. And a page the writer already holds — fixed by the undo or
+// The batch writes only pages the side file does not hold, checked and
+// written under sideMu, and it may still copy a page resident in the
+// snapshot pool — one served with nothing to undo never reached the file.
+// That is safe for each kind of frame. A clean frame is the page's as-of
+// version, so this batch's copy of it is identical. A frame the §5.2
+// background undo dirtied reaches the side file through its eviction
+// (WritePage, which overwrites the batch's copy and drops it from staged)
+// before any ReadPage can miss on it, so the batch's copy never outlives it.
+// A snapshot-local page only ever enters the file through WritePage, and is
+// never batched. And a page the file already holds — fixed by the undo or
 // rewound by a concurrent loader — keeps its copy; this batch's is dropped.
 func (s *Snapshot) prepareBatch(ids []page.ID) error {
 	var want []page.ID
 	for _, id := range ids {
-		if !s.IsLocalPage(id) && !s.writer.Has(id) {
+		if !s.IsLocalPage(id) && !s.side.Has(id) {
 			want = append(want, id)
 		}
 	}
@@ -333,17 +338,34 @@ func (s *Snapshot) prepareBatch(ids []page.ID) error {
 	if err := PreparePagesAsOf(pages, s.point.SplitLSN, s.db.Log(), &s.stats); err != nil {
 		return err
 	}
-	bufs := make([][]byte, len(pages))
+	var fresh []page.ID
+	var bufs [][]byte
+	s.sideMu.Lock()
 	for i, p := range pages {
-		p.WriteChecksum()
-		bufs[i] = p.Bytes()
+		if !s.side.Has(want[i]) {
+			p.WriteChecksum()
+			fresh = append(fresh, want[i])
+			bufs = append(bufs, p.Bytes())
+		}
 	}
-	release, err := s.writer.EnqueueNew(want, bufs)
+	err := s.side.WriteRun(fresh, bufs)
+	if err == nil {
+		for i, id := range fresh {
+			s.staged[id] = bufs[i]
+		}
+	}
+	s.sideMu.Unlock()
 	if err != nil {
 		return err
 	}
-	defer release() // written once fetched: no fetch reads its page back
-	for _, id := range want {
+	defer func() {
+		s.sideMu.Lock()
+		for _, id := range fresh {
+			delete(s.staged, id)
+		}
+		s.sideMu.Unlock()
+	}()
+	for _, id := range fresh {
 		h, err := s.Pool().Fetch(id, false)
 		if err != nil {
 			return err
@@ -353,11 +375,15 @@ func (s *Snapshot) prepareBatch(ids []page.ID) error {
 	return nil
 }
 
+// WritePage writes back a dirty snapshot frame (an undo fix or a
+// snapshot-local allocation) on eviction. The frame is newer than any
+// staged batch copy of the page, so it replaces that too.
 func (src *snapSource) WritePage(id page.ID, buf []byte) error {
-	// Dirty snapshot pages (undo fixes, snapshot-local allocations) funnel
-	// through the same write-behind queue as freshly rewound pages, so
-	// per-page latest-wins ordering holds across both paths.
-	return (*Snapshot)(src).writer.Enqueue(id, buf)
+	s := (*Snapshot)(src)
+	s.sideMu.Lock()
+	defer s.sideMu.Unlock()
+	delete(s.staged, id)
+	return s.side.WritePage(id, buf)
 }
 
 // --- §5.2: lock reacquisition and background logical undo ---

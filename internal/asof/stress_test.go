@@ -8,8 +8,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/row"
-	"repro/internal/storage/media"
-	"repro/internal/storage/page"
 	"repro/internal/wal"
 )
 
@@ -114,8 +112,8 @@ func TestManySnapshotsAtDifferentTimes(t *testing.T) {
 }
 
 // TestSnapshotSideFileCaching verifies §5.3d: a page prepared once is
-// served from the side file afterwards, not re-prepared; and the pages one
-// GetMany rewinds in a batch reach the side file as one device write.
+// served from the side file afterwards, not re-prepared
+// (TestGetManyWritesOnceReadsNone holds what a batch writes).
 func TestSnapshotSideFileCaching(t *testing.T) {
 	clock := newVClock()
 	db := openDB(t, clock, engine.Options{})
@@ -162,44 +160,6 @@ func TestSnapshotSideFileCaching(t *testing.T) {
 	}
 	if s.SidePages() == 0 {
 		t.Fatal("side file empty after reads")
-	}
-
-	// One GetMany over uncached leaves: one merged rewind, one side write.
-	db2 := openDB(t, newVClock(), engine.Options{})
-	split, _, _ := deepHistory(t, db2, 1)
-	sideDev := media.New(media.SSD(), nil)
-	s2, err := CreateSnapshotAtLSN(db2, split, sideDev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if err := s2.WaitUndo(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s2.Get("t", row.Row{row.Int64(0)}); err != nil { // root and first leaf
-		t.Fatal(err)
-	}
-	if err := s2.writer.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	sideDev.Stats.Reset()
-	before := s2.SidePages()
-	var keys []row.Row
-	for i := 200; i < 700; i += 10 {
-		keys = append(keys, row.Row{row.Int64(int64(i))})
-	}
-	if _, err := s2.GetMany("t", keys); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.writer.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	n := s2.SidePages() - before
-	if n < 2 || s2.Stats().BatchPages.Load() != int64(n) {
-		t.Fatalf("GetMany materialized %d pages, batches rewound %d", n, s2.Stats().BatchPages.Load())
-	}
-	if w, b := sideDev.Stats.RandWrites.Load(), sideDev.Stats.WriteBytes.Load(); w != 1 || b != int64(n)*page.Size {
-		t.Fatalf("GetMany over %d uncached leaves: %d side writes of %d B, want 1 of %d B", n, w, b, n*page.Size)
 	}
 }
 

@@ -59,7 +59,7 @@ func TestWholeRowLogStaysReadable(t *testing.T) {
 
 	at := func(sec int) time.Time { return time.Date(2012, 8, 27, 12, 0, sec, 0, time.UTC) }
 	clock := &vclock{t: at(30)}
-	db, err := engine.Open(dir, engine.Options{Now: clock.Now})
+	db, err := engine.Open(dir, engine.Options{Clock: clock})
 	if err != nil {
 		t.Fatalf("recovery over the whole-row log: %v", err)
 	}

@@ -69,7 +69,7 @@ func exec(t *testing.T, db *engine.DB, fn func(tx *engine.Txn) error) {
 func TestFullBackupAndRestoreToTime(t *testing.T) {
 	clock := newVClock()
 	dir := t.TempDir()
-	db, err := engine.Open(filepath.Join(dir, "db"), engine.Options{Now: clock.Now})
+	db, err := engine.Open(filepath.Join(dir, "db"), engine.Options{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestFullBackupAndRestoreToTime(t *testing.T) {
 func TestRestoreAtBackupPoint(t *testing.T) {
 	clock := newVClock()
 	dir := t.TempDir()
-	db, err := engine.Open(filepath.Join(dir, "db"), engine.Options{Now: clock.Now})
+	db, err := engine.Open(filepath.Join(dir, "db"), engine.Options{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestRestoreAtBackupPoint(t *testing.T) {
 func TestRestoreUndoesInFlight(t *testing.T) {
 	clock := newVClock()
 	dir := t.TempDir()
-	db, err := engine.Open(filepath.Join(dir, "db"), engine.Options{Now: clock.Now})
+	db, err := engine.Open(filepath.Join(dir, "db"), engine.Options{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestRestoreUndoesInFlight(t *testing.T) {
 func TestRestoreUndoesATransactionInFlightAtTheBackup(t *testing.T) {
 	clock := newVClock()
 	dir := t.TempDir()
-	db, err := engine.Open(filepath.Join(dir, "db"), engine.Options{Now: clock.Now})
+	db, err := engine.Open(filepath.Join(dir, "db"), engine.Options{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestRestoreUndoesATransactionInFlightAtTheBackup(t *testing.T) {
 func TestRestoreUndoOfAnAllocRecordWithoutUndoByteIsChainCorrupt(t *testing.T) {
 	clock := newVClock()
 	dir := t.TempDir()
-	db, err := engine.Open(filepath.Join(dir, "db"), engine.Options{Now: clock.Now})
+	db, err := engine.Open(filepath.Join(dir, "db"), engine.Options{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestRestoreUndoOfAnAllocRecordWithoutUndoByteIsChainCorrupt(t *testing.T) {
 func TestRestoreRejectsPreBackupTarget(t *testing.T) {
 	clock := newVClock()
 	dir := t.TempDir()
-	db, err := engine.Open(filepath.Join(dir, "db"), engine.Options{Now: clock.Now})
+	db, err := engine.Open(filepath.Join(dir, "db"), engine.Options{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestBackupAndRestoreChargeSequentialIO(t *testing.T) {
 	clock := newVClock()
 	dir := t.TempDir()
 	dataDev := media.New(media.SAS(), nil)
-	db, err := engine.Open(filepath.Join(dir, "db"), engine.Options{Now: clock.Now, DataDevice: dataDev})
+	db, err := engine.Open(filepath.Join(dir, "db"), engine.Options{Clock: clock, DataDevice: dataDev})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func (db *DB) checkpoint(flushBelow wal.LSN) error {
 		return ErrStandby
 	}
 	ckptSpan := obs.StartSpan(db.opts.Clock, db.metrics.checkpointSeconds)
-	now := db.opts.Now().UnixNano()
+	now := db.opts.Clock.Now().UnixNano()
 	begin := &wal.Record{Type: wal.TypeCheckpointBegin, PageID: wal.NoPage, WallClock: now}
 	beginLSN, err := db.log.Append(begin)
 	if err != nil {
@@ -187,7 +187,7 @@ func (db *DB) truncateForRetention() error {
 	if retention <= 0 {
 		return nil
 	}
-	horizon := db.opts.Now().Add(-retention).UnixNano()
+	horizon := db.opts.Clock.Now().Add(-retention).UnixNano()
 	// Walk the checkpoint chain backwards to the newest checkpoint wholly
 	// before the horizon. Walk errors are expected ends of the chain (the
 	// records below an earlier truncation are gone) and mean "nothing to
@@ -221,6 +221,9 @@ func (db *DB) truncateForRetention() error {
 			db.pruneCkptIndex(cut)
 			db.pruneATTMarks(cut)
 			return nil
+		}
+		if data.PrevEnd >= cur {
+			return nil // the chain ends at a link that does not descend
 		}
 		cur = data.PrevEnd
 	}

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/row"
 	"repro/internal/storage/page"
@@ -507,4 +508,76 @@ func TestRepeatedCrashesWithoutProgress(t *testing.T) {
 		}
 		db.Crash()
 	}
+}
+
+// TestRecoverSelfNamedCheckpoint: a checkpoint-end that names itself as its
+// predecessor — older builds wrote one — ends the walks of the checkpoint
+// chain instead of looping on it. Open succeeds, the index holds that
+// checkpoint, and a checkpoint's retention walk stops there too.
+func TestRecoverSelfNamedCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{SyncPolicy: testSyncPolicy(t)}
+	db, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, func(tx *Txn) error { return tx.CreateTable(testSchema("t")) })
+	mustExec(t, db, func(tx *Txn) error { return tx.Insert("t", testRow(1, "kept", 1)) })
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	now := db.Now().UnixNano()
+	begin, err := db.log.Append(&wal.Record{Type: wal.TypeCheckpointBegin, PageID: wal.NoPage, WallClock: now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	self := db.log.NextLSN()
+	end, err := db.log.AppendFlush(&wal.Record{
+		Type:      wal.TypeCheckpointEnd,
+		PageID:    wal.NoPage,
+		WallClock: now,
+		Extra:     wal.EncodeCheckpoint(wal.CheckpointData{BeginLSN: begin, PrevEnd: self}),
+	})
+	if err != nil || end != self {
+		t.Fatalf("checkpoint end at %v (err %v), named %v", end, err, self)
+	}
+	db.mu.Lock()
+	db.boot.lastCkptEnd = end
+	db.mu.Unlock()
+	if err := db.writeBoot(); err != nil {
+		t.Fatal(err)
+	}
+	db.Crash()
+
+	type opened struct {
+		db  *DB
+		err error
+	}
+	done := make(chan opened, 1)
+	go func() {
+		db, err := Open(dir, opts)
+		if err == nil {
+			err = db.Checkpoint()
+		}
+		done <- opened{db, err}
+	}()
+	var got opened
+	select {
+	case got = <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("Open and a checkpoint still walking the checkpoint chain after 20 s")
+	}
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	defer got.db.Close()
+	if marks := got.db.CheckpointIndex(); !slices.ContainsFunc(marks, func(m CkptMark) bool { return m.End == end }) {
+		t.Fatalf("checkpoint index %+v lacks the self-named checkpoint at %v", marks, end)
+	}
+	mustExec(t, got.db, func(tx *Txn) error {
+		if r, ok, err := tx.Get("t", row.Row{row.Int64(1)}); err != nil || !ok || r[1].Str != "kept" {
+			return fmt.Errorf("row 1 = %v (found %v, err %v)", r, ok, err)
+		}
+		return nil
+	})
 }

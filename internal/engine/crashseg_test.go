@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/row"
 	"repro/internal/wal"
 )
@@ -200,7 +201,7 @@ func TestRetentionKeepsEngineServingAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	opts := smallSegOptions(t)
 	now := time.Unix(0, 0)
-	opts.Now = func() time.Time { return now }
+	opts.Clock = clock.Func(func() time.Time { return now })
 	opts.Retention = 1 // nanosecond: everything before the newest old-enough checkpoint goes
 	db, err := Open(dir, opts)
 	if err != nil {
@@ -263,7 +264,7 @@ func TestRetentionShorterThanCheckpointInterval(t *testing.T) {
 	dir := t.TempDir()
 	opts := smallSegOptions(t)
 	var tick atomic.Int64 // every clock reading is a millisecond later
-	opts.Now = func() time.Time { return time.Unix(0, tick.Add(int64(time.Millisecond))) }
+	opts.Clock = clock.Func(func() time.Time { return time.Unix(0, tick.Add(int64(time.Millisecond))) })
 	opts.Retention = time.Nanosecond
 	opts.CheckpointEvery = 8 << 10
 	db, err := Open(dir, opts)

@@ -52,14 +52,15 @@ type Options struct {
 	// Retention is how far back as-of snapshots may reach (§4.3,
 	// ALTER DATABASE ... SET UNDO_INTERVAL). Default 24h.
 	Retention time.Duration
-	// Now supplies wall-clock time; experiments install a virtual clock so
-	// "N minutes back" is deterministic. Default time.Now. Clock, when set,
-	// takes precedence — the injected-interface form of the same knob
-	// (internal/clock); every engine wall-clock reading and the WAL's clock
-	// go through it, so time-index, retention and replication-lag tests are
+	// Clock supplies wall-clock time (default clock.Real()); tests and
+	// experiments install a virtual clock so "N minutes back" is
+	// deterministic. Every engine wall-clock reading and the WAL's clock go
+	// through it, so time-index, retention and replication-lag tests are
 	// deterministic.
-	Now   func() time.Time
 	Clock clock.Clock
+	// Now is the func form of Clock, read only when Clock is nil. The
+	// benchmark rig is its last setter; new code sets Clock.
+	Now func() time.Time
 	// CheckpointEvery, if positive, makes the engine take a checkpoint
 	// after that much log has been generated since the last one
 	// (approximating the paper's target recovery interval).
@@ -118,8 +119,6 @@ func (o *Options) withDefaults() Options {
 			out.Clock = clock.Real()
 		}
 	}
-	// Keep the legacy func-field in sync: internal call sites read opts.Now.
-	out.Now = out.Clock.Now
 	return out
 }
 
@@ -553,7 +552,7 @@ func (db *DB) create() error {
 		return err
 	}
 	db.mu.Lock()
-	db.boot = bootBlock{roots: roots, createdAt: db.opts.Now().UnixNano(), tli: 1}
+	db.boot = bootBlock{roots: roots, createdAt: db.Now().UnixNano(), tli: 1}
 	db.mu.Unlock()
 	if err := db.writeBoot(); err != nil {
 		return err
@@ -816,7 +815,7 @@ func (db *DB) SetRetention(d time.Duration) {
 }
 
 // Now returns the engine's current wall-clock time.
-func (db *DB) Now() time.Time { return db.opts.Now() }
+func (db *DB) Now() time.Time { return db.opts.Clock.Now() }
 
 // LastCheckpointEnd returns the LSN of the most recent checkpoint-end
 // record (the §5.1 SplitLSN search starts here).
@@ -885,6 +884,11 @@ func (db *DB) rebuildCkptIndex() error {
 		}
 		marks = append(marks, CkptMark{WallClock: rec.WallClock, Begin: data.BeginLSN, End: rec.LSN})
 		samples = append(samples, data.Times...)
+		if data.PrevEnd >= cur {
+			// A predecessor that is not below its successor — older builds
+			// wrote checkpoints naming themselves — ends the chain here.
+			break
+		}
 		cur = data.PrevEnd
 	}
 	// Reverse into LSN order (the walk collected newest-first; each

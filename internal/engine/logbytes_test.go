@@ -11,15 +11,16 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/row"
 	"repro/internal/wal"
 )
 
 // fixedNow returns a frozen wall clock so every run of the same workload
 // writes byte-identical commit timestamps.
-func fixedNow() func() time.Time {
+func fixedNow() clock.Clock {
 	at := time.Date(2012, 8, 27, 12, 0, 0, 0, time.UTC)
-	return func() time.Time { return at }
+	return clock.Func(func() time.Time { return at })
 }
 
 // runSerialWorkload applies a deterministic serial workload: batches of
@@ -86,7 +87,7 @@ const logBytesGolden = "84d510a8e28fb009f20dcd3406a60bd4f7cb26e89b0a5f26bc616682
 
 func TestLogBytesGolden(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{Now: fixedNow(), SyncPolicy: testSyncPolicy(t)})
+	db, err := Open(dir, Options{Clock: fixedNow(), SyncPolicy: testSyncPolicy(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

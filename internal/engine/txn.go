@@ -105,7 +105,7 @@ func (tx *Txn) ensureBegun() error {
 		Type:      wal.TypeBegin,
 		TxnID:     tx.id,
 		PageID:    wal.NoPage,
-		WallClock: tx.db.opts.Now().UnixNano(),
+		WallClock: tx.db.opts.Clock.Now().UnixNano(),
 	}
 	lsn, err := tx.db.log.Append(&tx.ctlRec)
 	if err != nil {
@@ -473,7 +473,7 @@ func (tx *Txn) Commit() error {
 			TxnID:     tx.id,
 			PrevLSN:   wal.LSN(tx.lastLSN.Load()),
 			PageID:    wal.NoPage,
-			WallClock: tx.db.opts.Now().UnixNano(),
+			WallClock: tx.db.opts.Clock.Now().UnixNano(),
 		}
 		if err := tx.endDurable(&tx.ctlRec); err != nil {
 			return err

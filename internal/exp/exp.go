@@ -93,7 +93,7 @@ func BuildHistory(dir string, cfg HistoryConfig) (*History, error) {
 	}
 	db, err := engine.Open(filepath.Join(dir, "db"), engine.Options{
 		SyncPolicy:      LogSync,
-		Now:             clock.Now,
+		Clock:           clock,
 		DataDevice:      h.DataDev,
 		LogDevice:       h.LogDev,
 		PageImageEvery:  cfg.ImageEvery,

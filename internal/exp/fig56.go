@@ -40,7 +40,7 @@ func LoggingOverhead(dir string, txns, clients int, sweep []int, w io.Writer) ([
 		clock := vclock.New(time.Time{})
 		db, err := engine.Open(filepath.Join(dir, fmt.Sprintf("n%d", n)), engine.Options{
 			SyncPolicy:      LogSync,
-			Now:             clock.Now,
+			Clock:           clock,
 			PageImageEvery:  n,
 			BufferFrames:    2048,
 			CheckpointEvery: 4 << 20,

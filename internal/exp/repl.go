@@ -63,7 +63,7 @@ func ReplicationCascade(dir string, txns, clients int, w io.Writer) (CascadeResu
 	clock := vclock.New(time.Time{})
 	prim, err := engine.Open(filepath.Join(dir, "primary"), engine.Options{
 		SyncPolicy:      LogSync,
-		Now:             clock.Now,
+		Clock:           clock,
 		BufferFrames:    2048,
 		CheckpointEvery: 4 << 20,
 		LogCacheBlocks:  1024,
@@ -88,7 +88,7 @@ func ReplicationCascade(dir string, txns, clients int, w io.Writer) (CascadeResu
 	defer ship.Close()
 	stdOpts := func() repl.ReplicaOptions {
 		return repl.ReplicaOptions{
-			Engine: engine.Options{Now: clock.Now, BufferFrames: 2048, LogCacheBlocks: 1024, SyncPolicy: LogSync},
+			Engine: engine.Options{Clock: clock, BufferFrames: 2048, LogCacheBlocks: 1024, SyncPolicy: LogSync},
 		}
 	}
 	r1, err := repl.OpenReplica(filepath.Join(dir, "r1"), stdOpts())

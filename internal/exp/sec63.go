@@ -102,7 +102,7 @@ func Concurrent(dir string, txns, clients int, w io.Writer) (ConcurrentResult, e
 		clock := vclock.New(time.Time{})
 		db, err := engine.Open(filepath.Join(dir, sub), engine.Options{
 			SyncPolicy:      LogSync,
-			Now:             clock.Now,
+			Clock:           clock,
 			BufferFrames:    2048,
 			CheckpointEvery: 4 << 20,
 			// The as-of loop rewinds 5 minutes of history per page touch;

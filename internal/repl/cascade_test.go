@@ -52,8 +52,8 @@ func (h *hop) stop() (serveErr, runErr error) {
 func newChain(t *testing.T, primOpts engine.Options) *chain {
 	t.Helper()
 	c := &chain{t: t, clock: vclock.New(time.Time{}), dir1: t.TempDir(), dir2: t.TempDir()}
-	if primOpts.Clock == nil && primOpts.Now == nil {
-		primOpts.Now = c.clock.Now
+	if primOpts.Clock == nil {
+		primOpts.Clock = c.clock
 	}
 	primOpts.SyncPolicy = testSyncPolicy(t)
 	prim, err := engine.Open(t.TempDir(), primOpts)
@@ -71,7 +71,7 @@ func newChain(t *testing.T, primOpts engine.Options) *chain {
 
 func (c *chain) replicaOptions() ReplicaOptions {
 	return ReplicaOptions{
-		Engine: engine.Options{Now: c.clock.Now, SyncPolicy: testSyncPolicy(c.t)},
+		Engine: engine.Options{Clock: c.clock, SyncPolicy: testSyncPolicy(c.t)},
 	}
 }
 

@@ -147,7 +147,7 @@ func TestReplicaRestartRebuildsPages(t *testing.T) {
 // as-of snapshot at that instant.
 func TestRestoreRebuildsPages(t *testing.T) {
 	clock := vclock.New(time.Time{})
-	db, err := engine.Open(t.TempDir(), engine.Options{Now: clock.Now, SyncPolicy: testSyncPolicy(t)})
+	db, err := engine.Open(t.TempDir(), engine.Options{Clock: clock, SyncPolicy: testSyncPolicy(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

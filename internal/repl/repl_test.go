@@ -78,8 +78,8 @@ type cluster struct {
 func newCluster(t *testing.T, primOpts engine.Options, repOpts ReplicaOptions) *cluster {
 	t.Helper()
 	c := &cluster{t: t, clock: vclock.New(time.Time{})}
-	if primOpts.Clock == nil && primOpts.Now == nil {
-		primOpts.Now = c.clock.Now
+	if primOpts.Clock == nil {
+		primOpts.Clock = c.clock
 	}
 	primOpts.SyncPolicy = testSyncPolicy(t)
 	repOpts.Engine.SyncPolicy = testSyncPolicy(t)
@@ -88,8 +88,8 @@ func newCluster(t *testing.T, primOpts engine.Options, repOpts ReplicaOptions) *
 		t.Fatal(err)
 	}
 	c.prim = prim
-	if repOpts.Engine.Clock == nil && repOpts.Engine.Now == nil {
-		repOpts.Engine.Now = c.clock.Now
+	if repOpts.Engine.Clock == nil {
+		repOpts.Engine.Clock = c.clock
 	}
 	rep, err := OpenReplica(t.TempDir(), repOpts)
 	if err != nil {
@@ -338,10 +338,10 @@ func TestPromote(t *testing.T) {
 	// The fork is durable: the promoted directory can never be reopened
 	// as a standby (its log has diverged from the primary's), only as a
 	// regular database.
-	if _, err := OpenReplica(c.rep.dir, ReplicaOptions{Engine: engine.Options{Now: c.clock.Now}}); err == nil {
+	if _, err := OpenReplica(c.rep.dir, ReplicaOptions{Engine: engine.Options{Clock: c.clock}}); err == nil {
 		t.Fatal("promoted directory reopened as a standby")
 	}
-	db2, err := engine.Open(c.rep.dir, engine.Options{Now: c.clock.Now})
+	db2, err := engine.Open(c.rep.dir, engine.Options{Clock: c.clock})
 	if err != nil {
 		t.Fatalf("promoted directory should open as a regular database: %v", err)
 	}
@@ -383,7 +383,7 @@ func TestReplicaRestartResumes(t *testing.T) {
 		return nil
 	})
 
-	rep2, err := OpenReplica(dir, ReplicaOptions{Engine: engine.Options{Now: c.clock.Now}})
+	rep2, err := OpenReplica(dir, ReplicaOptions{Engine: engine.Options{Clock: c.clock}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +517,7 @@ func TestShipperStatusIdleCaughtUp(t *testing.T) {
 // TestTCPTransport streams a real workload over a loopback TCP connection.
 func TestTCPTransport(t *testing.T) {
 	clock := vclock.New(time.Time{})
-	prim, err := engine.Open(t.TempDir(), engine.Options{Now: clock.Now})
+	prim, err := engine.Open(t.TempDir(), engine.Options{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +540,7 @@ func TestTCPTransport(t *testing.T) {
 	}
 	defer lis.Close()
 
-	rep, err := OpenReplica(t.TempDir(), ReplicaOptions{Engine: engine.Options{Now: clock.Now}})
+	rep, err := OpenReplica(t.TempDir(), ReplicaOptions{Engine: engine.Options{Clock: clock}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -588,7 +588,7 @@ func TestSubscribePastTruncationRejected(t *testing.T) {
 	// Small segments and no archive: retention physically drops the early
 	// history, so a from-scratch subscription cannot be served.
 	prim, err := engine.Open(t.TempDir(), engine.Options{
-		Now: clock.Now, Retention: time.Minute, LogSegmentBytes: 4 << 10,
+		Clock: clock, Retention: time.Minute, LogSegmentBytes: 4 << 10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -620,7 +620,7 @@ func TestSubscribePastTruncationRejected(t *testing.T) {
 	defer ship.Close()
 	pc, rc := Pipe()
 	go func() { _ = ship.Serve(pc) }()
-	rep, err := OpenReplica(t.TempDir(), ReplicaOptions{Engine: engine.Options{Now: clock.Now}})
+	rep, err := OpenReplica(t.TempDir(), ReplicaOptions{Engine: engine.Options{Clock: clock}})
 	if err != nil {
 		t.Fatal(err)
 	}

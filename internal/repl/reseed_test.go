@@ -27,7 +27,7 @@ func TestReplicaBatchSpanningRotation(t *testing.T) {
 	cut := boundary + 9
 
 	rep, err := OpenReplica(t.TempDir(), ReplicaOptions{
-		Engine: engine.Options{Now: clock.Now, LogSegmentBytes: 4 << 10, SyncPolicy: testSyncPolicy(t)},
+		Engine: engine.Options{Clock: clock, LogSegmentBytes: 4 << 10, SyncPolicy: testSyncPolicy(t)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestReplicaBatchSpanningRotation(t *testing.T) {
 func TestReseedPromoteBeforeBackupCheckpoint(t *testing.T) {
 	clock := vclock.New(time.Time{})
 	dir := t.TempDir()
-	prim, err := engine.Open(filepath.Join(dir, "primary"), engine.Options{Now: clock.Now, SyncPolicy: testSyncPolicy(t)})
+	prim, err := engine.Open(filepath.Join(dir, "primary"), engine.Options{Clock: clock, SyncPolicy: testSyncPolicy(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestReseedPromoteBeforeBackupCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, err := OpenReplica(rsDir, ReplicaOptions{Engine: engine.Options{
-		Now: clock.Now, SyncPolicy: testSyncPolicy(t), Retention: time.Minute,
+		Clock: clock, SyncPolicy: testSyncPolicy(t), Retention: time.Minute,
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestReseedFromBackupBelowRetentionHorizon(t *testing.T) {
 	dir := t.TempDir()
 	archiveDir := filepath.Join(dir, "archive")
 	prim, err := engine.Open(filepath.Join(dir, "primary"), engine.Options{
-		Now:             clock.Now,
+		Clock:           clock,
 		Retention:       time.Minute,
 		LogSegmentBytes: 4 << 10,
 		LogArchiveDir:   archiveDir,
@@ -258,7 +258,7 @@ func TestReseedFromBackupBelowRetentionHorizon(t *testing.T) {
 	defer ship.Close()
 
 	// A plain empty-directory replica is told to reseed.
-	rep0, err := OpenReplica(filepath.Join(dir, "fresh"), ReplicaOptions{Engine: engine.Options{Now: clock.Now, SyncPolicy: testSyncPolicy(t)}})
+	rep0, err := OpenReplica(filepath.Join(dir, "fresh"), ReplicaOptions{Engine: engine.Options{Clock: clock, SyncPolicy: testSyncPolicy(t)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestReseedFromBackupBelowRetentionHorizon(t *testing.T) {
 	if err := ReseedFromBackup(repDir, man, archiveDir); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := OpenReplica(repDir, ReplicaOptions{Engine: engine.Options{Now: clock.Now, LogSegmentBytes: 4 << 10, SyncPolicy: testSyncPolicy(t)}})
+	rep, err := OpenReplica(repDir, ReplicaOptions{Engine: engine.Options{Clock: clock, LogSegmentBytes: 4 << 10, SyncPolicy: testSyncPolicy(t)}})
 	if err != nil {
 		t.Fatalf("open reseeded replica: %v", err)
 	}
@@ -343,7 +343,7 @@ func TestReseedFromBackupBelowRetentionHorizon(t *testing.T) {
 func TestReseedRefusesToClobber(t *testing.T) {
 	clock := vclock.New(time.Time{})
 	dir := t.TempDir()
-	prim, err := engine.Open(filepath.Join(dir, "p"), engine.Options{Now: clock.Now})
+	prim, err := engine.Open(filepath.Join(dir, "p"), engine.Options{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestReseedRefusesToClobber(t *testing.T) {
 		t.Fatal(err)
 	}
 	repDir := filepath.Join(dir, "r")
-	rep, err := OpenReplica(repDir, ReplicaOptions{Engine: engine.Options{Now: clock.Now}})
+	rep, err := OpenReplica(repDir, ReplicaOptions{Engine: engine.Options{Clock: clock}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func (f *fakePrimary) drainAcks() {
 // buildSourceDB creates a primary with some committed history.
 func buildSourceDB(t *testing.T, clock *vclock.Clock) *engine.DB {
 	t.Helper()
-	db, err := engine.Open(t.TempDir(), engine.Options{Now: clock.Now, SyncPolicy: testSyncPolicy(t)})
+	db, err := engine.Open(t.TempDir(), engine.Options{Clock: clock, SyncPolicy: testSyncPolicy(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestReplicaTornBatchResumes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rep, err := OpenReplica(t.TempDir(), ReplicaOptions{Engine: engine.Options{Now: clock.Now, SyncPolicy: testSyncPolicy(t)}})
+			rep, err := OpenReplica(t.TempDir(), ReplicaOptions{Engine: engine.Options{Clock: clock, SyncPolicy: testSyncPolicy(t)}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -325,7 +325,7 @@ func TestReplicaTornBatchResumes(t *testing.T) {
 			name = "undecodable record in a live batch"
 		}
 		t.Run(name, func(t *testing.T) {
-			rep, err := OpenReplica(t.TempDir(), ReplicaOptions{Engine: engine.Options{Now: clock.Now, SyncPolicy: testSyncPolicy(t)}})
+			rep, err := OpenReplica(t.TempDir(), ReplicaOptions{Engine: engine.Options{Clock: clock, SyncPolicy: testSyncPolicy(t)}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -381,7 +381,7 @@ func TestReplicaRejectsCorruptBatch(t *testing.T) {
 	prim := buildSourceDB(t, clock)
 	fp := newFakePrimary(t, prim)
 
-	rep, err := OpenReplica(t.TempDir(), ReplicaOptions{Engine: engine.Options{Now: clock.Now, SyncPolicy: testSyncPolicy(t)}})
+	rep, err := OpenReplica(t.TempDir(), ReplicaOptions{Engine: engine.Options{Clock: clock, SyncPolicy: testSyncPolicy(t)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestReplicaCrashTornLocalLogRecovers(t *testing.T) {
 	wideCheckpoint(t, prim, 1600)
 	fp := newFakePrimary(t, prim)
 	l := layoutOf(t, fp.raw)
-	opts := ReplicaOptions{Engine: engine.Options{Now: clock.Now, SyncPolicy: testSyncPolicy(t)}}
+	opts := ReplicaOptions{Engine: engine.Options{Clock: clock, SyncPolicy: testSyncPolicy(t)}}
 	cases := []struct {
 		name      string
 		boundary  int    // what the replica ingested before the crash

@@ -140,3 +140,95 @@ func TestConcurrentWritersDistinctPages(t *testing.T) {
 		}
 	}
 }
+
+func chargedSide(t *testing.T) (*File, *media.Device) {
+	t.Helper()
+	dev := media.New(media.SSD(), nil)
+	s, err := Create(filepath.Join(t.TempDir(), "run.side"), dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s, dev
+}
+
+func readFill(t *testing.T, s *File, id page.ID) byte {
+	t.Helper()
+	buf := make([]byte, page.Size)
+	ok, err := s.ReadPage(id, buf)
+	if err != nil || !ok {
+		t.Fatalf("page %d: found=%v err=%v", id, ok, err)
+	}
+	return buf[0]
+}
+
+// TestWriteRunNewPagesOneWrite: k pages new to the file are one charged
+// write of k pages, at consecutive offsets, and each reads back.
+func TestWriteRunNewPagesOneWrite(t *testing.T) {
+	s, dev := chargedSide(t)
+	const k = 5
+	ids := []page.ID{40, 12, 7, 99, 3}
+	bufs := make([][]byte, k)
+	for i := range bufs {
+		bufs[i] = pageWith(byte('a' + i))
+	}
+	if err := s.WriteRun(ids, bufs); err != nil {
+		t.Fatal(err)
+	}
+	if w, b := dev.Stats.RandWrites.Load(), dev.Stats.WriteBytes.Load(); w != 1 || b != k*page.Size {
+		t.Fatalf("RandWrites %d WriteBytes %d, want 1 and %d", w, b, k*page.Size)
+	}
+	if ios, pages := s.WriteStats(); ios != 1 || pages != k {
+		t.Fatalf("WriteStats = %d ios, %d pages; want 1, %d", ios, pages, k)
+	}
+	for i, id := range ids {
+		if got := readFill(t, s, id); got != byte('a'+i) {
+			t.Fatalf("page %d reads %q, want %q", id, got, 'a'+i)
+		}
+	}
+}
+
+// TestWriteRunRewriteIsItsOwnWrite: a page already in the file is
+// rewritten in place by its own write; the new pages beside it still go
+// out as one.
+func TestWriteRunRewriteIsItsOwnWrite(t *testing.T) {
+	s, dev := chargedSide(t)
+	if err := s.WritePage(8, pageWith('o')); err != nil {
+		t.Fatal(err)
+	}
+	dev.Stats.Reset()
+	err := s.WriteRun([]page.ID{1, 8, 2}, [][]byte{pageWith('x'), pageWith('n'), pageWith('y')})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := dev.Stats.RandWrites.Load(); w != 2 {
+		t.Fatalf("RandWrites = %d, want 2 (the rewrite, then the two new pages)", w)
+	}
+	if s.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", s.Len())
+	}
+	for id, want := range map[page.ID]byte{1: 'x', 8: 'n', 2: 'y'} {
+		if got := readFill(t, s, id); got != want {
+			t.Fatalf("page %d reads %q, want %q", id, got, want)
+		}
+	}
+}
+
+// TestWriteRunFailureLeavesNoIndexEntry writes to a closed side file: the
+// writes fail and no page is reported as materialized.
+func TestWriteRunFailureLeavesNoIndexEntry(t *testing.T) {
+	s, err := Create(filepath.Join(t.TempDir(), "closed.side"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if err := s.WritePage(1, pageWith('a')); err == nil {
+		t.Fatal("WritePage on a closed file succeeded")
+	}
+	if err := s.WriteRun([]page.ID{2, 3}, [][]byte{pageWith('b'), pageWith('c')}); err == nil {
+		t.Fatal("WriteRun on a closed file succeeded")
+	}
+	if s.Len() != 0 || s.Has(1) || s.Has(2) || s.Has(3) {
+		t.Fatalf("Len %d after failed writes, want 0", s.Len())
+	}
+}

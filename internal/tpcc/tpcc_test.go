@@ -15,7 +15,7 @@ import (
 func loadedDB(t *testing.T, cfg Config) (*engine.DB, *vclock.Clock) {
 	t.Helper()
 	clock := vclock.New(time.Time{})
-	db, err := engine.Open(t.TempDir(), engine.Options{Now: clock.Now, BufferFrames: 1024})
+	db, err := engine.Open(t.TempDir(), engine.Options{Clock: clock, BufferFrames: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestAsOfStockLevelReadsAreDeterministic(t *testing.T) {
 		clock := vclock.New(time.Time{})
 		logDev := media.New(media.SSD(), nil)
 		// A block cache far smaller than the log, so read order shows.
-		db, err := engine.Open(t.TempDir(), engine.Options{Now: clock.Now, BufferFrames: 1024, LogDevice: logDev, LogCacheBlocks: 8})
+		db, err := engine.Open(t.TempDir(), engine.Options{Clock: clock, BufferFrames: 1024, LogDevice: logDev, LogCacheBlocks: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
