@@ -127,6 +127,21 @@ func TestRenderTop(t *testing.T) {
 	}
 }
 
+// TestRecoverySummary: the metrics dump's recovery line divides the pages
+// redo read by the device reads that carried them.
+func TestRecoverySummary(t *testing.T) {
+	got := recoverySummary(map[string]float64{
+		"engine_recovery_pages_read_total": 314,
+		"engine_recovery_read_ios_total":   100,
+	})
+	if want := "# recovery: 314 pages read in 100 reads, 3.1 pages/read"; got != want {
+		t.Fatalf("recoverySummary = %q, want %q", got, want)
+	}
+	if got := recoverySummary(map[string]float64{}); got != "# recovery: 0 pages read in 0 reads, 0.0 pages/read" {
+		t.Fatalf("recoverySummary with no recovery = %q", got)
+	}
+}
+
 // TestTopScrapesLiveEngine starts an engine with the obs listener enabled
 // and drives runTop against it end to end: two frames over HTTP, rendering
 // real registry contents.

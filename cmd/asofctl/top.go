@@ -15,7 +15,8 @@ import (
 
 // metricsDump opens the database and writes a one-shot Prometheus text dump
 // of its registry to stdout — the scrape surface without the listener, for
-// cron jobs and incident shell sessions.
+// cron jobs and incident shell sessions. A closing comment line sums up what
+// the open's crash recovery read.
 func metricsDump(dir string) {
 	db, err := asofdb.Open(dir, asofdb.Options{})
 	if err != nil {
@@ -25,6 +26,19 @@ func metricsDump(dir string) {
 	if err := db.Obs().WritePrometheus(os.Stdout); err != nil {
 		fatal(err)
 	}
+	fmt.Println(recoverySummary(db.Obs().Snapshot()))
+}
+
+// recoverySummary is a Prometheus comment line on crash recovery's redo: the
+// pages it read from the data file, the device reads that carried them and
+// pages per read (runs read ahead carry several).
+func recoverySummary(snap map[string]float64) string {
+	pages, reads := snap["engine_recovery_pages_read_total"], snap["engine_recovery_read_ios_total"]
+	perRead := 0.0
+	if reads > 0 {
+		perRead = pages / reads
+	}
+	return fmt.Sprintf("# recovery: %.0f pages read in %.0f reads, %.1f pages/read", pages, reads, perRead)
 }
 
 // scrapeMetrics fetches one /metrics.json snapshot from a node started with

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/obs"
 	"repro/internal/wal"
@@ -86,23 +87,24 @@ func (db *DB) checkpoint(flushBelow wal.LSN) error {
 		prevEnd = wal.NilLSN
 	}
 	tli, hist := db.Timeline()
+	data := wal.CheckpointData{
+		BeginLSN: beginLSN,
+		PrevEnd:  prevEnd,
+		ATT:      db.activeATT(),
+		// Piggyback the time→LSN samples taken since the previous
+		// checkpoint so the sparse index survives restarts (§5.1).
+		Times: db.log.TimeSamplesSince(prevEnd),
+		// Carry the lineage so replicas adopt promotions from the
+		// stream itself, not just the handshake.
+		TLI:     tli,
+		History: hist,
+		DPT:     dpt,
+	}
 	end := &wal.Record{
 		Type:      wal.TypeCheckpointEnd,
 		PageID:    wal.NoPage,
 		WallClock: now,
-		Extra: wal.EncodeCheckpoint(wal.CheckpointData{
-			BeginLSN: beginLSN,
-			PrevEnd:  prevEnd,
-			ATT:      db.activeATT(),
-			// Piggyback the time→LSN samples taken since the previous
-			// checkpoint so the sparse index survives restarts (§5.1).
-			Times: db.log.TimeSamplesSince(prevEnd),
-			// Carry the lineage so replicas adopt promotions from the
-			// stream itself, not just the handshake.
-			TLI:     tli,
-			History: hist,
-			DPT:     dpt,
-		}),
+		Extra:     wal.EncodeCheckpoint(data),
 	}
 	endLSN, err := db.log.AppendFlush(end)
 	if err != nil {
@@ -121,7 +123,7 @@ func (db *DB) checkpoint(flushBelow wal.LSN) error {
 	// rename / syncs); a persistent failure — e.g. an archive directory on
 	// another filesystem, where rename returns EXDEV — must surface, or
 	// the log would grow without bound with zero diagnostics.
-	if err := db.truncateForRetention(); err != nil {
+	if err := db.truncateForRetention(data.RedoStart()); err != nil {
 		return fmt.Errorf("engine: retention: %w", err)
 	}
 	ckptSpan.End()
@@ -178,55 +180,51 @@ func (db *DB) BackgroundCheckpointErr() error {
 // truncateForRetention discards log before the newest checkpoint that is
 // older than the retention period (§4.3): everything needed to rewind any
 // page to any time within the retention window is kept. The cut never
-// passes the newest checkpoint's redo start, which crash recovery needs.
-func (db *DB) truncateForRetention() error {
+// passes redoStart, where redo from the newest checkpoint starts, which
+// crash recovery needs.
+//
+// The horizon checkpoint is found in the checkpoint index by its wall-clock
+// time, so a checkpoint with none older than the horizon reads no log. Only
+// when a cut is due is its record read, for the transactions active at it.
+func (db *DB) truncateForRetention(redoStart wal.LSN) error {
+	now := db.opts.Clock.Now()
 	db.mu.Lock()
 	retention := db.opts.Retention
-	cur := db.boot.lastCkptEnd
+	horizon := now.Add(-retention).UnixNano()
+	i := sort.Search(len(db.ckptIndex), func(i int) bool { return db.ckptIndex[i].WallClock > horizon })
+	var mark CkptMark
+	if i > 0 {
+		mark = db.ckptIndex[i-1]
+	}
 	db.mu.Unlock()
-	if retention <= 0 {
+	if retention <= 0 || i == 0 {
 		return nil
 	}
-	horizon := db.opts.Clock.Now().Add(-retention).UnixNano()
-	// Walk the checkpoint chain backwards to the newest checkpoint wholly
-	// before the horizon. Walk errors are expected ends of the chain (the
-	// records below an earlier truncation are gone) and mean "nothing to
-	// cut"; only the truncation itself may fail loudly.
-	redoStart := flushAll // the newest checkpoint's, read on the first step
-	for cur != wal.NilLSN {
-		rec, err := db.log.Read(cur)
-		if err != nil {
-			return nil
-		}
-		data, err := wal.DecodeCheckpoint(rec.Extra)
-		if err != nil {
-			return nil
-		}
-		if redoStart == flushAll {
-			redoStart = data.RedoStart()
-		}
-		if rec.WallClock <= horizon {
-			// Do not truncate past transactions active at that checkpoint,
-			// nor past where redo from the newest checkpoint starts.
-			cut := data.BeginLSN
-			for _, e := range data.ATT {
-				if e.BeginLSN != 0 && e.BeginLSN < cut {
-					cut = e.BeginLSN
-				}
-			}
-			cut = min(cut, redoStart)
-			if err := db.log.Truncate(cut); err != nil {
-				return err
-			}
-			db.pruneCkptIndex(cut)
-			db.pruneATTMarks(cut)
-			return nil
-		}
-		if data.PrevEnd >= cur {
-			return nil // the chain ends at a link that does not descend
-		}
-		cur = data.PrevEnd
+	// A read error is an expected end (the record fell below an earlier
+	// truncation) and means "nothing to cut"; only the truncation itself
+	// may fail loudly.
+	rec, err := db.log.Read(mark.End)
+	if err != nil {
+		return nil
 	}
+	data, err := wal.DecodeCheckpoint(rec.Extra)
+	if err != nil {
+		return nil
+	}
+	// Do not truncate past transactions active at that checkpoint, nor past
+	// where redo from the newest checkpoint starts.
+	cut := data.BeginLSN
+	for _, e := range data.ATT {
+		if e.BeginLSN != 0 && e.BeginLSN < cut {
+			cut = e.BeginLSN
+		}
+	}
+	cut = min(cut, redoStart)
+	if err := db.log.Truncate(cut); err != nil {
+		return err
+	}
+	db.pruneCkptIndex(cut)
+	db.pruneATTMarks(cut)
 	return nil
 }
 

@@ -22,9 +22,11 @@ type dbMetrics struct {
 	splitsMid         *obs.Counter // node splits placed at n/2
 	splitsPoint       *obs.Counter // node splits placed at the insertion point
 	leafFrees         *obs.Counter // emptied leaves unlinked and freed
-	// Crash recovery's redo: pages it read from the data file, and pages it
-	// rebuilt in a zeroed frame from a record that rewrites them whole.
+	// Crash recovery's redo: pages it read from the data file, the device
+	// reads that carried them, and pages it rebuilt in a zeroed frame from a
+	// record that rewrites them whole.
 	recoveryPagesRead    *obs.Counter
+	recoveryReadIOs      *obs.Counter
 	recoveryPagesRebuilt *obs.Counter
 }
 
@@ -48,6 +50,8 @@ func (db *DB) initObs() {
 		splitsPoint:       r.Counter("btree_splits_total", "B-tree node splits by where the split was placed", obs.L("kind", "point")),
 		leafFrees:         r.Counter("btree_leaf_frees_total", "emptied B-tree leaves unlinked and freed"),
 		recoveryPagesRead: r.Counter("engine_recovery_pages_read_total", "pages crash recovery's redo read from the data file"),
+		recoveryReadIOs: r.Counter("engine_recovery_read_ios_total",
+			"device reads that carried the pages crash recovery's redo read (runs read ahead count once)"),
 		recoveryPagesRebuilt: r.Counter("engine_recovery_pages_rebuilt_total",
 			"pages crash recovery's redo rebuilt from a format, preformat or image record without reading them"),
 	}

@@ -66,8 +66,20 @@ func (db *DB) recover() error {
 	// pages that stayed dirty through a whole interval; the rest it listed
 	// in its dirty-page table, so below the begin record a change can be
 	// missing only from a listed page, at or after its recLSN. Any other
-	// record there is skipped without reading its page. Analysis starts at
-	// the begin record, where the ATT was seeded.
+	// record there is skipped without reading its page (redone says which
+	// records redo applies). Analysis starts at the begin record, where the
+	// ATT was seeded.
+	redone := func(rec *wal.Record) bool {
+		if rec.LSN >= begin {
+			return true
+		}
+		recLSN, ok := dpt[rec.PageID]
+		return ok && rec.LSN >= recLSN
+	}
+	// Before redo applies a batch of records, the pages it will read for them
+	// are read ahead into the pool's still-untouched frames, one device read
+	// per run of consecutive page ids (buffer.Pool.Prefetch). That never
+	// evicts, so it only runs while the pool is filling.
 	// The scan stops at the end of the last intact record: a crash can tear
 	// the final record mid-write, and the log must be rewound to that CRC
 	// boundary before recovery appends anything — otherwise the torn bytes
@@ -75,13 +87,16 @@ func (db *DB) recover() error {
 	// Nothing else uses the pool yet, so its counters split redo's page
 	// misses exactly into pages read and pages rebuilt without a read.
 	pool0 := db.pool.Stats()
+	var ahead []page.ID
+	var seen []uint64
 	end, err := db.log.ScanBatches(start, func(recs []*wal.Record) (bool, error) {
+		ahead = pagesRedoReads(recs, redone, db.data.PageCount(), &seen, ahead[:0])
+		db.pool.Prefetch(ahead)
 		for _, rec := range recs {
-			if rec.LSN < begin {
-				if recLSN, ok := dpt[rec.PageID]; !ok || rec.LSN < recLSN {
-					continue
-				}
-			} else {
+			if !redone(rec) {
+				continue
+			}
+			if rec.LSN >= begin {
 				st.Observe(rec)
 			}
 			if err := db.RedoRecord(rec); err != nil {
@@ -96,6 +111,7 @@ func (db *DB) recover() error {
 	pool1 := db.pool.Stats()
 	db.metrics.recoveryPagesRead.Add(pool1.Reads - pool0.Reads)
 	db.metrics.recoveryPagesRebuilt.Add(pool1.Zeroed - pool0.Zeroed)
+	db.metrics.recoveryReadIOs.Add(pool1.ReadIOs - pool0.ReadIOs)
 	if end < wal.LSN(db.log.Size()) {
 		if err := db.log.Rewind(end); err != nil {
 			return fmt.Errorf("torn-tail rewind to %v: %w", end, err)
@@ -113,6 +129,34 @@ func (db *DB) recover() error {
 	// checkpoint: pages redone from below the recovered-from checkpoint's
 	// begin are written back, the rest go into the dirty-page table.
 	return db.checkpoint(prevBegin)
+}
+
+// pagesRedoReads appends to ids the pages redo of recs reads that no earlier
+// record of the pass has named: pages of records redo applies (redone),
+// below the end of the data file (pages long), unless the first such record
+// rebuilds the page. seen marks the pages named so far, across the whole
+// pass, so each page is listed at most once and later records of a page
+// cost one bit test: a page named earlier is resident, or was evicted once
+// the pool had no untouched frame left to read it into.
+func pagesRedoReads(recs []*wal.Record, redone func(*wal.Record) bool, pages uint32, seen *[]uint64, ids []page.ID) []page.ID {
+	if n := int(pages+63) / 64; len(*seen) < n {
+		*seen = append(*seen, make([]uint64, n-len(*seen))...)
+	}
+	bits := *seen
+	for _, rec := range recs {
+		if !rec.IsPageOp() || rec.PageID == wal.NoPage || rec.PageID >= pages || !redone(rec) {
+			continue
+		}
+		w, bit := rec.PageID/64, uint64(1)<<(rec.PageID%64)
+		if bits[w]&bit != 0 {
+			continue
+		}
+		bits[w] |= bit
+		if !rec.RebuildsPage() {
+			ids = append(ids, page.ID(rec.PageID))
+		}
+	}
+	return ids
 }
 
 // RecoveryState is the incremental §5.2 analysis state: the table of

@@ -13,7 +13,9 @@
 // page read itself happens outside the shard lock, under the claimed
 // frame's exclusive latch, so concurrent hits on other pages in the shard
 // do not stall behind disk reads (duplicate fetches of the loading page
-// block on its latch instead of issuing duplicate I/O).
+// block on its latch instead of issuing duplicate I/O). Prefetch loads
+// pages ahead the same way, into frames no page has used yet, one source
+// read per run of consecutive ids; it never evicts.
 //
 // The same pool type serves both the primary database and as-of snapshots:
 // a snapshot wires in a Source whose ReadPage implements the §5.3 protocol
@@ -52,6 +54,16 @@ type RunWriter interface {
 // holds and the buffer a RunWriter stages it in (512 KiB).
 const maxRun = 64
 
+// RunReader is implemented by a Source that can read the consecutive pages
+// first, first+1, ... with one device read. Prefetch uses it to load each
+// contiguous stretch of wanted pages at once.
+type RunReader interface {
+	ReadRun(first page.ID, bufs [][]byte) error
+}
+
+// maxReadRun bounds the pages one Prefetch read carries (128 KiB).
+const maxReadRun = 16
+
 // ErrNoFrames is returned when every frame of the target shard is pinned
 // and none can be evicted.
 var ErrNoFrames = errors.New("buffer: all frames pinned")
@@ -83,6 +95,9 @@ type frame struct {
 	recLSN atomic.Uint64
 	pins   atomic.Int32
 	used   atomic.Bool // clock bit
+	// touched is set, under the shard lock, when a page first claims the
+	// frame; it is never cleared. Prefetch loads only frames not yet touched.
+	touched bool
 }
 
 // shard is one partition of the pool: a private page table, frame set and
@@ -95,10 +110,12 @@ type shard struct {
 	table  map[page.ID]*frame
 	frames []*frame
 	hand   int // clock sweep position, guarded by mu.Lock
+	fresh  int // frames[:fresh] are all touched, guarded by mu.Lock
 
 	hits            atomic.Int64
 	misses          atomic.Int64
-	reads           atomic.Int64 // misses that read the page from the source
+	reads           atomic.Int64 // pages read from the source, by misses and by Prefetch
+	readIOs         atomic.Int64 // source reads that carried them
 	zeroed          atomic.Int64 // misses NewPage served with a zeroed frame
 	evictions       atomic.Int64 // cached pages evicted (clean, or dirty after writeback)
 	evictWritebacks atomic.Int64 // dirty victims written back by eviction
@@ -110,8 +127,12 @@ type shard struct {
 type Pool struct {
 	cfg    Config
 	runs   RunWriter // cfg.Source as a RunWriter, or nil
+	reads  RunReader // cfg.Source as a RunReader, or nil
 	shards []*shard
 	shift  uint // 64 - log2(len(shards)), for the multiplicative hash
+	// untouched counts the frames no page has claimed yet: once it is 0,
+	// Prefetch returns at once.
+	untouched atomic.Int64
 }
 
 // shardCount picks the number of shards for a pool of n frames: a power of
@@ -144,6 +165,8 @@ func New(cfg Config) *Pool {
 	ns := shardCount(cfg.Frames)
 	p := &Pool{cfg: cfg, shards: make([]*shard, ns)}
 	p.runs, _ = cfg.Source.(RunWriter)
+	p.reads, _ = cfg.Source.(RunReader)
+	p.untouched.Store(int64(cfg.Frames))
 	p.shift = 64
 	for 1<<(64-p.shift) < ns {
 		p.shift--
@@ -314,19 +337,14 @@ func (p *Pool) fetch(id page.ID, excl, read bool) (*Handle, error) {
 			}
 			continue
 		}
-		f.id = id
-		f.dirty.Store(false)
-		f.recLSN.Store(0)
-		f.pins.Store(1)
-		f.used.Store(true)
-		f.latch.Lock() // uncontended: victims have pins==0, hence no waiters
-		s.table[id] = f
+		s.claimLocked(f, id)
 		s.mu.Unlock()
 
 		if read {
 			err = p.cfg.Source.ReadPage(id, f.pg.Bytes())
 			if err == nil {
 				s.reads.Add(1)
+				s.readIOs.Add(1)
 				if p.cfg.Checksums {
 					err = f.pg.VerifyChecksum()
 				}
@@ -336,14 +354,7 @@ func (p *Pool) fetch(id page.ID, excl, read bool) (*Handle, error) {
 			s.zeroed.Add(1)
 		}
 		if err != nil {
-			// Unpublish the frame; latch waiters see the id mismatch and
-			// retry (their own reload reports the error to them directly).
-			s.mu.Lock()
-			delete(s.table, id)
-			f.id = page.InvalidID
-			s.mu.Unlock()
-			f.latch.Unlock()
-			unpin(f)
+			s.unpublish(f)
 			return nil, err
 		}
 		if !excl {
@@ -354,6 +365,114 @@ func (p *Pool) fetch(id page.ID, excl, read bool) (*Handle, error) {
 			f.latch.RLock()
 		}
 		return &Handle{frame: f, excl: excl}, nil
+	}
+}
+
+// claimLocked publishes the free frame f for page id, pinned and exclusively
+// latched, before its page is loaded. Called with s.mu held exclusively.
+func (s *shard) claimLocked(f *frame, id page.ID) {
+	if !f.touched {
+		f.touched = true
+		s.pool.untouched.Add(-1)
+	}
+	f.id = id
+	f.dirty.Store(false)
+	f.recLSN.Store(0)
+	f.pins.Store(1)
+	f.used.Store(true)
+	f.latch.Lock() // uncontended: a free frame has pins==0, hence no waiters
+	s.table[id] = f
+}
+
+// unpublish gives up a claimed frame whose load failed. Latch waiters see
+// the id mismatch and retry; their own load reports the error to them.
+func (s *shard) unpublish(f *frame) {
+	s.mu.Lock()
+	delete(s.table, f.id)
+	f.id = page.InvalidID
+	s.mu.Unlock()
+	f.latch.Unlock()
+	unpin(f)
+}
+
+// Prefetch loads the pages ids into frames no page has used since the pool
+// was created, one source read per run of consecutive ids (at most
+// maxReadRun pages). It sorts ids in place. A page already resident, or
+// whose shard has no untouched frame left, is skipped: Prefetch never
+// evicts, so it cannot write back a dirty page or push out a page a caller
+// still needs, and once the pool has filled it does nothing. A page whose
+// read or checksum fails is unpublished, and its next Fetch reads it and
+// reports the error. It is a no-op when the source is not a RunReader.
+//
+// A concurrent Fetch of a page being prefetched waits on its frame's latch
+// and sees the loaded page.
+func (p *Pool) Prefetch(ids []page.ID) {
+	if p.reads == nil || p.untouched.Load() == 0 {
+		return
+	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	var runFrames [maxReadRun]*frame
+	var runBufs [maxReadRun][]byte
+	run, bufs := runFrames[:0], runBufs[:0]
+	for _, id := range ids {
+		if len(run) > 0 && (len(run) == maxReadRun || id != run[0].id+page.ID(len(run))) {
+			p.load(run, bufs)
+			run, bufs = run[:0], bufs[:0]
+		}
+		if id == page.InvalidID {
+			continue
+		}
+		if f := p.shardFor(id).claimUntouched(id); f != nil {
+			run = append(run, f)
+			bufs = append(bufs, f.pg.Bytes())
+		}
+	}
+	if len(run) > 0 {
+		p.load(run, bufs)
+	}
+}
+
+// claimUntouched claims a frame no page has used yet for id, or returns nil
+// when id is resident or every frame of the shard has been used.
+func (s *shard) claimUntouched(id page.ID) *frame {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.table[id]; ok {
+		return nil
+	}
+	for ; s.fresh < len(s.frames); s.fresh++ {
+		// An untouched frame is free: it is in no page table, so nothing
+		// can have pinned it.
+		if f := s.frames[s.fresh]; !f.touched {
+			s.claimLocked(f, id)
+			return f
+		}
+	}
+	return nil
+}
+
+// load reads run — claimed frames of consecutive page ids — with one source
+// read, then verifies and releases each frame, unpublishing any that failed.
+func (p *Pool) load(run []*frame, bufs [][]byte) {
+	err := p.reads.ReadRun(run[0].id, bufs)
+	if err == nil {
+		run[0].shard.readIOs.Add(1)
+	}
+	for _, f := range run {
+		ferr := err
+		if ferr == nil {
+			f.shard.reads.Add(1)
+			if p.cfg.Checksums {
+				ferr = f.pg.VerifyChecksum()
+			}
+		}
+		if ferr != nil {
+			f.shard.unpublish(f)
+			continue
+		}
+		f.latch.Unlock()
+		unpin(f)
 	}
 }
 
@@ -652,7 +771,8 @@ func (p *Pool) DropAll() error {
 type Stats struct {
 	Hits            int64 // fetches served from a resident frame
 	Misses          int64 // fetches that found the page not resident
-	Reads           int64 // misses that read the page from the source
+	Reads           int64 // pages read from the source, by misses and by Prefetch
+	ReadIOs         int64 // source reads that carried Reads
 	Zeroed          int64 // misses NewPage served with a zeroed frame instead
 	Evictions       int64 // cached pages evicted (clean, or dirty after writeback)
 	EvictWritebacks int64 // dirty victims written back by eviction
@@ -666,6 +786,7 @@ func (s *shard) stats() Stats {
 		Hits:            s.hits.Load(),
 		Misses:          s.misses.Load(),
 		Reads:           s.reads.Load(),
+		ReadIOs:         s.readIOs.Load(),
 		Zeroed:          s.zeroed.Load(),
 		Evictions:       s.evictions.Load(),
 		EvictWritebacks: s.evictWritebacks.Load(),
@@ -684,6 +805,7 @@ func (p *Pool) Stats() Stats {
 		st.Hits += x.Hits
 		st.Misses += x.Misses
 		st.Reads += x.Reads
+		st.ReadIOs += x.ReadIOs
 		st.Zeroed += x.Zeroed
 		st.Evictions += x.Evictions
 		st.EvictWritebacks += x.EvictWritebacks

@@ -26,7 +26,7 @@ type File struct {
 	pages uint32
 
 	runMu sync.Mutex // guards run
-	run   []byte     // WriteRun's staging buffer, reused across runs
+	run   []byte     // WriteRun's and ReadRun's staging buffer, reused across runs
 }
 
 // Open opens or creates a page file. dev may be nil (uncharged I/O).
@@ -133,19 +133,61 @@ func (d *File) WriteRun(first page.ID, bufs [][]byte) error {
 	return nil
 }
 
-// stage copies bufs end to end into *run, reallocating it only when it is
-// too short (to exactly the size needed: growing by append would leave a
-// trail of discarded copies), and returns the staged bytes.
-func stage(run *[]byte, bufs [][]byte) []byte {
-	n := len(bufs) * page.Size
-	if cap(*run) < n {
-		*run = make([]byte, n)
+// ReadRun reads the consecutive pages first, first+1, ... into bufs with one
+// device read, charging one random read of the whole run: WriteRun's twin.
+// The run is read through the same staging buffer. A run reaching past the
+// end of the file fails with ErrPastEOF and reads nothing.
+func (d *File) ReadRun(first page.ID, bufs [][]byte) error {
+	switch len(bufs) {
+	case 0:
+		return nil
+	case 1:
+		return d.ReadPage(first, bufs[0])
 	}
-	b := (*run)[:n]
+	for _, b := range bufs {
+		if len(b) != page.Size {
+			return fmt.Errorf("disk: read buffer is %d bytes", len(b))
+		}
+	}
+	pages := d.PageCount()
+	if last := uint32(first) + uint32(len(bufs)); last > pages {
+		return fmt.Errorf("%w: pages %d..%d of %d", ErrPastEOF, first, last-1, pages)
+	}
+	d.runMu.Lock()
+	defer d.runMu.Unlock()
+	run := sized(&d.run, len(bufs))
+	if _, err := d.f.ReadAt(run, int64(first)*page.Size); err != nil {
+		return fmt.Errorf("disk: read pages %d..%d: %w", first, int(first)+len(bufs)-1, err)
+	}
+	for i, b := range bufs {
+		copy(b, run[i*page.Size:])
+	}
+	d.dev.ChargeRead(int64(len(run)), false)
+	return nil
+}
+
+// stage copies bufs end to end into *run and returns the staged bytes.
+func stage(run *[]byte, bufs [][]byte) []byte {
+	b := sized(run, len(bufs))
 	for i, buf := range bufs {
 		copy(b[i*page.Size:], buf)
 	}
 	return b
+}
+
+// minStage is the fewest pages the staging buffer is allocated for: the
+// longest run a buffer pool reads ahead (128 KiB), so the runs of growing
+// length up to it share one allocation.
+const minStage = 16
+
+// sized returns *run cut to n pages, reallocating it only when it is too
+// short, to exactly max(n, minStage) pages: growing by append would leave a
+// trail of discarded copies.
+func sized(run *[]byte, n int) []byte {
+	if cap(*run) < n*page.Size {
+		*run = make([]byte, max(n, minStage)*page.Size)
+	}
+	return (*run)[:n*page.Size]
 }
 
 // grow records that the file now holds at least n pages. Writers call it

@@ -183,6 +183,49 @@ func TestWriteRunIsOneWrite(t *testing.T) {
 	}
 }
 
+// TestReadRunIsOneRead reads three consecutive pages back as one run: one
+// charged random read of all their bytes, each page in its own buffer. A run
+// reaching past the end of the file fails with ErrPastEOF, charges nothing
+// and leaves the buffers as they were.
+func TestReadRunIsOneRead(t *testing.T) {
+	dev := media.New(media.SSD(), nil)
+	f := testFile(t, dev)
+	want := [][]byte{somePage(4, 'a'), somePage(5, 'b'), somePage(6, 'c')}
+	if err := f.WriteRun(4, want); err != nil {
+		t.Fatal(err)
+	}
+	dev.Stats.Reset()
+	got := [][]byte{make([]byte, page.Size), make([]byte, page.Size), make([]byte, page.Size)}
+	if err := f.ReadRun(4, got); err != nil {
+		t.Fatal(err)
+	}
+	if n := dev.Stats.RandReads.Load(); n != 1 {
+		t.Fatalf("RandReads = %d, want 1", n)
+	}
+	if n := dev.Stats.ReadBytes.Load(); n != 3*page.Size {
+		t.Fatalf("ReadBytes = %d, want %d", n, 3*page.Size)
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("page %d mismatch", 4+i)
+		}
+	}
+
+	dev.Stats.Reset()
+	past := [][]byte{make([]byte, page.Size), make([]byte, page.Size), make([]byte, page.Size)}
+	if err := f.ReadRun(5, past); !errors.Is(err, ErrPastEOF) {
+		t.Fatalf("ReadRun of pages 5..7 of 7: %v, want ErrPastEOF", err)
+	}
+	if s := dev.Stats.Snapshot(); s.RandReads != 0 || s.ReadBytes != 0 {
+		t.Fatalf("failed ReadRun charged %v", s)
+	}
+	for i, b := range past {
+		if !bytes.Equal(b, make([]byte, page.Size)) {
+			t.Fatalf("failed ReadRun wrote buffer %d", i)
+		}
+	}
+}
+
 // TestFailedWriteDoesNotGrow writes to a closed file, page by page and as a
 // run: the writes fail, PageCount stays put and a read of those pages is
 // still ErrPastEOF (what redo's fresh-page branch relies on).

@@ -243,7 +243,7 @@ func (a *ArchivedLog) Scan(from LSN, fn func(*Record) (bool, error)) error {
 	if f := a.Floor(); from < f {
 		from = f
 	}
-	_, err := scanFrames(a.readAt, from, eachRecord(fn))
+	_, err := scanFrames(a.readAt, from, scanStretch, eachRecord(fn))
 	return err
 }
 
@@ -258,35 +258,60 @@ func (a *ArchivedLog) Read(lsn LSN) (*Record, error) {
 	return readFrame(a.readAt, lsn)
 }
 
-// scanStretch is how many log bytes one scan read asks for. The records a
-// stretch completes are handed over together; a record longer than a
-// stretch grows the read to its frame.
-const scanStretch = readBlockSize
+// scanStretch is how many log bytes one Scan read asks for, and
+// batchStretch one ScanBatches read: crash recovery reads ahead the data
+// pages of each batch, and a longer stretch finds longer runs of them. The
+// records a stretch completes are handed over together; a record longer than
+// a stretch grows the read to its frame.
+const (
+	scanStretch  = readBlockSize
+	batchStretch = 4 * readBlockSize
+)
 
-// scanBuf is a scan's read stretch and record batch, pooled so that scans
-// decode into reused memory instead of allocating per record.
+// scanBuf is a scan's read stretch and record batch, pooled (one pool per
+// stretch size) so that scans decode into reused memory instead of
+// allocating per record. Records are decoded into fixed chunks of slabChunk
+// that are kept from stretch to stretch: a longer batch adds a chunk and
+// never copies the ones before it.
 type scanBuf struct {
 	buf  []byte
 	recs []*Record // point into slab
-	slab []Record
+	slab [][]Record
 }
 
-var scanBufPool = sync.Pool{New: func() any { return &scanBuf{buf: make([]byte, scanStretch)} }}
+const slabChunk = 64
+
+// record returns the i'th record of the stretch's slab, zeroed.
+func (sb *scanBuf) record(i int) *Record {
+	if i/slabChunk == len(sb.slab) {
+		sb.slab = append(sb.slab, make([]Record, slabChunk))
+	}
+	rec := &sb.slab[i/slabChunk][i%slabChunk]
+	*rec = Record{}
+	return rec
+}
+
+var scanBufPools = map[int]*sync.Pool{
+	scanStretch:  {New: func() any { return &scanBuf{buf: make([]byte, scanStretch)} }},
+	batchStretch: {New: func() any { return &scanBuf{buf: make([]byte, batchStretch)} }},
+}
 
 // scanFrames is the one forward log scan: crash recovery, standby catch-up,
 // as-of resolution and restores all read through it. It reads the log from
-// `from` in stretches over an arbitrary byte source and hands fn the records
-// each stretch completes, in LSN order; they, and the bytes they alias, are
-// reused once fn returns. It stops when fn returns false or an error, at the
-// end of the log, or at a torn or garbage frame (implausible length, body cut
-// short, CRC mismatch), and returns where the intact prefix it read ends: the
-// LSN of its last byte (from-1 if it read none). A CRC-valid body that does
-// not decode is an error, not a tear.
-func scanFrames(readAt func([]byte, int64) (int, error), from LSN, fn func([]*Record) (bool, error)) (LSN, error) {
-	sb := scanBufPool.Get().(*scanBuf)
+// `from` in stretches of the given size (scanStretch or batchStretch) over an
+// arbitrary byte source and hands fn the records each stretch completes, in
+// LSN order; they, and the bytes they alias, are reused once fn returns. It
+// stops when fn returns false or an error, at the end of the log, or at a
+// torn or garbage frame (implausible length, body cut short, CRC mismatch),
+// and returns where the intact prefix it read ends: the LSN of its last byte
+// (from-1 if it read none). A CRC-valid body that does not decode is an
+// error, not a tear.
+func scanFrames(readAt func([]byte, int64) (int, error), from LSN, stretch int, fn func([]*Record) (bool, error)) (LSN, error) {
+	pool := scanBufPools[stretch]
+	sb := pool.Get().(*scanBuf)
 	defer func() {
-		sb.buf = sb.buf[:scanStretch] // a grown stretch does not outlive its scan
-		scanBufPool.Put(sb)
+		sb.buf = sb.buf[:stretch] // a grown stretch does not outlive its scan
+		pool.Put(sb)
 	}()
 	base, have := int64(from-1), 0 // log offset of sb.buf[0]; bytes held
 	for {
@@ -298,15 +323,14 @@ func scanFrames(readAt func([]byte, int64) (int, error), from LSN, fn func([]*Re
 		have += n
 		pos, torn := 0, false
 		var bad error // an undecodable record: fn still sees those before it
-		sb.recs, sb.slab = sb.recs[:0], sb.slab[:0]
+		sb.recs = sb.recs[:0]
 		for {
 			body, size, ok, ferr := NextFrame(sb.buf[pos:have])
 			torn = ferr != nil
 			if !ok {
 				break
 			}
-			sb.slab = append(sb.slab, Record{})
-			rec := &sb.slab[len(sb.slab)-1]
+			rec := sb.record(len(sb.recs))
 			if err := unmarshalInto(rec, body); err != nil {
 				bad = fmt.Errorf("wal: record at %v: %w", LSN(base+int64(pos))+1, err)
 				break

@@ -794,7 +794,7 @@ func (m *Manager) InjectWriteFailures(on bool) { m.failWrites.Store(on) }
 // fn returns. The scan is sequential I/O, charged for the records fn saw.
 func (m *Manager) Scan(from LSN, fn func(*Record) (bool, error)) error {
 	charged := int64(0)
-	_, err := scanFrames(m.readScan, m.scanFrom(from), eachRecord(func(rec *Record) (bool, error) {
+	_, err := scanFrames(m.readScan, m.scanFrom(from), scanStretch, eachRecord(func(rec *Record) (bool, error) {
 		charged += int64(rec.ApproxSize())
 		return fn(rec)
 	}))
@@ -803,12 +803,14 @@ func (m *Manager) Scan(from LSN, fn func(*Record) (bool, error)) error {
 }
 
 // ScanBatches is Scan handing fn the records of one read stretch at a time
-// (valid until fn returns). It returns where the log's intact prefix ends,
-// the LSN of its last byte: short of the log's end, the log is torn there.
-// Every record handed over is charged as sequential I/O.
+// (valid until fn returns). Its stretches are 128 KiB, four times Scan's: a
+// batch is what crash recovery reads the data pages ahead for, and a longer
+// one holds longer runs of consecutive pages. It returns where the log's
+// intact prefix ends, the LSN of its last byte: short of the log's end, the
+// log is torn there. Every record handed over is charged as sequential I/O.
 func (m *Manager) ScanBatches(from LSN, fn func([]*Record) (bool, error)) (LSN, error) {
 	from = m.scanFrom(from)
-	end, err := scanFrames(m.readScan, from, fn)
+	end, err := scanFrames(m.readScan, from, batchStretch, fn)
 	m.dev.ChargeRead(int64(end+1-from), true)
 	return end, err
 }

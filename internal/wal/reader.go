@@ -127,7 +127,9 @@ func (r *ChainReader) Read(lsn LSN) (*Record, error) {
 // walk continues at its UndoNextLSN, past what the CLR compensated — or, for
 // the dummy CLR that ends a nested top action, past the structure
 // modification. The next LSN is taken before fn runs, so read may hand out a
-// reused scratch record (ChainReader.Read).
+// reused scratch record (ChainReader.Read). Every link must point below the
+// record that holds it: one that does not fails the walk with ErrChainCorrupt
+// before fn sees its record, where following it could loop forever.
 //
 // It is the one backward walk of a transaction: rollback and crash undo, the
 // unlogged undo of a snapshot or a restore, a snapshot's lock reacquisition,
@@ -144,6 +146,9 @@ func WalkTxnChain(read func(LSN) (*Record, error), last LSN, fn func(*Record) er
 		next := rec.PrevLSN
 		if rec.Type == TypeCLR {
 			next = rec.UndoNextLSN
+		}
+		if next >= cur {
+			return NilLSN, fmt.Errorf("%w: %v at %v links to %v, not below it", ErrChainCorrupt, rec.Type, cur, next)
 		}
 		if err := fn(rec); err != nil {
 			return NilLSN, err

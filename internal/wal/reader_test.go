@@ -298,3 +298,56 @@ func TestTimeIndexSampling(t *testing.T) {
 		t.Fatalf("seed kept truncated sample %+v", s)
 	}
 }
+
+// TestWalkTxnChainMustDescend: a transaction chain whose link does not point
+// below its record — a record naming itself as its predecessor, a CLR whose
+// UndoNextLSN is at or above its own LSN — fails the walk with
+// ErrChainCorrupt instead of looping, and fn never sees that record. A
+// chain that descends is walked to its Begin.
+func TestWalkTxnChainMustDescend(t *testing.T) {
+	walk := func(recs ...*Record) (LSN, []LSN, error) {
+		byLSN := make(map[LSN]*Record)
+		for _, r := range recs {
+			byLSN[r.LSN] = r
+		}
+		read := func(lsn LSN) (*Record, error) {
+			if r, ok := byLSN[lsn]; ok {
+				return r, nil
+			}
+			return nil, errors.New("no such record")
+		}
+		var seen []LSN
+		begin, err := WalkTxnChain(read, recs[len(recs)-1].LSN, func(r *Record) error {
+			seen = append(seen, r.LSN)
+			if len(seen) > 10 {
+				return errors.New("walk does not end")
+			}
+			return nil
+		})
+		return begin, seen, err
+	}
+	begin := &Record{LSN: 10, Type: TypeBegin, TxnID: 7}
+	ins := &Record{LSN: 20, Type: TypeInsert, TxnID: 7, PrevLSN: 10}
+	upd := &Record{LSN: 30, Type: TypeUpdate, TxnID: 7, PrevLSN: 20}
+	clr := &Record{LSN: 40, Type: TypeCLR, TxnID: 7, PrevLSN: 30, UndoNextLSN: 20}
+	if got, seen, err := walk(begin, ins, upd, clr); err != nil || got != 10 || len(seen) != 2 || seen[0] != 40 || seen[1] != 20 {
+		t.Fatalf("descending chain: begin %v, saw %v, err %v; want begin 10 after [40 20]", got, seen, err)
+	}
+	for _, c := range []struct {
+		name string
+		recs []*Record
+	}{
+		{"record naming itself", []*Record{begin, ins, {LSN: 30, Type: TypeUpdate, TxnID: 7, PrevLSN: 30}}},
+		{"record naming a later one", []*Record{begin, {LSN: 20, Type: TypeInsert, TxnID: 7, PrevLSN: 30}, {LSN: 30, Type: TypeUpdate, TxnID: 7, PrevLSN: 20}}},
+		{"CLR naming itself", []*Record{begin, ins, {LSN: 30, Type: TypeCLR, TxnID: 7, PrevLSN: 20, UndoNextLSN: 30}}},
+		{"CLR naming a later record", []*Record{begin, ins, {LSN: 30, Type: TypeCLR, TxnID: 7, PrevLSN: 20, UndoNextLSN: 35}}},
+	} {
+		_, seen, err := walk(c.recs...)
+		if !errors.Is(err, ErrChainCorrupt) {
+			t.Errorf("%s: err %v, want ErrChainCorrupt", c.name, err)
+		}
+		if len(seen) > 1 {
+			t.Errorf("%s: fn saw %v", c.name, seen)
+		}
+	}
+}
