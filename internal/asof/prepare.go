@@ -167,6 +167,12 @@ func stepImage(c *chainCursor, rec *wal.Record, asOf wal.LSN, stats *Stats) (wal
 	if c.lsn >= pageLSN {
 		return pageLSN, nil
 	}
+	// The restored image is the page as of its PrevPageLSN; a link at or
+	// above the image would send the walk back up the page chain to undo
+	// records newer than the content it just restored.
+	if rec.PrevPageLSN >= c.lsn {
+		return 0, fmt.Errorf("%w: image does not descend at %v (-> %v)", ErrChainBroken, c.lsn, rec.PrevPageLSN)
+	}
 	c.p.CopyFrom(rec.NewData)
 	if stats != nil {
 		stats.ImageRestores.Add(1)

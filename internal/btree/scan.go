@@ -7,8 +7,10 @@ import (
 )
 
 // Scan iterates key/value pairs in key order, starting at fromKey (nil =
-// beginning) and stopping before toKey (nil = end). fn receives copies and
-// returns false to stop early.
+// beginning) and stopping before toKey (nil = end). fn returns false to stop
+// early. key and val are valid until fn returns: they point into a buffer
+// the scan refills for the next leaf, so a caller that keeps them copies
+// them.
 //
 // The tree keeps no leaf chain: after draining a leaf the scan re-descends
 // from the root using the subtree upper bound collected on the way down.
@@ -19,14 +21,15 @@ import (
 func Scan(st Store, root page.ID, fromKey, toKey []byte, fn func(key, val []byte) bool) error {
 	lock := st.TreeLock(root)
 	from := fromKey
+	var b leafBatch
 	for {
 		lock.RLock()
-		batch, upper, err := scanLeaf(st, root, from, toKey)
+		upper, err := b.load(st, root, from, toKey)
 		lock.RUnlock()
 		if err != nil {
 			return err
 		}
-		for _, kv := range batch {
+		for _, kv := range b.pairs {
 			if !fn(kv.k, kv.v) {
 				return nil
 			}
@@ -43,14 +46,24 @@ func Scan(st Store, root page.ID, fromKey, toKey []byte, fn func(key, val []byte
 
 type kvPair struct{ k, v []byte }
 
-// scanLeaf collects the records of the leaf owning `from` that fall in
-// [from, to) — `from` inclusive — plus the upper-bound separator of the
-// leaf's position (nil for the rightmost leaf), which the caller uses as
-// the next descent target.
-func scanLeaf(st Store, root page.ID, from, to []byte) ([]kvPair, []byte, error) {
+// leafBatch holds one leaf's records copied out of the page, so that fn runs
+// with no latch held. One Scan reuses it for every leaf it visits: pairs and
+// arena are reallocated only when a leaf needs more than they hold.
+type leafBatch struct {
+	pairs []kvPair
+	arena []byte // the pairs' keys and values, back to back
+}
+
+// load copies into b the records of the leaf owning `from` that fall in
+// [from, to) — `from` inclusive — and returns the upper-bound separator of
+// the leaf's position, which the caller uses as the next descent target. It
+// returns nil for the rightmost leaf and when the range ends in this leaf.
+// The in-range records are sized before they are copied, so each buffer
+// grows at most once per leaf, to exactly what the leaf needs.
+func (b *leafBatch) load(st Store, root page.ID, from, to []byte) ([]byte, error) {
 	cur, upper, err := descendBounded(st, root, from, 0)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer cur.Release()
 	p := cur.Page()
@@ -58,24 +71,32 @@ func scanLeaf(st Store, root page.ID, from, to []byte) ([]kvPair, []byte, error)
 	if from != nil {
 		start, _ = leafSearch(p, from) // records equal to from are included
 	}
-	var batch []kvPair
-	for i := start; i < p.NumSlots(); i++ {
-		k, v := DecodeLeafRec(p.MustGet(i))
-		if from != nil && bytes.Compare(k, from) < 0 {
-			continue
-		}
+	end, size := start, 0
+	for ; end < p.NumSlots(); end++ {
+		k, v := DecodeLeafRec(p.MustGet(end))
 		if to != nil && bytes.Compare(k, to) >= 0 {
-			return batch, nil, nil // past the end: stop entirely
+			upper = nil // past the end: stop entirely
+			break
 		}
-		batch = append(batch, kvPair{
-			k: append([]byte(nil), k...),
-			v: append([]byte(nil), v...),
-		})
+		size += len(k) + len(v)
 	}
-	if upper == nil {
-		return batch, nil, nil
+	if n := end - start; cap(b.pairs) < n {
+		b.pairs = make([]kvPair, n)
+	} else {
+		b.pairs = b.pairs[:n]
 	}
-	return batch, append([]byte(nil), upper...), nil
+	if cap(b.arena) < size {
+		b.arena = make([]byte, 0, size)
+	}
+	arena := b.arena[:0]
+	for i := start; i < end; i++ {
+		k, v := DecodeLeafRec(p.MustGet(i))
+		off := len(arena)
+		arena = append(append(arena, k...), v...)
+		mid := off + len(k)
+		b.pairs[i-start] = kvPair{k: arena[off:mid:mid], v: arena[mid:len(arena):len(arena)]}
+	}
+	return upper, nil
 }
 
 // descendBounded walks from root toward key (nil = the leftmost path) with

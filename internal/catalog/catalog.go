@@ -158,7 +158,7 @@ func decodeTable(val []byte) (Table, error) {
 	if len(vals) != 4 {
 		return Table{}, fmt.Errorf("catalog: sys_tables row has %d values", len(vals))
 	}
-	schema, err := row.DecodeSchema(vals[3].Bytes)
+	schema, err := row.DecodeSchema(vals[3].Bytes())
 	if err != nil {
 		return Table{}, err
 	}

@@ -129,7 +129,7 @@ func decodeIndex(val []byte) (Index, error) {
 	if len(vals) != 4 {
 		return Index{}, fmt.Errorf("catalog: index row has %d values", len(vals))
 	}
-	tableID, cols, err := decodeIndexMeta(vals[3].Bytes)
+	tableID, cols, err := decodeIndexMeta(vals[3].Bytes())
 	if err != nil {
 		return Index{}, err
 	}

@@ -43,27 +43,34 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a single typed value. Exactly one field is meaningful, selected
-// by Kind. Null values have IsNull set.
+// Value is a single typed value, 40 bytes. Kind selects the field that holds
+// it: Int (KindInt64, and KindTime as Unix nanoseconds, which is what the
+// encodings store), Float, Str (KindString, and KindBytes) or Bool. Time and
+// Bytes read the two kinds kept in another type's field. Null values have
+// IsNull set.
 type Value struct {
 	Kind   Kind
 	IsNull bool
+	Bool   bool
 	Int    int64
 	Float  float64
 	Str    string
-	Bytes  []byte
-	Bool   bool
-	Time   time.Time
 }
 
 // Convenience constructors.
 func Int64(v int64) Value     { return Value{Kind: KindInt64, Int: v} }
 func Float64(v float64) Value { return Value{Kind: KindFloat64, Float: v} }
 func String(v string) Value   { return Value{Kind: KindString, Str: v} }
-func BytesVal(v []byte) Value { return Value{Kind: KindBytes, Bytes: v} }
+func BytesVal(v []byte) Value { return Value{Kind: KindBytes, Str: string(v)} }
 func Bool(v bool) Value       { return Value{Kind: KindBool, Bool: v} }
-func Time(v time.Time) Value  { return Value{Kind: KindTime, Time: v} }
+func Time(v time.Time) Value  { return Value{Kind: KindTime, Int: v.UnixNano()} }
 func Null(k Kind) Value       { return Value{Kind: k, IsNull: true} }
+
+// Time returns a KindTime value's instant, in the local zone.
+func (v Value) Time() time.Time { return time.Unix(0, v.Int) }
+
+// Bytes returns a copy of a KindBytes value's bytes.
+func (v Value) Bytes() []byte { return []byte(v.Str) }
 
 func (v Value) String() string {
 	if v.IsNull {
@@ -77,11 +84,11 @@ func (v Value) String() string {
 	case KindString:
 		return v.Str
 	case KindBytes:
-		return fmt.Sprintf("%x", v.Bytes)
+		return fmt.Sprintf("%x", v.Str)
 	case KindBool:
 		return fmt.Sprintf("%t", v.Bool)
 	case KindTime:
-		return v.Time.Format(time.RFC3339Nano)
+		return v.Time().Format(time.RFC3339Nano)
 	default:
 		return "?"
 	}
@@ -192,29 +199,22 @@ func Encode(r Row) []byte {
 			continue
 		}
 		switch v.Kind {
-		case KindInt64:
+		case KindInt64, KindTime:
 			binary.LittleEndian.PutUint64(tmp[:], uint64(v.Int))
 			buf = append(buf, tmp[:]...)
 		case KindFloat64:
 			binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v.Float))
 			buf = append(buf, tmp[:]...)
-		case KindString:
+		case KindString, KindBytes:
 			binary.LittleEndian.PutUint32(tmp[:4], uint32(len(v.Str)))
 			buf = append(buf, tmp[:4]...)
 			buf = append(buf, v.Str...)
-		case KindBytes:
-			binary.LittleEndian.PutUint32(tmp[:4], uint32(len(v.Bytes)))
-			buf = append(buf, tmp[:4]...)
-			buf = append(buf, v.Bytes...)
 		case KindBool:
 			if v.Bool {
 				buf = append(buf, 1)
 			} else {
 				buf = append(buf, 0)
 			}
-		case KindTime:
-			binary.LittleEndian.PutUint64(tmp[:], uint64(v.Time.UnixNano()))
-			buf = append(buf, tmp[:]...)
 		}
 	}
 	return buf
@@ -259,8 +259,8 @@ func countValues(b []byte) int {
 }
 
 // Decode parses an encoded row. The row is sized by a first pass over the
-// tags and allocated once: a Value is 96 bytes, and growing a 10-column row
-// by append allocates three times the slots it keeps.
+// tags and allocated once: growing a 10-column row by append allocates three
+// times the slots it keeps.
 func Decode(b []byte) (Row, error) {
 	var r Row
 	if n := countValues(b); n > 0 {
@@ -283,7 +283,7 @@ func Decode(b []byte) (Row, error) {
 			return nil
 		}
 		switch kind {
-		case KindInt64:
+		case KindInt64, KindTime:
 			if err := need(8); err != nil {
 				return nil, err
 			}
@@ -295,7 +295,7 @@ func Decode(b []byte) (Row, error) {
 			}
 			v.Float = math.Float64frombits(binary.LittleEndian.Uint64(b))
 			b = b[8:]
-		case KindString:
+		case KindString, KindBytes:
 			if err := need(4); err != nil {
 				return nil, err
 			}
@@ -306,29 +306,12 @@ func Decode(b []byte) (Row, error) {
 			}
 			v.Str = string(b[:n])
 			b = b[n:]
-		case KindBytes:
-			if err := need(4); err != nil {
-				return nil, err
-			}
-			n := int(binary.LittleEndian.Uint32(b))
-			b = b[4:]
-			if err := need(n); err != nil {
-				return nil, err
-			}
-			v.Bytes = append([]byte(nil), b[:n]...)
-			b = b[n:]
 		case KindBool:
 			if err := need(1); err != nil {
 				return nil, err
 			}
 			v.Bool = b[0] != 0
 			b = b[1:]
-		case KindTime:
-			if err := need(8); err != nil {
-				return nil, err
-			}
-			v.Time = time.Unix(0, int64(binary.LittleEndian.Uint64(b)))
-			b = b[8:]
 		default:
 			return nil, fmt.Errorf("row: unknown kind tag %d", kind)
 		}
@@ -337,6 +320,11 @@ func Decode(b []byte) (Row, error) {
 	return r, nil
 }
 
+// nullTimeKey is what a NULL time encodes to in a key: the UnixNano of the
+// zero time.Time, which a NULL time once held. An index on a time column
+// keeps finding the NULL entries it already stores.
+var nullTimeKey = time.Time{}.UnixNano()
+
 // EncodeKey encodes values with an order-preserving encoding: byte-wise
 // comparison of encoded keys matches typed comparison of the values.
 func EncodeKey(vals Row) []byte {
@@ -344,9 +332,13 @@ func EncodeKey(vals Row) []byte {
 	var tmp [8]byte
 	for _, v := range vals {
 		switch v.Kind {
-		case KindInt64:
+		case KindInt64, KindTime:
+			n := v.Int
+			if v.IsNull && v.Kind == KindTime {
+				n = nullTimeKey
+			}
 			// Flip the sign bit so negative numbers order first.
-			binary.BigEndian.PutUint64(tmp[:], uint64(v.Int)^(1<<63))
+			binary.BigEndian.PutUint64(tmp[:], uint64(n)^(1<<63))
 			buf = append(buf, tmp[:]...)
 		case KindFloat64:
 			bits := math.Float64bits(v.Float)
@@ -357,28 +349,24 @@ func EncodeKey(vals Row) []byte {
 			}
 			binary.BigEndian.PutUint64(tmp[:], bits)
 			buf = append(buf, tmp[:]...)
-		case KindString:
-			buf = appendEscaped(buf, []byte(v.Str))
-		case KindBytes:
-			buf = appendEscaped(buf, v.Bytes)
+		case KindString, KindBytes:
+			buf = appendEscaped(buf, v.Str)
 		case KindBool:
 			if v.Bool {
 				buf = append(buf, 1)
 			} else {
 				buf = append(buf, 0)
 			}
-		case KindTime:
-			binary.BigEndian.PutUint64(tmp[:], uint64(v.Time.UnixNano())^(1<<63))
-			buf = append(buf, tmp[:]...)
 		}
 	}
 	return buf
 }
 
-// appendEscaped appends b with 0x00 escaped as 0x00 0xFF and a 0x00 0x00
+// appendEscaped appends s with 0x00 escaped as 0x00 0xFF and a 0x00 0x00
 // terminator, preserving prefix ordering for variable-length fields.
-func appendEscaped(buf, b []byte) []byte {
-	for _, c := range b {
+func appendEscaped(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
 		if c == 0x00 {
 			buf = append(buf, 0x00, 0xFF)
 		} else {

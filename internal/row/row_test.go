@@ -43,11 +43,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if got[0].Int != -42 || got[1].Str != "héllo" || got[2].Float != 3.14 {
 		t.Fatalf("mismatch: %v", got)
 	}
-	if !bytes.Equal(got[3].Bytes, []byte{0, 1, 2}) || !got[4].Bool {
+	if !bytes.Equal(got[3].Bytes(), []byte{0, 1, 2}) || !got[4].Bool {
 		t.Fatalf("mismatch: %v", got)
 	}
-	if !got[5].Time.Equal(time.Unix(123, 456)) {
-		t.Fatalf("time mismatch: %v", got[5].Time)
+	if !got[5].Time().Equal(time.Unix(123, 456)) {
+		t.Fatalf("time mismatch: %v", got[5].Time())
 	}
 }
 
@@ -156,7 +156,7 @@ func TestQuickRowRoundTrip(t *testing.T) {
 			return false
 		}
 		return got[0].Int == i && got[1].Str == s && got[2].Float == fl &&
-			bytes.Equal(got[3].Bytes, b) && got[4].Bool == ok && got[5].Time.UnixNano() == ns
+			bytes.Equal(got[3].Bytes(), b) && got[4].Bool == ok && got[5].Time().UnixNano() == ns
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -312,11 +312,32 @@ func TestColumnIndex(t *testing.T) {
 	}
 }
 
+// TestValueString pins String per kind. A time prints in the local zone,
+// set to UTC here.
 func TestValueString(t *testing.T) {
-	if Null(KindInt64).String() != "NULL" {
-		t.Error("null string repr")
-	}
-	if Int64(5).String() != "5" || String("x").String() != "x" || Bool(true).String() != "true" {
-		t.Error("value string reprs")
+	local := time.Local
+	time.Local = time.UTC
+	t.Cleanup(func() { time.Local = local })
+	for _, c := range []struct {
+		v    Value
+		want string
+	}{
+		{Int64(-7), "-7"},
+		{Float64(2.5), "2.5"},
+		{Float64(1e21), "1e+21"},
+		{String("héllo"), "héllo"},
+		{BytesVal([]byte{0, 0xFF, 0x10}), "00ff10"},
+		{BytesVal(nil), ""},
+		{Bool(true), "true"},
+		{Bool(false), "false"},
+		{Time(time.Unix(1, 500_000_000)), "1970-01-01T00:00:01.5Z"},
+		{Time(time.Unix(0, -1)), "1969-12-31T23:59:59.999999999Z"},
+		{Null(KindTime), "NULL"},
+		{Null(KindBytes), "NULL"},
+		{Value{Kind: Kind(99)}, "?"},
+	} {
+		if got := c.v.String(); got != c.want {
+			t.Errorf("%+v.String() = %q, want %q", c.v, got, c.want)
+		}
 	}
 }
