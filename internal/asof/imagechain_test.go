@@ -85,3 +85,53 @@ func TestImageChainMustDescend(t *testing.T) {
 		t.Fatalf("%d images restored before the link was checked, want 0", n)
 	}
 }
+
+// TestImageOfWrongLengthIsChainBroken rewinds a page across a full image
+// record whose image is not one page long: the record is CRC-valid, but
+// restoring it would copy half a page over the page being rewound (and the
+// page's own copy refuses that with a panic). The walk must return
+// ErrChainBroken instead, as redo refuses such a record.
+func TestImageOfWrongLengthIsChainBroken(t *testing.T) {
+	lg, err := wal.OpenStore(t.TempDir(), wal.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg.Close()
+	p := page.New()
+	apply := func(r *wal.Record) wal.LSN {
+		t.Helper()
+		r.PageID = 1
+		r.PrevPageLSN = wal.LSN(p.PageLSN())
+		lsn, err := lg.Append(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wal.Redo(p, r); err != nil {
+			t.Fatal(err)
+		}
+		return lsn
+	}
+	apply(&wal.Record{Type: wal.TypeFormat, Extra: []byte{byte(page.TypeLeaf), 0}})
+	inserted := apply(&wal.Record{Type: wal.TypeInsert, Slot: 0, NewData: []byte("a")})
+	// The image record is logged but, having no page's worth of bytes, not
+	// redone: the page takes the LSNs an honest image would have left.
+	img, err := lg.Append(&wal.Record{Type: wal.TypeImage, PageID: 1, PrevPageLSN: inserted,
+		NewData: append([]byte(nil), p.Bytes()[:page.Size/2]...)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetPageLSN(uint64(img))
+	p.SetLastImageLSN(uint64(img))
+	last := apply(&wal.Record{Type: wal.TypeInsert, Slot: 0, NewData: []byte("b")})
+	if err := lg.Flush(last); err != nil {
+		t.Fatal(err)
+	}
+	stats := &Stats{}
+	err = PreparePageAsOf(p, inserted, lg, stats)
+	if !errors.Is(err, ErrChainBroken) {
+		t.Fatalf("image of %d bytes: err = %v, want ErrChainBroken", page.Size/2, err)
+	}
+	if n := stats.ImageRestores.Load(); n != 0 {
+		t.Fatalf("%d images restored, want 0", n)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -291,9 +292,19 @@ func TestAsOfOracle(t *testing.T) {
 			o.mutate(x, oracleKey{"a", 9000 + step})
 			o.commit(x)
 			o.evicted += o.db.Pool().Stats().EvictWritebacks
+			// Every instant so far resolves and reads the same before the
+			// crash and after recovery, which rebuilds the time samples,
+			// checkpoints and analysis marks the crashed system had.
+			before := o.views(instants)
 			o.db.Crash()
 			straggler = nil
 			o.open(dir)
+			for i, v := range o.views(instants) {
+				if v != before[i] {
+					t.Fatalf("seed %d, as of %s: %+v before the crash, %+v after recovery",
+						seed, instants[i].Format(time.RFC3339Nano), before[i], v)
+				}
+			}
 		}
 
 		// The long-running transaction: opened, worked on over several
@@ -421,6 +432,44 @@ func TestAsOfOracle(t *testing.T) {
 	}
 	t.Logf("oracle: %d instants checked on snapshots, every 5th also restored from the backup (%d of those with transactions in flight)",
 		len(instants), restoredInflight)
+}
+
+// instantView is what an instant resolves to and reads: the SplitLSN, the
+// transactions in flight at it (id and last record) and a digest of both
+// tables as of it.
+type instantView struct {
+	split  wal.LSN
+	att    string
+	digest uint64
+}
+
+// views resolves and reads each instant on the database as it is now.
+func (o *oracleRun) views(instants []time.Time) []instantView {
+	out := make([]instantView, len(instants))
+	for i, at := range instants {
+		s, err := CreateSnapshot(o.db, at, nil)
+		if err != nil {
+			o.t.Fatalf("as of %s: %v", at.Format(time.RFC3339Nano), err)
+		}
+		pt := s.Point()
+		att := make([]string, len(pt.ATT))
+		for j, e := range pt.ATT {
+			att[j] = fmt.Sprintf("%d@%v", e.TxnID, e.LastLSN)
+		}
+		sort.Strings(att)
+		h := fnv.New64a()
+		for _, table := range oracleTables {
+			if err := s.Scan(table, nil, nil, func(r row.Row) bool {
+				h.Write(row.Encode(r))
+				return true
+			}); err != nil {
+				o.t.Fatalf("as of %s: scan %s: %v", at.Format(time.RFC3339Nano), table, err)
+			}
+		}
+		s.Close()
+		out[i] = instantView{split: pt.SplitLSN, att: strings.Join(att, ","), digest: h.Sum64()}
+	}
+	return out
 }
 
 // asOfReader is the read surface an as-of snapshot and a restored backup share.

@@ -173,6 +173,9 @@ func stepImage(c *chainCursor, rec *wal.Record, asOf wal.LSN, stats *Stats) (wal
 	if rec.PrevPageLSN >= c.lsn {
 		return 0, fmt.Errorf("%w: image does not descend at %v (-> %v)", ErrChainBroken, c.lsn, rec.PrevPageLSN)
 	}
+	if len(rec.NewData) != page.Size {
+		return 0, fmt.Errorf("%w: page image at %v is %d bytes", ErrChainBroken, c.lsn, len(rec.NewData))
+	}
 	c.p.CopyFrom(rec.NewData)
 	if stats != nil {
 		stats.ImageRestores.Add(1)

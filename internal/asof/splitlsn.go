@@ -38,13 +38,15 @@ type SplitPoint struct {
 
 // ResolveTime translates a wall-clock time into a SplitPoint, mirroring
 // §5.1: the search first narrows the log region using the wall-clock times
-// in checkpoint records (walking the checkpoint chain backwards) and the
-// log's sparse time→LSN index (commit samples, binary-searched), then
-// scans forward using transaction commit records to find the actual
+// of the checkpoints (the engine's checkpoint index, binary-searched in
+// memory) and the log's sparse time→LSN index (commit samples, likewise),
+// then scans forward using transaction commit records to find the actual
 // SplitLSN — the newest commit at or before the requested time. With the
 // sparse index populated, the commit scan covers at most one sample
 // interval (64 KiB of log) instead of the whole checkpoint-to-target
-// region.
+// region. Both indexes survive a restart: Open loads them from the
+// checkpoint-index sidecar, and recovery's scan adds the samples past the
+// last checkpoint.
 func ResolveTime(db *engine.DB, target time.Time) (SplitPoint, error) {
 	now := db.Now()
 	if retention := db.Retention(); retention > 0 && target.Before(now.Add(-retention)) {
@@ -144,10 +146,10 @@ func resolveAt(db *engine.DB, split, ckptBegin, ckptEnd wal.LSN) (SplitPoint, er
 }
 
 // newestCheckpointNotAfter finds the newest checkpoint whose wall-clock
-// time is at or before targetNS, returning its begin LSN. The
-// engine's in-memory checkpoint index (rebuilt from the on-disk chain at
-// open) answers this with a binary search; if the index is empty the search
-// degrades to the log's truncation point.
+// time is at or before targetNS, returning its begin LSN. The engine's
+// in-memory checkpoint index (loaded from its sidecar at open) answers this
+// with a binary search; if the index is empty the search degrades to the
+// log's truncation point.
 func newestCheckpointNotAfter(db *engine.DB, targetNS int64) wal.LSN {
 	marks := db.CheckpointIndex()
 	lo, hi := 0, len(marks) // first mark with WallClock > target

@@ -15,9 +15,9 @@ import (
 // O(mark interval) — the piece of snapshot-creation cost the sparse
 // time→LSN index alone cannot remove.
 //
-// Marks are volatile: they are not persisted, and after a restart
-// resolution falls back to checkpoint-seeded analysis until new marks
-// accumulate.
+// Marks are not persisted. Crash recovery's scan rebuilds them for the log
+// past the checkpoint it recovers from, at the same cadence; splits before
+// that checkpoint fall back to checkpoint-seeded analysis.
 type AnalysisMark struct {
 	// Begin is the log position before the capture began. The seed is the
 	// exact ATT at some instant τ with Begin ≤ τ ≤ End: replaying
@@ -63,11 +63,13 @@ func (db *DB) maybeATTMark() {
 	db.mu.Unlock()
 }
 
-// NoteAnalysisMark gives a standby the primary's mark cadence, counted in
-// applied log bytes: once applied is attMarkEvery past the last mark it
-// installs st's in-flight table — the standby's incremental analysis state,
-// exact at applied — so snapshot resolution on the standby runs the same
-// O(mark interval) analysis scans as on the primary.
+// NoteAnalysisMark takes marks from a log read forward instead of from the
+// live transaction table, at the primary's cadence counted in log bytes read:
+// once applied is attMarkEvery past the last mark it installs st's in-flight
+// table, which must be exact at applied. A standby's apply calls it with its
+// incremental analysis state, and crash recovery's scan with its own, so
+// snapshot resolution on a standby or a recovered database runs the same
+// O(mark interval) analysis scans as on the running primary.
 func (db *DB) NoteAnalysisMark(applied wal.LSN, st *RecoveryState) {
 	db.mu.Lock()
 	defer db.mu.Unlock()

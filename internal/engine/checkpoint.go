@@ -34,7 +34,9 @@ func (db *DB) Checkpoint() error { return db.checkpoint(flushAll) }
 //  5. log a checkpoint-end record carrying the active-transaction table,
 //     the dirty-page table and a pointer to the previous checkpoint, then
 //     force the log;
-//  6. record the end LSN in the boot page as the recovery starting hint.
+//  6. record the end LSN in the boot page as the recovery starting hint,
+//     and the checkpoint's mark and time samples in the checkpoint-index
+//     sidecar.
 //
 // Redo after a crash starts at the smaller of the begin record and the
 // oldest recLSN in the table (wal.CheckpointData.RedoStart). The periodic
@@ -111,9 +113,8 @@ func (db *DB) checkpoint(flushBelow wal.LSN) error {
 		return fmt.Errorf("engine: checkpoint end: %w", err)
 	}
 	db.mu.Lock()
-	db.boot.lastCkptEnd = endLSN
 	db.lastCkptAt = wal.LSN(db.log.Size())
-	db.ckptIndex = append(db.ckptIndex, CkptMark{WallClock: now, Begin: beginLSN, End: endLSN})
+	db.noteCheckpointLocked(CkptMark{WallClock: now, Begin: beginLSN, End: endLSN})
 	db.mu.Unlock()
 	if err := db.writeBoot(); err != nil {
 		return err

@@ -13,7 +13,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -139,7 +138,7 @@ type DB struct {
 	boot          bootBlock
 	lastCkptAt    wal.LSN // log size when the last auto checkpoint ran
 	ckptIndex     []CkptMark
-	attMarks      []AnalysisMark // volatile analysis seeds, LSN order
+	attMarks      []AnalysisMark // analysis seeds, LSN order
 	lastATTMarkAt wal.LSN        // log size when the last mark was taken
 
 	allocMu   sync.Mutex // serializes page allocation
@@ -190,6 +189,15 @@ type DB struct {
 	obs     *obs.Registry
 	metrics dbMetrics
 	obsSrv  *obs.Server
+
+	// ckptMu serializes writes of the checkpoint-index sidecar and guards
+	// what is known of it: whether it is a whole sidecar (ckptFileOK), how
+	// many entries it holds, live or below the truncation point
+	// (ckptFileN), and the end LSN of its newest entry (ckptSaved).
+	ckptMu     sync.Mutex
+	ckptFileOK bool
+	ckptFileN  int
+	ckptSaved  wal.LSN
 }
 
 // txnShards partitions the live-transaction registry so Begin/finish on
@@ -252,9 +260,9 @@ func Open(dir string, opts Options) (*DB, error) { return open(dir, opts, false)
 // are opened (and created empty if absent) but no bootstrap transaction
 // runs, no recovery runs, and the engine is read-only — an external
 // continuous-redo loop (internal/repl) owns the log and the pages. A
-// standby whose directory already holds shipped state reseeds its
-// checkpoint and time→LSN indexes from the local log copy exactly like a
-// primary would at open.
+// standby whose directory already holds shipped state loads its checkpoint
+// and time→LSN indexes from the checkpoint-index sidecar its own boot record
+// writes kept, exactly like a primary would at open.
 func OpenStandby(dir string, opts Options) (*DB, error) { return open(dir, opts, true) }
 
 // open is the one body of Open and OpenStandby.
@@ -331,7 +339,7 @@ func (db *DB) start(standby bool) error {
 	if err := db.readBoot(); err != nil {
 		return err
 	}
-	if err := db.rebuildCkptIndex(); err != nil {
+	if err := db.loadCkptIndex(); err != nil {
 		return fmt.Errorf("engine: checkpoint index: %w", err)
 	}
 	if !standby {
@@ -407,29 +415,16 @@ func (db *DB) InitStandbyBoot(roots catalog.Roots, createdAt int64) error {
 	return db.writeBoot()
 }
 
-// NoteCheckpoint records a primary checkpoint observed in the shipped
-// stream: it joins the in-memory checkpoint index (the §5.1 SplitLSN
-// narrowing works on the standby) and becomes the boot page's recovery
-// hint, so a standby restart reseeds its indexes from the same chain walk a
-// primary uses. The boot page write is deferred to the replica's own
-// checkpoint cadence (persistBoot), keeping stream apply cheap.
-func (db *DB) NoteCheckpoint(mark CkptMark) {
-	db.mu.Lock()
-	if n := len(db.ckptIndex); n == 0 || db.ckptIndex[n-1].End < mark.End {
-		db.ckptIndex = append(db.ckptIndex, mark)
-		db.boot.lastCkptEnd = mark.End
-	}
-	db.mu.Unlock()
-}
-
-// PersistBoot flushes the boot page (a standby adopting a new lineage; a
-// primary persists it inside Checkpoint).
+// PersistBoot flushes the boot page and the checkpoint-index sidecar (a
+// standby adopting a new lineage; a primary persists both inside
+// Checkpoint).
 func (db *DB) PersistBoot() error { return db.writeBoot() }
 
 // FlushStandby is a standby's checkpoint, which appends nothing to its
 // shipped log: every dirty page written back, the data file synced, and the
-// boot page persisted once the stream has bootstrapped it. Close runs it, and
-// so does the replica's own checkpoint.
+// boot page persisted once the stream has bootstrapped it, with the
+// checkpoint-index entries of the primary checkpoints applied since. Close
+// runs it, and so does the replica's own checkpoint.
 func (db *DB) FlushStandby() error {
 	if err := db.pool.FlushAll(); err != nil {
 		return err
@@ -742,6 +737,11 @@ func (db *DB) writeBoot() error {
 	if err := fsutil.AtomicWriteFile(db.bootMetaPath(), encodeBootMeta(b), db.opts.SyncPolicy == wal.SyncData); err != nil {
 		return fmt.Errorf("engine: boot meta: %w", err)
 	}
+	// The checkpoint index third: a crash before it leaves the boot record
+	// naming a checkpoint the sidecar lacks, which Open reads from the log.
+	if err := db.saveCkptIndex(b.lastCkptEnd); err != nil {
+		return fmt.Errorf("engine: checkpoint index: %w", err)
+	}
 	return nil
 }
 
@@ -823,85 +823,6 @@ func (db *DB) LastCheckpointEnd() wal.LSN {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.boot.lastCkptEnd
-}
-
-// CkptMark is one entry of the in-memory checkpoint index: the wall-clock
-// time and begin/end LSNs of a completed checkpoint. The index is what lets
-// the SplitLSN search (§5.1) narrow the log region without reading
-// checkpoint records back from disk; it is rebuilt from the on-disk
-// checkpoint chain when the database opens.
-type CkptMark struct {
-	WallClock int64
-	Begin     wal.LSN
-	End       wal.LSN
-}
-
-// LastCheckpointMark returns the most recent completed checkpoint's mark.
-// ok is false when no checkpoint has completed yet.
-func (db *DB) LastCheckpointMark() (CkptMark, bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if len(db.ckptIndex) == 0 {
-		return CkptMark{}, false
-	}
-	return db.ckptIndex[len(db.ckptIndex)-1], true
-}
-
-// CheckpointIndex returns the checkpoint marks in LSN order (oldest first).
-func (db *DB) CheckpointIndex() []CkptMark {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	out := make([]CkptMark, len(db.ckptIndex))
-	copy(out, db.ckptIndex)
-	return out
-}
-
-// rebuildCkptIndex walks the on-disk checkpoint chain backwards once at
-// open time and materializes the in-memory index, reseeding the log's
-// sparse time→LSN index from the samples each checkpoint carried.
-func (db *DB) rebuildCkptIndex() error {
-	var marks []CkptMark
-	var samples []wal.TimeSample
-	cur := db.LastCheckpointEnd()
-	for cur != wal.NilLSN {
-		if cur >= db.log.NextLSN() {
-			// The boot record points past the local log: a reseeded standby
-			// whose log begins at the backup checkpoint and has not yet
-			// ingested that far. The stream (NoteCheckpoint) rebuilds the
-			// index as those records arrive.
-			break
-		}
-		rec, err := db.log.Read(cur)
-		if err != nil {
-			if errors.Is(err, wal.ErrTruncated) {
-				break
-			}
-			return err
-		}
-		data, err := wal.DecodeCheckpoint(rec.Extra)
-		if err != nil {
-			return err
-		}
-		marks = append(marks, CkptMark{WallClock: rec.WallClock, Begin: data.BeginLSN, End: rec.LSN})
-		samples = append(samples, data.Times...)
-		if data.PrevEnd >= cur {
-			// A predecessor that is not below its successor — older builds
-			// wrote checkpoints naming themselves — ends the chain here.
-			break
-		}
-		cur = data.PrevEnd
-	}
-	// Reverse into LSN order (the walk collected newest-first; each
-	// checkpoint's own samples are already oldest-first, so sort once).
-	for i, j := 0, len(marks)-1; i < j; i, j = i+1, j-1 {
-		marks[i], marks[j] = marks[j], marks[i]
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i].LSN < samples[j].LSN })
-	db.log.SeedTimeIndex(samples)
-	db.mu.Lock()
-	db.ckptIndex = marks
-	db.mu.Unlock()
-	return nil
 }
 
 // CreatedAt returns the database creation time.

@@ -86,6 +86,11 @@ func (db *DB) recover() error {
 	// would sit as an unreadable hole in front of every later record.
 	// Nothing else uses the pool yet, so its counters split redo's page
 	// misses exactly into pages read and pages rebuilt without a read.
+	//
+	// Analysis also rebuilds what the running system derived from the same
+	// records (ObserveRecord): the time→LSN samples, the checkpoints the
+	// boot record did not name yet, and an analysis mark every attMarkEvery
+	// — from the checkpoint-end record on, where the seeded state is exact.
 	pool0 := db.pool.Stats()
 	var ahead []page.ID
 	var seen []uint64
@@ -97,11 +102,14 @@ func (db *DB) recover() error {
 				continue
 			}
 			if rec.LSN >= begin {
-				st.Observe(rec)
+				db.ObserveRecord(st, rec)
 			}
 			if err := db.RedoRecord(rec); err != nil {
 				return false, err
 			}
+		}
+		if last := recs[len(recs)-1]; last.LSN >= ckptEnd {
+			db.NoteAnalysisMark(last.LSN+wal.LSN(last.ApproxSize())-1, st)
 		}
 		return true, nil
 	})
@@ -207,6 +215,31 @@ func (st *RecoveryState) Observe(rec *wal.Record) {
 			}
 		}
 	}
+}
+
+// ObserveRecord folds one record, read in log order, into st and into what
+// the running system derived from the log as it appended it: the sparse
+// time→LSN index, at the cadence Append samples commits, and the checkpoint
+// index. Crash recovery's scan and a standby's apply pass every record
+// through it, so a recovered database and a standby resolve times with the
+// indexes the primary built. For a checkpoint-end record it returns the
+// decoded payload; for any other record, or one that does not decode, nil.
+func (db *DB) ObserveRecord(st *RecoveryState, rec *wal.Record) *wal.CheckpointData {
+	st.Observe(rec)
+	switch rec.Type {
+	case wal.TypeCommit:
+		db.log.ObserveCommit(rec.WallClock, rec.LSN)
+	case wal.TypeCheckpointEnd:
+		data, err := wal.DecodeCheckpoint(rec.Extra)
+		if err != nil {
+			return nil
+		}
+		db.mu.Lock()
+		db.noteCheckpointLocked(CkptMark{WallClock: rec.WallClock, Begin: data.BeginLSN, End: rec.LSN})
+		db.mu.Unlock()
+		return &data
+	}
+	return nil
 }
 
 // Inflight returns the in-flight transactions as ATT entries.

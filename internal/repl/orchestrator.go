@@ -502,7 +502,7 @@ func (o *Orchestrator) reseedLocked(n *orchNode) error {
 			return err
 		}
 	}
-	for _, name := range []string{"data.db", "boot.meta", "replica.state", promotedMarker, "wal.log", "wal"} {
+	for _, name := range []string{"data.db", "boot.meta", "ckpt.meta", "replica.state", promotedMarker, "wal.log", "wal"} {
 		if err := os.RemoveAll(filepath.Join(n.dir, name)); err != nil {
 			return err
 		}

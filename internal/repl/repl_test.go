@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,6 +15,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/engine"
 	"repro/internal/row"
+	"repro/internal/storage/media"
 	"repro/internal/tpcc"
 	"repro/internal/vclock"
 	"repro/internal/wal"
@@ -410,6 +413,65 @@ func TestReplicaRestartResumes(t *testing.T) {
 		return nil
 	})
 	db.Close()
+}
+
+// TestStandbyRestartReadsCheckpointIndex: a standby keeps the checkpoint
+// index it builds from the primary's checkpoint records in its own sidecar,
+// so a restart loads the index and the time→LSN samples without walking the
+// checkpoint chain through its log: at most two random log reads, where the
+// walk took one per checkpoint. The index equals the primary's, and the
+// samples the primary's up to its newest checkpoint.
+func TestStandbyRestartReadsCheckpointIndex(t *testing.T) {
+	c := newCluster(t, engine.Options{}, ReplicaOptions{CheckpointEvery: 64 << 10})
+	dir := c.rep.dir
+	mustExec(t, c.prim, func(tx *engine.Txn) error { return tx.CreateTable(testSchema("r")) })
+	body := strings.Repeat("x", 1024)
+	for b := 0; b < 16; b++ {
+		mustExec(t, c.prim, func(tx *engine.Txn) error {
+			for i := 0; i < 100; i++ {
+				if err := tx.Insert("r", testRow(b*100+i, body, i)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		c.clock.Advance(time.Second)
+		if err := c.prim.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.waitCaughtUp()
+	c.stopStream()
+	if err := c.rep.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := c.prim.CheckpointIndex()
+	last := want[len(want)-1].End
+	var wantSamples []wal.TimeSample
+	for _, s := range c.prim.Log().TimeSamplesSince(wal.NilLSN) {
+		if s.LSN <= last {
+			wantSamples = append(wantSamples, s)
+		}
+	}
+	if len(want) < 16 || len(wantSamples) < 16 {
+		t.Fatalf("primary has %d checkpoints and %d samples, want ≥ 16 of each", len(want), len(wantSamples))
+	}
+
+	dev := media.New(media.SSD(), nil)
+	rep2, err := OpenReplica(dir, ReplicaOptions{Engine: engine.Options{Clock: c.clock, LogDevice: dev}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.rep = rep2
+	if n := dev.Stats.RandReads.Load(); n > 2 {
+		t.Fatalf("standby restart made %d random log reads, want ≤ 2", n)
+	}
+	if got := rep2.DB().CheckpointIndex(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("standby index after restart %+v, primary's %+v", got, want)
+	}
+	if got := rep2.DB().Log().TimeSamplesSince(wal.NilLSN); !reflect.DeepEqual(got, wantSamples) {
+		t.Fatalf("standby samples after restart %v, primary's %v", got, wantSamples)
+	}
 }
 
 // TestReplicationLagDeterministic pins lag observation to the injected

@@ -666,30 +666,21 @@ func (r *Replica) apply(recs []*wal.Record) error {
 }
 
 // observe folds one record into the incremental analysis state and the
-// standby's time/checkpoint indexes.
+// standby's time and checkpoint indexes (engine.DB.ObserveRecord), then into
+// the replica's own bookkeeping: the last applied commit, and promotions
+// carried in checkpoint records.
 func (r *Replica) observe(rec *wal.Record) {
-	r.st.Observe(rec)
-	switch rec.Type {
-	case wal.TypeCommit:
-		// Reseed the sparse time→LSN index exactly as the primary's Append
-		// path did: same commits, same order, same cadence rule — so
-		// ResolveTime on the standby narrows to the same windows.
-		r.db.Log().ObserveCommit(rec.WallClock, rec.LSN)
+	data := r.db.ObserveRecord(r.st, rec)
+	switch {
+	case rec.Type == wal.TypeCommit:
 		r.lastCommitWC.Store(rec.WallClock)
 		r.lastCommitLSN.Store(uint64(rec.LSN))
-	case wal.TypeCheckpointEnd:
-		if data, err := wal.DecodeCheckpoint(rec.Extra); err == nil {
-			r.db.NoteCheckpoint(engine.CkptMark{
-				WallClock: rec.WallClock,
-				Begin:     data.BeginLSN,
-				End:       rec.LSN,
-			})
-			// Adopt promotions carried in the stream itself — monotonically,
-			// so replaying pre-fork checkpoints during catch-up can never
-			// regress a lineage the handshake already installed.
-			if cur, _ := r.db.Timeline(); data.TLI > cur {
-				_ = r.adoptLineage(timelineInfo{TLI: data.TLI, History: data.History})
-			}
+	case data != nil:
+		// Adopt promotions carried in the stream itself — monotonically,
+		// so replaying pre-fork checkpoints during catch-up can never
+		// regress a lineage the handshake already installed.
+		if cur, _ := r.db.Timeline(); data.TLI > cur {
+			_ = r.adoptLineage(timelineInfo{TLI: data.TLI, History: data.History})
 		}
 	}
 }

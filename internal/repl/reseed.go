@@ -42,7 +42,7 @@ func ReseedFromBackup(dir string, man backup.Manifest, archiveDir string) error 
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for _, name := range []string{"data.db", "wal", "wal.log", "replica.state", "boot.meta"} {
+	for _, name := range []string{"data.db", "wal", "wal.log", "replica.state", "boot.meta", "ckpt.meta"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
 			return fmt.Errorf("repl: reseed target %s already holds %s; refusing to clobber a replica", dir, name)
 		}

@@ -139,12 +139,19 @@ type segmentStore struct {
 
 func segName(seq uint64) string { return fmt.Sprintf("%08d.seg", seq) }
 
-func writeSegHeader(f *os.File, seq uint64, start int64) error {
+// segHeader renders a segment file's header: magic, sequence number, base
+// offset and a CRC of the three; the last four bytes are zero.
+func segHeader(seq uint64, start int64) [segHeaderSize]byte {
 	var hdr [segHeaderSize]byte
 	copy(hdr[:8], segMagic)
 	binary.LittleEndian.PutUint64(hdr[8:], seq)
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(start))
 	binary.LittleEndian.PutUint32(hdr[24:], crc32.ChecksumIEEE(hdr[:24]))
+	return hdr
+}
+
+func writeSegHeader(f *os.File, seq uint64, start int64) error {
+	hdr := segHeader(seq, start)
 	_, err := f.WriteAt(hdr[:], 0)
 	return err
 }
@@ -179,17 +186,31 @@ const truncMetaMagic = "ASOFTRNC"
 // between leaves a sidecar that is merely ahead of the physical floor —
 // the safe direction. Callers serialize (Manager.truncMu).
 func (st *segmentStore) saveTruncPoint(lsn LSN) error {
+	return fsutil.AtomicWriteFile(filepath.Join(st.dir, truncMetaName), encodeTruncPoint(lsn), st.sync == SyncData)
+}
+
+// encodeTruncPoint renders trunc.meta: magic, the LSN, and a CRC of both.
+func encodeTruncPoint(lsn LSN) []byte {
 	buf := make([]byte, 20)
 	copy(buf, truncMetaMagic)
 	binary.LittleEndian.PutUint64(buf[8:], uint64(lsn))
 	binary.LittleEndian.PutUint32(buf[16:], crc32.ChecksumIEEE(buf[:16]))
-	return fsutil.AtomicWriteFile(filepath.Join(st.dir, truncMetaName), buf, st.sync == SyncData)
+	return buf
 }
 
 // loadTruncPoint reads the persisted logical truncation point, if any.
 func loadTruncPoint(dir string) (LSN, bool) {
 	buf, err := os.ReadFile(filepath.Join(dir, truncMetaName))
-	if err != nil || len(buf) != 20 || string(buf[:8]) != truncMetaMagic {
+	if err != nil {
+		return NilLSN, false
+	}
+	return parseTruncPoint(buf)
+}
+
+// parseTruncPoint parses trunc.meta; ok is false for anything
+// encodeTruncPoint did not write.
+func parseTruncPoint(buf []byte) (LSN, bool) {
+	if len(buf) != 20 || string(buf[:8]) != truncMetaMagic {
 		return NilLSN, false
 	}
 	if crc32.ChecksumIEEE(buf[:16]) != binary.LittleEndian.Uint32(buf[16:]) {
