@@ -34,9 +34,9 @@ func (db *DB) Checkpoint() error { return db.checkpoint(flushAll) }
 //  5. log a checkpoint-end record carrying the active-transaction table,
 //     the dirty-page table and a pointer to the previous checkpoint, then
 //     force the log;
-//  6. record the end LSN in the boot page as the recovery starting hint,
-//     and the checkpoint's mark and time samples in the checkpoint-index
-//     sidecar.
+//  6. record the end LSN in the boot record as the recovery starting hint,
+//     and the checkpoint's mark and time samples in a ckpt record, with
+//     one control file append.
 //
 // Redo after a crash starts at the smaller of the begin record and the
 // oldest recLSN in the table (wal.CheckpointData.RedoStart). The periodic
@@ -230,8 +230,9 @@ func (db *DB) truncateForRetention(redoStart wal.LSN) error {
 }
 
 // pruneCkptIndex drops index entries whose records fell below the
-// truncation point.
+// truncation point, and their ckpt records from the control file's live set.
 func (db *DB) pruneCkptIndex(cut wal.LSN) {
+	db.ctl.Retain(cut, math.MaxUint64)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	i := 0

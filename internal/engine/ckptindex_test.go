@@ -1,9 +1,7 @@
 package engine
 
 import (
-	"bytes"
-	"encoding/binary"
-	"hash/crc32"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/control"
 	"repro/internal/storage/media"
 	"repro/internal/wal"
 )
@@ -66,12 +65,13 @@ func ckptTestOptions(t *testing.T) Options {
 }
 
 // TestOpenReadsCheckpointIndex: Open of a database with 24 checkpoints reads
-// the checkpoint index from its sidecar, not from the chain of checkpoint-end
-// records, and makes at most two random log reads (recovery's own read of the
-// checkpoint it starts from). The index and the time→LSN samples equal what
-// the chain walk builds, which is what Open builds when the sidecar is gone,
-// and recovery's scan adds back the samples the running system took after
-// the last checkpoint: the recovered samples are the crashed system's.
+// the checkpoint index from its control file, not from the chain of
+// checkpoint-end records, and makes at most two random log reads (recovery's
+// own read of the checkpoint it starts from). The index and the time→LSN
+// samples equal what the chain walk builds, which is what Open builds from
+// page 0's boot block when the control file is gone, and recovery's scan adds
+// back the samples the running system took after the last checkpoint: the
+// recovered samples are the crashed system's.
 func TestOpenReadsCheckpointIndex(t *testing.T) {
 	opts := ckptTestOptions(t)
 	dir := t.TempDir()
@@ -83,7 +83,7 @@ func TestOpenReadsCheckpointIndex(t *testing.T) {
 	}
 	walked := filepath.Join(t.TempDir(), "walked")
 	copyDir(t, dir, walked)
-	if err := os.Remove(filepath.Join(walked, ckptIndexName)); err != nil {
+	if err := os.Remove(filepath.Join(walked, control.Name)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -93,7 +93,7 @@ func TestOpenReadsCheckpointIndex(t *testing.T) {
 	}
 	wdb, wreads := openCounted(t, walked, opts)
 	if wreads < int64(len(wantMarks)) {
-		t.Fatalf("Open without the sidecar made %d random log reads for %d checkpoints: it did not walk", wreads, len(wantMarks))
+		t.Fatalf("Open without the control file made %d random log reads for %d checkpoints: it did not walk", wreads, len(wantMarks))
 	}
 	marks, samples := db.CheckpointIndex(), db.Log().TimeSamplesSince(wal.NilLSN)
 	if !reflect.DeepEqual(marks[:len(wantMarks)], wantMarks) || len(marks) != len(wantMarks)+1 {
@@ -103,23 +103,53 @@ func TestOpenReadsCheckpointIndex(t *testing.T) {
 		t.Fatalf("%d samples after Open, the crashed system had %d", len(samples), len(wantSamples))
 	}
 	if got := wdb.CheckpointIndex(); !reflect.DeepEqual(got, marks) {
-		t.Fatalf("walked index %+v, sidecar index %+v", got, marks)
+		t.Fatalf("walked index %+v, control file's index %+v", got, marks)
 	}
 	if got := wdb.Log().TimeSamplesSince(wal.NilLSN); !reflect.DeepEqual(got, samples) {
-		t.Fatalf("walked samples %v, sidecar samples %v", got, samples)
+		t.Fatalf("walked samples %v, control file's samples %v", got, samples)
 	}
 }
 
-// TestCkptIndexCrashWindows: a crash between a checkpoint's forced end record
-// and its sidecar entry leaves the index complete after Open, whether the
-// boot record already named the checkpoint (Open reads that one record) or
-// not (recovery's scan passes it), and the Open after that reads no
-// checkpoint record.
+// frameEnds returns the end offsets of the control file frames that lie past
+// from in buf, a whole control file.
+func frameEnds(t *testing.T, buf []byte, from int) []int {
+	t.Helper()
+	recs, intact, err := control.Decode(buf)
+	if err != nil {
+		t.Fatalf("control file: %v", err)
+	}
+	var ends []int
+	for off, i := len(control.Encode(nil)), 0; i < len(recs); i++ {
+		if off += len(control.AppendFrame(nil, recs[i])); off > from {
+			ends = append(ends, off)
+		}
+	}
+	if ends[len(ends)-1] != intact {
+		t.Fatalf("frames end at %v, the file at %d", ends, intact)
+	}
+	return ends
+}
+
+// TestCkptIndexCrashWindows: every control file write is one append, so a
+// crash before it, inside any of its frames (a torn append), between its
+// frames, or after it leaves a file that Open reads as the state before the
+// write or after it. Each record kind is written in turn under both sync
+// policies, and each cut is opened on a copy of the database:
+//
+//   - a checkpoint's boot and ckpt records: the index after Open holds every
+//     checkpoint, whether the boot record named the last one (Open reads that
+//     one record) or not (recovery's scan passes it), and the Open after
+//     that reads no checkpoint record;
+//   - a standby checkpoint's boot and standby records: the standby record is
+//     the one before unless the append is whole;
+//   - a promoted record: OpenStandby refuses the directory exactly when the
+//     append is whole.
 func TestCkptIndexCrashWindows(t *testing.T) {
-	for _, bootWritten := range []bool{true, false} {
+	for _, policy := range []wal.SyncPolicy{wal.SyncNone, wal.SyncData} {
 		opts := ckptTestOptions(t)
-		dir := t.TempDir()
-		db, err := Open(dir, opts)
+		opts.SyncPolicy = policy
+		base := t.TempDir()
+		db, err := Open(base, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,78 +160,128 @@ func TestCkptIndexCrashWindows(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		saved := map[string][]byte{}
-		for _, name := range []string{bootMetaName, ckptIndexName} {
-			if saved[name], err = os.ReadFile(filepath.Join(dir, name)); err != nil {
+		standby := control.Standby{Applied: 77, MaxTxn: 9, ATT: []wal.ATTEntry{{TxnID: 9, LastLSN: 70, BeginLSN: 60}}}
+		writes := []struct {
+			kind   string
+			frames int
+			write  func() error
+			check  func(t *testing.T, dir string, whole bool)
+		}{
+			{"checkpoint", 2, func() error {
+				mustExec(t, db, func(tx *Txn) error { return tx.Insert("t", testRow(9, "v", 9)) })
+				return db.Checkpoint()
+			}, func(t *testing.T, dir string, whole bool) {
+				want := db.CheckpointIndex()
+				got, _ := openCounted(t, dir, opts)
+				if idx := got.CheckpointIndex(); len(idx) < len(want) || !reflect.DeepEqual(idx[:len(want)], want) {
+					t.Fatalf("index after Open %+v, want %+v first", idx, want)
+				}
+				want = got.CheckpointIndex()
+				got.Crash()
+				got, reads := openCounted(t, dir, opts)
+				if idx := got.CheckpointIndex(); !reflect.DeepEqual(idx[:len(want)], want) || reads > 2 {
+					t.Fatalf("second Open made %d random log reads, index %+v, want ≤ 2 and %+v first", reads, idx, want)
+				}
+				got.Crash()
+			}},
+			{"standby", 2, func() error { return db.FlushStandby(standby.Record()) }, func(t *testing.T, dir string, whole bool) {
+				sdb, err := OpenStandby(dir, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sdb.Crash()
+				var got []control.Standby
+				for _, r := range sdb.Control().Records(control.KindStandby) {
+					s, _ := control.ParseStandby(r.Body)
+					got = append(got, s)
+				}
+				if present := reflect.DeepEqual(got, []control.Standby{standby}); present != whole || (!whole && got != nil) {
+					t.Fatalf("standby records %+v, want the new one %v", got, whole)
+				}
+			}},
+			{"promoted", 1, func() error { return db.ctl.Add(control.Record{Kind: control.KindPromoted}) }, func(t *testing.T, dir string, whole bool) {
+				sdb, err := OpenStandby(dir, opts)
+				if err == nil {
+					sdb.Crash()
+				}
+				if refused := errors.Is(err, ErrPromoted); refused != whole || (!refused && err != nil) {
+					t.Fatalf("OpenStandby: %v, want refused %v", err, whole)
+				}
+			}},
+		}
+		path := filepath.Join(base, control.Name)
+		for _, w := range writes {
+			before, err := os.ReadFile(path)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		mustExec(t, db, func(tx *Txn) error { return tx.Insert("t", testRow(9, "v", 9)) })
-		if err := db.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		want := db.CheckpointIndex()
-		db.Crash()
-		// Put back the sidecar as it was before the last checkpoint, and
-		// the boot record too if the crash came before it.
-		restore := []string{ckptIndexName}
-		if !bootWritten {
-			restore = append(restore, bootMetaName)
-		}
-		for _, name := range restore {
-			if err := os.WriteFile(filepath.Join(dir, name), saved[name], 0o644); err != nil {
+			if err := w.write(); err != nil {
 				t.Fatal(err)
 			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ends := frameEnds(t, after, len(before))
+			if len(ends) != w.frames {
+				t.Fatalf("%s: the write appended %d frames, want %d", w.kind, len(ends), w.frames)
+			}
+			cuts := []int{len(before)}
+			for i, end := range ends {
+				cuts = append(cuts, (cuts[2*i]+end)/2, end)
+			}
+			for _, cut := range cuts {
+				t.Run(policy.String()+"/"+w.kind, func(t *testing.T) {
+					dir := filepath.Join(t.TempDir(), "db")
+					copyDir(t, base, dir)
+					if err := os.WriteFile(filepath.Join(dir, control.Name), after[:cut], 0o644); err != nil {
+						t.Fatal(err)
+					}
+					w.check(t, dir, cut == len(after))
+				})
+			}
 		}
-		db, _ = openCounted(t, dir, opts)
-		if got := db.CheckpointIndex(); !reflect.DeepEqual(got[:len(want)], want) {
-			t.Fatalf("boot written %v: index after Open %+v, want %+v first", bootWritten, got, want)
-		}
-		want = db.CheckpointIndex()
 		db.Crash()
-		db, reads := openCounted(t, dir, opts)
-		if got := db.CheckpointIndex(); !reflect.DeepEqual(got[:len(want)], want) || reads > 2 {
-			t.Fatalf("boot written %v: second Open made %d random log reads, index %+v, want ≤ 2 and %+v first", bootWritten, reads, got, want)
-		}
 	}
 }
 
-// TestCkptIndexRepaired: a sidecar that is missing or not a sidecar costs
-// one walk of the whole chain and a rewrite; a torn one, one with a garbage
-// tail and one holding an entry the chain does not pass through cost a walk
-// down to the last good entry (none, for the last two) and a rewrite. The
-// Open after that reads no checkpoint record, and every Open builds the same
-// index.
+// TestCkptIndexRepaired: a control file that is missing or not a control
+// file costs one walk of the whole chain from page 0's boot block and a
+// rewrite; a torn one, one with a garbage tail and one holding a ckpt record
+// the chain does not pass through cost a walk down to the last good record
+// (none, for the last two) and a rewrite. The Open after that reads no
+// checkpoint record, and every Open builds the same index.
 func TestCkptIndexRepaired(t *testing.T) {
 	opts := ckptTestOptions(t)
 	base := t.TempDir()
 	crashed := ckptHistory(t, base, opts, 20)
 	want := crashed.CheckpointIndex()
-	sidecar, err := os.ReadFile(filepath.Join(base, ckptIndexName))
+	file, err := os.ReadFile(filepath.Join(base, control.Name))
 	if err != nil {
 		t.Fatal(err)
 	}
 	damage := map[string]func(path string) error{
 		"missing": os.Remove,
 		"torn": func(path string) error {
-			return os.WriteFile(path, sidecar[:len(sidecar)-7], 0o644)
+			return os.WriteFile(path, file[:len(file)-7], 0o644)
 		},
 		"garbage tail": func(path string) error {
-			return os.WriteFile(path, append(append([]byte(nil), sidecar...), "not a frame"...), 0o644)
+			return os.WriteFile(path, append(append([]byte(nil), file...), "not a frame"...), 0o644)
 		},
 		"bad magic": func(path string) error {
-			return os.WriteFile(path, append([]byte("NOTCKPT!"), sidecar[len(ckptIndexMagic):]...), 0o644)
+			return os.WriteFile(path, append([]byte("NOTCTRL!"), file[8:]...), 0o644)
 		},
-		"foreign entry": func(path string) error {
-			// An entry past every checkpoint the chain holds.
-			return os.WriteFile(path, appendCkptEntry(append([]byte(nil), sidecar...),
-				CkptMark{WallClock: 1, Begin: want[len(want)-1].End + 1, End: want[len(want)-1].End + 100}, nil), 0o644)
+		"foreign record": func(path string) error {
+			// A ckpt record past every checkpoint the chain holds.
+			last := want[len(want)-1].End
+			return os.WriteFile(path, control.AppendFrame(append([]byte(nil), file...),
+				control.Checkpoint{WallClock: 1, Begin: last + 1, End: last + 100}.Record()), 0o644)
 		},
 	}
 	for name, hurt := range damage {
 		dir := filepath.Join(t.TempDir(), "db")
 		copyDir(t, base, dir)
-		if err := hurt(filepath.Join(dir, ckptIndexName)); err != nil {
+		if err := hurt(filepath.Join(dir, control.Name)); err != nil {
 			t.Fatal(err)
 		}
 		db, reads := openCounted(t, dir, opts)
@@ -220,12 +300,12 @@ func TestCkptIndexRepaired(t *testing.T) {
 	}
 }
 
-// TestCkptIndexCompacts: with a retention shorter than the history, the
-// sidecar's entries below the truncation point stay in the file until they
-// outnumber the live ones, and a reopen reads exactly the live index. The
-// file is compacted when a checkpoint appends to it, before that
-// checkpoint's retention cut, so after the cut it may hold two entries more
-// than twice the live ones.
+// TestCkptIndexCompacts: with a retention shorter than the history, the ckpt
+// records below the truncation point and the superseded boot records stay in
+// the control file until they outnumber the live records, and a reopen reads
+// exactly the live index. The file is compacted when a checkpoint appends to
+// it, before that checkpoint's retention cut, so after the cut it may hold
+// two records more than twice the live ones (the index and the boot record).
 func TestCkptIndexCompacts(t *testing.T) {
 	opts := ckptTestOptions(t)
 	opts.Retention = 5 * time.Minute
@@ -242,19 +322,19 @@ func TestCkptIndexCompacts(t *testing.T) {
 		if err := db.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		buf, err := os.ReadFile(filepath.Join(dir, ckptIndexName))
+		buf, err := os.ReadFile(filepath.Join(dir, control.Name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		entries, _, intact, ok := decodeCkptIndex(buf)
-		live := len(db.CheckpointIndex())
-		if !ok || intact != len(buf) || len(entries) > 2*live+2 {
-			t.Fatalf("checkpoint %d: sidecar holds %d entries (intact %v), %d live", i, len(entries), ok && intact == len(buf), live)
+		recs, _, err := control.Decode(buf)
+		live := len(db.CheckpointIndex()) + 1
+		if err != nil || len(recs) > 2*live+2 {
+			t.Fatalf("checkpoint %d: control file holds %d records (%v), %d live", i, len(recs), err, live)
 		}
-		maxFile = max(maxFile, len(entries))
+		maxFile = max(maxFile, len(recs))
 	}
-	if live := len(db.CheckpointIndex()); live > 8 || maxFile <= live {
-		t.Fatalf("%d live checkpoints, the sidecar held at most %d entries: retention or its slack did not show", live, maxFile)
+	if live := len(db.CheckpointIndex()) + 1; live > 9 || maxFile <= live {
+		t.Fatalf("%d live records, the control file held at most %d: retention or its slack did not show", live, maxFile)
 	}
 	want := db.CheckpointIndex()
 	db.Crash()
@@ -264,62 +344,10 @@ func TestCkptIndexCompacts(t *testing.T) {
 	}
 }
 
-// stampCkptCRCs recomputes the CRC of every frame the length fields lay out
-// after the magic, so mutated bodies reach the decoder behind the CRC.
-func stampCkptCRCs(buf []byte) []byte {
-	out := append([]byte(nil), buf...)
-	for off := len(ckptIndexMagic); off+ckptFrameOverhead <= len(out); {
-		n := int(binary.LittleEndian.Uint32(out[off:]))
-		if n < 0 || n > len(out)-off-ckptFrameOverhead {
-			break
-		}
-		binary.LittleEndian.PutUint32(out[off+4+n:], crc32.ChecksumIEEE(out[off+4:off+4+n]))
-		off += n + ckptFrameOverhead
-	}
-	return out
-}
-
-// FuzzCkptIndex: the checkpoint-index sidecar is what Open reads first after
-// boot.meta. Decoding it never panics, with the CRCs as found or stamped to
-// match the mutated bytes; the entries decoded re-encode to exactly the
-// intact prefix; and every cut of that prefix decodes to the entries whose
-// frames end at or before the cut — a torn tail costs only the entries it
-// tore. Seeds under testdata/fuzz are sidecars checkpoints wrote: one entry
-// without samples, and three entries carrying samples.
-func FuzzCkptIndex(f *testing.F) {
-	f.Fuzz(func(t *testing.T, buf []byte) {
-		for _, b := range [][]byte{buf, stampCkptCRCs(buf)} {
-			entries, _, intact, ok := decodeCkptIndex(b)
-			if !ok {
-				continue
-			}
-			enc := []byte(ckptIndexMagic)
-			ends := []int{len(enc)}
-			for _, e := range entries {
-				enc = appendCkptEntry(enc, e.mark, e.times)
-				ends = append(ends, len(enc))
-			}
-			if !bytes.Equal(enc, b[:intact]) {
-				t.Fatalf("%d entries re-encode to %d bytes, not the %d-byte intact prefix", len(entries), len(enc), intact)
-			}
-			for cut := len(ckptIndexMagic); cut <= intact; cut += 1 + cut%13 {
-				got, _, n, _ := decodeCkptIndex(b[:cut])
-				k := 0
-				for k+1 < len(ends) && ends[k+1] <= cut {
-					k++
-				}
-				if n != ends[k] || !reflect.DeepEqual(got, entries[:k]) {
-					t.Fatalf("cut at %d: %d entries in %d bytes, want %d in %d", cut, len(got), n, k, ends[k])
-				}
-			}
-		}
-	})
-}
-
 // TestCkptIndexBesideCommits: checkpoints taken while other goroutines
-// commit append their entries to the sidecar in LSN order, once each, with
-// the samples the commits left in the time index, so a reopen after a crash
-// reads the index the running system held.
+// commit append their ckpt records to the control file in LSN order, once
+// each, with the samples the commits left in the time index, so a reopen
+// after a crash reads the index the running system held.
 func TestCkptIndexBesideCommits(t *testing.T) {
 	opts := ckptTestOptions(t)
 	dir := t.TempDir()
@@ -359,13 +387,19 @@ func TestCkptIndexBesideCommits(t *testing.T) {
 	}
 	want := db.CheckpointIndex()
 	db.Crash()
-	buf, err := os.ReadFile(filepath.Join(dir, ckptIndexName))
+	buf, err := os.ReadFile(filepath.Join(dir, control.Name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, _, intact, ok := decodeCkptIndex(buf)
-	if !ok || intact != len(buf) || len(entries) != len(want) {
-		t.Fatalf("sidecar holds %d entries (whole: %v), the index %d", len(entries), ok && intact == len(buf), len(want))
+	recs, _, err := control.Decode(buf)
+	ckpts := 0
+	for _, r := range recs {
+		if r.Kind == control.KindCkpt {
+			ckpts++
+		}
+	}
+	if err != nil || ckpts != len(want) {
+		t.Fatalf("control file holds %d ckpt records (%v), the index %d", ckpts, err, len(want))
 	}
 	db, _ = openCounted(t, dir, opts)
 	if got := db.CheckpointIndex(); !reflect.DeepEqual(got[:len(want)], want) {

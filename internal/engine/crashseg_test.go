@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/control"
 	"repro/internal/row"
 	"repro/internal/wal"
 )
@@ -143,9 +144,10 @@ func TestCrashMidRotationRecovers(t *testing.T) {
 	})
 }
 
-// TestBootMetaFallback: the boot record is read from the crash-atomic
-// sidecar when it is intact and from page 0 when the sidecar is missing or
-// corrupt — either way the database opens on the newest usable checkpoint.
+// TestBootMetaFallback: the boot record is read from the control file when
+// it is intact and from page 0 when the file is missing or not a control
+// file, or its boot record does not decode — either way the database opens
+// on the newest usable checkpoint.
 func TestBootMetaFallback(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, smallSegOptions(t))
@@ -157,9 +159,9 @@ func TestBootMetaFallback(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	metaPath := filepath.Join(dir, bootMetaName)
+	metaPath := filepath.Join(dir, control.Name)
 	if _, err := os.Stat(metaPath); err != nil {
-		t.Fatalf("close did not leave a boot sidecar: %v", err)
+		t.Fatalf("close did not leave a control file: %v", err)
 	}
 
 	check := func(stage string) {
@@ -178,19 +180,29 @@ func TestBootMetaFallback(t *testing.T) {
 		}
 	}
 
-	check("sidecar intact")
+	check("control file intact")
 
-	// Corrupt sidecar: CRC fails, page 0 serves.
+	// A boot record whose block does not decode is newest: page 0 serves.
+	ctl, err := control.Open(metaPath, false)
+	if err == nil {
+		err = ctl.Add(control.Record{Kind: control.KindBoot, Body: []byte("garbage boot block")})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("boot record corrupt")
+
+	// Not a control file: page 0 serves.
 	if err := os.WriteFile(metaPath, []byte("garbage boot meta"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	check("sidecar corrupt")
+	check("control file corrupt")
 
-	// Missing sidecar: page 0 serves.
+	// Missing control file: page 0 serves.
 	if err := os.Remove(metaPath); err != nil {
 		t.Fatal(err)
 	}
-	check("sidecar missing")
+	check("control file missing")
 }
 
 // TestRetentionKeepsEngineServingAcrossRestart: engine-level retention over

@@ -10,16 +10,17 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/clock"
-	"repro/internal/fsutil"
+	"repro/internal/control"
 	"repro/internal/obs"
 	"repro/internal/storage/buffer"
 	"repro/internal/storage/disk"
@@ -70,7 +71,7 @@ type Options struct {
 	// failure may lose the tail) or wal.SyncData (an fdatasync-class sync
 	// per group-commit flush, real durability on real devices).
 	// Checkpoints inherit the policy end to end: data.db is synced and the
-	// boot metadata is replaced via atomic rename+fsync.
+	// control file's append is synced.
 	SyncPolicy wal.SyncPolicy
 	// LogSegmentBytes is the WAL segment-file capacity (default 64 MiB).
 	// Retention drops whole sealed segments, so the segment size bounds
@@ -129,6 +130,9 @@ type DB struct {
 	data *disk.File
 	log  *wal.Manager
 	pool *buffer.Pool
+	// ctl is the node's control file: the boot record, the checkpoint
+	// index, a standby's apply state and the promotion mark.
+	ctl *control.File
 
 	locks *txn.LockManager
 
@@ -189,15 +193,6 @@ type DB struct {
 	obs     *obs.Registry
 	metrics dbMetrics
 	obsSrv  *obs.Server
-
-	// ckptMu serializes writes of the checkpoint-index sidecar and guards
-	// what is known of it: whether it is a whole sidecar (ckptFileOK), how
-	// many entries it holds, live or below the truncation point
-	// (ckptFileN), and the end LSN of its newest entry (ckptSaved).
-	ckptMu     sync.Mutex
-	ckptFileOK bool
-	ckptFileN  int
-	ckptSaved  wal.LSN
 }
 
 // txnShards partitions the live-transaction registry so Begin/finish on
@@ -261,9 +256,13 @@ func Open(dir string, opts Options) (*DB, error) { return open(dir, opts, false)
 // runs, no recovery runs, and the engine is read-only — an external
 // continuous-redo loop (internal/repl) owns the log and the pages. A
 // standby whose directory already holds shipped state loads its checkpoint
-// and time→LSN indexes from the checkpoint-index sidecar its own boot record
-// writes kept, exactly like a primary would at open.
+// and time→LSN indexes from the control file its own checkpoints kept,
+// exactly like a primary would at open. A directory whose node was promoted
+// is refused with ErrPromoted.
 func OpenStandby(dir string, opts Options) (*DB, error) { return open(dir, opts, true) }
+
+// legacyPromotedMarker is the file promotion wrote before the promoted record.
+const legacyPromotedMarker = "promoted.fork"
 
 // open is the one body of Open and OpenStandby.
 func open(dir string, opts Options, standby bool) (*DB, error) {
@@ -272,6 +271,16 @@ func open(dir string, opts Options, standby bool) (*DB, error) {
 	// left byte-identical.
 	if err := wal.RefuseUnreadable(filepath.Join(dir, "wal")); err != nil {
 		return nil, err
+	}
+	ctl, err := control.Open(filepath.Join(dir, control.Name), opts.SyncPolicy == wal.SyncData)
+	if err != nil {
+		return nil, err
+	}
+	if standby {
+		_, err := os.Stat(filepath.Join(dir, legacyPromotedMarker))
+		if len(ctl.Records(control.KindPromoted)) > 0 || err == nil {
+			return nil, fmt.Errorf("%w: %s", ErrPromoted, dir)
+		}
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("engine: mkdir: %w", err)
@@ -297,6 +306,7 @@ func open(dir string, opts Options, standby bool) (*DB, error) {
 		dir:       dir,
 		data:      data,
 		log:       logm,
+		ctl:       ctl,
 		locks:     txn.NewLockManager(lockTimeout),
 		allocHint: make(map[uint32]uint32),
 		idxCache:  make(map[uint32][]catalog.Index),
@@ -325,10 +335,13 @@ func open(dir string, opts Options, standby bool) (*DB, error) {
 
 // start brings an opened database up. A fresh primary is created; a fresh
 // standby stays empty until the stream's hello frame (InitStandbyBoot). An
-// existing database reads its boot page and checkpoint chain and, unless it
-// is a standby, recovers.
+// existing database reads its boot record and checkpoint index and, unless
+// it is a standby, recovers.
 func (db *DB) start(standby bool) error {
 	if db.data.PageCount() == 0 {
+		// A control file beside an empty data file describes one that no
+		// longer exists.
+		db.ctl.Reset()
 		if !standby {
 			if err := db.create(); err != nil {
 				return err
@@ -362,6 +375,11 @@ var ErrRedoIncomplete = errors.New("engine: promote before redo reached the end 
 // ErrBadLineage is returned by Promote, before anything changes, when the
 // lineage it would persist fails wal.TimelineHistory.Validate.
 var ErrBadLineage = errors.New("engine: promotion would record an invalid timeline history")
+
+// ErrPromoted is returned by OpenStandby for a promoted node's directory:
+// its log holds local records at LSNs its upstream has since given to other
+// bytes, so streaming onto it would serve CRC-valid garbage.
+var ErrPromoted = errors.New("engine: the node was promoted and its log has forked from its upstream's")
 
 // Standby reports whether the database is a read-only log-shipping replica.
 func (db *DB) Standby() bool { return db.standby.Load() }
@@ -415,28 +433,25 @@ func (db *DB) InitStandbyBoot(roots catalog.Roots, createdAt int64) error {
 	return db.writeBoot()
 }
 
-// PersistBoot flushes the boot page and the checkpoint-index sidecar (a
-// standby adopting a new lineage; a primary persists both inside
-// Checkpoint).
+// PersistBoot writes the boot record (a standby adopting a new lineage).
 func (db *DB) PersistBoot() error { return db.writeBoot() }
 
 // FlushStandby is a standby's checkpoint, which appends nothing to its
-// shipped log: every dirty page written back, the data file synced, and the
-// boot page persisted once the stream has bootstrapped it, with the
-// checkpoint-index entries of the primary checkpoints applied since. Close
-// runs it, and so does the replica's own checkpoint.
-func (db *DB) FlushStandby() error {
+// shipped log: every dirty page written back, the data file synced, then
+// writeBoot with extra, the replica's apply state. Close runs it, and so
+// does the replica's own checkpoint.
+func (db *DB) FlushStandby(extra ...control.Record) error {
 	if err := db.pool.FlushAll(); err != nil {
 		return err
 	}
 	if err := db.data.Sync(); err != nil {
 		return err
 	}
-	if db.Bootstrapped() {
-		return db.writeBoot()
-	}
-	return nil
+	return db.writeBoot(extra...)
 }
+
+// Control exposes the node's control file (a standby's apply state).
+func (db *DB) Control() *control.File { return db.ctl }
 
 // Promote flips a standby read-write after its apply loop has stopped: the
 // given transactions (in flight at the promotion point, from the replica's
@@ -471,6 +486,11 @@ func (db *DB) Promote(att []wal.ATTEntry) error {
 	if !db.standby.CompareAndSwap(true, false) {
 		return errors.New("engine: promote of a non-standby database")
 	}
+	// The promoted record goes first, before the undo pass appends the
+	// first local record: from here on OpenStandby refuses the directory.
+	if err := db.ctl.Add(control.Record{Kind: control.KindPromoted}); err != nil {
+		return fmt.Errorf("engine: promote (database needs recovery, not standby resumption): %w", err)
+	}
 	if err := db.UndoTransactions(att); err != nil {
 		return fmt.Errorf("engine: promote undo (database needs recovery, not standby resumption): %w", err)
 	}
@@ -478,8 +498,8 @@ func (db *DB) Promote(att []wal.ATTEntry) error {
 	db.boot.tli, db.boot.history = tli, hist
 	db.mu.Unlock()
 	// The post-promotion checkpoint persists the new lineage in both the
-	// boot metadata and the checkpoint record, so downstream replicas adopt
-	// it from the stream.
+	// boot record and the checkpoint record, so downstream replicas adopt it
+	// from the stream.
 	if err := db.Checkpoint(); err != nil {
 		return fmt.Errorf("engine: promote checkpoint (database needs recovery, not standby resumption): %w", err)
 	}
@@ -572,7 +592,7 @@ func (db *DB) Close() error {
 	}
 	flush := db.Checkpoint
 	if db.standby.Load() {
-		flush = db.FlushStandby
+		flush = func() error { return db.FlushStandby() }
 	}
 	if err := flush(); err != nil {
 		return err
@@ -592,35 +612,37 @@ func (db *DB) Crash() {
 	// Intentionally do not flush or close; reopening uses the same paths.
 }
 
-// --- boot record (page 0 + boot.meta) ---
+// --- boot record (page 0 + the control file) ---
 
 const bootPayload = 64 // offset of the boot block within page 0
 
-// bootMetaName is the sidecar boot-metadata file: the same block as page 0,
-// CRC-guarded, replaced via write-temp + fsync + atomic rename. The page-0
-// copy keeps backup images self-describing; the sidecar is what makes the
-// checkpoint pointer crash-atomic — an in-place page write can tear, a
-// rename cannot, so a post-checkpoint crash under SyncData can never read a
-// stale (or half-written) boot record.
-const bootMetaName = "boot.meta"
-
 const bootBlockSize = 40
 
-// encodeBlock renders the fixed boot block into dst (at least bootBlockSize
-// bytes).
-func (b bootBlock) encodeBlock(dst []byte) {
-	copy(dst, bootMagic)
-	binary.LittleEndian.PutUint32(dst[8:], uint32(b.roots.Tables))
-	binary.LittleEndian.PutUint32(dst[12:], uint32(b.roots.Names))
-	binary.LittleEndian.PutUint32(dst[16:], uint32(b.roots.Columns))
-	binary.LittleEndian.PutUint64(dst[24:], uint64(b.lastCkptEnd))
-	binary.LittleEndian.PutUint64(dst[32:], uint64(b.createdAt))
+// encode renders the fixed boot block and its timeline extension, tli u32 |
+// nForks u32 | nForks × (tli u32, end u64): a boot record's body and page
+// 0's payload. A tli of 0 (not yet known) reads back as timeline 1.
+func (b bootBlock) encode() []byte {
+	buf := make([]byte, bootBlockSize+8+12*len(b.history))
+	copy(buf, bootMagic)
+	binary.LittleEndian.PutUint32(buf[8:], uint32(b.roots.Tables))
+	binary.LittleEndian.PutUint32(buf[12:], uint32(b.roots.Names))
+	binary.LittleEndian.PutUint32(buf[16:], uint32(b.roots.Columns))
+	binary.LittleEndian.PutUint64(buf[24:], uint64(b.lastCkptEnd))
+	binary.LittleEndian.PutUint64(buf[32:], uint64(b.createdAt))
+	binary.LittleEndian.PutUint32(buf[40:], uint32(b.tli))
+	binary.LittleEndian.PutUint32(buf[44:], uint32(len(b.history)))
+	for i, f := range b.history {
+		binary.LittleEndian.PutUint32(buf[48+12*i:], uint32(f.TLI))
+		binary.LittleEndian.PutUint64(buf[52+12*i:], uint64(f.End))
+	}
+	return buf
 }
 
-// decodeBootBlock parses the fixed boot block (at least bootBlockSize bytes);
-// the timeline fields are left zero.
-func decodeBootBlock(src []byte) (bootBlock, error) {
-	if string(src[:8]) != bootMagic {
+// decodeBoot parses a boot block followed by its timeline extension — page
+// 0's payload and a boot record's body. A missing or all-zero extension is
+// the pre-timeline layout and reads back as timeline 1 with no history.
+func decodeBoot(src []byte) (bootBlock, error) {
+	if len(src) < bootBlockSize || string(src[:8]) != bootMagic {
 		return bootBlock{}, errors.New("engine: bad boot magic")
 	}
 	b := bootBlock{
@@ -631,127 +653,77 @@ func decodeBootBlock(src []byte) (bootBlock, error) {
 		},
 		lastCkptEnd: wal.LSN(binary.LittleEndian.Uint64(src[24:])),
 		createdAt:   int64(binary.LittleEndian.Uint64(src[32:])),
+		tli:         1,
 	}
 	if !b.roots.Valid() {
 		return bootBlock{}, errors.New("engine: boot record has invalid catalog roots")
 	}
+	ext := src[bootBlockSize:]
+	if len(ext) < 8 || binary.LittleEndian.Uint32(ext) == 0 {
+		return b, nil
+	}
+	b.tli = wal.TimelineID(binary.LittleEndian.Uint32(ext))
+	n := uint64(binary.LittleEndian.Uint32(ext[4:]))
+	if uint64(len(ext)) < 8+12*n {
+		return bootBlock{}, fmt.Errorf("engine: boot timeline extension %d bytes for %d forks", len(ext), n)
+	}
+	for i := range int(n) {
+		b.history = append(b.history, wal.TimelineFork{
+			TLI: wal.TimelineID(binary.LittleEndian.Uint32(ext[8+12*i:])),
+			End: wal.LSN(binary.LittleEndian.Uint64(ext[12+12*i:])),
+		})
+	}
+	if err := b.history.Validate(b.tli); err != nil {
+		return bootBlock{}, err
+	}
 	return b, nil
 }
 
-// encodeTimeline renders the timeline extension that follows the fixed
-// boot block: tli u32 | nForks u32 | nForks × (tli u32, end u64). A tli of
-// 0 (lineage not yet known) encodes as an all-zero header, which is also
-// what pre-timeline boot pages contain past the block — both read back as
-// "legacy".
-func (b bootBlock) encodeTimeline() []byte {
-	buf := make([]byte, 8+12*len(b.history))
-	binary.LittleEndian.PutUint32(buf, uint32(b.tli))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(len(b.history)))
-	for i, f := range b.history {
-		binary.LittleEndian.PutUint32(buf[8+12*i:], uint32(f.TLI))
-		binary.LittleEndian.PutUint64(buf[12+12*i:], uint64(f.End))
-	}
-	return buf
+// writeBoot makes one control append, built under the control file's mutex
+// so concurrent checkpoints append in the order of the boot blocks they
+// capture: the boot record, once there are catalog roots (a fresh standby
+// has none before the stream's hello), the ckpt records of the indexed
+// checkpoints the file lacks, and extra. The block goes to page 0 first,
+// which keeps backup images self-describing.
+func (db *DB) writeBoot(extra ...control.Record) error {
+	return db.ctl.Append(func(saved wal.LSN) ([]control.Record, error) {
+		db.mu.Lock()
+		b := db.boot
+		i := sort.Search(len(db.ckptIndex), func(i int) bool { return db.ckptIndex[i].End > saved })
+		marks := slices.Clone(db.ckptIndex[i:])
+		after := wal.NilLSN
+		if i > 0 {
+			after = db.ckptIndex[i-1].End
+		}
+		db.mu.Unlock()
+		var recs []control.Record
+		if b.roots.Valid() {
+			body := b.encode()
+			p := page.New()
+			p.Format(alloc.BootPage, page.TypeBoot, 0)
+			copy(p.Bytes()[bootPayload:], body)
+			p.WriteChecksum()
+			if err := db.data.WritePage(alloc.BootPage, p.Bytes()); err != nil {
+				return nil, err
+			}
+			recs = append(recs, control.Record{Kind: control.KindBoot, Body: body})
+		}
+		times := db.log.TimeSamplesSince(after)
+		for _, m := range marks {
+			n := sort.Search(len(times), func(i int) bool { return times[i].LSN > m.End })
+			recs = append(recs, control.Checkpoint{WallClock: m.WallClock, Begin: m.Begin, End: m.End, Times: times[:n]}.Record())
+			times = times[n:]
+		}
+		return append(recs, extra...), nil
+	})
 }
 
-// decodeBootTimeline parses a timeline extension (the bytes after the
-// fixed boot block). Missing or all-zero extensions are the pre-timeline
-// layout and upgrade to timeline 1 with an empty history.
-func decodeBootTimeline(b []byte) (wal.TimelineID, wal.TimelineHistory, error) {
-	if len(b) < 8 {
-		return 1, nil, nil // pre-timeline layout
-	}
-	tli := wal.TimelineID(binary.LittleEndian.Uint32(b))
-	if tli == 0 {
-		return 1, nil, nil // pre-timeline layout (zero fill)
-	}
-	n := uint64(binary.LittleEndian.Uint32(b[4:]))
-	if uint64(len(b)) < 8+12*n {
-		return 0, nil, fmt.Errorf("engine: boot timeline extension %d bytes for %d forks", len(b), n)
-	}
-	var hist wal.TimelineHistory
-	for i := range int(n) {
-		hist = append(hist, wal.TimelineFork{
-			TLI: wal.TimelineID(binary.LittleEndian.Uint32(b[8+12*i:])),
-			End: wal.LSN(binary.LittleEndian.Uint64(b[12+12*i:])),
-		})
-	}
-	if err := hist.Validate(tli); err != nil {
-		return 0, nil, err
-	}
-	return tli, hist, nil
-}
-
-// decodeBoot parses a boot block followed by its timeline extension — the
-// payload of page 0 and of boot.meta.
-func decodeBoot(src []byte) (bootBlock, error) {
-	b, err := decodeBootBlock(src)
-	if err != nil {
-		return bootBlock{}, err
-	}
-	b.tli, b.history, err = decodeBootTimeline(src[bootBlockSize:])
-	return b, err
-}
-
-// encodeBootMeta renders b as a boot.meta sidecar: block, timeline
-// extension, and a CRC of both.
-func encodeBootMeta(b bootBlock) []byte {
-	ext := b.encodeTimeline()
-	buf := make([]byte, bootBlockSize+len(ext)+4)
-	b.encodeBlock(buf)
-	copy(buf[bootBlockSize:], ext)
-	binary.LittleEndian.PutUint32(buf[bootBlockSize+len(ext):], crc32.ChecksumIEEE(buf[:bootBlockSize+len(ext)]))
-	return buf
-}
-
-// parseBootMeta reads a boot.meta sidecar. Pre-timeline sidecars are exactly
-// block + CRC (44 bytes) and read back as timeline 1.
-func parseBootMeta(buf []byte) (bootBlock, error) {
-	if len(buf) < bootBlockSize+4 {
-		return bootBlock{}, fmt.Errorf("engine: boot meta is %d bytes", len(buf))
-	}
-	body := buf[:len(buf)-4]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(buf[len(body):]) {
-		return bootBlock{}, errors.New("engine: boot meta checksum mismatch")
-	}
-	return decodeBoot(body)
-}
-
-func (db *DB) bootMetaPath() string { return filepath.Join(db.dir, bootMetaName) }
-
-func (db *DB) writeBoot() error {
-	db.mu.Lock()
-	b := db.boot
-	db.mu.Unlock()
-	p := page.New()
-	p.Format(alloc.BootPage, page.TypeBoot, 0)
-	b.encodeBlock(p.Bytes()[bootPayload:])
-	copy(p.Bytes()[bootPayload+bootBlockSize:], b.encodeTimeline())
-	p.WriteChecksum()
-	if err := db.data.WritePage(alloc.BootPage, p.Bytes()); err != nil {
-		return err
-	}
-	// Sidecar second: on success readBoot prefers it; a crash in between
-	// leaves the previous sidecar, whose older checkpoint pointer is a
-	// valid (merely earlier) recovery starting hint.
-	if err := fsutil.AtomicWriteFile(db.bootMetaPath(), encodeBootMeta(b), db.opts.SyncPolicy == wal.SyncData); err != nil {
-		return fmt.Errorf("engine: boot meta: %w", err)
-	}
-	// The checkpoint index third: a crash before it leaves the boot record
-	// naming a checkpoint the sidecar lacks, which Open reads from the log.
-	if err := db.saveCkptIndex(b.lastCkptEnd); err != nil {
-		return fmt.Errorf("engine: checkpoint index: %w", err)
-	}
-	return nil
-}
-
+// readBoot reads the control file's boot record, or page 0 when it has none
+// that decodes (the file is older than the record, or was lost).
 func (db *DB) readBoot() error {
-	// Prefer the crash-atomic sidecar; fall back to page 0 (pre-sidecar
-	// databases, or a sidecar lost with its directory entry or unreadable).
-	var b bootBlock
-	buf, err := os.ReadFile(db.bootMetaPath())
-	if err == nil {
-		b, err = parseBootMeta(buf)
+	b, err := bootBlock{}, errors.New("engine: no boot record")
+	for _, r := range db.ctl.Records(control.KindBoot) {
+		b, err = decodeBoot(r.Body)
 	}
 	if err != nil {
 		p := page.New()
@@ -778,7 +750,7 @@ func DecodeBootRoots(buf []byte) (catalog.Roots, error) {
 	if len(buf) != page.Size {
 		return catalog.Roots{}, fmt.Errorf("engine: boot image is %d bytes", len(buf))
 	}
-	b, err := decodeBootBlock(buf[bootPayload:])
+	b, err := decodeBoot(buf[bootPayload:])
 	return b.roots, err
 }
 

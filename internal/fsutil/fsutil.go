@@ -1,6 +1,6 @@
 // Package fsutil holds the small filesystem idioms the storage layers
 // share — chiefly crash-atomic file replacement, which the WAL truncation
-// sidecar, the engine boot record and the replica apply state all rely on.
+// sidecar and the rewrite of a node's control file rely on.
 package fsutil
 
 import (
@@ -15,8 +15,8 @@ import (
 // and the directory entry after it, making the replacement durable — the
 // mode every SyncPolicy=fdatasync caller uses.
 //
-// Concurrent writers of the same path race benignly at rename granularity
-// (one full version wins); callers needing a total order serialize above.
+// The temp file's name is fixed per path, so callers serialize writers of
+// one path: two at once can lose the temp file to each other's rename.
 func AtomicWriteFile(path string, data []byte, sync bool) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)

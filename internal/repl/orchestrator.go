@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/backup"
 	"repro/internal/clock"
+	"repro/internal/control"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/wal"
@@ -502,7 +503,7 @@ func (o *Orchestrator) reseedLocked(n *orchNode) error {
 			return err
 		}
 	}
-	for _, name := range []string{"data.db", "boot.meta", "ckpt.meta", "replica.state", promotedMarker, "wal.log", "wal"} {
+	for _, name := range []string{"data.db", "wal", control.Name} {
 		if err := os.RemoveAll(filepath.Join(n.dir, name)); err != nil {
 			return err
 		}

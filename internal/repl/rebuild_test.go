@@ -2,7 +2,6 @@ package repl
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -101,13 +100,11 @@ func TestReplicaRestartRebuildsPages(t *testing.T) {
 		t.Fatal("the standby's pool wrote back no page while applying")
 	}
 	opts := c.rep.opts
-	dir := c.rep.dir
+	dir := c.rep.DB().Dir()
 	if err := c.rep.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, "replica.state")); err != nil {
-		t.Fatal(err)
-	}
+	dropStandbyRecords(t, dir)
 	rep, err := OpenReplica(dir, opts)
 	if err != nil {
 		t.Fatal(err)

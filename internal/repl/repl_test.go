@@ -341,10 +341,10 @@ func TestPromote(t *testing.T) {
 	// The fork is durable: the promoted directory can never be reopened
 	// as a standby (its log has diverged from the primary's), only as a
 	// regular database.
-	if _, err := OpenReplica(c.rep.dir, ReplicaOptions{Engine: engine.Options{Clock: c.clock}}); err == nil {
-		t.Fatal("promoted directory reopened as a standby")
+	if _, err := OpenReplica(c.rep.DB().Dir(), ReplicaOptions{Engine: engine.Options{Clock: c.clock}}); !errors.Is(err, ErrPromoted) {
+		t.Fatalf("promoted directory reopened as a standby: %v, want ErrPromoted", err)
 	}
-	db2, err := engine.Open(c.rep.dir, engine.Options{Clock: c.clock})
+	db2, err := engine.Open(c.rep.DB().Dir(), engine.Options{Clock: c.clock})
 	if err != nil {
 		t.Fatalf("promoted directory should open as a regular database: %v", err)
 	}
@@ -358,7 +358,7 @@ func TestPromote(t *testing.T) {
 // checkpointed apply state and resumes the stream at the right boundary.
 func TestReplicaRestartResumes(t *testing.T) {
 	c := newCluster(t, engine.Options{}, ReplicaOptions{CheckpointEvery: 64 << 10})
-	dir := c.rep.dir
+	dir := c.rep.DB().Dir()
 	mustExec(t, c.prim, func(tx *engine.Txn) error { return tx.CreateTable(testSchema("r")) })
 	for b := 0; b < 5; b++ {
 		mustExec(t, c.prim, func(tx *engine.Txn) error {
@@ -423,7 +423,7 @@ func TestReplicaRestartResumes(t *testing.T) {
 // samples the primary's up to its newest checkpoint.
 func TestStandbyRestartReadsCheckpointIndex(t *testing.T) {
 	c := newCluster(t, engine.Options{}, ReplicaOptions{CheckpointEvery: 64 << 10})
-	dir := c.rep.dir
+	dir := c.rep.DB().Dir()
 	mustExec(t, c.prim, func(tx *engine.Txn) error { return tx.CreateTable(testSchema("r")) })
 	body := strings.Repeat("x", 1024)
 	for b := 0; b < 16; b++ {

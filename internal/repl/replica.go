@@ -1,21 +1,17 @@
 package repl
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/asof"
 	"repro/internal/clock"
+	"repro/internal/control"
 	"repro/internal/engine"
-	"repro/internal/fsutil"
 	"repro/internal/obs"
 	"repro/internal/wal"
 )
@@ -70,6 +66,11 @@ var ErrSubscriptionRejected = errors.New("repl: primary rejected subscription")
 // log end — or orphan it serving its applied horizon.
 var ErrUpstreamPromoted = errors.New("repl: upstream standby was promoted; its log forks past the promotion point")
 
+// ErrPromoted reports that OpenReplica was given the directory of a node
+// that was promoted: its log has forked from the primary's. Open it with
+// engine.Open, or delete the directory to reseed a fresh replica.
+var ErrPromoted = engine.ErrPromoted
+
 // Replica is a warm standby: a standby engine plus the standing redo loop
 // that keeps it current from a shipped log stream. The replica's local log
 // is a byte-identical copy of the primary's (same LSNs), so the entire
@@ -79,7 +80,6 @@ var ErrUpstreamPromoted = errors.New("repl: upstream standby was promoted; its l
 type Replica struct {
 	db   *engine.DB
 	opts ReplicaOptions
-	dir  string
 
 	// st is the incremental §5.2 analysis state, exact at AppliedLSN: the
 	// replica never runs an analysis scan to promote, and feeds periodic
@@ -135,18 +135,10 @@ type Replica struct {
 // checkpoint: the local log is scanned forward from the checkpointed apply
 // position (a torn tail — a crash mid-ingest — is truncated to the last
 // valid CRC boundary first), so restart cost is bounded by the checkpoint
-// cadence, not the history size.
+// cadence, not the history size. A promoted node's directory is refused
+// with ErrPromoted.
 func OpenReplica(dir string, opts ReplicaOptions) (*Replica, error) {
 	opts = opts.withDefaults()
-	if _, err := os.Stat(filepath.Join(dir, promotedMarker)); err == nil {
-		// The fork is durable state, not an in-process condition: a
-		// promoted directory's log carries local records (promotion CLRs,
-		// checkpoints, new commits) at LSNs the primary has since assigned
-		// to different bytes. Resubscribing would interleave primary bytes
-		// after the fork and serve CRC-valid garbage.
-		return nil, fmt.Errorf("repl: %s was promoted and its log has forked from the primary's; "+
-			"open it with engine.Open, or delete the directory to reseed a fresh replica", dir)
-	}
 	eng, err := engine.OpenStandby(dir, opts.Engine)
 	if err != nil {
 		return nil, err
@@ -154,33 +146,27 @@ func OpenReplica(dir string, opts ReplicaOptions) (*Replica, error) {
 	r := &Replica{
 		db:   eng,
 		opts: opts,
-		dir:  dir,
 		st:   engine.NewRecoveryState(),
 	}
 	r.registerObs(eng.Obs())
 
-	applied := wal.LSN(0)
-	buf, err := os.ReadFile(r.statePath())
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		eng.Close()
-		return nil, err
-	}
-	if state, ok := decodeReplicaState(buf); ok {
-		applied = state.Applied
+	for _, rec := range eng.Control().Records(control.KindStandby) {
+		state, _ := control.ParseStandby(rec.Body)
+		eng.SetAppliedLSN(state.Applied)
 		r.st.MaxTxn = state.MaxTxn
 		r.st.Seed(state.ATT)
 		r.lastCommitWC.Store(state.LastCommitWC)
 		r.lastCommitLSN.Store(uint64(state.LastCommitLSN))
 	}
 
-	// Catch up from the local log copy: everything at or below `applied`
-	// is reflected in (or flushable from) the data file; replay the rest
-	// through the parallel-apply path. A torn ingest tail (crash mid-write)
-	// is cut to the last valid CRC boundary so the stream resumes exactly
-	// there. A log that begins past LSN 1 (a reseeded replica: archived
-	// segments, or an empty store based at the backup checkpoint) replays
-	// only what it holds — the persisted apply state positions the scan.
-	eng.SetAppliedLSN(applied)
+	// Catch up from the local log copy: everything at or below the applied
+	// position is reflected in (or flushable from) the data file; replay the
+	// rest through the parallel-apply path. A torn ingest tail (crash
+	// mid-write) is cut to the last valid CRC boundary so the stream resumes
+	// exactly there. A log that begins past LSN 1 (a reseeded replica:
+	// archived segments, or an empty store based at the backup checkpoint)
+	// replays only what it holds — the persisted apply state positions the
+	// scan.
 	if err := r.catchUpLocal(true); err != nil {
 		eng.Close()
 		return nil, fmt.Errorf("repl: local catch-up: %w", err)
@@ -265,8 +251,6 @@ func (r *Replica) cascadeShipper() *Shipper {
 	defer r.cascadeMu.Unlock()
 	return r.cascade
 }
-
-func (r *Replica) statePath() string { return filepath.Join(r.dir, "replica.state") }
 
 // --- the standing redo loop ---
 
@@ -686,20 +670,18 @@ func (r *Replica) observe(rec *wal.Record) {
 }
 
 // checkpoint is the replica's own checkpoint: flush dirty pages, sync,
-// persist the boot page and the apply state — no log records, so the
-// shipped log stays byte-identical to the primary's. Restart replays only
-// the local log past the persisted apply position.
+// then one control append of the boot record, the applied checkpoints'
+// records and the apply state — no log records, so the shipped log stays
+// byte-identical to the primary's. Restart replays only the local log past
+// the persisted apply position.
 func (r *Replica) checkpoint() error {
-	if err := r.db.FlushStandby(); err != nil {
-		return err
-	}
-	return writeReplicaState(r.statePath(), replicaState{
+	return r.db.FlushStandby(control.Standby{
 		Applied:       r.db.AppliedLSN(),
 		MaxTxn:        r.st.MaxTxn,
 		ATT:           r.st.Inflight(),
 		LastCommitWC:  r.lastCommitWC.Load(),
 		LastCommitLSN: wal.LSN(r.lastCommitLSN.Load()),
-	})
+	}.Record())
 }
 
 // --- queries on the standby ---
@@ -806,93 +788,11 @@ func (r *Replica) Promote() (*engine.DB, error) {
 		s.closeWith(&Frame{Kind: KindPromoted, From: fork, Payload: appendTimelineInfo(nil, next)})
 	}
 	r.db.EnsureTxnIDAfter(r.st.MaxTxn)
+	// The engine's promoted record makes the fork durable before the log
+	// forks: OpenReplica refuses this directory from then on.
 	if err := r.db.Promote(r.st.Inflight()); err != nil {
 		return nil, err
 	}
 	r.promoted.Store(true)
-	// The standby apply state is meaningless for a primary; recovery now
-	// owns the log. The marker makes the fork durable: OpenReplica refuses
-	// this directory from now on.
-	_ = os.Remove(r.statePath())
-	_ = os.WriteFile(filepath.Join(r.dir, promotedMarker),
-		[]byte("this database was promoted from a log-shipping standby; its log has forked from the primary's\n"), 0o644)
 	return r.db, nil
-}
-
-// promotedMarker is the file Promote leaves so the fork survives restarts.
-const promotedMarker = "promoted.fork"
-
-// --- persisted apply state (replica.state) ---
-
-// replicaState is the replica checkpoint payload: the apply position, the
-// analysis state at it, and the last-commit observation. CRC-guarded; a
-// corrupt or missing file degrades to a full local-log rescan.
-type replicaState struct {
-	Applied       wal.LSN
-	MaxTxn        uint64
-	LastCommitWC  int64
-	LastCommitLSN wal.LSN
-	ATT           []wal.ATTEntry
-}
-
-const replicaStateMagic = "ASOFREPL\x01"
-
-func writeReplicaState(path string, st replicaState) error {
-	return fsutil.AtomicWriteFile(path, encodeReplicaState(st), false)
-}
-
-func encodeReplicaState(st replicaState) []byte {
-	buf := make([]byte, 0, 64+24*len(st.ATT))
-	buf = append(buf, replicaStateMagic...)
-	var tmp [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		buf = append(buf, tmp[:]...)
-	}
-	put(uint64(st.Applied))
-	put(st.MaxTxn)
-	put(uint64(st.LastCommitWC))
-	put(uint64(st.LastCommitLSN))
-	put(uint64(len(st.ATT)))
-	for _, e := range st.ATT {
-		put(e.TxnID)
-		put(uint64(e.LastLSN))
-		put(uint64(e.BeginLSN))
-	}
-	binary.LittleEndian.PutUint64(tmp[:], uint64(crc32.ChecksumIEEE(buf)))
-	return append(buf, tmp[:4]...)
-}
-
-// decodeReplicaState parses a replica.state file; ok is false when it is
-// missing or unreadable (torn, corrupt, or inconsistent), which means a full
-// rescan.
-func decodeReplicaState(buf []byte) (st replicaState, ok bool) {
-	n := len(replicaStateMagic)
-	if len(buf) < n+44 || string(buf[:n]) != replicaStateMagic {
-		return st, false
-	}
-	body, crc := buf[:len(buf)-4], binary.LittleEndian.Uint32(buf[len(buf)-4:])
-	if crc32.ChecksumIEEE(body) != crc {
-		return st, false
-	}
-	get := func(off int) uint64 { return binary.LittleEndian.Uint64(buf[off:]) }
-	st.Applied = wal.LSN(get(n))
-	st.MaxTxn = get(n + 8)
-	st.LastCommitWC = int64(get(n + 16))
-	st.LastCommitLSN = wal.LSN(get(n + 24))
-	// Bound the count before multiplying: a CRC-valid file with a huge count
-	// would wrap 24*cnt past the length check.
-	cnt := get(n + 32)
-	if cnt > uint64(len(body)-n-40)/24 || len(body) != n+40+24*int(cnt) {
-		return replicaState{}, false
-	}
-	for i := 0; i < int(cnt); i++ {
-		off := n + 40 + 24*i
-		st.ATT = append(st.ATT, wal.ATTEntry{
-			TxnID:    get(off),
-			LastLSN:  wal.LSN(get(off + 8)),
-			BeginLSN: wal.LSN(get(off + 16)),
-		})
-	}
-	return st, true
 }

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/backup"
+	"repro/internal/control"
 	"repro/internal/wal"
 )
 
@@ -23,9 +24,9 @@ import (
 //     copied in as the replica's local log — byte-identical primary log, so
 //     LSNs and every chain walk line up, exactly as if the replica had
 //     ingested them from the stream;
-//   - replica.state positions apply at the backup checkpoint, seeded with
-//     the checkpoint's ATT so incremental analysis is exact from the first
-//     replayed record.
+//   - a standby record in the control file positions apply at the backup
+//     checkpoint, seeded with the checkpoint's ATT so incremental analysis
+//     is exact from the first replayed record.
 //
 // If the backup is newer than the retention horizon (no archive needed),
 // the local log is created empty, based at the backup checkpoint; the
@@ -42,7 +43,7 @@ func ReseedFromBackup(dir string, man backup.Manifest, archiveDir string) error 
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for _, name := range []string{"data.db", "wal", "wal.log", "replica.state", "boot.meta", "ckpt.meta"} {
+	for _, name := range []string{"data.db", "wal", control.Name} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
 			return fmt.Errorf("repl: reseed target %s already holds %s; refusing to clobber a replica", dir, name)
 		}
@@ -107,11 +108,11 @@ func ReseedFromBackup(dir string, man backup.Manifest, archiveDir string) error 
 			maxTxn = e.TxnID
 		}
 	}
-	return writeReplicaState(filepath.Join(dir, "replica.state"), replicaState{
-		Applied: man.BackupLSN - 1,
-		MaxTxn:  maxTxn,
-		ATT:     man.ATT,
-	})
+	ctl, err := control.Open(filepath.Join(dir, control.Name), true)
+	if err != nil {
+		return err
+	}
+	return ctl.Add(control.Standby{Applied: man.BackupLSN - 1, MaxTxn: maxTxn, ATT: man.ATT}.Record())
 }
 
 // copyArchivedSegments copies every archived segment whose byte range

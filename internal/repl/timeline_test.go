@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,7 +11,9 @@ import (
 	"time"
 
 	"repro/internal/asof"
+	"repro/internal/control"
 	"repro/internal/engine"
+	"repro/internal/storage/page"
 	"repro/internal/wal"
 )
 
@@ -345,9 +346,10 @@ func TestTimelinePromoteBehindAdoptedFork(t *testing.T) {
 }
 
 // TestTimelineLegacyBootUpgrade pins the upgrade path for databases created
-// before timelines existed: a flat 44-byte boot.meta (block + CRC, no
-// timeline extension) reads back as timeline 1 with an empty history, the
-// node streams normally, and its first promotion moves it to timeline 2.
+// before timelines existed: a boot block with no timeline extension (page 0
+// zero past the block, and no control file) reads back as timeline 1 with
+// an empty history, the node streams normally, and its first promotion
+// moves it to timeline 2.
 func TestTimelineLegacyBootUpgrade(t *testing.T) {
 	dir := t.TempDir()
 	db, err := engine.Open(dir, engine.Options{SyncPolicy: testSyncPolicy(t)})
@@ -360,20 +362,30 @@ func TestTimelineLegacyBootUpgrade(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rewrite boot.meta in the pre-timeline layout: first 40 bytes (the
-	// fixed block) + a fresh CRC, timeline extension gone.
-	metaPath := filepath.Join(dir, "boot.meta")
-	buf, err := os.ReadFile(metaPath)
+	// Rewrite page 0 in the pre-timeline layout: the 40-byte block at
+	// offset 64, zero after it, and a fresh page checksum. Drop the control
+	// file, which the pre-timeline build did not write.
+	f, err := os.OpenFile(filepath.Join(dir, "data.db"), os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(buf) <= 44 {
-		t.Fatalf("boot.meta is %d bytes; expected a timeline extension to strip", len(buf))
+	boot := page.New()
+	if _, err := f.ReadAt(boot.Bytes(), 0); err != nil {
+		t.Fatal(err)
 	}
-	legacy := make([]byte, 44)
-	copy(legacy, buf[:40])
-	binary.LittleEndian.PutUint32(legacy[40:], crc32.ChecksumIEEE(legacy[:40]))
-	if err := os.WriteFile(metaPath, legacy, 0o644); err != nil {
+	ext := boot.Bytes()[64+40 : 64+48]
+	if binary.LittleEndian.Uint32(ext) != 1 {
+		t.Fatalf("page 0 names timeline %d; expected a timeline extension to strip", binary.LittleEndian.Uint32(ext))
+	}
+	clear(ext)
+	boot.WriteChecksum()
+	if _, err := f.WriteAt(boot.Bytes(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, control.Name)); err != nil {
 		t.Fatal(err)
 	}
 

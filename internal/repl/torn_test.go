@@ -462,9 +462,7 @@ func TestReplicaCrashTornLocalLogRecovers(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tc.dropState {
-				if err := os.Remove(filepath.Join(dir, "replica.state")); err != nil {
-					t.Fatal(err)
-				}
+				dropStandbyRecords(t, dir)
 			}
 
 			// Simulate a torn local write: the crashed process had appended a

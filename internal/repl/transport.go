@@ -230,7 +230,8 @@ func decodeBootInfo(buf []byte) (bootInfo, error) {
 
 // wire layout: kind u8 | from u64 | durable u64 | wallclock i64 |
 // payloadLen u32 | payloadCRC u32 | payload. The CRC covers the payload;
-// header corruption surfaces as a length/kind sanity failure.
+// header corruption surfaces as a length/kind sanity failure: ReadFrame
+// refuses a kind outside the FrameKind set before it reads the payload.
 const wireHeader = 1 + 8 + 8 + 8 + 4 + 4
 
 // maxWirePayload bounds a frame on the wire; batches are cut well below it.
@@ -262,6 +263,9 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
+	if hdr[0] < byte(KindSubscribe) || hdr[0] > byte(KindPromoted) {
+		return nil, fmt.Errorf("repl: unknown frame kind %d", hdr[0])
+	}
 	f := &Frame{
 		Kind:      FrameKind(hdr[0]),
 		From:      wal.LSN(binary.LittleEndian.Uint64(hdr[1:])),
@@ -273,9 +277,11 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 	if n > maxWirePayload {
 		return nil, fmt.Errorf("repl: implausible frame payload %d bytes", n)
 	}
-	if n > 0 {
-		f.Payload = make([]byte, n)
-		if _, err := io.ReadFull(r, f.Payload); err != nil {
+	// The payload grows as its bytes arrive, a batch at a time, so a
+	// corrupt length costs no more memory than the stream holds.
+	for at := 0; at < int(n); at = len(f.Payload) {
+		f.Payload = append(f.Payload, make([]byte, min(int(n)-at, batchBytes))...)
+		if _, err := io.ReadFull(r, f.Payload[at:]); err != nil {
 			return nil, err
 		}
 	}
