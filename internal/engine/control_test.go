@@ -5,12 +5,16 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/control"
+	"repro/internal/wal"
 )
 
 // TestConcurrentCheckpoints: two goroutines each take 50 checkpoints while
@@ -134,14 +138,7 @@ func checkBody(t *testing.T, r control.Record) {
 	var back []byte
 	switch r.Kind {
 	case control.KindBoot:
-		b, err := decodeBoot(r.Body)
-		if err != nil {
-			return
-		}
-		again, err := decodeBoot(b.encode())
-		if err != nil || !reflect.DeepEqual(again, b) {
-			t.Fatalf("boot block %+v reads back as %+v (%v)", b, again, err)
-		}
+		checkBootBody(t, r.Body)
 		return
 	case control.KindCkpt:
 		c, ok := control.ParseCheckpoint(r.Body)
@@ -161,4 +158,96 @@ func checkBody(t *testing.T, r control.Record) {
 	if !bytes.Equal(back, r.Body) {
 		t.Fatalf("%d body of %d bytes re-encodes to %d bytes that differ", r.Kind, len(r.Body), len(back))
 	}
+}
+
+// checkBootBody decodes body as a boot block, as Open and page 0 do, and
+// checks that a block it decodes re-encodes to a body decoding to the same
+// block. A body that does not decode is refused; Open then falls back to
+// page 0.
+func checkBootBody(t *testing.T, body []byte) {
+	t.Helper()
+	b, err := decodeBoot(body)
+	if err != nil {
+		return
+	}
+	again, err := decodeBoot(b.encode())
+	if err != nil || !reflect.DeepEqual(again, b) {
+		t.Fatalf("boot block %+v reads back as %+v (%v)", b, again, err)
+	}
+}
+
+// FuzzBootMeta: a boot record's body is the first thing recovery reads, and
+// the decoder page 0 shares. Decoding it never panics, and a body that
+// decodes re-encodes to one that decodes to the same boot block. Seeds under
+// testdata/fuzz are a pre-timeline block (40 bytes, no extension, read back
+// as timeline 1) and the boot body a second promotion wrote, carrying two
+// forks.
+func FuzzBootMeta(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkBootBody(t, body)
+	})
+}
+
+// sameRecords reports whether a and b hold the same records in order.
+func sameRecords(a, b []control.Record) bool {
+	return slices.EqualFunc(a, b, func(x, y control.Record) bool {
+		return x.Kind == y.Kind && bytes.Equal(x.Body, y.Body)
+	})
+}
+
+// FuzzCkptIndex: a control file's ckpt records are the checkpoint index Open
+// starts from. The file opens to an index that is exactly the ckpt records
+// of its intact prefix in file order, each parsing to a checkpoint whose end
+// LSN is above the one before, and beside them to the newest record of each
+// other kind. Retain, which cuts the index to the log's truncation point and
+// the boot record's checkpoint, keeps exactly the ckpt records whose end
+// LSNs lie in its range. Seeds under testdata/fuzz are control files holding
+// the first one and the first three ckpt records real checkpoints wrote.
+func FuzzCkptIndex(f *testing.F) {
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		path := filepath.Join(t.TempDir(), control.Name)
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ctl, err := control.Open(path, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, _, _ := control.Decode(buf)
+		var index []control.Record
+		var ends []wal.LSN
+		newest := map[control.Kind][]control.Record{}
+		for _, r := range recs {
+			if r.Kind != control.KindCkpt {
+				newest[r.Kind] = []control.Record{r}
+				continue
+			}
+			c, ok := control.ParseCheckpoint(r.Body)
+			if !ok || (len(ends) > 0 && c.End <= ends[len(ends)-1]) || c.End == wal.NilLSN {
+				t.Fatalf("ckpt record %d of the index: %+v (parsed %v) after end %v", len(index), c, ok, ends)
+			}
+			index = append(index, r)
+			ends = append(ends, c.End)
+		}
+		if got := ctl.Records(control.KindCkpt); !sameRecords(got, index) {
+			t.Fatalf("file opens to %d ckpt records, want the %d of its intact prefix", len(got), len(index))
+		}
+		for _, k := range []control.Kind{control.KindBoot, control.KindStandby, control.KindPromoted} {
+			if got := ctl.Records(k); !sameRecords(got, newest[k]) {
+				t.Fatalf("kind %d: file opens to %d records, want the newest of %d", k, len(got), len(newest[k]))
+			}
+		}
+		if len(ends) == 0 {
+			return
+		}
+		lo, hi := ends[len(ends)/3], ends[2*len(ends)/3]
+		ctl.Retain(lo, hi)
+		want := slices.DeleteFunc(index, func(r control.Record) bool {
+			c, _ := control.ParseCheckpoint(r.Body)
+			return c.End < lo || c.End > hi
+		})
+		if got := ctl.Records(control.KindCkpt); !sameRecords(got, want) {
+			t.Fatalf("Retain(%v, %v) keeps %d ckpt records, want %d", lo, hi, len(got), len(want))
+		}
+	})
 }

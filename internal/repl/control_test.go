@@ -1,6 +1,8 @@
 package repl
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -8,6 +10,7 @@ import (
 
 	"repro/internal/control"
 	"repro/internal/engine"
+	"repro/internal/wal"
 )
 
 // dropStandbyRecords rewrites dir's control file without its standby
@@ -90,4 +93,31 @@ func TestOpenReplicaRefusesPromoted(t *testing.T) {
 			})
 		}
 	}
+}
+
+// FuzzReplicaState: a standby record's body is the apply state a standby
+// restarts from. Parsing it never panics; a body that parses writes back out
+// to exactly the bytes it was read from, and a control file holding it as a
+// standby record decodes to that record exactly when it parses (anything
+// else is a torn file, and the standby rescans its whole local log). Seeds
+// are bodies standby checkpoints wrote (under testdata/fuzz, one with a
+// transaction in flight) and a body whose entry count is 1+2^61, which must
+// not wrap the length check into an index-out-of-range panic.
+func FuzzReplicaState(f *testing.F) {
+	body := control.Standby{Applied: 100, ATT: []wal.ATTEntry{{TxnID: 7, LastLSN: 90, BeginLSN: 20}}}.Record().Body
+	binary.LittleEndian.PutUint64(body[32:], 1+1<<61)
+	f.Add(body)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		st, ok := control.ParseStandby(body)
+		recs, _, _ := control.Decode(control.Encode([]control.Record{{Kind: control.KindStandby, Body: body}}))
+		if ok != (len(recs) == 1) {
+			t.Fatalf("body of %d bytes parses %v, but a file holding it decodes to %d records", len(body), ok, len(recs))
+		}
+		if !ok {
+			return
+		}
+		if back := st.Record().Body; !bytes.Equal(back, body) {
+			t.Fatalf("state %+v re-encodes to %d bytes that differ from the %d read", st, len(back), len(body))
+		}
+	})
 }
