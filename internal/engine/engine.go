@@ -183,6 +183,10 @@ type DB struct {
 	// below it has been applied to the buffer pool. As-of snapshots on a
 	// standby may only split at or below it.
 	appliedLSN atomic.Uint64
+	// redoSeen and redoAhead are RedoBatch's pass state: a bit per page
+	// named so far, and the read-ahead list it reuses.
+	redoSeen  []uint64
+	redoAhead []page.ID
 
 	// CheckpointCount counts checkpoints taken (introspection for tests).
 	CheckpointCount atomic.Int64
@@ -438,8 +442,10 @@ func (db *DB) PersistBoot() error { return db.writeBoot() }
 
 // FlushStandby is a standby's checkpoint, which appends nothing to its
 // shipped log: every dirty page written back, the data file synced, then
-// writeBoot with extra, the replica's apply state. Close runs it, and so
-// does the replica's own checkpoint.
+// one control append of the boot record, the checkpoints applied since the
+// last one and extra, the replica's apply state. The replica's own
+// checkpoint runs it, and so does a standby's Close, with the records Close
+// is handed.
 func (db *DB) FlushStandby(extra ...control.Record) error {
 	if err := db.pool.FlushAll(); err != nil {
 		return err
@@ -581,9 +587,10 @@ func (db *DB) closeFiles() {
 }
 
 // Close checkpoints and closes the database. A standby — which must not
-// append checkpoint records to its shipped log — runs FlushStandby instead;
-// its durable apply position is managed by the replica layer.
-func (db *DB) Close() error {
+// append checkpoint records to its shipped log — runs FlushStandby(extra...)
+// instead: the replica layer hands it its apply state, so a replica's close
+// is one flush and one control append. A primary ignores extra.
+func (db *DB) Close(extra ...control.Record) error {
 	if db.closed.Swap(true) {
 		return nil
 	}
@@ -592,7 +599,7 @@ func (db *DB) Close() error {
 	}
 	flush := db.Checkpoint
 	if db.standby.Load() {
-		flush = func() error { return db.FlushStandby() }
+		flush = func() error { return db.FlushStandby(extra...) }
 	}
 	if err := flush(); err != nil {
 		return err

@@ -30,7 +30,8 @@ import (
 //   - analysis: RecoveryState (Seed with a checkpoint's or mark's ATT, then
 //     Observe each record in LSN order);
 //   - redo: RedoInto, one record into a buffer pool — the engine's, or a
-//     restored copy's;
+//     restored copy's — and RedoBatch, a batch of records into the engine's
+//     pool with its pages read ahead in runs;
 //   - undo: a backward walk of each in-flight transaction's chain
 //     (wal.WalkTxnChain), logged with CLRs on the engine (UndoTransactions)
 //     or unlogged on a private copy (UnloggedStore.UndoTxn); both undo a row
@@ -68,7 +69,7 @@ func (db *DB) recover() error {
 	// missing only from a listed page, at or after its recLSN. Any other
 	// record there is skipped without reading its page (redone says which
 	// records redo applies). Analysis starts at the begin record, where the
-	// ATT was seeded.
+	// ATT was seeded. Each stretch the scan decodes is one RedoBatch.
 	redone := func(rec *wal.Record) bool {
 		if rec.LSN >= begin {
 			return true
@@ -76,10 +77,6 @@ func (db *DB) recover() error {
 		recLSN, ok := dpt[rec.PageID]
 		return ok && rec.LSN >= recLSN
 	}
-	// Before redo applies a batch of records, the pages it will read for them
-	// are read ahead into the pool's still-untouched frames, one device read
-	// per run of consecutive page ids (buffer.Pool.Prefetch). That never
-	// evicts, so it only runs while the pool is filling.
 	// The scan stops at the end of the last intact record: a crash can tear
 	// the final record mid-write, and the log must be rewound to that CRC
 	// boundary before recovery appends anything — otherwise the torn bytes
@@ -92,21 +89,14 @@ func (db *DB) recover() error {
 	// boot record did not name yet, and an analysis mark every attMarkEvery
 	// — from the checkpoint-end record on, where the seeded state is exact.
 	pool0 := db.pool.Stats()
-	var ahead []page.ID
-	var seen []uint64
 	end, err := db.log.ScanBatches(start, func(recs []*wal.Record) (bool, error) {
-		ahead = pagesRedoReads(recs, redone, db.data.PageCount(), &seen, ahead[:0])
-		db.pool.Prefetch(ahead)
 		for _, rec := range recs {
-			if !redone(rec) {
-				continue
-			}
 			if rec.LSN >= begin {
 				db.ObserveRecord(st, rec)
 			}
-			if err := db.RedoRecord(rec); err != nil {
-				return false, err
-			}
+		}
+		if err := db.RedoBatch(recs, redone); err != nil {
+			return false, err
 		}
 		if last := recs[len(recs)-1]; last.LSN >= ckptEnd {
 			db.NoteAnalysisMark(last.LSN+wal.LSN(last.ApproxSize())-1, st)
@@ -139,20 +129,42 @@ func (db *DB) recover() error {
 	return db.checkpoint(prevBegin)
 }
 
+// RedoBatch is the one batch redo, of crash recovery and of a standby's
+// catch-up. It reads the pages redo of recs will read ahead into the pool's
+// still-untouched frames, one device read per run of consecutive page ids
+// (buffer.Pool.Prefetch, which never evicts, so this only happens while the
+// pool is filling), then applies the records redone admits (nil admits all)
+// with RedoInto, serially in log order. Its pass state lives on db: a
+// database runs either recovery at Open or a standby's catch-up, never
+// both, and each calls RedoBatch from one goroutine at a time.
+func (db *DB) RedoBatch(recs []*wal.Record, redone func(*wal.Record) bool) error {
+	db.redoAhead = pagesRedoReads(recs, redone, db.data.PageCount(), &db.redoSeen, db.redoAhead[:0])
+	db.pool.Prefetch(db.redoAhead)
+	for _, rec := range recs {
+		if redone != nil && !redone(rec) {
+			continue
+		}
+		if err := RedoInto(db.pool, rec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // pagesRedoReads appends to ids the pages redo of recs reads that no earlier
-// record of the pass has named: pages of records redo applies (redone),
-// below the end of the data file (pages long), unless the first such record
-// rebuilds the page. seen marks the pages named so far, across the whole
-// pass, so each page is listed at most once and later records of a page
-// cost one bit test: a page named earlier is resident, or was evicted once
-// the pool had no untouched frame left to read it into.
+// record of the pass has named: pages of records redo applies (redone, nil
+// for all), below the end of the data file (pages long), unless the first
+// such record rebuilds the page. seen marks the pages named so far, across
+// the whole pass, so each page is listed at most once and later records of
+// a page cost one bit test: a page named earlier is resident, or was
+// evicted once the pool had no untouched frame left to read it into.
 func pagesRedoReads(recs []*wal.Record, redone func(*wal.Record) bool, pages uint32, seen *[]uint64, ids []page.ID) []page.ID {
 	if n := int(pages+63) / 64; len(*seen) < n {
 		*seen = append(*seen, make([]uint64, n-len(*seen))...)
 	}
 	bits := *seen
 	for _, rec := range recs {
-		if !rec.IsPageOp() || rec.PageID == wal.NoPage || rec.PageID >= pages || !redone(rec) {
+		if !rec.IsPageOp() || rec.PageID == wal.NoPage || rec.PageID >= pages || (redone != nil && !redone(rec)) {
 			continue
 		}
 		w, bit := rec.PageID/64, uint64(1)<<(rec.PageID%64)
@@ -251,10 +263,6 @@ func (st *RecoveryState) Inflight() []wal.ATTEntry {
 	return out
 }
 
-// RedoRecord is RedoInto on the engine's pool: crash recovery's redo and a
-// replica's standing apply.
-func (db *DB) RedoRecord(rec *wal.Record) error { return RedoInto(db.pool, rec) }
-
 // ErrPageMissing is returned by redo when a record that needs its page's
 // bytes finds the page past the end of the data file: the file has lost a
 // page the log says was written.
@@ -262,10 +270,9 @@ var ErrPageMissing = errors.New("engine: redo needs a page the data file does no
 
 // RedoInto applies one record's page effects to its page in pool if the page
 // has not seen them (the pageLSN test makes it idempotent); non-page records
-// are ignored. It is the one redo: crash recovery, standby apply and backup
-// restore replay through it. Safe to call concurrently for records of
-// DIFFERENT pages — physiological redo touches exactly one page per record —
-// which is what lets a replica partition redo across workers by page id.
+// are ignored. It is the one redo: crash recovery and standby apply replay
+// through it in RedoBatch, backup restore record by record; each applies
+// records one at a time, in log order.
 //
 // A record that rebuilds the whole page (wal.Record.RebuildsPage) never reads
 // it: a resident frame is used as it is, a missing one is zeroed.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/control"
@@ -38,6 +39,54 @@ func dropStandbyRecords(t *testing.T, dir string) {
 	}
 	if err := os.WriteFile(path, control.Encode(kept), 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReplicaCloseAppendsOnce: a replica's Close is one flush and one
+// control append — the boot record, the checkpoints applied since the last
+// append, then the standby record last — not the replica's checkpoint
+// followed by the engine's own close-time flush and a second, lone boot
+// record.
+func TestReplicaCloseAppendsOnce(t *testing.T) {
+	c := newCluster(t, engine.Options{}, ReplicaOptions{})
+	mustExec(t, c.prim, func(tx *engine.Txn) error { return tx.CreateTable(testSchema("p")) })
+	mustExec(t, c.prim, func(tx *engine.Txn) error { return tx.Insert("p", testRow(1, "v", 1)) })
+	if err := c.prim.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	c.waitCaughtUp()
+	c.stopStream()
+	path := filepath.Join(c.rep.DB().Dir(), control.Name)
+	decode := func() []control.Record {
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, _, err := control.Decode(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return recs
+	}
+	before := decode()
+	if err := c.rep.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after := decode()
+	if len(after) < len(before) || !reflect.DeepEqual(after[:len(before)], before) {
+		t.Fatalf("Close rewrote the control file: %d records before, %d after", len(before), len(after))
+	}
+	var kinds []control.Kind
+	for _, r := range after[len(before):] {
+		kinds = append(kinds, r.Kind)
+	}
+	n := len(kinds)
+	ok := n >= 2 && kinds[0] == control.KindBoot && kinds[n-1] == control.KindStandby
+	for i := 1; ok && i < n-1; i++ {
+		ok = kinds[i] == control.KindCkpt
+	}
+	if !ok {
+		t.Fatalf("Close appended records of kinds %v, want one group: boot, ckpt..., standby", kinds)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package repl implements log-shipping replication: warm standbys kept
-// current by continuous parallel redo over the primary's transaction log,
+// current by continuous redo over the primary's transaction log,
 // serving the paper's point-in-time queries at a bounded, observable lag.
 //
 // The paper's system (§3) lives inside SQL Azure, where every database is
@@ -20,12 +20,15 @@
 // with ReadDurable, bypassing the random-read block cache that as-of chain
 // walks depend on.
 //
-// Replica side: Replica runs a standing redo loop factored out of crash
-// recovery (engine.RecoveryState / RedoRecord): analysis state is
+// Replica side: Replica runs a standing redo loop over crash recovery's own
+// passes (engine.RecoveryState / DB.RedoBatch): analysis state is
 // maintained incrementally — exact at every applied LSN, so neither
 // snapshot mounting nor promotion ever scans the log for analysis — and
-// redo is applied in parallel by workers partitioned on page id (Wu et
-// al., "Fast Failure Recovery"). The replica keeps its own checkpoint
+// redo applies each stretch of the local log serially in log order, its
+// pages read ahead in runs while the pool is filling. (Redo partitioned
+// by page id over workers, after Wu et al., "Fast Failure Recovery",
+// bought nothing on a two-core machine with one serial device and was
+// removed; DESIGN.md has the numbers.) The replica keeps its own checkpoint
 // cadence (page flush + persisted apply state, never log records) for
 // bounded restart, reseeds the time→LSN index and ATT marks from the
 // stream, and mounts as-of snapshots locally. Promote completes undo and

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/engine"
 	"repro/internal/row"
+	"repro/internal/storage/buffer"
 	"repro/internal/storage/media"
 	"repro/internal/tpcc"
 	"repro/internal/vclock"
@@ -413,6 +415,84 @@ func TestReplicaRestartResumes(t *testing.T) {
 		return nil
 	})
 	db.Close()
+}
+
+// TestStandbyCatchUpReadsInRuns: a standby with a 64-frame pool and apply
+// paused ingests a backlog that updates every row of a table over more than
+// 64 leaves, closes and reopens. Its restart catch-up is crash recovery's
+// batch redo, so it reads the backlog's pages ahead in runs while the pool
+// still has untouched frames: fewer device reads than pages read. Redo is
+// serial in log order, so a second copy of the same directory reopens with
+// the same pool counters, evictions included.
+func TestStandbyCatchUpReadsInRuns(t *testing.T) {
+	c := newCluster(t, engine.Options{}, ReplicaOptions{Engine: engine.Options{BufferFrames: 64}})
+	mustExec(t, c.prim, func(tx *engine.Txn) error { return tx.CreateTable(testSchema("r")) })
+	body := strings.Repeat("x", 400)
+	const rows = 1500
+	for from := 0; from < rows; from += 100 {
+		mustExec(t, c.prim, func(tx *engine.Txn) error {
+			for i := from; i < from+100; i++ {
+				if err := tx.Insert("r", testRow(i, body, i)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	c.waitCaughtUp()
+	c.rep.PauseApply()
+	for from := 0; from < rows; from += 100 {
+		mustExec(t, c.prim, func(tx *engine.Txn) error {
+			for i := from; i < from+100; i++ {
+				if err := tx.Update("r", testRow(i, body, -i)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	target := c.prim.Log().FlushedLSN()
+	deadline := time.Now().Add(10 * time.Second)
+	for c.rep.DB().Log().FlushedLSN() < target {
+		if time.Now().After(deadline) {
+			t.Fatalf("ingest stalled at %v, want %v", c.rep.DB().Log().FlushedLSN(), target)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	c.stopStream()
+	opts, dir := c.rep.opts, c.rep.DB().Dir()
+	if err := c.rep.Close(); err != nil {
+		t.Fatal(err)
+	}
+	copied := filepath.Join(t.TempDir(), "copy")
+	if err := os.CopyFS(copied, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+
+	var stats []buffer.Stats
+	for _, d := range []string{dir, copied} {
+		rep, err := OpenReplica(d, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := rep.DB().Pool().Stats()
+		applied := rep.AppliedLSN()
+		if err := rep.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if applied != target {
+			t.Fatalf("%s: restarted standby applied %v, want %v", d, applied, target)
+		}
+		stats = append(stats, st)
+	}
+	st := stats[0]
+	if st.Reads < 64 || st.ReadIOs >= st.Reads || st.Evictions == 0 {
+		t.Fatalf("catch-up read %d pages in %d reads with %d evictions; want >= 64 pages, fewer reads than pages, and evictions", st.Reads, st.ReadIOs, st.Evictions)
+	}
+	pick := func(s buffer.Stats) [4]int64 { return [4]int64{s.Reads, s.ReadIOs, s.Evictions, s.EvictWritebacks} }
+	if a, b := pick(stats[0]), pick(stats[1]); a != b {
+		t.Fatalf("two copies of one directory caught up with different pool counters (reads, read I/Os, evictions, eviction write-backs): %v and %v", a, b)
+	}
 }
 
 // TestStandbyRestartReadsCheckpointIndex: a standby keeps the checkpoint

@@ -28,20 +28,12 @@ type ReplicaOptions struct {
 	CheckpointEvery int64
 }
 
-// applyWorkers is the parallelism of the continuous redo loop: page
-// operations are partitioned across workers by page id (per-page order is
-// total within a worker; physiological redo needs nothing more).
-// parallelApplyThreshold is the page-op count below which a batch is applied
-// inline — fan-out costs more than it saves for tiny batches (a single
-// group-commit flush is often one transaction). snapshotWait bounds how long
-// a read waits for a standby to reach the position it needs (SnapshotAsOf's
-// SplitLSN, the Router's default for a session token), re-checking every
-// lagPoll.
+// snapshotWait bounds how long a read waits for a standby to reach the
+// position it needs (SnapshotAsOf's SplitLSN, the Router's default for a
+// session token), re-checking every lagPoll.
 const (
-	applyWorkers           = 4
-	parallelApplyThreshold = 16
-	snapshotWait           = 10 * time.Second
-	lagPoll                = time.Millisecond
+	snapshotWait = 10 * time.Second
+	lagPoll      = time.Millisecond
 )
 
 func (o ReplicaOptions) withDefaults() ReplicaOptions {
@@ -161,7 +153,7 @@ func OpenReplica(dir string, opts ReplicaOptions) (*Replica, error) {
 
 	// Catch up from the local log copy: everything at or below the applied
 	// position is reflected in (or flushable from) the data file; replay the
-	// rest through the parallel-apply path. A torn ingest tail (crash
+	// rest with crash recovery's batch redo. A torn ingest tail (crash
 	// mid-write) is cut to the last valid CRC boundary so the stream resumes
 	// exactly there. A log that begins past LSN 1 (a reseeded replica:
 	// archived segments, or an empty store based at the backup checkpoint)
@@ -218,10 +210,7 @@ func (r *Replica) Close() error {
 	r.connMu.Unlock()
 	r.runMu.Lock()
 	defer r.runMu.Unlock()
-	if err := r.checkpoint(); err != nil {
-		return err
-	}
-	return r.db.Close()
+	return r.db.Close(r.standbyRecord())
 }
 
 // ShipLocal returns (creating on first call; opts are ignored after that)
@@ -543,13 +532,12 @@ func (r *Replica) applyLocal() error {
 // batch just ingested, the deferred-apply backlog, a restart's tail, or
 // what Promote must finish first — and is the only standby code that
 // decodes and applies records. It reads the log with the engine's forward
-// scan and drives each stretch's records through apply's page-id-partitioned
-// worker fan-out, so a multi-hundred-MiB deferred backlog drains at
-// parallel-redo bandwidth instead of one record at a time. Analysis and
-// non-page bookkeeping still happen in strict log order on this goroutine
-// (apply's coordinator pass), so the incremental ATT stays exact at every
-// batch barrier. A log that begins past the applied position (a reseeded
-// store, or apply state lost) replays what it holds.
+// scan, observes each stretch's records in log order (so the incremental
+// ATT is exact at every stretch's end), then redoes the stretch with crash
+// recovery's engine.DB.RedoBatch: a backlog or a restart's tail reads its
+// pages in runs while the pool is filling. A log that begins past the
+// applied position (a reseeded store, or apply state lost) replays what it
+// holds.
 //
 // rewindTorn truncates a torn tail (a crash mid-AppendRaw) to the end of the
 // intact prefix — the restart path, where the replica is quiescent; a live
@@ -558,7 +546,10 @@ func (r *Replica) applyLocal() error {
 func (r *Replica) catchUpLocal(rewindTorn bool) error {
 	log := r.db.Log()
 	end, err := log.ScanBatches(r.db.AppliedLSN()+1, func(recs []*wal.Record) (bool, error) {
-		if err := r.apply(recs); err != nil {
+		for _, rec := range recs {
+			r.observe(rec)
+		}
+		if err := r.db.RedoBatch(recs, nil); err != nil {
 			return false, err
 		}
 		last := recs[len(recs)-1]
@@ -594,61 +585,6 @@ func (r *Replica) PauseApply() { r.applyPaused.Store(true) }
 // heartbeat at the latest).
 func (r *Replica) ResumeApply() { r.applyPaused.Store(false) }
 
-// apply runs one batch of records through analysis and redo. Analysis and
-// non-page bookkeeping happen in log order on the coordinator; page
-// operations are partitioned by page id across workers (Wu et al.: redo
-// parallelizes cleanly when partitioned — physiological redo touches
-// exactly one page per record, so per-page order is the only order that
-// matters, and partitioning preserves it). The batch is a barrier: the
-// applied LSN only advances once every worker drains.
-func (r *Replica) apply(recs []*wal.Record) error {
-	var pageOps []*wal.Record
-	for _, rec := range recs {
-		r.observe(rec)
-		if rec.IsPageOp() && rec.PageID != wal.NoPage {
-			pageOps = append(pageOps, rec)
-		}
-	}
-	if len(pageOps) < parallelApplyThreshold {
-		for _, rec := range pageOps {
-			if err := r.db.RedoRecord(rec); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	parts := make([][]*wal.Record, applyWorkers)
-	for _, rec := range pageOps {
-		w := int((uint64(rec.PageID) * 0x9E3779B97F4A7C15) >> 32 % applyWorkers)
-		parts[w] = append(parts[w], rec)
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, applyWorkers)
-	for w := range parts {
-		if len(parts[w]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for _, rec := range parts[w] {
-				if err := r.db.RedoRecord(rec); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // observe folds one record into the incremental analysis state and the
 // standby's time and checkpoint indexes (engine.DB.ObserveRecord), then into
 // the replica's own bookkeeping: the last applied commit, and promotions
@@ -673,15 +609,19 @@ func (r *Replica) observe(rec *wal.Record) {
 // then one control append of the boot record, the applied checkpoints'
 // records and the apply state — no log records, so the shipped log stays
 // byte-identical to the primary's. Restart replays only the local log past
-// the persisted apply position.
-func (r *Replica) checkpoint() error {
-	return r.db.FlushStandby(control.Standby{
+// the persisted apply position. Close writes the same through the engine's
+// close-time flush.
+func (r *Replica) checkpoint() error { return r.db.FlushStandby(r.standbyRecord()) }
+
+// standbyRecord is the replica's apply state as a control record.
+func (r *Replica) standbyRecord() control.Record {
+	return control.Standby{
 		Applied:       r.db.AppliedLSN(),
 		MaxTxn:        r.st.MaxTxn,
 		ATT:           r.st.Inflight(),
 		LastCommitWC:  r.lastCommitWC.Load(),
 		LastCommitLSN: wal.LSN(r.lastCommitLSN.Load()),
-	}.Record())
+	}.Record()
 }
 
 // --- queries on the standby ---
