@@ -100,8 +100,8 @@ type LSN = wal.LSN
 // SyncPolicy selects log-force durability (Options.SyncPolicy): SyncNone
 // keeps the buffered-write crash model, SyncData makes every group-commit
 // flush an fdatasync-class log force. See also Options.LogSegmentBytes
-// (WAL segment capacity) and Options.LogArchiveDir (retention archive for
-// deep restores and replica reseeds).
+// (WAL segment capacity) and Options.LogArchiveDir (retention archive that
+// serves replicas resuming below the live log and reseeds them).
 type SyncPolicy = wal.SyncPolicy
 
 // Sync policies for Options.SyncPolicy.

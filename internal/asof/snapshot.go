@@ -46,7 +46,6 @@ type Snapshot struct {
 
 	db    *engine.DB
 	point SplitPoint
-	asOf  time.Time
 
 	side   *sidefile.File
 	sideMu sync.Mutex         // makes "not in the side file yet → write it" one step
@@ -79,7 +78,7 @@ func CreateSnapshot(db *engine.DB, asOf time.Time, sideDev *media.Device) (*Snap
 	if err != nil {
 		return nil, err
 	}
-	return newSnapshot(db, point, asOf, sideDev)
+	return newSnapshot(db, point, sideDev)
 }
 
 // CreateSnapshotAtLSN mounts a snapshot at an explicit SplitLSN.
@@ -88,10 +87,10 @@ func CreateSnapshotAtLSN(db *engine.DB, split wal.LSN, sideDev *media.Device) (*
 	if err != nil {
 		return nil, err
 	}
-	return newSnapshot(db, point, time.Time{}, sideDev)
+	return newSnapshot(db, point, sideDev)
 }
 
-func newSnapshot(db *engine.DB, point SplitPoint, asOf time.Time, sideDev *media.Device) (*Snapshot, error) {
+func newSnapshot(db *engine.DB, point SplitPoint, sideDev *media.Device) (*Snapshot, error) {
 	// "...performs a checkpoint to make sure that all pages of the primary
 	// database with LSNs less than or equal to SplitLSN are made durable"
 	// (§5.1). The paper's snapshot reads the primary's data files, so they
@@ -124,7 +123,6 @@ func newSnapshot(db *engine.DB, point SplitPoint, asOf time.Time, sideDev *media
 	s := &Snapshot{
 		db:        db,
 		point:     point,
-		asOf:      asOf,
 		side:      side,
 		staged:    make(map[page.ID][]byte),
 		locks:     txn.NewLockManager(30 * time.Second),
@@ -162,9 +160,6 @@ func (s *Snapshot) SplitLSN() wal.LSN { return s.point.SplitLSN }
 
 // Point returns the full resolved split point.
 func (s *Snapshot) Point() SplitPoint { return s.point }
-
-// AsOfTime returns the requested wall-clock time (zero if LSN-addressed).
-func (s *Snapshot) AsOfTime() time.Time { return s.asOf }
 
 // Stats exposes undo-work counters for the experiments.
 func (s *Snapshot) Stats() *Stats { return &s.stats }

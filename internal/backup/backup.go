@@ -49,15 +49,6 @@ type Manifest struct {
 	TakenAt time.Time
 }
 
-// LogSource is the log read surface a restore replays from: the live
-// *wal.Manager when the target is within retention, or a *wal.ArchivedLog
-// composing archived segments with the live log when the target (or the
-// backup itself) predates the retention horizon.
-type LogSource interface {
-	Scan(from wal.LSN, fn func(*wal.Record) (bool, error)) error
-	Read(lsn wal.LSN) (*wal.Record, error)
-}
-
 // Full takes a full database backup: a checkpoint followed by a sequential
 // copy of every page to path. dev is the media device charged for writing
 // the backup image (nil = uncharged).
@@ -128,7 +119,7 @@ type Restored struct {
 // RestoreToTime restores the backup to destPath and rolls it forward to the
 // last transaction committed at or before target, reading the log from
 // srcLog. dev charges the restored file's I/O.
-func RestoreToTime(m Manifest, srcLog LogSource, target time.Time, destPath string, dev *media.Device) (*Restored, error) {
+func RestoreToTime(m Manifest, srcLog *wal.Manager, target time.Time, destPath string, dev *media.Device) (*Restored, error) {
 	split, err := splitForTime(srcLog, m.BackupLSN, target)
 	if err != nil {
 		return nil, err
@@ -138,7 +129,10 @@ func RestoreToTime(m Manifest, srcLog LogSource, target time.Time, destPath stri
 
 // splitForTime finds the newest commit at or before target, scanning
 // forward from the backup LSN (the restore already pays for this scan).
-func splitForTime(srcLog LogSource, from wal.LSN, target time.Time) (wal.LSN, error) {
+func splitForTime(srcLog *wal.Manager, from wal.LSN, target time.Time) (wal.LSN, error) {
+	if err := checkRetained(srcLog, from); err != nil {
+		return wal.NilLSN, err
+	}
 	targetNS := target.UnixNano()
 	split := from
 	err := srcLog.Scan(from, func(rec *wal.Record) (bool, error) {
@@ -155,9 +149,12 @@ func splitForTime(srcLog LogSource, from wal.LSN, target time.Time) (wal.LSN, er
 }
 
 // RestoreToLSN restores the backup and replays the log up to split.
-func RestoreToLSN(m Manifest, srcLog LogSource, split wal.LSN, destPath string, dev *media.Device) (*Restored, error) {
+func RestoreToLSN(m Manifest, srcLog *wal.Manager, split wal.LSN, destPath string, dev *media.Device) (*Restored, error) {
 	if split < m.BackupLSN {
 		return nil, fmt.Errorf("backup: target %v predates backup LSN %v", split, m.BackupLSN)
+	}
+	if err := checkRetained(srcLog, m.BackupLSN); err != nil {
+		return nil, err
 	}
 	// 1. Copy the backup image (sequential read + sequential write).
 	src, err := disk.Open(m.Path, nil) // reads charged on the source device via dev? the image device
@@ -213,6 +210,16 @@ func RestoreToLSN(m Manifest, srcLog LogSource, split wal.LSN, destPath string, 
 		}
 	}
 	return r, nil
+}
+
+// checkRetained refuses a replay from below srcLog's truncation point:
+// Manager.Scan clamps such a start up to the point, which would skip the log
+// in between and restore a database missing its changes.
+func checkRetained(srcLog *wal.Manager, from wal.LSN) error {
+	if t := srcLog.TruncationPoint(); from < t {
+		return fmt.Errorf("backup: replay from %v: %w (truncation point %v)", from, wal.ErrTruncated, t)
+	}
+	return nil
 }
 
 // Close releases the restored database (the file remains on disk).

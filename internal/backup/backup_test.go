@@ -288,6 +288,59 @@ func TestRestoreRejectsPreBackupTarget(t *testing.T) {
 	}
 }
 
+// TestRestoreBelowTruncationRefused: a restore whose backup predates the
+// log's truncation point is refused with wal.ErrTruncated. Manager.Scan
+// starts a scan from below the point at the point, so an unchecked restore
+// skips the 50 rows inserted into t after the backup, replays u's creation
+// and row, and returns no error.
+func TestRestoreBelowTruncationRefused(t *testing.T) {
+	clock := newVClock()
+	dir := t.TempDir()
+	db, err := engine.Open(filepath.Join(dir, "db"), engine.Options{Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	exec(t, db, func(tx *engine.Txn) error { return tx.CreateTable(schema()) })
+	m, err := Full(db, filepath.Join(dir, "full.bak"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec(t, db, func(tx *engine.Txn) error {
+		for i := 0; i < 50; i++ {
+			if err := tx.Insert("t", r(i, "after-backup")); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	// A retention cut past the backup LSN, at a record boundary.
+	cut := db.Log().NextLSN()
+	if err := db.Log().Truncate(cut); err != nil {
+		t.Fatal(err)
+	}
+	if cut <= m.BackupLSN {
+		t.Fatalf("cut %v does not pass the backup LSN %v; test layout broken", cut, m.BackupLSN)
+	}
+	clock.Advance(time.Minute)
+	u := schema()
+	u.Name = "u"
+	exec(t, db, func(tx *engine.Txn) error { return tx.CreateTable(u) })
+	exec(t, db, func(tx *engine.Txn) error { return tx.Insert("u", r(1, "after-cut")) })
+
+	if rst, err := RestoreToTime(m, db.Log(), clock.Now(), filepath.Join(dir, "time.db"), nil); !errors.Is(err, wal.ErrTruncated) {
+		if err == nil {
+			n, _ := rst.CountRows("t", nil, nil)
+			rst.Close()
+			t.Fatalf("RestoreToTime below the truncation point succeeded with %d rows in t (50 were inserted); want wal.ErrTruncated", n)
+		}
+		t.Fatalf("RestoreToTime below the truncation point: %v, want wal.ErrTruncated", err)
+	}
+	if _, err := RestoreToLSN(m, db.Log(), db.Log().NextLSN()-1, filepath.Join(dir, "lsn.db"), nil); !errors.Is(err, wal.ErrTruncated) {
+		t.Fatalf("RestoreToLSN below the truncation point: %v, want wal.ErrTruncated", err)
+	}
+}
+
 func TestBackupAndRestoreChargeSequentialIO(t *testing.T) {
 	clock := newVClock()
 	dir := t.TempDir()

@@ -78,9 +78,9 @@ type Options struct {
 	// both retention granularity and the unit of archive shipping.
 	LogSegmentBytes int64
 	// LogArchiveDir, when set, receives sealed segments dropped by
-	// retention instead of deleting them; archived segments reseed replicas
-	// whose subscription predates the retention horizon and serve restores
-	// past it.
+	// retention instead of deleting them; the log keeps serving them to
+	// replicas whose subscription predates the retention horizon, and
+	// reseeds copy them.
 	LogArchiveDir string
 
 	// DisableObs disables the observability registry entirely: no metrics,

@@ -439,49 +439,20 @@ func (s *Shipper) Serve(conn Conn) error {
 		return fmt.Errorf("repl: refusing subscription at %v: %w", from, err)
 	}
 	sub.tli = subInfo.normalized().TLI
-	// A subscription below the live store's physical floor (retention
-	// dropped those segments) is served from the retention archive when one
-	// covers the resume point — the stream then reads archive and live
-	// segments as one byte-contiguous log, which also bridges the record
-	// that straddles the archive/live boundary. Only when the bytes are
-	// truly gone (no archive, or the archive starts too late) is the
-	// replica told to reseed from a backup.
-	var arch *wal.ArchivedLog
-	defer func() {
-		if arch != nil {
-			arch.Close()
+	// A subscription below the live store's floor (retention dropped those
+	// segments) is served from the retention archive the log store keeps
+	// beside its live segments, as one byte-contiguous log that also
+	// bridges the record straddling the archive/live boundary. Only when the
+	// bytes are gone (no archive, pruned, or a damaged archive, which the
+	// error names) is the replica told to reseed.
+	if floor, ferr := log.Floor(); from < floor {
+		why := "no archive holds it"
+		if ferr != nil {
+			why = ferr.Error()
 		}
-	}()
-	// useArchive switches the session onto the archive+live composite when
-	// at is below the live floor. A false return carries why the archive
-	// could not serve it — a damaged archive (gap, unreadable header) is an
-	// operator-fixable condition and must not masquerade as "no archive".
-	useArchive := func(at wal.LSN) (bool, error) {
-		if arch != nil {
-			return true, nil
-		}
-		dir := log.ArchiveDir()
-		if dir == "" {
-			return false, errors.New("no archive configured")
-		}
-		a, err := wal.OpenArchive(dir, log)
-		if err != nil {
-			return false, fmt.Errorf("archive unusable: %w", err)
-		}
-		if a.Floor() > at {
-			f := a.Floor()
-			a.Close()
-			return false, fmt.Errorf("archive starts at %v, after the requested %v", f, at)
-		}
-		arch = a
-		return true, nil
-	}
-	if floor := log.SegmentFloor(); from < floor {
-		if ok, aerr := useArchive(from); !ok {
-			_ = conn.Send(&Frame{Kind: KindError,
-				Payload: []byte(fmt.Sprintf("subscription at %v predates the retained log (floor %v; %v); reseed the replica", from, floor, aerr))})
-			return fmt.Errorf("repl: subscription at %v predates retained log floor %v: %v", from, floor, aerr)
-		}
+		_ = conn.Send(&Frame{Kind: KindError,
+			Payload: []byte(fmt.Sprintf("subscription at %v predates the retained log (floor %v; %s); reseed the replica", from, floor, why))})
+		return fmt.Errorf("repl: subscription at %v predates retained log floor %v: %s", from, floor, why)
 	}
 	if next := log.NextLSN(); from > next && !s.db.Standby() {
 		// On a primary, a resume point past the log end means the replica
@@ -524,37 +495,14 @@ func (s *Shipper) Serve(conn Conn) error {
 
 	notify := log.FlushNotify()
 	defer log.FlushUnnotify(notify)
-	// read serves the next stream bytes. Retention can drop segments below
-	// a slow subscriber's position mid-session; the check upgrades the
-	// session onto the archive composite (or ends it cleanly) instead of
-	// ever shipping bytes the live store no longer holds.
-	read := func(b []byte, off int64) (int, error) {
-		for {
-			if arch != nil {
-				return arch.ReadDurable(b, off)
-			}
-			if off < int64(log.SegmentFloor()-1) {
-				if ok, aerr := useArchive(wal.LSN(off + 1)); !ok {
-					return 0, fmt.Errorf("repl: retention dropped unshipped log at %v (%v)", wal.LSN(off+1), aerr)
-				}
-				continue
-			}
-			n, err := log.ReadDurable(b, off)
-			if err != nil || off >= int64(log.SegmentFloor()-1) {
-				return n, err
-			}
-			// Retention dropped the segment between the floor check and the
-			// read: the buffer may hold zero-filled bytes from the dropped
-			// range. Retry through the archive, which serves the same
-			// immutable bytes from the renamed files.
-		}
-	}
 	buf := make([]byte, batchBytes)
 	off := int64(from - 1)
 	heartbeat := time.NewTimer(s.opts.HeartbeatEvery)
 	defer heartbeat.Stop()
 	for {
-		n, err := read(buf, off)
+		// Retention without an archive can drop bytes a slow session has not
+		// shipped yet: the read then fails, and never ships zeros.
+		n, err := log.ReadDurable(buf, off)
 		if err != nil {
 			return err
 		}

@@ -742,31 +742,6 @@ func (p *Pool) DirtyPages(lsn uint64) []DirtyPage {
 	return out
 }
 
-// DropAll discards every non-pinned clean frame and fails if dirty or pinned
-// frames remain. Used when tearing a pool down deterministically in tests.
-func (p *Pool) DropAll() error {
-	for _, s := range p.shards {
-		s.mu.Lock()
-		for _, f := range s.frames {
-			if f.id == page.InvalidID {
-				continue
-			}
-			if f.pins.Load() > 0 {
-				s.mu.Unlock()
-				return fmt.Errorf("buffer: page %d still pinned", f.id)
-			}
-			if f.dirty.Load() {
-				s.mu.Unlock()
-				return fmt.Errorf("buffer: page %d still dirty", f.id)
-			}
-			delete(s.table, f.id)
-			f.id = page.InvalidID
-		}
-		s.mu.Unlock()
-	}
-	return nil
-}
-
 // Stats is the pool's cumulative counter snapshot, summed across shards.
 type Stats struct {
 	Hits            int64 // fetches served from a resident frame

@@ -19,9 +19,8 @@ type Result struct {
 	UserAborts int64
 	Deadlocks  int64
 	Errors     int64
-	// Wall is the real elapsed time; Virtual the virtual-clock span.
-	Wall    time.Duration
-	Virtual time.Duration
+	// Wall is the real elapsed time.
+	Wall time.Duration
 	// LogBytes is the log growth during the run.
 	LogBytes int64
 }
@@ -32,14 +31,6 @@ func (r Result) Tpm() float64 {
 		return 0
 	}
 	return float64(r.Commits) / r.Wall.Minutes()
-}
-
-// TpmVirtual returns committed transactions per virtual minute.
-func (r Result) TpmVirtual() float64 {
-	if r.Virtual <= 0 {
-		return 0
-	}
-	return float64(r.Commits) / r.Virtual.Minutes()
 }
 
 func (r Result) String() string {
@@ -86,7 +77,6 @@ func (d *Driver) Run(total, clients int) (Result, error) {
 	}
 	var res Result
 	logStart := d.DB.Log().Size()
-	virtStart := d.DB.Now()
 	start := time.Now()
 
 	var wg sync.WaitGroup
@@ -114,7 +104,6 @@ func (d *Driver) Run(total, clients int) (Result, error) {
 	res.Deadlocks = deadlocks.Load()
 	res.Errors = errs.Load()
 	res.Wall = time.Since(start)
-	res.Virtual = d.DB.Now().Sub(virtStart)
 	res.LogBytes = d.DB.Log().Size() - logStart
 	if v := firstErr.Load(); v != nil {
 		return res, v.(error)

@@ -3,7 +3,6 @@ package tpcc
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/row"
@@ -127,6 +126,3 @@ func lastName(n int) string {
 	syll := []string{"BAR", "OUGHT", "ABLE", "PRI", "PRES", "ESE", "ANTI", "CALLY", "ATION", "EING"}
 	return syll[(n/100)%10] + syll[(n/10)%10] + syll[n%10]
 }
-
-// LoadedTime is a marker helper: returns the load completion time.
-func LoadedTime(db *engine.DB) time.Time { return db.Now() }

@@ -168,8 +168,9 @@ type Config struct {
 	// Sync selects the log-force durability policy (default SyncNone).
 	Sync SyncPolicy
 	// ArchiveDir, when set, receives sealed segments dropped by retention
-	// instead of deleting them — the byte source for archive-backed replica
-	// reseeds and point-in-time restores past the retention horizon.
+	// instead of deleting them. The store keeps serving them to ReadDurable
+	// (replicas resuming below the live floor), and replica reseeds copy
+	// them.
 	ArchiveDir string
 	// BaseLSN seeds a freshly created store so its log begins at the given
 	// LSN instead of 1 — a reseeded replica's local log starts at the
@@ -458,12 +459,14 @@ func (m *Manager) notifyDurableLocked() {
 
 // ReadDurable fills buf with raw log bytes starting at byte offset off,
 // serving only durable bytes (at or below the flushed LSN) straight from
-// the log file — the log shipper's tail-stream read path. It deliberately
-// bypasses the random-read block cache: shipping reads the still-warm tail
-// of the log exactly once, and must not evict the hot chain-walk window
-// that as-of queries depend on. Returns the number of bytes served (0 at
-// the durable end) — short reads are normal when less than len(buf) is
-// durable.
+// the segment files, archived ones included — the log shipper's read path.
+// It deliberately bypasses the random-read block cache: shipping reads the
+// still-warm tail of the log exactly once, and must not evict the hot
+// chain-walk window that as-of queries depend on. Returns the number of
+// bytes served (0 at the durable end) — short reads are normal when less
+// than len(buf) is durable. A byte below Floor is an error wrapping
+// ErrTruncated, never zeros: the store checks it under the lock its read
+// and retention's moves take.
 func (m *Manager) ReadDurable(buf []byte, off int64) (int, error) {
 	durable := int64(m.flushed.Load())
 	if off >= durable {
@@ -472,7 +475,7 @@ func (m *Manager) ReadDurable(buf []byte, off int64) (int, error) {
 	if off+int64(len(buf)) > durable {
 		buf = buf[:durable-off]
 	}
-	n, err := m.store.readAt(buf, off)
+	n, err := m.store.readAt(buf, off, false)
 	if err != nil && !(errors.Is(err, io.EOF) && n == len(buf)) {
 		return n, fmt.Errorf("wal: durable read at %d: %w", off, err)
 	}
@@ -589,8 +592,8 @@ func (m *Manager) ObserveCommit(wallClock int64, lsn LSN) {
 // Truncate discards records below lsn (the retention boundary, §4.3).
 // Logical truncation is immediate (reads below the boundary fail with
 // ErrTruncated); physically, every sealed segment wholly below the boundary
-// is unlinked — or renamed into the archive directory, where it remains
-// readable for replica reseeds and deep restores — in O(segments dropped),
+// is unlinked — or renamed into the archive directory, where ReadDurable
+// still serves it and replica reseeds copy it — in O(segments dropped),
 // never rewriting live segments. LSN arithmetic stays stable because
 // segment headers carry their base offsets.
 func (m *Manager) Truncate(before LSN) error {
@@ -649,8 +652,18 @@ func (m *Manager) Segments() []SegmentInfo { return m.store.infos() }
 // logical retention boundary is a record boundary; segments drop whole):
 // raw byte reads down to the floor are served, record reads below the
 // truncation point are not. Bytes below the floor exist only in the
-// retention archive, if one is configured.
+// retention archive, if one is configured; Floor reports how far down it
+// reaches.
 func (m *Manager) SegmentFloor() LSN { return LSN(m.store.startOff()) + 1 }
+
+// Floor returns the lowest LSN whose byte the log holds, in the live store
+// or its retention archive: ReadDurable serves every durable byte from it
+// on. err, when not nil, names why the archive directory could not be
+// loaded (a gap, an unreadable header); the floor is then what did load.
+func (m *Manager) Floor() (LSN, error) {
+	off, err := m.store.floor()
+	return LSN(off) + 1, err
+}
 
 // Sync reports the manager's log-force durability policy.
 func (m *Manager) Sync() SyncPolicy { return m.store.sync }
@@ -722,7 +735,7 @@ func (m *Manager) readAt(buf []byte, off int64, countIO bool) (int, error) {
 	if diskLen > 0 {
 		// Bytes below memStart are durable and immutable once written, so
 		// reading outside the lock is safe even if a flush races with us.
-		rn, err := m.store.readAt(want[:diskLen], off)
+		rn, err := m.store.readAt(want[:diskLen], off, true)
 		if err != nil && !(errors.Is(err, io.EOF) && int64(rn) == diskLen) {
 			return rn, fmt.Errorf("wal: read at %d: %w", off, err)
 		}

@@ -35,6 +35,11 @@ import (
 //   - a replica reseeding below the retention horizon rebuilds its
 //     byte-identical local log by copying archived segment files.
 //
+// With an archive directory the store keeps the segments retention moved
+// there open beside its live ones: the log's byte stream then begins at the
+// first archived byte, and ReadDurable serves it across the archive/live
+// boundary like any other segment boundary.
+//
 // Durability is a store policy (SyncPolicy): with SyncData, every physical
 // log force ends with an fdatasync-class sync of the segments it touched,
 // and rotations sync both the new segment file and the store directory so a
@@ -114,15 +119,16 @@ type segment struct {
 
 func (s *segment) end() int64 { return s.start + s.size.Load() }
 
-// segmentStore is the on-disk log: an ordered, contiguous list of segments,
-// of which only the last accepts writes.
+// segmentStore is the on-disk log: an ordered, contiguous list of live
+// segments, of which only the last accepts writes, and below them the
+// archived segments retention moved into archiveDir.
 //
-// Locking: mu is an RWMutex over the segment list. Readers hold it shared
-// across the file ReadAt (file handles cannot be closed or truncated under
-// them); the single writer (the manager serializes flushes) holds it shared
-// for in-segment writes and exclusive only to mutate the list — rotation,
-// rewind, retention drops — so log forces and chain-walk reads never block
-// each other.
+// Locking: mu is an RWMutex over both lists. Readers hold it shared across
+// the file ReadAt (file handles cannot be closed or truncated under them);
+// the single writer (the manager serializes flushes) holds it shared for
+// in-segment writes and exclusive only to mutate a list — rotation, rewind,
+// retention moves, an archive reload — so log forces and chain-walk reads
+// never block each other.
 type segmentStore struct {
 	dir        string
 	segBytes   int64
@@ -135,6 +141,11 @@ type segmentStore struct {
 
 	mu   sync.RWMutex
 	segs []*segment
+	// arch holds the archive's segments, contiguous among themselves and
+	// reaching segs[0]; archErr is why the archive directory last failed to
+	// load (a gap, an unreadable header), nil when it loaded.
+	arch    []*segment
+	archErr error
 }
 
 func segName(seq uint64) string { return fmt.Sprintf("%08d.seg", seq) }
@@ -235,63 +246,113 @@ func openSegmentStore(dir string, segBytes int64, sync SyncPolicy, archiveDir st
 	}
 	st := &segmentStore{dir: dir, segBytes: segBytes, sync: sync, archiveDir: archiveDir}
 
-	names, err := segFileNames(dir)
-	if err != nil {
+	var err error
+	if st.segs, err = openSegments(dir, true); err != nil {
 		return nil, err
-	}
-	for i, name := range names {
-		path := filepath.Join(dir, name)
-		f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-		if err != nil {
-			st.closeAll()
-			return nil, fmt.Errorf("wal: open segment: %w", err)
-		}
-		fi, err := f.Stat()
-		if err != nil {
-			f.Close()
-			st.closeAll()
-			return nil, fmt.Errorf("wal: stat segment: %w", err)
-		}
-		seq, start, ok := readSegHeader(f)
-		if !ok {
-			f.Close()
-			if i == len(names)-1 {
-				// A crash during rotation can leave the newest segment file
-				// with a missing or torn header — it holds no log bytes yet
-				// (rotation writes the header before any data), so dropping
-				// it is always safe.
-				if err := os.Remove(path); err != nil {
-					st.closeAll()
-					return nil, fmt.Errorf("wal: drop headerless segment: %w", err)
-				}
-				continue
-			}
-			st.closeAll()
-			return nil, fmt.Errorf("wal: segment %s has a corrupt header", path)
-		}
-		size := fi.Size() - segHeaderSize
-		if size < 0 {
-			size = 0
-		}
-		seg := &segment{seq: seq, start: start, f: f, path: path}
-		seg.size.Store(size)
-		st.segs = append(st.segs, seg)
-	}
-	sort.Slice(st.segs, func(i, j int) bool { return st.segs[i].start < st.segs[j].start })
-	for i := 1; i < len(st.segs); i++ {
-		prev, cur := st.segs[i-1], st.segs[i]
-		if prev.end() != cur.start {
-			st.closeAll()
-			return nil, fmt.Errorf("wal: segment gap: %s ends at %d, %s starts at %d",
-				prev.path, prev.end(), cur.path, cur.start)
-		}
 	}
 	if len(st.segs) == 0 {
 		if _, err := st.addSegment(1, baseOff); err != nil {
 			return nil, err
 		}
 	}
+	st.loadArchive()
 	return st, nil
+}
+
+// openSegments opens the segment files in dir, sorted by base offset, and
+// checks that they are contiguous. A file with a missing or torn header is
+// an error naming it, except the newest file of a live store: a crash during
+// rotation can leave it so, and it holds no log bytes yet (rotation writes
+// the header before any data), so removing it is always safe.
+func openSegments(dir string, live bool) ([]*segment, error) {
+	names, err := segFileNames(dir)
+	if err != nil {
+		return nil, err
+	}
+	flag := os.O_RDONLY
+	if live {
+		flag = os.O_RDWR
+	}
+	var segs []*segment
+	fail := func(err error) ([]*segment, error) {
+		closeSegs(segs)
+		return nil, err
+	}
+	for i, name := range names {
+		path := filepath.Join(dir, name)
+		f, err := os.OpenFile(path, flag, 0)
+		if err != nil {
+			return fail(fmt.Errorf("wal: open segment: %w", err))
+		}
+		fi, err := f.Stat()
+		if err != nil {
+			f.Close()
+			return fail(fmt.Errorf("wal: stat segment: %w", err))
+		}
+		seq, start, ok := readSegHeader(f)
+		if !ok {
+			f.Close()
+			if live && i == len(names)-1 {
+				if err := os.Remove(path); err != nil {
+					return fail(fmt.Errorf("wal: drop headerless segment: %w", err))
+				}
+				continue
+			}
+			return fail(fmt.Errorf("wal: segment %s has a corrupt header", path))
+		}
+		seg := &segment{seq: seq, start: start, f: f, path: path}
+		seg.size.Store(max(fi.Size()-segHeaderSize, 0))
+		segs = append(segs, seg)
+	}
+	sort.Slice(segs, func(i, j int) bool { return segs[i].start < segs[j].start })
+	for i := 1; i < len(segs); i++ {
+		if prev, cur := segs[i-1], segs[i]; prev.end() != cur.start {
+			return fail(fmt.Errorf("wal: segment gap: %s ends at %d, %s starts at %d",
+				prev.path, prev.end(), cur.path, cur.start))
+		}
+	}
+	return segs, nil
+}
+
+// loadArchive (re)opens the archive directory's segments, which must be
+// contiguous and reach the live store's first byte. On failure the archive
+// is left empty and archErr names the damage. Called at open and, under the
+// exclusive lock, by floor.
+func (st *segmentStore) loadArchive() {
+	closeSegs(st.arch)
+	st.arch, st.archErr = nil, nil
+	if st.archiveDir == "" {
+		return
+	}
+	arch, err := openSegments(st.archiveDir, false)
+	if n := len(arch); err == nil && n > 0 && arch[n-1].end() < st.segs[0].start {
+		err = fmt.Errorf("wal: archive ends at offset %d but the live log begins at %d",
+			arch[n-1].end(), st.segs[0].start)
+		closeSegs(arch)
+	}
+	if err != nil {
+		st.archErr = fmt.Errorf("archive %s: %w", st.archiveDir, err)
+		return
+	}
+	st.arch = arch
+}
+
+// floor returns the lowest logical offset the store holds, archived or
+// live, and archErr. An archived file gone from the directory since it was
+// listed (an operator pruning history a backup covers) makes it re-read the
+// directory first.
+func (st *segmentStore) floor() (int64, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if len(st.arch) > 0 {
+		if _, err := os.Stat(st.arch[0].path); errors.Is(err, os.ErrNotExist) {
+			st.loadArchive()
+		}
+	}
+	if len(st.arch) > 0 && st.arch[0].start < st.segs[0].start {
+		return st.arch[0].start, st.archErr
+	}
+	return st.segs[0].start, st.archErr
 }
 
 func segFileNames(dir string) ([]string, error) {
@@ -314,11 +375,10 @@ func segFileNames(dir string) ([]string, error) {
 	return names, nil
 }
 
-func (st *segmentStore) closeAll() {
-	for _, s := range st.segs {
+func closeSegs(segs []*segment) {
+	for _, s := range segs {
 		s.f.Close()
 	}
-	st.segs = nil
 }
 
 // createSegment creates (and, under SyncData, syncs) a fresh segment file.
@@ -460,44 +520,56 @@ func (st *segmentStore) syncDirty() error {
 	return nil
 }
 
-// readAt fills b from logical offset off, spanning segments. Returns the
-// bytes served; short only at the end of the store. Bytes below the first
-// segment were dropped by retention (or never existed: a reseeded store
-// based mid-stream) and are served as zeros — block-granular readers load
-// whole 32 KiB blocks whose first bytes may predate the floor, and the
-// manager's truncation-point check is what keeps record reads from ever
-// depending on those bytes.
-func (st *segmentStore) readAt(b []byte, off int64) (int, error) {
+// readAt fills b from logical offset off, spanning segments, archived ones
+// included. Returns the bytes served; short only at the end of the store. A
+// byte the store does not hold (dropped without an archive, or before a
+// reseeded store's base) is an error wrapping ErrTruncated, unless zeroFill
+// is set: the block cache loads whole 32 KiB blocks whose first bytes may
+// predate the live floor, gets those as zeros, and the manager's
+// truncation-point check keeps record reads from ever depending on them.
+func (st *segmentStore) readAt(b []byte, off int64, zeroFill bool) (int, error) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	read := 0
 	if floor := st.segs[0].start; off < floor {
-		n := int64(len(b))
-		if n > floor-off {
-			n = floor - off
+		n := min(int64(len(b)), floor-off)
+		switch {
+		case zeroFill:
+			clear(b[:n])
+		case len(st.arch) == 0 || off < st.arch[0].start:
+			err := fmt.Errorf("%w: offset %d is below the log's floor", ErrTruncated, off)
+			if st.archErr != nil {
+				err = fmt.Errorf("%w (%w)", err, st.archErr)
+			}
+			return 0, err
+		default:
+			if _, err := readSegs(st.arch, b[:n], off); err != nil {
+				return 0, err
+			}
 		}
-		for i := int64(0); i < n; i++ {
-			b[i] = 0
-		}
-		read += int(n)
-		off += n
+		read, off = int(n), off+n
 	}
+	n, err := readSegs(st.segs, b[read:], off)
+	return read + n, err
+}
+
+// readSegs fills b from logical offset off out of segs, which are sorted and
+// contiguous. Returns the bytes served; short only at their end.
+func readSegs(segs []*segment, b []byte, off int64) (int, error) {
+	read := 0
 	for read < len(b) {
-		i := sort.Search(len(st.segs), func(i int) bool { return st.segs[i].end() > off })
-		if i == len(st.segs) {
+		i := sort.Search(len(segs), func(i int) bool { return segs[i].end() > off })
+		if i == len(segs) {
 			if read == 0 {
 				return 0, io.EOF
 			}
 			return read, nil
 		}
-		seg := st.segs[i]
+		seg := segs[i]
 		if off < seg.start {
 			return read, fmt.Errorf("wal: read at %d below segment floor %d", off, seg.start)
 		}
-		n := int64(len(b) - read)
-		if lim := seg.end() - off; n > lim {
-			n = lim
-		}
+		n := min(int64(len(b)-read), seg.end()-off)
 		rn, err := seg.f.ReadAt(b[read:read+int(n)], off-seg.start+segHeaderSize)
 		if err != nil && !(errors.Is(err, io.EOF) && int64(rn) == n) {
 			return read + rn, fmt.Errorf("wal: segment read at %d: %w", off, err)
@@ -554,11 +626,12 @@ func (st *segmentStore) truncateTo(off int64) error {
 }
 
 // dropBefore removes whole sealed segments whose every byte lies below
-// logical offset off — the O(segments dropped) retention path. With an
-// archive directory configured the files are renamed into it (same name,
-// still self-describing via their headers); otherwise they are unlinked.
-// The active segment is never dropped. Returns how many segments were
-// archived and removed.
+// logical offset off from the live list — the O(segments dropped) retention
+// path. With an archive directory configured the files are renamed into it
+// (same name, still self-describing via their headers) and move, still
+// open, to the archived list; otherwise they are unlinked. The active
+// segment is never dropped. Returns how many segments were archived and
+// removed.
 func (st *segmentStore) dropBefore(off int64) (archived, removed int, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -577,17 +650,20 @@ func (st *segmentStore) dropBefore(off int64) (archived, removed int, err error)
 	for len(st.segs) > 1 && st.segs[0].end() <= off {
 		s := st.segs[0]
 		if st.archiveDir != "" {
-			if err := os.Rename(s.path, filepath.Join(st.archiveDir, filepath.Base(s.path))); err != nil {
+			path := filepath.Join(st.archiveDir, filepath.Base(s.path))
+			if err := os.Rename(s.path, path); err != nil {
 				return archived, removed, fmt.Errorf("wal: archive segment: %w", err)
 			}
+			s.path = path
+			st.arch = append(st.arch, s)
 			archived++
 		} else {
 			if err := os.Remove(s.path); err != nil {
 				return archived, removed, fmt.Errorf("wal: drop segment: %w", err)
 			}
+			s.f.Close()
 			removed++
 		}
-		s.f.Close()
 		st.segs = append(st.segs[:0], st.segs[1:]...)
 	}
 	if st.sync == SyncData {
@@ -630,7 +706,8 @@ func (st *segmentStore) close() error {
 			first = err
 		}
 	}
-	st.segs = nil
+	closeSegs(st.arch)
+	st.segs, st.arch = nil, nil
 	return first
 }
 

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -394,70 +396,202 @@ func TestRetentionDropsWholeSegments(t *testing.T) {
 	}
 }
 
-// TestArchivedLogServesDroppedHistory: the archive + live composite scans
-// and reads the full history, including the record that straddles the
-// archive/live file boundary.
-func TestArchivedLogServesDroppedHistory(t *testing.T) {
-	dir := t.TempDir()
-	archiveDir := filepath.Join(dir, "archive")
-	m, err := OpenStore(filepath.Join(dir, "wal"), Config{SegmentBytes: 4 << 10, ArchiveDir: archiveDir})
+// openArchived opens a 4 KiB-segment store under dir whose retention
+// archives into dir/archive.
+func openArchived(t *testing.T, dir string) *Manager {
+	t.Helper()
+	m, err := OpenStore(filepath.Join(dir, "wal"), Config{SegmentBytes: 4 << 10,
+		ArchiveDir: filepath.Join(dir, "archive"), Sync: testSyncPolicy(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	return m
+}
+
+// readAllDurable reads the log's bytes [0, durable end) through ReadDurable.
+func readAllDurable(t *testing.T, m *Manager) []byte {
+	t.Helper()
+	buf := make([]byte, m.FlushedLSN())
+	if n, err := m.ReadDurable(buf, 0); err != nil || n != len(buf) {
+		t.Fatalf("ReadDurable over the whole log: %d of %d bytes, %v", n, len(buf), err)
+	}
+	return buf
+}
+
+// TestArchiveServesDroppedHistory: once retention has archived segments,
+// ReadDurable over [1, end) returns the bytes it returned before the cut,
+// so the record straddling the archive/live boundary decodes whole — before
+// and after a reopen, which loads the archive from its directory.
+func TestArchiveServesDroppedHistory(t *testing.T) {
+	dir := t.TempDir()
+	m := openArchived(t, dir)
 	starts, ends := appendBulk(t, m, 120)
+	want := readAllDurable(t, m)
 	segs := m.Segments()
 	if len(segs) < 4 {
 		t.Fatal("need several segments")
 	}
-	// Find a record straddling the segs[2] boundary and truncate exactly at
-	// its start: segments 1..2 drop, and the straddler (if any) spans the
-	// archive/live boundary.
-	bound := int64(segs[2].Base - 1)
-	cutRec := 0
+	// Cut at the record after the one straddling the third segment's base:
+	// segments 1 and 2 move to the archive, and the straddler begins in the
+	// archive and ends in the live store.
+	straddler := -1
 	for i := range starts {
-		if int64(starts[i]-1) <= bound {
-			cutRec = i
+		if starts[i] < segs[2].Base && ends[i] >= segs[2].Base {
+			straddler = i
 		}
 	}
-	if err := m.Truncate(starts[cutRec]); err != nil {
+	if straddler < 0 {
+		t.Fatal("no record straddles the third segment's base; test layout broken")
+	}
+	if err := m.Truncate(starts[straddler+1]); err != nil {
 		t.Fatal(err)
 	}
-	if m.Segments()[0].Base == segs[0].Base {
-		t.Fatal("truncate dropped nothing; test layout broken")
+	if floor := m.SegmentFloor(); floor != segs[2].Base {
+		t.Fatalf("live floor %v after the cut, want %v", floor, segs[2].Base)
+	}
+	check := func(m *Manager) {
+		t.Helper()
+		if floor, err := m.Floor(); floor != 1 || err != nil {
+			t.Fatalf("Floor() = %v, %v; want 1 with the archive holding the dropped segments", floor, err)
+		}
+		got := readAllDurable(t, m)
+		if !bytes.Equal(got, want) {
+			t.Fatal("ReadDurable over the archived and live log differs from the bytes read before the cut")
+		}
+		for i, pos := 0, 0; pos < len(got); i++ {
+			_, size, ok, err := NextFrame(got[pos:])
+			if !ok || err != nil || LSN(pos+1) != starts[i] {
+				t.Fatalf("frame %d at %v: ok=%v err=%v, want a record at %v", i, pos+1, ok, err, starts[i])
+			}
+			pos += size
+		}
+	}
+	check(m)
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m = openArchived(t, dir)
+	defer m.Close()
+	check(m)
+}
+
+// TestArchivePrunedOrDamaged: an archived file removed from the directory
+// while the store is open raises Floor, and ReadDurable below it fails with
+// ErrTruncated instead of serving zeros; a gap in the archive is an error
+// naming it, with the floor at the live store's.
+func TestArchivePrunedOrDamaged(t *testing.T) {
+	dir := t.TempDir()
+	m := openArchived(t, dir)
+	starts, _ := appendBulk(t, m, 120)
+	if err := m.Truncate(starts[len(starts)-1]); err != nil {
+		t.Fatal(err)
+	}
+	arch, err := ListSegments(filepath.Join(dir, "archive"))
+	if err != nil || len(arch) < 3 {
+		t.Fatalf("archive holds %d segments (%v), want at least 3", len(arch), err)
+	}
+	if err := os.Remove(arch[0].Path); err != nil {
+		t.Fatal(err)
+	}
+	if floor, err := m.Floor(); floor != arch[1].Base || err != nil {
+		t.Fatalf("Floor() after pruning the first archived file = %v, %v; want %v", floor, err, arch[1].Base)
+	}
+	buf := make([]byte, 64)
+	if _, err := m.ReadDurable(buf, 0); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("ReadDurable below the pruned archive: %v, want ErrTruncated", err)
+	}
+	if n, err := m.ReadDurable(buf, int64(arch[1].Base-1)); n != len(buf) || err != nil {
+		t.Fatalf("ReadDurable at the archive's new floor: %d bytes, %v", n, err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
 	}
 
-	a, err := OpenArchive(archiveDir, m)
-	if err != nil {
+	if err := os.Remove(arch[2].Path); err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
-	if a.Floor() != 1 {
-		t.Fatalf("archive floor %v, want 1", a.Floor())
+	m = openArchived(t, dir)
+	defer m.Close()
+	floor, err := m.Floor()
+	if err == nil || !strings.Contains(err.Error(), "gap") || !strings.Contains(err.Error(), "archive") {
+		t.Fatalf("Floor() over an archive with a gap: %v, want an error naming the gap", err)
 	}
-	var got []LSN
-	if err := a.Scan(1, func(r *Record) (bool, error) { got = append(got, r.LSN); return true, nil }); err != nil {
-		t.Fatal(err)
+	if floor != m.SegmentFloor() {
+		t.Fatalf("Floor() over a damaged archive = %v, want the live floor %v", floor, m.SegmentFloor())
 	}
-	if len(got) != len(starts) {
-		t.Fatalf("composite scan saw %d records, want %d", len(got), len(starts))
+	if _, err := m.ReadDurable(buf, int64(arch[1].Base-1)); !errors.Is(err, ErrTruncated) || !strings.Contains(err.Error(), "gap") {
+		t.Fatalf("ReadDurable below a damaged archive: %v, want ErrTruncated naming the gap", err)
 	}
-	for i, lsn := range got {
-		if lsn != starts[i] {
-			t.Fatalf("record %d at %v, want %v", i, lsn, starts[i])
+}
+
+// TestArchiveReadRacesRetention: ReadDurable loops beside Truncate calls
+// that archive segments and an operator pruning the oldest archived files.
+// Every read returns the log's bytes, never zeros, and fails only below the
+// floor. Run it with -race.
+func TestArchiveReadRacesRetention(t *testing.T) {
+	dir := t.TempDir()
+	m := openArchived(t, dir)
+	defer m.Close()
+	starts, _ := appendBulk(t, m, 400)
+	want := readAllDurable(t, m)
+
+	done := make(chan error, 1) // the retention goroutine's one result
+	go func() {
+		done <- func() error {
+			for i := 10; i < len(starts); i += 10 {
+				if err := m.Truncate(starts[i]); err != nil {
+					return err
+				}
+				if i%50 != 0 {
+					continue
+				}
+				arch, err := ListSegments(filepath.Join(dir, "archive"))
+				if err != nil {
+					return err
+				}
+				if len(arch) > 1 {
+					if err := os.Remove(arch[0].Path); err != nil {
+						return err
+					}
+				}
+				if _, err := m.Floor(); err != nil {
+					return err
+				}
+			}
+			return nil
+		}()
+	}()
+	buf := make([]byte, 3000)
+	var bad, retErr error
+	reads := 0
+	for off, running := int64(0), true; running && bad == nil; reads++ {
+		select {
+		case retErr = <-done:
+			running = false
+		default:
 		}
-	}
-	// Random reads on both sides of the boundary and on the straddler.
-	for _, i := range []int{0, cutRec, len(starts) - 1} {
-		rec, err := a.Read(starts[i])
+		off = (off + 997) % int64(len(want))
+		n, err := m.ReadDurable(buf, off)
 		if err != nil {
-			t.Fatalf("composite read %v: %v", starts[i], err)
+			if floor, _ := m.Floor(); !errors.Is(err, ErrTruncated) || off >= int64(floor-1) {
+				bad = fmt.Errorf("ReadDurable at %d: %v (floor %v)", off, err, floor)
+			}
+		} else if !bytes.Equal(buf[:n], want[off:off+int64(n)]) {
+			bad = fmt.Errorf("ReadDurable at %d returned bytes that differ from the log's", off)
 		}
-		if rec.TxnID != uint64(i+1) {
-			t.Fatalf("composite read %v: txn %d, want %d", starts[i], rec.TxnID, i+1)
+		if bad != nil && running {
+			retErr = <-done // the store stays open until retention stops
 		}
 	}
-	_ = ends
+	if bad != nil {
+		t.Fatal(bad)
+	}
+	if retErr != nil {
+		t.Fatal(retErr)
+	}
+	if reads < 2 {
+		t.Fatal("no read ran beside retention")
+	}
 }
 
 // TestLegacyFlatLogRefused: a pre-segmentation flat wal.log beside a log

@@ -48,17 +48,6 @@ func (h TimelineHistory) EndOf(tli TimelineID) (LSN, bool) {
 	return NilLSN, false
 }
 
-// OwnerAt returns the timeline that owns the byte at lsn for a node on
-// timeline current with history h.
-func (h TimelineHistory) OwnerAt(current TimelineID, lsn LSN) TimelineID {
-	for _, f := range h {
-		if lsn <= f.End {
-			return f.TLI
-		}
-	}
-	return current
-}
-
 // TruncateAt computes the effective identity of a log that ends at end
 // (holds bytes [1, end]) under this lineage: the timeline owning the last
 // held byte plus the history strictly below it. A node that adopted a
