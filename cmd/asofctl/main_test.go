@@ -128,16 +128,18 @@ func TestRenderTop(t *testing.T) {
 }
 
 // TestRecoverySummary: the metrics dump's recovery line divides the pages
-// redo read by the device reads that carried them.
+// redo read by the device reads that carried them, and names the pages its
+// evictions wrote back.
 func TestRecoverySummary(t *testing.T) {
 	got := recoverySummary(map[string]float64{
-		"engine_recovery_pages_read_total": 314,
-		"engine_recovery_read_ios_total":   100,
+		"engine_recovery_pages_read_total":    314,
+		"engine_recovery_read_ios_total":      100,
+		"engine_recovery_pages_written_total": 55,
 	})
-	if want := "# recovery: 314 pages read in 100 reads, 3.1 pages/read"; got != want {
+	if want := "# recovery: 314 pages read in 100 reads, 3.1 pages/read, 55 written back"; got != want {
 		t.Fatalf("recoverySummary = %q, want %q", got, want)
 	}
-	if got := recoverySummary(map[string]float64{}); got != "# recovery: 0 pages read in 0 reads, 0.0 pages/read" {
+	if got := recoverySummary(map[string]float64{}); got != "# recovery: 0 pages read in 0 reads, 0.0 pages/read, 0 written back" {
 		t.Fatalf("recoverySummary with no recovery = %q", got)
 	}
 }

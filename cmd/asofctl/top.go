@@ -30,15 +30,17 @@ func metricsDump(dir string) {
 }
 
 // recoverySummary is a Prometheus comment line on crash recovery's redo: the
-// pages it read from the data file, the device reads that carried them and
-// pages per read (runs read ahead carry several).
+// pages it read from the data file, the device reads that carried them,
+// pages per read (runs read ahead carry several) and the pages its evictions
+// wrote back.
 func recoverySummary(snap map[string]float64) string {
 	pages, reads := snap["engine_recovery_pages_read_total"], snap["engine_recovery_read_ios_total"]
 	perRead := 0.0
 	if reads > 0 {
 		perRead = pages / reads
 	}
-	return fmt.Sprintf("# recovery: %.0f pages read in %.0f reads, %.1f pages/read", pages, reads, perRead)
+	return fmt.Sprintf("# recovery: %.0f pages read in %.0f reads, %.1f pages/read, %.0f written back",
+		pages, reads, perRead, snap["engine_recovery_pages_written_total"])
 }
 
 // scrapeMetrics fetches one /metrics.json snapshot from a node started with

@@ -23,11 +23,12 @@ type dbMetrics struct {
 	splitsPoint       *obs.Counter // node splits placed at the insertion point
 	leafFrees         *obs.Counter // emptied leaves unlinked and freed
 	// Crash recovery's redo: pages it read from the data file, the device
-	// reads that carried them, and pages it rebuilt in a zeroed frame from a
-	// record that rewrites them whole.
+	// reads that carried them, pages it rebuilt in a zeroed frame from a
+	// record that rewrites them whole, and pages its evictions wrote back.
 	recoveryPagesRead    *obs.Counter
 	recoveryReadIOs      *obs.Counter
 	recoveryPagesRebuilt *obs.Counter
+	recoveryPagesWritten *obs.Counter
 }
 
 // initObs builds the database's metric registry and wires every layer into
@@ -54,6 +55,8 @@ func (db *DB) initObs() {
 			"device reads that carried the pages crash recovery's redo read (runs read ahead count once)"),
 		recoveryPagesRebuilt: r.Counter("engine_recovery_pages_rebuilt_total",
 			"pages crash recovery's redo rebuilt from a format, preformat or image record without reading them"),
+		recoveryPagesWritten: r.Counter("engine_recovery_pages_written_total",
+			"pages crash recovery's redo wrote back to the data file to free frames (evictions of pages it changed)"),
 	}
 	r.CounterFunc("engine_checkpoints_total", "checkpoints taken", db.CheckpointCount.Load)
 	r.GaugeFunc("engine_applied_lsn", "standby redo high-water mark (0 on a primary)",

@@ -17,7 +17,10 @@ import (
 //     transaction table (seeded from the checkpoint-end record's ATT);
 //   - redo: from the checkpoint's redo start, replay every page operation
 //     whose effects are not yet on the page (dirty-page table below the
-//     begin record, pageLSN test everywhere), repeating history;
+//     begin record, pageLSN test everywhere), repeating history. Only a
+//     page a record changes is dirtied: one redo reads and finds current
+//     stays clean, so neither redo's evictions nor the closing checkpoint
+//     write it back;
 //   - undo: logically roll back every transaction that was in flight,
 //     generating CLRs, exactly as a runtime rollback would.
 //
@@ -82,7 +85,8 @@ func (db *DB) recover() error {
 	// boundary before recovery appends anything — otherwise the torn bytes
 	// would sit as an unreadable hole in front of every later record.
 	// Nothing else uses the pool yet, so its counters split redo's page
-	// misses exactly into pages read and pages rebuilt without a read.
+	// misses exactly into pages read and pages rebuilt without a read, and
+	// count the pages redo's evictions wrote back.
 	//
 	// Analysis also rebuilds what the running system derived from the same
 	// records (ObserveRecord): the time→LSN samples, the checkpoints the
@@ -110,6 +114,7 @@ func (db *DB) recover() error {
 	db.metrics.recoveryPagesRead.Add(pool1.Reads - pool0.Reads)
 	db.metrics.recoveryPagesRebuilt.Add(pool1.Zeroed - pool0.Zeroed)
 	db.metrics.recoveryReadIOs.Add(pool1.ReadIOs - pool0.ReadIOs)
+	db.metrics.recoveryPagesWritten.Add(pool1.EvictWritebacks - pool0.EvictWritebacks)
 	if end < wal.LSN(db.log.Size()) {
 		if err := db.log.Rewind(end); err != nil {
 			return fmt.Errorf("torn-tail rewind to %v: %w", end, err)
@@ -274,6 +279,12 @@ var ErrPageMissing = errors.New("engine: redo needs a page the data file does no
 // through it in RedoBatch, backup restore record by record; each applies
 // records one at a time, in log order.
 //
+// It dirties the page only when the record changes it. A page whose pageLSN
+// is at or past the record's LSN already holds it: redo leaves the frame as
+// it found it, and a clean frame stays clean, since writing it back would
+// only rewrite the bytes the data file holds. A frame rebuilt from zero has
+// pageLSN 0, so every record on it applies and dirties it.
+//
 // A record that rebuilds the whole page (wal.Record.RebuildsPage) never reads
 // it: a resident frame is used as it is, a missing one is zeroed.
 func RedoInto(pool *buffer.Pool, rec *wal.Record) error {
@@ -305,6 +316,9 @@ func RedoInto(pool *buffer.Pool, rec *wal.Record) error {
 		// never reached disk before a crash — sees its first AllocBits
 		// record on a fresh zero frame and must take the format here.
 		p.Format(id, page.TypeAllocMap, 0)
+	}
+	if wal.LSN(p.PageLSN()) >= rec.LSN {
+		return nil
 	}
 	if err := wal.Redo(p, rec); err != nil {
 		return err
