@@ -101,7 +101,7 @@ type LSN = wal.LSN
 // keeps the buffered-write crash model, SyncData makes every group-commit
 // flush an fdatasync-class log force. See also Options.LogSegmentBytes
 // (WAL segment capacity) and Options.LogArchiveDir (retention archive that
-// serves replicas resuming below the live log and reseeds them).
+// serves replicas resuming, or reseeded from a backup, below the live log).
 type SyncPolicy = wal.SyncPolicy
 
 // Sync policies for Options.SyncPolicy.

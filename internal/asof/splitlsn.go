@@ -45,8 +45,8 @@ type SplitPoint struct {
 // sparse index populated, the commit scan covers at most one sample
 // interval (64 KiB of log) instead of the whole checkpoint-to-target
 // region. Both indexes survive a restart: Open loads them from the
-// checkpoint-index sidecar, and recovery's scan adds the samples past the
-// last checkpoint.
+// control file's ckpt records, and recovery's scan adds the samples past
+// the last checkpoint.
 func ResolveTime(db *engine.DB, target time.Time) (SplitPoint, error) {
 	now := db.Now()
 	if retention := db.Retention(); retention > 0 && target.Before(now.Add(-retention)) {
@@ -147,9 +147,9 @@ func resolveAt(db *engine.DB, split, ckptBegin, ckptEnd wal.LSN) (SplitPoint, er
 
 // newestCheckpointNotAfter finds the newest checkpoint whose wall-clock
 // time is at or before targetNS, returning its begin LSN. The engine's
-// in-memory checkpoint index (loaded from its sidecar at open) answers this
-// with a binary search; if the index is empty the search degrades to the
-// log's truncation point.
+// in-memory checkpoint index (loaded from the control file at open) answers
+// this with a binary search; if the index is empty the search degrades to
+// the log's truncation point.
 func newestCheckpointNotAfter(db *engine.DB, targetNS int64) wal.LSN {
 	marks := db.CheckpointIndex()
 	lo, hi := 0, len(marks) // first mark with WallClock > target

@@ -38,11 +38,6 @@ type Manifest struct {
 	// any local history.
 	CkptEnd wal.LSN
 	ATT     []wal.ATTEntry
-	// Segments is the primary's live segment set at backup time: the log
-	// files whose bytes (live then, archived or shipped since) cover
-	// BackupLSN onward. Recorded so operators can verify that archive +
-	// live log still span the image's replay range.
-	Segments []wal.SegmentInfo
 	// Pages is the number of pages in the image.
 	Pages uint32
 	// TakenAt is the engine wall-clock time of the backup.
@@ -98,7 +93,6 @@ func Full(db *engine.DB, path string, dev *media.Device) (Manifest, error) {
 		BackupLSN: data.BeginLSN,
 		CkptEnd:   end,
 		ATT:       data.ATT,
-		Segments:  db.Log().Segments(),
 		Pages:     uint32(next),
 		TakenAt:   db.Now(),
 	}, nil
@@ -157,7 +151,9 @@ func RestoreToLSN(m Manifest, srcLog *wal.Manager, split wal.LSN, destPath strin
 		return nil, err
 	}
 	// 1. Copy the backup image (sequential read + sequential write).
-	src, err := disk.Open(m.Path, nil) // reads charged on the source device via dev? the image device
+	// The image file is opened uncharged: the loop below charges each page
+	// read from it to dev as a sequential read, beside the write to dst.
+	src, err := disk.Open(m.Path, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -79,8 +79,8 @@ type Options struct {
 	LogSegmentBytes int64
 	// LogArchiveDir, when set, receives sealed segments dropped by
 	// retention instead of deleting them; the log keeps serving them to
-	// replicas whose subscription predates the retention horizon, and
-	// reseeds copy them.
+	// replicas whose subscription predates the retention horizon, a
+	// replica reseeded from an older backup included.
 	LogArchiveDir string
 
 	// DisableObs disables the observability registry entirely: no metrics,

@@ -470,25 +470,26 @@ func (o *Orchestrator) connectLocked(n *orchNode) {
 }
 
 // reseedLocked wipes n's directory and rebuilds it from a full backup of
-// the current primary, taken into a fresh temp directory, and the primary's
-// retention archive — together they cover every byte from the backup
-// checkpoint to the live log, which is exactly what ReseedCheck demands.
-// It is the only way back for a node whose log holds bytes on no surviving
-// timeline. The node's acknowledged-but-orphaned tail is genuinely
-// discarded — that is the semantics of promotion, and exactly what the
-// event log records.
+// the current primary, taken into a fresh temp directory that is removed
+// once the image is copied; the stream then serves every byte from the
+// backup checkpoint on. It is the only way back for a node whose log holds
+// bytes on no surviving timeline. The node's acknowledged-but-orphaned tail
+// is genuinely discarded — that is the semantics of promotion, and exactly
+// what the event log records.
 func (o *Orchestrator) reseedLocked(n *orchNode) error {
 	tmp, err := os.MkdirTemp("", "asofdb-reseed-")
 	if err != nil {
 		return fmt.Errorf("reseed source: %w", err)
 	}
+	defer os.RemoveAll(tmp)
 	man, err := backup.Full(o.primary, filepath.Join(tmp, "reseed.img"), nil)
 	if err != nil {
 		return fmt.Errorf("reseed source: %w", err)
 	}
-	archiveDir := o.primary.Log().ArchiveDir()
-	if err := ReseedCheck(man, archiveDir, o.primary.Log().SegmentFloor()); err != nil {
-		return err
+	// The replica subscribes at BackupLSN: check the primary still holds it
+	// before the orphan's state is wiped.
+	if floor, _ := o.primary.Log().Floor(); man.BackupLSN < floor {
+		return fmt.Errorf("reseed source: backup at %v predates the primary's log floor %v", man.BackupLSN, floor)
 	}
 	if err := n.rep.Close(); err != nil {
 		return fmt.Errorf("closing orphan: %w", err)
@@ -508,7 +509,7 @@ func (o *Orchestrator) reseedLocked(n *orchNode) error {
 			return err
 		}
 	}
-	if err := ReseedFromBackup(n.dir, man, archiveDir); err != nil {
+	if err := ReseedFromBackup(n.dir, man); err != nil {
 		return err
 	}
 	rep, err := OpenReplica(n.dir, o.opts.Replica)
@@ -521,7 +522,7 @@ func (o *Orchestrator) reseedLocked(n *orchNode) error {
 	if o.router != nil {
 		o.router.AddStandby(n.name, rep)
 	}
-	o.eventLocked("reseed", n.name, "rebuilt from backup at %v, archive %q", man.BackupLSN, archiveDir)
+	o.eventLocked("reseed", n.name, "rebuilt from backup at %v", man.BackupLSN)
 	return nil
 }
 

@@ -305,6 +305,8 @@ func (f *orchFixture) tearTail(name string) {
 // from a backup of the new primary, and converges byte-identically on the
 // new timeline.
 func TestOrchestratorOrphanAutoReseed(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp) // where the reseed writes its backup image
 	f := newOrchFixture(t, "a", "b")
 	mustExec(t, f.prim, func(tx *engine.Txn) error { return tx.CreateTable(testSchema("orph")) })
 	for i := 0; i < 4; i++ {
@@ -372,6 +374,9 @@ func TestOrchestratorOrphanAutoReseed(t *testing.T) {
 	}
 	if !strings.Contains(orphanEvent.Detail, "ahead of the fork") {
 		t.Fatalf("orphan event should carry the mechanical refusal, got: %s", orphanEvent.Detail)
+	}
+	if left, _ := filepath.Glob(filepath.Join(tmp, "asofdb-reseed-*")); len(left) != 0 {
+		t.Fatalf("reseed left its backup image behind: %v", left)
 	}
 
 	// The reseeded b is a different Replica on the new timeline; it

@@ -36,11 +36,11 @@
 //
 // History older than the primary's live segment set is still reachable: a
 // subscription below the live floor is served from the retention archive
-// when one covers it (the shipper stitches archive + live segments into
-// one byte stream), and a replica too far behind even for the archive is
-// rebuilt with ReseedFromBackup — backup image as data.db, archived
-// segments as the local log, apply state positioned at the backup
-// checkpoint — after which the stream bridges the rest.
+// when one covers it (Manager.ReadDurable serves archived and live bytes as
+// one stream), and a replica whose resume point the upstream no longer
+// holds is rebuilt with ReseedFromBackup — backup image as data.db, an
+// empty local log and apply state positioned at the backup checkpoint —
+// after which it subscribes at the backup checkpoint like any replica.
 //
 // Replication cascades: a Replica hosts a Shipper over its own local log
 // (ShipLocal), and because that log is a byte-identical copy of the

@@ -155,10 +155,9 @@ func OpenReplica(dir string, opts ReplicaOptions) (*Replica, error) {
 	// position is reflected in (or flushable from) the data file; replay the
 	// rest with crash recovery's batch redo. A torn ingest tail (crash
 	// mid-write) is cut to the last valid CRC boundary so the stream resumes
-	// exactly there. A log that begins past LSN 1 (a reseeded replica:
-	// archived segments, or an empty store based at the backup checkpoint)
-	// replays only what it holds — the persisted apply state positions the
-	// scan.
+	// exactly there. A log that begins past LSN 1 (a reseeded replica: an
+	// empty store based at the backup checkpoint) replays only what it
+	// holds — the persisted apply state positions the scan.
 	if err := r.catchUpLocal(true); err != nil {
 		eng.Close()
 		return nil, fmt.Errorf("repl: local catch-up: %w", err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -132,7 +133,7 @@ func TestReseedPromoteBeforeBackupCheckpoint(t *testing.T) {
 	}
 
 	rsDir := filepath.Join(dir, "reseeded")
-	if err := ReseedFromBackup(rsDir, man, ""); err != nil {
+	if err := ReseedFromBackup(rsDir, man); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := OpenReplica(rsDir, ReplicaOptions{Engine: engine.Options{
@@ -176,15 +177,14 @@ func TestReseedPromoteBeforeBackupCheckpoint(t *testing.T) {
 	rep.Close() // not deferred: a stuck promotion holds the replica
 }
 
-// TestReseedFromBackupBelowRetentionHorizon is the acceptance test for
-// archive-backed reseed: a fresh replica's subscription is rejected because
-// the primary's retention already truncated (and archived) the history it
-// needs; ReseedFromBackup rebuilds it from the backup image + archived
-// segments, the stream bridges the rest, and an as-of query on the reseeded
-// standby is byte-identical to the primary's.
-func TestReseedFromBackupBelowRetentionHorizon(t *testing.T) {
-	clock := vclock.New(time.Time{})
-	dir := t.TempDir()
+// belowHorizonPrimary opens a primary with a retention archive, takes a
+// full backup, and writes on until retention has moved the backup
+// checkpoint's segment into the archive. Then it removes the archived
+// segments prune selects, as an operator pruning what backups cover would.
+// The backup checkpoint lies below the primary's live segment floor, so a
+// replica reseeded from it needs archived bytes over the stream.
+func belowHorizonPrimary(t *testing.T, dir string, clock *vclock.Clock, prune func(seg wal.SegmentInfo, backupLSN wal.LSN) bool) (*engine.DB, backup.Manifest, func(lo, n int)) {
+	t.Helper()
 	archiveDir := filepath.Join(dir, "archive")
 	prim, err := engine.Open(filepath.Join(dir, "primary"), engine.Options{
 		Clock:           clock,
@@ -196,7 +196,7 @@ func TestReseedFromBackupBelowRetentionHorizon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer prim.Close()
+	t.Cleanup(func() { prim.Close() })
 
 	insert := func(lo, n int) {
 		mustExec(t, prim, func(tx *engine.Txn) error {
@@ -229,21 +229,17 @@ func TestReseedFromBackupBelowRetentionHorizon(t *testing.T) {
 	if err := prim.Checkpoint(); err != nil { // horizon passes the middle checkpoint
 		t.Fatal(err)
 	}
-	trunc := prim.Log().TruncationPoint()
-	if trunc <= man.BackupLSN {
-		t.Fatalf("retention horizon %v did not pass the backup LSN %v; test layout broken", trunc, man.BackupLSN)
+	if floor := prim.Log().SegmentFloor(); man.BackupLSN >= floor {
+		t.Fatalf("live segment floor %v did not pass the backup LSN %v; test layout broken", floor, man.BackupLSN)
 	}
 
-	// The operator prunes archived segments the backup already covers —
-	// the realistic archive lifecycle, and what forces a from-scratch
-	// subscription to reseed instead of replaying the archive from LSN 1.
 	archSegs, err := wal.ListSegments(archiveDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pruned := 0
 	for _, seg := range archSegs {
-		if seg.End <= man.BackupLSN {
+		if prune(seg, man.BackupLSN) {
 			if err := os.Remove(seg.Path); err != nil {
 				t.Fatal(err)
 			}
@@ -251,9 +247,26 @@ func TestReseedFromBackupBelowRetentionHorizon(t *testing.T) {
 		}
 	}
 	if pruned == 0 {
-		t.Fatalf("no archived segment lies wholly below the backup LSN %v; test layout broken", man.BackupLSN)
+		t.Fatalf("pruned no archived segment around the backup LSN %v; test layout broken", man.BackupLSN)
 	}
+	return prim, man, insert
+}
 
+// TestReseedFromBackupBelowRetentionHorizon is the acceptance test for
+// reseed: a fresh replica's subscription is rejected because the primary's
+// retention already truncated (and archived) the history it needs;
+// ReseedFromBackup rebuilds it from the backup image alone, the stream
+// serves the archived and live log from the backup checkpoint on, and an
+// as-of query on the reseeded standby is byte-identical to the primary's.
+func TestReseedFromBackupBelowRetentionHorizon(t *testing.T) {
+	clock := vclock.New(time.Time{})
+	dir := t.TempDir()
+	// The operator prunes archived segments the backup already covers —
+	// the realistic archive lifecycle, and what forces a from-scratch
+	// subscription to reseed instead of replaying the archive from LSN 1.
+	prim, man, insert := belowHorizonPrimary(t, dir, clock, func(seg wal.SegmentInfo, backupLSN wal.LSN) bool {
+		return seg.End <= backupLSN
+	})
 	ship := NewShipper(prim, ShipperOptions{HeartbeatEvery: 20 * time.Millisecond})
 	defer ship.Close()
 
@@ -269,14 +282,22 @@ func TestReseedFromBackupBelowRetentionHorizon(t *testing.T) {
 	}
 	rep0.Close()
 
-	// Preflight, reseed, reopen, resubscribe.
-	if err := ReseedCheck(man, archiveDir, prim.Log().SegmentFloor()); err != nil {
-		t.Fatalf("reseed preflight: %v", err)
-	}
+	// Reseed, reopen, resubscribe. The reseeded log holds no record: every
+	// byte from the backup checkpoint on, archived ones included, arrives
+	// over the stream.
 	repDir := filepath.Join(dir, "reseeded")
-	if err := ReseedFromBackup(repDir, man, archiveDir); err != nil {
+	if err := ReseedFromBackup(repDir, man); err != nil {
 		t.Fatal(err)
 	}
+	segs, err := wal.ListSegments(filepath.Join(repDir, "wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != 1 || segs[0].Base != man.BackupLSN || segs[0].End != man.BackupLSN {
+		t.Fatalf("reseeded log %+v, want one empty segment based at %v", segs, man.BackupLSN)
+	}
+	archFloor, _ := prim.Log().Floor()
+	t.Logf("backup at %v, primary's live segment floor %v, archive floor %v", man.BackupLSN, prim.Log().SegmentFloor(), archFloor)
 	rep, err := OpenReplica(repDir, ReplicaOptions{Engine: engine.Options{Clock: clock, LogSegmentBytes: 4 << 10, SyncPolicy: testSyncPolicy(t)}})
 	if err != nil {
 		t.Fatalf("open reseeded replica: %v", err)
@@ -338,6 +359,47 @@ func TestReseedFromBackupBelowRetentionHorizon(t *testing.T) {
 	<-done
 }
 
+// TestReseedFromBackupBelowFloorRejected: a replica reseeded from a backup
+// whose checkpoint the primary no longer holds, live or archived, is
+// refused at subscription with the primary's floor named, instead of
+// streaming from a later byte and skipping the gap.
+func TestReseedFromBackupBelowFloorRejected(t *testing.T) {
+	clock := vclock.New(time.Time{})
+	dir := t.TempDir()
+	// Prune through the archived segment holding the backup checkpoint.
+	prim, man, _ := belowHorizonPrimary(t, dir, clock, func(seg wal.SegmentInfo, backupLSN wal.LSN) bool {
+		return seg.Base <= backupLSN
+	})
+	floor, _ := prim.Log().Floor()
+	if man.BackupLSN >= floor {
+		t.Fatalf("primary floor %v did not pass the backup LSN %v; test layout broken", floor, man.BackupLSN)
+	}
+	ship := NewShipper(prim, ShipperOptions{HeartbeatEvery: 20 * time.Millisecond})
+	defer ship.Close()
+
+	repDir := filepath.Join(dir, "reseeded")
+	if err := ReseedFromBackup(repDir, man); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := OpenReplica(repDir, ReplicaOptions{Engine: engine.Options{Clock: clock, SyncPolicy: testSyncPolicy(t)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	pc, rc := Pipe()
+	go func() { _ = ship.Serve(pc) }()
+	err = rep.Run(rc)
+	if !errors.Is(err, ErrSubscriptionRejected) {
+		t.Fatalf("subscription below the primary's floor: err=%v, want ErrSubscriptionRejected", err)
+	}
+	if want := fmt.Sprintf("floor %v", floor); !strings.Contains(err.Error(), want) {
+		t.Fatalf("refusal %q does not name the %s", err, want)
+	}
+	if got := rep.AppliedLSN(); got != man.BackupLSN-1 {
+		t.Fatalf("refused replica applied %v, want the backup position %v", got, man.BackupLSN-1)
+	}
+}
+
 // TestReseedRefusesToClobber: reseeding into a directory that already holds
 // replica state fails loudly instead of overwriting it.
 func TestReseedRefusesToClobber(t *testing.T) {
@@ -359,7 +421,7 @@ func TestReseedRefusesToClobber(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep.Close()
-	if err := ReseedFromBackup(repDir, man, ""); err == nil {
+	if err := ReseedFromBackup(repDir, man); err == nil {
 		t.Fatal("reseed over an existing replica directory should fail")
 	}
 }

@@ -169,8 +169,7 @@ type Config struct {
 	Sync SyncPolicy
 	// ArchiveDir, when set, receives sealed segments dropped by retention
 	// instead of deleting them. The store keeps serving them to ReadDurable
-	// (replicas resuming below the live floor), and replica reseeds copy
-	// them.
+	// (replicas resuming or reseeded below the live floor).
 	ArchiveDir string
 	// BaseLSN seeds a freshly created store so its log begins at the given
 	// LSN instead of 1 — a reseeded replica's local log starts at the
@@ -593,9 +592,9 @@ func (m *Manager) ObserveCommit(wallClock int64, lsn LSN) {
 // Logical truncation is immediate (reads below the boundary fail with
 // ErrTruncated); physically, every sealed segment wholly below the boundary
 // is unlinked — or renamed into the archive directory, where ReadDurable
-// still serves it and replica reseeds copy it — in O(segments dropped),
-// never rewriting live segments. LSN arithmetic stays stable because
-// segment headers carry their base offsets.
+// still serves it — in O(segments dropped), never rewriting live segments.
+// LSN arithmetic stays stable because segment headers carry their base
+// offsets.
 func (m *Manager) Truncate(before LSN) error {
 	m.mu.Lock()
 	if before > LSN(m.trunc.Load()) {

@@ -426,11 +426,10 @@ type CheckpointData struct {
 	PrevEnd  LSN // previous checkpoint's end record (0 = none)
 	ATT      []ATTEntry
 	// Times piggybacks the time→LSN samples taken since the previous
-	// checkpoint (see TimeSample). Open reads them from the engine's
-	// checkpoint-index sidecar, which holds the same samples; the copy here
-	// is what Open reads when it must walk the checkpoint chain instead —
-	// a log without the sidecar, or checkpoints the sidecar lacks after a
-	// crash.
+	// checkpoint (see TimeSample). Open reads them from the ckpt records of
+	// the node's control file, which hold the same samples; the copy here is
+	// what Open reads when it must walk the checkpoint chain instead — a
+	// node without the control file, or checkpoints it lacks after a crash.
 	Times []TimeSample
 	// TLI and History carry the checkpointing node's timeline lineage, so
 	// replicas replaying the stream adopt promotions they have applied.

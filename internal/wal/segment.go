@@ -32,8 +32,9 @@ import (
 //
 //   - retention (§4.3) drops or archives whole sealed segments — O(segments
 //     dropped) file unlinks/renames, never a rewrite of live data;
-//   - a replica reseeding below the retention horizon rebuilds its
-//     byte-identical local log by copying archived segment files.
+//   - an archive holds dropped history as whole segment files, which the
+//     store serves to a replica resuming, or reseeded, below the retention
+//     horizon.
 //
 // With an archive directory the store keeps the segments retention moved
 // there open beside its live ones: the log's byte stream then begins at the
