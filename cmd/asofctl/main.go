@@ -533,9 +533,6 @@ func promoteStandby(dir string) {
 // logLs lists the database's live WAL segments (and, when an archive
 // directory is given, the archived set) with the retention horizon.
 func logLs(dbdir, archiveDir string) {
-	if err := wal.RefuseUnreadable(filepath.Join(dbdir, "wal")); err != nil {
-		fatal(err)
-	}
 	printSegs := func(title, state string, segs []wal.SegmentInfo, markActive bool) {
 		fmt.Printf("%s (%d segments)\n", title, len(segs))
 		fmt.Printf("  %-6s %-14s %-14s %-12s %-8s %s\n", "seq", "base-lsn", "end-lsn", "bytes", "state", "file")

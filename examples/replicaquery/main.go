@@ -107,9 +107,18 @@ func main() {
 	fmt.Printf("standby:  orders as of %s has %d rows (replica applied=%v, lag=%dB)\n",
 		beforeDrop.Format(time.RFC3339), n, st.Applied, st.LagBytes)
 	snap.Close()
+	if n != 500 {
+		log.Fatalf("standby: want 500 rows as of before the drop, got %d", n)
+	}
 
-	// Failover: end the stream and promote the standby. In-flight
-	// transactions are rolled back, the engine opens read-write.
+	// Failover: once the standby has applied all the primary made durable,
+	// end the stream and promote the standby. In-flight transactions are
+	// rolled back, the engine opens read-write.
+	for deadline := time.Now().Add(10 * time.Second); rep.AppliedLSN() < prim.Log().FlushedLSN(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			log.Fatalf("standby applied %v of the primary's %v", rep.AppliedLSN(), prim.Log().FlushedLSN())
+		}
+	}
 	pc.Close()
 	rc.Close()
 	<-runDone
@@ -128,4 +137,8 @@ func main() {
 	}
 	tx.Rollback()
 	fmt.Printf("promoted: replica is now read-write with %d tables (orders gone here too — the standby replayed the drop)\n", len(tables))
+	if len(tables) != 0 {
+		log.Fatalf("promoted: want 0 tables after the drop, got %v", tables)
+	}
+	fmt.Println("ok: the standby served the rows as of before the drop; the promoted replica replayed the drop")
 }

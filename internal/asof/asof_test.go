@@ -474,33 +474,6 @@ func TestSnapshotAcrossRollbackUsesCLRUndoInfo(t *testing.T) {
 	}
 }
 
-func TestAblationCLRUndoInfoBreaksRewind(t *testing.T) {
-	clock := newVClock()
-	db := openDB(t, clock, engine.Options{DisableCLRUndoInfo: true})
-	exec(t, db, func(tx *engine.Txn) error { return tx.CreateTable(testSchema("t")) })
-	exec(t, db, func(tx *engine.Txn) error { return tx.Insert("t", testRow(1, "before", 1)) })
-	past := clock.Advance(time.Minute)
-	clock.Advance(time.Minute)
-
-	tx, _ := db.Begin()
-	if err := tx.Update("t", testRow(1, "doomed", 2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := CreateSnapshot(db, past, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	_, _, err = s.Get("t", row.Row{row.Int64(1)})
-	if err == nil {
-		t.Fatal("rewind across redo-only CLRs should fail — the §4.2 extension exists for a reason")
-	}
-}
-
 func TestRetentionEnforced(t *testing.T) {
 	clock := newVClock()
 	db := openDB(t, clock, engine.Options{Retention: time.Hour})
@@ -696,9 +669,13 @@ func TestSnapshotIsolationFromConcurrentWrites(t *testing.T) {
 	wg.Wait()
 }
 
-func TestPreformatAblationBreaksReuseRewind(t *testing.T) {
+// TestRewindAcrossDropAndReuse: a dropped table's pages go to the next
+// table, and a snapshot as of before the drop still reads every original
+// row — the preformat record logged at each re-allocation carries the walk
+// back into the dropped table's chain (§4.2 extension 1).
+func TestRewindAcrossDropAndReuse(t *testing.T) {
 	clock := newVClock()
-	db := openDB(t, clock, engine.Options{DisablePreformat: true})
+	db := openDB(t, clock, engine.Options{})
 	exec(t, db, func(tx *engine.Txn) error { return tx.CreateTable(testSchema("a")) })
 	exec(t, db, func(tx *engine.Txn) error {
 		for i := 0; i < 300; i++ {
@@ -711,6 +688,7 @@ func TestPreformatAblationBreaksReuseRewind(t *testing.T) {
 	past := clock.Advance(time.Minute)
 	clock.Advance(time.Minute)
 	exec(t, db, func(tx *engine.Txn) error { return tx.DropTable("a") })
+	reuseFrom := db.Log().NextLSN()
 	exec(t, db, func(tx *engine.Txn) error { return tx.CreateTable(testSchema("b")) })
 	exec(t, db, func(tx *engine.Txn) error {
 		for i := 0; i < 300; i++ {
@@ -720,28 +698,34 @@ func TestPreformatAblationBreaksReuseRewind(t *testing.T) {
 		}
 		return nil
 	})
+	preformats := 0
+	if err := db.Log().Scan(reuseFrom, func(rec *wal.Record) (bool, error) {
+		if rec.Type == wal.TypePreformat {
+			preformats++
+		}
+		return true, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if preformats == 0 {
+		t.Fatal("no page of the dropped table was reused: the layout no longer crosses a re-allocation")
+	}
 
 	s, err := CreateSnapshot(db, past, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	// Without preformat records the old content is unreachable; the scan
-	// must fail loudly (chain broken), not return wrong data.
-	var rows int
+	rows := 0
 	err = s.Scan("a", nil, nil, func(r row.Row) bool {
 		if r[1].Str != "original-table" {
-			err := fmt.Errorf("wrong data: %v", r)
-			t.Fatal(err)
+			t.Fatalf("wrong data: %v", r)
 		}
 		rows++
 		return true
 	})
-	if err == nil && rows == 300 {
-		t.Fatal("no page of the dropped table was reused: the layout moved and the preformat ablation no longer runs")
-	}
-	if err == nil {
-		t.Fatal("expected a chain-broken error without preformat records")
+	if err != nil || rows != 300 {
+		t.Fatalf("as-of scan of the dropped table: %d rows, err %v; want 300", rows, err)
 	}
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 
 	"repro/internal/control"
@@ -59,9 +60,10 @@ func (db *DB) noteCheckpointLocked(mark CkptMark) {
 // at or above the truncation point, then walks the checkpoint-end chain back
 // from the boot record, but only down to the newest of them: in the normal
 // case the boot record names that one and no record is read. A database
-// without a control file (from before it, or one that lost it) walks the
-// whole chain once. Records the chain does not pass through are dropped, and
-// the checkpoints walked are appended to the control file.
+// that lost its control file walks the whole chain once. Records the chain
+// does not pass through are dropped, and the checkpoints walked are appended
+// to the control file. A checkpoint that does not name a predecessor below
+// itself is a corrupt chain.
 func (db *DB) loadCkptIndex() error {
 	trunc := db.log.TruncationPoint()
 	var entries []control.Checkpoint
@@ -100,9 +102,8 @@ func (db *DB) loadCkptIndex() error {
 		}
 		walked = append(walked, control.Checkpoint{WallClock: rec.WallClock, Begin: data.BeginLSN, End: rec.LSN, Times: data.Times})
 		if data.PrevEnd >= cur {
-			// A predecessor that is not below its successor — older builds
-			// wrote checkpoints naming themselves — ends the chain here.
-			break
+			return fmt.Errorf("%w: checkpoint end at %v names %v as its predecessor, not below it",
+				wal.ErrChainCorrupt, cur, data.PrevEnd)
 		}
 		cur = data.PrevEnd
 	}

@@ -13,7 +13,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/control"
+	"repro/internal/storage/page"
 	"repro/internal/wal"
 )
 
@@ -90,9 +92,9 @@ func stampCRCs(buf []byte) []byte {
 // at or before the cut, so a torn tail costs only the records it tore. Every
 // record's body decodes as its kind to a value that re-encodes to the same
 // body; a boot body, which need not decode (Open then falls back to page 0),
-// decodes through the same decoder as page 0 to a block that re-encodes to a
-// body decoding to the same block. Seeds under testdata/fuzz are control
-// files that real checkpoints, standby checkpoints and promotions wrote.
+// decodes only to a block that re-encodes to exactly that body. Seeds under
+// testdata/fuzz are control files that real checkpoints, standby checkpoints
+// and promotions wrote.
 func FuzzControlLog(f *testing.F) {
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		for _, b := range [][]byte{buf, stampCRCs(buf)} {
@@ -160,32 +162,70 @@ func checkBody(t *testing.T, r control.Record) {
 	}
 }
 
-// checkBootBody decodes body as a boot block, as Open and page 0 do, and
-// checks that a block it decodes re-encodes to a body decoding to the same
-// block. A body that does not decode is refused; Open then falls back to
-// page 0.
+// checkBootBody decodes body as a boot record's body, as Open does, and
+// checks that a block it decodes re-encodes to exactly body. A body that
+// does not decode is refused; Open then falls back to page 0.
 func checkBootBody(t *testing.T, body []byte) {
 	t.Helper()
-	b, err := decodeBoot(body)
+	b, err := decodeBoot(body, false)
 	if err != nil {
 		return
 	}
-	again, err := decodeBoot(b.encode())
-	if err != nil || !reflect.DeepEqual(again, b) {
-		t.Fatalf("boot block %+v reads back as %+v (%v)", b, again, err)
+	if again := b.encode(); !bytes.Equal(again, body) {
+		t.Fatalf("boot block %+v from %x re-encodes to %x", b, body, again)
 	}
 }
 
 // FuzzBootMeta: a boot record's body is the first thing recovery reads, and
 // the decoder page 0 shares. Decoding it never panics, and a body that
-// decodes re-encodes to one that decodes to the same boot block. Seeds under
-// testdata/fuzz are a pre-timeline block (40 bytes, no extension, read back
-// as timeline 1) and the boot body a second promotion wrote, carrying two
-// forks.
+// decodes re-encodes to exactly its bytes. Seeds under testdata/fuzz are a
+// 40-byte block with no timeline extension (pre-timeline), which is refused,
+// and the boot body a second promotion wrote, carrying two forks.
 func FuzzBootMeta(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkBootBody(t, body)
 	})
+}
+
+// TestBootBlockStrict: a boot record's body decodes only when it is exactly
+// one encoded block naming timeline 1 or later with zero padding, and page 0
+// only when it is zero past the block.
+func TestBootBlockStrict(t *testing.T) {
+	b := bootBlock{
+		roots:       catalog.Roots{Tables: 2, Names: 3, Columns: 4},
+		lastCkptEnd: 900,
+		createdAt:   1e18,
+		tli:         2,
+		history:     wal.TimelineHistory{{TLI: 1, End: 500}},
+	}
+	body := b.encode()
+	if got, err := decodeBoot(body, false); err != nil || !reflect.DeepEqual(got, b) {
+		t.Fatalf("boot round trip: %+v, %v", got, err)
+	}
+	padded := slices.Clone(body)
+	padded[20] = 1
+	noTLI := b
+	noTLI.tli, noTLI.history = 0, nil
+	for name, bad := range map[string][]byte{
+		"one trailing byte":   append(slices.Clone(body), 0),
+		"no extension":        body[:bootBlockSize],
+		"timeline 0":          noTLI.encode(),
+		"non-zero padding":    padded,
+		"fork list cut short": body[:len(body)-1],
+	} {
+		if _, err := decodeBoot(bad, false); err == nil {
+			t.Errorf("boot body with %s decoded", name)
+		}
+	}
+	pg := make([]byte, page.Size)
+	copy(pg[bootPayload:], body)
+	if got, err := decodeBoot(pg[bootPayload:], true); err != nil || !reflect.DeepEqual(got, b) {
+		t.Fatalf("boot page round trip: %+v, %v", got, err)
+	}
+	pg[page.Size-1] = 1
+	if _, err := decodeBoot(pg[bootPayload:], true); err == nil {
+		t.Error("a boot page with a byte past its block decoded")
+	}
 }
 
 // sameRecords reports whether a and b hold the same records in order.

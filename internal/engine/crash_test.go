@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -511,9 +512,9 @@ func TestRepeatedCrashesWithoutProgress(t *testing.T) {
 }
 
 // TestRecoverSelfNamedCheckpoint: a checkpoint-end that names itself as its
-// predecessor — older builds wrote one — ends the walks of the checkpoint
-// chain instead of looping on it. Open succeeds, the index holds that
-// checkpoint, and a checkpoint's retention walk stops there too.
+// predecessor is a corrupt chain. Open's walk of the checkpoint chain refuses
+// it with wal.ErrChainCorrupt instead of looping on it or ending the chain
+// there.
 func TestRecoverSelfNamedCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{SyncPolicy: testSyncPolicy(t)}
@@ -536,7 +537,7 @@ func TestRecoverSelfNamedCheckpoint(t *testing.T) {
 		Type:      wal.TypeCheckpointEnd,
 		PageID:    wal.NoPage,
 		WallClock: now,
-		Extra:     wal.EncodeCheckpoint(wal.CheckpointData{BeginLSN: begin, PrevEnd: self}),
+		Extra:     wal.EncodeCheckpoint(wal.CheckpointData{BeginLSN: begin, PrevEnd: self, TLI: 1}),
 	})
 	if err != nil || end != self {
 		t.Fatalf("checkpoint end at %v (err %v), named %v", end, err, self)
@@ -549,35 +550,20 @@ func TestRecoverSelfNamedCheckpoint(t *testing.T) {
 	}
 	db.Crash()
 
-	type opened struct {
-		db  *DB
-		err error
-	}
-	done := make(chan opened, 1)
+	done := make(chan error, 1)
 	go func() {
 		db, err := Open(dir, opts)
 		if err == nil {
-			err = db.Checkpoint()
+			db.Close()
 		}
-		done <- opened{db, err}
+		done <- err
 	}()
-	var got opened
 	select {
-	case got = <-done:
+	case err = <-done:
 	case <-time.After(20 * time.Second):
-		t.Fatal("Open and a checkpoint still walking the checkpoint chain after 20 s")
+		t.Fatal("Open still walking the checkpoint chain after 20 s")
 	}
-	if got.err != nil {
-		t.Fatal(got.err)
+	if !errors.Is(err, wal.ErrChainCorrupt) || !strings.Contains(err.Error(), "not below it") {
+		t.Fatalf("Open over a self-named checkpoint: %v, want wal.ErrChainCorrupt", err)
 	}
-	defer got.db.Close()
-	if marks := got.db.CheckpointIndex(); !slices.ContainsFunc(marks, func(m CkptMark) bool { return m.End == end }) {
-		t.Fatalf("checkpoint index %+v lacks the self-named checkpoint at %v", marks, end)
-	}
-	mustExec(t, got.db, func(tx *Txn) error {
-		if r, ok, err := tx.Get("t", row.Row{row.Int64(1)}); err != nil || !ok || r[1].Str != "kept" {
-			return fmt.Errorf("row 1 = %v (found %v, err %v)", r, ok, err)
-		}
-		return nil
-	})
 }

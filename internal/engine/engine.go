@@ -93,15 +93,6 @@ type Options struct {
 	// text-format /metrics, a flattened /metrics.json (what `asofctl top`
 	// scrapes), and /debug/pprof. Ignored under DisableObs.
 	ObsListen string
-
-	// Ablation switches (see DESIGN.md).
-	//
-	// DisableCLRUndoInfo strips undo information from CLRs, reverting §4.2
-	// extension 2. As-of queries crossing a rolled-back transaction fail.
-	DisableCLRUndoInfo bool
-	// DisablePreformat skips preformat records on re-allocation, reverting
-	// §4.2 extension 1. As-of queries across a page re-allocation fail.
-	DisablePreformat bool
 }
 
 func (o *Options) withDefaults() Options {
@@ -239,9 +230,9 @@ type bootBlock struct {
 	createdAt   int64
 	// tli and history are the node's timeline lineage (see wal.TimelineID):
 	// which branch of log history this node is on and where each ancestor
-	// branch ended. tli 0 means "not yet known" — a fresh standby before its
-	// first handshake, or metadata written before timelines existed, both of
-	// which read back as timeline 1 with an empty history.
+	// branch ended. tli 0 means "not yet known": a fresh standby before its
+	// first handshake, which reads back as timeline 1 with an empty history
+	// and writes no boot record until the handshake installs its lineage.
 	tli     wal.TimelineID
 	history wal.TimelineHistory
 }
@@ -265,26 +256,15 @@ func Open(dir string, opts Options) (*DB, error) { return open(dir, opts, false)
 // is refused with ErrPromoted.
 func OpenStandby(dir string, opts Options) (*DB, error) { return open(dir, opts, true) }
 
-// legacyPromotedMarker is the file promotion wrote before the promoted record.
-const legacyPromotedMarker = "promoted.fork"
-
 // open is the one body of Open and OpenStandby.
 func open(dir string, opts Options, standby bool) (*DB, error) {
 	opts = opts.withDefaults()
-	// Before data.db or anything else is created: a refused directory is
-	// left byte-identical.
-	if err := wal.RefuseUnreadable(filepath.Join(dir, "wal")); err != nil {
-		return nil, err
-	}
 	ctl, err := control.Open(filepath.Join(dir, control.Name), opts.SyncPolicy == wal.SyncData)
 	if err != nil {
 		return nil, err
 	}
-	if standby {
-		_, err := os.Stat(filepath.Join(dir, legacyPromotedMarker))
-		if len(ctl.Records(control.KindPromoted)) > 0 || err == nil {
-			return nil, fmt.Errorf("%w: %s", ErrPromoted, dir)
-		}
+	if standby && len(ctl.Records(control.KindPromoted)) > 0 {
+		return nil, fmt.Errorf("%w: %s", ErrPromoted, dir)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("engine: mkdir: %w", err)
@@ -422,13 +402,17 @@ func (db *DB) Bootstrapped() bool {
 	return db.boot.roots.Valid()
 }
 
-// InitStandbyBoot installs the primary's catalog roots and creation time on
-// a fresh standby and persists the boot page. The roots never change after
-// database creation, so shipping them once in the stream handshake replaces
-// the (unlogged) bootstrap that created them on the primary.
-func (db *DB) InitStandbyBoot(roots catalog.Roots, createdAt int64) error {
+// InitStandbyBoot installs the primary's catalog roots, creation time and
+// lineage on a fresh standby and persists the boot page. The roots never
+// change after database creation, so shipping them once in the stream
+// handshake replaces the (unlogged) bootstrap that created them on the
+// primary.
+func (db *DB) InitStandbyBoot(roots catalog.Roots, createdAt int64, tli wal.TimelineID, hist wal.TimelineHistory) error {
 	if !roots.Valid() {
 		return errors.New("engine: standby boot with invalid catalog roots")
+	}
+	if err := db.SetTimeline(tli, hist); err != nil {
+		return err
 	}
 	db.mu.Lock()
 	db.boot.roots = roots
@@ -512,9 +496,9 @@ func (db *DB) Promote(att []wal.ATTEntry) error {
 	return nil
 }
 
-// Timeline returns the node's current timeline and fork history. A node
-// whose lineage was never recorded (fresh standby before its handshake, or
-// a database from before timelines existed) is timeline 1 with no history.
+// Timeline returns the node's current timeline and fork history. A fresh
+// standby before its handshake, which has no lineage yet, is timeline 1
+// with no history.
 func (db *DB) Timeline() (wal.TimelineID, wal.TimelineHistory) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -627,7 +611,7 @@ const bootBlockSize = 40
 
 // encode renders the fixed boot block and its timeline extension, tli u32 |
 // nForks u32 | nForks × (tli u32, end u64): a boot record's body and page
-// 0's payload. A tli of 0 (not yet known) reads back as timeline 1.
+// 0's payload.
 func (b bootBlock) encode() []byte {
 	buf := make([]byte, bootBlockSize+8+12*len(b.history))
 	copy(buf, bootMagic)
@@ -645,12 +629,15 @@ func (b bootBlock) encode() []byte {
 	return buf
 }
 
-// decodeBoot parses a boot block followed by its timeline extension — page
-// 0's payload and a boot record's body. A missing or all-zero extension is
-// the pre-timeline layout and reads back as timeline 1 with no history.
-func decodeBoot(src []byte) (bootBlock, error) {
-	if len(src) < bootBlockSize || string(src[:8]) != bootMagic {
+// decodeBoot parses a boot block and its timeline extension: a boot
+// record's body, which holds nothing after them, or page 0's payload, which
+// is zero past them (onPage).
+func decodeBoot(src []byte, onPage bool) (bootBlock, error) {
+	if len(src) < bootBlockSize+8 || string(src[:8]) != bootMagic {
 		return bootBlock{}, errors.New("engine: bad boot magic")
+	}
+	if binary.LittleEndian.Uint32(src[20:]) != 0 {
+		return bootBlock{}, errors.New("engine: boot block padding is not zero")
 	}
 	b := bootBlock{
 		roots: catalog.Roots{
@@ -660,24 +647,23 @@ func decodeBoot(src []byte) (bootBlock, error) {
 		},
 		lastCkptEnd: wal.LSN(binary.LittleEndian.Uint64(src[24:])),
 		createdAt:   int64(binary.LittleEndian.Uint64(src[32:])),
-		tli:         1,
+		tli:         wal.TimelineID(binary.LittleEndian.Uint32(src[40:])),
 	}
 	if !b.roots.Valid() {
 		return bootBlock{}, errors.New("engine: boot record has invalid catalog roots")
 	}
-	ext := src[bootBlockSize:]
-	if len(ext) < 8 || binary.LittleEndian.Uint32(ext) == 0 {
-		return b, nil
-	}
-	b.tli = wal.TimelineID(binary.LittleEndian.Uint32(ext))
-	n := uint64(binary.LittleEndian.Uint32(ext[4:]))
-	if uint64(len(ext)) < 8+12*n {
+	ext := src[bootBlockSize+8:]
+	n := uint64(binary.LittleEndian.Uint32(src[44:]))
+	if uint64(len(ext)) < 12*n {
 		return bootBlock{}, fmt.Errorf("engine: boot timeline extension %d bytes for %d forks", len(ext), n)
+	}
+	if rest := ext[12*n:]; len(rest) > 0 && (!onPage || slices.ContainsFunc(rest, func(c byte) bool { return c != 0 })) {
+		return bootBlock{}, errors.New("engine: bytes trail the boot block")
 	}
 	for i := range int(n) {
 		b.history = append(b.history, wal.TimelineFork{
-			TLI: wal.TimelineID(binary.LittleEndian.Uint32(ext[8+12*i:])),
-			End: wal.LSN(binary.LittleEndian.Uint64(ext[12+12*i:])),
+			TLI: wal.TimelineID(binary.LittleEndian.Uint32(ext[12*i:])),
+			End: wal.LSN(binary.LittleEndian.Uint64(ext[4+12*i:])),
 		})
 	}
 	if err := b.history.Validate(b.tli); err != nil {
@@ -726,11 +712,12 @@ func (db *DB) writeBoot(extra ...control.Record) error {
 }
 
 // readBoot reads the control file's boot record, or page 0 when it has none
-// that decodes (the file is older than the record, or was lost).
+// that decodes (the file was lost, or a reseeded standby has written only
+// its apply state to it).
 func (db *DB) readBoot() error {
 	b, err := bootBlock{}, errors.New("engine: no boot record")
 	for _, r := range db.ctl.Records(control.KindBoot) {
-		b, err = decodeBoot(r.Body)
+		b, err = decodeBoot(r.Body, false)
 	}
 	if err != nil {
 		p := page.New()
@@ -740,7 +727,7 @@ func (db *DB) readBoot() error {
 		if err := p.VerifyChecksum(); err != nil {
 			return fmt.Errorf("engine: boot page: %w", err)
 		}
-		if b, err = decodeBoot(p.Bytes()[bootPayload:]); err != nil {
+		if b, err = decodeBoot(p.Bytes()[bootPayload:], true); err != nil {
 			return err
 		}
 	}
@@ -757,7 +744,7 @@ func DecodeBootRoots(buf []byte) (catalog.Roots, error) {
 	if len(buf) != page.Size {
 		return catalog.Roots{}, fmt.Errorf("engine: boot image is %d bytes", len(buf))
 	}
-	b, err := decodeBoot(buf[bootPayload:])
+	b, err := decodeBoot(buf[bootPayload:], true)
 	return b.roots, err
 }
 

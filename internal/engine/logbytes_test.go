@@ -2,9 +2,7 @@ package engine
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,7 +11,6 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/row"
-	"repro/internal/wal"
 )
 
 // fixedNow returns a frozen wall clock so every run of the same workload
@@ -100,39 +97,5 @@ func TestLogBytesGolden(t *testing.T) {
 	}
 	if got := treeDigest(t, filepath.Join(dir, "wal")); got != logBytesGolden {
 		t.Fatalf("wal/ digest = %s, want %s: the log bytes moved", got, logBytesGolden)
-	}
-}
-
-// TestPartitionedLogRefused: a directory whose log was created with four
-// streams — streams.meta as that build wrote it, and a stream subdirectory —
-// is refused by every way of opening it, with the typed error, and nothing in
-// it is created or changed.
-func TestPartitionedLogRefused(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, "wal", "s1"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	var meta [8]byte
-	binary.LittleEndian.PutUint64(meta[:], 4)
-	if err := os.WriteFile(filepath.Join(dir, "wal", "streams.meta"), meta[:], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	before := treeDigest(t, dir)
-	opens := map[string]func() error{
-		"Open":        func() error { _, err := Open(dir, Options{}); return err },
-		"OpenStandby": func() error { _, err := OpenStandby(dir, Options{}); return err },
-		"wal.OpenStore": func() error {
-			_, err := wal.OpenStore(filepath.Join(dir, "wal"), wal.Config{})
-			return err
-		},
-	}
-	for name, open := range opens {
-		err := open()
-		if !errors.Is(err, wal.ErrPartitionedLog) {
-			t.Fatalf("%s: err = %v, want wal.ErrPartitionedLog", name, err)
-		}
-		if after := treeDigest(t, dir); after != before {
-			t.Fatalf("%s changed the refused directory", name)
-		}
 	}
 }

@@ -138,14 +138,6 @@ func (tx *Txn) logApply(bh *buffer.Handle, rec *wal.Record) error {
 		rec.CLRType = rec.Type
 		rec.Type = wal.TypeCLR
 		rec.UndoNextLSN = tx.undoNext
-		if tx.db.opts.DisableCLRUndoInfo {
-			// Ablation: CLRs become redo-only as in ARIES. An update's redo
-			// still needs its old middle, for the length it replaces.
-			rec.Flags |= wal.FlagRedoOnly
-			if rec.CLRType != wal.TypeUpdate {
-				rec.OldData = nil
-			}
-		}
 	}
 	lsn, err := tx.db.log.Append(rec)
 	if err != nil {
@@ -294,7 +286,7 @@ func (tx *Txn) formatAllocated(objectID uint32, id page.ID, t page.Type, level u
 		if err != nil {
 			return nil, err
 		}
-		if ever && !db.opts.DisablePreformat {
+		if ever {
 			if err := tx.logApply(h, &wal.Record{
 				Type: wal.TypePreformat, PageID: uint32(id), ObjectID: objectID,
 				OldData: append([]byte(nil), h.Page().Bytes()...),
@@ -400,13 +392,11 @@ func (tx *Txn) UpdateRec(h btree.Handle, objectID uint32, slot int, rec []byte) 
 // image via a preformat record.
 func (tx *Txn) Reformat(h btree.Handle, objectID uint32, t page.Type, level uint8) error {
 	bh := h.(*buffer.Handle)
-	if !tx.db.opts.DisablePreformat {
-		if err := tx.logApply(bh, &wal.Record{
-			Type: wal.TypePreformat, PageID: uint32(bh.Page().ID()), ObjectID: objectID,
-			OldData: append([]byte(nil), bh.Page().Bytes()...),
-		}); err != nil {
-			return err
-		}
+	if err := tx.logApply(bh, &wal.Record{
+		Type: wal.TypePreformat, PageID: uint32(bh.Page().ID()), ObjectID: objectID,
+		OldData: append([]byte(nil), bh.Page().Bytes()...),
+	}); err != nil {
+		return err
 	}
 	return tx.logApply(bh, &wal.Record{
 		Type: wal.TypeFormat, PageID: uint32(bh.Page().ID()), ObjectID: objectID,

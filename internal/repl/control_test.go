@@ -91,13 +91,11 @@ func TestReplicaCloseAppendsOnce(t *testing.T) {
 }
 
 // TestOpenReplicaRefusesPromoted: once a replica is promoted, OpenReplica
-// refuses its directory with ErrPromoted — after the promoted node closes,
-// after it crashes, and for a directory promoted before the control file,
-// which holds the old promoted.fork marker and no control file — under both
-// sync policies. engine.Open still opens it as the primary it became.
+// refuses its directory with ErrPromoted — after the promoted node closes and
+// after it crashes — under both sync policies. engine.Open still opens it as the primary it became.
 func TestOpenReplicaRefusesPromoted(t *testing.T) {
 	for _, sync := range []string{"none", "fdatasync"} {
-		for _, end := range []string{"close", "crash", "legacy"} {
+		for _, end := range []string{"close", "crash"} {
 			t.Run(sync+"/"+end, func(t *testing.T) {
 				t.Setenv("ASOFDB_SYNC", sync)
 				c := newCluster(t, engine.Options{}, ReplicaOptions{})
@@ -111,20 +109,12 @@ func TestOpenReplicaRefusesPromoted(t *testing.T) {
 					t.Fatal(err)
 				}
 				switch end {
-				case "close", "legacy":
+				case "close":
 					if err := db.Close(); err != nil {
 						t.Fatal(err)
 					}
 				case "crash":
 					db.Crash()
-				}
-				if end == "legacy" {
-					if err := os.Remove(filepath.Join(dir, control.Name)); err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(filepath.Join(dir, "promoted.fork"), []byte("promoted\n"), 0o644); err != nil {
-						t.Fatal(err)
-					}
 				}
 				if rep, err := OpenReplica(dir, opts); !errors.Is(err, ErrPromoted) {
 					if err == nil {

@@ -460,7 +460,7 @@ func TestShipperFenceGraceVirtual(t *testing.T) {
 	conn := newStallConn()
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- ship.Serve(conn) }()
-	conn.recvq <- &Frame{Kind: KindSubscribe, From: 1}
+	conn.recvq <- &Frame{Kind: KindSubscribe, From: 1, Payload: appendTimelineInfo(nil, timelineInfo{TLI: 1})}
 
 	// Wait until the session is tracked (Serve registers its conn before
 	// any handshake I/O), so the fence has a peer to stall on.

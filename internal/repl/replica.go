@@ -315,22 +315,21 @@ func (r *Replica) Run(conn Conn) error {
 		return err
 	}
 	r.primaryDurable.Store(uint64(hello.Durable))
+	// Defense in depth: verify the admission the server just granted, then
+	// adopt its lineage — every byte ingested on this session is, by
+	// construction, a byte of the server's history, so the server's identity
+	// is now this node's identity for all bytes it will hold. A fresh
+	// standby's first boot record carries it.
+	if err := checkAncestry(info.Lineage.TLI, info.Lineage.History, sub, r.pendingAt); err != nil {
+		return err
+	}
 	if !r.db.Bootstrapped() {
-		if err := r.db.InitStandbyBoot(info.Roots, info.CreatedAt); err != nil {
+		if err := r.db.InitStandbyBoot(info.Roots, info.CreatedAt, info.Lineage.TLI, info.Lineage.History); err != nil {
 			return err
 		}
 	}
-	if info.Lineage.TLI != 0 {
-		// Defense in depth: verify the admission the server just granted,
-		// then adopt its lineage — every byte ingested on this session is,
-		// by construction, a byte of the server's history, so the server's
-		// identity is now this node's identity for all bytes it will hold.
-		if err := checkAncestry(info.Lineage.TLI, info.Lineage.History, sub, r.pendingAt); err != nil {
-			return err
-		}
-		if err := r.adoptLineage(info.Lineage); err != nil {
-			return err
-		}
+	if err := r.adoptLineage(info.Lineage); err != nil {
+		return err
 	}
 
 	for {
@@ -396,7 +395,7 @@ func (r *Replica) Run(conn Conn) error {
 func (r *Replica) upstreamPromoted(f *Frame) error {
 	fork := f.From
 	newLineage := ""
-	if lin, err := decodeTimelineInfo(f.Payload); err == nil && lin.TLI != 0 {
+	if lin, err := decodeTimelineInfo(f.Payload); err == nil {
 		newLineage = fmt.Sprintf("; the promoted node continues as %s", wal.DescribeLineage(lin.TLI, lin.History))
 	}
 	if end := r.db.Log().NextLSN() - 1; end > fork {

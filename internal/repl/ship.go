@@ -438,7 +438,7 @@ func (s *Shipper) Serve(conn Conn) error {
 		_ = conn.Send(&Frame{Kind: KindError, From: errClassTimeline, Payload: []byte(err.Error())})
 		return fmt.Errorf("repl: refusing subscription at %v: %w", from, err)
 	}
-	sub.tli = subInfo.normalized().TLI
+	sub.tli = subInfo.TLI
 	// A subscription below the live store's floor (retention dropped those
 	// segments) is served from the retention archive the log store keeps
 	// beside its live segments, as one byte-contiguous log that also

@@ -15,9 +15,6 @@ import (
 // history below it (wal.TimelineHistory.TruncateAt) — so a node that
 // adopted a promoted lineage but never ingested a post-fork byte can still
 // legally follow either branch. A server presents its full adopted lineage.
-// The zero value (TLI 0) means "pre-timeline peer"; it is treated as
-// timeline 1 with no history, which is exactly what every log was before
-// timelines existed.
 type timelineInfo struct {
 	TLI     wal.TimelineID
 	History wal.TimelineHistory
@@ -40,36 +37,28 @@ func appendTimelineInfo(buf []byte, ti timelineInfo) []byte {
 	return buf
 }
 
-// decodeTimelineInfo parses a timelineInfo; an empty buffer is a
-// pre-timeline peer (TLI 0).
+// decodeTimelineInfo parses a timelineInfo that fills buf exactly. An
+// identity with no timeline (TLI 0) is refused: every node is on timeline 1
+// or later.
 func decodeTimelineInfo(buf []byte) (timelineInfo, error) {
-	if len(buf) == 0 {
-		return timelineInfo{}, nil
-	}
 	if len(buf) < 8 {
 		return timelineInfo{}, fmt.Errorf("repl: timeline info is %d bytes", len(buf))
 	}
 	ti := timelineInfo{TLI: wal.TimelineID(binary.LittleEndian.Uint32(buf))}
-	n := int(binary.LittleEndian.Uint32(buf[4:]))
-	if len(buf) < 8+12*n {
+	if ti.TLI == 0 {
+		return timelineInfo{}, errors.New("repl: timeline info names timeline 0")
+	}
+	n := uint64(binary.LittleEndian.Uint32(buf[4:]))
+	if uint64(len(buf)) != 8+12*n {
 		return timelineInfo{}, fmt.Errorf("repl: timeline info %d bytes for %d forks", len(buf), n)
 	}
-	for i := 0; i < n; i++ {
+	for i := range int(n) {
 		ti.History = append(ti.History, wal.TimelineFork{
 			TLI: wal.TimelineID(binary.LittleEndian.Uint32(buf[8+12*i:])),
 			End: wal.LSN(binary.LittleEndian.Uint64(buf[12+12*i:])),
 		})
 	}
 	return ti, nil
-}
-
-// normalized upgrades a pre-timeline identity (TLI 0) to its modern
-// meaning: timeline 1, no history.
-func (ti timelineInfo) normalized() timelineInfo {
-	if ti.TLI == 0 {
-		return timelineInfo{TLI: 1}
-	}
-	return ti
 }
 
 // nodeIdentityAt computes a node's effective subscriber identity for a log
@@ -111,7 +100,6 @@ func (e *timelineRefusal) Is(target error) bool {
 //     recorded differently on the two nodes — is a divergence no amount of
 //     shipping can repair, refused with the reason and the remedy.
 func checkAncestry(srvTLI wal.TimelineID, srvHist wal.TimelineHistory, sub timelineInfo, from wal.LSN) error {
-	sub = sub.normalized()
 	srvLineage := wal.DescribeLineage(srvTLI, srvHist)
 
 	// Fork points the two lineages both record must agree exactly.

@@ -37,16 +37,6 @@ func TestCheckAncestryMatrix(t *testing.T) {
 		{name: "same timeline, same history",
 			sub:  timelineInfo{TLI: 3, History: srvHist},
 			from: 2500, admit: true},
-		{name: "legacy subscriber (TLI 0) behind the first fork",
-			sub:  timelineInfo{},
-			from: 900, admit: true},
-		{name: "legacy subscriber exactly at the first fork",
-			sub:  timelineInfo{},
-			from: 1001, admit: true},
-		{name: "legacy subscriber past the first fork",
-			sub:  timelineInfo{},
-			from: 1002, admit: false,
-			wantMsg: []string{"1 bytes ahead of the fork", "reseed"}},
 		{name: "ancestor timeline at the fork boundary",
 			sub:  timelineInfo{TLI: 2, History: srvHist[:1]},
 			from: 2001, admit: true},
@@ -345,26 +335,60 @@ func TestTimelinePromoteBehindAdoptedFork(t *testing.T) {
 	}
 }
 
-// TestTimelineLegacyBootUpgrade pins the upgrade path for databases created
-// before timelines existed: a boot block with no timeline extension (page 0
-// zero past the block, and no control file) reads back as timeline 1 with
-// an empty history, the node streams normally, and its first promotion
-// moves it to timeline 2.
-func TestTimelineLegacyBootUpgrade(t *testing.T) {
+// TestTimelineBootWithoutLineageRefused: every boot record names a timeline.
+// A fresh standby's first boot record carries the lineage of the hello it
+// bootstrapped from; a boot block whose timeline extension is zero (page 0,
+// with no control file to read first) is refused at Open; and a subscribe
+// frame with no lineage is refused by the shipper instead of being admitted
+// as timeline 1.
+func TestTimelineBootWithoutLineageRefused(t *testing.T) {
 	dir := t.TempDir()
 	db, err := engine.Open(dir, engine.Options{SyncPolicy: testSyncPolicy(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustExec(t, db, func(tx *engine.Txn) error { return tx.CreateTable(testSchema("legacy")) })
-	mustExec(t, db, func(tx *engine.Txn) error { return tx.Insert("legacy", testRow(1, "old", 1)) })
+	mustExec(t, db, func(tx *engine.Txn) error { return tx.CreateTable(testSchema("t")) })
+	mustExec(t, db, func(tx *engine.Txn) error { return tx.Insert("t", testRow(1, "v", 1)) })
+
+	ship := NewShipper(db, ShipperOptions{HeartbeatEvery: 20 * time.Millisecond})
+	rep, err := OpenReplica(t.TempDir(), ReplicaOptions{Engine: engine.Options{SyncPolicy: testSyncPolicy(t)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := connectPair(t, ship, rep)
+	waitApplied(t, rep, db.Log().FlushedLSN())
+	boots := rep.DB().Control().Records(control.KindBoot)
+	if len(boots) == 0 || binary.LittleEndian.Uint32(boots[len(boots)-1].Body[40:]) != 1 {
+		t.Fatalf("the standby's boot records %v do not name timeline 1", boots)
+	}
+	h.stop()
+	rep.Close()
+
+	up, down := Pipe()
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- ship.Serve(up) }()
+	if err := down.Send(&Frame{Kind: KindSubscribe, From: 1}); err != nil {
+		t.Fatal(err)
+	}
+	refusal, err := down.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if refusal.Kind != KindError {
+		t.Fatalf("a subscribe with no lineage got %v (%s), want an error frame", refusal.Kind, refusal.Payload)
+	}
+	if err := <-serveDone; err == nil {
+		t.Fatal("Serve admitted a subscribe with no lineage")
+	}
+	down.Close()
+	up.Close()
+	ship.Close()
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Rewrite page 0 in the pre-timeline layout: the 40-byte block at
-	// offset 64, zero after it, and a fresh page checksum. Drop the control
-	// file, which the pre-timeline build did not write.
+	// Zero page 0's timeline extension, restamp its checksum and drop the
+	// control file, so Open has only that block to read.
 	f, err := os.OpenFile(filepath.Join(dir, "data.db"), os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -373,11 +397,7 @@ func TestTimelineLegacyBootUpgrade(t *testing.T) {
 	if _, err := f.ReadAt(boot.Bytes(), 0); err != nil {
 		t.Fatal(err)
 	}
-	ext := boot.Bytes()[64+40 : 64+48]
-	if binary.LittleEndian.Uint32(ext) != 1 {
-		t.Fatalf("page 0 names timeline %d; expected a timeline extension to strip", binary.LittleEndian.Uint32(ext))
-	}
-	clear(ext)
+	clear(boot.Bytes()[64+40 : 64+48])
 	boot.WriteChecksum()
 	if _, err := f.WriteAt(boot.Bytes(), 0); err != nil {
 		t.Fatal(err)
@@ -388,51 +408,10 @@ func TestTimelineLegacyBootUpgrade(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, control.Name)); err != nil {
 		t.Fatal(err)
 	}
-
-	db, err = engine.Open(dir, engine.Options{SyncPolicy: testSyncPolicy(t)})
-	if err != nil {
-		t.Fatal(err)
+	if db, err := engine.Open(dir, engine.Options{SyncPolicy: testSyncPolicy(t)}); err == nil {
+		db.Close()
+		t.Fatal("Open read a boot block with no timeline")
 	}
-	defer db.Close()
-	if tli, hist := db.Timeline(); tli != 1 || len(hist) != 0 {
-		t.Fatalf("legacy boot read back as %s, want timeline 1 with no history",
-			wal.DescribeLineage(tli, hist))
-	}
-
-	// The upgraded node serves a modern subscriber...
-	ship := NewShipper(db, ShipperOptions{HeartbeatEvery: 20 * time.Millisecond})
-	defer ship.Close()
-	rep, err := OpenReplica(t.TempDir(), ReplicaOptions{Engine: engine.Options{SyncPolicy: testSyncPolicy(t)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rep.Close()
-	h := connectPair(t, ship, rep)
-	defer h.stop()
-	waitApplied(t, rep, db.Log().FlushedLSN())
-	if tli, _ := rep.DB().Timeline(); tli != 1 {
-		t.Fatalf("subscriber adopted timeline %d from a legacy server, want 1", tli)
-	}
-
-	// ...and a legacy subscriber (empty subscribe payload, the pre-timeline
-	// wire format) is admitted by a timeline-1 server: the upgrade breaks
-	// neither direction.
-	up, down := Pipe()
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- ship.Serve(up) }()
-	if err := down.Send(&Frame{Kind: KindSubscribe, From: 1}); err != nil {
-		t.Fatal(err)
-	}
-	hello, err := down.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hello.Kind != KindHello {
-		t.Fatalf("legacy subscriber got %v (%s), want hello", hello.Kind, hello.Payload)
-	}
-	down.Close()
-	up.Close()
-	<-serveDone
 }
 
 // connectPair starts a Serve+Run session between ship and rep, returning

@@ -45,6 +45,7 @@ func (f *fakePrimary) accept(conn Conn) wal.LSN {
 	if req.Kind != KindSubscribe {
 		f.t.Fatalf("expected subscribe, got %v", req.Kind)
 	}
+	tli, hist := f.db.Timeline()
 	err = conn.Send(&Frame{
 		Kind:    KindHello,
 		From:    req.From,
@@ -53,6 +54,7 @@ func (f *fakePrimary) accept(conn Conn) wal.LSN {
 			Roots:     f.db.Roots(),
 			CreatedAt: f.db.CreatedAt().UnixNano(),
 			TruncLSN:  1,
+			Lineage:   timelineInfo{TLI: tli, History: hist},
 		}),
 	})
 	if err != nil {

@@ -182,9 +182,8 @@ func (c *pipeConn) Close() error {
 
 // bootInfo is the unlogged primary state a fresh replica needs: the catalog
 // roots (written directly to the boot page at creation), the database
-// creation time, and — since timelines — the server's full lineage, which
-// the replica adopts as the identity of every byte it will ingest on this
-// session.
+// creation time, and the server's full lineage, which the replica adopts as
+// the identity of every byte it will ingest on this session.
 type bootInfo struct {
 	Roots     catalog.Roots
 	CreatedAt int64
@@ -192,8 +191,7 @@ type bootInfo struct {
 	Lineage   timelineInfo
 }
 
-// bootInfoFixed is the pre-timeline payload size; hellos from pre-timeline
-// servers are exactly this long and decode with an unknown (0) lineage.
+// bootInfoFixed is the size of the hello's fields before its lineage.
 const bootInfoFixed = 28
 
 func encodeBootInfo(b bootInfo) []byte {

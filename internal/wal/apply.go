@@ -120,9 +120,6 @@ func applyUndo(p *page.Page, r *Record) error {
 		// rewind across rolled-back transactions (§4.2 extension 2).
 		op = r.CLRType
 	}
-	if r.Flags&FlagRedoOnly != 0 {
-		return errors.New("logged without undo information")
-	}
 	switch op {
 	case TypeInsert:
 		_, err := p.DeleteAt(int(r.Slot))

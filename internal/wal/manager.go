@@ -1,12 +1,9 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,40 +16,6 @@ import (
 // ErrTruncated is returned when a requested LSN lies before the retention
 // boundary (the log has been truncated past it, §4.3).
 var ErrTruncated = errors.New("wal: record truncated by retention policy")
-
-// ErrPartitionedLog is returned for a log directory created with more than
-// one log stream. The partitioned log (N physical streams, stream-tagged
-// LSNs) was removed — DESIGN.md has the decision — and nothing in this build
-// can read one: its LSNs, commit records and checkpoint payloads all differ.
-var ErrPartitionedLog = errors.New("wal: partitioned log")
-
-// ErrFlatLog is returned for a database whose log is a flat,
-// pre-segmentation wal.log beside a log directory holding no segments. The
-// migration that absorbed such a file into the first segment was removed;
-// nothing in this build reads one.
-var ErrFlatLog = errors.New("wal: flat pre-segmentation log")
-
-// RefuseUnreadable returns ErrPartitionedLog when dir's streams.meta sidecar
-// (8 bytes, little-endian stream count, written once at creation) records
-// more than one stream, and ErrFlatLog when dir holds no segments but a flat
-// wal.log sits beside it. It only reads, so callers run it before they
-// create or modify anything under the database.
-func RefuseUnreadable(dir string) error {
-	if b, err := os.ReadFile(filepath.Join(dir, "streams.meta")); err == nil && len(b) == 8 {
-		if n := binary.LittleEndian.Uint64(b); n > 1 {
-			return fmt.Errorf("%w: %s was created with %d log streams; this build reads one-stream logs only, commit bb54bc2 is the last that opens it",
-				ErrPartitionedLog, dir, n)
-		}
-	}
-	flat := filepath.Join(filepath.Dir(dir), "wal.log")
-	if fi, err := os.Stat(flat); err == nil && !fi.IsDir() {
-		if segs, _ := ListSegments(dir); len(segs) == 0 {
-			return fmt.Errorf("%w: %s holds no segments beside %s; commit ea45986 is the last that migrates it",
-				ErrFlatLog, dir, flat)
-		}
-	}
-	return nil
-}
 
 // readBlockSize is the granularity of random log reads. One block read is
 // one log I/O for the undo-I/O accounting of Figure 11.
@@ -187,9 +150,6 @@ func Open(path string, dev *media.Device) (*Manager, error) {
 // OpenStore opens (creating if necessary) the segmented log store rooted at
 // the directory dir.
 func OpenStore(dir string, cfg Config) (*Manager, error) {
-	if err := RefuseUnreadable(dir); err != nil {
-		return nil, err
-	}
 	baseOff := int64(0)
 	if cfg.BaseLSN > 1 {
 		baseOff = int64(cfg.BaseLSN - 1)

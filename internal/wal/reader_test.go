@@ -269,8 +269,9 @@ func TestTimeIndexSampling(t *testing.T) {
 
 	// Round-trip through the checkpoint payload.
 	all := m.TimeSamplesSince(NilLSN)
-	data := CheckpointData{BeginLSN: 1, ATT: []ATTEntry{{TxnID: 9, LastLSN: 7, BeginLSN: 3}}, Times: all}
-	dec, err := DecodeCheckpoint(EncodeCheckpoint(data))
+	data := CheckpointData{BeginLSN: 1, ATT: []ATTEntry{{TxnID: 9, LastLSN: 7, BeginLSN: 3}}, Times: all, TLI: 1}
+	payload := EncodeCheckpoint(data)
+	dec, err := DecodeCheckpoint(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,10 +284,12 @@ func TestTimeIndexSampling(t *testing.T) {
 		}
 	}
 
-	// Legacy payload (no trailer) still decodes.
-	legacy := EncodeCheckpoint(CheckpointData{BeginLSN: 1, ATT: data.ATT})
-	if dec, err := DecodeCheckpoint(legacy[:24+24*1]); err != nil || len(dec.Times) != 0 {
-		t.Fatalf("legacy decode: %v, %d samples", err, len(dec.Times))
+	// A payload that ends after its ATT, or after its samples, is refused:
+	// every checkpoint carries a time index and a timeline section.
+	for _, cut := range []int{24 + 24*1, len(payload) - 16} {
+		if _, err := DecodeCheckpoint(payload[:cut]); err == nil {
+			t.Fatalf("a payload cut to %d of %d bytes decoded", cut, len(payload))
+		}
 	}
 
 	// Seeding drops out-of-order and truncated samples.

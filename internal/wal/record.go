@@ -127,19 +127,13 @@ func (t Type) String() string {
 // NoPage marks records that do not modify a page.
 const NoPage uint32 = 0xFFFFFFFF
 
-// Record flags.
-const (
-	// FlagNTA marks records logged inside a nested top action (a B-Tree
-	// structure modification). A transaction chain cut mid-NTA — by a
-	// crash, a SplitLSN or a restore target landing between an SMO's
-	// records and its terminating dummy CLR — must undo these records
-	// physically (page-oriented), never logically: they include row moves
-	// and internal-node separators that logical undo cannot re-locate.
-	FlagNTA uint8 = 1 << 0
-	// FlagRedoOnly marks a record logged without undo information (the
-	// DisableCLRUndoInfo ablation); Undo refuses it.
-	FlagRedoOnly uint8 = 1 << 1
-)
+// FlagNTA, the one record flag, marks records logged inside a nested top
+// action (a B-Tree structure modification). A transaction chain cut mid-NTA
+// — by a crash, a SplitLSN or a restore target landing between an SMO's
+// records and its terminating dummy CLR — must undo these records physically
+// (page-oriented), never logically: they include row moves and internal-node
+// separators that logical undo cannot re-locate.
+const FlagNTA uint8 = 1 << 0
 
 // Record is a single log record. Fields irrelevant to a record's Type are
 // left at their zero values and encode compactly.
@@ -174,7 +168,7 @@ type Record struct {
 	// (insert/delete/update), with Slot/OldData/NewData as for that type.
 	CLRType Type
 
-	// Flags carries FlagNTA and FlagRedoOnly.
+	// Flags carries FlagNTA.
 	Flags uint8
 
 	// Slot is the slot index for page operations, or the byte index for
@@ -295,6 +289,9 @@ func unmarshalInto(r *Record, src []byte) error {
 	r.Type = Type(src[0])
 	r.CLRType = Type(src[1])
 	r.Flags = src[2]
+	if r.Flags&^FlagNTA != 0 {
+		return fmt.Errorf("wal: record flags %#x", r.Flags)
+	}
 	off := 3
 	var bad bool
 	// getU reads one uvarint no larger than max, in its shortest encoding:
@@ -336,9 +333,8 @@ func unmarshalInto(r *Record, src []byte) error {
 		off += int(n)
 	}
 	if off != len(src) {
-		// Nothing this build writes follows Extra. A partitioned log's commit
-		// records did carry more (see ErrPartitionedLog); decoding past them
-		// silently would drop what those bytes meant.
+		// Nothing follows Extra; decoding past trailing bytes silently would
+		// drop what they meant.
 		return fmt.Errorf("wal: %d bytes trail the last field of a %v record body", len(src)-off, r.Type)
 	}
 	return nil
@@ -433,15 +429,14 @@ type CheckpointData struct {
 	Times []TimeSample
 	// TLI and History carry the checkpointing node's timeline lineage, so
 	// replicas replaying the stream adopt promotions they have applied.
-	// TLI 0 means the payload predates timelines (lineage unknown).
+	// TLI is 1 or later.
 	TLI     TimelineID
 	History TimelineHistory
 	// DPT is the dirty-page table: each page that was still dirty in the
 	// buffer pool when the checkpoint ended and held a change logged before
 	// BeginLSN, with its recLSN — the first such change. Redo starts at
 	// RedoStart. A flush-all checkpoint (DB.Checkpoint) has none. The
-	// section follows the timeline section, so it is written only when TLI
-	// is set.
+	// section follows the timeline section.
 	DPT []DirtyPage
 }
 
@@ -485,30 +480,27 @@ func EncodeCheckpoint(d CheckpointData) []byte {
 		put(uint64(s.WallClock))
 		put(uint64(s.LSN))
 	}
-	if d.TLI != 0 {
-		put(uint64(d.TLI))
-		put(uint64(len(d.History)))
-		for _, f := range d.History {
-			put(uint64(f.TLI))
-			put(uint64(f.End))
-		}
-		if len(d.DPT) > 0 {
-			put(uint64(len(d.DPT)))
-			for _, e := range d.DPT {
-				put(uint64(e.PageID))
-				put(uint64(e.RecLSN))
-			}
+	put(uint64(d.TLI))
+	put(uint64(len(d.History)))
+	for _, f := range d.History {
+		put(uint64(f.TLI))
+		put(uint64(f.End))
+	}
+	if len(d.DPT) > 0 {
+		put(uint64(len(d.DPT)))
+		for _, e := range d.DPT {
+			put(uint64(e.PageID))
+			put(uint64(e.RecLSN))
 		}
 	}
 	return buf
 }
 
-// DecodeCheckpoint parses a TypeCheckpointEnd payload. Payloads written
-// before the time index existed end after the ATT entries and decode with
-// no samples; payloads with no dirty-page table (a flush-all checkpoint, or
-// one written before the table existed) decode with an empty DPT, which is
-// what both mean. A malformed table — a count the bytes cannot hold, a
-// recLSN of 0 or not below BeginLSN — is an error.
+// DecodeCheckpoint parses a TypeCheckpointEnd payload: the ATT, the time
+// samples and the timeline section, then the dirty-page table, which a
+// flush-all checkpoint writes as no section at all. A payload missing a
+// section, a timeline of 0, or a malformed table — a count the bytes cannot
+// hold, a recLSN of 0 or not below BeginLSN — is an error.
 func DecodeCheckpoint(b []byte) (CheckpointData, error) {
 	var d CheckpointData
 	if len(b) < 24 {
@@ -530,9 +522,6 @@ func DecodeCheckpoint(b []byte) (CheckpointData, error) {
 		})
 	}
 	rest := b[24+24*n:]
-	if len(rest) == 0 {
-		return d, nil // pre-time-index payload
-	}
 	if len(rest) < 8 {
 		return d, fmt.Errorf("wal: checkpoint payload trailer of %d bytes", len(rest))
 	}
@@ -548,37 +537,37 @@ func DecodeCheckpoint(b []byte) (CheckpointData, error) {
 		})
 	}
 	rest = rest[8+16*ts:]
-	if len(rest) == 0 {
-		return d, nil // pre-timeline payload
-	}
 	// Timeline section: tli u64 | nForks u64 | nForks × (tli u64, end u64).
 	if len(rest) < 16 {
 		return d, fmt.Errorf("wal: checkpoint timeline trailer of %d bytes", len(rest))
 	}
-	d.TLI = TimelineID(binary.LittleEndian.Uint64(rest))
-	if d.TLI == 0 {
-		// TLI 0 means "no lineage" and is written as no section at all.
-		return d, fmt.Errorf("wal: checkpoint timeline section for timeline 0")
+	// A timeline id is 32 bits wide and never 0.
+	tli := binary.LittleEndian.Uint64(rest)
+	if tli == 0 || tli > math.MaxUint32 {
+		return d, fmt.Errorf("wal: checkpoint timeline section for timeline %d", tli)
 	}
+	d.TLI = TimelineID(tli)
 	hn := binary.LittleEndian.Uint64(rest[8:])
 	if hn > uint64(len(rest)-16)/16 {
 		return d, fmt.Errorf("wal: checkpoint timeline trailer %d bytes for %d forks", len(rest), hn)
 	}
 	for i := 0; i < int(hn); i++ {
 		off := 16 + 16*i
+		if tli = binary.LittleEndian.Uint64(rest[off:]); tli > math.MaxUint32 {
+			return d, fmt.Errorf("wal: checkpoint fork of timeline %d", tli)
+		}
 		d.History = append(d.History, TimelineFork{
-			TLI: TimelineID(binary.LittleEndian.Uint64(rest[off:])),
+			TLI: TimelineID(tli),
 			End: LSN(binary.LittleEndian.Uint64(rest[off+8:])),
 		})
 	}
 	rest = rest[16+16*int(hn):]
 	if len(rest) == 0 {
-		return d, nil // flush-all checkpoint, or written before the DPT
+		return d, nil // flush-all checkpoint
 	}
 	// DPT section: n u64 | n × (page u64, recLSN u64). It is the payload's
-	// last: bytes past it are not something this build wrote (a partitioned
-	// log's stream trailer went after the timeline section), so they are an
-	// error, not padding. An empty table is written as no section at all.
+	// last: bytes past it are an error, not padding. An empty table is
+	// written as no section at all.
 	if len(rest) < 8 {
 		return d, fmt.Errorf("wal: checkpoint dirty-page table trailer of %d bytes", len(rest))
 	}

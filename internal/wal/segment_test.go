@@ -594,42 +594,6 @@ func TestArchiveReadRacesRetention(t *testing.T) {
 	}
 }
 
-// TestLegacyFlatLogRefused: a pre-segmentation flat wal.log beside a log
-// directory with no segments is refused with the typed error, and nothing is
-// created; once the directory holds segments, a stray flat file beside it is
-// ignored.
-func TestLegacyFlatLogRefused(t *testing.T) {
-	dir := t.TempDir()
-	flat := filepath.Join(dir, "wal.log")
-	raw := frame(nil, &Record{Type: TypeCommit, TxnID: 1, PageID: NoPage, WallClock: 1})
-	if err := os.WriteFile(flat, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	store := filepath.Join(dir, "wal")
-	if _, err := OpenStore(store, Config{SegmentBytes: 4 << 10}); !errors.Is(err, ErrFlatLog) {
-		t.Fatalf("open beside a flat log: err = %v, want ErrFlatLog", err)
-	}
-	if _, err := os.Stat(store); !os.IsNotExist(err) {
-		t.Fatalf("refused open created the log directory: %v", err)
-	}
-	if err := os.Rename(flat, flat+".aside"); err != nil {
-		t.Fatal(err)
-	}
-	m, err := OpenStore(store, Config{SegmentBytes: 4 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Close()
-	if err := os.Rename(flat+".aside", flat); err != nil {
-		t.Fatal(err)
-	}
-	m, err = OpenStore(store, Config{SegmentBytes: 4 << 10})
-	if err != nil {
-		t.Fatalf("open of a populated store beside a stray flat file: %v", err)
-	}
-	m.Close()
-}
-
 // TestReseedBaseStore: a store created with BaseLSN starts its LSN space
 // mid-stream — the reseeded-replica layout — and accepts raw appends there.
 func TestReseedBaseStore(t *testing.T) {

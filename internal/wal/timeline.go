@@ -7,9 +7,8 @@ import (
 
 // TimelineID names one branch of log history, Postgres-style. A freshly
 // created database is timeline 1; every promotion forks a new timeline
-// (old+1) and records where the old one ended. Timeline 0 is reserved for
-// "unknown" — metadata written before timelines existed decodes as 0 and
-// is upgraded to timeline 1 with an empty history.
+// (old+1) and records where the old one ended. Timeline 0 is reserved: no
+// boot record, checkpoint or handshake names it.
 type TimelineID uint32
 
 // TimelineFork records where an ancestor timeline ended in a node's

@@ -136,23 +136,11 @@ func TestApplyToTheWrongPageIsChainCorrupt(t *testing.T) {
 	}
 }
 
-func TestRedoOnlyRecordRefusesUndo(t *testing.T) {
-	old, new := leafRow("k", "before"), leafRow("k", "after!")
-	r := updateOf(old, new)
-	r.Type, r.CLRType, r.Flags = TypeCLR, TypeUpdate, FlagRedoOnly
-	p := pageWithRow(t, old)
-	if err := Redo(p, r); err != nil || !bytes.Equal(p.MustGet(1), new) {
-		t.Fatalf("redo left %q, %v", p.MustGet(1), err)
-	}
-	if err := Undo(p, r); err == nil || !bytes.Equal(p.MustGet(1), new) {
-		t.Fatalf("undo of a redo-only record: err=%v row=%q", err, p.MustGet(1))
-	}
-}
-
 // FuzzRecordBody: the body decoder never panics, and a body it accepts is
 // exactly what the record it returns marshals to — nothing is dropped,
 // truncated or reinterpreted on the way in. Seeds are bodies cut from a
-// TPC-C log (one or two of each record kind).
+// TPC-C log (one or two of each record kind), and an insert body with flag
+// bit 1 set, which no record carries.
 func FuzzRecordBody(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		r, err := DecodeBody(body)

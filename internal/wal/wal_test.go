@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -156,6 +157,23 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	}
 	if _, err := unmarshal(ext); err == nil {
 		t.Error("bytes trailing the last field should fail")
+	}
+}
+
+// TestUnmarshalRefusesUnknownFlags: FlagNTA is the only record flag; a body
+// with any other flag bit set is refused, not decoded into a record that
+// marshals the bit back out.
+func TestUnmarshalRefusesUnknownFlags(t *testing.T) {
+	body := (&Record{Type: TypeInsert, TxnID: 3, PageID: 9, Flags: FlagNTA, NewData: []byte("row")}).marshal(nil)
+	if _, err := unmarshal(body); err != nil {
+		t.Fatal(err)
+	}
+	for bit := 1; bit < 8; bit++ {
+		bad := slices.Clone(body)
+		bad[2] |= 1 << bit
+		if r, err := unmarshal(bad); err == nil {
+			t.Fatalf("flags %#x decoded to a record with flags %#x", bad[2], r.Flags)
+		}
 	}
 }
 
@@ -331,6 +349,7 @@ func TestCheckpointPayloadRoundTrip(t *testing.T) {
 			{TxnID: 1, LastLSN: 200, BeginLSN: 150},
 			{TxnID: 9, LastLSN: 300, BeginLSN: 40},
 		},
+		TLI: 1,
 	}
 	got, err := DecodeCheckpoint(EncodeCheckpoint(d))
 	if err != nil {
@@ -343,13 +362,21 @@ func TestCheckpointPayloadRoundTrip(t *testing.T) {
 		t.Error("short checkpoint payload should fail")
 	}
 	// Empty ATT.
-	d2 := CheckpointData{BeginLSN: 1}
+	d2 := CheckpointData{BeginLSN: 1, TLI: 1}
 	got2, err := DecodeCheckpoint(EncodeCheckpoint(d2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got2.BeginLSN != 1 || len(got2.ATT) != 0 {
 		t.Fatalf("empty ATT round trip: %+v", got2)
+	}
+	// No timeline: a payload that ends after its samples, or whose
+	// timeline section names timeline 0, is refused.
+	if _, err := DecodeCheckpoint(EncodeCheckpoint(d2)[:32]); err == nil {
+		t.Error("a payload without a timeline section should fail")
+	}
+	if _, err := DecodeCheckpoint(EncodeCheckpoint(CheckpointData{BeginLSN: 1})); err == nil {
+		t.Error("a timeline section for timeline 0 should fail")
 	}
 	// Bytes past the timeline trailer, as a partitioned log's checkpoint
 	// carried them (stream count, one begin per stream, discarded count).
@@ -427,22 +454,19 @@ func TestCheckpointDPTSection(t *testing.T) {
 
 // FuzzDecodeCheckpoint: the checkpoint-end payload decoder — the analysis
 // seed and redo start recovery, split resolution, replica apply and
-// backup.Full all read — never panics, and what it accepts encodes to a
-// payload that decodes to the same CheckpointData, dirty-page table
-// included. (Not always to the same bytes: a payload written before the time
-// index or timelines existed is encoded with those sections.) Seeds are the
+// backup.Full all read — never panics, and what it accepts encodes to
+// exactly the bytes it read, dirty-page table included. Seeds are the
 // checkpoint-end bodies of internal/asof/testdata/wholerow-log, one payload
-// with a timeline section, one with a dirty-page table and one cut off in
-// the middle of it.
+// with a timeline section, one whose section names timeline 0, one with a
+// dirty-page table and one cut off in the middle of it.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		d, err := DecodeCheckpoint(payload)
 		if err != nil {
 			return
 		}
-		again, err := DecodeCheckpoint(EncodeCheckpoint(d))
-		if err != nil || !reflect.DeepEqual(again, d) {
-			t.Fatalf("decoded %+v\nre-encoded, decodes to %+v (%v)", d, again, err)
+		if again := EncodeCheckpoint(d); !bytes.Equal(again, payload) {
+			t.Fatalf("decoded %+v from %x\nre-encodes to %x", d, payload, again)
 		}
 	})
 }
