@@ -99,7 +99,7 @@ func main() {
 
 	fmt.Println()
 	if asofPoint < restorePoint {
-		fmt.Printf("point access: as-of wins by %.0fx — recovery cost proportional to data accessed\n",
+		fmt.Printf("point access: as-of wins by %.1fx — recovery cost proportional to data accessed\n",
 			restorePoint.Seconds()/asofPoint.Seconds())
 	} else {
 		fmt.Println("point access: restore won (unusual at this scale)")

@@ -2,9 +2,12 @@
 // paper compares against (§1, §6.2): full database backups taken by
 // sequentially copying the data file, and point-in-time restore by copying
 // the backup back and replaying the transaction log forward to the target
-// time. Restore cost is proportional to the database size plus the log
-// replayed — the flat, large cost in Figures 7 and 8 — regardless of how
-// little data the user actually needs.
+// time. A restore is crash recovery run on the copy: one forward pass of
+// the engine's analysis and batch redo from the backup LSN, then the
+// unlogged undo of the transactions still in flight where the pass stops.
+// Its cost is the database size plus the log replayed, read once — the flat,
+// large cost in Figures 7 and 8 — regardless of how little data the user
+// actually needs.
 //
 // It also provides the §6.4 generalization: given both mechanisms, choose
 // the fastest way to access data in the past (roll the backup forward, or
@@ -12,6 +15,7 @@
 package backup
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -110,45 +114,48 @@ type Restored struct {
 	roots catalog.Roots
 }
 
+// ErrBeforeBackup is returned for a restore target older than the backup:
+// a restore only rolls the image forward.
+var ErrBeforeBackup = errors.New("backup: restore target precedes the backup")
+
 // RestoreToTime restores the backup to destPath and rolls it forward to the
 // last transaction committed at or before target, reading the log from
-// srcLog. dev charges the restored file's I/O.
+// srcLog as it stands at the call; dev charges the restored file's I/O. A
+// target before the backup's TakenAt is ErrBeforeBackup. The pass stops at
+// the first commit stamped past target, without observing it, and undoes
+// every transaction with no commit by then: the rows kept are those of
+// RestoreToLSN at the newest commit at or before target. Every commit up to
+// the backup checkpoint's end record is stamped at or before TakenAt, so the
+// stop is past that record, and its ATT always seeds the analysis.
 func RestoreToTime(m Manifest, srcLog *wal.Manager, target time.Time, destPath string, dev *media.Device) (*Restored, error) {
-	split, err := splitForTime(srcLog, m.BackupLSN, target)
-	if err != nil {
-		return nil, err
+	if target.Before(m.TakenAt) {
+		return nil, fmt.Errorf("%w: %v is before %v", ErrBeforeBackup, target, m.TakenAt)
 	}
-	return RestoreToLSN(m, srcLog, split, destPath, dev)
-}
-
-// splitForTime finds the newest commit at or before target, scanning
-// forward from the backup LSN (the restore already pays for this scan).
-func splitForTime(srcLog *wal.Manager, from wal.LSN, target time.Time) (wal.LSN, error) {
-	if err := checkRetained(srcLog, from); err != nil {
-		return wal.NilLSN, err
-	}
-	targetNS := target.UnixNano()
-	split := from
-	err := srcLog.Scan(from, func(rec *wal.Record) (bool, error) {
-		if rec.Type == wal.TypeCommit {
-			if rec.WallClock <= targetNS {
-				split = rec.LSN
-				return true, nil
-			}
-			return false, nil
-		}
-		return true, nil
-	})
-	return split, err
+	end, targetNS := srcLog.NextLSN()-1, target.UnixNano()
+	return restore(m, srcLog, end, true, func(rec *wal.Record) bool {
+		return rec.LSN > end || rec.Type == wal.TypeCommit && rec.WallClock > targetNS
+	}, destPath, dev)
 }
 
 // RestoreToLSN restores the backup and replays the log up to split.
 func RestoreToLSN(m Manifest, srcLog *wal.Manager, split wal.LSN, destPath string, dev *media.Device) (*Restored, error) {
 	if split < m.BackupLSN {
-		return nil, fmt.Errorf("backup: target %v predates backup LSN %v", split, m.BackupLSN)
+		return nil, fmt.Errorf("%w: LSN %v is below backup LSN %v", ErrBeforeBackup, split, m.BackupLSN)
 	}
-	if err := checkRetained(srcLog, m.BackupLSN); err != nil {
-		return nil, err
+	seed := m.CkptEnd != wal.NilLSN && m.CkptEnd <= split
+	return restore(m, srcLog, split, seed, func(rec *wal.Record) bool { return rec.LSN > split }, destPath, dev)
+}
+
+// restore copies the backup image to destPath and runs crash recovery on the
+// copy: one forward pass from the backup LSN observes and redoes (the shared
+// batch redo) each record up to the first that stop reports, then undoes the
+// transactions in flight there, unlogged, stamping split, at or past the
+// last record redone, on the pages it allocates. seed: the backup
+// checkpoint's ATT seeds the analysis, before the scan (see asof's resolveAt).
+func restore(m Manifest, srcLog *wal.Manager, split wal.LSN, seed bool, stop func(*wal.Record) bool, destPath string, dev *media.Device) (*Restored, error) {
+	// A scan from below the truncation point would start at it, skipping log.
+	if t := srcLog.TruncationPoint(); m.BackupLSN < t {
+		return nil, fmt.Errorf("backup: replay from %v: %w (truncation point %v)", m.BackupLSN, wal.ErrTruncated, t)
 	}
 	// 1. Copy the backup image (sequential read + sequential write).
 	// The image file is opened uncharged: the loop below charges each page
@@ -167,40 +174,44 @@ func RestoreToLSN(m Manifest, srcLog *wal.Manager, split wal.LSN, destPath strin
 		return dst.WritePageSeq(id, buf)
 	})
 	src.Close()
+	boot := make([]byte, page.Size)
+	if err == nil {
+		err = dst.ReadPage(0, boot)
+	}
+	r := &Restored{data: dst}
+	if err == nil {
+		r.roots, err = engine.DecodeBootRoots(boot)
+	}
 	if err != nil {
 		dst.Close()
 		return nil, err
 	}
-
-	r := &Restored{data: dst}
 	r.UnloggedStore = engine.NewUnloggedStore(512, (*restoreSource)(r), split)
-	if err := r.readBoot(); err != nil {
-		dst.Close()
-		return nil, err
-	}
 
-	// 2. Analysis and redo in one forward pass from the backup point to the
-	// split — crash recovery's passes, on the restored pool. The backup's
-	// checkpoint ATT seeds the analysis when the split is past its end record.
+	// 2. Analysis and redo in one forward pass, as crash recovery runs them.
 	st := engine.NewRecoveryState()
-	if m.CkptEnd != wal.NilLSN && m.CkptEnd <= split {
+	if seed {
 		st.Seed(m.ATT)
 	}
-	err = srcLog.Scan(m.BackupLSN, func(rec *wal.Record) (bool, error) {
-		if rec.LSN > split {
-			return false, nil
+	var redo engine.BatchRedo
+	_, err = srcLog.ScanBatches(m.BackupLSN, func(recs []*wal.Record) (bool, error) {
+		n := 0
+		for ; n < len(recs) && !stop(recs[n]); n++ {
+			st.Observe(recs[n])
 		}
-		st.Observe(rec)
-		return true, engine.RedoInto(r.Pool(), rec)
+		return n == len(recs), redo.Redo(r.Pool(), dst.PageCount(), recs[:n], nil)
 	})
 	if err != nil {
 		dst.Close()
 		return nil, fmt.Errorf("backup: replay: %w", err)
 	}
 
-	// 3. Undo in-flight transactions at the split (logical, unlogged).
+	// 3. Undo the transactions in flight at the stop (logical, unlogged),
+	// reading their chains as a snapshot's undo does.
+	rdr := srcLog.ChainReader()
+	defer rdr.Close()
 	for _, e := range st.Inflight() {
-		if err := r.UndoTxn(srcLog.Read, e); err != nil {
+		if err := r.UndoTxn(rdr.Read, e); err != nil {
 			dst.Close()
 			return nil, fmt.Errorf("backup: restore %w", err)
 		}
@@ -208,39 +219,20 @@ func RestoreToLSN(m Manifest, srcLog *wal.Manager, split wal.LSN, destPath strin
 	return r, nil
 }
 
-// checkRetained refuses a replay from below srcLog's truncation point:
-// Manager.Scan clamps such a start up to the point, which would skip the log
-// in between and restore a database missing its changes.
-func checkRetained(srcLog *wal.Manager, from wal.LSN) error {
-	if t := srcLog.TruncationPoint(); from < t {
-		return fmt.Errorf("backup: replay from %v: %w (truncation point %v)", from, wal.ErrTruncated, t)
-	}
-	return nil
-}
-
 // Close releases the restored database (the file remains on disk).
-func (r *Restored) Close() error {
-	return r.data.Close()
-}
-
-func (r *Restored) readBoot() error {
-	buf := make([]byte, page.Size)
-	if err := r.data.ReadPage(0, buf); err != nil {
-		return err
-	}
-	roots, err := engine.DecodeBootRoots(buf)
-	if err != nil {
-		return err
-	}
-	r.roots = roots
-	return nil
-}
+func (r *Restored) Close() error { return r.data.Close() }
 
 // restoreSource reads/writes the restored data file.
 type restoreSource Restored
 
 func (src *restoreSource) ReadPage(id page.ID, buf []byte) error {
 	return (*Restored)(src).data.ReadPage(id, buf)
+}
+
+// ReadRun reads consecutive pages with one device read, so the batch redo
+// reads the restored file ahead in runs (buffer.RunReader).
+func (src *restoreSource) ReadRun(first page.ID, bufs [][]byte) error {
+	return (*Restored)(src).data.ReadRun(first, bufs)
 }
 
 func (src *restoreSource) WritePage(id page.ID, buf []byte) error {

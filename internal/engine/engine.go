@@ -174,10 +174,8 @@ type DB struct {
 	// below it has been applied to the buffer pool. As-of snapshots on a
 	// standby may only split at or below it.
 	appliedLSN atomic.Uint64
-	// redoSeen and redoAhead are RedoBatch's pass state: a bit per page
-	// named so far, and the read-ahead list it reuses.
-	redoSeen  []uint64
-	redoAhead []page.ID
+	// redo is RedoBatch's pass state.
+	redo BatchRedo
 
 	// CheckpointCount counts checkpoints taken (introspection for tests).
 	CheckpointCount atomic.Int64

@@ -32,9 +32,9 @@ import (
 //
 //   - analysis: RecoveryState (Seed with a checkpoint's or mark's ATT, then
 //     Observe each record in LSN order);
-//   - redo: RedoInto, one record into a buffer pool — the engine's, or a
-//     restored copy's — and RedoBatch, a batch of records into the engine's
-//     pool with its pages read ahead in runs;
+//   - redo: BatchRedo, a batch of records into any buffer pool — the
+//     engine's (DB.RedoBatch) or a restored copy's — with its pages read
+//     ahead in runs, each record applied by RedoInto;
 //   - undo: a backward walk of each in-flight transaction's chain
 //     (wal.WalkTxnChain), logged with CLRs on the engine (UndoTransactions)
 //     or unlogged on a private copy (UnloggedStore.UndoTxn); both undo a row
@@ -134,40 +134,49 @@ func (db *DB) recover() error {
 	return db.checkpoint(prevBegin)
 }
 
-// RedoBatch is the one batch redo, of crash recovery and of a standby's
-// catch-up. It reads the pages redo of recs will read ahead into the pool's
+// RedoBatch is BatchRedo.Redo into the engine's pool, with its pass state on
+// db: a database runs either crash recovery at Open or a standby's catch-up,
+// never both, and each calls RedoBatch from one goroutine at a time.
+func (db *DB) RedoBatch(recs []*wal.Record, redone func(*wal.Record) bool) error {
+	return db.redo.Redo(db.pool, db.data.PageCount(), recs, redone)
+}
+
+// BatchRedo is the one batch redo, of crash recovery, a standby's catch-up
+// and a backup restore, with its pass state: a bit per page named so far,
+// and the read-ahead list it reuses. The zero value starts a pass.
+type BatchRedo struct {
+	seen  []uint64
+	ahead []page.ID
+}
+
+// Redo reads the pages redo of recs will read ahead into pool's
 // still-untouched frames, one device read per run of consecutive page ids
 // (buffer.Pool.Prefetch, which never evicts, so this only happens while the
 // pool is filling), then applies the records redone admits (nil admits all)
-// with RedoInto, serially in log order. Its pass state lives on db: a
-// database runs either recovery at Open or a standby's catch-up, never
-// both, and each calls RedoBatch from one goroutine at a time.
-func (db *DB) RedoBatch(recs []*wal.Record, redone func(*wal.Record) bool) error {
-	db.redoAhead = pagesRedoReads(recs, redone, db.data.PageCount(), &db.redoSeen, db.redoAhead[:0])
-	db.pool.Prefetch(db.redoAhead)
+// with RedoInto, serially in log order. pages is the length of pool's file.
+func (b *BatchRedo) Redo(pool *buffer.Pool, pages uint32, recs []*wal.Record, redone func(*wal.Record) bool) error {
+	pool.Prefetch(b.reads(recs, redone, pages))
 	for _, rec := range recs {
 		if redone != nil && !redone(rec) {
 			continue
 		}
-		if err := RedoInto(db.pool, rec); err != nil {
+		if err := RedoInto(pool, rec); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// pagesRedoReads appends to ids the pages redo of recs reads that no earlier
-// record of the pass has named: pages of records redo applies (redone, nil
-// for all), below the end of the data file (pages long), unless the first
-// such record rebuilds the page. seen marks the pages named so far, across
-// the whole pass, so each page is listed at most once and later records of
-// a page cost one bit test: a page named earlier is resident, or was
+// reads lists the pages redo of recs reads that no earlier record of the
+// pass named: the pages, below pages, of records redo applies, unless the
+// first such record rebuilds the page. b.seen marks the pages named so far, so a
+// later record of a page costs one bit test: that page is resident, or was
 // evicted once the pool had no untouched frame left to read it into.
-func pagesRedoReads(recs []*wal.Record, redone func(*wal.Record) bool, pages uint32, seen *[]uint64, ids []page.ID) []page.ID {
-	if n := int(pages+63) / 64; len(*seen) < n {
-		*seen = append(*seen, make([]uint64, n-len(*seen))...)
+func (b *BatchRedo) reads(recs []*wal.Record, redone func(*wal.Record) bool, pages uint32) []page.ID {
+	if n := int(pages+63) / 64; len(b.seen) < n {
+		b.seen = append(b.seen, make([]uint64, n-len(b.seen))...)
 	}
-	bits := *seen
+	bits, ids := b.seen, b.ahead[:0]
 	for _, rec := range recs {
 		if !rec.IsPageOp() || rec.PageID == wal.NoPage || rec.PageID >= pages || (redone != nil && !redone(rec)) {
 			continue
@@ -181,6 +190,7 @@ func pagesRedoReads(recs []*wal.Record, redone func(*wal.Record) bool, pages uin
 			ids = append(ids, page.ID(rec.PageID))
 		}
 	}
+	b.ahead = ids
 	return ids
 }
 
@@ -275,9 +285,9 @@ var ErrPageMissing = errors.New("engine: redo needs a page the data file does no
 
 // RedoInto applies one record's page effects to its page in pool if the page
 // has not seen them (the pageLSN test makes it idempotent); non-page records
-// are ignored. It is the one redo: crash recovery and standby apply replay
-// through it in RedoBatch, backup restore record by record; each applies
-// records one at a time, in log order.
+// are ignored. It is the one redo: crash recovery, standby apply and backup
+// restore all replay through it in BatchRedo, one record at a time, in log
+// order.
 //
 // It dirties the page only when the record changes it. A page whose pageLSN
 // is at or past the record's LSN already holds it: redo leaves the frame as
