@@ -16,22 +16,25 @@ import (
 // trivial linear scan.
 const chainReaderBlocks = 8
 
+// pinnedBlock is the part of one log block a reader holds: data starts at
+// block offset lo, which is nonzero only when the truncation point cut the
+// block when it was read.
 type pinnedBlock struct {
 	idx  int64 // block index, -1 when the slot is empty
+	lo   int
 	data []byte
 }
 
-// ChainReader is a block-granular log reader for backward chain walks
+// ChainReader is the log's reader by LSN: its load is the one place a log
+// block is read by LSN and the shared block cache is filled, and
+// Manager.Read is its one-shot form. It serves backward chain walks
 // (per-page PrevPageLSN chains, per-transaction PrevLSN chains, image
-// chains). It differs from Manager.Read in three ways that matter on the
-// as-of hot path:
+// chains), the as-of hot path:
 //
 //   - records are decoded in place into one reusable scratch Record, so a
 //     steady-state chain hop performs zero allocations;
 //   - decoded block spans are pinned locally, so consecutive hops within a
-//     block touch no shared lock at all (Manager.Read takes a cache-shard
-//     mutex per block access and allocates a fresh Record and body copy per
-//     record);
+//     block touch no shared lock at all;
 //   - on a block miss it reads the *previous* block in the same physical
 //     I/O (readahead in the direction the walk moves), so long chains
 //     stream backwards through the log instead of issuing one random read
@@ -49,6 +52,7 @@ type ChainReader struct {
 	blocks  [chainReaderBlocks]pinnedBlock
 	hand    int    // round-robin replacement cursor over blocks
 	scratch []byte // spill buffer for records crossing block boundaries
+	oneShot bool   // Manager.Read's reader: no previous block on a miss
 }
 
 // chainReaderPool recycles readers (and their pinned-block sets and spill
@@ -62,6 +66,7 @@ func (m *Manager) ChainReader() *ChainReader {
 	r := chainReaderPool.Get().(*ChainReader)
 	r.m = m
 	r.hand = 0
+	r.oneShot = false
 	for i := range r.blocks {
 		r.blocks[i] = pinnedBlock{idx: -1}
 	}
@@ -89,6 +94,20 @@ func (r *ChainReader) Close() {
 // The result (including byte fields, which alias pinned block memory) is
 // valid until the next Read or Close on this reader.
 func (r *ChainReader) Read(lsn LSN) (*Record, error) {
+	body, err := r.frame(lsn)
+	if err != nil {
+		return nil, err
+	}
+	if err := unmarshalInto(&r.rec, body); err != nil {
+		return nil, err
+	}
+	r.rec.LSN = lsn
+	return &r.rec, nil
+}
+
+// frame returns the body of the record at lsn, its header and CRC checked.
+// The body aliases pinned block memory or the spill buffer.
+func (r *ChainReader) frame(lsn LSN) ([]byte, error) {
 	if r.m == nil {
 		return nil, errors.New("wal: Read on closed ChainReader")
 	}
@@ -114,11 +133,7 @@ func (r *ChainReader) Read(lsn LSN) (*Record, error) {
 	if crc32.ChecksumIEEE(body) != wantCRC {
 		return nil, fmt.Errorf("wal: checksum mismatch at %v", lsn)
 	}
-	if err := unmarshalInto(&r.rec, body); err != nil {
-		return nil, err
-	}
-	r.rec.LSN = lsn
-	return &r.rec, nil
+	return body, nil
 }
 
 // WalkTxnChain walks a transaction's log chain newest first, from last back to
@@ -158,19 +173,19 @@ func WalkTxnChain(read func(LSN) (*Record, error), last LSN, fn func(*Record) er
 	return NilLSN, nil
 }
 
-// pinned returns the locally pinned copy of block idx, or nil.
-func (r *ChainReader) pinned(idx int64) []byte {
+// pinned returns the locally pinned part of block idx (data nil if none).
+func (r *ChainReader) pinned(idx int64) pinnedBlock {
 	for i := range r.blocks {
 		if r.blocks[i].idx == idx {
-			return r.blocks[i].data
+			return r.blocks[i]
 		}
 	}
-	return nil
+	return pinnedBlock{}
 }
 
 // pin installs a block span in the local set, replacing round-robin.
-func (r *ChainReader) pin(idx int64, data []byte) {
-	r.blocks[r.hand] = pinnedBlock{idx: idx, data: data}
+func (r *ChainReader) pin(b pinnedBlock) {
+	r.blocks[r.hand] = b
 	r.hand = (r.hand + 1) % chainReaderBlocks
 }
 
@@ -183,94 +198,121 @@ func (r *ChainReader) unpin(idx int64) {
 	}
 }
 
-// block returns the bytes of block idx: from the local pinned set (no
-// locks), else the shared cache (one shard mutex), else a physical read.
-func (r *ChainReader) block(idx int64) ([]byte, error) {
-	if blk := r.pinned(idx); blk != nil {
-		return blk, nil
+// block returns block idx: from the local pinned set (no locks), else the
+// shared cache (one shard mutex), else a physical read.
+func (r *ChainReader) block(idx int64) (pinnedBlock, error) {
+	if b := r.pinned(idx); b.data != nil {
+		return b, nil
 	}
 	if blk := r.m.cache.get(idx); blk != nil {
-		r.pin(idx, blk)
-		return blk, nil
+		b := pinnedBlock{idx: idx, data: blk}
+		r.pin(b)
+		return b, nil
 	}
 	return r.load(idx)
 }
 
-// load reads block idx from the manager. Chain walks move toward lower
-// LSNs, so the previous block is fetched in the same physical read when it
-// is not already resident — one I/O warms the span the walk needs next.
-func (r *ChainReader) load(idx int64) ([]byte, error) {
-	start := idx
-	if idx > 0 && r.pinned(idx-1) == nil {
+// load reads block idx from the manager: the one place a log block is read
+// by LSN and the shared cache filled. Chain walks move toward lower LSNs, so
+// a walking reader fetches the previous block in the same physical read when
+// it is not already resident — one I/O warms the span the walk needs next.
+//
+// The store is asked only for bytes from the truncation point's offset on:
+// no record read needs a byte below it, and retention never drops one at or
+// above it. Only a block read whole enters the shared cache; one read short,
+// at the front (the truncation point inside it) or at the tail (the log's
+// growing end), is pinned privately. Appended records are immutable, so a
+// stale-short private copy is refreshed on demand (see at). If the cut moves
+// past the clamp before the store read, the store refuses the bytes: clamp
+// again and retry.
+func (r *ChainReader) load(idx int64) (pinnedBlock, error) {
+	first := idx
+	if idx > 0 && !r.oneShot && r.pinned(idx-1).data == nil {
 		if blk := r.m.cache.peek(idx - 1); blk != nil {
-			r.pin(idx-1, blk)
+			r.pin(pinnedBlock{idx: idx - 1, data: blk})
 		} else {
-			start = idx - 1
+			first = idx - 1
 		}
 	}
-	buf := make([]byte, int(idx-start+1)*readBlockSize)
-	n, err := r.m.readAt(buf, start*readBlockSize, true)
-	if err != nil && n == 0 {
-		return nil, fmt.Errorf("wal: block %d: %w", idx, err)
+	end := (idx + 1) * readBlockSize
+	var buf []byte
+	var lo int64
+	for {
+		t := r.m.truncPoint()
+		if lo = max(first*readBlockSize, int64(t-1)); lo >= end {
+			return pinnedBlock{}, fmt.Errorf("%w: block %d lies below %v", ErrTruncated, idx, t)
+		}
+		buf = make([]byte, end-lo)
+		n, disk, err := r.m.readAt(buf, lo)
+		if errors.Is(err, ErrTruncated) && r.m.truncPoint() != t {
+			continue // the cut moved past lo between the clamp and the read
+		}
+		if err != nil {
+			return pinnedBlock{}, fmt.Errorf("wal: block %d: %w", idx, err)
+		}
+		if disk > 0 {
+			r.m.dev.ChargeRead(disk, false)
+			r.m.UndoReads.Add(1)
+		}
+		buf = buf[:n]
+		break
 	}
-	buf = buf[:n]
-	var out []byte
-	for b := start; b <= idx; b++ {
-		off := int(b-start) * readBlockSize
-		if off >= len(buf) {
+	var out pinnedBlock
+	for b := lo / readBlockSize; b <= idx; b++ {
+		blo := int(max(lo-b*readBlockSize, 0))
+		from := b*readBlockSize + int64(blo) - lo
+		if from >= int64(len(buf)) {
 			break
 		}
-		end := off + readBlockSize
-		if end > len(buf) {
-			end = len(buf)
+		to := min(from+int64(readBlockSize-blo), int64(len(buf)))
+		p := pinnedBlock{idx: b, lo: blo, data: buf[from:to:to]}
+		if len(p.data) == readBlockSize {
+			r.m.cache.put(b, p.data)
 		}
-		blk := buf[off:end:end]
-		// Only full blocks enter the shared cache: a partial block at the
-		// growing end would go stale as the log is extended. The reader may
-		// still pin it privately — appended records are immutable, so a
-		// stale-short private copy is refreshed on demand (see copyAt).
-		if len(blk) == readBlockSize {
-			r.m.cache.put(b, blk)
-		}
-		r.pin(b, blk)
+		r.pin(p)
 		if b == idx {
-			out = blk
+			out = p
 		}
 	}
-	if out == nil {
-		return nil, io.ErrUnexpectedEOF
+	if out.data == nil {
+		return pinnedBlock{}, io.ErrUnexpectedEOF
 	}
 	return out, nil
 }
 
-// refresh replaces a stale-short pinned copy of block idx with current bytes.
-func (r *ChainReader) refresh(idx int64) ([]byte, error) {
-	r.unpin(idx)
-	if blk := r.m.cache.get(idx); blk != nil {
-		r.pin(idx, blk)
-		return blk, nil
+// at returns the bytes of the block holding log offset off from off on, at
+// least need of them (need must not cross the block's end). A pinned copy
+// too short at the tail is read again; a byte below the part the block was
+// read from is below the truncation point.
+func (r *ChainReader) at(off int64, need int) ([]byte, error) {
+	idx, bo := off/readBlockSize, int(off%readBlockSize)
+	b, err := r.block(idx)
+	if err != nil {
+		return nil, err
 	}
-	return r.load(idx)
+	if bo+need > b.lo+len(b.data) {
+		r.unpin(idx)
+		if b, err = r.block(idx); err != nil {
+			return nil, err
+		}
+		if bo+need > b.lo+len(b.data) {
+			return nil, io.ErrUnexpectedEOF
+		}
+	}
+	if bo < b.lo {
+		return nil, fmt.Errorf("%w: offset %d is below the truncation point", ErrTruncated, off)
+	}
+	return b.data[bo-b.lo:], nil
 }
 
 // copyAt fills dst from log offset off through the pinned block set.
 func (r *ChainReader) copyAt(dst []byte, off int64) error {
 	for len(dst) > 0 {
-		idx := off / readBlockSize
-		bo := int(off % readBlockSize)
-		blk, err := r.block(idx)
+		src, err := r.at(off, 1)
 		if err != nil {
 			return err
 		}
-		if bo >= len(blk) {
-			if blk, err = r.refresh(idx); err != nil {
-				return err
-			}
-			if bo >= len(blk) {
-				return io.ErrUnexpectedEOF
-			}
-		}
-		n := copy(dst, blk[bo:])
+		n := copy(dst, src)
 		dst = dst[n:]
 		off += int64(n)
 	}
@@ -281,22 +323,12 @@ func (r *ChainReader) copyAt(dst []byte, off int64) error {
 // block when the range does not cross a block boundary (the common case —
 // zero copies), else assembled into the reader's reusable spill buffer.
 func (r *ChainReader) view(off int64, n int) ([]byte, error) {
-	bo := int(off % readBlockSize)
-	if bo+n <= readBlockSize {
-		idx := off / readBlockSize
-		blk, err := r.block(idx)
+	if int(off%readBlockSize)+n <= readBlockSize {
+		src, err := r.at(off, n)
 		if err != nil {
 			return nil, err
 		}
-		if bo+n > len(blk) {
-			if blk, err = r.refresh(idx); err != nil {
-				return nil, err
-			}
-			if bo+n > len(blk) {
-				return nil, io.ErrUnexpectedEOF
-			}
-		}
-		return blk[bo : bo+n], nil
+		return src[:n], nil
 	}
 	if cap(r.scratch) < n {
 		r.scratch = make([]byte, n)

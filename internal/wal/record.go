@@ -22,15 +22,18 @@
 // through a sharded second-chance block cache so concurrent snapshot-undo
 // and recovery readers do not contend.
 //
-// The read side offers two paths. Manager.Read fetches one record by LSN
-// through the shared block cache, returning a privately-owned Record — the
-// convenient form for occasional lookups. ChainReader is the hot path for
-// backward chain walks (per-page PrevPageLSN chains, per-transaction
-// PrevLSN chains, §6.1 image chains): it pins decoded block spans locally,
-// decodes records in place into a reusable scratch Record (zero allocations
-// per hop in the steady state), and reads the previous block in the same
-// physical I/O as the current one, so long chains stream backwards through
-// the log instead of ping-ponging the shared cache.
+// Records are read by LSN through one reader, ChainReader, whose block
+// loader is the only code that reads log blocks by LSN and fills the shared
+// block cache. A chain walk (per-page PrevPageLSN chains, per-transaction
+// PrevLSN chains, §6.1 image chains) keeps one reader: it pins decoded block
+// spans locally, decodes records in place into a reusable scratch Record
+// (zero allocations per hop in the steady state), and reads the previous
+// block in the same physical I/O as the current one, so long chains stream
+// backwards through the log instead of ping-ponging the shared cache.
+// Manager.Read is the one-shot form for occasional lookups: it reads through
+// a pooled reader without the read-back and returns a privately owned
+// Record. Scans read forward in long stretches (scanFrames) and bypass the
+// cache.
 //
 // The manager also keeps a sparse time→LSN index (TimeSample): every
 // timeSampleEvery bytes of log, one commit record contributes a
@@ -269,7 +272,8 @@ func (r *Record) marshal(dst []byte) []byte {
 }
 
 // unmarshal parses a record body into a fresh Record. The returned record's
-// byte slices alias src; Manager.Read passes a private copy.
+// byte slices alias src, so Manager.Read passes it a copy of the body: the
+// record it returns owns its bytes.
 func unmarshal(src []byte) (*Record, error) {
 	r := &Record{}
 	if err := unmarshalInto(r, src); err != nil {

@@ -1,10 +1,8 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sync"
 )
@@ -49,15 +47,16 @@ var scanBufPools = map[int]*sync.Pool{
 
 // scanFrames is the one forward log scan: crash recovery, standby catch-up,
 // as-of resolution and restores all read through it. It reads the log from
-// `from` in stretches of the given size (scanStretch or batchStretch) over an
-// arbitrary byte source and hands fn the records each stretch completes, in
-// LSN order; they, and the bytes they alias, are reused once fn returns. It
-// stops when fn returns false or an error, at the end of the log, or at a
-// torn or garbage frame (implausible length, body cut short, CRC mismatch),
-// and returns where the intact prefix it read ends: the LSN of its last byte
-// (from-1 if it read none). A CRC-valid body that does not decode is an
-// error, not a tear.
-func scanFrames(readAt func([]byte, int64) (int, error), from LSN, stretch int, fn func([]*Record) (bool, error)) (LSN, error) {
+// `from` in stretches of the given size (scanStretch or batchStretch) and
+// hands fn the records each stretch completes, in LSN order; they, and the
+// bytes they alias, are reused once fn returns. It stops when fn returns
+// false or an error, at the end of the log, or at a torn or garbage frame
+// (implausible length, body cut short, CRC mismatch), and returns where the
+// intact prefix it read ends: the LSN of its last byte (from-1 if it read
+// none). A CRC-valid body that does not decode is an error, not a tear, and
+// so is a stretch the store no longer holds (an error wrapping ErrTruncated:
+// retention cut the log under the scan).
+func (m *Manager) scanFrames(from LSN, stretch int, fn func([]*Record) (bool, error)) (LSN, error) {
 	pool := scanBufPools[stretch]
 	sb := pool.Get().(*scanBuf)
 	defer func() {
@@ -67,7 +66,7 @@ func scanFrames(readAt func([]byte, int64) (int, error), from LSN, stretch int, 
 	base, have := int64(from-1), 0 // log offset of sb.buf[0]; bytes held
 	for {
 		want := len(sb.buf) - have
-		n, err := readAt(sb.buf[have:], base+int64(have))
+		n, _, err := m.readAt(sb.buf[have:], base+int64(have))
 		if err != nil && !errors.Is(err, io.EOF) {
 			return LSN(base), fmt.Errorf("wal: scan at %d: %w", base+int64(have), err)
 		}
@@ -119,37 +118,4 @@ func eachRecord(fn func(*Record) (bool, error)) func([]*Record) (bool, error) {
 		}
 		return true, nil
 	}
-}
-
-// readFrame fetches and decodes the single record at lsn from a byte source:
-// the live log's block cache (Manager.Read).
-func readFrame(readAt func([]byte, int64) (int, error), lsn LSN) (*Record, error) {
-	var hdr [frameHeader]byte
-	if n, err := readAt(hdr[:], int64(lsn-1)); err != nil || n < frameHeader {
-		if err == nil {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, fmt.Errorf("wal: read frame at %v: %w", lsn, err)
-	}
-	bodyLen := binary.LittleEndian.Uint32(hdr[:4])
-	wantCRC := binary.LittleEndian.Uint32(hdr[4:])
-	if bodyLen == 0 || bodyLen > MaxRecordBytes {
-		return nil, fmt.Errorf("wal: implausible record length %d at %v", bodyLen, lsn)
-	}
-	body := make([]byte, bodyLen)
-	if n, err := readAt(body, int64(lsn-1)+frameHeader); err != nil || n < int(bodyLen) {
-		if err == nil {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, fmt.Errorf("wal: read frame body at %v: %w", lsn, err)
-	}
-	if crc32.ChecksumIEEE(body) != wantCRC {
-		return nil, fmt.Errorf("wal: checksum mismatch at %v", lsn)
-	}
-	r, err := unmarshal(body)
-	if err != nil {
-		return nil, err
-	}
-	r.LSN = lsn
-	return r, nil
 }

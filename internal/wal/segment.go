@@ -524,29 +524,24 @@ func (st *segmentStore) syncDirty() error {
 // readAt fills b from logical offset off, spanning segments, archived ones
 // included. Returns the bytes served; short only at the end of the store. A
 // byte the store does not hold (dropped without an archive, or before a
-// reseeded store's base) is an error wrapping ErrTruncated, unless zeroFill
-// is set: the block cache loads whole 32 KiB blocks whose first bytes may
-// predate the live floor, gets those as zeros, and the manager's
-// truncation-point check keeps record reads from ever depending on them.
-func (st *segmentStore) readAt(b []byte, off int64, zeroFill bool) (int, error) {
+// reseeded store's base) is an error wrapping ErrTruncated: the store never
+// makes bytes up, so a reader racing retention fails instead of decoding
+// zeros.
+func (st *segmentStore) readAt(b []byte, off int64) (int, error) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	read := 0
 	if floor := st.segs[0].start; off < floor {
-		n := min(int64(len(b)), floor-off)
-		switch {
-		case zeroFill:
-			clear(b[:n])
-		case len(st.arch) == 0 || off < st.arch[0].start:
+		if len(st.arch) == 0 || off < st.arch[0].start {
 			err := fmt.Errorf("%w: offset %d is below the log's floor", ErrTruncated, off)
 			if st.archErr != nil {
 				err = fmt.Errorf("%w (%w)", err, st.archErr)
 			}
 			return 0, err
-		default:
-			if _, err := readSegs(st.arch, b[:n], off); err != nil {
-				return 0, err
-			}
+		}
+		n := min(int64(len(b)), floor-off)
+		if _, err := readSegs(st.arch, b[:n], off); err != nil {
+			return 0, err
 		}
 		read, off = int(n), off+n
 	}

@@ -8,6 +8,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -591,6 +593,164 @@ func TestArchiveReadRacesRetention(t *testing.T) {
 	}
 	if reads < 2 {
 		t.Fatal("no read ran beside retention")
+	}
+}
+
+// TestScanRacingRetentionFails: a scan whose next stretch a retention cut
+// dropped fails with an error wrapping ErrTruncated. It does not end there
+// with a nil error, as if the log ended at the cut.
+func TestScanRacingRetentionFails(t *testing.T) {
+	for _, name := range []string{"Scan", "ScanBatches"} {
+		t.Run(name, func(t *testing.T) {
+			m := openSmall(t, t.TempDir())
+			defer m.Close()
+			starts, _ := appendBulk(t, m, 2000)
+			seen, cut := 0, false
+			visit := func(n int) error {
+				seen += n
+				if cut {
+					return nil
+				}
+				cut = true
+				return m.Truncate(starts[1500])
+			}
+			var err error
+			if name == "Scan" {
+				err = m.Scan(1, func(*Record) (bool, error) { return true, visit(1) })
+			} else {
+				_, err = m.ScanBatches(1, func(recs []*Record) (bool, error) { return true, visit(len(recs)) })
+			}
+			if !errors.Is(err, ErrTruncated) {
+				t.Fatalf("%s cut by retention after its first stretch: %d of %d records, err=%v; want an error wrapping ErrTruncated",
+					name, seen, len(starts), err)
+			}
+		})
+	}
+}
+
+// TestRecordReadsRaceRetention: ChainReader.Read and Manager.Read loop over
+// LSNs beside Truncate calls, with and without an archive. A read returns
+// the record appended at its LSN or fails with ErrTruncated, and a read at
+// or above the truncation point as it stands after the read never fails.
+// Then a read at a truncation point that lies inside a block leaves no block
+// that starts below the live floor in the shared cache. Run it with -race.
+func TestRecordReadsRaceRetention(t *testing.T) {
+	for _, archived := range []bool{false, true} {
+		t.Run(fmt.Sprintf("archived=%v", archived), func(t *testing.T) {
+			dir := t.TempDir()
+			var m *Manager
+			if archived {
+				m = openArchived(t, dir)
+			} else {
+				m = openSmall(t, dir)
+			}
+			defer m.Close()
+			starts, _ := appendBulk(t, m, 400)
+
+			// First a cut lands between a load's clamp and its store read,
+			// on purpose: the manager's lock, which the read takes before it
+			// asks the store, holds the read back once its block miss is
+			// counted, while the cut drops the segments the clamp let in, as
+			// Truncate would, and moves the truncation point.
+			k := sort.Search(len(starts), func(i int) bool { return starts[i] > 5*readBlockSize/4 })
+			misses := m.cache.misses.Load()
+			m.mu.Lock()
+			res := make(chan error, 1)
+			go func() {
+				rec, err := m.Read(starts[k])
+				if err == nil && rec.TxnID != uint64(k+1) {
+					err = fmt.Errorf("txn %d, want %d", rec.TxnID, k+1)
+				}
+				res <- err
+			}()
+			for m.cache.misses.Load() == misses && len(res) == 0 {
+				runtime.Gosched()
+			}
+			_, _, dropErr := m.store.dropBefore(int64(starts[k] - 1))
+			m.trunc.Store(uint64(starts[k]))
+			m.mu.Unlock()
+			if err := <-res; dropErr != nil || err != nil {
+				t.Fatalf("read at %v as a cut there dropped its block's front: %v (drop: %v)", starts[k], err, dropErr)
+			}
+
+			done := make(chan error, 1) // the retention goroutine's one result
+			go func() {
+				done <- func() error {
+					for i := k + 5; i < 390; i += 5 {
+						if err := m.Truncate(starts[i]); err != nil {
+							return err
+						}
+					}
+					return nil
+				}()
+			}()
+			cr := m.ChainReader()
+			defer cr.Close()
+			var bad, retErr error
+			reads := 0
+			for running := true; running && bad == nil; reads++ {
+				select {
+				case retErr = <-done:
+					running = false
+				default:
+				}
+				// Read near the truncation point, where a cut races the read.
+				j := sort.Search(len(starts), func(i int) bool { return starts[i] >= m.TruncationPoint() })
+				j = min(j+reads%24, len(starts)-1)
+				read := m.Read
+				if reads%2 == 1 {
+					read = cr.Read
+				}
+				rec, err := read(starts[j])
+				tp := m.TruncationPoint()
+				switch {
+				case err == nil && rec.TxnID != uint64(j+1):
+					bad = fmt.Errorf("read at %v returned txn %d, want %d", starts[j], rec.TxnID, j+1)
+				case err != nil && (!errors.Is(err, ErrTruncated) || starts[j] >= tp):
+					bad = fmt.Errorf("read at %v (truncation point %v): %v", starts[j], tp, err)
+				}
+				if bad != nil && running {
+					retErr = <-done // the store stays open until retention stops
+				}
+			}
+			if bad != nil {
+				t.Fatal(bad)
+			}
+			if retErr != nil {
+				t.Fatal(retErr)
+			}
+			if reads < 2 {
+				t.Fatal("no read ran beside retention")
+			}
+
+			// Cut where the live floor lies inside a block.
+			cut := 390
+			for ; cut < len(starts); cut++ {
+				if err := m.Truncate(starts[cut]); err != nil {
+					t.Fatal(err)
+				}
+				if (m.SegmentFloor()-1)%readBlockSize != 0 {
+					break
+				}
+			}
+			if cut == len(starts) {
+				t.Fatal("no cut left the live floor inside a block")
+			}
+			floor := int64(m.SegmentFloor() - 1)
+			m.InvalidateCache()
+			fresh := m.ChainReader()
+			defer fresh.Close()
+			for _, read := range []func(LSN) (*Record, error){m.Read, fresh.Read} {
+				if rec, err := read(starts[cut]); err != nil || rec.TxnID != uint64(cut+1) {
+					t.Fatalf("read at the truncation point %v: %v", starts[cut], err)
+				}
+			}
+			for idx := int64(0); idx*readBlockSize < floor; idx++ {
+				if m.cache.peek(idx) != nil {
+					t.Fatalf("block %d starts below the live floor at offset %d and is in the shared cache", idx, floor)
+				}
+			}
+		})
 	}
 }
 
